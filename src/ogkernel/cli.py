@@ -153,7 +153,7 @@ def _read_inputs(config: RunConfig) -> list[tuple[Path, list]]:
     return sources
 
 
-def _default_prelude(tmp_dir: Path | None = None) -> list[tuple[Path, list]]:
+def _default_prelude() -> list[tuple[Path, list]]:
     decls, diagnostics = parse_source(prelude_source())
     if diagnostics:  # the shipped prelude must always parse
         raise RuntimeError("internal: shipped prelude has syntax errors")
@@ -299,10 +299,7 @@ def run(config: RunConfig) -> tuple[int, Report | None]:
     }
     if config.command not in runners:
         raise UsageError(f"unknown command {config.command!r}")
-    try:
-        report = runners[config.command](config, timings)
-    except UsageError:
-        raise
+    report = runners[config.command](config, timings)
     if config.timings:
         Path(config.timings).write_text(
             json.dumps({"command": config.command, "seconds": timings}, indent=2) + "\n",
@@ -402,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # internal fault
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
     emit_code = emit_report(report, config.format, config.out)
     return emit_code if emit_code != EXIT_OK else exit_code

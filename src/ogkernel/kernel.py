@@ -9,7 +9,6 @@ re-derives the judgment from the trace and reports per-node pass/fail.
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -364,13 +363,17 @@ def _check_mor(
                 f"builtin {fn.rule} has signature {render(declared_dom)} -> "
                 f"{render(declared_cod)}, not {render(dom)} -> {render(cod)}"
             )
-        if fn.rule in ("indicator_stream", "restrict", "union_of_family"):
-            # Totality is a catalog guarantee; validate the spec resolves.
-            spec = fn.args[0]
-            if fn.rule == "union_of_family":
-                streams.resolve_family(str(spec))
-            else:
-                streams.parse_stream_spec(str(spec))
+        # Totality is a catalog guarantee once the spec resolves; a union
+        # is a binary function only for a coherent family.
+        if fn.rule == "union_of_family":
+            violation = streams.family_violation(str(fn.args[0]))
+            if violation is not None:
+                raise CatalogError(
+                    "union_of_family needs a coherent family: "
+                    f"{streams.CoherenceError(*violation)}"
+                )
+        elif fn.rule == "indicator_stream":
+            streams.parse_stream_spec(str(fn.args[0]))
         required = tuple(SupportsQuant(b) for b in _builtin_premises(fn))
         if premises != required:
             raise PremiseError(
@@ -433,6 +436,13 @@ def _check_rule(rule: RuleId, payload: tuple, premises: tuple[Judgment, ...]) ->
     raise SchemaError(f"rule {rule.value} is not derivable this way")
 
 
+def _coherent_family_judgment(family: FamilySpec) -> Judgment:
+    violation = streams.family_violation(family.descriptor)
+    if violation is not None:
+        raise streams.CoherenceError(*violation)
+    return IsCoherentFamily(family)
+
+
 def _check_gen_formation(expr: GenExpr, premises: tuple[Judgment, ...]) -> Judgment:
     if isinstance(expr, (Two, Nat)):
         if premises:
@@ -488,13 +498,12 @@ def _check_domain(
 
 
 class Kernel:
-    """Holds the declared-name table; all mutation is behind one lock.
+    """Holds the declared-name table.
 
     Theorems, once created, are immutable and freely shareable.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._declared: dict[str, Theorem] = {}
         self._formations: dict[GenExpr, Theorem] = {}
 
@@ -546,17 +555,15 @@ class Kernel:
     def gen_intro(self, decl: Ident | GenExpr) -> Theorem:
         """Declare a fresh primitive generator, or form a composite one."""
         if isinstance(decl, Ident):
-            with self._lock:
-                if decl.text in self._declared:
-                    raise NameClashError(f"generator {decl.text!r} is already declared")
-                judgment = IsGen(Named(Ident(decl.text)))
-                node = TraceNode("decl", "generator", judgment, payload=(decl.text,))
-                thm = _theorem(judgment, node)
-                self._declared[decl.text] = thm
-                return thm
+            if decl.text in self._declared:
+                raise NameClashError(f"generator {decl.text!r} is already declared")
+            judgment = IsGen(Named(Ident(decl.text)))
+            node = TraceNode("decl", "generator", judgment, payload=(decl.text,))
+            thm = _theorem(judgment, node)
+            self._declared[decl.text] = thm
+            return thm
         if isinstance(decl, Named):
-            with self._lock:
-                thm = self._declared.get(decl.name.text)
+            thm = self._declared.get(decl.name.text)
             if thm is None:
                 raise PremiseError(f"generator {decl.name.text!r} is not declared")
             return thm
@@ -565,8 +572,7 @@ class Kernel:
         raise SchemaError(f"cannot introduce a generator from {decl!r}")
 
     def _formation(self, expr: GenExpr) -> Theorem:
-        with self._lock:
-            cached = self._formations.get(expr)
+        cached = self._formations.get(expr)
         if cached is not None:
             return cached
         if isinstance(expr, Named):
@@ -586,8 +592,7 @@ class Kernel:
             "rule", "gen_intro", judgment, tuple(c.node for c in children), payload=(expr,)
         )
         thm = _theorem(judgment, node)
-        with self._lock:
-            self._formations.setdefault(expr, thm)
+        self._formations.setdefault(expr, thm)
         return thm
 
     # -- morphisms
@@ -645,16 +650,11 @@ class Kernel:
 
     # -- coherent limits
 
-    def coherent_family(self, family: FamilySpec, depth: int = 64) -> Theorem:
-        """Verify coherence of the family on stages 0..depth and certify it."""
-        member_at = streams.resolve_family(family.descriptor)
-        stages = [member_at(n) for n in range(depth + 1)]
-        result = streams.is_coherent(stages)
-        if not result.ok:
-            stage = result.violation
-            raise streams.CoherenceError(stage=stage, index=stage - 1)
-        judgment = IsCoherentFamily(family)
-        node = TraceNode("decl", "coherent_family", judgment, payload=(family, depth))
+    def coherent_family(self, family: FamilySpec) -> Theorem:
+        """Certify a catalog family that the descriptor shows to be coherent;
+        raises CoherenceError at the first disagreeing stage and index."""
+        judgment = _coherent_family_judgment(family)
+        node = TraceNode("decl", "coherent_family", judgment, payload=(family,))
         return _theorem(judgment, node)
 
     def coherent_limit(self, family: Theorem) -> Theorem:
@@ -751,13 +751,8 @@ def _replay_node(node: TraceNode, child_judgments: tuple[Judgment, ...]) -> Judg
                 raise SchemaError("generator declaration must introduce a name")
             return judgment
         if node.label == "coherent_family":
-            family, depth = node.payload
-            member_at = streams.resolve_family(family.descriptor)
-            stages = [member_at(n) for n in range(depth + 1)]
-            result = streams.is_coherent(stages)
-            if not result.ok:
-                raise streams.CoherenceError(stage=result.violation, index=0)
-            return IsCoherentFamily(family)
+            (family,) = node.payload
+            return _coherent_family_judgment(family)
         raise SchemaError(f"unknown declaration kind {node.label!r}")
     if node.kind == "rule":
         return _check_rule(RuleId(node.label), node.payload, child_judgments)

@@ -9,6 +9,7 @@ back as `not-finitely-checkable` rather than a silent overclaim.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -69,12 +70,11 @@ NOT_FINITELY_CHECKABLE = "not-finitely-checkable"
 # Powerset carriers with more than 2**16 objects are never materialized.
 MAX_POWERSET_BASE = 16
 
-# Existential detector search runs up to this carrier size (2**(2**4) = 65536
-# candidates); beyond it the canonical detector is constructed and verified.
-DETECTOR_SEARCH_LIMIT = 4
-
-# IsCoherentFamily judgments are checked on stages 0..this depth.
-COHERENCE_CHECK_DEPTH = 32
+# Family coherence is scanned through stage max(32, m + 1), m the largest
+# integer argument of the descriptor, so the scan passes every stage and index
+# the descriptor names; a scan beyond the cap is not finitely checkable.
+COHERENCE_SCAN_MIN = 32
+COHERENCE_SCAN_CAP = 1024
 
 
 class InterpretationError(ValueError):
@@ -327,8 +327,6 @@ def verify_judgment(j: Judgment, model: Model) -> Verdict:
         return _verify(j, model)
     except NotFinitelyCheckable as exc:
         return Verdict(NOT_FINITELY_CHECKABLE, detail=str(exc))
-    except InterpretationError as exc:
-        raise exc
 
 
 def _truncated(j: Judgment, model: Model) -> bool:
@@ -358,7 +356,7 @@ def _verify(j: Judgment, model: Model) -> Verdict:
         # set-hood reduces to supporting quantification.
         return Verdict(HOLDS, detail=f"diagonal equality exists; {sq.detail}", truncated=trunc)
     if isinstance(j, IsCoherentFamily):
-        return _verify_family(j, model)
+        return _verify_coherence(j.family.descriptor)
     raise TypeError(f"cannot verify {j!r}")
 
 
@@ -370,22 +368,7 @@ def _verify_obj(j: IsObj, model: Model, trunc: bool) -> Verdict:
             detail = f"numeral beyond truncation bound {model.nat_bound}"
         return Verdict(HOLDS, detail=detail, truncated=trunc)
     if tag.startswith("limit(") and tag.endswith(")") and j.expr == Powerset(NAT_EXPR):
-        descriptor = tag[len("limit(") : -1]
-        member_at = streams.resolve_family(descriptor)
-        stages = [member_at(n) for n in range(COHERENCE_CHECK_DEPTH + 1)]
-        result = streams.is_coherent(stages)
-        if not result.ok:
-            return Verdict(
-                FAILS,
-                detail="family is not coherent",
-                witness=_witness(stage=str(result.violation)),
-                truncated=trunc,
-            )
-        return Verdict(
-            HOLDS,
-            detail=f"coherent to depth {COHERENCE_CHECK_DEPTH}; union is a binary function",
-            truncated=trunc,
-        )
+        return _verify_coherence(tag[len("limit(") : -1], trunc)
     carrier = interpret(j.expr, model)
     if tag in carrier.objects:
         return Verdict(HOLDS, truncated=trunc)
@@ -414,6 +397,10 @@ def _verify_mor(
             ),
             truncated=trunc,
         )
+    if isinstance(fn, BuiltinRule) and fn.rule == "union_of_family":
+        coherence = _verify_coherence(str(fn.args[0]), trunc)
+        if not coherence.holds:
+            return coherence
     dom_carrier = interpret(dom, model)
     cod_carrier = interpret(cod, model)
     if isinstance(fn, Table):
@@ -463,34 +450,11 @@ def _verify_domain(j: IsDomain, model: Model, trunc: bool) -> Verdict:
 
 
 def _verify_squant(expr: GenExpr, model: Model, trunc: bool) -> Verdict:
-    carrier = interpret(expr, model)
-    n = len(carrier)
     power = interpret(Powerset(expr), model)
-    if n <= DETECTOR_SEARCH_LIMIT:
-        # Existential reading: search all 2**(2**n) candidate detectors for
-        # one that flags exactly the empty (always-no) function.
-        found = None
-        for mask in range(1 << len(power)):
-            if all((mask >> i & 1) == (1 if i == 0 else 0) for i in range(len(power))):
-                found = mask
-                break
-        if found is None:
-            return Verdict(
-                FAILS,
-                detail="no detector among all candidates",
-                witness=_witness(carrier=carrier.name),
-                truncated=trunc,
-            )
-        return Verdict(
-            HOLDS,
-            detail=f"detector found among {1 << len(power)} candidates",
-            truncated=trunc,
-        )
-    # Constructive reading: the canonical detector flags index 0; verify its
-    # law over the whole powerset carrier.
+    # The canonical detector flags index 0; verify its law over the whole
+    # powerset carrier.
     for i, tag in enumerate(power.objects):
-        flagged = i == 0
-        if flagged != (tag == "{}"):
+        if (i == 0) != (tag == "{}"):
             return Verdict(
                 FAILS,
                 detail="canonical detector law violated",
@@ -504,17 +468,28 @@ def _verify_squant(expr: GenExpr, model: Model, trunc: bool) -> Verdict:
     )
 
 
-def _verify_family(j: IsCoherentFamily, model: Model) -> Verdict:
-    member_at = streams.resolve_family(j.family.descriptor)
-    stages = [member_at(n) for n in range(COHERENCE_CHECK_DEPTH + 1)]
-    result = streams.is_coherent(stages)
-    if result.ok:
-        return Verdict(HOLDS, detail=f"coherent on stages 0..{COHERENCE_CHECK_DEPTH}")
-    return Verdict(
-        FAILS,
-        detail="stage disagrees with its predecessor",
-        witness=_witness(stage=str(result.violation)),
+def _verify_coherence(descriptor: str, trunc: bool = False) -> Verdict:
+    """Scan a family's stages for one that does not restrict to its
+    predecessor.  Independent of the kernel's rule on descriptors: it only
+    resolves the stages and compares them."""
+    member_at = streams.resolve_family(descriptor)
+    last = max(
+        [COHERENCE_SCAN_MIN, *(int(m) + 1 for m in re.findall(r",\s*(\d+)", descriptor))]
     )
+    if last > COHERENCE_SCAN_CAP:
+        raise NotFinitelyCheckable(
+            f"coherence of {descriptor!r} needs stages 0..{last}, beyond the "
+            f"scan cap of {COHERENCE_SCAN_CAP}"
+        )
+    result = streams.is_coherent([member_at(n) for n in range(last + 1)])
+    if not result.ok:
+        return Verdict(
+            FAILS,
+            detail=f"stage {result.violation} disagrees with its predecessor",
+            witness=_witness(stage=str(result.violation)),
+            truncated=trunc,
+        )
+    return Verdict(HOLDS, detail=f"coherent on stages 0..{last}", truncated=trunc)
 
 
 NAT_EXPR = Nat()

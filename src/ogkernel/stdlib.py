@@ -121,12 +121,11 @@ def _carrier_size(expr: GenExpr, bound: int) -> int | None:
 
 def evidence_models(expr: GenExpr) -> tuple[Model, ...]:
     """Small finite models in which equality-law evidence for `expr` is
-    checked exhaustively.  The two largest feasible Nat truncations are used."""
-    if not mentions_nat(expr):
-        return (Model.make({}, nat_bound=1),)
+    checked exhaustively.  The two largest feasible Nat truncations are used;
+    an expression without Nat gets the single model with bound 1."""
     feasible = [
         k
-        for k in range(4)
+        for k in (range(4) if mentions_nat(expr) else (1,))
         if (size := _carrier_size(expr, k)) is not None and size <= _EVIDENCE_SIZE_CAP
     ]
     if not feasible:

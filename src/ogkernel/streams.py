@@ -33,6 +33,7 @@ __all__ = [
     "parse_stream_spec",
     "stream_spec",
     "resolve_family",
+    "family_violation",
     "restrict",
     "is_coherent",
     "CoherenceResult",
@@ -404,32 +405,55 @@ def union_limit(member_at: FamilyRule) -> UnionStream:
 # Family descriptors (shared with the kernel's coherent-limit rule)
 
 
+def _parse_family(descriptor: str) -> tuple[BitStream, tuple[int, int] | None]:
+    """The base stream of a family descriptor and, for ``corrupt``, its
+    (stage, index) pair."""
+    d = descriptor.strip()
+    if d.startswith("restrictions(") and d.endswith(")"):
+        return parse_stream_spec(d[len("restrictions(") : -1]), None
+    if d.startswith("corrupt(") and d.endswith(")"):
+        args = _split_args(d[len("corrupt(") : -1], descriptor)
+        if len(args) != 3:
+            raise StreamSpecError(f"corrupt(...) takes three arguments: {descriptor!r}")
+        stage, index = _parse_int(args[1]), _parse_int(args[2])
+        if stage < 0 or index < 0:
+            raise StreamSpecError(
+                f"corrupt(...) stage and index must be nonnegative: {descriptor!r}"
+            )
+        return parse_stream_spec(args[0]), (stage, index)
+    raise StreamSpecError(f"unknown family descriptor: {descriptor!r}")
+
+
 def resolve_family(descriptor: str) -> FamilyRule:
     """Resolve a family descriptor to its stage rule.
 
     ``restrictions(<spec>)``: stage n is restrict(stream, n).
     ``corrupt(<spec>,<stage>,<index>)``: like restrictions, but stages at or
-    beyond <stage> have the bit at <index> flipped (an incoherent family,
-    used as a negative control).
+    beyond <stage> have the bit at <index> flipped (an incoherent family when
+    <index> < <stage>, used as a negative control).
     """
-    d = descriptor.strip()
-    if d.startswith("restrictions(") and d.endswith(")"):
-        stream = parse_stream_spec(d[len("restrictions(") : -1])
+    stream, corruption = _parse_family(descriptor)
+    if corruption is None:
         return lambda n: restrict(stream, n)
-    if d.startswith("corrupt(") and d.endswith(")"):
-        args = _split_args(d[len("corrupt(") : -1], descriptor)
-        if len(args) != 3:
-            raise StreamSpecError(f"corrupt(...) takes three arguments: {descriptor!r}")
-        stream = parse_stream_spec(args[0])
-        stage, index = _parse_int(args[1]), _parse_int(args[2])
+    stage, index = corruption
+    flipped = FlipAt(stream, index)
+    return lambda n: restrict(flipped if n >= stage else stream, n)
 
-        def member(n: int) -> PartialBitMap:
-            if n >= stage and index <= n:
-                return restrict(FlipAt(stream, index), n)
-            return restrict(stream, n)
 
-        return member
-    raise StreamSpecError(f"unknown family descriptor: {descriptor!r}")
+def family_violation(descriptor: str) -> tuple[int, int] | None:
+    """The exact coherence decision for a family descriptor.
+
+    Returns None when every stage restricts to its predecessor, otherwise
+    the first (stage, index) where a stage disagrees with the one before.
+    ``restrictions(s)`` is always coherent.  ``corrupt(s,k,i)`` first flips
+    bit i at stage k; stage k - 1 has bit i in its domain exactly when
+    i < k, so that is when the family is incoherent, first at (k, i).
+    """
+    _, corruption = _parse_family(descriptor)
+    if corruption is None:
+        return None
+    stage, index = corruption
+    return corruption if index < stage else None
 
 
 # ---------------------------------------------------------------------------

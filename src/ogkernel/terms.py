@@ -182,7 +182,8 @@ class BuiltinRule(FnExpr):
 class FamilySpec:
     """A coherent-family description drawn from the stream catalog.
 
-    The descriptor grammar is owned by `ogkernel.streams.resolve_family`:
+    The descriptor grammar and its coherence decision are owned by
+    `ogkernel.streams` (`resolve_family`, `family_violation`):
     ``restrictions(<stream spec>)`` or ``corrupt(<stream spec>,<stage>,<index>)``.
     """
 

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from ogkernel import __version__
+from ogkernel import __version__, cli
 from ogkernel.cli import (
     EXIT_CHECK_FAILED,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     Report,
@@ -46,6 +47,49 @@ def test_check_cross_domain_file_exits_1(capsys):
     out = capsys.readouterr().out
     assert exit_code == EXIT_CHECK_FAILED
     assert "E0101" in out
+
+
+def test_check_refusals_exit_1(tmp_path, capsys):
+    cases = {
+        "corrupt.og": (
+            'assert Coherent(F, "corrupt(squares,100,3)") by rule coherent;\n'
+            "assert Obj(limit(F), P[Nat]) by rule cla;\n",
+            "E0102 at 1:1 | family is not coherent: family stage 100 disagrees at index 3",
+        ),
+        "negative.og": (
+            'assert Coherent(F, "corrupt(squares,3,-1)") by rule coherent;\n',
+            "E0102 at 1:1 | corrupt(...) stage and index must be nonnegative",
+        ),
+        "union.og": (
+            'morphism u : Nat -> Two := rule union_of_family["corrupt(squares,5,3)"];\n'
+            "assert Mor(u, Nat, Two) by rule mor;\n",
+            "E0102 at 1:1 | union_of_family needs a coherent family",
+        ),
+        "deep_tower.og": (
+            "assert Set(Two) by axiom H1;\n"
+            "assert SupportsQuant(P[Two]) by rule H4;\n"
+            "assert SupportsQuant(P[P[Two]]) by rule H4;\n"
+            "assert Gen(P[P[P[Two]]]) by rule gen;\n"
+            "morphism eq3 : P[P[P[Two]]] * P[P[P[Two]]] -> Two := rule eq_of[P[P[P[Two]]]];\n"
+            "assert BinFn(eq3, P[P[P[Two]]] * P[P[P[Two]]]) by rule binfn;\n"
+            "assert Domain(P[P[P[Two]]], eq3) by rule domain_intro;\n",
+            "E0102 at 7:1 | no feasible evidence model for P[P[P[Two]]]",
+        ),
+    }
+    for name, (source, expected) in cases.items():
+        path = tmp_path / name
+        path.write_text(source)
+        assert main(["check", str(path)]) == EXIT_CHECK_FAILED, name
+        assert expected in capsys.readouterr().out, name
+
+
+def test_internal_error_names_the_exception(monkeypatch, capsys):
+    def out_of_memory(config, timings):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_run_axioms", out_of_memory)
+    assert main(["axioms"]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: MemoryError()\n"
 
 
 def test_check_syntax_errors_exit_2(capsys):

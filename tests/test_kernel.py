@@ -18,6 +18,7 @@ from ogkernel.kernel import (
     Theorem,
     TotalityError,
     TraceNode,
+    _replay_node,
     axioms_used,
     leaf_kinds,
     trace_nodes,
@@ -279,8 +280,29 @@ def test_coherent_family_and_limit(kernel):
 
 
 def test_incoherent_family_is_refused_upstream(kernel):
-    with pytest.raises(CoherenceError):
-        kernel.coherent_family(FamilySpec(Ident("Bad"), "corrupt(squares,3,1)"))
+    for descriptor, stage, index in (
+        ("corrupt(squares,3,1)", 3, 1),
+        ("corrupt(squares,100,3)", 100, 3),
+    ):
+        family = FamilySpec(Ident("Bad"), descriptor)
+        with pytest.raises(CoherenceError) as exc:
+            kernel.coherent_family(family)
+        assert (exc.value.stage, exc.value.index) == (stage, index)
+        # a forged declaration node is refused on replay the same way
+        forged = TraceNode(
+            "decl", "coherent_family", IsCoherentFamily(family), payload=(family,)
+        )
+        with pytest.raises(CoherenceError) as exc:
+            _replay_node(forged, ())
+        assert (exc.value.stage, exc.value.index) == (stage, index)
+
+
+def test_union_of_incoherent_family_is_refused(kernel):
+    union = BuiltinRule("union_of_family", ("restrictions(pow2)",))
+    assert kernel.mor_intro(union, NAT, TWO).judgment == IsMor(union, NAT, TWO)
+    corrupt = BuiltinRule("union_of_family", ("corrupt(squares,5,3)",))
+    with pytest.raises(CatalogError, match="stage 5 disagrees at index 3"):
+        kernel.mor_intro(corrupt, NAT, TWO)
 
 
 def test_coherent_limit_premise_error(kernel):

@@ -26,8 +26,10 @@ from ogkernel.terms import (
     NAT,
     TWO,
     BuiltinRule,
+    FamilySpec,
     Ident,
     IsBinFn,
+    IsCoherentFamily,
     IsDomain,
     IsGen,
     IsMor,
@@ -119,7 +121,7 @@ def test_supports_quant_search_on_three_objects():
 
 
 def test_supports_quant_constructive_path():
-    # beyond the search bound of 4 objects the canonical detector is used
+    # the canonical detector is verified at every carrier size
     expr, model = _named("A", *(f"x{i}" for i in range(6)))
     verdict = verify_judgment(SupportsQuant(expr), model)
     assert verdict.holds and "canonical" in verdict.detail
@@ -172,8 +174,32 @@ def test_is_obj_examples():
     assert verdict.status == FAILS
     limit = ObjLit("limit(restrictions(squares))", Powerset(NAT))
     assert verify_judgment(IsObj(limit, Powerset(NAT)), model).holds
-    broken = ObjLit("limit(corrupt(squares,3,1))", Powerset(NAT))
-    assert verify_judgment(IsObj(broken, Powerset(NAT)), model).status == FAILS
+    for descriptor, stage in (("corrupt(squares,3,1)", "3"), ("corrupt(squares,100,3)", "100")):
+        broken = ObjLit(f"limit({descriptor})", Powerset(NAT))
+        verdict = verify_judgment(IsObj(broken, Powerset(NAT)), model)
+        assert verdict.status == FAILS and dict(verdict.witness) == {"stage": stage}
+
+
+def test_family_coherence_is_scanned_past_the_descriptor():
+    model = default_model(nat_bound=3)
+
+    def coherent(descriptor):
+        return verify_judgment(IsCoherentFamily(FamilySpec(Ident("F"), descriptor)), model)
+
+    assert coherent("restrictions(squares)").holds
+    assert coherent("corrupt(squares,3,100)").holds
+    verdict = coherent("corrupt(squares,100,3)")
+    assert verdict.status == FAILS and dict(verdict.witness) == {"stage": "100"}
+    verdict = coherent("corrupt(squares,1000000000,3)")
+    assert verdict.status == NOT_FINITELY_CHECKABLE
+    assert "1000000001" in verdict.detail
+    # the union of an incoherent family is no binary function, though each
+    # stage alone has a value at every numeral
+    for descriptor in ("corrupt(squares,5,3)", "corrupt(squares,2,1)"):
+        union = BuiltinRule("union_of_family", (descriptor,))
+        assert verify_judgment(IsMor(union, NAT, TWO), model).status == FAILS
+    union = BuiltinRule("union_of_family", ("restrictions(pow2)",))
+    assert verify_judgment(IsMor(union, NAT, TWO), model).holds
 
 
 def test_is_set_reduces_to_quantification_support():

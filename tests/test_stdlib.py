@@ -202,3 +202,6 @@ def test_evidence_models_are_small(kernel):
     for expr in (TWO, NAT, Powerset(NAT), Powerset(Powerset(NAT))):
         for model in evidence_models(expr):
             assert len(interpret(expr, model)) <= 64
+    # the cap holds for Nat-free expressions too: 2^16 objects is refused
+    with pytest.raises(PremiseError, match="no feasible evidence model"):
+        evidence_models(Powerset(Powerset(Powerset(TWO))))

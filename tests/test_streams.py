@@ -22,6 +22,7 @@ from ogkernel.streams import (
     XorOf,
     demonstrate_gap,
     ep_decide,
+    family_violation,
     flip_witness,
     is_coherent,
     is_ep_witness,
@@ -227,8 +228,30 @@ def test_resolve_family_descriptors():
     corrupt = resolve_family("corrupt(squares,3,1)")
     assert corrupt(2).bits == restrict(SquaresIndicator(), 2).bits
     assert corrupt(4).bits[1] != restrict(SquaresIndicator(), 4).bits[1]
-    with pytest.raises(StreamSpecError):
-        resolve_family("nonsense(squares)")
+    for bad in ("nonsense(squares)", "corrupt(squares,3,-1)", "corrupt(squares,-3,1)"):
+        with pytest.raises(StreamSpecError):
+            resolve_family(bad)
+        with pytest.raises(StreamSpecError):
+            family_violation(bad)
+
+
+def test_family_violation_matches_stage_scan():
+    # the exact rule against a brute scan of 40 stages, which reaches past
+    # every corruption stage in the grid
+    for spec in ("squares", "pow2", "periodic:1/01", "finite:1101"):
+        assert family_violation(f"restrictions({spec})") is None
+        for stage in range(14):
+            for index in range(14):
+                descriptor = f"corrupt({spec},{stage},{index})"
+                member = resolve_family(descriptor)
+                scan = is_coherent([member(n) for n in range(40)])
+                violation = family_violation(descriptor)
+                if scan.ok:
+                    assert violation is None, descriptor
+                    continue
+                bad, before = member(scan.violation).bits, member(scan.violation - 1).bits
+                first = next(i for i, (a, b) in enumerate(zip(bad, before)) if a != b)
+                assert violation == (scan.violation, first), descriptor
 
 
 def test_demonstrate_gap_passes():
