@@ -23,8 +23,8 @@ from .kernel import (
     Kernel,
     KernelError,
     Theorem,
-    _required_squants,
     axioms_used,
+    required_squants,
 )
 from .semantics import (
     FAILS,
@@ -461,7 +461,7 @@ def _mor_intro(
     assert isinstance(fn, BuiltinRule)
     needed: list[Theorem] = list(premises)
     if not needed and fn.rule in ("eq_of", "empty_detector_of"):
-        for base in _required_squants(fn.args[0]) if fn.rule == "eq_of" else (fn.args[0],):
+        for base in required_squants(fn.args[0]) if fn.rule == "eq_of" else (fn.args[0],):
             needed.append(
                 session.require(
                     lambda j, b=base: j == SupportsQuant(b),

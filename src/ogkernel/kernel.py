@@ -14,12 +14,16 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from . import streams
 from .semantics import (
+    NO_VALUE,
     Model,
     NotFinitelyCheckable,
-    _fn_value,
+    diagonal_violation,
     fn_signature,
+    fn_values,
     interpret,
 )
 from .terms import (
@@ -73,6 +77,7 @@ __all__ = [
     "axioms_used",
     "trace_nodes",
     "leaf_kinds",
+    "required_squants",
 ]
 
 
@@ -233,18 +238,25 @@ class EqQuery:
     def evaluate(self, model: Model) -> str:
         dom_judgment = self.domain.judgment
         assert isinstance(dom_judgment, IsDomain)
-        carrier = interpret(dom_judgment.expr, model)
-        for lit in (self.left, self.right):
-            if lit.tag not in carrier.objects and not (
-                isinstance(dom_judgment.expr, Nat) and lit.tag.isdigit()
-            ):
-                raise KernelError(
-                    f"{lit.tag!r} is not an object of {carrier.name} in this model"
-                )
-        value = _fn_value(dom_judgment.eq, model, f"({self.left.tag},{self.right.tag})")
-        if value is None:
+        expr = dom_judgment.expr
+        lits = (self.left, self.right)
+        if isinstance(expr, Nat):
+            # A numeral is an object of Nat whatever the truncation bound:
+            # widen the bound to cover the numerals asked about.
+            numerals = [int(lit.tag) for lit in lits if lit.tag.isdecimal()]
+            model = Model(model.assignments, max([model.nat_bound or 0, *numerals]))
+        try:
+            carrier = interpret(expr, model)
+            i, j = codes = [carrier.index(lit.tag) for lit in lits]
+            if None in codes:
+                tag = lits[codes.index(None)].tag
+                raise KernelError(f"{tag!r} is not an object of {carrier.name} in this model")
+            (value,) = fn_values(dom_judgment.eq, model, np.array([i * len(carrier) + j]))
+        except NotFinitelyCheckable as exc:
+            raise KernelError(f"cannot evaluate this equality: {exc}") from exc
+        if value < 0:
             raise KernelError("equality pairing has no value at this pair")
-        return value
+        return interpret(TWO, model).tag(value)
 
 
 # ---------------------------------------------------------------------------
@@ -271,27 +283,28 @@ def _choice_judgment(surj: FnExpr, dom: GenExpr, cod: GenExpr, model: Model) -> 
     _check_mor(surj, dom, cod, model, ())
     dom_carrier = interpret(dom, model)
     cod_carrier = interpret(cod, model)
-    table = {tag: _fn_value(surj, model, tag) for tag in dom_carrier.objects}
+    values = fn_values(surj, model)
     section_rows = []
-    for target in cod_carrier.objects:
-        preimages = [x for x in dom_carrier.objects if table[x] == target]
-        if not preimages:
+    for target in range(len(cod_carrier)):
+        preimages = (values == target).nonzero()[0]
+        tag = cod_carrier.tag(target)
+        if not len(preimages):
             raise CounterexampleError(
-                f"not surjective in {model.describe()}: {target!r} is uncovered",
+                f"not surjective in {model.describe()}: {tag!r} is uncovered",
                 model=model,
-                uncovered=target,
+                uncovered=tag,
             )
-        section_rows.append((ObjLit(target, cod), ObjLit(preimages[0], dom)))
+        section_rows.append((ObjLit(tag, cod), ObjLit(dom_carrier.tag(int(preimages[0])), dom)))
     section = Table(cod, dom, tuple(section_rows))
     return IsMor(section, cod, dom)
 
 
-def _required_squants(expr: GenExpr) -> tuple[GenExpr, ...]:
+def required_squants(expr: GenExpr) -> tuple[GenExpr, ...]:
     """Which SupportsQuant premises the builtin equality on `expr` needs."""
     if isinstance(expr, (Two, Nat)):
         return ()
     if isinstance(expr, Product):
-        return _required_squants(expr.left) + _required_squants(expr.right)
+        return required_squants(expr.left) + required_squants(expr.right)
     if isinstance(expr, Powerset):
         # Extensional equality on P[B] is the detector applied to the
         # symmetric difference, so it needs exactly the detector on B.
@@ -307,7 +320,7 @@ def _builtin_premises(fn: BuiltinRule) -> tuple[GenExpr, ...]:
         (arg,) = fn.args
         if not isinstance(arg, GenExpr):
             raise CatalogError("eq_of takes one generator expression")
-        return _required_squants(arg)
+        return required_squants(arg)
     if fn.rule == "empty_detector_of":
         (arg,) = fn.args
         if not isinstance(arg, GenExpr):
@@ -337,20 +350,20 @@ def _check_mor(
             )
         try:
             dom_carrier = interpret(dom, model)
-            cod_carrier = interpret(cod, model)
+            values = fn_values(fn, model)
         except NotFinitelyCheckable as exc:
             raise TotalityError(f"cannot check totality: {exc}") from exc
-        rows = {key.tag: val.tag for key, val in fn.rows}
-        for tag in rows:
-            if tag not in dom_carrier.objects:
-                raise CodomainError(f"row key {tag!r} is not an object of the domain")
-        for tag in dom_carrier.objects:
-            if tag not in rows:
+        # Row keys are distinct, so a row missing from the encoding names no object.
+        if (values != NO_VALUE).sum() < len(fn.rows):
+            stray = next(k.tag for k, _ in fn.rows if dom_carrier.index(k.tag) is None)
+            raise CodomainError(f"row key {stray!r} is not an object of the domain")
+        bad = (values < 0).nonzero()[0]
+        if len(bad):
+            tag = dom_carrier.tag(int(bad[0]))
+            if values[bad[0]] == NO_VALUE:
                 raise TotalityError(f"table has no row for {tag!r}")
-            if rows[tag] not in cod_carrier.objects:
-                raise CodomainError(
-                    f"row value {rows[tag]!r} is not an object of the codomain"
-                )
+            value = next(v.tag for k, v in fn.rows if k.tag == tag)
+            raise CodomainError(f"row value {value!r} is not an object of the codomain")
     elif isinstance(fn, BuiltinRule):
         if fn.rule == "restrict":
             raise CatalogError(
@@ -478,18 +491,15 @@ def _check_domain(
         raise PremiseError("domain_intro needs at least one evidence model")
     for model in models:
         try:
-            carrier = interpret(expr, model)
+            violation = diagonal_violation(eq_j.fn, expr, model)
         except NotFinitelyCheckable as exc:
             raise PremiseError(f"evidence model cannot interpret {render(expr)}: {exc}")
-        for x in carrier.objects:
-            for y in carrier.objects:
-                got = _fn_value(eq_j.fn, model, f"({x},{y})")
-                expected = "yes" if x == y else "no"
-                if got != expected:
-                    raise EqualityLawError(
-                        f"equality pairing on {render(expr)} returns {got!r} at "
-                        f"({x!r}, {y!r}) in {model.describe()}, expected {expected!r}"
-                    )
+        if violation is not None:
+            x, y, got, expected = violation
+            raise EqualityLawError(
+                f"equality pairing on {render(expr)} returns {got!r} at "
+                f"({x!r}, {y!r}) in {model.describe()}, expected {expected!r}"
+            )
     return IsDomain(expr, eq_j.fn)
 
 

@@ -4,22 +4,36 @@ A Model assigns finite carriers to named generators and (optionally) a
 truncation bound for the naturals.  Judgments are evaluated by exhaustive
 enumeration; anything that would require unbounded quantification comes
 back as `not-finitely-checkable` rather than a silent overclaim.
+
+The objects of a carrier are the integers 0 .. n-1: a Nat numeral k is k, an
+object of a named generator is its position in the assigned tags, a product
+pair (i, j) is ``i*|B| + j``, and a powerset element is the bitmask of its
+members.  Every law is checked on these indices, with numpy where it spans a
+whole carrier; object tags are parsed only where a term names an object and
+rendered only for witnesses and reports.  One budget bounds every check: a
+carrier or function domain of more than CARRIER_BUDGET objects is not finitely
+checkable, and its size is computed before anything is built.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import streams
 from .terms import (
+    NAT,
     TWO,
     BuiltinRule,
     FnExpr,
     GenExpr,
+    Ident,
     IsBinFn,
     IsCoherentFamily,
     IsDomain,
@@ -35,8 +49,10 @@ from .terms import (
     SupportsQuant,
     Table,
     Two,
+    free_names,
     render,
     split_pair_tag,
+    split_top_level,
 )
 
 __all__ = [
@@ -46,10 +62,15 @@ __all__ = [
     "HOLDS",
     "FAILS",
     "NOT_FINITELY_CHECKABLE",
+    "CARRIER_BUDGET",
+    "NO_VALUE",
     "InterpretationError",
     "NotFinitelyCheckable",
+    "carrier_size",
     "interpret",
+    "fn_values",
     "interpret_fn",
+    "diagonal_violation",
     "fn_signature",
     "verify_judgment",
     "verify_axiom_instances",
@@ -67,8 +88,14 @@ HOLDS = "holds"
 FAILS = "fails"
 NOT_FINITELY_CHECKABLE = "not-finitely-checkable"
 
-# Powerset carriers with more than 2**16 objects are never materialized.
-MAX_POWERSET_BASE = 16
+# No carrier or function domain with more objects is enumerated.  2**16 is
+# the powerset of a 16-object carrier and the pair domain of a 256-object one.
+CARRIER_BUDGET = 1 << 16
+
+# Evaluator results besides codomain indices.
+NO_VALUE = -1  # the function has no value at this domain object
+OUTSIDE = -2  # a table row whose value is no object of the codomain
+YES, NO = 0, 1  # the objects of Two
 
 # Family coherence is scanned through stage max(32, m + 1), m the largest
 # integer argument of the descriptor, so the scan passes every stage and index
@@ -87,17 +114,67 @@ class NotFinitelyCheckable(Exception):
 
 @dataclass(frozen=True)
 class Carrier:
-    """A finite carrier: canonically ordered, pairwise distinct object tags."""
+    """A finite carrier whose objects are the indices 0 .. len-1.
+
+    An explicit carrier lists pairwise distinct object tags, object k being
+    ``tags[k]``: Two, the truncated naturals and the carriers a model assigns
+    to named generators.  A product carrier has ``parts == (A, B)`` and object
+    ``i*|B| + j`` is the pair (i, j); a powerset carrier has ``parts == (A,)``
+    and object k is the subset of A whose bitmask is k, so index 0 is the
+    empty (all-no) function.  `tag` renders one object and `index` encodes
+    one tag; `objects` renders them all and is a view for reports and tests.
+    """
 
     name: str
-    objects: tuple[str, ...]
+    tags: tuple[str, ...] = ()
+    parts: tuple["Carrier", ...] = ()
+    size: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(set(self.objects)) != len(self.objects):
-            raise ValueError(f"carrier {self.name!r} has duplicate tags")
+        if len(self.parts) == 2:
+            size = len(self.parts[0]) * len(self.parts[1])
+        elif self.parts:
+            size = 1 << len(self.parts[0])
+        else:
+            codes = {tag: k for k, tag in enumerate(self.tags)}
+            if len(codes) != len(self.tags):
+                raise ValueError(f"carrier {self.name!r} has duplicate tags")
+            object.__setattr__(self, "_codes", codes)
+            size = len(self.tags)
+        object.__setattr__(self, "size", size)
 
     def __len__(self) -> int:
-        return len(self.objects)
+        return self.size
+
+    def tag(self, k: int) -> str:
+        """The tag of object `k`: ``(a,b)`` for a pair, ``{a,c}`` for a subset."""
+        if not self.parts:
+            return self.tags[k]
+        if len(self.parts) == 2:
+            left, right = self.parts
+            i, j = divmod(k, len(right))
+            return f"({left.tag(i)},{right.tag(j)})"
+        (base,) = self.parts
+        return "{" + ",".join(base.tag(j) for j in range(len(base)) if k >> j & 1) + "}"
+
+    def index(self, tag: str) -> int | None:
+        """The object that `tag` names, or None when it names none."""
+        if not self.parts:
+            return self._codes.get(tag)
+        try:
+            if len(self.parts) == 2:
+                i, j = (part.index(t) for part, t in zip(self.parts, split_pair_tag(tag)))
+                return None if i is None or j is None else i * len(self.parts[1]) + j
+            members = [self.parts[0].index(t) for t in tag_members(tag)]
+        except ValueError:
+            return None
+        if None in members or members != sorted(set(members)):
+            return None  # not a member, or not in canonical order
+        return sum(1 << j for j in members)
+
+    @property
+    def objects(self) -> tuple[str, ...]:
+        return tuple(map(self.tag, range(self.size)))
 
 
 TWO_CARRIER = Carrier("Two", ("yes", "no"))
@@ -122,10 +199,7 @@ class Model:
         return cls(items, nat_bound)
 
     def carrier_for(self, name: str) -> Carrier | None:
-        for key, carrier in self.assignments:
-            if key == name:
-                return carrier
-        return None
+        return dict(self.assignments).get(name)
 
     @property
     def truncated(self) -> bool:
@@ -146,63 +220,59 @@ def default_model(nat_bound: int = 3) -> Model:
 # Interpretation
 
 
-@lru_cache(maxsize=4096)
-def interpret(expr: GenExpr, model: Model) -> Carrier:
-    """The carrier of `expr` in `model`, with deterministic object order.
-
-    Powerset objects are member-list tags `{a,c}` enumerated in subset-mask
-    order, so index 0 is always the empty (all-no) function.
-    """
+def carrier_size(expr: GenExpr, model: Model) -> int:
+    """The number of objects of `expr` in `model`, computed from the
+    expression alone; it saturates at CARRIER_BUDGET + 1, so no number far
+    past the budget is ever formed."""
+    cap = CARRIER_BUDGET + 1
     if isinstance(expr, Two):
-        return TWO_CARRIER
+        return 2
     if isinstance(expr, Nat):
         if model.nat_bound is None:
             raise NotFinitelyCheckable("Nat has no truncation bound in this model")
-        tags = tuple(str(i) for i in range(model.nat_bound + 1))
-        return Carrier("Nat", tags)
+        return min(model.nat_bound + 1, cap)
     if isinstance(expr, Named):
         carrier = model.carrier_for(expr.name.text)
         if carrier is None:
             raise InterpretationError(f"no carrier assigned to {expr.name.text!r}")
-        return carrier
+        return min(len(carrier), cap)
     if isinstance(expr, Product):
-        left = interpret(expr.left, model)
-        right = interpret(expr.right, model)
-        tags = tuple(f"({a},{b})" for a in left.objects for b in right.objects)
-        return Carrier(f"({left.name} x {right.name})", tags)
+        return min(carrier_size(expr.left, model) * carrier_size(expr.right, model), cap)
     if isinstance(expr, Powerset):
-        base = interpret(expr.arg, model)
-        if len(base) > MAX_POWERSET_BASE:
-            raise NotFinitelyCheckable(
-                f"powerset of a {len(base)}-object carrier exceeds the "
-                f"enumeration cap (base size {MAX_POWERSET_BASE})"
-            )
-        tags = tuple(
-            "{" + ",".join(t for j, t in enumerate(base.objects) if mask >> j & 1) + "}"
-            for mask in range(1 << len(base))
-        )
-        return Carrier(f"P[{base.name}]", tags)
+        base = carrier_size(expr.arg, model)
+        return min(1 << min(base, cap.bit_length()), cap)
     raise TypeError(f"cannot interpret {expr!r}")
+
+
+@lru_cache(maxsize=4096)
+def interpret(expr: GenExpr, model: Model) -> Carrier:
+    """The carrier of `expr` in `model`; not finitely checkable past the budget.
+
+    Nothing is enumerated: a product or powerset carrier only records its
+    parts, and its objects are indices (see `Carrier`).
+    """
+    if carrier_size(expr, model) > CARRIER_BUDGET:
+        raise NotFinitelyCheckable(
+            f"{render(expr)} has more than {CARRIER_BUDGET} objects in {model.describe()}"
+        )
+    if isinstance(expr, Two):
+        return TWO_CARRIER
+    if isinstance(expr, Nat):
+        return Carrier("Nat", tuple(map(str, range(model.nat_bound + 1))))
+    if isinstance(expr, Named):
+        return model.carrier_for(expr.name.text)
+    if isinstance(expr, Product):
+        left, right = interpret(expr.left, model), interpret(expr.right, model)
+        return Carrier(f"({left.name} x {right.name})", parts=(left, right))
+    base = interpret(expr.arg, model)
+    return Carrier(f"P[{base.name}]", parts=(base,))
 
 
 def tag_members(tag: str) -> tuple[str, ...]:
     """The member tags of a powerset object tag `{a,b,...}`."""
     if not (tag.startswith("{") and tag.endswith("}")):
         raise ValueError(f"not a powerset tag: {tag!r}")
-    body = tag[1:-1]
-    if not body:
-        return ()
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(body):
-        if ch in "({":
-            depth += 1
-        elif ch in ")}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(body[start:i])
-            start = i + 1
-    parts.append(body[start:])
-    return tuple(parts)
+    return tuple(split_top_level(tag[1:-1])) if tag != "{}" else ()
 
 
 def fn_signature(fn: FnExpr) -> tuple[GenExpr, GenExpr]:
@@ -217,50 +287,73 @@ def fn_signature(fn: FnExpr) -> tuple[GenExpr, GenExpr]:
             (arg,) = fn.args
             return Powerset(arg), TWO
         if fn.rule in ("indicator_stream", "restrict", "union_of_family"):
-            return Nat(), TWO
+            return NAT, TWO
     raise TypeError(f"cannot determine signature of {fn!r}")
 
 
-def _fn_value(fn: FnExpr, model: Model, tag: str) -> str | None:
-    """Evaluate `fn` at one domain tag; None when the tag has no row."""
+@lru_cache(maxsize=1024)
+def _table_values(table: Table, model: Model) -> np.ndarray:
+    """`table` encoded once per model: the codomain index at each domain
+    index, NO_VALUE where it has no row and OUTSIDE where its row names no
+    codomain object.  Rows whose key is no domain object are left out."""
+    dom = interpret(table.domain, model)
+    cod = interpret(table.codomain, model)
+    values = np.full(len(dom), NO_VALUE)
+    for key, val in table.rows:
+        k = dom.index(key.tag)
+        if k is not None:
+            v = cod.index(val.tag)
+            values[k] = OUTSIDE if v is None else v
+    values.flags.writeable = False  # cached: shared by every caller
+    return values
+
+
+def fn_values(fn: FnExpr, model: Model, at: np.ndarray | None = None) -> np.ndarray:
+    """The codomain index of `fn` at each domain index in `at`, by default at
+    every object of its domain; NO_VALUE where `fn` has no value."""
+    if at is None:
+        at = np.arange(len(interpret(fn_signature(fn)[0], model)))
     if isinstance(fn, Table):
-        for key, val in fn.rows:
-            if key.tag == tag:
-                return val.tag
-        return None
-    assert isinstance(fn, BuiltinRule)
+        return _table_values(fn, model)[at]
     if fn.rule == "eq_of":
-        left, right = split_pair_tag(tag)
-        return "yes" if left == right else "no"
+        n = len(interpret(fn.args[0], model))
+        return np.where(at // n == at % n, YES, NO)
     if fn.rule == "empty_detector_of":
-        return "yes" if tag == "{}" else "no"
-    if fn.rule == "indicator_stream":
-        (spec,) = fn.args
-        stream = streams.parse_stream_spec(str(spec))
-        return "yes" if stream.value_at(int(tag)) else "no"
-    if fn.rule == "restrict":
-        spec, upper = fn.args
-        if int(tag) > int(upper):
-            return None
-        stream = streams.parse_stream_spec(str(spec))
-        return "yes" if stream.value_at(int(tag)) else "no"
+        return np.where(at == 0, YES, NO)
     if fn.rule == "union_of_family":
-        (descriptor,) = fn.args
-        union = streams.union_limit(streams.resolve_family(str(descriptor)))
-        return "yes" if union.value_at(int(tag)) else "no"
-    raise TypeError(f"cannot evaluate {fn!r}")
+        stream = streams.union_limit(streams.resolve_family(str(fn.args[0])))
+    else:  # indicator_stream, restrict: a catalog stream on Nat
+        stream = streams.parse_stream_spec(str(fn.args[0]))
+    values = np.array([YES if stream.value_at(k) else NO for k in at.tolist()], dtype=np.int64)
+    if fn.rule == "restrict":
+        values[at > int(fn.args[1])] = NO_VALUE
+    return values
 
 
 def interpret_fn(fn: FnExpr, model: Model) -> dict[str, str]:
-    """Materialize `fn` as a tag-to-tag table over its interpreted domain."""
-    dom, _ = fn_signature(fn)
-    carrier = interpret(dom, model)
-    table = {}
-    for tag in carrier.objects:
-        value = _fn_value(fn, model, tag)
-        if value is not None:
-            table[tag] = value
-    return table
+    """`fn` rendered as a tag-to-tag table over its interpreted domain."""
+    dom, cod = (interpret(e, model) for e in fn_signature(fn))
+    values = fn_values(fn, model).tolist()
+    return {dom.tag(k): cod.tag(v) for k, v in enumerate(values) if v >= 0}
+
+
+def diagonal_violation(
+    eq: FnExpr, expr: GenExpr, model: Model
+) -> tuple[str, str, str | None, str] | None:
+    """The diagonal law of an equality pairing `eq` on `expr`, evaluated at
+    all |A|^2 pairs: None when `eq` answers yes exactly at the same-object
+    pairs, else the first pair (x, y) where it does not, with the value got
+    (None for no value) and the value expected."""
+    carrier = interpret(expr, model)
+    got = fn_values(eq, model)  # over A * A: not checkable past the budget
+    n = len(carrier)
+    expected = np.where(np.arange(n * n) % (n + 1) == 0, YES, NO)
+    bad = (got != expected).nonzero()[0]
+    if not len(bad):
+        return None
+    i, j = divmod(int(bad[0]), n)
+    value = TWO_CARRIER.tag(got[bad[0]]) if got[bad[0]] >= 0 else None
+    return carrier.tag(i), carrier.tag(j), value, "yes" if i == j else "no"
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +378,10 @@ class Verdict:
 
 def _witness(**kwargs: str) -> tuple[tuple[str, str], ...]:
     return tuple(sorted(kwargs.items()))
+
+
+def _fails(detail: str, trunc: bool, **witness: str) -> Verdict:
+    return Verdict(FAILS, detail=detail, witness=_witness(**witness), truncated=trunc)
 
 
 def mentions_nat(x: object) -> bool:
@@ -362,22 +459,18 @@ def _verify(j: Judgment, model: Model) -> Verdict:
 
 def _verify_obj(j: IsObj, model: Model, trunc: bool) -> Verdict:
     tag = j.obj.tag
-    if isinstance(j.expr, Nat) and tag.isdigit():
+    if isinstance(j.expr, Nat) and tag.isdecimal():
         detail = "numeral"
         if model.nat_bound is not None and int(tag) > model.nat_bound:
             detail = f"numeral beyond truncation bound {model.nat_bound}"
         return Verdict(HOLDS, detail=detail, truncated=trunc)
-    if tag.startswith("limit(") and tag.endswith(")") and j.expr == Powerset(NAT_EXPR):
+    if tag.startswith("limit(") and tag.endswith(")") and j.expr == Powerset(NAT):
         return _verify_coherence(tag[len("limit(") : -1], trunc)
     carrier = interpret(j.expr, model)
-    if tag in carrier.objects:
+    if carrier.index(tag) is not None:
         return Verdict(HOLDS, truncated=trunc)
-    return Verdict(
-        FAILS,
-        detail=f"{tag!r} is not an object of {carrier.name}",
-        witness=_witness(tag=tag, carrier=carrier.name),
-        truncated=trunc,
-    )
+    name = carrier.name
+    return _fails(f"{tag!r} is not an object of {name}", trunc, tag=tag, carrier=name)
 
 
 def _verify_mor(
@@ -386,47 +479,33 @@ def _verify_mor(
     try:
         declared_dom, declared_cod = fn_signature(fn)
     except TypeError:
-        return Verdict(FAILS, detail="no signature", witness=_witness(fn=render(fn)))
+        return _fails("no signature", False, fn=render(fn))
     if declared_dom != dom or declared_cod != cod:
-        return Verdict(
-            FAILS,
-            detail="declared signature does not match",
-            witness=_witness(
-                declared=f"{render(declared_dom)} -> {render(declared_cod)}",
-                expected=f"{render(dom)} -> {render(cod)}",
-            ),
-            truncated=trunc,
+        return _fails(
+            "declared signature does not match",
+            trunc,
+            declared=f"{render(declared_dom)} -> {render(declared_cod)}",
+            expected=f"{render(dom)} -> {render(cod)}",
         )
     if isinstance(fn, BuiltinRule) and fn.rule == "union_of_family":
         coherence = _verify_coherence(str(fn.args[0]), trunc)
         if not coherence.holds:
             return coherence
     dom_carrier = interpret(dom, model)
-    cod_carrier = interpret(cod, model)
-    if isinstance(fn, Table):
+    values = fn_values(fn, model)
+    if isinstance(fn, Table) and (len(fn.rows) != len(dom_carrier) or NO_VALUE in values):
         # A table names its objects; in a model whose carrier differs the
         # judgment is not interpretable rather than false.
-        if {key.tag for key, _ in fn.rows} != set(dom_carrier.objects):
-            raise NotFinitelyCheckable(
-                f"table objects do not match the carrier of {dom_carrier.name}"
-            )
-    cod_tags = set(cod_carrier.objects)
-    for tag in dom_carrier.objects:
-        value = _fn_value(fn, model, tag)
-        if value is None:
-            return Verdict(
-                FAILS,
-                detail=f"not total: no value at {tag!r}",
-                witness=_witness(missing=tag),
-                truncated=trunc,
-            )
-        if value not in cod_tags:
-            return Verdict(
-                FAILS,
-                detail=f"value at {tag!r} is outside the codomain",
-                witness=_witness(at=tag, got=value),
-                truncated=trunc,
-            )
+        raise NotFinitelyCheckable(
+            f"table objects do not match the carrier of {dom_carrier.name}"
+        )
+    bad = (values < 0).nonzero()[0]
+    if len(bad):
+        tag = dom_carrier.tag(int(bad[0]))
+        if values[bad[0]] == NO_VALUE:
+            return _fails(f"not total: no value at {tag!r}", trunc, missing=tag)
+        got = next(val.tag for key, val in fn.rows if key.tag == tag)
+        return _fails(f"value at {tag!r} is outside the codomain", trunc, at=tag, got=got)
     return Verdict(HOLDS, detail=f"total on {len(dom_carrier)} objects", truncated=trunc)
 
 
@@ -434,38 +513,37 @@ def _verify_domain(j: IsDomain, model: Model, trunc: bool) -> Verdict:
     mor = _verify_mor(j.eq, Product(j.expr, j.expr), TWO, model, trunc)
     if mor.status != HOLDS:
         return mor
-    carrier = interpret(j.expr, model)
-    for x in carrier.objects:
-        for y in carrier.objects:
-            got = _fn_value(j.eq, model, f"({x},{y})")
-            expected = "yes" if x == y else "no"
-            if got != expected:
-                return Verdict(
-                    FAILS,
-                    detail="equality pairing does not flag exactly the same-object pairs",
-                    witness=_witness(x=x, y=y, got=str(got), expected=expected),
-                    truncated=trunc,
-                )
-    return Verdict(HOLDS, detail=f"diagonal law on {len(carrier)}^2 pairs", truncated=trunc)
+    violation = diagonal_violation(j.eq, j.expr, model)
+    if violation is not None:
+        x, y, got, expected = violation
+        detail = "equality pairing does not flag exactly the same-object pairs"
+        return _fails(detail, trunc, x=x, y=y, got=str(got), expected=expected)
+    n = len(interpret(j.expr, model))
+    return Verdict(HOLDS, detail=f"diagonal law on {n}^2 pairs", truncated=trunc)
 
 
 def _verify_squant(expr: GenExpr, model: Model, trunc: bool) -> Verdict:
     power = interpret(Powerset(expr), model)
-    # The canonical detector flags index 0; verify its law over the whole
-    # powerset carrier.
-    for i, tag in enumerate(power.objects):
-        if (i == 0) != (tag == "{}"):
-            return Verdict(
-                FAILS,
-                detail="canonical detector law violated",
-                witness=_witness(index=str(i), tag=tag),
-                truncated=trunc,
-            )
-    return Verdict(
-        HOLDS,
-        detail=f"canonical detector verified on {len(power)} tables",
-        truncated=trunc,
-    )
+    witness = _detector_law(power, len(interpret(expr, model)))
+    if witness is not None:
+        return Verdict(FAILS, "canonical detector law violated", witness, trunc)
+    return Verdict(HOLDS, f"canonical detector verified on {len(power)} tables", truncated=trunc)
+
+
+def _detector_law(power: Carrier, base_size: int) -> tuple[tuple[str, str], ...] | None:
+    """None when the canonical detector law holds on `power`, else a witness:
+    the carrier has 2^|A| tables, and the detector, which flags index 0, flags
+    exactly the tables without members.  Every table's mask is scanned."""
+    if len(power) != 1 << base_size:
+        return _witness(
+            expected=str(1 << base_size), got=str(len(power)), carrier=power.name
+        )
+    masks = np.arange(len(power))
+    members = sum((masks >> j & 1 for j in range(base_size)), np.zeros_like(masks))
+    empties = (members == 0).nonzero()[0].tolist()
+    if empties != [0]:
+        return _witness(carrier=power.name, empties=str(empties))
+    return None
 
 
 def _verify_coherence(descriptor: str, trunc: bool = False) -> Verdict:
@@ -483,16 +561,9 @@ def _verify_coherence(descriptor: str, trunc: bool = False) -> Verdict:
         )
     result = streams.is_coherent([member_at(n) for n in range(last + 1)])
     if not result.ok:
-        return Verdict(
-            FAILS,
-            detail=f"stage {result.violation} disagrees with its predecessor",
-            witness=_witness(stage=str(result.violation)),
-            truncated=trunc,
-        )
+        stage = str(result.violation)
+        return _fails(f"stage {stage} disagrees with its predecessor", trunc, stage=stage)
     return Verdict(HOLDS, detail=f"coherent on stages 0..{last}", truncated=trunc)
-
-
-NAT_EXPR = Nat()
 
 
 # ---------------------------------------------------------------------------
@@ -508,30 +579,16 @@ def models_for_judgment(j: Judgment, max_size: int) -> list[Model]:
     judgment mentions Nat, the truncation bound sweeps carrier sizes
     1..max_size as well.
     """
-    names = sorted(
-        {ident.text for e in judgment_exprs(j) for ident in _expr_names(e)}
-    )
-    nat_bounds: list[int | None]
-    if mentions_nat(j):
-        nat_bounds = list(range(max_size))
-    else:
-        nat_bounds = [None]
-    models = []
-    size_choices = itertools.product(range(1, max_size + 1), repeat=len(names))
-    for sizes in size_choices:
-        assignments = {
-            name: Carrier(name, tuple(_TAG_ALPHABET[:size]))
-            for name, size in zip(names, sizes)
-        }
-        for bound in nat_bounds:
-            models.append(Model.make(assignments, nat_bound=bound))
-    return models
-
-
-def _expr_names(e: GenExpr | FnExpr):
-    from .terms import free_names
-
-    return free_names(e)
+    names = sorted({ident.text for e in judgment_exprs(j) for ident in free_names(e)})
+    nat_bounds = range(max_size) if mentions_nat(j) else [None]
+    return [
+        Model.make(
+            {name: Carrier(name, tuple(_TAG_ALPHABET[:size])) for name, size in zip(names, sizes)},
+            nat_bound=bound,
+        )
+        for sizes in itertools.product(range(1, max_size + 1), repeat=len(names))
+        for bound in nat_bounds
+    ]
 
 
 @dataclass(frozen=True)
@@ -565,35 +622,20 @@ def soundness_sweep(theorems: Sequence, max_size: int = 3) -> SweepReport:
     """
     if max_size > 4:
         raise ValueError("soundness sweeps are bounded at carrier size 4")
-    items: list[SweepItem] = []
-    holds = fails = nfc = 0
-    for thm in theorems:
-        j = thm.judgment
-        for model in models_for_judgment(j, max_size):
-            verdict = verify_judgment(j, model)
-            if verdict.status == HOLDS:
-                holds += 1
-            elif verdict.status == FAILS:
-                fails += 1
-            else:
-                nfc += 1
-            items.append(
-                SweepItem(
-                    judgment=render(j),
-                    model=model.describe(),
-                    status=verdict.status,
-                    detail=verdict.detail,
-                    witness=verdict.witness,
-                    truncated=verdict.truncated,
-                )
-            )
-    return SweepReport(
-        items=tuple(items),
-        checked=len(items),
-        holds=holds,
-        fails=fails,
-        not_checkable=nfc,
+    items = tuple(
+        _sweep_item(thm.judgment, model)
+        for thm in theorems
+        for model in models_for_judgment(thm.judgment, max_size)
     )
+    counts = Counter(item.status for item in items)
+    return SweepReport(
+        items, len(items), counts[HOLDS], counts[FAILS], counts[NOT_FINITELY_CHECKABLE]
+    )
+
+
+def _sweep_item(j: Judgment, model: Model) -> SweepItem:
+    v = verify_judgment(j, model)
+    return SweepItem(render(j), model.describe(), v.status, v.detail, v.witness, v.truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -609,30 +651,9 @@ class AxiomCheck:
 
 
 def _checked_carriers(model: Model) -> list[tuple[GenExpr, Carrier]]:
-    out: list[tuple[GenExpr, Carrier]] = [(TWO, TWO_CARRIER)]
-    if model.nat_bound is not None:
-        out.append((NAT_EXPR, interpret(NAT_EXPR, model)))
-    for name, carrier in model.assignments:
-        out.append((Named(_ident(name)), carrier))
-    return out
-
-
-def _ident(name: str):
-    from .terms import Ident
-
-    return Ident(name)
-
-
-def _detector_law(power: Carrier, base_size: int) -> tuple[tuple[str, str], ...] | None:
-    """None when the canonical detector law holds on `power`, else a witness."""
-    if len(power) != 1 << base_size:
-        return _witness(
-            expected=str(1 << base_size), got=str(len(power)), carrier=power.name
-        )
-    empties = [i for i, tag in enumerate(power.objects) if tag == "{}"]
-    if empties != [0]:
-        return _witness(carrier=power.name, empties=str(empties))
-    return None
+    nat = [(NAT, interpret(NAT, model))] if model.nat_bound is not None else []
+    named = [(Named(Ident(name)), carrier) for name, carrier in model.assignments]
+    return [(TWO, TWO_CARRIER), *nat, *named]
 
 
 def verify_axiom_instances(model: Model, _interpret=interpret) -> list[AxiomCheck]:
@@ -646,7 +667,6 @@ def verify_axiom_instances(model: Model, _interpret=interpret) -> list[AxiomChec
 
     # H1: there is a 2-element set.
     two = _interpret(TWO, model)
-    witness = None
     if len(two) != 2:
         witness = _witness(carrier=two.name, size=str(len(two)))
     else:
@@ -660,29 +680,19 @@ def verify_axiom_instances(model: Model, _interpret=interpret) -> list[AxiomChec
         )
     )
 
-    # H2: every surjection between checked carriers admits a section.
+    # H2: every surjection between checked carriers admits a section.  A map
+    # is the tuple of its values at the domain indices.
     surjections = 0
     h2_witness = None
-    for _, dom in carriers:
-        if len(dom) > 4:
-            continue
-        for _, cod in carriers:
-            for values in itertools.product(cod.objects, repeat=len(dom)):
-                if set(values) != set(cod.objects):
-                    continue
+    for (_, dom), (_, cod) in itertools.product(carriers, repeat=2):
+        targets = range(len(cod))
+        maps = itertools.product(targets, repeat=len(dom)) if len(dom) <= 4 else ()
+        for values in maps:
+            if len(set(values)) == len(cod):
                 surjections += 1
-                fn = dict(zip(dom.objects, values))
-                section = {}
-                for target in cod.objects:
-                    preimages = [x for x in dom.objects if fn[x] == target]
-                    section[target] = preimages[0]
-                if any(fn[section[t]] != t for t in cod.objects):
-                    h2_witness = _witness(dom=dom.name, cod=cod.name)
-                    break
-            if h2_witness:
-                break
-        if h2_witness:
-            break
+                section = [values.index(t) for t in targets]
+                if any(values[section[t]] != t for t in targets):
+                    h2_witness = h2_witness or _witness(dom=dom.name, cod=cod.name)
     checks.append(
         AxiomCheck(
             "H2",
@@ -706,24 +716,18 @@ def verify_axiom_instances(model: Model, _interpret=interpret) -> list[AxiomChec
 
     # H4: supports-quantification is preserved by powersets.
     h4_witness = None
-    h4_checked = 0
-    for expr, carrier in carriers:
-        if len(carrier) > 4:
-            continue
-        h4_checked += 1
+    small = [(expr, carrier) for expr, carrier in carriers if len(carrier) <= 4]
+    for expr, carrier in small:
         power = _interpret(Powerset(expr), model)
-        witness = _detector_law(power, len(carrier))
-        if witness is None:
-            power2 = _interpret(Powerset(Powerset(expr)), model)
-            witness = _detector_law(power2, len(power))
-        if witness is not None:
-            h4_witness = witness
+        power2 = _interpret(Powerset(Powerset(expr)), model)
+        h4_witness = _detector_law(power, len(carrier)) or _detector_law(power2, len(power))
+        if h4_witness:
             break
     checks.append(
         AxiomCheck(
             "H4",
             FAILS if h4_witness else HOLDS,
-            f"powerset detector law verified for {h4_checked} checked domains "
+            f"powerset detector law verified for {len(small)} checked domains "
             "with |A| <= 4",
             h4_witness,
         )

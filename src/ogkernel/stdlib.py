@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
-from .kernel import AxiomId, Kernel, PremiseError, Theorem
-from .semantics import Model, mentions_nat
+from .kernel import AxiomId, Kernel, PremiseError, Theorem, required_squants
+from .semantics import Model, carrier_size, mentions_nat
 from .terms import (
     NAT,
     TWO,
@@ -24,13 +24,12 @@ from .terms import (
     IsDomain,
     IsGen,
     IsSet,
-    Nat,
     ObjLit,
     Powerset,
     Product,
     SupportsQuant,
     Table,
-    Two,
+    free_names,
     render,
 )
 
@@ -102,23 +101,6 @@ class ConstructionResult:
 _EVIDENCE_SIZE_CAP = 64
 
 
-def _carrier_size(expr: GenExpr, bound: int) -> int | None:
-    if isinstance(expr, Two):
-        return 2
-    if isinstance(expr, Nat):
-        return bound + 1
-    if isinstance(expr, Product):
-        left = _carrier_size(expr.left, bound)
-        right = _carrier_size(expr.right, bound)
-        return None if left is None or right is None else left * right
-    if isinstance(expr, Powerset):
-        base = _carrier_size(expr.arg, bound)
-        if base is None or base > 16:
-            return None
-        return 1 << base
-    return None  # Named: needs an explicit assignment
-
-
 def evidence_models(expr: GenExpr) -> tuple[Model, ...]:
     """Small finite models in which equality-law evidence for `expr` is
     checked exhaustively.  The two largest feasible Nat truncations are used;
@@ -126,7 +108,8 @@ def evidence_models(expr: GenExpr) -> tuple[Model, ...]:
     feasible = [
         k
         for k in (range(4) if mentions_nat(expr) else (1,))
-        if (size := _carrier_size(expr, k)) is not None and size <= _EVIDENCE_SIZE_CAP
+        if not free_names(expr)  # a named generator has no carrier without a model
+        and carrier_size(expr, Model.make({}, nat_bound=k)) <= _EVIDENCE_SIZE_CAP
     ]
     if not feasible:
         raise PremiseError(
@@ -179,10 +162,8 @@ def _squants_for(
 ) -> tuple[Theorem, ...]:
     """Match the SupportsQuant premises the builtin equality on `expr` needs
     against a pool of available theorems."""
-    from .kernel import _required_squants  # catalog knowledge lives kernel-side
-
     premises = []
-    for needed in _required_squants(expr):
+    for needed in required_squants(expr):
         for thm in pool:
             if thm.judgment == SupportsQuant(needed):
                 premises.append(thm)

@@ -16,6 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .terms import split_top_level
+
 __all__ = [
     "BitStream",
     "Periodic",
@@ -269,19 +271,10 @@ def _parse_int(text: str) -> int:
 
 
 def _split_args(body: str, spec: str) -> list[str]:
-    args, depth, start = [], 0, 0
-    for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise StreamSpecError(f"unbalanced parentheses in {spec!r}")
-        elif ch == "," and depth == 0:
-            args.append(body[start:i].strip())
-            start = i + 1
-    args.append(body[start:].strip())
-    return args
+    try:
+        return [arg.strip() for arg in split_top_level(body)]
+    except ValueError as exc:
+        raise StreamSpecError(f"unbalanced parentheses in {spec!r}") from exc
 
 
 def stream_spec(s: BitStream) -> str:

@@ -41,6 +41,7 @@ __all__ = [
     "render",
     "free_names",
     "split_pair_tag",
+    "split_top_level",
 ]
 
 
@@ -358,23 +359,33 @@ def _render_obj(o: ObjLit) -> str:
     return f'{_render_gen_atom(o.of)}."{o.tag}"'
 
 
-def split_pair_tag(tag: str) -> tuple[str, str]:
-    """Split a product tag ``(a,b)`` at its top-level comma.
-
-    Components may themselves contain parenthesized or braced tags.
-    """
-    if not (tag.startswith("(") and tag.endswith(")")):
-        raise ValueError(f"not a pair tag: {tag!r}")
-    depth = 0
-    body = tag[1:-1]
+def split_top_level(body: str) -> list[str]:
+    """Split `body` at the commas outside any parentheses or braces; a
+    closing bracket without its opener is a ValueError."""
+    parts, depth, start = [], 0, 0
     for i, ch in enumerate(body):
         if ch in "({":
             depth += 1
         elif ch in ")}":
             depth -= 1
+            if depth < 0:
+                raise ValueError(f"unbalanced brackets in {body!r}")
         elif ch == "," and depth == 0:
-            return body[:i], body[i + 1 :]
-    raise ValueError(f"malformed pair tag: {tag!r}")
+            parts.append(body[start:i])
+            start = i + 1
+    parts.append(body[start:])
+    return parts
+
+
+def split_pair_tag(tag: str) -> tuple[str, str]:
+    """Split a product tag ``(a,b)`` into its two component tags.
+
+    Components may themselves contain parenthesized or braced tags.
+    """
+    parts = split_top_level(tag[1:-1]) if tag[:1] == "(" and tag[-1:] == ")" else []
+    if len(parts) != 2:
+        raise ValueError(f"not a pair tag: {tag!r}")
+    return parts[0], parts[1]
 
 
 def _render_builtin_arg(a: BuiltinArg) -> str:

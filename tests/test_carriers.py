@@ -1,0 +1,227 @@
+"""Index-encoded carriers: the tag codec and the single carrier-size budget."""
+
+from __future__ import annotations
+
+import io
+import itertools
+from contextlib import redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ogkernel.cli import main
+from ogkernel.kernel import AxiomId, Kernel, KernelError, PremiseError
+from ogkernel.semantics import (
+    CARRIER_BUDGET,
+    NOT_FINITELY_CHECKABLE,
+    Carrier,
+    Model,
+    NotFinitelyCheckable,
+    carrier_size,
+    default_model,
+    interpret,
+    models_for_judgment,
+    verify_judgment,
+)
+from ogkernel.stdlib import build_naturals
+from ogkernel.terms import (
+    NAT,
+    TWO,
+    BuiltinRule,
+    Ident,
+    IsDomain,
+    IsGen,
+    IsObj,
+    Named,
+    ObjLit,
+    Powerset,
+    Product,
+    split_top_level,
+)
+
+A = Named(Ident("A"))
+B = Named(Ident("B"))
+
+
+def reference_tags(expr, model) -> list[str]:
+    """The objects of `expr`, written out from the definition: pairs in
+    row-major order, powerset elements as member lists in subset-mask order."""
+    if expr == TWO:
+        return ["yes", "no"]
+    if expr == NAT:
+        return [str(i) for i in range(model.nat_bound + 1)]
+    if isinstance(expr, Named):
+        return list(model.carrier_for(expr.name.text).tags)
+    if isinstance(expr, Product):
+        left, right = reference_tags(expr.left, model), reference_tags(expr.right, model)
+        return [f"({a},{b})" for a in left for b in right]
+    base = reference_tags(expr.arg, model)
+    return [
+        "{" + ",".join(t for j, t in enumerate(base) if mask >> j & 1) + "}"
+        for mask in range(1 << len(base))
+    ]
+
+
+def _small_exprs():
+    leaves = [TWO, NAT, A]
+    products = [Product(x, y) for x in leaves for y in leaves]
+    level1 = leaves + [Powerset(x) for x in leaves] + products
+    return level1 + [Powerset(x) for x in level1]
+
+
+def _assert_codec(carrier: Carrier, expected: list[str]) -> None:
+    assert len(carrier) == len(expected)
+    assert [carrier.tag(k) for k in range(len(carrier))] == expected
+    assert carrier.objects == tuple(expected)
+    assert [carrier.index(tag) for tag in expected] == list(range(len(expected)))
+
+
+def test_codec_matches_the_definition_in_the_size_2_models():
+    checked = 0
+    for expr in _small_exprs():
+        for model in models_for_judgment(IsGen(expr), 2):
+            _assert_codec(interpret(expr, model), reference_tags(expr, model))
+            checked += 1
+    assert checked > 50
+
+
+def test_codec_on_the_powerset_tower_at_nat_bound_2():
+    model = default_model(nat_bound=2)
+    expr = Powerset(Powerset(NAT))
+    carrier = interpret(expr, model)
+    assert len(carrier) == 256
+    _assert_codec(carrier, reference_tags(expr, model))
+    assert carrier.index("{}") == 0  # the empty (all-no) function
+
+
+def test_tags_that_name_no_object_do_not_encode():
+    model = Model.make({"A": Carrier("A", ("a", "b"))}, nat_bound=2)
+    pairs = interpret(Product(A, Powerset(A)), model)
+    subsets = interpret(Powerset(A), model)
+    for tag in ("(a,{b,a})", "(a, {a})", "(a,{a},b)", "(c,{})", "a", "(a,{a}", "((a,{}))"):
+        assert pairs.index(tag) is None, tag
+    for tag in ("{b,a}", "{a,a}", "{a,}", "{ a}", "{c}", "a", "{a}}", "{{a}}"):
+        assert subsets.index(tag) is None, tag
+    assert interpret(NAT, model).index("3") is None
+
+
+def test_carrier_size_saturates_and_bounds_interpretation():
+    model = default_model(nat_bound=3)
+    tower = Powerset(Powerset(NAT))
+    assert carrier_size(tower, model) == len(interpret(tower, model)) == CARRIER_BUDGET
+    for expr in (
+        Product(tower, tower),
+        Powerset(tower),
+        Powerset(Powerset(tower)),  # 2^(2^65536): never formed
+        Product(Powerset(tower), NAT),
+    ):
+        assert carrier_size(expr, model) == CARRIER_BUDGET + 1
+        with pytest.raises(NotFinitelyCheckable):
+            interpret(expr, model)
+
+
+def test_domain_past_the_budget_is_not_finitely_checkable():
+    tower = Powerset(Powerset(NAT))
+    judgment = IsDomain(tower, BuiltinRule("eq_of", (tower,)))
+    assert verify_judgment(judgment, default_model(3)).status == NOT_FINITELY_CHECKABLE
+    assert verify_judgment(judgment, default_model(2)).holds  # 256^2 pairs
+
+
+def test_kernel_refuses_a_domain_past_the_budget():
+    kernel = Kernel()
+    squant = kernel.axiom(AxiomId.H1_TWO_IS_SET).parts[1]
+    squant = kernel.squant_from_powerset(kernel.squant_from_powerset(squant))
+    tower = Powerset(Powerset(Powerset(TWO)))  # 2^16 objects, 2^32 pairs
+    eq = BuiltinRule("eq_of", (tower,))
+    mor = kernel.mor_intro(eq, Product(tower, tower), TWO, premises=(squant,))
+    binfn = kernel.bin_fn_from_mor(mor)
+    with pytest.raises(PremiseError, match="evidence model cannot interpret"):
+        kernel.domain_intro(kernel.gen_intro(tower), binfn, [default_model(1)])
+
+
+def test_model_sweep_at_size_4_ends_within_the_budget():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["model", "--max-size", "4"])
+    assert code == 0
+    sweep = [line for line in out.getvalue().splitlines() if "soundness" in line]
+    eq_items = [line for line in sweep if "eq_of[P[P[Nat]]]" in line]
+    assert len(eq_items) == 3  # Mor, BinFn and Domain
+    for line in eq_items:
+        assert line.endswith("holds in 3/4 models (rest not finitely checkable)")
+
+
+def test_split_top_level():
+    assert split_top_level("a,(b,c),{d,e}") == ["a", "(b,c)", "{d,e}"]
+    assert split_top_level("") == [""]
+    with pytest.raises(ValueError):
+        split_top_level("a),b")
+
+
+# ---------------------------------------------------------------------------
+# Property: random expressions within the budget
+
+
+def _exprs():
+    leaves = st.sampled_from([TWO, NAT, A, B])
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.builds(Powerset, inner), st.builds(Product, inner, inner)
+        ),
+        max_leaves=4,
+    )
+
+
+_models = st.builds(
+    lambda a, b, bound: Model.make(
+        {
+            "A": Carrier("A", tuple(f"a{i}" for i in range(a))),
+            "B": Carrier("B", ("p", "q")[:b]),
+        },
+        nat_bound=bound,
+    ),
+    st.integers(0, 3),
+    st.integers(0, 2),
+    st.integers(0, 3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs(), _models, st.data())
+def test_codec_round_trip_property(expr, model, data):
+    size = carrier_size(expr, model)
+    if size > CARRIER_BUDGET:
+        with pytest.raises(NotFinitelyCheckable):
+            interpret(expr, model)
+        return
+    carrier = interpret(expr, model)
+    assert len(carrier) == size
+    if size <= 64:
+        _assert_codec(carrier, reference_tags(expr, model))
+    for k in data.draw(st.lists(st.integers(0, size - 1), max_size=8)) if size else ():
+        assert carrier.index(carrier.tag(k)) == k
+
+
+def test_named_carrier_enumeration_is_canonical():
+    # the sweep's named carriers: one tag per letter, in order
+    for size in range(1, 4):
+        model = models_for_judgment(IsGen(A), 3)[size - 1]
+        assert interpret(A, model).objects == tuple("abc"[:size])
+    subsets = interpret(Powerset(A), model).objects
+    assert list(itertools.islice(subsets, 3)) == ["{}", "{a}", "{b}"]
+
+
+def test_only_decimal_tags_are_numerals():
+    model = default_model(nat_bound=2)
+    assert verify_judgment(IsObj(ObjLit("7", NAT), NAT), model).holds
+    verdict = verify_judgment(IsObj(ObjLit("²", NAT), NAT), model)  # superscript two
+    assert verdict.status == "fails" and dict(verdict.witness)["tag"] == "²"
+    kernel = Kernel()
+    domain = build_naturals(kernel).domain
+    far = kernel.eq_within_domain(domain, ObjLit("3", NAT), ObjLit("70", NAT))
+    assert far.evaluate(default_model(3)) == "no"  # numerals past the bound
+    odd = kernel.eq_within_domain(domain, ObjLit("²", NAT), ObjLit("2", NAT))
+    with pytest.raises(KernelError, match="not an object of Nat"):
+        odd.evaluate(default_model(3))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from ogkernel.kernel import (
@@ -68,11 +69,14 @@ def test_build_naturals(kernel):
         "Set(Nat)",
     ]
     # numeral equality under the builtin rule
-    from ogkernel.semantics import _fn_value, default_model
+    from ogkernel.semantics import default_model, fn_values
 
     model = default_model(nat_bound=5)
-    assert _fn_value(result.eq, model, "(3,3)") == "yes"
-    assert _fn_value(result.eq, model, "(3,4)") == "no"
+    pairs = interpret(Product(NAT, NAT), model)
+    two = interpret(TWO, model)
+    at = [pairs.index("(3,3)"), pairs.index("(3,4)")]
+    values = fn_values(result.eq, model, np.array(at))
+    assert [two.tag(v) for v in values] == ["yes", "no"]
 
 
 def test_build_powerset_of_two(kernel):
