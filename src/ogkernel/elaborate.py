@@ -24,7 +24,7 @@ from .kernel import (
     KernelError,
     Theorem,
     axioms_used,
-    required_squants,
+    builtin_premises,
 )
 from .semantics import (
     FAILS,
@@ -211,7 +211,10 @@ class _Session:
             rows = tuple(
                 (self.resolve_objlit(k), self.resolve_objlit(v)) for k, v in arg.rows
             )
-            return Table(dom, cod, rows)
+            try:
+                return Table(dom, cod, rows)
+            except ValueError as exc:  # a key given two rows
+                raise _ElabError("E0102", str(exc)) from None
         if isinstance(arg, Named):
             name = arg.name.text
             if name not in self.morphisms:
@@ -459,16 +462,10 @@ def _mor_intro(
     if isinstance(fn, Table):
         return kernel.mor_intro(fn, dom, cod, model=session.session_model())
     assert isinstance(fn, BuiltinRule)
-    needed: list[Theorem] = list(premises)
-    if not needed and fn.rule in ("eq_of", "empty_detector_of"):
-        for base in required_squants(fn.args[0]) if fn.rule == "eq_of" else (fn.args[0],):
-            needed.append(
-                session.require(
-                    lambda j, b=base: j == SupportsQuant(b),
-                    render(SupportsQuant(base)),
-                )
-            )
-    return kernel.mor_intro(fn, dom, cod, premises=needed)
+    if not premises:
+        needed = [SupportsQuant(base) for base in builtin_premises(fn)]
+        premises = [session.require(lambda j, n=n: j == n, render(n)) for n in needed]
+    return kernel.mor_intro(fn, dom, cod, premises=premises)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .semantics import (
     Model,
     NotFinitelyCheckable,
     diagonal_violation,
-    fn_signature,
     fn_values,
     interpret,
 )
@@ -50,6 +49,7 @@ from .terms import (
     SupportsQuant,
     Table,
     Two,
+    fn_signature,
     render,
 )
 
@@ -77,7 +77,7 @@ __all__ = [
     "axioms_used",
     "trace_nodes",
     "leaf_kinds",
-    "required_squants",
+    "builtin_premises",
 ]
 
 
@@ -227,6 +227,11 @@ def _theorem(judgment, node, parts=()) -> Theorem:
     return Theorem(judgment, node, parts, _token=_SEAL)
 
 
+def _axiom_leaf(axiom: AxiomId, payload: tuple) -> Theorem:
+    judgment = _axiom_judgment(axiom, payload)
+    return _theorem(judgment, TraceNode("axiom", axiom.value, judgment, payload=payload))
+
+
 @dataclass(frozen=True)
 class EqQuery:
     """A well-formed within-domain equality question, evaluable in models."""
@@ -299,12 +304,12 @@ def _choice_judgment(surj: FnExpr, dom: GenExpr, cod: GenExpr, model: Model) -> 
     return IsMor(section, cod, dom)
 
 
-def required_squants(expr: GenExpr) -> tuple[GenExpr, ...]:
+def _required_squants(expr: GenExpr) -> tuple[GenExpr, ...]:
     """Which SupportsQuant premises the builtin equality on `expr` needs."""
     if isinstance(expr, (Two, Nat)):
         return ()
     if isinstance(expr, Product):
-        return required_squants(expr.left) + required_squants(expr.right)
+        return _required_squants(expr.left) + _required_squants(expr.right)
     if isinstance(expr, Powerset):
         # Extensional equality on P[B] is the detector applied to the
         # symmetric difference, so it needs exactly the detector on B.
@@ -315,20 +320,20 @@ def required_squants(expr: GenExpr) -> tuple[GenExpr, ...]:
     )
 
 
-def _builtin_premises(fn: BuiltinRule) -> tuple[GenExpr, ...]:
+def builtin_premises(fn: BuiltinRule) -> tuple[GenExpr, ...]:
+    """The generators whose SupportsQuant a builtin's introduction needs:
+    the detector on A needs A's, the equality on A its components' detectors,
+    and the stream formers none."""
     if fn.rule == "eq_of":
-        (arg,) = fn.args
-        if not isinstance(arg, GenExpr):
-            raise CatalogError("eq_of takes one generator expression")
-        return required_squants(arg)
+        return _required_squants(fn.args[0])
     if fn.rule == "empty_detector_of":
-        (arg,) = fn.args
-        if not isinstance(arg, GenExpr):
-            raise CatalogError("empty_detector_of takes one generator expression")
-        return (arg,)
-    if fn.rule in ("indicator_stream", "restrict", "union_of_family"):
-        return ()
-    raise CatalogError(f"unknown builtin rule {fn.rule!r}")
+        return fn.args
+    return ()
+
+
+def _is_union(fn: FnExpr) -> bool:
+    """A family's union is total exactly by CLA: introducing one uses it."""
+    return isinstance(fn, BuiltinRule) and fn.rule == "union_of_family"
 
 
 def _check_mor(
@@ -378,16 +383,16 @@ def _check_mor(
             )
         # Totality is a catalog guarantee once the spec resolves; a union
         # is a binary function only for a coherent family.
-        if fn.rule == "union_of_family":
-            violation = streams.family_violation(str(fn.args[0]))
+        if _is_union(fn):
+            violation = streams.family_violation(fn.args[0])
             if violation is not None:
                 raise CatalogError(
                     "union_of_family needs a coherent family: "
                     f"{streams.CoherenceError(*violation)}"
                 )
         elif fn.rule == "indicator_stream":
-            streams.parse_stream_spec(str(fn.args[0]))
-        required = tuple(SupportsQuant(b) for b in _builtin_premises(fn))
+            streams.parse_stream_spec(fn.args[0])
+        required = tuple(SupportsQuant(b) for b in builtin_premises(fn))
         if premises != required:
             raise PremiseError(
                 f"builtin {fn.rule} on {render(dom)} requires premises "
@@ -517,6 +522,16 @@ class Kernel:
         self._declared: dict[str, Theorem] = {}
         self._formations: dict[GenExpr, Theorem] = {}
 
+    def _derive(self, rule: RuleId, premises: Sequence[Theorem], payload: tuple = ()) -> Theorem:
+        """Apply `rule` to `premises`: the one path by which a rule's
+        conclusion becomes a theorem.  A set keeps its premises as parts."""
+        premises = tuple(premises)
+        judgment = _check_rule(rule, payload, tuple(p.judgment for p in premises))
+        node = TraceNode(
+            "rule", rule.value, judgment, tuple(p.node for p in premises), payload
+        )
+        return _theorem(judgment, node, premises if rule is RuleId.SET_INTRO else ())
+
     # -- axioms
 
     def axiom(self, axiom: AxiomId, params: Sequence = (), model: Model | None = None) -> Theorem:
@@ -524,30 +539,18 @@ class Kernel:
         if axiom is AxiomId.H1_TWO_IS_SET:
             if params:
                 raise SchemaError("H1 takes no parameters")
-            dom_node = TraceNode(
-                "axiom", "H1", _axiom_judgment(axiom, ("domain",)), payload=("domain",)
-            )
-            sq_node = TraceNode(
-                "axiom", "H1", _axiom_judgment(axiom, ("squant",)), payload=("squant",)
-            )
-            dom_thm = _theorem(dom_node.judgment, dom_node)
-            sq_thm = _theorem(sq_node.judgment, sq_node)
-            judgment = _check_rule(RuleId.SET_INTRO, (), (dom_node.judgment, sq_node.judgment))
-            node = TraceNode("rule", "set_intro", judgment, (dom_node, sq_node), payload=())
-            return _theorem(judgment, node, parts=(dom_thm, sq_thm))
+            parts = (_axiom_leaf(axiom, ("domain",)), _axiom_leaf(axiom, ("squant",)))
+            return self._derive(RuleId.SET_INTRO, parts)
         if axiom is AxiomId.H3_NAT_SUPPORTS_QUANT:
             if params:
                 raise SchemaError("H3 takes no parameters")
-            judgment = _axiom_judgment(axiom, ())
-            return _theorem(judgment, TraceNode("axiom", "H3", judgment))
+            return _axiom_leaf(axiom, ())
         if axiom is AxiomId.H2_CHOICE:
             if len(params) != 3:
                 raise SchemaError("H2 takes a surjection description: (fn, dom, cod)")
             if model is None:
                 raise SchemaError("H2 needs a finite model to check surjectivity")
-            payload = (*params, model)
-            judgment = _axiom_judgment(axiom, payload)
-            return _theorem(judgment, TraceNode("axiom", "H2", judgment, payload=payload))
+            return _axiom_leaf(axiom, (*params, model))
         if axiom is AxiomId.H4_POWERSET_QUANT:
             raise SchemaError(
                 "H4 is a closure rule: apply squant_from_powerset to a "
@@ -595,15 +598,9 @@ class Kernel:
             children = (self._formation(expr.left), self._formation(expr.right))
         else:
             raise SchemaError(f"cannot form {expr!r}")
-        judgment = _check_rule(
-            RuleId.GEN_INTRO, (expr,), tuple(c.judgment for c in children)
+        return self._formations.setdefault(
+            expr, self._derive(RuleId.GEN_INTRO, children, (expr,))
         )
-        node = TraceNode(
-            "rule", "gen_intro", judgment, tuple(c.node for c in children), payload=(expr,)
-        )
-        thm = _theorem(judgment, node)
-        self._formations.setdefault(expr, thm)
-        return thm
 
     # -- morphisms
 
@@ -616,47 +613,23 @@ class Kernel:
         model: Model | None = None,
         premises: Sequence[Theorem] = (),
     ) -> Theorem:
-        premises = tuple(premises)
-        judgment = _check_mor(fn, dom, cod, model, tuple(p.judgment for p in premises))
-        node = TraceNode(
-            "rule",
-            "mor_intro",
-            judgment,
-            tuple(p.node for p in premises),
-            payload=(fn, dom, cod, model),
-        )
-        return _theorem(judgment, node)
+        return self._derive(RuleId.MOR_INTRO, premises, (fn, dom, cod, model))
 
     def bin_fn_from_mor(self, mor: Theorem) -> Theorem:
-        judgment = _check_rule(RuleId.BIN_FN_FROM_MOR, (), (mor.judgment,))
-        node = TraceNode("rule", "bin_fn_from_mor", judgment, (mor.node,))
-        return _theorem(judgment, node)
+        return self._derive(RuleId.BIN_FN_FROM_MOR, (mor,))
 
     # -- domains and sets
 
     def domain_intro(
         self, gen: Theorem, eq: Theorem, models: Sequence[Model]
     ) -> Theorem:
-        models = tuple(models)
-        judgment = _check_rule(
-            RuleId.DOMAIN_INTRO, (models,), (gen.judgment, eq.judgment)
-        )
-        node = TraceNode(
-            "rule", "domain_intro", judgment, (gen.node, eq.node), payload=(models,)
-        )
-        return _theorem(judgment, node)
+        return self._derive(RuleId.DOMAIN_INTRO, (gen, eq), (tuple(models),))
 
     def set_intro(self, domain: Theorem, squant: Theorem) -> Theorem:
-        judgment = _check_rule(
-            RuleId.SET_INTRO, (), (domain.judgment, squant.judgment)
-        )
-        node = TraceNode("rule", "set_intro", judgment, (domain.node, squant.node))
-        return _theorem(judgment, node, parts=(domain, squant))
+        return self._derive(RuleId.SET_INTRO, (domain, squant))
 
     def squant_from_powerset(self, squant: Theorem) -> Theorem:
-        judgment = _check_rule(RuleId.SQUANT_FROM_POWERSET, (), (squant.judgment,))
-        node = TraceNode("rule", "squant_from_powerset", judgment, (squant.node,))
-        return _theorem(judgment, node)
+        return self._derive(RuleId.SQUANT_FROM_POWERSET, (squant,))
 
     # -- coherent limits
 
@@ -668,9 +641,7 @@ class Kernel:
         return _theorem(judgment, node)
 
     def coherent_limit(self, family: Theorem) -> Theorem:
-        judgment = _check_rule(RuleId.COHERENT_LIMIT, (), (family.judgment,))
-        node = TraceNode("rule", "coherent_limit", judgment, (family.node,))
-        return _theorem(judgment, node)
+        return self._derive(RuleId.COHERENT_LIMIT, (family,))
 
     # -- equality queries
 
@@ -720,6 +691,8 @@ def axioms_used(thm: Theorem) -> Counter:
             rule = RuleId(node.label)
             if rule in _RULE_AXIOMS:
                 uses[_RULE_AXIOMS[rule]] += 1
+            elif rule is RuleId.MOR_INTRO and _is_union(node.payload[0]):
+                uses[AxiomId.CLA_COHERENT_LIMIT] += 1
     return uses
 
 

@@ -49,6 +49,7 @@ from .terms import (
     SupportsQuant,
     Table,
     Two,
+    fn_signature,
     free_names,
     render,
     split_pair_tag,
@@ -71,7 +72,6 @@ __all__ = [
     "fn_values",
     "interpret_fn",
     "diagonal_violation",
-    "fn_signature",
     "verify_judgment",
     "verify_axiom_instances",
     "AxiomCheck",
@@ -275,22 +275,6 @@ def tag_members(tag: str) -> tuple[str, ...]:
     return tuple(split_top_level(tag[1:-1])) if tag != "{}" else ()
 
 
-def fn_signature(fn: FnExpr) -> tuple[GenExpr, GenExpr]:
-    """The declared (domain, codomain) of a function expression."""
-    if isinstance(fn, Table):
-        return fn.domain, fn.codomain
-    if isinstance(fn, BuiltinRule):
-        if fn.rule == "eq_of":
-            (arg,) = fn.args
-            return Product(arg, arg), TWO
-        if fn.rule == "empty_detector_of":
-            (arg,) = fn.args
-            return Powerset(arg), TWO
-        if fn.rule in ("indicator_stream", "restrict", "union_of_family"):
-            return NAT, TWO
-    raise TypeError(f"cannot determine signature of {fn!r}")
-
-
 @lru_cache(maxsize=1024)
 def _table_values(table: Table, model: Model) -> np.ndarray:
     """`table` encoded once per model: the codomain index at each domain
@@ -321,12 +305,12 @@ def fn_values(fn: FnExpr, model: Model, at: np.ndarray | None = None) -> np.ndar
     if fn.rule == "empty_detector_of":
         return np.where(at == 0, YES, NO)
     if fn.rule == "union_of_family":
-        stream = streams.union_limit(streams.resolve_family(str(fn.args[0])))
+        stream = streams.union_limit(streams.resolve_family(fn.args[0]))
     else:  # indicator_stream, restrict: a catalog stream on Nat
-        stream = streams.parse_stream_spec(str(fn.args[0]))
+        stream = streams.parse_stream_spec(fn.args[0])
     values = np.array([YES if stream.value_at(k) else NO for k in at.tolist()], dtype=np.int64)
     if fn.rule == "restrict":
-        values[at > int(fn.args[1])] = NO_VALUE
+        values[at > fn.args[1]] = NO_VALUE
     return values
 
 
@@ -394,7 +378,7 @@ def mentions_nat(x: object) -> bool:
     if isinstance(x, Table):
         return mentions_nat(x.domain) or mentions_nat(x.codomain)
     if isinstance(x, BuiltinRule):
-        return any(mentions_nat(a) for a in x.args if isinstance(a, (GenExpr, FnExpr)))
+        return any(mentions_nat(a) for a in x.args)
     if isinstance(x, Judgment):
         return any(mentions_nat(e) for e in judgment_exprs(x))
     return False
@@ -476,10 +460,7 @@ def _verify_obj(j: IsObj, model: Model, trunc: bool) -> Verdict:
 def _verify_mor(
     fn: FnExpr, dom: GenExpr, cod: GenExpr, model: Model, trunc: bool
 ) -> Verdict:
-    try:
-        declared_dom, declared_cod = fn_signature(fn)
-    except TypeError:
-        return _fails("no signature", False, fn=render(fn))
+    declared_dom, declared_cod = fn_signature(fn)
     if declared_dom != dom or declared_cod != cod:
         return _fails(
             "declared signature does not match",
@@ -488,7 +469,7 @@ def _verify_mor(
             expected=f"{render(dom)} -> {render(cod)}",
         )
     if isinstance(fn, BuiltinRule) and fn.rule == "union_of_family":
-        coherence = _verify_coherence(str(fn.args[0]), trunc)
+        coherence = _verify_coherence(fn.args[0], trunc)
         if not coherence.holds:
             return coherence
     dom_carrier = interpret(dom, model)
@@ -675,7 +656,9 @@ def verify_axiom_instances(model: Model, _interpret=interpret) -> list[AxiomChec
         AxiomCheck(
             "H1",
             FAILS if witness else HOLDS,
-            "a fixed two-object carrier with diagonal equality and empty-detector",
+            "the two-object carrier or its powerset detector law is broken"
+            if witness
+            else "a fixed two-object carrier with diagonal equality and empty-detector",
             witness,
         )
     )
@@ -697,7 +680,9 @@ def verify_axiom_instances(model: Model, _interpret=interpret) -> list[AxiomChec
         AxiomCheck(
             "H2",
             FAILS if h2_witness else HOLDS,
-            f"sections found for all {surjections} surjections "
+            "no section for a surjection between checked carriers"
+            if h2_witness
+            else f"sections found for all {surjections} surjections "
             "between checked carriers with |dom| <= 4",
             h2_witness,
         )
@@ -727,7 +712,9 @@ def verify_axiom_instances(model: Model, _interpret=interpret) -> list[AxiomChec
         AxiomCheck(
             "H4",
             FAILS if h4_witness else HOLDS,
-            f"powerset detector law verified for {len(small)} checked domains "
+            f"powerset detector law violated over {render(expr)}"
+            if h4_witness
+            else f"powerset detector law verified for {len(small)} checked domains "
             "with |A| <= 4",
             h4_witness,
         )

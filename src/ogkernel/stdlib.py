@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
-from .kernel import AxiomId, Kernel, PremiseError, Theorem, required_squants
+from .kernel import AxiomId, Kernel, PremiseError, Theorem, builtin_premises
 from .semantics import Model, carrier_size, mentions_nat
 from .terms import (
     NAT,
@@ -158,20 +158,19 @@ def build_naturals(kernel: Kernel) -> ConstructionResult:
 
 
 def _squants_for(
-    expr: GenExpr, pool: Sequence[Theorem]
+    fn: BuiltinRule, pool: Sequence[Theorem]
 ) -> tuple[Theorem, ...]:
-    """Match the SupportsQuant premises the builtin equality on `expr` needs
-    against a pool of available theorems."""
+    """Match the SupportsQuant premises the builtin `fn` needs against a
+    pool of available theorems."""
     premises = []
-    for needed in required_squants(expr):
+    for needed in builtin_premises(fn):
         for thm in pool:
             if thm.judgment == SupportsQuant(needed):
                 premises.append(thm)
                 break
         else:
             raise PremiseError(
-                f"missing premise {render(SupportsQuant(needed))} for the "
-                f"builtin equality on {render(expr)}"
+                f"missing premise {render(SupportsQuant(needed))} for {render(fn)}"
             )
     return tuple(premises)
 
@@ -191,7 +190,7 @@ def build_product_domain(
     eq = BuiltinRule("eq_of", (expr,))
     pool = [t for t in (a.squant, b.squant) if t is not None]
     pool += list(squant_premises)
-    premises = _squants_for(expr, pool)
+    premises = _squants_for(eq, pool)
     mor = kernel.mor_intro(eq, Product(expr, expr), TWO, premises=premises)
     binfn = kernel.bin_fn_from_mor(mor)
     domain = kernel.domain_intro(gen, binfn, evidence_models(expr))

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .terms import (
-    BUILTIN_RULE_IDS,
+    BUILTIN_RULES,
     BuiltinRule,
     GenExpr,
     Ident,
@@ -195,9 +195,9 @@ def lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and "0" <= source[j] <= "9":
                 j += 1
             tokens.append(
                 Token("integer", source[i:j], span(start_i, start_line, start_col, j))
@@ -470,17 +470,7 @@ class _Parser:
             body = self.parse_table_body()
         elif self.at("keyword", "rule"):
             self.advance()
-            rule_name = self.expect("ident").text
-            args: tuple = ()
-            if self.at("symbol", "["):
-                args = self.parse_builtin_args()
-            if rule_name not in BUILTIN_RULE_IDS:
-                raise self.error(
-                    "E0002",
-                    f"unknown builtin rule {rule_name!r}",
-                    note="known: " + ", ".join(sorted(BUILTIN_RULE_IDS)),
-                )
-            body = BuiltinRule(rule_name, args)
+            body = self.parse_builtin(self.expect("ident"))
         else:
             raise self.error("E0002", "expected 'table' or 'rule' after ':='")
         self.expect("symbol", ";")
@@ -526,16 +516,22 @@ class _Parser:
             return self.advance().text
         raise self.error("E0002", "expected an object tag after '.'")
 
-    def parse_builtin_args(self) -> tuple:
-        opener = self.expect("symbol", "[")
+    def parse_builtin(self, name: Token) -> BuiltinRule:
+        """The former `name[args]`, whose brackets may be left out when there
+        are no arguments; one the catalog does not admit is E0002."""
         args: list = []
-        if not self.at("symbol", "]"):
-            args.append(self.parse_builtin_arg())
-            while self.at("symbol", ","):
-                self.advance()
+        if self.at("symbol", "["):
+            opener = self.advance()
+            if not self.at("symbol", "]"):
                 args.append(self.parse_builtin_arg())
-        self.expect_closing("]", opener.span)
-        return tuple(args)
+                while self.at("symbol", ","):
+                    self.advance()
+                    args.append(self.parse_builtin_arg())
+            self.expect_closing("]", opener.span)
+        try:
+            return BuiltinRule(name.text, tuple(args))
+        except ValueError as exc:
+            raise self.error("E0002", str(exc), name.span) from None
 
     def parse_builtin_arg(self):
         if self.at("string"):
@@ -632,13 +628,11 @@ class _Parser:
         tok = self.peek()
         if (
             tok.kind == "ident"
-            and tok.text in BUILTIN_RULE_IDS
+            and tok.text in BUILTIN_RULES
             and self.peek(1).kind == "symbol"
             and self.peek(1).text == "["
         ):
-            self.advance()
-            args = self.parse_builtin_args()
-            return BuiltinRule(tok.text, args)
+            return self.parse_builtin(self.advance())
         atom = self.parse_gen_atom()
         return self.finish_arg_expr(atom)
 

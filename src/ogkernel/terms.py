@@ -1,8 +1,10 @@
 """Immutable syntax trees: generator expressions, function expressions, judgments.
 
-No logic lives here.  Everything is a frozen dataclass with structural
-equality (source spans are ignored), and `render` produces the surface
-syntax that `ogkernel.surface.parse_gen_expr` and friends read back.
+Everything is a frozen dataclass with structural equality (source spans are
+ignored), and `render` produces the surface syntax that
+`ogkernel.surface.parse_gen_expr` and friends read back.  The one piece of
+logic is the builtin catalog: each former's argument kinds (enforced when a
+`BuiltinRule` is built) and its signature (`fn_signature`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ __all__ = [
     "FnExpr",
     "Table",
     "BuiltinRule",
-    "BUILTIN_RULE_IDS",
+    "BUILTIN_RULES",
+    "fn_signature",
     "Judgment",
     "IsGen",
     "IsObj",
@@ -156,23 +159,54 @@ class Table(FnExpr):
             seen.add(key.tag)
 
 
-BUILTIN_RULE_IDS = frozenset(
-    {"eq_of", "empty_detector_of", "restrict", "union_of_family", "indicator_stream"}
-)
+BuiltinArg = Union[GenExpr, str, int]
 
-BuiltinArg = Union[GenExpr, "FnExpr", str, int]
+# What each argument kind admits.  A spec string is a stream or family
+# descriptor; it holds no quote or newline, so it renders as a string literal.
+_ARG_KINDS = {
+    "generator expression": lambda a: isinstance(a, GenExpr),
+    "spec string": lambda a: isinstance(a, str) and '"' not in a and "\n" not in a,
+    "natural number": lambda a: type(a) is int and a >= 0,
+}
+
+# The catalog of function formers: each rule's argument kinds, in order.
+BUILTIN_RULES: dict[str, tuple[str, ...]] = {
+    "eq_of": ("generator expression",),
+    "empty_detector_of": ("generator expression",),
+    "indicator_stream": ("spec string",),
+    "union_of_family": ("spec string",),
+    "restrict": ("spec string", "natural number"),
+}
 
 
 @dataclass(frozen=True)
 class BuiltinRule(FnExpr):
-    """A catalogued function former.  String args are stream or family specs."""
+    """A catalogued function former, its arguments of the kinds that
+    BUILTIN_RULES lists; any other former is a ValueError."""
 
     rule: str
     args: tuple[BuiltinArg, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.rule not in BUILTIN_RULE_IDS:
-            raise ValueError(f"unknown builtin rule: {self.rule!r}")
+        kinds = BUILTIN_RULES.get(self.rule)
+        if kinds is None:
+            known = ", ".join(sorted(BUILTIN_RULES))
+            raise ValueError(f"unknown builtin rule {self.rule!r} (known: {known})")
+        if len(self.args) != len(kinds) or not all(
+            _ARG_KINDS[kind](arg) for kind, arg in zip(kinds, self.args)
+        ):
+            raise ValueError(f"builtin {self.rule} takes [{', '.join(kinds)}]")
+
+
+def fn_signature(fn: FnExpr) -> tuple[GenExpr, GenExpr]:
+    """The declared (domain, codomain) of a function expression."""
+    if isinstance(fn, Table):
+        return fn.domain, fn.codomain
+    if fn.rule == "eq_of":
+        return Product(fn.args[0], fn.args[0]), TWO
+    if fn.rule == "empty_detector_of":
+        return Powerset(fn.args[0]), TWO
+    return NAT, TWO  # the stream formers: indicator, restriction, union
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +333,7 @@ def _collect_names(x: object, out: set[Ident]) -> None:
             _collect_names(val.of, out)
     elif isinstance(x, BuiltinRule):
         for arg in x.args:
-            if isinstance(arg, (GenExpr, FnExpr)):
-                _collect_names(arg, out)
+            _collect_names(arg, out)
     # Two, Nat, str/int builtin args: nothing to collect
 
 
@@ -391,19 +424,11 @@ def split_pair_tag(tag: str) -> tuple[str, str]:
 def _render_builtin_arg(a: BuiltinArg) -> str:
     if isinstance(a, GenExpr):
         return _render_gen(a)
-    if isinstance(a, FnExpr):
-        return _render_fn(a)
-    if isinstance(a, str):
-        return f'"{a}"'
-    if isinstance(a, int):
-        return str(a)
-    raise TypeError(f"cannot render builtin arg {a!r}")
+    return f'"{a}"' if isinstance(a, str) else str(a)
 
 
 def _render_fn(f: FnExpr) -> str:
     if isinstance(f, BuiltinRule):
-        if not f.args:
-            return f.rule
         args = ", ".join(_render_builtin_arg(a) for a in f.args)
         return f"{f.rule}[{args}]"
     if isinstance(f, Table):

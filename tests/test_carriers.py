@@ -25,9 +25,11 @@ from ogkernel.semantics import (
     verify_judgment,
 )
 from ogkernel.stdlib import build_naturals
+from ogkernel.surface import parse_gen_expr, parse_source
 from ogkernel.terms import (
     NAT,
     TWO,
+    BUILTIN_RULES,
     BuiltinRule,
     Ident,
     IsDomain,
@@ -37,6 +39,7 @@ from ogkernel.terms import (
     ObjLit,
     Powerset,
     Product,
+    render,
     split_top_level,
 )
 
@@ -202,6 +205,33 @@ def test_codec_round_trip_property(expr, model, data):
         _assert_codec(carrier, reference_tags(expr, model))
     for k in data.draw(st.lists(st.integers(0, size - 1), max_size=8)) if size else ():
         assert carrier.index(carrier.tag(k)) == k
+
+
+def _builtins():
+    """Well-formed catalog formers: each argument drawn from its kind."""
+    by_kind = {
+        "generator expression": _exprs(),
+        "spec string": st.text(st.characters(exclude_characters='"\n'), max_size=12),
+        "natural number": st.integers(0, 10**6),
+    }
+    return st.sampled_from(sorted(BUILTIN_RULES)).flatmap(
+        lambda rule: st.tuples(*(by_kind[kind] for kind in BUILTIN_RULES[rule])).map(
+            lambda args: BuiltinRule(rule, args)
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs(), _builtins())
+def test_render_parse_round_trip_property(expr, former):
+    assert parse_gen_expr(render(expr)) == expr
+    text = render(former)
+    decls, diags = parse_source(
+        f"morphism m : Nat -> Two := rule {text};\nassert Mor({text}, Nat, Two) by rule mor;"
+    )
+    assert not diags
+    assert decls[0].body == former
+    assert decls[1].judgment.args[0] == former
 
 
 def test_named_carrier_enumeration_is_canonical():

@@ -23,6 +23,7 @@ from ogkernel.cli import (
     run,
 )
 from ogkernel.elaborate import Item
+from ogkernel.terms import BUILTIN_RULES
 
 CORPUS = Path(__file__).parent / "corpus"
 PRELUDE = Path(__file__).parents[1] / "src" / "ogkernel" / "prelude.og"
@@ -65,6 +66,12 @@ def test_check_refusals_exit_1(tmp_path, capsys):
             "assert Mor(u, Nat, Two) by rule mor;\n",
             "E0102 at 1:1 | union_of_family needs a coherent family",
         ),
+        "duplicate_row.og": (
+            "morphism e : Two -> Two := table "
+            "{ Two.yes -> Two.no, Two.yes -> Two.yes, Two.no -> Two.no };\n"
+            "assert Mor(e, Two, Two) by rule mor;\n",
+            "E0102 at 1:1 | duplicate table row for 'yes'",
+        ),
         "deep_tower.og": (
             "assert Set(Two) by axiom H1;\n"
             "assert SupportsQuant(P[Two]) by rule H4;\n"
@@ -81,6 +88,34 @@ def test_check_refusals_exit_1(tmp_path, capsys):
         path.write_text(source)
         assert main(["check", str(path)]) == EXIT_CHECK_FAILED, name
         assert expected in capsys.readouterr().out, name
+
+
+# An argument of each catalogued kind, and one of another kind.
+_ARG_OF_KIND = {"generator expression": "Nat", "spec string": '"squares"', "natural number": "5"}
+_ARG_NOT_OF_KIND = {"generator expression": "5", "spec string": "Nat", "natural number": "Nat"}
+
+
+def _malformed_builtins():
+    """Every catalog rule with no arguments, one argument too many, and each
+    argument of the wrong kind, as a morphism body and a judgment argument."""
+    for rule, kinds in BUILTIN_RULES.items():
+        args = [_ARG_OF_KIND[kind] for kind in kinds]
+        wrong = [
+            args[:i] + [_ARG_NOT_OF_KIND[kind]] + args[i + 1 :] for i, kind in enumerate(kinds)
+        ]
+        for bad in [[], args + args[-1:], *wrong]:
+            former = f"{rule}[{', '.join(bad)}]"
+            yield f"morphism m : Nat -> Two := rule {former if bad else rule};"
+            yield f"assert Mor({former}, Nat, Two) by rule mor;"
+
+
+@pytest.mark.parametrize("source", list(_malformed_builtins()))
+def test_malformed_builtin_is_a_syntax_error(source, tmp_path, capsys):
+    path = tmp_path / "former.og"
+    path.write_text(source + "\n")
+    assert main(["check", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error[E0002]: builtin " in err and "internal error" not in err
 
 
 def test_internal_error_names_the_exception(monkeypatch, capsys):

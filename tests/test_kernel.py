@@ -305,6 +305,13 @@ def test_union_of_incoherent_family_is_refused(kernel):
         kernel.mor_intro(corrupt, NAT, TWO)
 
 
+def test_union_of_family_counts_cla(kernel):
+    union = BuiltinRule("union_of_family", ("restrictions(pow2)",))
+    assert axioms_used(kernel.mor_intro(union, NAT, TWO)) == {AxiomId.CLA_COHERENT_LIMIT: 1}
+    indicator = BuiltinRule("indicator_stream", ("squares",))
+    assert not axioms_used(kernel.mor_intro(indicator, NAT, TWO))
+
+
 def test_coherent_limit_premise_error(kernel):
     h3 = kernel.axiom(AxiomId.H3_NAT_SUPPORTS_QUANT)
     with pytest.raises(PremiseError):

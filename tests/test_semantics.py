@@ -237,6 +237,11 @@ def test_axiom_instances_detect_corruption():
     }
     assert checks["H4"].status == FAILS
     assert checks["H4"].witness is not None
+    assert checks["H4"].detail == "powerset detector law violated over Two"
+    assert checks["H1"].status == FAILS
+    assert checks["H1"].detail == "the two-object carrier or its powerset detector law is broken"
+    # passing details stay as they were
+    assert checks["H2"].detail.startswith("sections found for all")
 
 
 class _FakeTheorem:

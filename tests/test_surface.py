@@ -102,6 +102,13 @@ def test_parse_error_codes():
     assert diags[0].code == "E0003"
 
 
+def test_integers_are_ascii_digits():
+    assert _tokens("0 42") == [("integer", "0"), ("integer", "42")]
+    _, diags = parse_source('morphism r : Nat -> Two := rule restrict["squares", \u00b2];')
+    assert diags[0].code == "E0001"
+    assert diags[0].message == "illegal character '\u00b2'"
+
+
 def test_five_error_file_yields_five_primary_diagnostics():
     decls, diags = parse_source((CORPUS / "err5.og").read_text())
     assert len(diags) == 5

@@ -96,6 +96,23 @@ def test_builtin_rule_catalog_is_fixed():
         BuiltinRule("frobnicate", ())
 
 
+def test_builtin_rule_arguments_follow_the_catalog():
+    assert BuiltinRule("restrict", ("squares", 5)).args == ("squares", 5)
+    malformed = [
+        ("eq_of", ()),
+        ("eq_of", (NAT, TWO)),
+        ("eq_of", ("squares",)),
+        ("indicator_stream", (NAT,)),
+        ("indicator_stream", ('say "hi"',)),
+        ("union_of_family", ("restrictions(squares)", 4)),
+        ("restrict", ("squares", -1)),
+        ("restrict", ("squares", True)),
+    ]
+    for rule, args in malformed:
+        with pytest.raises(ValueError, match=f"builtin {rule} takes"):
+            BuiltinRule(rule, args)
+
+
 def test_split_pair_tag_handles_nesting():
     assert split_pair_tag("(a,b)") == ("a", "b")
     assert split_pair_tag("((a,b),c)") == ("(a,b)", "c")
