@@ -1,49 +1,53 @@
 """Walk the kernel from its axioms up to Set(P[P[Nat]]).
 
-Every Theorem below is produced by a kernel operation and carries a
-replayable trace; nothing in this script is trusted.
+The tower is the shipped prelude: each `.og` declaration elaborates into
+kernel operations, so every Theorem below carries a replayable trace and
+nothing in this script is trusted.
 """
 
 from ogkernel import Kernel, render
+from ogkernel.elaborate import elaborate_source
 from ogkernel.kernel import axioms_used, leaf_kinds, verify_trace
-from ogkernel.stdlib import build_naturals, build_powerset_domain, build_two
+from ogkernel.stdlib import prelude_source
+from ogkernel.terms import NAT, TWO, IsDomain, IsGen, IsSet, Powerset
 
-kernel = Kernel()
+tower = elaborate_source(prelude_source())
+assert not tower.diagnostics
+sets = {t.judgment.expr: t for t in tower.theorems if isinstance(t.judgment, IsSet)}
+domains = {t.judgment.expr: t for t in tower.theorems if isinstance(t.judgment, IsDomain)}
 
 print("== the two-object set comes straight from an axiom ==")
-two = build_two(kernel)
-print(f"  {two.set_!r}")
-print(f"  equality table rows: {len(two.eq.rows)} (one per pair of objects)")
+print(f"  {sets[TWO]!r}")
+rows = len(domains[TWO].judgment.eq.rows)
+print(f"  equality table rows: {rows} (one per pair of objects)")
 
 print("\n== the naturals: declaration, numeral equality, and one hypothesis ==")
-nat = build_naturals(kernel)
-for thm in nat.theorems:
+start = tower.judgments.index(IsGen(NAT))
+for thm in tower.theorems[start : tower.judgments.index(IsSet(NAT)) + 1]:
     print(f"  |- {render(thm.judgment)}")
-print(f"  trace leaves of Set(Nat): {sorted(leaf_kinds(nat.set_))}")
+print(f"  trace leaves of Set(Nat): {sorted(leaf_kinds(sets[NAT]))}")
 
 print("\n== the powerset tower ==")
-pnat = build_powerset_domain(kernel, nat)
-ppnat = build_powerset_domain(kernel, pnat)
-for result in (pnat, ppnat):
-    uses = ", ".join(sorted(a.value for a in axioms_used(result.set_).elements()))
-    print(f"  |- {render(result.set_.judgment)}   (axioms: {uses})")
+for thm in (sets[Powerset(NAT)], sets[Powerset(Powerset(NAT))]):
+    uses = ", ".join(sorted(a.value for a in axioms_used(thm).elements()))
+    print(f"  |- {render(thm.judgment)}   (axioms: {uses})")
 
 print("\n== every theorem replays through the rule checker ==")
-for result in (two, nat, pnat, ppnat):
-    for thm in result.theorems:
-        report = verify_trace(thm)
-        assert report.passed
+for thm in tower.theorems:
+    report = verify_trace(thm)
+    assert report.passed
 print("  all traces verified")
 
 print("\n== equality only exists inside one set ==")
 from ogkernel.kernel import CrossDomainEqualityError
 from ogkernel.semantics import default_model
-from ogkernel.terms import NAT, TWO, ObjLit
+from ogkernel.terms import ObjLit
 
-query = kernel.eq_within_domain(nat.domain, ObjLit("3", NAT), ObjLit("3", NAT))
+kernel = Kernel()  # equality queries and H2 instances need no prior state
+query = kernel.eq_within_domain(domains[NAT], ObjLit("3", NAT), ObjLit("3", NAT))
 print(f"  eq(3, 3) evaluates to {query.evaluate(default_model(5))!r}")
 try:
-    kernel.eq_within_domain(nat.domain, ObjLit("yes", TWO), ObjLit("0", NAT))
+    kernel.eq_within_domain(domains[NAT], ObjLit("yes", TWO), ObjLit("0", NAT))
 except CrossDomainEqualityError as refusal:
     print(f"  mixed query refused: {refusal}")
 

@@ -4,7 +4,7 @@ The kernel never consults this code; agreement between the two is the
 empirical-consistency check the whole artifact is built around.
 """
 
-from ogkernel import Kernel
+from ogkernel.elaborate import elaborate_source
 from ogkernel.hf import HFUniverse, check_zfc1_instances
 from ogkernel.semantics import (
     Carrier,
@@ -15,7 +15,7 @@ from ogkernel.semantics import (
     soundness_sweep,
     verify_axiom_instances,
 )
-from ogkernel.stdlib import prelude_theorems
+from ogkernel.stdlib import prelude_source
 from ogkernel.terms import BuiltinRule, Ident, Named, Powerset
 
 print("== powerset carriers double in size, one detector flags the empty table ==")
@@ -28,7 +28,7 @@ for n in range(0, 9):
     print(f"  |A| = {n}: |P[A]| = {len(power):4d}, detector flags {flagged}")
 
 print("\n== every prelude theorem holds in every small model ==")
-report = soundness_sweep(prelude_theorems(Kernel()), max_size=3)
+report = soundness_sweep(elaborate_source(prelude_source()).theorems, max_size=3)
 print(
     f"  {report.checked} (theorem, model) pairs: {report.holds} hold, "
     f"{report.fails} fail, {report.not_checkable} beyond finite checking"

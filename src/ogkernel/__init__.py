@@ -73,16 +73,7 @@ from .kernel import (
     axioms_used,
     verify_trace,
 )
-from .stdlib import (
-    ConstructionResult,
-    build_naturals,
-    build_powerset_domain,
-    build_product_domain,
-    build_prelude,
-    build_two,
-    choice_instance,
-    prelude_source,
-)
+from .stdlib import choice_instance, prelude_source
 from .elaborate import elaborate, elaborate_file, elaborate_source
 
 __version__ = "0.1.0"

@@ -256,11 +256,14 @@ def _run_limits(config: RunConfig, timings: dict[str, float]) -> Report:
     items: list[Item] = []
     started = time.perf_counter()
     if config.demo:
-        report = demonstrate_gap(
-            preperiod_bound=config.preperiod_bound,
-            period_bound=config.period_bound,
-            horizon=config.horizon,
-        )
+        try:
+            report = demonstrate_gap(
+                preperiod_bound=config.preperiod_bound,
+                period_bound=config.period_bound,
+                horizon=config.horizon,
+            )
+        except BoundError as exc:
+            raise UsageError(str(exc))
         for name, ok, detail in report.sub_results():
             items.append(Item(name, "pass" if ok else "fail", detail))
         items.append(

@@ -546,9 +546,17 @@ def _run_generator(session: _Session, decl: GeneratorDecl) -> None:
         session.aliases[decl.name] = resolved
         session.theorems.append(session.kernel.gen_intro(resolved))
         return
+    # A repeated tag is refused before the kernel declares the name, so a
+    # refused declaration leaves no generator behind.
+    tags = decl.tags or ()
+    repeated = [t for i, t in enumerate(tags) if t in tags[:i]]
+    if repeated:
+        raise _ElabError(
+            "E0102", f"generator {decl.name!r} lists the tag {repeated[0]!r} twice"
+        )
     thm = session.kernel.gen_intro(Ident(decl.name))
-    if decl.tags:
-        session.carriers[decl.name] = Carrier(decl.name, decl.tags)
+    if tags:
+        session.carriers[decl.name] = Carrier(decl.name, tags)
     session.theorems.append(thm)
 
 

@@ -32,6 +32,8 @@ __all__ = [
     "ShapeError",
     "CoherenceError",
     "BoundError",
+    "MAX_HORIZON",
+    "MAX_PERIOD_BOUND",
     "parse_stream_spec",
     "stream_spec",
     "resolve_family",
@@ -71,6 +73,13 @@ class CoherenceError(ValueError):
 
 class BoundError(ValueError):
     """A search bound precondition was violated."""
+
+
+# Caps on one ep_decide query, which makes `period_bound` vectorised passes
+# over a prefix of `horizon + 1` bits: at both caps it runs in tens of
+# milliseconds, and every larger request is refused rather than attempted.
+MAX_HORIZON = 65536
+MAX_PERIOD_BOUND = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -480,26 +489,36 @@ def ep_decide(
     p <= i <= horizon - q.  The first witness in lexicographic (p, q) order
     is returned.  The horizon must be at least preperiod_bound +
     2 * period_bound so a claimed witness is cross-checked over at least one
-    full extra period.
+    full extra period, and at most MAX_HORIZON; the period bound at most
+    MAX_PERIOD_BOUND.  Bounds outside these ranges raise BoundError.
     """
     if period_bound < 1:
         raise BoundError("period bound must be at least 1")
+    if period_bound > MAX_PERIOD_BOUND:
+        raise BoundError(
+            f"period bound {period_bound} above the maximum {MAX_PERIOD_BOUND}"
+        )
+    if horizon > MAX_HORIZON:
+        raise BoundError(f"horizon {horizon} above the maximum {MAX_HORIZON}")
     if horizon < preperiod_bound + 2 * period_bound:
         raise BoundError(
             f"horizon {horizon} below preperiod_bound + 2*period_bound = "
             f"{preperiod_bound + 2 * period_bound}"
         )
     arr = s.prefix(horizon)
-    # valid_from[q]: least p such that no mismatch at i >= p for lag q.
-    valid_from = {}
+    # valid_from[q - 1]: least p such that no mismatch at i >= p for lag q.
+    valid_from = []
     for q in range(1, period_bound + 1):
-        mismatch = np.nonzero(arr[: horizon + 1 - q] != arr[q:])[0]
-        valid_from[q] = int(mismatch[-1]) + 1 if len(mismatch) else 0
-    for p in range(preperiod_bound + 1):
-        for q in range(1, period_bound + 1):
-            if valid_from[q] <= p:
-                return EpVerdict(True, (p, q), preperiod_bound, period_bound, horizon)
-    return EpVerdict(False, None, preperiod_bound, period_bound, horizon)
+        mismatch = np.flatnonzero(arr[: horizon + 1 - q] != arr[q:])
+        valid_from.append(int(mismatch[-1]) + 1 if len(mismatch) else 0)
+    # The first witness takes the least preperiod any lag admits, then the
+    # least lag admitting it.
+    p = min(valid_from)
+    if p > preperiod_bound:
+        return EpVerdict(False, None, preperiod_bound, period_bound, horizon)
+    return EpVerdict(
+        True, (p, valid_from.index(p) + 1), preperiod_bound, period_bound, horizon
+    )
 
 
 def is_ep_witness(s: BitStream, p: int, q: int, horizon: int) -> bool:

@@ -25,8 +25,9 @@ The grammar (`-- og-syntax 1`):
     limitDecl := "limit" ("demo" | "member" (STRING | BITLIST)
                  "upto" INT INT INT) ";" ;
 
-`*` binds tighter than `->`; `P[...]` is atomic.  Comments run from `--`
-to end of line.  Statement terminator is `;`.
+`*` binds tighter than `->`; `P[...]` is atomic.  An object tag written as
+a STRING must be nonempty.  Comments run from `--` to end of line.
+Statement terminator is `;`.
 """
 
 from __future__ import annotations
@@ -512,6 +513,8 @@ class _Parser:
         return ObjLit(self.parse_obj_tag(), atom)
 
     def parse_obj_tag(self) -> str:
+        if self.at("string", ""):
+            raise self.error("E0002", "an object tag must be nonempty")
         if self.at("ident") or self.at("integer") or self.at("string"):
             return self.advance().text
         raise self.error("E0002", "expected an object tag after '.'")

@@ -22,7 +22,7 @@ from ogkernel.semantics import (
     interpret_fn,
     soundness_sweep,
 )
-from ogkernel.stdlib import choice_instance, prelude_source, prelude_theorems
+from ogkernel.stdlib import choice_instance, prelude_source
 from ogkernel.streams import Periodic, demonstrate_gap
 from ogkernel.surface import parse_source, render_decl
 from ogkernel.terms import (
@@ -70,7 +70,7 @@ def test_criterion_1_derivation_reproduction():
 
 def test_criterion_2_kernel_oracle_agreement():
     with _timed("2 kernel-oracle-agreement", 10.0):
-        theorems = prelude_theorems(Kernel())
+        theorems = elaborate_source(prelude_source()).theorems
         report = soundness_sweep(theorems, max_size=3)
         assert report.fails == 0
         assert report.holds > 0

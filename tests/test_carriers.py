@@ -24,7 +24,6 @@ from ogkernel.semantics import (
     models_for_judgment,
     verify_judgment,
 )
-from ogkernel.stdlib import build_naturals
 from ogkernel.surface import parse_gen_expr, parse_source
 from ogkernel.terms import (
     NAT,
@@ -249,7 +248,9 @@ def test_only_decimal_tags_are_numerals():
     verdict = verify_judgment(IsObj(ObjLit("²", NAT), NAT), model)  # superscript two
     assert verdict.status == "fails" and dict(verdict.witness)["tag"] == "²"
     kernel = Kernel()
-    domain = build_naturals(kernel).domain
+    eq = BuiltinRule("eq_of", (NAT,))
+    binfn = kernel.bin_fn_from_mor(kernel.mor_intro(eq, Product(NAT, NAT), TWO))
+    domain = kernel.domain_intro(kernel.gen_intro(NAT), binfn, [default_model(3)])
     far = kernel.eq_within_domain(domain, ObjLit("3", NAT), ObjLit("70", NAT))
     assert far.evaluate(default_model(3)) == "no"  # numerals past the bound
     odd = kernel.eq_within_domain(domain, ObjLit("²", NAT), ObjLit("2", NAT))

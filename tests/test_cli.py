@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,54 @@ def test_check_refusals_exit_1(tmp_path, capsys):
         path.write_text(source)
         assert main(["check", str(path)]) == EXIT_CHECK_FAILED, name
         assert expected in capsys.readouterr().out, name
+
+
+@pytest.mark.parametrize(
+    "argv, source, code, message",
+    [
+        (
+            ["check"],
+            'assert Obj(Two."", Two) by rule cla;\n',
+            EXIT_USAGE,
+            "1:16: error[E0002]: an object tag must be nonempty",
+        ),
+        (
+            ["check"],
+            "generator G primitive {a, a};\n",
+            EXIT_CHECK_FAILED,
+            "E0102 at 1:1 | generator 'G' lists the tag 'a' twice",
+        ),
+        (
+            ["check"],
+            'limit member "squares" upto 99999999 99999999 999999999;\n',
+            EXIT_CHECK_FAILED,
+            "E0102 at 1:1 | period bound 99999999 above the maximum 1024",
+        ),
+        (
+            ["limits", "--demo", "--horizon", "10"],
+            None,
+            EXIT_USAGE,
+            "error: horizon 10 below preperiod_bound + 2*period_bound = 192",
+        ),
+        (
+            ["limits", "squares", "--horizon", "70000"],
+            None,
+            EXIT_USAGE,
+            "error: horizon 70000 above the maximum 65536",
+        ),
+    ],
+)
+def test_refusals_end_quickly_with_their_exit_code(argv, source, code, message, tmp_path, capsys):
+    if source is not None:
+        path = tmp_path / "input.og"
+        path.write_text(source)
+        argv = [*argv, str(path)]
+    started = time.perf_counter()
+    assert main(argv) == code
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+    assert "internal error" not in captured.err
 
 
 # An argument of each catalogued kind, and one of another kind.

@@ -5,21 +5,11 @@ from __future__ import annotations
 from pathlib import Path
 
 from ogkernel.elaborate import elaborate_file, elaborate_source
-from ogkernel.kernel import Kernel, axioms_used, verify_trace
-from ogkernel.stdlib import prelude_source, prelude_theorems
+from ogkernel.kernel import axioms_used, verify_trace
+from ogkernel.stdlib import prelude_source
 from ogkernel.terms import render
 
 CORPUS = Path(__file__).parent / "corpus"
-
-
-def test_prelude_reproduces_stdlib_theorems():
-    result = elaborate_source(prelude_source())
-    assert not result.diagnostics
-    direct = prelude_theorems(Kernel())
-    assert [render(j) for j in result.judgments] == [
-        render(t.judgment) for t in direct
-    ]
-    assert result.judgments == tuple(t.judgment for t in direct)
 
 
 def test_prelude_headline_axiom_multiset():
@@ -175,3 +165,13 @@ def test_every_corpus_file_elaborates_cleanly():
         assert not [i for i in result.items if i.status == "fail"], path.name
         for thm in result.theorems:
             assert verify_trace(thm).passed, path.name
+
+
+def test_duplicate_primitive_tag_declares_nothing():
+    result = elaborate_source(
+        "generator G primitive {a, b, a};\ngenerator G primitive {a, b};\n"
+    )
+    assert [(d.code, d.message) for d in result.diagnostics] == [
+        ("E0102", "generator 'G' lists the tag 'a' twice")
+    ]
+    assert [render(j) for j in result.judgments] == ["Gen(G)"]

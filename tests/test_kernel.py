@@ -26,7 +26,6 @@ from ogkernel.kernel import (
 )
 from ogkernel.semantics import Carrier, Model, default_model
 from ogkernel.streams import CoherenceError
-from ogkernel.stdlib import diagonal_table
 from ogkernel.terms import (
     NAT,
     TWO,
@@ -189,9 +188,17 @@ def test_builtin_premise_and_catalog_errors(kernel):
 
 def test_domain_intro_two(kernel):
     gen = kernel.gen_intro(TWO)
-    table = diagonal_table(TWO, ("yes", "no"))
-    assert len(table.rows) == 4
-    mor = kernel.mor_intro(table, Product(TWO, TWO), TWO, model=default_model(1))
+    pair = Product(TWO, TWO)
+    table = Table(
+        pair,
+        TWO,
+        tuple(
+            (ObjLit(f"({x},{y})", pair), ObjLit("yes" if x == y else "no", TWO))
+            for x in ("yes", "no")
+            for y in ("yes", "no")
+        ),
+    )
+    mor = kernel.mor_intro(table, pair, TWO, model=default_model(1))
     binfn = kernel.bin_fn_from_mor(mor)
     thm = kernel.domain_intro(gen, binfn, [default_model(1)])
     assert thm.judgment == IsDomain(TWO, table)
@@ -414,10 +421,9 @@ def test_corrupted_trace_fails_at_root(kernel):
 
 
 def test_trace_leaf_kinds_for_naturals(kernel):
-    from ogkernel.stdlib import build_naturals
-
-    result = build_naturals(kernel)
-    assert leaf_kinds(result.set_) == {"declaration", "H3"}
+    h3 = kernel.axiom(AxiomId.H3_NAT_SUPPORTS_QUANT)
+    set_thm = kernel.set_intro(_nat_domain(kernel), h3)
+    assert leaf_kinds(set_thm) == {"declaration", "H3"}
 
 
 def test_binfn_iff_mor_into_two(kernel):

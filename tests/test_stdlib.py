@@ -1,4 +1,5 @@
-"""Derived constructions: the standard objects and choice instances."""
+"""The standard constructions, built through `.og` elaboration, and choice
+instances."""
 
 from __future__ import annotations
 
@@ -7,27 +8,20 @@ import itertools
 import numpy as np
 import pytest
 
+from ogkernel.elaborate import ElabResult, elaborate_source
 from ogkernel.kernel import (
     CounterexampleError,
     Kernel,
     PremiseError,
-    axioms_used,
+    leaf_kinds,
     verify_trace,
 )
-from ogkernel.semantics import Carrier, Model, interpret
-from ogkernel.stdlib import (
-    build_naturals,
-    build_powerset_domain,
-    build_prelude,
-    build_product_domain,
-    build_two,
-    choice_instance,
-    evidence_models,
-    prelude_theorems,
-)
+from ogkernel.semantics import Carrier, Model, default_model, fn_values, interpret
+from ogkernel.stdlib import choice_instance, evidence_models, prelude_source
 from ogkernel.terms import (
     NAT,
     TWO,
+    BuiltinRule,
     IsDomain,
     IsSet,
     Named,
@@ -40,27 +34,77 @@ from ogkernel.terms import (
     render,
 )
 
+TWO_SRC = """
+assert Set(Two) by axiom H1;
+assert Gen(Two) by rule gen;
+morphism eq_two : Two * Two -> Two := table {
+  (Two.yes, Two.yes) -> Two.yes, (Two.yes, Two.no) -> Two.no,
+  (Two.no, Two.yes) -> Two.no, (Two.no, Two.no) -> Two.yes
+};
+assert BinFn(eq_two, Two * Two) by rule binfn;
+assert Domain(Two, eq_two) by rule domain_intro;
+"""
 
-@pytest.fixture
-def kernel() -> Kernel:
-    return Kernel()
+NAT_SRC = """
+assert Gen(Nat) by rule gen;
+morphism eq_nat : Nat * Nat -> Two := rule eq_of[Nat];
+assert BinFn(eq_nat, Nat * Nat) by rule binfn;
+assert Domain(Nat, eq_nat) by rule domain_intro;
+assert SupportsQuant(Nat) by axiom H3;
+assert Set(Nat) by rule set_intro;
+"""
 
 
-def test_build_two(kernel):
-    result = build_two(kernel)
-    assert result.set_.judgment == IsSet(TWO)
-    assert result.set_.node.children[0].label == "H1"
-    # the equality table covers all 2x2 pairs
-    assert len(result.eq.rows) == 4
+def _domain_src(name: str, expr: str) -> str:
+    """A domain on `expr` with its builtin componentwise equality."""
+    return (
+        f"assert Gen({expr}) by rule gen;\n"
+        f"morphism {name} : ({expr}) * ({expr}) -> Two := rule eq_of[{expr}];\n"
+        f"assert BinFn({name}, ({expr}) * ({expr})) by rule binfn;\n"
+        f"assert Domain({expr}, {name}) by rule domain_intro;\n"
+    )
+
+
+def _powerset_src(name: str, base: str) -> str:
+    """`P[base]` as a set: its domain, H4 from the base, then set-hood."""
+    expr = f"P[{base}]"
+    return _domain_src(name, expr) + (
+        f"assert SupportsQuant({expr}) by rule H4;\n"
+        f"assert Set({expr}) by rule set_intro;\n"
+    )
+
+
+def _elaborated(source: str) -> ElabResult:
+    result = elaborate_source(source)
+    assert not result.diagnostics, [d.message for d in result.diagnostics]
     for thm in result.theorems:
         assert verify_trace(thm).passed
-    assert result.squant.judgment == SupportsQuant(TWO)
+    return result
 
 
-def test_build_naturals(kernel):
-    result = build_naturals(kernel)
-    assert result.set_.judgment == IsSet(NAT)
-    assert [render(t.judgment) for t in result.theorems] == [
+def _last(result: ElabResult, kind: type):
+    return next(t for t in reversed(result.theorems) if isinstance(t.judgment, kind))
+
+
+def test_two_is_a_set_by_h1_with_diagonal_equality():
+    result = _elaborated(TWO_SRC)
+    set_thm = result.theorems[0]
+    assert set_thm.judgment == IsSet(TWO)
+    assert set_thm.node.children[0].label == "H1"
+    assert set_thm.parts[1].judgment == SupportsQuant(TWO)
+    # the equality table covers all 2x2 pairs, flagging exactly the diagonal
+    eq = _last(result, IsDomain).judgment.eq
+    assert {(k.tag, v.tag) for k, v in eq.rows} == {
+        ("(yes,yes)", "yes"),
+        ("(yes,no)", "no"),
+        ("(no,yes)", "no"),
+        ("(no,no)", "yes"),
+    }
+
+
+def test_naturals_judgment_sequence():
+    result = _elaborated(NAT_SRC)
+    assert [render(j) for j in result.judgments] == [
         "Gen(Nat)",
         "Mor(eq_of[Nat], Nat * Nat, Two)",
         "BinFn(eq_of[Nat], Nat * Nat)",
@@ -68,67 +112,72 @@ def test_build_naturals(kernel):
         "SupportsQuant(Nat)",
         "Set(Nat)",
     ]
-    # numeral equality under the builtin rule
-    from ogkernel.semantics import default_model, fn_values
+    assert leaf_kinds(result.theorems[-1]) == {"declaration", "H3"}
 
+
+def test_numeral_equality_under_eq_of_nat():
+    eq = _last(_elaborated(NAT_SRC), IsDomain).judgment.eq
+    assert eq == BuiltinRule("eq_of", (NAT,))
     model = default_model(nat_bound=5)
     pairs = interpret(Product(NAT, NAT), model)
     two = interpret(TWO, model)
     at = [pairs.index("(3,3)"), pairs.index("(3,4)")]
-    values = fn_values(result.eq, model, np.array(at))
+    values = fn_values(eq, model, np.array(at))
     assert [two.tag(v) for v in values] == ["yes", "no"]
 
 
-def test_build_powerset_of_two(kernel):
-    two = build_two(kernel)
-    ptwo = build_powerset_domain(kernel, two)
-    assert ptwo.set_.judgment == IsSet(Powerset(TWO))
+def test_powersets_of_two_are_sets():
+    result = _elaborated(
+        TWO_SRC + _powerset_src("eq_p", "Two") + _powerset_src("eq_pp", "P[Two]")
+    )
+    sets = [t.judgment for t in result.theorems if isinstance(t.judgment, IsSet)]
+    assert sets == [
+        IsSet(TWO),
+        IsSet(Powerset(TWO)),
+        IsSet(Powerset(Powerset(TWO))),
+    ]
     carrier = interpret(Powerset(TWO), Model.make({}, nat_bound=1))
     assert len(carrier) == 4  # all 2**2 binary tables
-    pptwo = build_powerset_domain(kernel, ptwo)
-    assert pptwo.set_.judgment == IsSet(Powerset(Powerset(TWO)))
 
 
-def test_build_powerset_chain_over_naturals(kernel):
-    nat = build_naturals(kernel)
-    pnat = build_powerset_domain(kernel, nat)
-    ppnat = build_powerset_domain(kernel, pnat)
-    assert pnat.set_.judgment == IsSet(Powerset(NAT))
-    assert ppnat.set_.judgment == IsSet(Powerset(Powerset(NAT)))
-    # the headline derivation uses exactly H3, H4, H4
-    uses = sorted(a.value for a in axioms_used(ppnat.set_).elements())
-    assert uses == ["H3", "H4", "H4"]
-
-
-def test_powerset_requires_quantification_support(kernel):
-    two = build_two(kernel)
-    nat = build_naturals(kernel)
-    product = build_product_domain(kernel, two, nat)
-    assert product.domain is not None and product.squant is None
-    with pytest.raises(PremiseError, match="powerset-closure"):
-        build_powerset_domain(kernel, product)
-
-
-def test_build_product_domain(kernel):
-    two = build_two(kernel)
-    result = build_product_domain(kernel, two, two)
-    assert result.domain.judgment.expr == Product(TWO, TWO)
+def test_product_domains():
+    result = _elaborated(
+        TWO_SRC
+        + NAT_SRC
+        + _domain_src("eq_tt", "Two * Two")
+        + _domain_src("eq_nt", "Nat * Two")
+    )
+    domains = [t.judgment.expr for t in result.theorems if isinstance(t.judgment, IsDomain)]
+    assert domains[-2:] == [Product(TWO, TWO), Product(NAT, TWO)]
     carrier = interpret(Product(TWO, TWO), Model.make({}, nat_bound=1))
     assert len(carrier) == 4
-    nat = build_naturals(kernel)
-    mixed = build_product_domain(kernel, nat, two)
-    assert isinstance(mixed.domain.judgment, IsDomain)
 
 
-def test_build_product_domain_premise_error(kernel):
-    two = build_two(kernel)
-    gen_only_expr = Named(Ident("G"))
-    kernel.gen_intro(Ident("G"))
-    from ogkernel.stdlib import ConstructionResult
+def test_powerset_requires_quantification_support():
+    # Nat * Two has a domain, but nothing says it supports quantification,
+    # so the powerset-closure rule H4 has no premise to apply to.
+    source = (
+        TWO_SRC
+        + NAT_SRC
+        + _domain_src("eq_nt", "Nat * Two")
+        + "assert SupportsQuant(P[Nat * Two]) by rule H4;\n"
+    )
+    result = elaborate_source(source)
+    assert [(d.code, d.message) for d in result.diagnostics] == [
+        ("E0102", "no proof of SupportsQuant(Nat * Two) in scope")
+    ]
 
-    bare = ConstructionResult(gen_only_expr, (kernel.gen_intro(gen_only_expr),))
-    with pytest.raises(PremiseError):
-        build_product_domain(kernel, two, bare)
+
+def test_prelude_builds_the_tower():
+    result = _elaborated(prelude_source())
+    assert len(result.theorems) == 23
+    sets = [t.judgment.expr for t in result.theorems if isinstance(t.judgment, IsSet)]
+    assert [render(e) for e in sets] == ["Two", "Nat", "P[Nat]", "P[P[Nat]]"]
+
+
+@pytest.fixture
+def kernel() -> Kernel:
+    return Kernel()
 
 
 def test_choice_instance_three_to_two(kernel):
@@ -191,15 +240,6 @@ def test_choice_instances_exhaustive_small(kernel):
                 section = {k.tag: v.tag for k, v in thm.judgment.fn.rows}
                 surj_map = dict(zip(tags[:nd], values))
                 assert all(surj_map[section[t]] == t for t in tags[:nc])
-
-
-def test_prelude_builders(kernel):
-    results = build_prelude(kernel)
-    assert [render(r.expr) for r in results] == ["Two", "Nat", "P[Nat]", "P[P[Nat]]"]
-    theorems = prelude_theorems(Kernel())
-    assert len(theorems) == 23
-    for thm in theorems:
-        assert verify_trace(thm).passed
 
 
 def test_evidence_models_are_small(kernel):

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+import time
 
 import numpy as np
 import pytest
 
 from ogkernel.streams import (
+    MAX_HORIZON,
+    MAX_PERIOD_BOUND,
     BoundError,
     CoherenceError,
     FiniteSupport,
@@ -129,6 +132,23 @@ def test_ep_decide_bound_errors():
         ep_decide(SquaresIndicator(), 4, 0, 64)
 
 
+def test_ep_decide_caps():
+    squares = SquaresIndicator()
+    started = time.perf_counter()
+    # the worst query the caps allow is answered, and quickly
+    verdict = ep_decide(
+        squares, MAX_HORIZON - 2 * MAX_PERIOD_BOUND, MAX_PERIOD_BOUND, MAX_HORIZON
+    )
+    assert not verdict.member
+    assert time.perf_counter() - started < 1.0
+    with pytest.raises(BoundError, match="period bound 1025 above the maximum 1024"):
+        ep_decide(squares, 0, MAX_PERIOD_BOUND + 1, MAX_HORIZON)
+    with pytest.raises(BoundError, match="horizon 65537 above the maximum 65536"):
+        ep_decide(squares, 0, 1, MAX_HORIZON + 1)
+    with pytest.raises(BoundError):
+        ep_decide(squares, 99999999, 99999999, 999999999)
+
+
 def test_ep_decide_agrees_with_naive_search():
     # independent oracle: scan every (p, q) pair directly
     def naive(stream, pb, qb, horizon):
@@ -151,10 +171,13 @@ def test_ep_decide_agrees_with_naive_search():
             stream = FiniteSupport(tuple(rng.randint(0, 1) for _ in range(6)))
         else:
             stream = SquaresIndicator()
-        expected = naive(stream, 6, 5, 32)
-        verdict = ep_decide(stream, 6, 5, 32)
-        assert verdict.witness == expected
-        assert verdict.member == (expected is not None)
+        # fixed bounds, then random ones that may cut the first witness off
+        pb, qb = rng.randint(0, 8), rng.randint(1, 6)
+        for bounds in ((6, 5, 32), (pb, qb, pb + 2 * qb + rng.randint(0, 20))):
+            expected = naive(stream, *bounds)
+            verdict = ep_decide(stream, *bounds)
+            assert verdict.witness == expected
+            assert verdict.member == (expected is not None)
 
 
 def test_ep_witness_soundness():
