@@ -1,7 +1,7 @@
 """Batch command-line front end with deterministic text/JSON reports.
 
 Commands:
-    check FILES...     parse, elaborate, and verify traces of `.og` files
+    check FILES...     parse, elaborate, and verify each `.og` file in its own session
     model [FILES...]   soundness sweep + axiom instances + ZFC-1 instances
     limits [...]       the coherent-limit gap demo, or per-stream membership
     axioms             list the five axioms
@@ -13,12 +13,11 @@ the `--timings` sidecar.  `OGK_COLOR=1` turns on text coloring.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -174,29 +173,43 @@ def _items_from_elab(result: ElabResult) -> list[Item]:
 
 
 def _run_check(config: RunConfig, timings: dict[str, float]) -> Report:
+    """Each positional file is elaborated and replayed in its own session;
+    with several files, each item name starts with its file's path."""
     started = time.perf_counter()
     sources = _read_inputs(config)
-    timings["parse"] = time.perf_counter() - started
-    started = time.perf_counter()
-    result = elaborate_files(sources)
-    items = _items_from_elab(result)
-    for thm in result.theorems:
-        trace = verify_trace(thm)
-        items.append(
-            Item(
-                f"trace {render(thm.judgment)}",
-                "pass" if trace.passed else "fail",
-                f"{trace.node_count} nodes replayed",
+    timings["surface"] = time.perf_counter() - started
+    timings["elaborate"] = timings["kernel.replay"] = 0.0
+    items: list[Item] = []
+    for path, decls in sources:
+        started = time.perf_counter()
+        result = elaborate_files([(path, decls)])
+        file_items = _items_from_elab(result)
+        replay_started = time.perf_counter()
+        timings["elaborate"] += replay_started - started
+        for thm in result.theorems:
+            trace = verify_trace(thm)
+            file_items.append(
+                Item(
+                    f"trace {render(thm.judgment)}",
+                    "pass" if trace.passed else "fail",
+                    f"{trace.node_count} nodes replayed",
+                )
             )
-        )
-    timings["elaborate"] = time.perf_counter() - started
+        timings["kernel.replay"] += time.perf_counter() - replay_started
+        if len(sources) > 1:
+            file_items = [replace(item, name=f"{path}: {item.name}") for item in file_items]
+        items += file_items
     return Report(__version__, "check", tuple(items))
 
 
 def _run_model(config: RunConfig, timings: dict[str, float]) -> Report:
+    started = time.perf_counter()
     sources = _read_inputs(config) if config.inputs else _default_prelude()
+    timings["surface"] = time.perf_counter() - started
+    started = time.perf_counter()
     result = elaborate_files(sources)
     items = _items_from_elab(result)
+    timings["elaborate"] = time.perf_counter() - started
 
     started = time.perf_counter()
     sweep = soundness_sweep(result.theorems, config.max_size)
@@ -223,7 +236,7 @@ def _run_model(config: RunConfig, timings: dict[str, float]) -> Report:
             if len(checked) != len(entries):
                 detail += " (rest not finitely checkable)"
             items.append(Item(name, "pass", detail))
-    timings["soundness_sweep"] = time.perf_counter() - started
+    timings["semantics.sweep"] = time.perf_counter() - started
 
     started = time.perf_counter()
     for check in verify_axiom_instances(default_model(nat_bound=config.max_size)):
@@ -236,7 +249,7 @@ def _run_model(config: RunConfig, timings: dict[str, float]) -> Report:
                 dict(check.witness) if check.witness else None,
             )
         )
-    timings["axiom_instances"] = time.perf_counter() - started
+    timings["semantics.axioms"] = time.perf_counter() - started
 
     started = time.perf_counter()
     report = check_zfc1_instances(HFUniverse.build(3))
@@ -248,7 +261,7 @@ def _run_model(config: RunConfig, timings: dict[str, float]) -> Report:
                 f"{family.instances} instances, {len(family.failures)} failures",
             )
         )
-    timings["zfc1"] = time.perf_counter() - started
+    timings["hf"] = time.perf_counter() - started
     return Report(__version__, "model", tuple(items))
 
 
@@ -280,7 +293,7 @@ def _run_limits(config: RunConfig, timings: dict[str, float]) -> Report:
         except (StreamSpecError, BoundError) as exc:
             raise UsageError(str(exc))
         items.append(Item(f"ep-membership {spec}", "pass", verdict.describe()))
-    timings["limits"] = time.perf_counter() - started
+    timings["streams"] = time.perf_counter() - started
     return Report(__version__, "limits", tuple(items))
 
 
@@ -330,72 +343,122 @@ def emit_report(report: Report, format: str, out: str | None) -> int:
     return EXIT_OK
 
 
-def _build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ogk",
-        description="object-generator kernel: proof checking, finite-model "
-        "verification, and the coherent-limit laboratory",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", metavar="PATH")
-        p.add_argument("--timings", metavar="PATH")
-
-    p_check = sub.add_parser("check", help="parse, elaborate, and verify .og files")
-    p_check.add_argument("files", nargs="+", metavar="FILE")
-    common(p_check)
-
-    p_model = sub.add_parser("model", help="run the finite-model oracle")
-    p_model.add_argument("files", nargs="*", metavar="FILE")
-    p_model.add_argument("--max-size", type=int, default=3, metavar="N")
-    common(p_model)
-
-    p_limits = sub.add_parser("limits", help="coherent-limit laboratory")
-    p_limits.add_argument("specs", nargs="*", metavar="STREAM")
-    p_limits.add_argument("--demo", action="store_true")
-    p_limits.add_argument("--horizon", type=int, default=4096, metavar="N")
-    p_limits.add_argument("--preperiod-bound", type=int, default=64, metavar="N")
-    p_limits.add_argument("--period-bound", type=int, default=64, metavar="N")
-    common(p_limits)
-
-    p_axioms = sub.add_parser("axioms", help="list the five axioms")
-    common(p_axioms)
-    return parser
+# The argv grammar: `ogk COMMAND [FLAG | POSITIONAL]...`, where a lone `--`
+# ends the flags.  Each command maps to its summary, the name of its
+# positionals (None: it takes none), their minimum count and its own flags; a
+# flag maps to the `RunConfig` field it sets and the kind of its value: `bool`
+# (the flag takes no value), `int`, `str`, or a tuple of the allowed values.
+# Defaults are the `RunConfig` defaults.
+_COMMON_FLAGS = {
+    "--format": ("format", ("text", "json")),
+    "--out": ("out", str),
+    "--timings": ("timings", str),
+}
+_COMMANDS = {
+    "check": ("parse, elaborate, and verify .og files", "FILE", 1, {}),
+    "model": ("run the finite-model oracle", "FILE", 0, {"--max-size": ("max_size", int)}),
+    "limits": (
+        "coherent-limit laboratory",
+        "STREAM",
+        0,
+        {
+            "--demo": ("demo", bool),
+            "--horizon": ("horizon", int),
+            "--preperiod-bound": ("preperiod_bound", int),
+            "--period-bound": ("period_bound", int),
+        },
+    ),
+    "axioms": ("list the five axioms", None, 0, {}),
+}
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    inputs: tuple[str, ...] = ()
-    if args.command == "check":
-        inputs = tuple(args.files)
-    elif args.command == "model":
-        inputs = tuple(args.files)
-    elif args.command == "limits":
-        inputs = tuple(args.specs)
-    return RunConfig(
-        command=args.command,
-        inputs=inputs,
-        max_size=getattr(args, "max_size", 3),
-        horizon=getattr(args, "horizon", 4096),
-        preperiod_bound=getattr(args, "preperiod_bound", 64),
-        period_bound=getattr(args, "period_bound", 64),
-        demo=getattr(args, "demo", False),
-        format=args.format,
-        out=args.out,
-        timings=args.timings,
-    )
+_METAVARS = {bool: "", int: " N", str: " PATH"}
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        lines = ["usage: ogk [-h | --version] COMMAND [FLAGS] [ARGS]", "", "commands:"]
+        lines += (f"  {name:<8} {spec[0]}" for name, spec in _COMMANDS.items())
+        lines.append("'ogk COMMAND --help' lists the flags of a command.")
+    else:
+        summary, positional, minimum, flags = _COMMANDS[command]
+        operands = f" {positional}..." if minimum else f" [{positional}...]" if positional else ""
+        lines = [f"usage: ogk {command} [FLAGS]{operands}", "", summary, "", "flags:"]
+        for flag, (field, kind) in {**flags, **_COMMON_FLAGS}.items():
+            value = " " + "|".join(kind) if isinstance(kind, tuple) else _METAVARS[kind]
+            default = getattr(RunConfig, field)
+            lines.append(f"  {flag}{value}" + (f"  (default: {default})" if default else ""))
+        lines.append("  -h, --help")
+    return "\n".join(lines) + "\n"
+
+
+def _is_flag(arg: str) -> bool:
+    """A flag starts with `-`; a lone `-` and a negative integer do not count."""
+    return arg.startswith("-") and arg != "-" and not arg[1:].isdigit()
+
+
+def _parse_argv(argv: list[str]) -> RunConfig | str:
+    """The `RunConfig` that `argv` asks for, or the help or version text to
+    print; raises UsageError on malformed argv."""
+    if not argv:
+        raise UsageError(f"missing command (choose from {', '.join(_COMMANDS)})")
+    command, rest = argv[0], iter(argv[1:])
+    if command in ("-h", "--help"):
+        return _help(None)
+    if command == "--version":
+        return __version__ + "\n"
+    if command not in _COMMANDS:
+        raise UsageError(f"unknown command {command!r} (choose from {', '.join(_COMMANDS)})")
+    _, positional, minimum, flags = _COMMANDS[command]
+    flags = {**flags, **_COMMON_FLAGS}
+    fields: dict = {}
+    inputs: list[str] = []
+    for arg in rest:
+        if arg == "--":
+            inputs.extend(rest)
+            break
+        if not _is_flag(arg):
+            inputs.append(arg)
+            continue
+        if arg in ("-h", "--help"):
+            return _help(command)
+        flag, has_value, value = arg.partition("=")
+        if flag not in flags:
+            raise UsageError(f"unrecognized flag {flag} for {command}")
+        field, kind = flags[flag]
+        if kind is bool:
+            if has_value:
+                raise UsageError(f"{flag} takes no value")
+            fields[field] = True
+            continue
+        if not has_value:
+            value = next(rest, None)
+            if value is None or _is_flag(value):
+                raise UsageError(f"{flag} needs a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"{flag} needs an integer, found {value!r}") from None
+        elif kind is not str and value not in kind:
+            raise UsageError(f"{flag} must be one of {', '.join(kind)}, found {value!r}")
+        fields[field] = value
+    if positional is None and inputs:
+        raise UsageError(f"{command} takes no arguments, found {inputs[0]!r}")
+    if len(inputs) < minimum:
+        raise UsageError(f"{command} needs at least {minimum} {positional}")
+    return RunConfig(command, tuple(inputs), **fields)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_arg_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalize other codes
-        return EXIT_USAGE if exc.code not in (0,) else 0
-    config = _config_from_args(args)
+        config = _parse_argv(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print(f"ogk: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if isinstance(config, str):
+        sys.stdout.write(config)
+        return EXIT_OK
     try:
         exit_code, report = run(config)
     except UsageError as exc:

@@ -100,7 +100,7 @@ class BitStream:
 
 
 def _check_bits(bits: Sequence[int], what: str) -> None:
-    if any(b not in (0, 1) for b in bits):
+    if not set(bits) <= {0, 1}:
         raise ValueError(f"{what} must consist of 0/1 bits")
 
 
@@ -331,7 +331,7 @@ class PartialBitMap:
 
 def restrict(s: BitStream, n: int) -> PartialBitMap:
     """The restriction of `s` to the finite interval [0, n]."""
-    return PartialBitMap(n, tuple(int(b) for b in s.prefix(n)))
+    return PartialBitMap(n, tuple(s.prefix(n).tolist()))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ Statement terminator is `;`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .terms import (
@@ -100,8 +101,6 @@ JUDGMENT_HEADS = frozenset(
     {"Gen", "Set", "Domain", "SupportsQuant", "Mor", "BinFn", "Eq", "Coherent", "Obj"}
 )
 
-_SYMBOLS = ("->", ":=", "(", ")", "[", "]", "{", "}", "*", ";", ",", ".", ":")
-
 
 @dataclass(frozen=True)
 class Token:
@@ -126,118 +125,55 @@ class Diagnostic:
         return base + (f"\n  note: {self.note}" if self.note else "")
 
 
+# One alternative per token kind, tried in order; each is maximal munch.
+# `space` takes a whole run of blanks, newlines and `--` comments at once.
+_TOKEN_RE = re.compile(
+    r"""(?P<space>(?:[ \t\r\n]|--[^\n]*)+)
+      | (?P<string>"[^"\n]*")
+      | (?P<unterminated>"[^"\n]*)
+      | (?P<bitlist>\#[01]+)
+      | (?P<hash>\#)
+      | (?P<integer>[0-9]+)
+      | (?P<word>[A-Za-z][A-Za-z0-9_]*)
+      | (?P<symbol>->|:=|[()\[\]{}*;,.:])
+      | (?P<illegal>.)""",
+    re.VERBOSE,
+)
+_LEX_ERRORS = {
+    "unterminated": "unterminated string literal",
+    "hash": "'#' must be followed by a 0/1 bit list",
+}
+
+
 def lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
     """Maximal-munch tokenization; `--` comments are skipped."""
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-
-    def span(start_i: int, start_line: int, start_col: int, end_i: int) -> Span:
-        return Span(start_line, start_col, start_i, end_i)
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0  # line_start: the offset just past the last newline
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        start, end = match.span()
+        if kind == "space":
+            last = source.rfind("\n", start, end)
+            if last >= 0:
+                line += source.count("\n", start, end)
+                line_start = last + 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("--", i):
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        start_i, start_line, start_col = i, line, col
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] not in '"\n':
-                j += 1
-            if j >= n or source[j] != '"':
-                diagnostics.append(
-                    Diagnostic(
-                        "error",
-                        "E0001",
-                        "unterminated string literal",
-                        span(start_i, start_line, start_col, j),
-                    )
-                )
-                i = j
-                col += j - start_i
-                continue
-            text = source[i + 1 : j]
-            tokens.append(Token("string", text, span(start_i, start_line, start_col, j + 1)))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch == "#":
-            j = i + 1
-            while j < n and source[j] in "01":
-                j += 1
-            if j == i + 1:
-                diagnostics.append(
-                    Diagnostic(
-                        "error",
-                        "E0001",
-                        "'#' must be followed by a 0/1 bit list",
-                        span(start_i, start_line, start_col, i + 1),
-                    )
-                )
-                i += 1
-                col += 1
-                continue
-            tokens.append(
-                Token("bitlist", source[i + 1 : j], span(start_i, start_line, start_col, j))
-            )
-            col += j - i
-            i = j
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= source[j] <= "9":
-                j += 1
-            tokens.append(
-                Token("integer", source[i:j], span(start_i, start_line, start_col, j))
-            )
-            col += j - i
-            i = j
-            continue
-        if ch.isascii() and ch.isalpha():
-            j = i
-            while j < n and (
-                source[j].isascii() and (source[j].isalnum() or source[j] == "_")
-            ):
-                j += 1
-            text = source[i:j]
+        span = Span(line, start - line_start + 1, start, end)
+        text = match.group()
+        if kind == "word":
             kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, span(start_i, start_line, start_col, j)))
-            col += j - i
-            i = j
+        elif kind == "string":
+            text = text[1:-1]
+        elif kind == "bitlist":
+            text = text[1:]
+        elif kind in _LEX_ERRORS or kind == "illegal":
+            message = _LEX_ERRORS.get(kind, f"illegal character {text!r}")
+            diagnostics.append(Diagnostic("error", "E0001", message, span))
             continue
-        for sym in _SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(
-                    Token("symbol", sym, span(start_i, start_line, start_col, i + len(sym)))
-                )
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            diagnostics.append(
-                Diagnostic(
-                    "error",
-                    "E0001",
-                    f"illegal character {ch!r}",
-                    span(start_i, start_line, start_col, i + 1),
-                )
-            )
-            i += 1
-            col += 1
-    tokens.append(Token("eof", "", Span(line, col, n, n)))
+        tokens.append(Token(kind, text, span))
+    end = len(source)
+    tokens.append(Token("eof", "", Span(line, end - line_start + 1, end, end)))
     return tokens, diagnostics
 
 

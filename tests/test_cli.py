@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -285,15 +286,24 @@ def test_emit_report_to_file(tmp_path):
     assert Report.from_json(out.read_text()) == report
 
 
-def test_timings_sidecar(tmp_path):
+@pytest.mark.parametrize(
+    "config, keys",
+    [
+        (RunConfig("limits", (), demo=True), {"streams"}),
+        (RunConfig("check", (str(CORPUS / "01_two_basics.og"),)), {"surface", "elaborate", "kernel.replay"}),
+        (
+            RunConfig("model", (), max_size=2),
+            {"surface", "elaborate", "semantics.sweep", "semantics.axioms", "hf"},
+        ),
+    ],
+)
+def test_timings_sidecar(config, keys, tmp_path):
     sidecar = tmp_path / "timings.json"
-    code, report = run(
-        RunConfig("limits", (), demo=True, timings=str(sidecar), format="json")
-    )
+    code, report = run(replace(config, timings=str(sidecar), format="json"))
     assert code == EXIT_OK
     data = json.loads(sidecar.read_text())
-    assert data["command"] == "limits"
-    assert "limits" in data["seconds"]
+    assert data["command"] == config.command
+    assert set(data["seconds"]) == keys
     # and no wall-clock data inside the report itself
     assert "seconds" not in report.to_json()
 
@@ -313,3 +323,136 @@ def test_module_entry_point_runs():
     assert result.returncode == 0
     data = json.loads(result.stdout)
     assert data["command"] == "axioms"
+
+
+# ---------------------------------------------------------------------------
+# The argv grammar
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["check", "a.og"], RunConfig("check", ("a.og",))),
+        (
+            ["check", "--format", "json", "a.og", "b.og", "--out=r.json", "--timings", "t.json"],
+            RunConfig("check", ("a.og", "b.og"), format="json", out="r.json", timings="t.json"),
+        ),
+        (["check", "--format=text", "--", "--odd.og"], RunConfig("check", ("--odd.og",))),
+        (["check", "-", "--out", "-"], RunConfig("check", ("-",), out="-")),
+        (["model"], RunConfig("model")),
+        (
+            ["model", "--max-size", "2", "a.og", "--format=json", "--max-size=4"],
+            RunConfig("model", ("a.og",), max_size=4, format="json"),
+        ),
+        (
+            ["limits", "--demo", "squares", "--horizon=100", "--preperiod-bound", "8",
+             "pow2", "--period-bound=9", "--timings=t.json", "--out", "r.txt"],
+            RunConfig("limits", ("squares", "pow2"), horizon=100, preperiod_bound=8,
+                      period_bound=9, demo=True, out="r.txt", timings="t.json"),
+        ),
+        (["limits", "--horizon", "-5"], RunConfig("limits", horizon=-5)),
+        (["axioms", "--format", "json"], RunConfig("axioms", format="json")),
+    ],
+)  # fmt: skip
+def test_argv_fills_run_config(argv, config):
+    assert cli._parse_argv(argv) == config
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["--format", "json", "axioms"],
+        ["check"],
+        ["check", "--format", "json"],
+        ["check", "a.og", "--bogus"],
+        ["check", "a.og", "--max-size", "3"],
+        ["check", "a.og", "--max", "3"],
+        ["model", "--demo"],
+        ["axioms", "extra"],
+        ["check", "a.og", "--out"],
+        ["check", "a.og", "--out", "--format", "json"],
+        ["limits", "--demo=yes"],
+        ["model", "--max-size", "three"],
+        ["model", "--max-size="],
+        ["limits", "--demo", "--horizon", "1e3"],
+        ["limits", "--demo", "--preperiod-bound", "x"],
+        ["limits", "--demo", "--period-bound=2.5"],
+        ["axioms", "--format", "xml"],
+        ["axioms", "--format=JSON"],
+        ["check", "--version"],
+    ],
+)
+def test_malformed_argv_is_a_usage_error(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ogk: error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--version"], f"{__version__}\n"),
+        (["--help"], "usage: ogk "),
+        (["-h"], "usage: ogk "),
+        (["check", "--help"], "usage: ogk check [FLAGS] FILE..."),
+        (["model", "-h", "--bogus"], "usage: ogk model [FLAGS] [FILE...]"),
+        (["limits", "--help"], "--horizon N  (default: 4096)"),
+        (["axioms", "--help"], "--format text|json  (default: text)"),
+    ],
+)
+def test_version_and_help_exit_0(argv, expected, capsys):
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert expected in captured.out and captured.err == ""
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["ogk", "--version"])
+    assert main() == EXIT_OK
+    assert capsys.readouterr().out == f"{__version__}\n"
+
+
+def test_check_imports_no_argparse_or_locale():
+    script = (
+        "import sys\n"
+        "import ogkernel.cli as cli\n"
+        f"code = cli.main(['check', {str(CORPUS / '01_two_basics.og')!r}])\n"
+        "print(code, sorted(m for m in ('argparse', 'locale') if m in sys.modules))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "0 []"
+
+
+# ---------------------------------------------------------------------------
+# Several files in one `ogk check`
+
+
+def test_check_gives_each_file_its_own_session(capsys):
+    files = sorted(str(p) for p in CORPUS.glob("[0-2][0-9]_*.og"))
+    assert len(files) == 20
+    assert main(["check", *files]) == EXIT_OK
+    assert "already declared" not in capsys.readouterr().out
+
+
+def test_multi_file_check_names_each_item_by_its_file(capsys):
+    first, second = str(CORPUS / "01_two_basics.og"), str(CORPUS / "crossdomain.og")
+    assert main(["check", "--format", "json", first, second]) == EXIT_CHECK_FAILED
+    items = json.loads(capsys.readouterr().out)["items"]
+    assert all(item["name"].startswith((f"{first}: ", f"{second}: ")) for item in items)
+    failing = [item["name"] for item in items if item["status"] == "fail"]
+    assert failing == [f"{second}: E0101 at 8:1"]
+    # one file alone keeps its item names unprefixed
+    assert main(["check", "--format", "json", second]) == EXIT_CHECK_FAILED
+    items = json.loads(capsys.readouterr().out)["items"]
+    assert not any(item["name"].startswith(second) for item in items)
+
+
+def test_multi_file_check_with_a_syntax_error_exits_2(capsys):
+    argv = ["check", str(CORPUS / "01_two_basics.og"), str(CORPUS / "err5.og")]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.count("error[") == 5

@@ -4,15 +4,22 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ogkernel.surface import (
+    KEYWORDS,
     AssertDecl,
     AxiomRef,
+    Diagnostic,
     GeneratorDecl,
     RuleApp,
+    Token,
     lex,
     parse_source,
     render_decl,
 )
+from ogkernel.terms import Span
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -188,3 +195,146 @@ def test_pair_literals_and_parenthesized_products():
     assert key.tag == "(yes,no)"
     decls, diags = parse_source("assert Gen((Two * Two) * Nat) by rule gen;")
     assert not diags
+
+
+# ---------------------------------------------------------------------------
+# The character-at-a-time lexer that the master-regex `lex` replaced, kept
+# verbatim as the reference of the differential property below.
+
+_SYMBOLS = ("->", ":=", "(", ")", "[", "]", "{", "}", "*", ";", ",", ".", ":")
+
+
+def reference_lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
+    """Maximal-munch tokenization; `--` comments are skipped."""
+    tokens: list[Token] = []
+    diagnostics: list[Diagnostic] = []
+    i, line, col = 0, 1, 1
+    n = len(source)
+
+    def span(start_i: int, start_line: int, start_col: int, end_i: int) -> Span:
+        return Span(start_line, start_col, start_i, end_i)
+
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if source.startswith("--", i):
+            while i < n and source[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        start_i, start_line, start_col = i, line, col
+        if ch == '"':
+            j = i + 1
+            while j < n and source[j] not in '"\n':
+                j += 1
+            if j >= n or source[j] != '"':
+                diagnostics.append(
+                    Diagnostic(
+                        "error",
+                        "E0001",
+                        "unterminated string literal",
+                        span(start_i, start_line, start_col, j),
+                    )
+                )
+                i = j
+                col += j - start_i
+                continue
+            text = source[i + 1 : j]
+            tokens.append(Token("string", text, span(start_i, start_line, start_col, j + 1)))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if ch == "#":
+            j = i + 1
+            while j < n and source[j] in "01":
+                j += 1
+            if j == i + 1:
+                diagnostics.append(
+                    Diagnostic(
+                        "error",
+                        "E0001",
+                        "'#' must be followed by a 0/1 bit list",
+                        span(start_i, start_line, start_col, i + 1),
+                    )
+                )
+                i += 1
+                col += 1
+                continue
+            tokens.append(
+                Token("bitlist", source[i + 1 : j], span(start_i, start_line, start_col, j))
+            )
+            col += j - i
+            i = j
+            continue
+        if "0" <= ch <= "9":
+            j = i
+            while j < n and "0" <= source[j] <= "9":
+                j += 1
+            tokens.append(
+                Token("integer", source[i:j], span(start_i, start_line, start_col, j))
+            )
+            col += j - i
+            i = j
+            continue
+        if ch.isascii() and ch.isalpha():
+            j = i
+            while j < n and (
+                source[j].isascii() and (source[j].isalnum() or source[j] == "_")
+            ):
+                j += 1
+            text = source[i:j]
+            kind = "keyword" if text in KEYWORDS else "ident"
+            tokens.append(Token(kind, text, span(start_i, start_line, start_col, j)))
+            col += j - i
+            i = j
+            continue
+        for sym in _SYMBOLS:
+            if source.startswith(sym, i):
+                tokens.append(
+                    Token("symbol", sym, span(start_i, start_line, start_col, i + len(sym)))
+                )
+                i += len(sym)
+                col += len(sym)
+                break
+        else:
+            diagnostics.append(
+                Diagnostic(
+                    "error",
+                    "E0001",
+                    f"illegal character {ch!r}",
+                    span(start_i, start_line, start_col, i + 1),
+                )
+            )
+            i += 1
+            col += 1
+    tokens.append(Token("eof", "", Span(line, col, n, n)))
+    return tokens, diagnostics
+
+
+# Fragments of `.og` text, so that keywords, comments, arrows and literals
+# occur often, plus single characters of the alphabet and stray ones.
+_FRAGMENTS = [
+    *sorted(KEYWORDS), "Set", "P", "x_1", "--", "-- note", "->", ":=", '"sq"', "#01",
+    "42", "007", " ", "  ", "\n", "\r\n", "\t",
+]
+_CHARS = list("aZ9_()[]{}*;,.:>= ") + ["-", "#", '"', "²", "\t", "\r", "\n"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_FRAGMENTS) | st.sampled_from(_CHARS), max_size=40))
+def test_lex_agrees_with_reference_lexer(pieces):
+    source = "".join(pieces)
+    tokens, diagnostics = lex(source)
+    expected_tokens, expected_diagnostics = reference_lex(source)
+    assert [(t.kind, t.text, t.span) for t in tokens] == [
+        (t.kind, t.text, t.span) for t in expected_tokens
+    ]
+    assert diagnostics == expected_diagnostics
