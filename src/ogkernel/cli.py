@@ -172,71 +172,56 @@ def _items_from_elab(result: ElabResult) -> list[Item]:
     return items
 
 
-def _run_check(config: RunConfig, timings: dict[str, float]) -> Report:
-    """Each positional file is elaborated and replayed in its own session;
-    with several files, each item name starts with its file's path."""
-    started = time.perf_counter()
-    sources = _read_inputs(config)
-    timings["surface"] = time.perf_counter() - started
-    timings["elaborate"] = timings["kernel.replay"] = 0.0
+def _per_file(sources, timings: dict[str, float], layer: str, body) -> list[Item]:
+    """Elaborate each file in its own session and add `body(result)`'s items,
+    timed under `layer`; with several files, each item name starts with its
+    file's path."""
+    timings["elaborate"] = timings[layer] = 0.0
     items: list[Item] = []
     for path, decls in sources:
         started = time.perf_counter()
         result = elaborate_files([(path, decls)])
         file_items = _items_from_elab(result)
-        replay_started = time.perf_counter()
-        timings["elaborate"] += replay_started - started
-        for thm in result.theorems:
-            trace = verify_trace(thm)
-            file_items.append(
-                Item(
-                    f"trace {render(thm.judgment)}",
-                    "pass" if trace.passed else "fail",
-                    f"{trace.node_count} nodes replayed",
-                )
-            )
-        timings["kernel.replay"] += time.perf_counter() - replay_started
+        layer_started = time.perf_counter()
+        timings["elaborate"] += layer_started - started
+        file_items += body(result)
+        timings[layer] += time.perf_counter() - layer_started
         if len(sources) > 1:
             file_items = [replace(item, name=f"{path}: {item.name}") for item in file_items]
         items += file_items
+    return items
+
+
+def _run_check(config: RunConfig, timings: dict[str, float]) -> Report:
+    started = time.perf_counter()
+    sources = _read_inputs(config)
+    timings["surface"] = time.perf_counter() - started
+    items = _per_file(sources, timings, "kernel.replay", _replay_items)
     return Report(__version__, "check", tuple(items))
 
 
+def _replay_items(result: ElabResult) -> list[Item]:
+    items: list[Item] = []
+    for thm in result.theorems:
+        trace = verify_trace(thm)
+        items.append(
+            Item(
+                f"trace {render(thm.judgment)}",
+                "pass" if trace.passed else "fail",
+                f"{trace.node_count} nodes replayed",
+            )
+        )
+    return items
+
+
 def _run_model(config: RunConfig, timings: dict[str, float]) -> Report:
+    """The files' soundness sweeps, then the axiom-instance and ZFC-1 items once."""
     started = time.perf_counter()
     sources = _read_inputs(config) if config.inputs else _default_prelude()
     timings["surface"] = time.perf_counter() - started
-    started = time.perf_counter()
-    result = elaborate_files(sources)
-    items = _items_from_elab(result)
-    timings["elaborate"] = time.perf_counter() - started
-
-    started = time.perf_counter()
-    sweep = soundness_sweep(result.theorems, config.max_size)
-    by_judgment: dict[str, list] = {}
-    for entry in sweep.items:
-        by_judgment.setdefault(entry.judgment, []).append(entry)
-    for judgment, entries in by_judgment.items():
-        fails = [e for e in entries if e.status == FAILS]
-        checked = [e for e in entries if e.status == HOLDS]
-        name = f"soundness {judgment}"
-        if fails:
-            items.append(
-                Item(
-                    name,
-                    "fail",
-                    f"fails in {len(fails)}/{len(entries)} models",
-                    dict(fails[0].witness or ()) | {"model": fails[0].model},
-                )
-            )
-        elif not checked:
-            items.append(Item(name, "skipped", "not finitely checkable at this bound"))
-        else:
-            detail = f"holds in {len(checked)}/{len(entries)} models"
-            if len(checked) != len(entries):
-                detail += " (rest not finitely checkable)"
-            items.append(Item(name, "pass", detail))
-    timings["semantics.sweep"] = time.perf_counter() - started
+    items = _per_file(
+        sources, timings, "semantics.sweep", lambda result: _sweep_items(result, config.max_size)
+    )
 
     started = time.perf_counter()
     for check in verify_axiom_instances(default_model(nat_bound=config.max_size)):
@@ -263,6 +248,35 @@ def _run_model(config: RunConfig, timings: dict[str, float]) -> Report:
         )
     timings["hf"] = time.perf_counter() - started
     return Report(__version__, "model", tuple(items))
+
+
+def _sweep_items(result: ElabResult, max_size: int) -> list[Item]:
+    items: list[Item] = []
+    sweep = soundness_sweep(result.theorems, max_size)
+    by_judgment: dict[str, list] = {}
+    for entry in sweep.items:
+        by_judgment.setdefault(entry.judgment, []).append(entry)
+    for judgment, entries in by_judgment.items():
+        fails = [e for e in entries if e.status == FAILS]
+        checked = [e for e in entries if e.status == HOLDS]
+        name = f"soundness {judgment}"
+        if fails:
+            items.append(
+                Item(
+                    name,
+                    "fail",
+                    f"fails in {len(fails)}/{len(entries)} models",
+                    dict(fails[0].witness or ()) | {"model": fails[0].model},
+                )
+            )
+        elif not checked:
+            items.append(Item(name, "skipped", "not finitely checkable at this bound"))
+        else:
+            detail = f"holds in {len(checked)}/{len(entries)} models"
+            if len(checked) != len(entries):
+                detail += " (rest not finitely checkable)"
+            items.append(Item(name, "pass", detail))
+    return items
 
 
 def _run_limits(config: RunConfig, timings: dict[str, float]) -> Report:

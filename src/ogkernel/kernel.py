@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
 from . import streams
 from .semantics import (
     NO_VALUE,
@@ -256,7 +254,10 @@ class EqQuery:
             if None in codes:
                 tag = lits[codes.index(None)].tag
                 raise KernelError(f"{tag!r} is not an object of {carrier.name} in this model")
-            (value,) = fn_values(dom_judgment.eq, model, np.array([i * len(carrier) + j]))
+            eq = dom_judgment.eq
+            if isinstance(eq, BuiltinRule) and eq.rule == "eq_of":
+                return "yes" if i == j else "no"  # one pair: the square is not built
+            value = fn_values(eq, model)[i * len(carrier) + j]
         except NotFinitelyCheckable as exc:
             raise KernelError(f"cannot evaluate this equality: {exc}") from exc
         if value < 0:
@@ -291,15 +292,14 @@ def _choice_judgment(surj: FnExpr, dom: GenExpr, cod: GenExpr, model: Model) -> 
     values = fn_values(surj, model)
     section_rows = []
     for target in range(len(cod_carrier)):
-        preimages = (values == target).nonzero()[0]
         tag = cod_carrier.tag(target)
-        if not len(preimages):
+        if target not in values:
             raise CounterexampleError(
                 f"not surjective in {model.describe()}: {tag!r} is uncovered",
                 model=model,
                 uncovered=tag,
             )
-        section_rows.append((ObjLit(tag, cod), ObjLit(dom_carrier.tag(int(preimages[0])), dom)))
+        section_rows.append((ObjLit(tag, cod), ObjLit(dom_carrier.tag(values.index(target)), dom)))
     section = Table(cod, dom, tuple(section_rows))
     return IsMor(section, cod, dom)
 
@@ -359,13 +359,15 @@ def _check_mor(
         except NotFinitelyCheckable as exc:
             raise TotalityError(f"cannot check totality: {exc}") from exc
         # Row keys are distinct, so a row missing from the encoding names no object.
-        if (values != NO_VALUE).sum() < len(fn.rows):
+        low = min(values, default=0)
+        holes = values.count(NO_VALUE) if low < 0 else 0
+        if len(values) - holes < len(fn.rows):
             stray = next(k.tag for k, _ in fn.rows if dom_carrier.index(k.tag) is None)
             raise CodomainError(f"row key {stray!r} is not an object of the domain")
-        bad = (values < 0).nonzero()[0]
-        if len(bad):
-            tag = dom_carrier.tag(int(bad[0]))
-            if values[bad[0]] == NO_VALUE:
+        if low < 0:
+            bad = next(i for i, v in enumerate(values) if v < 0)
+            tag = dom_carrier.tag(bad)
+            if values[bad] == NO_VALUE:
                 raise TotalityError(f"table has no row for {tag!r}")
             value = next(v.tag for k, v in fn.rows if k.tag == tag)
             raise CodomainError(f"row value {value!r} is not an object of the codomain")

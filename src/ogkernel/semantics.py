@@ -8,11 +8,11 @@ back as `not-finitely-checkable` rather than a silent overclaim.
 The objects of a carrier are the integers 0 .. n-1: a Nat numeral k is k, an
 object of a named generator is its position in the assigned tags, a product
 pair (i, j) is ``i*|B| + j``, and a powerset element is the bitmask of its
-members.  Every law is checked on these indices, with numpy where it spans a
-whole carrier; object tags are parsed only where a term names an object and
-rendered only for witnesses and reports.  One budget bounds every check: a
-carrier or function domain of more than CARRIER_BUDGET objects is not finitely
-checkable, and its size is computed before anything is built.
+members.  Every law is checked on these indices, by list and bytes operations
+that run in C where it spans a whole carrier; object tags are parsed only where
+a term names an object and rendered only for witnesses and reports.  One budget
+bounds every check: a carrier or function domain of more than CARRIER_BUDGET
+objects is not finitely checkable, and its size is computed before it is built.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from . import streams
 from .terms import (
@@ -276,48 +274,50 @@ def tag_members(tag: str) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=1024)
-def _table_values(table: Table, model: Model) -> np.ndarray:
+def _table_values(table: Table, model: Model) -> tuple[int, ...]:
     """`table` encoded once per model: the codomain index at each domain
     index, NO_VALUE where it has no row and OUTSIDE where its row names no
     codomain object.  Rows whose key is no domain object are left out."""
     dom = interpret(table.domain, model)
     cod = interpret(table.codomain, model)
-    values = np.full(len(dom), NO_VALUE)
+    values = [NO_VALUE] * len(dom)
     for key, val in table.rows:
         k = dom.index(key.tag)
         if k is not None:
             v = cod.index(val.tag)
             values[k] = OUTSIDE if v is None else v
-    values.flags.writeable = False  # cached: shared by every caller
-    return values
+    return tuple(values)  # cached: shared by every caller
 
 
-def fn_values(fn: FnExpr, model: Model, at: np.ndarray | None = None) -> np.ndarray:
-    """The codomain index of `fn` at each domain index in `at`, by default at
-    every object of its domain; NO_VALUE where `fn` has no value."""
-    if at is None:
-        at = np.arange(len(interpret(fn_signature(fn)[0], model)))
+def fn_values(fn: FnExpr, model: Model) -> list[int]:
+    """The codomain index of `fn` at every index of its domain; NO_VALUE
+    where `fn` has no value."""
+    n = len(interpret(fn_signature(fn)[0], model))
     if isinstance(fn, Table):
-        return _table_values(fn, model)[at]
+        return list(_table_values(fn, model))
     if fn.rule == "eq_of":
-        n = len(interpret(fn.args[0], model))
-        return np.where(at // n == at % n, YES, NO)
+        side = len(interpret(fn.args[0], model))
+        values = [NO] * n
+        values[:: side + 1] = [YES] * side  # the pairs (i, i)
+        return values
     if fn.rule == "empty_detector_of":
-        return np.where(at == 0, YES, NO)
+        values = [NO] * n
+        values[0] = YES  # the empty table
+        return values
     if fn.rule == "union_of_family":
         stream = streams.union_limit(streams.resolve_family(fn.args[0]))
     else:  # indicator_stream, restrict: a catalog stream on Nat
         stream = streams.parse_stream_spec(fn.args[0])
-    values = np.array([YES if stream.value_at(k) else NO for k in at.tolist()], dtype=np.int64)
-    if fn.rule == "restrict":
-        values[at > fn.args[1]] = NO_VALUE
-    return values
+    defined = min(n, fn.args[1] + 1) if fn.rule == "restrict" else n
+    bits = bytes(map(stream.value_at, range(defined)))
+    yes_at_one = bytes.maketrans(b"\0\1", bytes((NO, YES)))
+    return list(bits.translate(yes_at_one)) + [NO_VALUE] * (n - defined)
 
 
 def interpret_fn(fn: FnExpr, model: Model) -> dict[str, str]:
     """`fn` rendered as a tag-to-tag table over its interpreted domain."""
     dom, cod = (interpret(e, model) for e in fn_signature(fn))
-    values = fn_values(fn, model).tolist()
+    values = fn_values(fn, model)
     return {dom.tag(k): cod.tag(v) for k, v in enumerate(values) if v >= 0}
 
 
@@ -331,12 +331,13 @@ def diagonal_violation(
     carrier = interpret(expr, model)
     got = fn_values(eq, model)  # over A * A: not checkable past the budget
     n = len(carrier)
-    expected = np.where(np.arange(n * n) % (n + 1) == 0, YES, NO)
-    bad = (got != expected).nonzero()[0]
-    if not len(bad):
+    expected = [NO] * (n * n)
+    expected[:: n + 1] = [YES] * n
+    if got == expected:
         return None
-    i, j = divmod(int(bad[0]), n)
-    value = TWO_CARRIER.tag(got[bad[0]]) if got[bad[0]] >= 0 else None
+    k = next(k for k, (g, e) in enumerate(zip(got, expected)) if g != e)
+    i, j = divmod(k, n)
+    value = TWO_CARRIER.tag(got[k]) if got[k] >= 0 else None
     return carrier.tag(i), carrier.tag(j), value, "yes" if i == j else "no"
 
 
@@ -480,10 +481,10 @@ def _verify_mor(
         raise NotFinitelyCheckable(
             f"table objects do not match the carrier of {dom_carrier.name}"
         )
-    bad = (values < 0).nonzero()[0]
-    if len(bad):
-        tag = dom_carrier.tag(int(bad[0]))
-        if values[bad[0]] == NO_VALUE:
+    if min(values, default=0) < 0:
+        k = next(k for k, v in enumerate(values) if v < 0)
+        tag = dom_carrier.tag(k)
+        if values[k] == NO_VALUE:
             return _fails(f"not total: no value at {tag!r}", trunc, missing=tag)
         got = next(val.tag for key, val in fn.rows if key.tag == tag)
         return _fails(f"value at {tag!r} is outside the codomain", trunc, at=tag, got=got)
@@ -504,27 +505,47 @@ def _verify_domain(j: IsDomain, model: Model, trunc: bool) -> Verdict:
 
 
 def _verify_squant(expr: GenExpr, model: Model, trunc: bool) -> Verdict:
-    power = interpret(Powerset(expr), model)
-    witness = _detector_law(power, len(interpret(expr, model)))
+    witness = _detector_law(expr, model)
     if witness is not None:
         return Verdict(FAILS, "canonical detector law violated", witness, trunc)
-    return Verdict(HOLDS, f"canonical detector verified on {len(power)} tables", truncated=trunc)
+    tables = len(interpret(Powerset(expr), model))
+    return Verdict(HOLDS, f"canonical detector verified on {tables} tables", truncated=trunc)
 
 
-def _detector_law(power: Carrier, base_size: int) -> tuple[tuple[str, str], ...] | None:
-    """None when the canonical detector law holds on `power`, else a witness:
-    the carrier has 2^|A| tables, and the detector, which flags index 0, flags
-    exactly the tables without members.  Every table's mask is scanned."""
+def _detector_law(
+    expr: GenExpr, model: Model, _interpret=interpret
+) -> tuple[tuple[str, str], ...] | None:
+    """None when the canonical detector law holds on the powerset of `expr`,
+    else a witness: it has 2^|A| tables, and `empty_detector_of` flags exactly
+    the tables whose masks count no members."""
+    power, base_size = _interpret(Powerset(expr), model), len(_interpret(expr, model))
     if len(power) != 1 << base_size:
         return _witness(
             expected=str(1 << base_size), got=str(len(power)), carrier=power.name
         )
-    masks = np.arange(len(power))
-    members = sum((masks >> j & 1 for j in range(base_size)), np.zeros_like(masks))
-    empties = (members == 0).nonzero()[0].tolist()
-    if empties != [0]:
-        return _witness(carrier=power.name, empties=str(empties))
+    flags = fn_values(BuiltinRule("empty_detector_of", (expr,)), model)
+    expected = _empty_flags(base_size)
+    if flags != expected:
+        k = next(k for k, (f, e) in enumerate(zip(flags, expected)) if f != e)
+        want = TWO_CARRIER.tag(expected[k])
+        return _witness(carrier=power.name, table=power.tag(k), expected=want)
     return None
+
+
+@lru_cache(maxsize=32)
+def _empty_flags(base_size: int) -> list[int]:
+    """The detector's values on the masks 0 .. 2^base_size - 1: yes where a
+    mask counts no members, no elsewhere.  Cached, so never to be mutated."""
+    return list(_member_counts(base_size).translate(bytes([YES] + [NO] * 255)))
+
+
+def _member_counts(base_size: int) -> bytes:
+    """The number of members of every mask 0 .. 2^base_size - 1, one byte
+    each: the masks with a new top element count one more than those below."""
+    counts, plus_one = b"\0", bytes(range(1, 256)) + b"\0"
+    for _ in range(base_size):
+        counts += counts.translate(plus_one)
+    return counts
 
 
 def _verify_coherence(descriptor: str, trunc: bool = False) -> Verdict:
@@ -651,7 +672,7 @@ def verify_axiom_instances(model: Model, _interpret=interpret) -> list[AxiomChec
     if len(two) != 2:
         witness = _witness(carrier=two.name, size=str(len(two)))
     else:
-        witness = _detector_law(_interpret(Powerset(TWO), model), 2)
+        witness = _detector_law(TWO, model, _interpret)
     checks.append(
         AxiomCheck(
             "H1",
@@ -702,10 +723,10 @@ def verify_axiom_instances(model: Model, _interpret=interpret) -> list[AxiomChec
     # H4: supports-quantification is preserved by powersets.
     h4_witness = None
     small = [(expr, carrier) for expr, carrier in carriers if len(carrier) <= 4]
-    for expr, carrier in small:
-        power = _interpret(Powerset(expr), model)
-        power2 = _interpret(Powerset(Powerset(expr)), model)
-        h4_witness = _detector_law(power, len(carrier)) or _detector_law(power2, len(power))
+    for expr, _ in small:
+        h4_witness = _detector_law(expr, model, _interpret) or _detector_law(
+            Powerset(expr), model, _interpret
+        )
         if h4_witness:
             break
     checks.append(

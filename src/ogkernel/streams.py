@@ -14,8 +14,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .terms import split_top_level
 
 __all__ = [
@@ -75,8 +73,8 @@ class BoundError(ValueError):
     """A search bound precondition was violated."""
 
 
-# Caps on one ep_decide query, which makes `period_bound` vectorised passes
-# over a prefix of `horizon + 1` bits: at both caps it runs in tens of
+# Caps on one ep_decide query, which makes `period_bound` integer shift-and-xor
+# passes over a prefix of `horizon + 1` bits: at both caps it runs in about ten
 # milliseconds, and every larger request is refused rather than attempted.
 MAX_HORIZON = 65536
 MAX_PERIOD_BOUND = 1024
@@ -94,9 +92,9 @@ class BitStream:
     def value_at(self, n: int) -> int:
         raise NotImplementedError
 
-    def prefix(self, n: int) -> np.ndarray:
-        """Values at 0..n inclusive, as a uint8 array of length n + 1."""
-        return np.fromiter((self.value_at(i) for i in range(n + 1)), np.uint8, n + 1)
+    def prefix(self, n: int) -> bytes:
+        """Values at 0..n inclusive, as n + 1 bytes of 0 or 1."""
+        return bytes(map(self.value_at, range(n + 1)))
 
 
 def _check_bits(bits: Sequence[int], what: str) -> None:
@@ -120,14 +118,9 @@ class Periodic(BitStream):
             return self.preperiod[n]
         return self.period[(n - len(self.preperiod)) % len(self.period)]
 
-    def prefix(self, n: int) -> np.ndarray:
-        out = np.empty(n + 1, np.uint8)
-        k = min(len(self.preperiod), n + 1)
-        out[:k] = self.preperiod[:k]
-        if k <= n:
-            reps = (n + 1 - k) // len(self.period) + 1
-            out[k:] = np.tile(np.array(self.period, np.uint8), reps)[: n + 1 - k]
-        return out
+    def prefix(self, n: int) -> bytes:
+        reps = max(n + 1 - len(self.preperiod), 0) // len(self.period) + 1
+        return (bytes(self.preperiod) + bytes(self.period) * reps)[: n + 1]
 
 
 @dataclass(frozen=True)
@@ -135,10 +128,11 @@ class SquaresIndicator(BitStream):
     def value_at(self, n: int) -> int:
         return 1 if math.isqrt(n) ** 2 == n else 0
 
-    def prefix(self, n: int) -> np.ndarray:
-        out = np.zeros(n + 1, np.uint8)
-        out[[k * k for k in range(math.isqrt(n) + 1)]] = 1
-        return out
+    def prefix(self, n: int) -> bytes:
+        out = bytearray(n + 1)
+        for k in range(math.isqrt(n) + 1):
+            out[k * k] = 1
+        return bytes(out)
 
 
 @dataclass(frozen=True)
@@ -146,13 +140,13 @@ class PowersOfTwoIndicator(BitStream):
     def value_at(self, n: int) -> int:
         return 1 if n > 0 and n & (n - 1) == 0 else 0
 
-    def prefix(self, n: int) -> np.ndarray:
-        out = np.zeros(n + 1, np.uint8)
+    def prefix(self, n: int) -> bytes:
+        out = bytearray(n + 1)
         k = 1
         while k <= n:
             out[k] = 1
             k *= 2
-        return out
+        return bytes(out)
 
 
 @dataclass(frozen=True)
@@ -165,11 +159,8 @@ class FiniteSupport(BitStream):
     def value_at(self, n: int) -> int:
         return self.bits[n] if n < len(self.bits) else 0
 
-    def prefix(self, n: int) -> np.ndarray:
-        out = np.zeros(n + 1, np.uint8)
-        k = min(len(self.bits), n + 1)
-        out[:k] = self.bits[:k]
-        return out
+    def prefix(self, n: int) -> bytes:
+        return bytes(self.bits[: n + 1]) + bytes(max(n + 1 - len(self.bits), 0))
 
 
 @dataclass(frozen=True)
@@ -180,8 +171,10 @@ class XorOf(BitStream):
     def value_at(self, n: int) -> int:
         return self.left.value_at(n) ^ self.right.value_at(n)
 
-    def prefix(self, n: int) -> np.ndarray:
-        return self.left.prefix(n) ^ self.right.prefix(n)
+    def prefix(self, n: int) -> bytes:
+        # Every byte is 0 or 1, so xor of the big-endian integers is bytewise.
+        left, right = (int.from_bytes(s.prefix(n), "big") for s in (self.left, self.right))
+        return (left ^ right).to_bytes(n + 1, "big")
 
 
 @dataclass(frozen=True)
@@ -198,7 +191,7 @@ class ShiftOf(BitStream):
     def value_at(self, n: int) -> int:
         return self.base.value_at(n + self.offset)
 
-    def prefix(self, n: int) -> np.ndarray:
+    def prefix(self, n: int) -> bytes:
         return self.base.prefix(n + self.offset)[self.offset :]
 
 
@@ -215,11 +208,11 @@ class FlipAt(BitStream):
         v = self.base.value_at(n)
         return v ^ 1 if n == self.index else v
 
-    def prefix(self, n: int) -> np.ndarray:
-        out = self.base.prefix(n)
+    def prefix(self, n: int) -> bytes:
+        out = bytearray(self.base.prefix(n))
         if self.index <= n:
             out[self.index] ^= 1
-        return out
+        return bytes(out)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +324,7 @@ class PartialBitMap:
 
 def restrict(s: BitStream, n: int) -> PartialBitMap:
     """The restriction of `s` to the finite interval [0, n]."""
-    return PartialBitMap(n, tuple(s.prefix(n).tolist()))
+    return PartialBitMap(n, tuple(s.prefix(n)))
 
 
 @dataclass(frozen=True)
@@ -373,7 +366,7 @@ class UnionStream(BitStream):
 
     def __init__(self, member_at: FamilyRule):
         self._member_at = member_at
-        self._bits = np.zeros(0, np.uint8)
+        self._bits = b""
 
     def _ensure(self, n: int) -> None:
         have = len(self._bits)
@@ -383,19 +376,19 @@ class UnionStream(BitStream):
         stage = self._member_at(target)
         if stage.upper != target:
             raise ShapeError(f"family[{target}] has upper {stage.upper}")
-        new = np.array(stage.bits, np.uint8)
-        if have and not np.array_equal(new[:have], self._bits):
-            index = int(np.nonzero(new[:have] != self._bits)[0][0])
+        new = bytes(stage.bits)
+        if new[:have] != self._bits:
+            index = next(i for i, (a, b) in enumerate(zip(new, self._bits)) if a != b)
             raise CoherenceError(stage=target, index=index)
         self._bits = new
 
     def value_at(self, n: int) -> int:
         self._ensure(n)
-        return int(self._bits[n])
+        return self._bits[n]
 
-    def prefix(self, n: int) -> np.ndarray:
+    def prefix(self, n: int) -> bytes:
         self._ensure(n)
-        return self._bits[: n + 1].copy()
+        return self._bits[: n + 1]
 
 
 def union_limit(member_at: FamilyRule) -> UnionStream:
@@ -505,12 +498,12 @@ def ep_decide(
             f"horizon {horizon} below preperiod_bound + 2*period_bound = "
             f"{preperiod_bound + 2 * period_bound}"
         )
-    arr = s.prefix(horizon)
-    # valid_from[q - 1]: least p such that no mismatch at i >= p for lag q.
-    valid_from = []
-    for q in range(1, period_bound + 1):
-        mismatch = np.flatnonzero(arr[: horizon + 1 - q] != arr[q:])
-        valid_from.append(int(mismatch[-1]) + 1 if len(mismatch) else 0)
+    # Bit i of x is the value at i, so for i <= horizon - q bit i of x ^ x >> q
+    # is set when the values at i and i + q differ: valid_from[q - 1], the least
+    # p with no mismatch at i >= p for lag q, is one past the highest such bit.
+    x = int(s.prefix(horizon).translate(bytes.maketrans(b"\0\1", b"01"))[::-1], 2)
+    full = (1 << horizon + 1) - 1
+    valid_from = [((x ^ x >> q) & full >> q).bit_length() for q in range(1, period_bound + 1)]
     # The first witness takes the least preperiod any lag admits, then the
     # least lag admitting it.
     p = min(valid_from)
@@ -526,7 +519,7 @@ def is_ep_witness(s: BitStream, p: int, q: int, horizon: int) -> bool:
     if q < 1 or p < 0 or horizon - q < p:
         return False
     arr = s.prefix(horizon)
-    return bool(np.array_equal(arr[p : horizon + 1 - q], arr[p + q :]))
+    return arr[p : horizon + 1 - q] == arr[p + q :]
 
 
 def xor_witness(w1: tuple[int, int], w2: tuple[int, int]) -> tuple[int, int]:
@@ -656,9 +649,7 @@ def demonstrate_gap(
 
     # (c) union of the restriction family round-trips to the base stream.
     union = union_limit(lambda n: restrict(base, n))
-    union_matches = bool(
-        np.array_equal(union.prefix(union_horizon), base.prefix(union_horizon))
-    )
+    union_matches = union.prefix(union_horizon) == base.prefix(union_horizon)
 
     # (d) the base stream itself is outside the class, up to bounds.
     base_verdict = ep_decide(base, preperiod_bound, period_bound, horizon)

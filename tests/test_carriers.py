@@ -253,6 +253,10 @@ def test_only_decimal_tags_are_numerals():
     domain = kernel.domain_intro(kernel.gen_intro(NAT), binfn, [default_model(3)])
     far = kernel.eq_within_domain(domain, ObjLit("3", NAT), ObjLit("70", NAT))
     assert far.evaluate(default_model(3)) == "no"  # numerals past the bound
+    # 301^2 pairs exceed the carrier budget: one pair is read, the square is not built
+    for left, expected in (("300", "yes"), ("3", "no")):
+        query = kernel.eq_within_domain(domain, ObjLit(left, NAT), ObjLit("300", NAT))
+        assert query.evaluate(default_model(3)) == expected
     odd = kernel.eq_within_domain(domain, ObjLit("²", NAT), ObjLit("2", NAT))
     with pytest.raises(KernelError, match="not an object of Nat"):
         odd.evaluate(default_model(3))

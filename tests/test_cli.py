@@ -416,16 +416,37 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
 
 
 def test_check_imports_no_argparse_or_locale():
+    for argv in (["check", str(CORPUS / "01_two_basics.og")], ["model", "--max-size", "3"]):
+        script = (
+            "import sys\n"
+            "import ogkernel.cli as cli\n"
+            f"code = cli.main({argv!r})\n"
+            "print(code, sorted(m for m in ('argparse', 'locale', 'numpy') if m in sys.modules))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.splitlines()[-1] == "0 []", argv
+
+
+def test_cli_runs_where_numpy_cannot_be_imported():
+    # A None entry in sys.modules makes every `import numpy` raise ImportError.
+    commands = [
+        ["check", str(CORPUS / "10_limit_lab.og")],
+        ["model", "--max-size", "3"],
+        ["limits", "--demo"],
+    ]
     script = (
         "import sys\n"
+        "sys.modules['numpy'] = None\n"
         "import ogkernel.cli as cli\n"
-        f"code = cli.main(['check', {str(CORPUS / '01_two_basics.og')!r}])\n"
-        "print(code, sorted(m for m in ('argparse', 'locale') if m in sys.modules))\n"
+        f"codes = [cli.main(argv) for argv in {commands!r}]\n"
+        "print(codes)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
-    assert result.stdout.splitlines()[-1] == "0 []"
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0]"
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +471,24 @@ def test_multi_file_check_names_each_item_by_its_file(capsys):
     assert main(["check", "--format", "json", second]) == EXIT_CHECK_FAILED
     items = json.loads(capsys.readouterr().out)["items"]
     assert not any(item["name"].startswith(second) for item in items)
+
+
+def test_model_gives_each_file_its_own_session(capsys):
+    files = [
+        str(p)
+        for pattern in ("0[1-9]_*.og", "1*.og", "20*.og")
+        for p in sorted(CORPUS.glob(pattern))
+    ]
+    assert len(files) == 20
+    assert main(["model", "--max-size", "2", "--format", "json", *files]) == EXIT_OK
+    names = [item["name"] for item in json.loads(capsys.readouterr().out)["items"]]
+    assert not any("already declared" in name for name in names)
+    shared = [name for name in names if not name.startswith(tuple(f"{f}: " for f in files))]
+    assert shared == [n for n in names if n.startswith(("axiom ", "zfc1 "))]
+    assert [n for n in shared if n.startswith("axiom ")] == [
+        "axiom H1", "axiom H2", "axiom H3", "axiom H4"
+    ]
+    assert {n.split(": ", 1)[0] for n in names if n not in shared} == set(files)
 
 
 def test_multi_file_check_with_a_syntax_error_exits_2(capsys):

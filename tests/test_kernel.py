@@ -156,6 +156,12 @@ def test_mor_intro_totality_and_codomain_errors(kernel):
         kernel.mor_intro(bad, g, TWO, model=model)
     with pytest.raises(TotalityError, match="model"):
         kernel.mor_intro(partial, g, TWO)  # no model supplied
+    # a row whose key is no object of the domain, also where a row is missing
+    stray_row = (ObjLit("z", g), ObjLit("no", TWO))
+    total = ((ObjLit("a", g), ObjLit("yes", TWO)), bad.rows[1])
+    for rows in (total + (stray_row,), total[1:] + (stray_row,)):
+        with pytest.raises(CodomainError, match="row key 'z' is not an object"):
+            kernel.mor_intro(Table(g, TWO, rows), g, TWO, model=model)
 
 
 def test_builtin_morphisms(kernel):

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from ogkernel import semantics
 from ogkernel.semantics import (
     FAILS,
     HOLDS,
@@ -22,6 +23,7 @@ from ogkernel.semantics import (
     verify_axiom_instances,
     verify_judgment,
 )
+from ogkernel.semantics import _member_counts
 from ogkernel.terms import (
     NAT,
     TWO,
@@ -76,6 +78,37 @@ def test_detector_flags_exactly_the_empty_table_up_to_8():
         detector = interpret_fn(BuiltinRule("empty_detector_of", (expr,)), model)
         flagged = [tag for tag, value in detector.items() if value == "yes"]
         assert flagged == ["{}"]
+
+
+def test_stream_formers_flag_their_members():
+    model = default_model(nat_bound=5)
+    squares = interpret_fn(BuiltinRule("indicator_stream", ("squares",)), model)
+    assert squares == {"0": "yes", "1": "yes", "2": "no", "3": "no", "4": "yes", "5": "no"}
+    stage = interpret_fn(BuiltinRule("restrict", ("squares", 2)), model)
+    assert stage == {"0": "yes", "1": "yes", "2": "no"}  # no value past index 2
+    union = interpret_fn(BuiltinRule("union_of_family", ("restrictions(pow2)",)), model)
+    assert union == {"0": "no", "1": "yes", "2": "yes", "3": "no", "4": "yes", "5": "no"}
+
+
+def test_member_counts_by_doubling_equal_popcounts():
+    # the detector law's table: byte k is the number of members of mask k
+    for b in range(17):
+        assert _member_counts(b) == bytes(k.bit_count() for k in range(2**b))
+
+
+def test_detector_law_reads_the_detector(monkeypatch):
+    # a detector that flags no table breaks the law at the empty table
+    real = semantics.fn_values
+
+    def flag_nothing(fn, model):
+        values = real(fn, model)
+        return [semantics.NO] * len(values) if fn.rule == "empty_detector_of" else values
+
+    monkeypatch.setattr(semantics, "fn_values", flag_nothing)
+    expr, model = _named("A", "x", "y")
+    verdict = verify_judgment(SupportsQuant(expr), model)
+    assert verdict.status == FAILS
+    assert dict(verdict.witness) == {"carrier": "P[A]", "table": "{}", "expected": "yes"}
 
 
 def test_interpret_errors():

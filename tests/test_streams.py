@@ -5,8 +5,9 @@ from __future__ import annotations
 import random
 import time
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ogkernel.streams import (
     MAX_HORIZON,
@@ -103,7 +104,7 @@ def test_monotone_coherence():
 def test_union_limit_round_trip():
     for stream in (PowersOfTwoIndicator(), FiniteSupport(()), SquaresIndicator()):
         union = union_limit(lambda n, s=stream: restrict(s, n))
-        assert np.array_equal(union.prefix(4096), stream.prefix(4096))
+        assert union.prefix(4096) == stream.prefix(4096)
 
 
 def test_union_limit_coherence_error():
@@ -149,16 +150,17 @@ def test_ep_decide_caps():
         ep_decide(squares, 99999999, 99999999, 999999999)
 
 
-def test_ep_decide_agrees_with_naive_search():
-    # independent oracle: scan every (p, q) pair directly
-    def naive(stream, pb, qb, horizon):
-        values = [stream.value_at(i) for i in range(horizon + 1)]
-        for p in range(pb + 1):
-            for q in range(1, qb + 1):
-                if all(values[i] == values[i + q] for i in range(p, horizon - q + 1)):
-                    return (p, q)
-        return None
+def _naive_ep(stream, pb, qb, horizon):
+    """Independent oracle for ep_decide: scan every (p, q) pair directly."""
+    values = [stream.value_at(i) for i in range(horizon + 1)]
+    for p in range(pb + 1):
+        for q in range(1, qb + 1):
+            if all(values[i] == values[i + q] for i in range(p, horizon - q + 1)):
+                return (p, q)
+    return None
 
+
+def test_ep_decide_agrees_with_naive_search():
     rng = random.Random(42)
     for _ in range(40):
         kind = rng.randrange(3)
@@ -174,10 +176,44 @@ def test_ep_decide_agrees_with_naive_search():
         # fixed bounds, then random ones that may cut the first witness off
         pb, qb = rng.randint(0, 8), rng.randint(1, 6)
         for bounds in ((6, 5, 32), (pb, qb, pb + 2 * qb + rng.randint(0, 20))):
-            expected = naive(stream, *bounds)
+            expected = _naive_ep(stream, *bounds)
             verdict = ep_decide(stream, *bounds)
             assert verdict.witness == expected
             assert verdict.member == (expected is not None)
+
+
+_bits = st.text("01", max_size=12)
+_leaf_specs = (
+    st.sampled_from(["squares", "pow2"])
+    | st.builds("periodic:{}/{}".format, _bits, st.text("01", min_size=1, max_size=6))
+    | st.builds("finite:{}".format, _bits)
+)
+_stream_specs = st.recursive(
+    _leaf_specs,
+    lambda inner: st.builds("xor({},{})".format, inner, inner)
+    | st.builds("shift({},{})".format, inner, st.integers(0, 20))
+    | st.builds("flip({},{})".format, inner, st.integers(0, 80)),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _stream_specs,
+    st.integers(0, 40),
+    st.integers(0, 8),
+    st.integers(1, 6),
+    st.integers(0, 20),
+)
+def test_prefix_bytes_and_ep_decide_property(spec, n, pb, qb, extra):
+    # n often falls inside a pre-period and below flip indices
+    stream = parse_stream_spec(spec)
+    expected = bytes(stream.value_at(i) for i in range(n + 1))
+    assert stream.prefix(n) == expected
+    assert restrict(stream, n).bits == tuple(expected)
+    assert union_limit(lambda k: restrict(stream, k)).prefix(n) == expected
+    horizon = pb + 2 * qb + extra
+    assert ep_decide(stream, pb, qb, horizon).witness == _naive_ep(stream, pb, qb, horizon)
 
 
 def test_ep_witness_soundness():
