@@ -17,8 +17,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .elaborate import ElabResult, Item, elaborate_files
@@ -44,8 +44,7 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str  # check | model | limits | axioms
     inputs: tuple[str, ...] = ()
     max_size: int = 3
@@ -58,8 +57,7 @@ class RunConfig:
     timings: str | None = None
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     version: str
     command: str
     items: tuple[Item, ...]
@@ -73,16 +71,10 @@ class Report:
         return counts
 
     def to_dict(self) -> dict:
-        items = []
-        for item in self.items:
-            entry: dict = {
-                "name": item.name,
-                "status": item.status,
-                "detail": item.detail,
-            }
-            if item.witness is not None:
-                entry["witness"] = item.witness
-            items.append(entry)
+        items = [item._asdict() for item in self.items]
+        for entry in items:
+            if entry["witness"] is None:
+                del entry["witness"]
         return {
             "version": self.version,
             "command": self.command,
@@ -160,16 +152,10 @@ def _default_prelude() -> list[tuple[Path, list]]:
 
 
 def _items_from_elab(result: ElabResult) -> list[Item]:
-    items = list(result.items)
-    for diag in result.diagnostics:
-        items.append(
-            Item(
-                f"{diag.code} at {diag.span.line}:{diag.span.col}",
-                "fail",
-                diag.message,
-            )
-        )
-    return items
+    return list(result.items) + [
+        Item(f"{diag.code} at {diag.span.line}:{diag.span.col}", "fail", diag.message)
+        for diag in result.diagnostics
+    ]
 
 
 def _per_file(sources, timings: dict[str, float], layer: str, body) -> list[Item]:
@@ -187,7 +173,7 @@ def _per_file(sources, timings: dict[str, float], layer: str, body) -> list[Item
         file_items += body(result)
         timings[layer] += time.perf_counter() - layer_started
         if len(sources) > 1:
-            file_items = [replace(item, name=f"{path}: {item.name}") for item in file_items]
+            file_items = [item._replace(name=f"{path}: {item.name}") for item in file_items]
         items += file_items
     return items
 
@@ -400,7 +386,7 @@ def _help(command: str | None) -> str:
         lines = [f"usage: ogk {command} [FLAGS]{operands}", "", summary, "", "flags:"]
         for flag, (field, kind) in {**flags, **_COMMON_FLAGS}.items():
             value = " " + "|".join(kind) if isinstance(kind, tuple) else _METAVARS[kind]
-            default = getattr(RunConfig, field)
+            default = RunConfig._field_defaults[field]
             lines.append(f"  {flag}{value}" + (f"  (default: {default})" if default else ""))
         lines.append("  -h, --help")
     return "\n".join(lines) + "\n"

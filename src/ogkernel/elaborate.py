@@ -13,8 +13,8 @@ wrapped with the offending declaration's span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import streams
 from .kernel import (
@@ -42,15 +42,14 @@ from .surface import (
     Diagnostic,
     GeneratorDecl,
     IncludeDecl,
-    InlineTable,
     LimitDecl,
     LimitRef,
     ModelCheckDecl,
     MorphismDecl,
     RuleApp,
-    Str,
     SurfaceJudgment,
     parse_source,
+    render_arg,
 )
 from .terms import (
     NAT,
@@ -88,8 +87,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Item:
+class Item(NamedTuple):
     """One reportable check result."""
 
     name: str
@@ -98,8 +96,7 @@ class Item:
     witness: dict | None = None
 
 
-@dataclass(frozen=True)
-class ElabResult:
+class ElabResult(NamedTuple):
     theorems: tuple[Theorem, ...]
     items: tuple[Item, ...]
     diagnostics: tuple[Diagnostic, ...]
@@ -107,10 +104,6 @@ class ElabResult:
     @property
     def judgments(self) -> tuple[Judgment, ...]:
         return tuple(thm.judgment for thm in self.theorems)
-
-    @property
-    def failed(self) -> bool:
-        return bool(self.diagnostics) or any(i.status == "fail" for i in self.items)
 
 
 class _ElabError(Exception):
@@ -153,6 +146,9 @@ class _Session:
         self.including: list[Path] = []
 
     # -- helpers
+
+    def result(self) -> ElabResult:
+        return ElabResult(tuple(self.theorems), tuple(self.items), tuple(self.diagnostics))
 
     def session_model(self, nat_bound: int = 1) -> Model:
         return Model.make(self.carriers, nat_bound=nat_bound)
@@ -207,10 +203,8 @@ class _Session:
                 self.resolve_expr(a) if isinstance(a, GenExpr) else a for a in arg.args
             )
             return BuiltinRule(arg.rule, resolved)
-        if isinstance(arg, InlineTable):
-            rows = tuple(
-                (self.resolve_objlit(k), self.resolve_objlit(v)) for k, v in arg.rows
-            )
+        if isinstance(arg, tuple):  # a table literal's rows
+            rows = tuple((self.resolve_objlit(k), self.resolve_objlit(v)) for k, v in arg)
             try:
                 return Table(dom, cod, rows)
             except ValueError as exc:  # a key given two rows
@@ -220,11 +214,10 @@ class _Session:
             if name not in self.morphisms:
                 raise _ElabError("E0004", f"unknown morphism {name!r}")
             return self.morphisms[name][0]
-        raise _ElabError("E0102", f"expected a function argument, got {render(arg)}")
+        raise _ElabError("E0102", f"expected a function argument, got {render_arg(arg)}")
 
 
-@dataclass(frozen=True)
-class _EqGoal:
+class _EqGoal(NamedTuple):
     left: ObjLit
     right: ObjLit
 
@@ -290,9 +283,9 @@ def _translate(session: _Session, j: SurfaceJudgment):
     if head == "Coherent":
         want(2)
         name_arg, desc_arg = args
-        if not isinstance(name_arg, Named) or not isinstance(desc_arg, Str):
+        if not isinstance(name_arg, Named) or not isinstance(desc_arg, str):
             raise _ElabError("E0102", 'Coherent takes a family name and a "descriptor"')
-        return IsCoherentFamily(FamilySpec(Ident(name_arg.name.text), desc_arg.value))
+        return IsCoherentFamily(FamilySpec(Ident(name_arg.name.text), desc_arg))
     raise _ElabError("E0102", f"unknown judgment head {head!r}")
 
 
@@ -477,9 +470,7 @@ def elaborate(
 ) -> ElabResult:
     session = _Session(kernel)
     _run_decls(session, decls, base_dir)
-    return ElabResult(
-        tuple(session.theorems), tuple(session.items), tuple(session.diagnostics)
-    )
+    return session.result()
 
 
 def elaborate_source(source: str, *, base_dir: Path | None = None) -> ElabResult:
@@ -498,9 +489,7 @@ def elaborate_files(sources: list[tuple[Path, list[Decl]]]) -> ElabResult:
     session = _Session()
     for path, decls in sources:
         _run_decls(session, decls, path.parent)
-    return ElabResult(
-        tuple(session.theorems), tuple(session.items), tuple(session.diagnostics)
-    )
+    return session.result()
 
 
 def _run_decls(session: _Session, decls: list[Decl], base_dir: Path | None) -> None:
@@ -512,13 +501,9 @@ def _run_decls(session: _Session, decls: list[Decl], base_dir: Path | None) -> N
                 Diagnostic("error", err.code, str(err), decl.span, err.note)
             )
         except CrossDomainEqualityError as err:
-            session.diagnostics.append(
-                Diagnostic("error", "E0101", str(err), decl.span)
-            )
+            session.diagnostics.append(Diagnostic("error", "E0101", str(err), decl.span))
         except (KernelError, streams.StreamSpecError, streams.BoundError) as err:
-            session.diagnostics.append(
-                Diagnostic("error", "E0102", str(err), decl.span)
-            )
+            session.diagnostics.append(Diagnostic("error", "E0102", str(err), decl.span))
 
 
 def _run_decl(session: _Session, decl: Decl, base_dir: Path | None) -> None:

@@ -9,8 +9,8 @@ each with at most 4 members).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 __all__ = ["HFSet", "HFUniverse", "Zfc1Family", "Zfc1Report", "check_zfc1_instances", "RankError"]
 
@@ -37,8 +37,7 @@ def render_hf(s: HFSet) -> str:
     return "{" + ",".join(render_hf(e) for e in sorted(s, key=ackermann)) + "}"
 
 
-@dataclass(frozen=True)
-class HFUniverse:
+class HFUniverse(NamedTuple):
     """All hereditarily finite sets of rank <= rank, canonically ordered.
 
     Element counts are 1, 2, 4, 16 for ranks 0 through 3.
@@ -77,8 +76,7 @@ class HFUniverse:
         }
 
 
-@dataclass(frozen=True)
-class Zfc1Family:
+class Zfc1Family(NamedTuple):
     name: str
     instances: int
     failures: tuple[str, ...]
@@ -88,8 +86,7 @@ class Zfc1Family:
         return not self.failures
 
 
-@dataclass(frozen=True)
-class Zfc1Report:
+class Zfc1Report(NamedTuple):
     rank: int
     element_count: int
     families: tuple[Zfc1Family, ...]

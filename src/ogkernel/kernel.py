@@ -10,9 +10,8 @@ re-derives the judgment from the trace and reports per-node pass/fail.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import streams
 from .semantics import (
@@ -20,6 +19,7 @@ from .semantics import (
     Model,
     NotFinitelyCheckable,
     diagonal_violation,
+    fn_holes,
     fn_values,
     interpret,
 )
@@ -29,6 +29,7 @@ from .terms import (
     BuiltinRule,
     FamilySpec,
     FnExpr,
+    FrozenRecord,
     GenExpr,
     Ident,
     IsBinFn,
@@ -176,16 +177,15 @@ _RULE_AXIOMS = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class TraceNode:
+class TraceNode(FrozenRecord):
     """One derivation step.  Nodes compare by identity so that shared
     premises (the same Theorem used twice) are counted once in a trace."""
 
-    kind: str  # "axiom" | "decl" | "rule"
-    label: str
-    judgment: Judgment
-    children: tuple["TraceNode", ...] = ()
-    payload: tuple = ()
+    __slots__ = ("kind", "label", "judgment", "children", "payload")  # kind: axiom | decl | rule
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, kind: str, label: str, judgment: Judgment, children=(), payload=()):
+        self._init(kind=kind, label=label, judgment=judgment, children=children, payload=payload)
 
 
 _SEAL = object()
@@ -230,8 +230,7 @@ def _axiom_leaf(axiom: AxiomId, payload: tuple) -> Theorem:
     return _theorem(judgment, TraceNode("axiom", axiom.value, judgment, payload=payload))
 
 
-@dataclass(frozen=True)
-class EqQuery:
+class EqQuery(NamedTuple):
     """A well-formed within-domain equality question, evaluable in models."""
 
     domain: Theorem
@@ -359,12 +358,11 @@ def _check_mor(
         except NotFinitelyCheckable as exc:
             raise TotalityError(f"cannot check totality: {exc}") from exc
         # Row keys are distinct, so a row missing from the encoding names no object.
-        low = min(values, default=0)
-        holes = values.count(NO_VALUE) if low < 0 else 0
+        holes, outside = fn_holes(fn, model)
         if len(values) - holes < len(fn.rows):
             stray = next(k.tag for k, _ in fn.rows if dom_carrier.index(k.tag) is None)
             raise CodomainError(f"row key {stray!r} is not an object of the domain")
-        if low < 0:
+        if holes or outside:
             bad = next(i for i, v in enumerate(values) if v < 0)
             tag = dom_carrier.tag(bad)
             if values[bad] == NO_VALUE:
@@ -708,16 +706,14 @@ def leaf_kinds(thm: Theorem) -> set[str]:
     return kinds
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     label: str
     judgment: str
     ok: bool
     note: str = ""
 
 
-@dataclass(frozen=True)
-class TraceReport:
+class TraceReport(NamedTuple):
     entries: tuple[TraceEntry, ...]
     passed: bool
 

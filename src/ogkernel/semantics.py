@@ -20,9 +20,8 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import streams
 from .terms import (
@@ -30,6 +29,7 @@ from .terms import (
     TWO,
     BuiltinRule,
     FnExpr,
+    FrozenRecord,
     GenExpr,
     Ident,
     IsBinFn,
@@ -68,6 +68,7 @@ __all__ = [
     "carrier_size",
     "interpret",
     "fn_values",
+    "fn_holes",
     "interpret_fn",
     "diagonal_violation",
     "verify_judgment",
@@ -110,8 +111,7 @@ class NotFinitelyCheckable(Exception):
     """The question cannot be settled by finite enumeration at these bounds."""
 
 
-@dataclass(frozen=True)
-class Carrier:
+class Carrier(FrozenRecord):
     """A finite carrier whose objects are the indices 0 .. len-1.
 
     An explicit carrier lists pairwise distinct object tags, object k being
@@ -121,25 +121,27 @@ class Carrier:
     and object k is the subset of A whose bitmask is k, so index 0 is the
     empty (all-no) function.  `tag` renders one object and `index` encodes
     one tag; `objects` renders them all and is a view for reports and tests.
+    Carriers key the interpretation caches, so each keeps its hash.
     """
 
-    name: str
-    tags: tuple[str, ...] = ()
-    parts: tuple["Carrier", ...] = ()
-    size: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("name", "tags", "parts", "size", "_codes", "_hash")
 
-    def __post_init__(self) -> None:
-        if len(self.parts) == 2:
-            size = len(self.parts[0]) * len(self.parts[1])
-        elif self.parts:
-            size = 1 << len(self.parts[0])
+    def __init__(self, name: str, tags: tuple[str, ...] = (), parts: tuple[Carrier, ...] = ()):
+        codes = None
+        if len(parts) == 2:
+            size = len(parts[0]) * len(parts[1])
+        elif parts:
+            size = 1 << len(parts[0])
         else:
-            codes = {tag: k for k, tag in enumerate(self.tags)}
-            if len(codes) != len(self.tags):
-                raise ValueError(f"carrier {self.name!r} has duplicate tags")
-            object.__setattr__(self, "_codes", codes)
-            size = len(self.tags)
-        object.__setattr__(self, "size", size)
+            codes = {tag: k for k, tag in enumerate(tags)}
+            if len(codes) != len(tags):
+                raise ValueError(f"carrier {name!r} has duplicate tags")
+            size = len(tags)
+        key = name, tags, parts, size
+        self._init(name=name, tags=tags, parts=parts, size=size, _codes=codes, _hash=hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return self.size
@@ -178,8 +180,7 @@ class Carrier:
 TWO_CARRIER = Carrier("Two", ("yes", "no"))
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(NamedTuple):
     """Carriers for named generators plus an optional bound for Nat.
 
     Two is always the fixed yes/no carrier; Product and Powerset are
@@ -274,10 +275,11 @@ def tag_members(tag: str) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=1024)
-def _table_values(table: Table, model: Model) -> tuple[int, ...]:
+def _table_values(table: Table, model: Model) -> tuple[tuple[int, ...], int, int]:
     """`table` encoded once per model: the codomain index at each domain
     index, NO_VALUE where it has no row and OUTSIDE where its row names no
-    codomain object.  Rows whose key is no domain object are left out."""
+    codomain object, with the number of each.  Rows whose key is no domain
+    object are left out."""
     dom = interpret(table.domain, model)
     cod = interpret(table.codomain, model)
     values = [NO_VALUE] * len(dom)
@@ -286,7 +288,19 @@ def _table_values(table: Table, model: Model) -> tuple[int, ...]:
         if k is not None:
             v = cod.index(val.tag)
             values[k] = OUTSIDE if v is None else v
-    return tuple(values)  # cached: shared by every caller
+    # cached: shared by every caller
+    return tuple(values), values.count(NO_VALUE), values.count(OUTSIDE)
+
+
+def fn_holes(fn: FnExpr, model: Model) -> tuple[int, int]:
+    """How many objects of its domain `fn` has no value at (NO_VALUE) and
+    how many it sends outside its codomain (OUTSIDE).  Only a table can do
+    either; of the formers, only `restrict` has holes, past its bound."""
+    if isinstance(fn, Table):
+        return _table_values(fn, model)[1:]
+    if fn.rule == "restrict":
+        return max(carrier_size(NAT, model) - fn.args[1] - 1, 0), 0
+    return 0, 0
 
 
 def fn_values(fn: FnExpr, model: Model) -> list[int]:
@@ -294,7 +308,7 @@ def fn_values(fn: FnExpr, model: Model) -> list[int]:
     where `fn` has no value."""
     n = len(interpret(fn_signature(fn)[0], model))
     if isinstance(fn, Table):
-        return list(_table_values(fn, model))
+        return list(_table_values(fn, model)[0])
     if fn.rule == "eq_of":
         side = len(interpret(fn.args[0], model))
         values = [NO] * n
@@ -345,16 +359,13 @@ def diagonal_violation(
 # Judgment evaluation
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    detail: str = ""
-    witness: tuple[tuple[str, str], ...] | None = None
-    truncated: bool = False
+class Verdict(FrozenRecord):
+    __slots__ = ("status", "detail", "witness", "truncated")
 
-    def __post_init__(self) -> None:
-        if self.status == FAILS and self.witness is None:
+    def __init__(self, status: str, detail: str = "", witness=None, truncated: bool = False):
+        if status == FAILS and witness is None:
             raise ValueError("a failing verdict must carry a witness")
+        self._init(status=status, detail=detail, witness=witness, truncated=truncated)
 
     @property
     def holds(self) -> bool:
@@ -475,13 +486,14 @@ def _verify_mor(
             return coherence
     dom_carrier = interpret(dom, model)
     values = fn_values(fn, model)
-    if isinstance(fn, Table) and (len(fn.rows) != len(dom_carrier) or NO_VALUE in values):
+    holes, outside = fn_holes(fn, model)
+    if isinstance(fn, Table) and (len(fn.rows) != len(dom_carrier) or holes):
         # A table names its objects; in a model whose carrier differs the
         # judgment is not interpretable rather than false.
         raise NotFinitelyCheckable(
             f"table objects do not match the carrier of {dom_carrier.name}"
         )
-    if min(values, default=0) < 0:
+    if holes or outside:
         k = next(k for k, v in enumerate(values) if v < 0)
         tag = dom_carrier.tag(k)
         if values[k] == NO_VALUE:
@@ -593,8 +605,7 @@ def models_for_judgment(j: Judgment, max_size: int) -> list[Model]:
     ]
 
 
-@dataclass(frozen=True)
-class SweepItem:
+class SweepItem(NamedTuple):
     judgment: str
     model: str
     status: str
@@ -603,8 +614,7 @@ class SweepItem:
     truncated: bool = False
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     items: tuple[SweepItem, ...]
     checked: int
     holds: int
@@ -644,8 +654,7 @@ def _sweep_item(j: Judgment, model: Model) -> SweepItem:
 # Axiom instance checks
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     axiom: str
     status: str  # holds | fails | assumed
     detail: str

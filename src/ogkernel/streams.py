@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .terms import split_top_level
+from .terms import FrozenRecord, split_top_level
 
 __all__ = [
     "BitStream",
@@ -85,7 +84,10 @@ MAX_PERIOD_BOUND = 1024
 
 
 class BitStream:
-    """A total, deterministic assignment of a bit to every natural number."""
+    """A total, deterministic assignment of a bit to every natural number.
+
+    The catalog streams are also FrozenRecords: immutable, and equal when
+    they are of one class with equal fields."""
 
     __slots__ = ()
 
@@ -102,16 +104,15 @@ def _check_bits(bits: Sequence[int], what: str) -> None:
         raise ValueError(f"{what} must consist of 0/1 bits")
 
 
-@dataclass(frozen=True)
-class Periodic(BitStream):
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+class Periodic(FrozenRecord, BitStream):
+    __slots__ = ("preperiod", "period")
 
-    def __post_init__(self) -> None:
-        if not self.period:
+    def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...]):
+        if not period:
             raise ValueError("period must be nonempty")
-        _check_bits(self.preperiod, "preperiod")
-        _check_bits(self.period, "period")
+        _check_bits(preperiod, "preperiod")
+        _check_bits(period, "period")
+        self._init(preperiod=preperiod, period=period)
 
     def value_at(self, n: int) -> int:
         if n < len(self.preperiod):
@@ -123,8 +124,9 @@ class Periodic(BitStream):
         return (bytes(self.preperiod) + bytes(self.period) * reps)[: n + 1]
 
 
-@dataclass(frozen=True)
-class SquaresIndicator(BitStream):
+class SquaresIndicator(FrozenRecord, BitStream):
+    __slots__ = ()
+
     def value_at(self, n: int) -> int:
         return 1 if math.isqrt(n) ** 2 == n else 0
 
@@ -135,8 +137,9 @@ class SquaresIndicator(BitStream):
         return bytes(out)
 
 
-@dataclass(frozen=True)
-class PowersOfTwoIndicator(BitStream):
+class PowersOfTwoIndicator(FrozenRecord, BitStream):
+    __slots__ = ()
+
     def value_at(self, n: int) -> int:
         return 1 if n > 0 and n & (n - 1) == 0 else 0
 
@@ -149,12 +152,12 @@ class PowersOfTwoIndicator(BitStream):
         return bytes(out)
 
 
-@dataclass(frozen=True)
-class FiniteSupport(BitStream):
-    bits: tuple[int, ...]
+class FiniteSupport(FrozenRecord, BitStream):
+    __slots__ = ("bits",)
 
-    def __post_init__(self) -> None:
-        _check_bits(self.bits, "bits")
+    def __init__(self, bits: tuple[int, ...]):
+        _check_bits(bits, "bits")
+        self._init(bits=bits)
 
     def value_at(self, n: int) -> int:
         return self.bits[n] if n < len(self.bits) else 0
@@ -163,10 +166,11 @@ class FiniteSupport(BitStream):
         return bytes(self.bits[: n + 1]) + bytes(max(n + 1 - len(self.bits), 0))
 
 
-@dataclass(frozen=True)
-class XorOf(BitStream):
-    left: BitStream
-    right: BitStream
+class XorOf(FrozenRecord, BitStream):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: BitStream, right: BitStream):
+        self._init(left=left, right=right)
 
     def value_at(self, n: int) -> int:
         return self.left.value_at(n) ^ self.right.value_at(n)
@@ -177,16 +181,15 @@ class XorOf(BitStream):
         return (left ^ right).to_bytes(n + 1, "big")
 
 
-@dataclass(frozen=True)
-class ShiftOf(BitStream):
+class ShiftOf(FrozenRecord, BitStream):
     """Left shift: value_at(n) = base.value_at(n + offset)."""
 
-    base: BitStream
-    offset: int
+    __slots__ = ("base", "offset")
 
-    def __post_init__(self) -> None:
-        if self.offset < 0:
+    def __init__(self, base: BitStream, offset: int):
+        if offset < 0:
             raise ValueError("offset must be nonnegative")
+        self._init(base=base, offset=offset)
 
     def value_at(self, n: int) -> int:
         return self.base.value_at(n + self.offset)
@@ -195,14 +198,13 @@ class ShiftOf(BitStream):
         return self.base.prefix(n + self.offset)[self.offset :]
 
 
-@dataclass(frozen=True)
-class FlipAt(BitStream):
-    base: BitStream
-    index: int
+class FlipAt(FrozenRecord, BitStream):
+    __slots__ = ("base", "index")
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
+    def __init__(self, base: BitStream, index: int):
+        if index < 0:
             raise ValueError("index must be nonnegative")
+        self._init(base=base, index=index)
 
     def value_at(self, n: int) -> int:
         v = self.base.value_at(n)
@@ -304,22 +306,20 @@ def stream_spec(s: BitStream) -> str:
 # Restrictions, coherence, unions
 
 
-@dataclass(frozen=True)
-class PartialBitMap:
+class PartialBitMap(FrozenRecord):
     """A bit assignment whose domain is exactly the interval [0, upper]."""
 
-    upper: int
-    bits: tuple[int, ...]
+    __slots__ = ("upper", "bits")
 
-    def __post_init__(self) -> None:
-        if self.upper < 0:
+    def __init__(self, upper: int, bits: tuple[int, ...]):
+        if upper < 0:
             raise ValueError("upper must be nonnegative")
-        if len(self.bits) != self.upper + 1:
+        if len(bits) != upper + 1:
             raise ValueError(
-                f"expected {self.upper + 1} bits for domain [0,{self.upper}], "
-                f"got {len(self.bits)}"
+                f"expected {upper + 1} bits for domain [0,{upper}], got {len(bits)}"
             )
-        _check_bits(self.bits, "bits")
+        _check_bits(bits, "bits")
+        self._init(upper=upper, bits=bits)
 
 
 def restrict(s: BitStream, n: int) -> PartialBitMap:
@@ -327,11 +327,9 @@ def restrict(s: BitStream, n: int) -> PartialBitMap:
     return PartialBitMap(n, tuple(s.prefix(n)))
 
 
-@dataclass(frozen=True)
-class CoherenceResult:
+class CoherenceResult(NamedTuple):
     ok: bool
-    violation: int | None = None
-    """Index of the first stage that disagrees with its predecessor."""
+    violation: int | None = None  # the first stage that disagrees with its predecessor
 
     def __bool__(self) -> bool:
         return self.ok
@@ -455,8 +453,7 @@ def family_violation(descriptor: str) -> tuple[int, int] | None:
 # Eventually-periodic membership
 
 
-@dataclass(frozen=True)
-class EpVerdict:
+class EpVerdict(NamedTuple):
     member: bool
     witness: tuple[int, int] | None
     preperiod_bound: int
@@ -482,9 +479,12 @@ def ep_decide(
     p <= i <= horizon - q.  The first witness in lexicographic (p, q) order
     is returned.  The horizon must be at least preperiod_bound +
     2 * period_bound so a claimed witness is cross-checked over at least one
-    full extra period, and at most MAX_HORIZON; the period bound at most
-    MAX_PERIOD_BOUND.  Bounds outside these ranges raise BoundError.
+    full extra period, and at most MAX_HORIZON; the preperiod bound at least
+    0 and the period bound at most MAX_PERIOD_BOUND.  Bounds outside these
+    ranges raise BoundError.
     """
+    if preperiod_bound < 0:
+        raise BoundError("preperiod bound must be nonnegative")
     if period_bound < 1:
         raise BoundError("period bound must be at least 1")
     if period_bound > MAX_PERIOD_BOUND:
@@ -540,8 +540,7 @@ def flip_witness(w: tuple[int, int], index: int) -> tuple[int, int]:
 _CLOSURE_SEED = 0x06E551  # fixed: reports must be reproducible byte-for-byte
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """Machine-checked sub-results of the missing-limit demonstration.
 
     (a) every finite restriction, extended by zeros, is in the small model;

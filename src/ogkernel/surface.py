@@ -33,7 +33,7 @@ Statement terminator is `;`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .terms import (
     BUILTIN_RULES,
@@ -45,6 +45,7 @@ from .terms import (
     ObjLit,
     Powerset,
     Product,
+    Record,
     Span,
     Two,
     render,
@@ -65,8 +66,6 @@ __all__ = [
     "LimitDecl",
     "SurfaceJudgment",
     "LimitRef",
-    "Str",
-    "InlineTable",
     "AxiomRef",
     "RuleApp",
     "render_decl",
@@ -75,26 +74,8 @@ __all__ = [
 ]
 
 KEYWORDS = frozenset(
-    {
-        "generator",
-        "morphism",
-        "assert",
-        "by",
-        "axiom",
-        "rule",
-        "from",
-        "model",
-        "check",
-        "upto",
-        "include",
-        "primitive",
-        "table",
-        "limit",
-        "demo",
-        "member",
-        "Two",
-        "Nat",
-    }
+    "generator morphism assert by axiom rule from model check upto include primitive "
+    "table limit demo member Two Nat".split()
 )
 
 JUDGMENT_HEADS = frozenset(
@@ -102,15 +83,15 @@ JUDGMENT_HEADS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # keyword | ident | symbol | integer | bitlist | string | eof
-    text: str
-    span: Span = field(compare=False)
+class Token(Record):
+    # kind: keyword | ident | symbol | integer | bitlist | string | eof
+    __slots__ = ("kind", "text", "span")
+
+    def __init__(self, kind: str, text: str, span: Span):
+        self.kind, self.text, self.span = kind, text, span
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # error | warning
     code: str
     message: str
@@ -179,94 +160,94 @@ def lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
 
 # ---------------------------------------------------------------------------
 # Declarations and proof expressions
+#
+# Tokens, judgments, proofs and declarations are Records, so their equality
+# ignores the source span.  In argument position a string literal is a `str`
+# and a table literal is its tuple of (key, value) rows; its signature comes
+# from context.
 
 
-@dataclass(frozen=True)
-class Str:
-    value: str
+class LimitRef(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class LimitRef:
-    name: str
+Rows = tuple[tuple[ObjLit, ObjLit], ...]
+SurfaceArg = object  # GenExpr | ObjLit | BuiltinRule | Rows | LimitRef | str
 
 
-@dataclass(frozen=True)
-class InlineTable:
-    """A table literal in argument position; its signature comes from context."""
+class SurfaceJudgment(Record):
+    __slots__ = ("head", "args", "span")
 
-    rows: tuple[tuple[ObjLit, ObjLit], ...]
-
-
-SurfaceArg = object  # GenExpr | ObjLit | BuiltinRule | InlineTable | LimitRef | Str
+    def __init__(self, head: str, args: tuple[SurfaceArg, ...], span: Span):
+        self.head, self.args, self.span = head, args, span
 
 
-@dataclass(frozen=True)
-class SurfaceJudgment:
-    head: str
-    args: tuple[SurfaceArg, ...]
-    span: Span = field(compare=False)
+class AxiomRef(Record):
+    __slots__ = ("name", "span")
+
+    def __init__(self, name: str, span: Span):
+        self.name, self.span = name, span
 
 
-@dataclass(frozen=True)
-class AxiomRef:
-    name: str
-    span: Span = field(compare=False)
+class RuleApp(Record):
+    __slots__ = ("name", "subproofs", "span")
 
-
-@dataclass(frozen=True)
-class RuleApp:
-    name: str
-    subproofs: tuple["AxiomRef | RuleApp", ...]
-    span: Span = field(compare=False)
+    def __init__(self, name: str, subproofs: tuple[AxiomRef | RuleApp, ...], span: Span):
+        self.name, self.subproofs, self.span = name, subproofs, span
 
 
 ProofExpr = AxiomRef | RuleApp
 
 
-@dataclass(frozen=True)
-class GeneratorDecl:
-    name: str
-    body: GenExpr | None  # None means `primitive`
-    tags: tuple[str, ...] | None
-    span: Span = field(compare=False)
+class GeneratorDecl(Record):
+    __slots__ = ("name", "body", "tags", "span")  # body None means `primitive`
+
+    def __init__(
+        self, name: str, body: GenExpr | None, tags: tuple[str, ...] | None, span: Span
+    ):
+        self.name, self.body, self.tags, self.span = name, body, tags, span
 
 
-@dataclass(frozen=True)
-class MorphismDecl:
-    name: str
-    dom: GenExpr
-    cod: GenExpr
-    body: InlineTable | BuiltinRule
-    span: Span = field(compare=False)
+class MorphismDecl(Record):
+    __slots__ = ("name", "dom", "cod", "body", "span")
+
+    def __init__(
+        self, name: str, dom: GenExpr, cod: GenExpr, body: Rows | BuiltinRule, span: Span
+    ):
+        self.name, self.dom, self.cod, self.body, self.span = name, dom, cod, body, span
 
 
-@dataclass(frozen=True)
-class AssertDecl:
-    judgment: SurfaceJudgment
-    proof: ProofExpr
-    span: Span = field(compare=False)
+class AssertDecl(Record):
+    __slots__ = ("judgment", "proof", "span")
+
+    def __init__(self, judgment: SurfaceJudgment, proof: ProofExpr, span: Span):
+        self.judgment, self.proof, self.span = judgment, proof, span
 
 
-@dataclass(frozen=True)
-class ModelCheckDecl:
-    judgment: SurfaceJudgment
-    bound: int
-    span: Span = field(compare=False)
+class ModelCheckDecl(Record):
+    __slots__ = ("judgment", "bound", "span")
+
+    def __init__(self, judgment: SurfaceJudgment, bound: int, span: Span):
+        self.judgment, self.bound, self.span = judgment, bound, span
 
 
-@dataclass(frozen=True)
-class IncludeDecl:
-    path: str
-    span: Span = field(compare=False)
+class IncludeDecl(Record):
+    __slots__ = ("path", "span")
+
+    def __init__(self, path: str, span: Span):
+        self.path, self.span = path, span
 
 
-@dataclass(frozen=True)
-class LimitDecl:
-    command: str  # "demo" | "member"
-    spec: str | None
-    bounds: tuple[int, int, int] | None
-    span: Span = field(compare=False)
+class LimitDecl(Record):
+    __slots__ = ("command", "spec", "bounds", "span")  # command: "demo" | "member"
+
+    def __init__(
+        self, command: str, spec: str | None, bounds: tuple[int, int, int] | None, span: Span
+    ):
+        self.command, self.spec, self.bounds, self.span = command, spec, bounds, span
 
 
 Decl = GeneratorDecl | MorphismDecl | AssertDecl | ModelCheckDecl | IncludeDecl | LimitDecl
@@ -401,7 +382,7 @@ class _Parser:
         self.expect("symbol", "->")
         cod = self.parse_gen_expr()
         self.expect("symbol", ":=")
-        body: InlineTable | BuiltinRule
+        body: Rows | BuiltinRule
         if self.at("keyword", "table"):
             self.advance()
             body = self.parse_table_body()
@@ -413,7 +394,7 @@ class _Parser:
         self.expect("symbol", ";")
         return MorphismDecl(name, dom, cod, body, start.span)
 
-    def parse_table_body(self) -> InlineTable:
+    def parse_table_body(self) -> Rows:
         opener = self.expect("symbol", "{")
         rows: list[tuple[ObjLit, ObjLit]] = []
         if not self.at("symbol", "}"):
@@ -422,7 +403,7 @@ class _Parser:
                 self.advance()
                 rows.append(self.parse_row())
         self.expect_closing("}", opener.span)
-        return InlineTable(tuple(rows))
+        return tuple(rows)
 
     def parse_row(self) -> tuple[ObjLit, ObjLit]:
         key = self.parse_obj_lit()
@@ -537,7 +518,7 @@ class _Parser:
 
     def parse_arg(self):
         if self.at("string"):
-            return Str(self.advance().text)
+            return self.advance().text
         if self.at("keyword", "limit"):
             self.advance()
             opener = self.expect("symbol", "(")
@@ -691,12 +672,12 @@ def parse_gen_expr(text: str) -> GenExpr:
 
 
 def render_arg(arg) -> str:
-    if isinstance(arg, Str):
-        return f'"{arg.value}"'
+    if isinstance(arg, str):
+        return f'"{arg}"'
     if isinstance(arg, LimitRef):
         return f"limit({arg.name})"
-    if isinstance(arg, InlineTable):
-        rows = ", ".join(f"{render(k)} -> {render(v)}" for k, v in arg.rows)
+    if isinstance(arg, tuple):
+        rows = ", ".join(f"{render(k)} -> {render(v)}" for k, v in arg)
         return f"table {{ {rows} }}" if rows else "table { }"
     return render(arg)
 
@@ -728,7 +709,7 @@ def render_decl(d: Decl) -> str:
             return f"generator {d.name} primitive {{{', '.join(d.tags)}}};"
         return f"generator {d.name} primitive;"
     if isinstance(d, MorphismDecl):
-        body = render_arg(d.body) if isinstance(d.body, InlineTable) else f"rule {render(d.body)}"
+        body = render_arg(d.body) if isinstance(d.body, tuple) else f"rule {render(d.body)}"
         return (
             f"morphism {d.name} : {render(d.dom)} -> {render(d.cod)} := {body};"
         )

@@ -1,20 +1,28 @@
 """Immutable syntax trees: generator expressions, function expressions, judgments.
 
-Everything is a frozen dataclass with structural equality (source spans are
-ignored), and `render` produces the surface syntax that
+The terms and judgments are frozen dataclasses with structural equality
+(source spans are ignored): the only dataclasses in the package, so that a
+`dataclasses.fields` walk reaches every subterm of a judgment, and so that
+terms of different classes never compare equal, as tuples of equal fields
+would.  `render` produces the surface syntax that
 `ogkernel.surface.parse_gen_expr` and friends read back.  The one piece of
 logic is the builtin catalog: each former's argument kinds (enforced when a
 `BuiltinRule` is built) and its signature (`fn_signature`).
+
+Records outside the term language cost nothing to define at import: they are
+`typing.NamedTuple`s, like `Span`, or subclasses of `Record`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 __all__ = [
     "Span",
+    "Record",
+    "FrozenRecord",
     "Ident",
     "GenExpr",
     "Two",
@@ -48,14 +56,51 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """Source location: 1-based line/column plus byte offsets."""
 
     line: int
     col: int
     start: int
     end: int
+
+
+class Record:
+    """Base of the records a NamedTuple cannot be.  A subclass lists its fields
+    in `__slots__` and sets them in its own `__init__`.  Equality and `hash`
+    read the fields but `span` and names starting with `_`; `repr` shows `span`."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__ if f != "span" and f[0] != "_")
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f[0] != "_")
+        return f"{type(self).__name__}({shown})"
+
+
+class FrozenRecord(Record):
+    """A Record whose `__init__` sets its fields once, through `_init`."""
+
+    __slots__ = ()
+
+    def _init(self, **fields: object) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")

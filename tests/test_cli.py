@@ -6,7 +6,6 @@ import json
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -124,6 +123,25 @@ def test_check_refusals_exit_1(tmp_path, capsys):
             None,
             EXIT_USAGE,
             "error: horizon 70000 above the maximum 65536",
+        ),
+        (
+            ["limits", "pow2", "--preperiod-bound", "-100", "--period-bound", "1"]
+            + ["--horizon", "-50"],
+            None,
+            EXIT_USAGE,
+            "error: preperiod bound must be nonnegative",
+        ),
+        (
+            ["check"],
+            'assert Mor("x", Two, Two) by rule mor;\n',
+            EXIT_CHECK_FAILED,
+            'E0102 at 1:1 | expected a function argument, got "x"',
+        ),
+        (
+            ["check"],
+            "assert Mor(limit(F), Two, Two) by rule mor;\n",
+            EXIT_CHECK_FAILED,
+            "E0102 at 1:1 | expected a function argument, got limit(F)",
         ),
     ],
 )
@@ -299,7 +317,7 @@ def test_emit_report_to_file(tmp_path):
 )
 def test_timings_sidecar(config, keys, tmp_path):
     sidecar = tmp_path / "timings.json"
-    code, report = run(replace(config, timings=str(sidecar), format="json"))
+    code, report = run(config._replace(timings=str(sidecar), format="json"))
     assert code == EXIT_OK
     data = json.loads(sidecar.read_text())
     assert data["command"] == config.command

@@ -147,12 +147,12 @@ def test_mor_intro_totality_and_codomain_errors(kernel):
     kernel.gen_intro(Ident("G"))
     model = _model("G", "a", "b")
     partial = Table(g, TWO, ((ObjLit("a", g), ObjLit("yes", TWO)),))
-    with pytest.raises(TotalityError):
+    with pytest.raises(TotalityError, match="^table has no row for 'b'$"):
         kernel.mor_intro(partial, g, TWO, model=model)
     bad = Table(
         g, TWO, ((ObjLit("a", g), ObjLit("up", TWO)), (ObjLit("b", g), ObjLit("no", TWO)))
     )
-    with pytest.raises(CodomainError):
+    with pytest.raises(CodomainError, match="^row value 'up' is not an object of the codomain$"):
         kernel.mor_intro(bad, g, TWO, model=model)
     with pytest.raises(TotalityError, match="model"):
         kernel.mor_intro(partial, g, TWO)  # no model supplied

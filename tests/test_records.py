@@ -1,0 +1,259 @@
+"""Records: the term language keeps its dataclasses, every other record is a
+NamedTuple or a slotted `Record`, and the conversion keeps each record's
+equality, validation and immutability."""
+
+from __future__ import annotations
+
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ogkernel
+from ogkernel import cli, terms
+from ogkernel.elaborate import Item, elaborate_source
+from ogkernel.kernel import TraceNode
+from ogkernel.semantics import FAILS, HOLDS, Carrier, Model, Verdict
+from ogkernel.streams import (
+    FiniteSupport,
+    FlipAt,
+    PartialBitMap,
+    Periodic,
+    ShiftOf,
+    SquaresIndicator,
+    XorOf,
+)
+from ogkernel.surface import LimitDecl, Token, lex, parse_source
+from ogkernel.terms import (
+    NAT,
+    TWO,
+    BuiltinRule,
+    Ident,
+    IsMor,
+    IsObj,
+    IsSet,
+    Named,
+    Nat,
+    ObjLit,
+    Powerset,
+    Product,
+    Span,
+    Table,
+)
+
+
+def _package_classes():
+    for info in pkgutil.iter_modules(ogkernel.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"ogkernel.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__:
+                yield module.__name__, cls
+
+
+def test_only_the_term_classes_are_dataclasses():
+    classes = _package_classes()
+    found = {(mod, cls.__name__) for mod, cls in classes if dataclasses.is_dataclass(cls)}
+    assert found and all(module == "ogkernel.terms" for module, _ in found)
+    term_bases = (terms.GenExpr, terms.FnExpr, terms.Judgment)
+    for _, name in found:
+        cls = getattr(terms, name)
+        assert issubclass(cls, term_bases) or cls in (terms.Ident, terms.ObjLit, terms.FamilySpec)
+
+
+def test_importing_the_cli_processes_few_dataclasses():
+    script = (
+        "import dataclasses\n"
+        "calls = []\n"
+        "process = dataclasses._process_class\n"
+        "def counted(cls, *args):\n"
+        "    calls.append(cls.__name__)\n"
+        "    return process(cls, *args)\n"
+        "dataclasses._process_class = counted\n"
+        "import ogkernel.cli\n"
+        "print(len(calls))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert int(result.stdout.split()[-1]) <= 18
+
+
+def _fields_walk(term, names: set[str]) -> bool:
+    """Generator names into `names`; true when `Nat` occurs.  The walk an
+    outside tool makes over a judgment with `dataclasses.fields`."""
+    if isinstance(term, Nat):
+        return True
+    if isinstance(term, Named):
+        names.add(term.name.text)
+        return False
+    if isinstance(term, tuple):
+        parts = term
+    elif dataclasses.is_dataclass(term):
+        parts = tuple(getattr(term, f.name) for f in dataclasses.fields(term))
+    else:
+        return False
+    found = False
+    for part in parts:
+        found = _fields_walk(part, names) or found
+    return found
+
+
+def test_a_fields_walk_reaches_every_subterm_of_a_judgment():
+    g, h = Named(Ident("G", Span(1, 1, 0, 1))), Named(Ident("H"))
+    table = Table(Product(g, NAT), TWO, ((ObjLit("(a,0)", Product(g, NAT)), ObjLit("yes", TWO)),))
+    names: set[str] = set()
+    assert _fields_walk(IsMor(table, Product(g, NAT), TWO), names)
+    assert names == {"G"}
+    names = set()
+    assert not _fields_walk(IsObj(ObjLit("{a}", Powerset(h)), Powerset(h)), names)
+    assert names == {"H"}
+    names = set()
+    assert _fields_walk(IsMor(BuiltinRule("eq_of", (Product(NAT, h),)), g, TWO), names)
+    assert names == {"G", "H"}
+
+
+def test_judgments_of_different_forms_are_not_equal():
+    assert IsSet(TWO) != terms.SupportsQuant(TWO)
+    assert hash(IsSet(TWO)) == hash(IsSet(TWO))
+
+
+# -- equality that ignores spans
+
+
+def test_tokens_and_declarations_compare_without_spans():
+    (first, *_), _ = lex("Two")
+    (second, *_), _ = lex("\n\n   Two")
+    assert first.span != second.span
+    assert first == second and hash(first) == hash(second)
+    assert first != Token("ident", "Two", first.span)
+    source = 'limit member "squares" upto 1 2 8;'
+    (decl,), _ = parse_source(source)
+    (moved,), _ = parse_source("\n  " + source)
+    assert decl.span != moved.span and decl == moved and hash(decl) == hash(moved)
+    assert decl != LimitDecl("member", "squares", (1, 2, 9), decl.span)
+    assert decl != Token("keyword", "limit", decl.span)
+    assert repr(decl).startswith("LimitDecl(command='member', spec='squares'")
+
+
+def test_string_and_table_arguments_round_trip():
+    source = (
+        'assert Coherent(F, "restrictions(squares)") by rule coherent;\n'
+        "assert Mor(table { Two.yes -> Two.no, Two.no -> Two.yes }, Two, Two) by rule mor;\n"
+        "assert Obj(limit(F), P[Nat]) by rule cla;\n"
+    )
+    decls, diagnostics = parse_source(source)
+    assert not diagnostics
+    assert decls[0].judgment.args[1] == "restrictions(squares)"
+    rows = decls[1].judgment.args[0]
+    assert isinstance(rows, tuple) and [k.tag for k, _ in rows] == ["yes", "no"]
+    assert elaborate_source(source).items[-1].status == "pass"
+
+
+# -- records read by the CLI
+
+
+def test_per_file_prefixes_item_names_and_keeps_the_rest():
+    sources = [(Path("a.og"), []), (Path("b.og"), [])]
+    witness = {"model": "model()"}
+    items = cli._per_file(sources, {}, "layer", lambda result: [Item("x", "fail", "d", witness)])
+    assert items == [
+        Item("a.og: x", "fail", "d", witness),
+        Item("b.og: x", "fail", "d", witness),
+    ]
+    assert cli._per_file(sources[:1], {}, "layer", lambda result: [Item("x", "pass")]) == [
+        Item("x", "pass", "", None)
+    ]
+
+
+def test_run_config_defaults_print_in_help(capsys):
+    assert not isinstance(cli.RunConfig.horizon, int)  # a field, not its default
+    assert cli.RunConfig("limits").horizon == 4096
+    for command, expected in (
+        ("model", "--max-size N  (default: 3)"),
+        ("limits", "--preperiod-bound N  (default: 64)"),
+        ("limits", "--period-bound N  (default: 64)"),
+        ("check", "--format text|json  (default: text)"),
+    ):
+        assert cli.main([command, "--help"]) == cli.EXIT_OK
+        assert expected in capsys.readouterr().out
+    assert cli.main(["limits", "--help"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "  --demo\n" in out and "  --out PATH\n" in out  # no default shown
+
+
+# -- validation
+
+
+@pytest.mark.parametrize(
+    "upper, bits, message",
+    [
+        (-1, (), "upper must be nonnegative"),
+        (2, (1, 0), "expected 3 bits for domain"),
+        (1, (0, 2), "must consist of 0/1 bits"),
+    ],
+)
+def test_partial_bit_map_rejects_bad_input(upper, bits, message):
+    with pytest.raises(ValueError, match=message):
+        PartialBitMap(upper, bits)
+
+
+def test_verdict_rejects_a_failure_without_witness():
+    with pytest.raises(ValueError, match="witness"):
+        Verdict(FAILS, "no witness")
+    verdict = Verdict(FAILS, "bad", (("at", "x"),))
+    assert verdict == Verdict(FAILS, "bad", (("at", "x"),)) != Verdict(HOLDS)
+    assert not verdict.holds and Verdict(HOLDS, truncated=True).holds
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Periodic((), ()), "period must be nonempty"),
+        (lambda: Periodic((2,), (1,)), "preperiod must consist"),
+        (lambda: FiniteSupport((0, 3)), "bits must consist"),
+        (lambda: ShiftOf(SquaresIndicator(), -1), "offset must be nonnegative"),
+        (lambda: FlipAt(SquaresIndicator(), -1), "index must be nonnegative"),
+        (lambda: Carrier("G", ("a", "a")), "duplicate tags"),
+    ],
+)
+def test_records_with_invariants_reject_bad_input(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+# -- immutable, hashed records
+
+
+def test_hashed_records_are_immutable_values():
+    g = Carrier("G", ("a", "b"))
+    model = Model.make({"G": g}, nat_bound=2)
+    stream = XorOf(Periodic((1,), (0, 1)), FlipAt(SquaresIndicator(), 3))
+    for record, field in (
+        (g, "tags"),
+        (Carrier("P", parts=(g,)), "size"),
+        (model, "nat_bound"),
+        (stream, "left"),
+        (SquaresIndicator(), "offset"),
+        (PartialBitMap(0, (1,)), "bits"),
+        (Verdict(HOLDS), "status"),
+        (TraceNode("axiom", "H3", IsSet(NAT)), "judgment"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert g == Carrier("G", ("a", "b")) and hash(g) == hash(Carrier("G", ("a", "b")))
+    assert g != Carrier("G", ("a",)) and len(Carrier("P", parts=(g,))) == 4
+    assert model == Model.make({"G": Carrier("G", ("a", "b"))}, nat_bound=2)
+    assert {model: 1}[Model((("G", Carrier("G", ("a", "b"))),), 2)] == 1
+    copy = XorOf(Periodic((1,), (0, 1)), FlipAt(SquaresIndicator(), 3))
+    assert stream == copy and hash(stream) == hash(copy)
+    assert SquaresIndicator() == SquaresIndicator()
+    assert Periodic((), (1,)) != FiniteSupport((1,))
+    node = TraceNode("axiom", "H3", IsSet(NAT))
+    assert node != TraceNode("axiom", "H3", IsSet(NAT)) and node == node

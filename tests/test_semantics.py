@@ -43,6 +43,7 @@ from ogkernel.terms import (
     Product,
     SupportsQuant,
     Table,
+    fn_signature,
 )
 
 
@@ -197,6 +198,35 @@ def test_mor_verification():
         verify_judgment(IsMor(good, expr, TWO), bigger).status
         == NOT_FINITELY_CHECKABLE
     )
+
+
+def test_partial_functions_fail_totality_as_before():
+    expr, model = _named("A", "x", "y")
+    hole = Table(expr, TWO, ((ObjLit("x", expr), ObjLit("yes", TWO)),))
+    outside = Table(
+        expr, TWO, ((ObjLit("x", expr), ObjLit("yes", TWO)), (ObjLit("y", expr), ObjLit("up", TWO)))
+    )
+    assert semantics.fn_holes(hole, model) == (1, 0)
+    assert semantics.fn_holes(outside, model) == (0, 1)
+    # a table with a hole names too few objects: not interpretable in this model
+    verdict = verify_judgment(IsMor(hole, expr, TWO), model)
+    assert verdict.status == NOT_FINITELY_CHECKABLE
+    assert verdict.detail == "table objects do not match the carrier of A"
+    verdict = verify_judgment(IsMor(outside, expr, TWO), model)
+    assert verdict.status == FAILS
+    assert verdict.detail == "value at 'y' is outside the codomain"
+    assert verdict.witness == (("at", "y"), ("got", "up"))
+    # of the formers only `restrict` has holes, past its bound
+    for bound, holes in ((1, 2), (3, 0), (9, 0)):
+        fn = BuiltinRule("restrict", ("squares", bound))
+        assert semantics.fn_holes(fn, model) == (holes, 0)
+        assert semantics.fn_values(fn, model).count(semantics.NO_VALUE) == holes
+    verdict = verify_judgment(IsMor(BuiltinRule("restrict", ("squares", 1)), NAT, TWO), model)
+    assert verdict.status == FAILS and verdict.witness == (("missing", "2"),)
+    assert verdict.detail == "not total: no value at '2'"
+    for fn in (BuiltinRule("eq_of", (Powerset(expr),)), BuiltinRule("indicator_stream", ("pow2",))):
+        assert semantics.fn_holes(fn, model) == (0, 0)
+        assert verify_judgment(IsMor(fn, *fn_signature(fn)), model).holds
 
 
 def test_is_obj_examples():

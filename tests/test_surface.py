@@ -191,7 +191,7 @@ def test_pair_literals_and_parenthesized_products():
         "morphism f : Two * Two -> Two := table { (Two.yes, Two.no) -> Two.yes };"
     )
     assert not diags
-    key = decls[0].body.rows[0][0]
+    key = decls[0].body[0][0]  # a table literal is its tuple of rows
     assert key.tag == "(yes,no)"
     decls, diags = parse_source("assert Gen((Two * Two) * Nat) by rule gen;")
     assert not diags
