@@ -14,20 +14,19 @@ from ogkernel.streams import (
     SquaresIndicator,
     demonstrate_gap,
     ep_decide,
-    restrict,
-    union_limit,
+    family_limit,
 )
 
 squares = SquaresIndicator()
 
 print("== finite restrictions, extended by zeros, are eventually periodic ==")
 for n in (5, 50, 256):
-    stage = FiniteSupport(restrict(squares, n).bits)
+    stage = FiniteSupport(tuple(squares.prefix(n)))
     verdict = ep_decide(stage, n + 1, 1, n + 3)
     print(f"  stage {n:3d}: {verdict.describe()}")
 
 print("\n== the union of the stages is the squares indicator again ==")
-union = union_limit(lambda n: restrict(squares, n))
+union = family_limit("restrictions(squares)")
 horizon = 4096
 agrees = all(union.value_at(i) == squares.value_at(i) for i in (0, 1, 4, 100, 4095, 4096))
 print(f"  union agrees with squares at spot-checked points up to {horizon}: {agrees}")

@@ -38,7 +38,6 @@ from .streams import (
     BitStream,
     FiniteSupport,
     FlipAt,
-    PartialBitMap,
     Periodic,
     PowersOfTwoIndicator,
     ShiftOf,
@@ -48,8 +47,6 @@ from .streams import (
     ep_decide,
     is_coherent,
     parse_stream_spec,
-    restrict,
-    union_limit,
 )
 from .semantics import (
     Carrier,

@@ -21,10 +21,12 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .elaborate import ElabResult, Item, elaborate_files
+from .elaborate import ElabResult, Item, elaborate_files, gap_items, membership_item
 from .hf import HFUniverse, check_zfc1_instances
 from .kernel import AXIOM_STATEMENTS, AxiomId, verify_trace
-from .semantics import FAILS, HOLDS, default_model, soundness_sweep, verify_axiom_instances
+from .semantics import (
+    FAILS, HOLDS, SWEEP_SIZES, default_model, soundness_sweep, verify_axiom_instances
+)
 from .stdlib import prelude_source
 from .streams import (
     BoundError,
@@ -202,6 +204,9 @@ def _replay_items(result: ElabResult) -> list[Item]:
 
 def _run_model(config: RunConfig, timings: dict[str, float]) -> Report:
     """The files' soundness sweeps, then the axiom-instance and ZFC-1 items once."""
+    if config.max_size not in SWEEP_SIZES:
+        sizes = f"{SWEEP_SIZES[0]}..{SWEEP_SIZES[-1]}"
+        raise UsageError(f"--max-size must lie in {sizes}, found {config.max_size}")
     started = time.perf_counter()
     sources = _read_inputs(config) if config.inputs else _default_prelude()
     timings["surface"] = time.perf_counter() - started
@@ -266,33 +271,18 @@ def _sweep_items(result: ElabResult, max_size: int) -> list[Item]:
 
 
 def _run_limits(config: RunConfig, timings: dict[str, float]) -> Report:
-    items: list[Item] = []
-    started = time.perf_counter()
-    if config.demo:
-        try:
-            report = demonstrate_gap(
-                preperiod_bound=config.preperiod_bound,
-                period_bound=config.period_bound,
-                horizon=config.horizon,
-            )
-        except BoundError as exc:
-            raise UsageError(str(exc))
-        for name, ok, detail in report.sub_results():
-            items.append(Item(name, "pass" if ok else "fail", detail))
-        items.append(
-            Item("conclusion", "pass" if report.passed else "fail", report.conclusion)
-        )
-    elif not config.inputs:
+    if not config.demo and not config.inputs:
         raise UsageError("limits needs --demo or at least one stream spec")
-    for spec in config.inputs:
-        try:
-            stream = parse_stream_spec(spec)
-            verdict = ep_decide(
-                stream, config.preperiod_bound, config.period_bound, config.horizon
-            )
-        except (StreamSpecError, BoundError) as exc:
-            raise UsageError(str(exc))
-        items.append(Item(f"ep-membership {spec}", "pass", verdict.describe()))
+    started = time.perf_counter()
+    p, q, h = config.preperiod_bound, config.period_bound, config.horizon
+    items: list[Item] = []
+    try:
+        if config.demo:
+            items = gap_items(demonstrate_gap(preperiod_bound=p, period_bound=q, horizon=h))
+        for spec in config.inputs:
+            items.append(membership_item(spec, ep_decide(parse_stream_spec(spec), p, q, h)))
+    except (StreamSpecError, BoundError) as exc:
+        raise UsageError(str(exc))
     timings["streams"] = time.perf_counter() - started
     return Report(__version__, "limits", tuple(items))
 

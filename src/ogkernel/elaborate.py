@@ -29,6 +29,7 @@ from .kernel import (
 from .semantics import (
     FAILS,
     HOLDS,
+    SWEEP_SIZES,
     Carrier,
     Model,
     models_for_judgment,
@@ -611,8 +612,9 @@ def _run_model_check(session: _Session, decl: ModelCheckDecl) -> None:
     goal = _translate(session, decl.judgment)
     if isinstance(goal, _EqGoal):
         raise _ElabError("E0102", "model check takes a judgment, not an equality query")
-    if decl.bound < 1 or decl.bound > 4:
-        raise _ElabError("E0102", "model check bounds range over 1..4")
+    if decl.bound not in SWEEP_SIZES:
+        sizes = f"{SWEEP_SIZES[0]}..{SWEEP_SIZES[-1]}"
+        raise _ElabError("E0102", f"model check bounds range over {sizes}")
     models = models_for_judgment(goal, decl.bound)
     fails = 0
     checked = 0
@@ -668,19 +670,23 @@ def _run_include(session: _Session, decl: IncludeDecl, base_dir: Path | None) ->
         session.including.pop()
 
 
+def gap_items(report: streams.GapReport) -> list[Item]:
+    """The report items of a gap demonstration: its sub-results, then its
+    conclusion."""
+    results = [*report.sub_results(), ("conclusion", report.passed, report.conclusion)]
+    return [Item(name, "pass" if ok else "fail", detail) for name, ok, detail in results]
+
+
+def membership_item(spec: str, verdict: streams.EpVerdict) -> Item:
+    """The report item of an eventual-periodicity query on `spec`."""
+    return Item(f"ep-membership {spec}", "pass", verdict.describe())
+
+
 def _run_limit(session: _Session, decl: LimitDecl) -> None:
     if decl.command == "demo":
-        report = streams.demonstrate_gap()
-        for name, ok, detail in report.sub_results():
-            session.items.append(Item(name, "pass" if ok else "fail", detail))
-        session.items.append(
-            Item("conclusion", "pass" if report.passed else "fail", report.conclusion)
-        )
+        session.items += gap_items(streams.demonstrate_gap())
         return
     assert decl.command == "member"
     stream = streams.parse_stream_spec(decl.spec or "")
     p, q, h = decl.bounds  # type: ignore[misc]
-    verdict = streams.ep_decide(stream, p, q, h)
-    session.items.append(
-        Item(f"ep-membership {decl.spec}", "pass", verdict.describe())
-    )
+    session.items.append(membership_item(decl.spec, streams.ep_decide(stream, p, q, h)))

@@ -382,14 +382,12 @@ def _check_mor(
                 f"{render(declared_cod)}, not {render(dom)} -> {render(cod)}"
             )
         # Totality is a catalog guarantee once the spec resolves; a union
-        # is a binary function only for a coherent family.
+        # resolves to a stream only for a coherent family.
         if _is_union(fn):
-            violation = streams.family_violation(fn.args[0])
-            if violation is not None:
-                raise CatalogError(
-                    "union_of_family needs a coherent family: "
-                    f"{streams.CoherenceError(*violation)}"
-                )
+            try:
+                streams.family_limit(fn.args[0])
+            except streams.CoherenceError as exc:
+                raise CatalogError(f"union_of_family needs a coherent family: {exc}") from None
         elif fn.rule == "indicator_stream":
             streams.parse_stream_spec(fn.args[0])
         required = tuple(SupportsQuant(b) for b in builtin_premises(fn))
@@ -455,9 +453,7 @@ def _check_rule(rule: RuleId, payload: tuple, premises: tuple[Judgment, ...]) ->
 
 
 def _coherent_family_judgment(family: FamilySpec) -> Judgment:
-    violation = streams.family_violation(family.descriptor)
-    if violation is not None:
-        raise streams.CoherenceError(*violation)
+    streams.family_limit(family.descriptor)  # raises CoherenceError unless coherent
     return IsCoherentFamily(family)
 
 

@@ -75,6 +75,7 @@ __all__ = [
     "verify_axiom_instances",
     "AxiomCheck",
     "soundness_sweep",
+    "SWEEP_SIZES",
     "SweepItem",
     "SweepReport",
     "models_for_judgment",
@@ -101,6 +102,9 @@ YES, NO = 0, 1  # the objects of Two
 # the descriptor names; a scan beyond the cap is not finitely checkable.
 COHERENCE_SCAN_MIN = 32
 COHERENCE_SCAN_CAP = 1024
+
+# The carrier sizes a soundness sweep or a `model check` may go up to.
+SWEEP_SIZES = range(1, 5)
 
 
 class InterpretationError(ValueError):
@@ -319,7 +323,7 @@ def fn_values(fn: FnExpr, model: Model) -> list[int]:
         values[0] = YES  # the empty table
         return values
     if fn.rule == "union_of_family":
-        stream = streams.union_limit(streams.resolve_family(fn.args[0]))
+        stream = streams.family_limit(fn.args[0])
     else:  # indicator_stream, restrict: a catalog stream on Nat
         stream = streams.parse_stream_spec(fn.args[0])
     defined = min(n, fn.args[1] + 1) if fn.rule == "restrict" else n
@@ -632,8 +636,8 @@ def soundness_sweep(theorems: Sequence, max_size: int = 3) -> SweepReport:
     Each (theorem, model) pair is an independent read-only check; results
     are reported in canonical order.  `theorems` only needs `.judgment`.
     """
-    if max_size > 4:
-        raise ValueError("soundness sweeps are bounded at carrier size 4")
+    if max_size not in SWEEP_SIZES:
+        raise ValueError(f"soundness sweep sizes range over {SWEEP_SIZES[0]}..{SWEEP_SIZES[-1]}")
     items = tuple(
         _sweep_item(thm.judgment, model)
         for thm in theorems

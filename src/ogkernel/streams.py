@@ -1,10 +1,13 @@
-"""Binary streams on the naturals: restrictions, coherence, unions, periodicity.
+"""Binary streams on the naturals: family stages, coherence, unions, periodicity.
 
 This is the desk-scale coherent-limit laboratory.  A "small model" of
 subcollections of the naturals is the class of eventually periodic bit
 streams; it is closed under finite-support embedding, xor, shift, and
 single-bit flips, yet the squares indicator — the union of its own finite
 restrictions, all of which lie in the class — does not belong to it.
+
+Stage n of a family is the prefix of a stream up to n, as n + 1 bytes, and
+the union of a coherent catalog family is itself a catalog stream.
 """
 
 from __future__ import annotations
@@ -24,22 +27,19 @@ __all__ = [
     "XorOf",
     "ShiftOf",
     "FlipAt",
-    "PartialBitMap",
     "StreamSpecError",
-    "ShapeError",
     "CoherenceError",
     "BoundError",
     "MAX_HORIZON",
     "MAX_PERIOD_BOUND",
+    "MAX_COMBINATORS",
     "parse_stream_spec",
     "stream_spec",
     "resolve_family",
     "family_violation",
-    "restrict",
+    "family_limit",
     "is_coherent",
     "CoherenceResult",
-    "union_limit",
-    "UnionStream",
     "ep_decide",
     "EpVerdict",
     "is_ep_witness",
@@ -53,10 +53,6 @@ __all__ = [
 
 class StreamSpecError(ValueError):
     """Malformed stream or family spec string."""
-
-
-class ShapeError(ValueError):
-    """A family member's domain is not the expected interval [0, n]."""
 
 
 class CoherenceError(ValueError):
@@ -77,6 +73,9 @@ class BoundError(ValueError):
 # milliseconds, and every larger request is refused rather than attempted.
 MAX_HORIZON = 65536
 MAX_PERIOD_BOUND = 1024
+# At most MAX_COMBINATORS xor/shift/flip nodes and shift offsets of at most
+# MAX_HORIZON keep a spec's prefixes to megabytes and its parse shallow.
+MAX_COMBINATORS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -84,19 +83,14 @@ MAX_PERIOD_BOUND = 1024
 
 
 class BitStream:
-    """A total, deterministic assignment of a bit to every natural number.
+    """A total, deterministic assignment of a bit to every natural number:
+    each stream has `value_at(n)`, the bit at n, and `prefix(n)`, the bits at
+    0..n as n + 1 bytes of 0 or 1.
 
     The catalog streams are also FrozenRecords: immutable, and equal when
     they are of one class with equal fields."""
 
     __slots__ = ()
-
-    def value_at(self, n: int) -> int:
-        raise NotImplementedError
-
-    def prefix(self, n: int) -> bytes:
-        """Values at 0..n inclusive, as n + 1 bytes of 0 or 1."""
-        return bytes(map(self.value_at, range(n + 1)))
 
 
 def _check_bits(bits: Sequence[int], what: str) -> None:
@@ -223,7 +217,18 @@ class FlipAt(FrozenRecord, BitStream):
 
 def parse_stream_spec(spec: str) -> BitStream:
     """Parse a catalog name: ``periodic:<pre>/<per>``, ``squares``, ``pow2``,
-    ``finite:<bits>``, ``xor(a,b)``, ``shift(a,k)``, ``flip(a,i)``."""
+    ``finite:<bits>``, ``xor(a,b)``, ``shift(a,k)``, ``flip(a,i)``, with at
+    most MAX_COMBINATORS combinators and shift offsets of at most
+    MAX_HORIZON."""
+    combinators = sum(spec.count(head + "(") for head in ("xor", "shift", "flip"))
+    if combinators > MAX_COMBINATORS:
+        raise StreamSpecError(
+            f"stream spec has {combinators} combinators, above the maximum {MAX_COMBINATORS}"
+        )
+    return _parse_spec(spec)
+
+
+def _parse_spec(spec: str) -> BitStream:
     s = spec.strip()
     if s == "squares":
         return SquaresIndicator()
@@ -244,9 +249,9 @@ def parse_stream_spec(spec: str) -> BitStream:
         except ValueError as exc:
             raise StreamSpecError(f"bad finite spec {spec!r}: {exc}") from exc
     for head, maker in (
-        ("xor", lambda args: XorOf(parse_stream_spec(args[0]), parse_stream_spec(args[1]))),
-        ("shift", lambda args: ShiftOf(parse_stream_spec(args[0]), _parse_int(args[1]))),
-        ("flip", lambda args: FlipAt(parse_stream_spec(args[0]), _parse_int(args[1]))),
+        ("xor", lambda args: XorOf(_parse_spec(args[0]), _parse_spec(args[1]))),
+        ("shift", lambda args: ShiftOf(_parse_spec(args[0]), _parse_offset(args[1]))),
+        ("flip", lambda args: FlipAt(_parse_spec(args[0]), _parse_int(args[1]))),
     ):
         if s.startswith(head + "(") and s.endswith(")"):
             args = _split_args(s[len(head) + 1 : -1], spec)
@@ -272,6 +277,13 @@ def _parse_int(text: str) -> int:
         return int(text.strip())
     except ValueError as exc:
         raise StreamSpecError(f"expected an integer, got {text!r}") from exc
+
+
+def _parse_offset(text: str) -> int:
+    offset = _parse_int(text)
+    if offset > MAX_HORIZON:
+        raise StreamSpecError(f"shift offset {offset} above the maximum {MAX_HORIZON}")
+    return offset
 
 
 def _split_args(body: str, spec: str) -> list[str]:
@@ -303,28 +315,7 @@ def stream_spec(s: BitStream) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Restrictions, coherence, unions
-
-
-class PartialBitMap(FrozenRecord):
-    """A bit assignment whose domain is exactly the interval [0, upper]."""
-
-    __slots__ = ("upper", "bits")
-
-    def __init__(self, upper: int, bits: tuple[int, ...]):
-        if upper < 0:
-            raise ValueError("upper must be nonnegative")
-        if len(bits) != upper + 1:
-            raise ValueError(
-                f"expected {upper + 1} bits for domain [0,{upper}], got {len(bits)}"
-            )
-        _check_bits(bits, "bits")
-        self._init(upper=upper, bits=bits)
-
-
-def restrict(s: BitStream, n: int) -> PartialBitMap:
-    """The restriction of `s` to the finite interval [0, n]."""
-    return PartialBitMap(n, tuple(s.prefix(n)))
+# Coherence of stages
 
 
 class CoherenceResult(NamedTuple):
@@ -335,63 +326,13 @@ class CoherenceResult(NamedTuple):
         return self.ok
 
 
-def is_coherent(family: Sequence[PartialBitMap]) -> CoherenceResult:
-    """Whether each stage restricts to the previous one.
-
-    `family[n]` must have domain [0, n]; raises ShapeError otherwise.
-    """
-    for n, member in enumerate(family):
-        if member.upper != n:
-            raise ShapeError(f"family[{n}] has upper {member.upper}, expected {n}")
-    for n in range(len(family) - 1):
-        if family[n + 1].bits[: n + 1] != family[n].bits:
+def is_coherent(stages: Sequence[bytes]) -> CoherenceResult:
+    """Whether each stage is a prefix of the next; `stages[n]` holds the
+    bits at 0..n."""
+    for n in range(len(stages) - 1):
+        if stages[n + 1][: n + 1] != stages[n]:
             return CoherenceResult(False, violation=n + 1)
     return CoherenceResult(True)
-
-
-FamilyRule = Callable[[int], PartialBitMap]
-
-
-class UnionStream(BitStream):
-    """The union (pointwise limit) of a coherent family of finite stages.
-
-    Stages are fetched geometrically as larger indices are demanded; each
-    newly fetched stage is checked against the verified prefix, and any
-    disagreement raises CoherenceError with the offending index.
-    """
-
-    __slots__ = ("_member_at", "_bits")
-
-    def __init__(self, member_at: FamilyRule):
-        self._member_at = member_at
-        self._bits = b""
-
-    def _ensure(self, n: int) -> None:
-        have = len(self._bits)
-        if n < have:
-            return
-        target = max(n, 2 * have)
-        stage = self._member_at(target)
-        if stage.upper != target:
-            raise ShapeError(f"family[{target}] has upper {stage.upper}")
-        new = bytes(stage.bits)
-        if new[:have] != self._bits:
-            index = next(i for i, (a, b) in enumerate(zip(new, self._bits)) if a != b)
-            raise CoherenceError(stage=target, index=index)
-        self._bits = new
-
-    def value_at(self, n: int) -> int:
-        self._ensure(n)
-        return self._bits[n]
-
-    def prefix(self, n: int) -> bytes:
-        self._ensure(n)
-        return self._bits[: n + 1]
-
-
-def union_limit(member_at: FamilyRule) -> UnionStream:
-    """The stream agreeing with `member_at(n)` on [0, n] for every n."""
-    return UnionStream(member_at)
 
 
 # ---------------------------------------------------------------------------
@@ -417,20 +358,21 @@ def _parse_family(descriptor: str) -> tuple[BitStream, tuple[int, int] | None]:
     raise StreamSpecError(f"unknown family descriptor: {descriptor!r}")
 
 
-def resolve_family(descriptor: str) -> FamilyRule:
-    """Resolve a family descriptor to its stage rule.
+def resolve_family(descriptor: str) -> Callable[[int], bytes]:
+    """Resolve a family descriptor to its stages: stage n is the prefix of
+    a stream up to n.
 
-    ``restrictions(<spec>)``: stage n is restrict(stream, n).
+    ``restrictions(<spec>)``: stage n is the stream's prefix.
     ``corrupt(<spec>,<stage>,<index>)``: like restrictions, but stages at or
     beyond <stage> have the bit at <index> flipped (an incoherent family when
     <index> < <stage>, used as a negative control).
     """
     stream, corruption = _parse_family(descriptor)
     if corruption is None:
-        return lambda n: restrict(stream, n)
+        return stream.prefix
     stage, index = corruption
     flipped = FlipAt(stream, index)
-    return lambda n: restrict(flipped if n >= stage else stream, n)
+    return lambda n: (flipped if n >= stage else stream).prefix(n)
 
 
 def family_violation(descriptor: str) -> tuple[int, int] | None:
@@ -447,6 +389,21 @@ def family_violation(descriptor: str) -> tuple[int, int] | None:
         return None
     stage, index = corruption
     return corruption if index < stage else None
+
+
+def family_limit(descriptor: str) -> BitStream:
+    """The union of a coherent family, the stream each stage is a prefix of;
+    raises CoherenceError for an incoherent family.
+
+    The union of ``restrictions(s)`` is s.  A coherent ``corrupt(s,k,i)``
+    has i >= k, so no stage before k reaches index i and the union is s with
+    bit i flipped.
+    """
+    violation = family_violation(descriptor)
+    if violation is not None:
+        raise CoherenceError(*violation)
+    stream, corruption = _parse_family(descriptor)
+    return stream if corruption is None else FlipAt(stream, corruption[1])
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +495,9 @@ def flip_witness(w: tuple[int, int], index: int) -> tuple[int, int]:
 # The gap demonstration
 
 _CLOSURE_SEED = 0x06E551  # fixed: reports must be reproducible byte-for-byte
+_RESTRICTION_STAGES = 256
+_CLOSURE_CASES = 100
+_UNION_HORIZON = 4096
 
 
 class GapReport(NamedTuple):
@@ -555,7 +515,6 @@ class GapReport(NamedTuple):
     closure_passes: int
     closure_total: int
     union_matches: bool
-    union_horizon: int
     base_verdict: EpVerdict
     conclusion: str
     passed: bool
@@ -578,7 +537,7 @@ class GapReport(NamedTuple):
                 "union-round-trip",
                 self.union_matches,
                 f"union of restrictions matches {self.base_spec} up to "
-                f"horizon {self.union_horizon}",
+                f"horizon {_UNION_HORIZON}",
             ),
             (
                 "limit-outside-model",
@@ -601,9 +560,6 @@ def _random_member(rng: random.Random) -> tuple[BitStream, tuple[int, int]]:
 def demonstrate_gap(
     base: BitStream | None = None,
     *,
-    restriction_stages: int = 256,
-    closure_cases: int = 100,
-    union_horizon: int = 4096,
     preperiod_bound: int = 64,
     period_bound: int = 64,
     horizon: int = 4096,
@@ -620,16 +576,15 @@ def demonstrate_gap(
     spec = stream_spec(base)
 
     # (a) restrictions, extended by zeros, are eventually periodic members.
-    restriction_passes = 0
-    for n in range(restriction_stages + 1):
-        extended = FiniteSupport(restrict(base, n).bits)
-        if ep_decide(extended, n + 1, 1, n + 3).member:
-            restriction_passes += 1
+    restriction_passes = sum(
+        ep_decide(FiniteSupport(tuple(base.prefix(n))), n + 1, 1, n + 3).member
+        for n in range(_RESTRICTION_STAGES + 1)
+    )
 
     # (b) closure of the class under xor / shift / flip, witnesses recomputed.
     rng = random.Random(_CLOSURE_SEED)
     closure_passes = 0
-    for case in range(closure_cases):
+    for case in range(_CLOSURE_CASES):
         op = case % 3
         s1, w1 = _random_member(rng)
         if op == 0:
@@ -647,15 +602,15 @@ def demonstrate_gap(
             closure_passes += 1
 
     # (c) union of the restriction family round-trips to the base stream.
-    union = union_limit(lambda n: restrict(base, n))
-    union_matches = union.prefix(union_horizon) == base.prefix(union_horizon)
+    union = family_limit(f"restrictions({spec})")
+    union_matches = union.prefix(_UNION_HORIZON) == base.prefix(_UNION_HORIZON)
 
     # (d) the base stream itself is outside the class, up to bounds.
     base_verdict = ep_decide(base, preperiod_bound, period_bound, horizon)
 
     passed = (
-        restriction_passes == restriction_stages + 1
-        and closure_passes == closure_cases
+        restriction_passes == _RESTRICTION_STAGES + 1
+        and closure_passes == _CLOSURE_CASES
         and union_matches
         and not base_verdict.member
     )
@@ -674,11 +629,10 @@ def demonstrate_gap(
     return GapReport(
         base_spec=spec,
         restriction_passes=restriction_passes,
-        restriction_total=restriction_stages + 1,
+        restriction_total=_RESTRICTION_STAGES + 1,
         closure_passes=closure_passes,
-        closure_total=closure_cases,
+        closure_total=_CLOSURE_CASES,
         union_matches=union_matches,
-        union_horizon=union_horizon,
         base_verdict=base_verdict,
         conclusion=conclusion,
         passed=passed,

@@ -255,7 +255,7 @@ def fn_signature(fn: FnExpr) -> tuple[GenExpr, GenExpr]:
 
 
 # ---------------------------------------------------------------------------
-# Families (index n |-> partial bit map on [0, n]) for the coherent-limit lab
+# Families (stage n: a stream's bits at 0..n) for the coherent-limit lab
 
 
 @dataclass(frozen=True)

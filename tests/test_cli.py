@@ -143,6 +143,23 @@ def test_check_refusals_exit_1(tmp_path, capsys):
             EXIT_CHECK_FAILED,
             "E0102 at 1:1 | expected a function argument, got limit(F)",
         ),
+        *(
+            (["model", "--max-size", size], None, EXIT_USAGE, f"must lie in 1..4, found {size}")
+            for size in ("0", "-1", "5")
+        ),
+        (
+            ["limits", "shift(pow2,100000000000)", "--horizon", "3"]
+            + ["--preperiod-bound", "1", "--period-bound", "1"],
+            None,
+            EXIT_USAGE,
+            "error: shift offset 100000000000 above the maximum 65536",
+        ),
+        (
+            ["check"],
+            'limit member "shift(squares,100000000000)" upto 1 1 3;\n',
+            EXIT_CHECK_FAILED,
+            "E0102 at 1:1 | shift offset 100000000000 above the maximum 65536",
+        ),
     ],
 )
 def test_refusals_end_quickly_with_their_exit_code(argv, source, code, message, tmp_path, capsys):
@@ -156,6 +173,17 @@ def test_refusals_end_quickly_with_their_exit_code(argv, source, code, message, 
     captured = capsys.readouterr()
     assert message in captured.out + captured.err
     assert "internal error" not in captured.err
+
+
+def test_deeply_nested_stream_spec_is_refused(tmp_path, capsys):
+    nested = "shift(" * 500 + "squares" + ",1)" * 500
+    path = tmp_path / "nested.og"
+    path.write_text(f'limit member "{nested}" upto 1 1 3;\n')
+    message = "stream spec has 500 combinators, above the maximum 32"
+    assert main(["limits", nested]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["check", str(path)]) == EXIT_CHECK_FAILED
+    assert f"E0102 at 1:1 | {message}" in capsys.readouterr().out
 
 
 # An argument of each catalogued kind, and one of another kind.

@@ -22,7 +22,6 @@ from ogkernel.semantics import FAILS, HOLDS, Carrier, Model, Verdict
 from ogkernel.streams import (
     FiniteSupport,
     FlipAt,
-    PartialBitMap,
     Periodic,
     ShiftOf,
     SquaresIndicator,
@@ -191,19 +190,6 @@ def test_run_config_defaults_print_in_help(capsys):
 # -- validation
 
 
-@pytest.mark.parametrize(
-    "upper, bits, message",
-    [
-        (-1, (), "upper must be nonnegative"),
-        (2, (1, 0), "expected 3 bits for domain"),
-        (1, (0, 2), "must consist of 0/1 bits"),
-    ],
-)
-def test_partial_bit_map_rejects_bad_input(upper, bits, message):
-    with pytest.raises(ValueError, match=message):
-        PartialBitMap(upper, bits)
-
-
 def test_verdict_rejects_a_failure_without_witness():
     with pytest.raises(ValueError, match="witness"):
         Verdict(FAILS, "no witness")
@@ -241,7 +227,6 @@ def test_hashed_records_are_immutable_values():
         (model, "nat_bound"),
         (stream, "left"),
         (SquaresIndicator(), "offset"),
-        (PartialBitMap(0, (1,)), "bits"),
         (Verdict(HOLDS), "status"),
         (TraceNode("axiom", "H3", IsSet(NAT)), "judgment"),
     ):

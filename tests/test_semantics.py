@@ -24,6 +24,7 @@ from ogkernel.semantics import (
     verify_judgment,
 )
 from ogkernel.semantics import _member_counts
+from ogkernel.streams import CoherenceError
 from ogkernel.terms import (
     NAT,
     TWO,
@@ -89,6 +90,17 @@ def test_stream_formers_flag_their_members():
     assert stage == {"0": "yes", "1": "yes", "2": "no"}  # no value past index 2
     union = interpret_fn(BuiltinRule("union_of_family", ("restrictions(pow2)",)), model)
     assert union == {"0": "no", "1": "yes", "2": "yes", "3": "no", "4": "yes", "5": "no"}
+
+
+def test_union_of_an_incoherent_family_has_no_values():
+    # refused at every Nat bound, also where no numeral reaches the bad stage
+    union = BuiltinRule("union_of_family", ("corrupt(squares,3,1)",))
+    for bound in (1, 5):
+        model = default_model(nat_bound=bound)
+        with pytest.raises(CoherenceError, match="family stage 3 disagrees at index 1"):
+            semantics.fn_values(union, model)
+        with pytest.raises(CoherenceError, match="family stage 3 disagrees at index 1"):
+            interpret_fn(union, model)
 
 
 def test_member_counts_by_doubling_equal_popcounts():

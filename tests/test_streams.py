@@ -1,4 +1,4 @@
-"""Coherent-limit laboratory: restrictions, unions, periodicity search."""
+"""Coherent-limit laboratory: family stages, unions, periodicity search."""
 
 from __future__ import annotations
 
@@ -10,42 +10,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ogkernel.streams import (
+    MAX_COMBINATORS,
     MAX_HORIZON,
     MAX_PERIOD_BOUND,
     BoundError,
     CoherenceError,
     FiniteSupport,
     FlipAt,
-    PartialBitMap,
     Periodic,
     PowersOfTwoIndicator,
-    ShapeError,
     ShiftOf,
     SquaresIndicator,
     StreamSpecError,
     XorOf,
     demonstrate_gap,
     ep_decide,
+    family_limit,
     family_violation,
     flip_witness,
     is_coherent,
     is_ep_witness,
     parse_stream_spec,
     resolve_family,
-    restrict,
     shift_witness,
     stream_spec,
-    union_limit,
     xor_witness,
 )
 
 
-def test_restrict_examples():
-    assert restrict(SquaresIndicator(), 5).bits == (1, 1, 0, 0, 1, 0)
-    assert restrict(Periodic((), (1, 0)), 3).bits == (1, 0, 1, 0)
-    assert restrict(PowersOfTwoIndicator(), 0).bits == (1 if False else 0,)
-    for stream in (SquaresIndicator(), FiniteSupport((1, 1)), Periodic((0,), (1,))):
-        assert restrict(stream, 0).bits == (stream.value_at(0),)
+def test_restriction_stages_are_prefixes():
+    assert resolve_family("restrictions(squares)")(5) == bytes((1, 1, 0, 0, 1, 0))
+    assert resolve_family("restrictions(periodic:/10)")(3) == bytes((1, 0, 1, 0))
+    assert resolve_family("restrictions(pow2)")(0) == bytes((0,))
+    for spec in ("squares", "finite:11", "periodic:0/1"):
+        stream = parse_stream_spec(spec)
+        assert resolve_family(f"restrictions({spec})")(0) == bytes((stream.value_at(0),))
 
 
 def test_prefix_matches_value_at():
@@ -63,28 +62,16 @@ def test_prefix_matches_value_at():
         assert list(prefix) == [s.value_at(i) for i in range(201)]
 
 
-def test_partial_bit_map_shape():
-    with pytest.raises(ValueError):
-        PartialBitMap(2, (1, 0))  # needs 3 bits
-    with pytest.raises(ValueError):
-        PartialBitMap(0, (2,))
-
-
 def test_is_coherent_examples():
-    fam = [restrict(SquaresIndicator(), n) for n in range(17)]
+    fam = [SquaresIndicator().prefix(n) for n in range(17)]
     assert is_coherent(fam).ok
     # flip bit 3 of stage 7: violated at the 6 -> 7 transition
-    bits = list(fam[7].bits)
+    bits = bytearray(fam[7])
     bits[3] ^= 1
-    fam[7] = PartialBitMap(7, tuple(bits))
+    fam[7] = bytes(bits)
     result = is_coherent(fam)
     assert not result.ok and result.violation == 7
-    assert is_coherent([restrict(SquaresIndicator(), 0)]).ok  # singleton, vacuous
-
-
-def test_is_coherent_shape_error():
-    with pytest.raises(ShapeError):
-        is_coherent([PartialBitMap(1, (0, 0))])
+    assert is_coherent([SquaresIndicator().prefix(0)]).ok  # singleton, vacuous
 
 
 def test_monotone_coherence():
@@ -95,25 +82,49 @@ def test_monotone_coherence():
             tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 3))),
             tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 4))),
         )
-        fam = [restrict(stream, n) for n in range(24)]
+        fam = [stream.prefix(n) for n in range(24)]
         assert is_coherent(fam).ok
         for cut in range(1, 24):
             assert is_coherent(fam[:cut]).ok
 
 
-def test_union_limit_round_trip():
-    for stream in (PowersOfTwoIndicator(), FiniteSupport(()), SquaresIndicator()):
-        union = union_limit(lambda n, s=stream: restrict(s, n))
-        assert union.prefix(4096) == stream.prefix(4096)
+def test_family_limit_round_trip():
+    for spec in ("pow2", "finite:", "squares"):
+        stream = parse_stream_spec(spec)
+        assert family_limit(f"restrictions({spec})") == stream
+        assert family_limit(f"restrictions({spec})").prefix(4096) == stream.prefix(4096)
+    assert family_limit("corrupt(squares,3,7)") == FlipAt(SquaresIndicator(), 7)
 
 
-def test_union_limit_coherence_error():
-    member = resolve_family("corrupt(squares,3,1)")
-    union = union_limit(member)
-    with pytest.raises(CoherenceError) as exc:
-        for i in range(10):  # ascending access crosses the corrupted stage
-            union.value_at(i)
-    assert exc.value.index == 1
+def test_family_limit_coherence_error():
+    for descriptor in ("corrupt(squares,3,1)", "corrupt(pow2,1,0)"):
+        with pytest.raises(CoherenceError) as exc:
+            family_limit(descriptor)
+        assert (exc.value.stage, exc.value.index) == family_violation(descriptor)
+
+
+# One spec of each of the seven catalog stream kinds.
+_CATALOG_KINDS = (
+    "periodic:10/011",
+    "squares",
+    "pow2",
+    "finite:1101",
+    "xor(squares,periodic:/10)",
+    "shift(pow2,3)",
+    "flip(squares,6)",
+)
+
+
+def test_family_limit_is_the_diagonal_union():
+    # stage m holds the bits at 0..m, so the union's bit m is stage m's last
+    for spec in _CATALOG_KINDS:
+        descriptors = [f"restrictions({spec})"] + [
+            f"corrupt({spec},{k},{i})" for k in range(8) for i in range(10) if i >= k
+        ]
+        for descriptor in descriptors:
+            stage = resolve_family(descriptor)
+            diagonal = bytes(stage(m)[m] for m in range(60))
+            assert family_limit(descriptor).prefix(59) == diagonal, descriptor
 
 
 def test_ep_decide_examples():
@@ -210,8 +221,8 @@ def test_prefix_bytes_and_ep_decide_property(spec, n, pb, qb, extra):
     stream = parse_stream_spec(spec)
     expected = bytes(stream.value_at(i) for i in range(n + 1))
     assert stream.prefix(n) == expected
-    assert restrict(stream, n).bits == tuple(expected)
-    assert union_limit(lambda k: restrict(stream, k)).prefix(n) == expected
+    assert resolve_family(f"restrictions({spec})")(n) == expected
+    assert family_limit(f"restrictions({spec})").prefix(n) == expected
     horizon = pb + 2 * qb + extra
     assert ep_decide(stream, pb, qb, horizon).witness == _naive_ep(stream, pb, qb, horizon)
 
@@ -281,17 +292,38 @@ def test_stream_spec_errors():
             parse_stream_spec(bad)
 
 
+def test_stream_spec_refuses_a_shift_past_the_horizon():
+    assert parse_stream_spec(f"shift(squares,{MAX_HORIZON})").prefix(3) == bytes((1, 0, 0, 0))
+    for spec in (f"shift(squares,{MAX_HORIZON + 1})", "xor(pow2,shift(squares,100000000000))"):
+        with pytest.raises(StreamSpecError, match="shift offset .* above the maximum 65536"):
+            parse_stream_spec(spec)
+        with pytest.raises(StreamSpecError):
+            resolve_family(f"restrictions({spec})")
+
+
+def test_stream_spec_refuses_too_many_combinators():
+    def nested(depth):
+        return "shift(" * depth + "squares" + ",1)" * depth
+
+    assert parse_stream_spec(nested(MAX_COMBINATORS)).prefix(0) == bytes((0,))
+    for spec in (nested(MAX_COMBINATORS + 1), nested(500), "xor(squares," * 33 + "pow2" + ")" * 33):
+        with pytest.raises(StreamSpecError, match="combinators, above the maximum 32"):
+            parse_stream_spec(spec)
+
+
 def test_resolve_family_descriptors():
     member = resolve_family("restrictions(squares)")
-    assert member(5).bits == (1, 1, 0, 0, 1, 0)
+    assert member(5) == bytes((1, 1, 0, 0, 1, 0))
     corrupt = resolve_family("corrupt(squares,3,1)")
-    assert corrupt(2).bits == restrict(SquaresIndicator(), 2).bits
-    assert corrupt(4).bits[1] != restrict(SquaresIndicator(), 4).bits[1]
+    assert corrupt(2) == SquaresIndicator().prefix(2)
+    assert corrupt(4)[1] != SquaresIndicator().prefix(4)[1]
     for bad in ("nonsense(squares)", "corrupt(squares,3,-1)", "corrupt(squares,-3,1)"):
         with pytest.raises(StreamSpecError):
             resolve_family(bad)
         with pytest.raises(StreamSpecError):
             family_violation(bad)
+        with pytest.raises(StreamSpecError):
+            family_limit(bad)
 
 
 def test_family_violation_matches_stage_scan():
@@ -308,7 +340,7 @@ def test_family_violation_matches_stage_scan():
                 if scan.ok:
                     assert violation is None, descriptor
                     continue
-                bad, before = member(scan.violation).bits, member(scan.violation - 1).bits
+                bad, before = member(scan.violation), member(scan.violation - 1)
                 first = next(i for i, (a, b) in enumerate(zip(bad, before)) if a != b)
                 assert violation == (scan.violation, first), descriptor
 
