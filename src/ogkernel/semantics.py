@@ -541,7 +541,7 @@ def _detector_law(
         )
     flags = fn_values(BuiltinRule("empty_detector_of", (expr,)), model)
     expected = _empty_flags(base_size)
-    if flags != expected:
+    if bytes(flags) != expected:
         k = next(k for k, (f, e) in enumerate(zip(flags, expected)) if f != e)
         want = TWO_CARRIER.tag(expected[k])
         return _witness(carrier=power.name, table=power.tag(k), expected=want)
@@ -549,10 +549,10 @@ def _detector_law(
 
 
 @lru_cache(maxsize=32)
-def _empty_flags(base_size: int) -> list[int]:
+def _empty_flags(base_size: int) -> bytes:
     """The detector's values on the masks 0 .. 2^base_size - 1: yes where a
-    mask counts no members, no elsewhere.  Cached, so never to be mutated."""
-    return list(_member_counts(base_size).translate(bytes([YES] + [NO] * 255)))
+    mask counts no members, no elsewhere."""
+    return _member_counts(base_size).translate(bytes([YES] + [NO] * 255))
 
 
 def _member_counts(base_size: int) -> bytes:
@@ -638,20 +638,18 @@ def soundness_sweep(theorems: Sequence, max_size: int = 3) -> SweepReport:
     """
     if max_size not in SWEEP_SIZES:
         raise ValueError(f"soundness sweep sizes range over {SWEEP_SIZES[0]}..{SWEEP_SIZES[-1]}")
-    items = tuple(
-        _sweep_item(thm.judgment, model)
-        for thm in theorems
-        for model in models_for_judgment(thm.judgment, max_size)
-    )
+    items = []
+    for thm in theorems:
+        rendered = render(thm.judgment)  # once per theorem, not once per model
+        for model in models_for_judgment(thm.judgment, max_size):
+            v = verify_judgment(thm.judgment, model)
+            items.append(
+                SweepItem(rendered, model.describe(), v.status, v.detail, v.witness, v.truncated)
+            )
     counts = Counter(item.status for item in items)
     return SweepReport(
-        items, len(items), counts[HOLDS], counts[FAILS], counts[NOT_FINITELY_CHECKABLE]
+        tuple(items), len(items), counts[HOLDS], counts[FAILS], counts[NOT_FINITELY_CHECKABLE]
     )
-
-
-def _sweep_item(j: Judgment, model: Model) -> SweepItem:
-    v = verify_judgment(j, model)
-    return SweepItem(render(j), model.describe(), v.status, v.detail, v.witness, v.truncated)
 
 
 # ---------------------------------------------------------------------------

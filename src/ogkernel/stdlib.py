@@ -10,7 +10,7 @@ operations; nothing is trusted.
 
 from __future__ import annotations
 
-from importlib import resources
+from pathlib import Path
 
 from .kernel import AxiomId, Kernel, PremiseError, Theorem
 from .semantics import Model, carrier_size, mentions_nat
@@ -54,4 +54,4 @@ def choice_instance(
 
 def prelude_source() -> str:
     """The text of the shipped `.og` prelude."""
-    return resources.files(__package__).joinpath("prelude.og").read_text("utf-8")
+    return Path(__file__).with_name("prelude.og").read_text("utf-8")
