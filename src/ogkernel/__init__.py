@@ -71,6 +71,6 @@ from .kernel import (
     verify_trace,
 )
 from .stdlib import choice_instance, prelude_source
-from .elaborate import elaborate, elaborate_file, elaborate_source
+from .elaborate import elaborate_file, elaborate_source
 
 __version__ = "0.1.0"

@@ -127,15 +127,19 @@ class UsageError(Exception):
 
 
 def _read_inputs(config: RunConfig) -> list[tuple[Path, list]]:
-    """Parse all input files; raises UsageError on missing files or syntax
-    errors (diagnostics are printed to stderr first)."""
+    """Parse all input files; raises UsageError on missing or unreadable
+    files or syntax errors (diagnostics are printed to stderr first)."""
     sources: list[tuple[Path, list]] = []
     had_errors = False
     for name in config.inputs:
         path = Path(name)
-        if not path.exists():
-            raise UsageError(f"file not found: {name}")
-        decls, diagnostics = parse_source(path.read_text("utf-8"))
+        try:
+            source = path.read_text("utf-8")
+        except FileNotFoundError:
+            raise UsageError(f"file not found: {name}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read {name}: {exc}") from None
+        decls, diagnostics = parse_source(source)
         for diag in diagnostics:
             print(diag.format(str(path)), file=sys.stderr)
         if diagnostics:
@@ -192,12 +196,11 @@ def _replay_items(result: ElabResult) -> list[Item]:
     items: list[Item] = []
     for thm in result.theorems:
         trace = verify_trace(thm)
+        detail = f"{trace.node_count} nodes replayed"
+        if not trace.passed:
+            detail += f"; {trace.failure}"
         items.append(
-            Item(
-                f"trace {render(thm.judgment)}",
-                "pass" if trace.passed else "fail",
-                f"{trace.node_count} nodes replayed",
-            )
+            Item(f"trace {render(thm.judgment)}", "pass" if trace.passed else "fail", detail)
         )
     return items
 

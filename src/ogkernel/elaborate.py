@@ -53,7 +53,6 @@ from .surface import (
     render_arg,
 )
 from .terms import (
-    NAT,
     TWO,
     BuiltinRule,
     FamilySpec,
@@ -75,13 +74,14 @@ from .terms import (
     SupportsQuant,
     Table,
     free_names,
+    limit_descriptor,
+    limit_lit,
     render,
 )
 
 __all__ = [
     "Item",
     "ElabResult",
-    "elaborate",
     "elaborate_source",
     "elaborate_file",
     "elaborate_files",
@@ -135,8 +135,8 @@ _RULE_ALIASES = {
 
 
 class _Session:
-    def __init__(self, kernel: Kernel | None = None):
-        self.kernel = kernel or Kernel()
+    def __init__(self) -> None:
+        self.kernel = Kernel()
         self.theorems: list[Theorem] = []
         self.items: list[Item] = []
         self.diagnostics: list[Diagnostic] = []
@@ -275,7 +275,7 @@ def _translate(session: _Session, j: SurfaceJudgment):
             family = session.families.get(first.name)
             if family is None:
                 raise _ElabError("E0004", f"unknown coherent family {first.name!r}")
-            lit = ObjLit(f"limit({family.descriptor})", Powerset(NAT))
+            lit = limit_lit(family.descriptor)
         elif isinstance(first, ObjLit):
             lit = session.resolve_objlit(first)
         else:
@@ -427,11 +427,11 @@ def _apply_rule(
     if name == "cla":
         fam = _pick(premises, lambda j: isinstance(j, IsCoherentFamily))
         if fam is None:
-            if not isinstance(goal, IsObj) or not goal.obj.tag.startswith("limit("):
+            descriptor = limit_descriptor(goal.obj.tag) if isinstance(goal, IsObj) else None
+            if descriptor is None:
                 raise _ElabError(
                     "E0102", "the coherent-limit rule proves Obj(limit(...), P[Nat])"
                 )
-            descriptor = goal.obj.tag[len("limit(") : -1]
             fam = session.require(
                 lambda j: isinstance(j, IsCoherentFamily)
                 and j.family.descriptor == descriptor,
@@ -466,19 +466,13 @@ def _mor_intro(
 # Declaration execution
 
 
-def elaborate(
-    decls: list[Decl], *, base_dir: Path | None = None, kernel: Kernel | None = None
-) -> ElabResult:
-    session = _Session(kernel)
-    _run_decls(session, decls, base_dir)
-    return session.result()
-
-
 def elaborate_source(source: str, *, base_dir: Path | None = None) -> ElabResult:
     decls, diagnostics = parse_source(source)
     if diagnostics:
         return ElabResult((), (), tuple(diagnostics))
-    return elaborate(decls, base_dir=base_dir)
+    session = _Session()
+    _run_decls(session, decls, base_dir)
+    return session.result()
 
 
 def elaborate_file(path: Path) -> ElabResult:
@@ -657,7 +651,7 @@ def _run_include(session: _Session, decl: IncludeDecl, base_dir: Path | None) ->
         raise _ElabError("E0005", f"circular include of {decl.path!r}")
     try:
         source = path.read_text("utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _ElabError("E0005", f"cannot include {decl.path!r}: {exc}")
     decls, diagnostics = parse_source(source)
     if diagnostics:

@@ -3,8 +3,9 @@
 Five axioms (H1 the two-element set, H2 choice-as-sections, H3 the naturals
 support quantification, H4 powerset closure exposed as a unary rule, and the
 coherent-limit axiom exposed through `coherent_limit`) plus a small fixed set
-of inference rules.  Every theorem carries a replayable trace; `verify_trace`
-re-derives the judgment from the trace and reports per-node pass/fail.
+of inference rules.  `_judge` is the one place that says what a trace node
+concludes: every theorem is built through it, and `verify_trace` replays each
+node of a theorem's trace through it and reports the first node that fails.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .terms import (
     Table,
     Two,
     fn_signature,
+    limit_lit,
     render,
 )
 
@@ -72,7 +74,6 @@ __all__ = [
     "CounterexampleError",
     "verify_trace",
     "TraceReport",
-    "TraceEntry",
     "axioms_used",
     "trace_nodes",
     "leaf_kinds",
@@ -192,20 +193,19 @@ _SEAL = object()
 
 
 class Theorem:
-    """A sealed witness of a kernel-derived judgment plus its rule trace."""
+    """A sealed witness of a kernel-derived judgment: its trace's root node."""
 
-    __slots__ = ("_judgment", "_node", "_parts")
+    __slots__ = ("_node", "_parts")
 
-    def __init__(self, judgment, node, parts=(), *, _token=None):
+    def __init__(self, node, parts=(), *, _token=None):
         if _token is not _SEAL:
             raise TypeError("Theorem values are created only by kernel operations")
-        self._judgment = judgment
         self._node = node
         self._parts = tuple(parts)
 
     @property
     def judgment(self) -> Judgment:
-        return self._judgment
+        return self._node.judgment
 
     @property
     def node(self) -> TraceNode:
@@ -218,16 +218,15 @@ class Theorem:
         return self._parts
 
     def __repr__(self) -> str:
-        return f"|- {render(self._judgment)}"
+        return f"|- {render(self.judgment)}"
 
 
-def _theorem(judgment, node, parts=()) -> Theorem:
-    return Theorem(judgment, node, parts, _token=_SEAL)
-
-
-def _axiom_leaf(axiom: AxiomId, payload: tuple) -> Theorem:
-    judgment = _axiom_judgment(axiom, payload)
-    return _theorem(judgment, TraceNode("axiom", axiom.value, judgment, payload=payload))
+def _theorem(kind, label, payload=(), premises=(), parts=()) -> Theorem:
+    """Judge a node from its premises and seal it: the one place where a
+    trace node is made."""
+    judgment = _judge(kind, label, payload, tuple(p.judgment for p in premises))
+    node = TraceNode(kind, label, judgment, tuple(p.node for p in premises), payload)
+    return Theorem(node, parts, _token=_SEAL)
 
 
 class EqQuery(NamedTuple):
@@ -268,20 +267,26 @@ class EqQuery(NamedTuple):
 # Rule checkers (used both at construction time and during trace replay)
 
 
-def _axiom_judgment(axiom: AxiomId, payload: tuple) -> Judgment:
-    if axiom is AxiomId.H1_TWO_IS_SET:
-        (part,) = payload
-        if part == "domain":
+def _judge(kind: str, label: str, payload: tuple, premises: tuple[Judgment, ...]) -> Judgment:
+    """The judgment that a trace node concludes from its payload and its
+    premises' judgments; raises unless the node's rule admits them."""
+    match kind, label, payload:
+        case "rule", _, _:
+            return _check_rule(RuleId(label), payload, premises)
+        case "axiom", "H1", ("domain",):
             return IsDomain(TWO, BuiltinRule("eq_of", (TWO,)))
-        if part == "squant":
+        case "axiom", "H1", ("squant",):
             return SupportsQuant(TWO)
-        raise SchemaError(f"unknown H1 part {part!r}")
-    if axiom is AxiomId.H3_NAT_SUPPORTS_QUANT:
-        return SupportsQuant(NAT)
-    if axiom is AxiomId.H2_CHOICE:
-        surj, dom, cod, model = payload
-        return _choice_judgment(surj, dom, cod, model)
-    raise SchemaError(f"{axiom.value} has no leaf judgment")
+        case "axiom", "H3", ():
+            return SupportsQuant(NAT)
+        case "axiom", "H2", (surj, dom, cod, model):
+            return _choice_judgment(surj, dom, cod, model)
+        case "decl", "generator", (name,):
+            return IsGen(Named(Ident(name)))
+        case "decl", "coherent_family", (family,):
+            streams.family_limit(family.descriptor)  # raises CoherenceError unless coherent
+            return IsCoherentFamily(family)
+    raise SchemaError(f"no {kind} node {label!r} with this payload")
 
 
 def _choice_judgment(surj: FnExpr, dom: GenExpr, cod: GenExpr, model: Model) -> Judgment:
@@ -447,14 +452,8 @@ def _check_rule(rule: RuleId, payload: tuple, premises: tuple[Judgment, ...]) ->
             raise PremiseError(
                 f"coherent_limit needs a coherence premise, got {render(premise)}"
             )
-        limit = ObjLit(f"limit({premise.family.descriptor})", Powerset(NAT))
-        return IsObj(limit, Powerset(NAT))
+        return IsObj(limit_lit(premise.family.descriptor), Powerset(NAT))
     raise SchemaError(f"rule {rule.value} is not derivable this way")
-
-
-def _coherent_family_judgment(family: FamilySpec) -> Judgment:
-    streams.family_limit(family.descriptor)  # raises CoherenceError unless coherent
-    return IsCoherentFamily(family)
 
 
 def _check_gen_formation(expr: GenExpr, premises: tuple[Judgment, ...]) -> Judgment:
@@ -521,12 +520,8 @@ class Kernel:
     def _derive(self, rule: RuleId, premises: Sequence[Theorem], payload: tuple = ()) -> Theorem:
         """Apply `rule` to `premises`: the one path by which a rule's
         conclusion becomes a theorem.  A set keeps its premises as parts."""
-        premises = tuple(premises)
-        judgment = _check_rule(rule, payload, tuple(p.judgment for p in premises))
-        node = TraceNode(
-            "rule", rule.value, judgment, tuple(p.node for p in premises), payload
-        )
-        return _theorem(judgment, node, premises if rule is RuleId.SET_INTRO else ())
+        parts = premises if rule is RuleId.SET_INTRO else ()
+        return _theorem("rule", rule.value, payload, premises, parts)
 
     # -- axioms
 
@@ -535,18 +530,18 @@ class Kernel:
         if axiom is AxiomId.H1_TWO_IS_SET:
             if params:
                 raise SchemaError("H1 takes no parameters")
-            parts = (_axiom_leaf(axiom, ("domain",)), _axiom_leaf(axiom, ("squant",)))
+            parts = (_theorem("axiom", "H1", ("domain",)), _theorem("axiom", "H1", ("squant",)))
             return self._derive(RuleId.SET_INTRO, parts)
         if axiom is AxiomId.H3_NAT_SUPPORTS_QUANT:
             if params:
                 raise SchemaError("H3 takes no parameters")
-            return _axiom_leaf(axiom, ())
+            return _theorem("axiom", axiom.value)
         if axiom is AxiomId.H2_CHOICE:
             if len(params) != 3:
                 raise SchemaError("H2 takes a surjection description: (fn, dom, cod)")
             if model is None:
                 raise SchemaError("H2 needs a finite model to check surjectivity")
-            return _axiom_leaf(axiom, (*params, model))
+            return _theorem("axiom", axiom.value, (*params, model))
         if axiom is AxiomId.H4_POWERSET_QUANT:
             raise SchemaError(
                 "H4 is a closure rule: apply squant_from_powerset to a "
@@ -566,9 +561,7 @@ class Kernel:
         if isinstance(decl, Ident):
             if decl.text in self._declared:
                 raise NameClashError(f"generator {decl.text!r} is already declared")
-            judgment = IsGen(Named(Ident(decl.text)))
-            node = TraceNode("decl", "generator", judgment, payload=(decl.text,))
-            thm = _theorem(judgment, node)
+            thm = _theorem("decl", "generator", (decl.text,))
             self._declared[decl.text] = thm
             return thm
         if isinstance(decl, Named):
@@ -632,9 +625,7 @@ class Kernel:
     def coherent_family(self, family: FamilySpec) -> Theorem:
         """Certify a catalog family that the descriptor shows to be coherent;
         raises CoherenceError at the first disagreeing stage and index."""
-        judgment = _coherent_family_judgment(family)
-        node = TraceNode("decl", "coherent_family", judgment, payload=(family,))
-        return _theorem(judgment, node)
+        return _theorem("decl", "coherent_family", (family,))
 
     def coherent_limit(self, family: Theorem) -> Theorem:
         return self._derive(RuleId.COHERENT_LIMIT, (family,))
@@ -702,74 +693,29 @@ def leaf_kinds(thm: Theorem) -> set[str]:
     return kinds
 
 
-class TraceEntry(NamedTuple):
-    label: str
-    judgment: str
-    ok: bool
-    note: str = ""
-
-
 class TraceReport(NamedTuple):
-    entries: tuple[TraceEntry, ...]
-    passed: bool
+    node_count: int
+    failure: str | None = None  # names the first node that does not replay
 
     @property
-    def node_count(self) -> int:
-        return len(self.entries)
-
-
-def _replay_node(node: TraceNode, child_judgments: tuple[Judgment, ...]) -> Judgment:
-    if node.kind == "axiom":
-        return _axiom_judgment(AxiomId.from_name(node.label), node.payload)
-    if node.kind == "decl":
-        if node.label == "generator":
-            judgment = node.judgment
-            if not (isinstance(judgment, IsGen) and isinstance(judgment.expr, Named)):
-                raise SchemaError("generator declaration must introduce a name")
-            return judgment
-        if node.label == "coherent_family":
-            (family,) = node.payload
-            return _coherent_family_judgment(family)
-        raise SchemaError(f"unknown declaration kind {node.label!r}")
-    if node.kind == "rule":
-        return _check_rule(RuleId(node.label), node.payload, child_judgments)
-    raise SchemaError(f"unknown trace node kind {node.kind!r}")
+    def passed(self) -> bool:
+        return self.failure is None
 
 
 def verify_trace(thm: Theorem) -> TraceReport:
-    """Replay every rule application in the trace.
-
-    Passes iff every node's judgment is re-derived exactly and the root
-    judgment equals the theorem's.  Failures are report entries, not raises.
-    """
-    entries: list[TraceEntry] = []
-    recomputed: dict[int, Judgment | None] = {}
-    ordered = trace_nodes(thm)
-    all_ok = True
-    for node in ordered:
-        children = tuple(recomputed.get(id(c)) for c in node.children)
-        if any(c is None for c in children):
-            entries.append(
-                TraceEntry(node.label, render(node.judgment), False, "premise failed")
-            )
-            recomputed[id(node)] = None
-            all_ok = False
-            continue
+    """Replay the trace, premises first: through `_judge`, each node must
+    re-derive its judgment from its payload and its children's judgments.
+    The report names the first node that does not; it does not raise."""
+    nodes = trace_nodes(thm)
+    for node in nodes:
+        premises = tuple(child.judgment for child in node.children)
         try:
-            derived = _replay_node(node, children)  # type: ignore[arg-type]
-        except (KernelError, streams.CoherenceError, streams.StreamSpecError) as exc:
-            entries.append(TraceEntry(node.label, render(node.judgment), False, str(exc)))
-            recomputed[id(node)] = None
-            all_ok = False
-            continue
-        ok = derived == node.judgment
-        note = "" if ok else f"replay derived {render(derived)}"
-        entries.append(TraceEntry(node.label, render(node.judgment), ok, note))
-        recomputed[id(node)] = derived if ok else None
-        all_ok = all_ok and ok
-    root_ok = recomputed.get(id(thm.node)) == thm.judgment
-    if not root_ok and all_ok:
-        entries.append(
-            TraceEntry("root", render(thm.judgment), False, "root judgment mismatch")
-        )
-    return TraceReport(tuple(entries), passed=all_ok and root_ok)
+            derived = _judge(node.kind, node.label, node.payload, premises)
+        except (KernelError, ValueError) as exc:  # a bad arity or label is a ValueError
+            reason = str(exc)
+        else:
+            if derived == node.judgment:
+                continue
+            reason = f"replay derives {render(derived)}"
+        return TraceReport(len(nodes), f"{node.label} node {render(node.judgment)}: {reason}")
+    return TraceReport(len(nodes))

@@ -49,6 +49,7 @@ from .terms import (
     Two,
     fn_signature,
     free_names,
+    limit_descriptor,
     render,
     split_pair_tag,
     split_top_level,
@@ -464,8 +465,9 @@ def _verify_obj(j: IsObj, model: Model, trunc: bool) -> Verdict:
         if model.nat_bound is not None and int(tag) > model.nat_bound:
             detail = f"numeral beyond truncation bound {model.nat_bound}"
         return Verdict(HOLDS, detail=detail, truncated=trunc)
-    if tag.startswith("limit(") and tag.endswith(")") and j.expr == Powerset(NAT):
-        return _verify_coherence(tag[len("limit(") : -1], trunc)
+    descriptor = limit_descriptor(tag)
+    if descriptor is not None and j.expr == Powerset(NAT):
+        return _verify_coherence(descriptor, trunc)
     carrier = interpret(j.expr, model)
     if carrier.index(tag) is not None:
         return Verdict(HOLDS, truncated=trunc)

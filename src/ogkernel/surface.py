@@ -27,7 +27,9 @@ The grammar (`-- og-syntax 1`):
 
 `*` binds tighter than `->`; `P[...]` is atomic.  An object tag written as
 a STRING must be nonempty.  Comments run from `--` to end of line.
-Statement terminator is `;`.
+Statement terminator is `;`.  Each `(`, `P[`, `from` and `*` nests one
+level deeper; a generator expression, object literal or proof nested deeper
+than MAX_NESTING levels is E0002.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .terms import (
 )
 
 __all__ = [
+    "MAX_NESTING",
     "Token",
     "Diagnostic",
     "lex",
@@ -257,6 +260,7 @@ Decl = GeneratorDecl | MorphismDecl | AssertDecl | ModelCheckDecl | IncludeDecl 
 # Parser
 
 _AXIOM_NAMES = frozenset({"H1", "H2", "H3", "H4", "CLA"})
+MAX_NESTING = 64  # keeps parsing, elaboration and replay far from the recursion limit
 
 
 class _ParseError(Exception):
@@ -268,6 +272,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open `(`, `P[`, `from` and `*` levels
         self.diagnostics: list[Diagnostic] = []
 
     # -- token plumbing
@@ -298,6 +303,18 @@ class _Parser:
         shown = got.text or got.kind
         raise self.error("E0002", f"expected {want!r}, found {shown!r}")
 
+    def enter(self) -> Token:
+        """Consume the token at hand, which opens one more level of nesting."""
+        if self.depth == MAX_NESTING:
+            raise self.error("E0002", f"nesting deeper than MAX_NESTING = {MAX_NESTING}")
+        self.depth += 1
+        return self.advance()
+
+    def leave(self, closer: str, opener: Token) -> Token:
+        """Consume the bracket that closes the level `opener` entered."""
+        self.depth -= 1
+        return self.expect_closing(closer, opener.span)
+
     def expect_closing(self, closer: str, opener_span: Span) -> Token:
         if self.at("symbol", closer):
             return self.advance()
@@ -325,6 +342,7 @@ class _Parser:
                 decls.append(self.parse_decl())
             except _ParseError as err:
                 self.diagnostics.append(err.diagnostic)
+                self.depth = 0
                 self.sync()
         return decls
 
@@ -415,16 +433,16 @@ class _Parser:
         if self.at("symbol", "("):
             # Either a pair literal or a parenthesized carrier before `.`;
             # try the pair reading first and backtrack.
-            saved = self.pos
-            opener = self.advance()
+            saved = self.pos, self.depth
+            opener = self.enter()
             try:
                 left = self.parse_obj_lit()
                 self.expect("symbol", ",")
                 right = self.parse_obj_lit()
-                self.expect_closing(")", opener.span)
+                self.leave(")", opener)
                 return ObjLit(f"({left.tag},{right.tag})", Product(left.of, right.of))
             except _ParseError:
-                self.pos = saved
+                self.pos, self.depth = saved
         atom = self.parse_gen_atom()
         self.expect("symbol", ".")
         return ObjLit(self.parse_obj_tag(), atom)
@@ -463,10 +481,15 @@ class _Parser:
     # -- generator expressions
 
     def parse_gen_expr(self) -> GenExpr:
-        expr = self.parse_gen_atom()
+        return self.parse_factors(self.parse_gen_atom())
+
+    def parse_factors(self, expr: GenExpr) -> GenExpr:
+        """`expr` times the `*` factors that follow it."""
+        depth = self.depth
         while self.at("symbol", "*"):
-            self.advance()
+            self.enter()
             expr = Product(expr, self.parse_gen_atom())
+        self.depth = depth
         return expr
 
     def parse_gen_atom(self) -> GenExpr:
@@ -478,16 +501,16 @@ class _Parser:
             self.advance()
             return Nat()
         if tok.kind == "symbol" and tok.text == "(":
-            opener = self.advance()
+            opener = self.enter()
             expr = self.parse_gen_expr()
-            self.expect_closing(")", opener.span)
+            self.leave(")", opener)
             return expr
         if tok.kind == "ident":
             if tok.text == "P" and self.peek(1).kind == "symbol" and self.peek(1).text == "[":
                 self.advance()
-                opener = self.advance()
+                opener = self.enter()
                 inner = self.parse_gen_expr()
-                self.expect_closing("]", opener.span)
+                self.leave("]", opener)
                 return Powerset(inner)
             self.advance()
             return Named(Ident(tok.text, tok.span))
@@ -530,18 +553,18 @@ class _Parser:
             return self.parse_table_body()
         if self.at("symbol", "("):
             # Either a parenthesized generator expression or a pair literal.
-            opener = self.advance()
+            opener = self.enter()
             first = self.parse_arg()
             if self.at("symbol", ","):
                 self.advance()
                 second = self.parse_arg()
-                self.expect_closing(")", opener.span)
+                self.leave(")", opener)
                 if not isinstance(first, ObjLit) or not isinstance(second, ObjLit):
                     raise self.error("E0002", "pair literals take object literals")
                 return ObjLit(
                     f"({first.tag},{second.tag})", Product(first.of, second.of)
                 )
-            self.expect_closing(")", opener.span)
+            self.leave(")", opener)
             if not isinstance(first, GenExpr):
                 raise self.error("E0002", "expected a generator expression in parentheses")
             return self.finish_arg_expr(first)
@@ -560,20 +583,16 @@ class _Parser:
         if self.at("symbol", "."):
             self.advance()
             return ObjLit(self.parse_obj_tag(), atom)
-        expr = atom
-        while self.at("symbol", "*"):
-            self.advance()
-            expr = Product(expr, self.parse_gen_atom())
-        return expr
+        return self.parse_factors(atom)
 
     # -- proof expressions
 
     def parse_proof(self) -> ProofExpr:
         tok = self.peek()
         if self.at("symbol", "("):
-            opener = self.advance()
+            opener = self.enter()
             inner = self.parse_proof()
-            self.expect_closing(")", opener.span)
+            self.leave(")", opener)
             return inner
         if self.at("keyword", "axiom"):
             self.advance()
@@ -584,11 +603,12 @@ class _Parser:
             name = self.expect("ident").text
             subproofs: list[ProofExpr] = []
             if self.at("keyword", "from"):
-                self.advance()
+                self.enter()
                 subproofs.append(self.parse_proof())
                 while self.at("symbol", ","):
                     self.advance()
                     subproofs.append(self.parse_proof())
+                self.depth -= 1
             return RuleApp(name, tuple(subproofs), tok.span)
         if tok.kind == "ident" and tok.text in _AXIOM_NAMES:
             # Shorthand: a bare axiom name stands for `axiom <name>`.

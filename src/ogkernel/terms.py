@@ -33,6 +33,8 @@ __all__ = [
     "TWO",
     "NAT",
     "ObjLit",
+    "limit_lit",
+    "limit_descriptor",
     "FnExpr",
     "Table",
     "BuiltinRule",
@@ -182,6 +184,18 @@ class ObjLit:
     def __post_init__(self) -> None:
         if not self.tag:
             raise ValueError("object literal tag must be nonempty")
+
+
+def limit_lit(descriptor: str) -> ObjLit:
+    """The object of P[Nat] that the coherent limit of a family names."""
+    return ObjLit(f"limit({descriptor})", Powerset(NAT))
+
+
+def limit_descriptor(tag: str) -> str | None:
+    """The family descriptor of a `limit(...)` tag; None for other tags."""
+    if tag.startswith("limit(") and tag.endswith(")"):
+        return tag[6:-1]
+    return None
 
 
 class FnExpr:

@@ -9,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ogkernel import __version__, cli
 from ogkernel.cli import (
@@ -24,7 +26,8 @@ from ogkernel.cli import (
     run,
 )
 from ogkernel.elaborate import Item
-from ogkernel.terms import BUILTIN_RULES
+from ogkernel.surface import MAX_NESTING, parse_source
+from ogkernel.terms import BUILTIN_RULES, TWO, SupportsQuant
 
 CORPUS = Path(__file__).parent / "corpus"
 PRELUDE = Path(__file__).parents[1] / "src" / "ogkernel" / "prelude.og"
@@ -541,3 +544,95 @@ def test_multi_file_check_with_a_syntax_error_exits_2(capsys):
     argv = ["check", str(CORPUS / "01_two_basics.og"), str(CORPUS / "err5.og")]
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err.count("error[") == 5
+
+
+# ---------------------------------------------------------------------------
+# Inputs that reach no verdict of their own
+
+
+def test_unreadable_inputs_are_usage_errors(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.og"
+    latin1.write_bytes(b"-- caf\xe9\ngenerator G primitive;\n")
+    for argv in (["check", str(tmp_path)], ["check", str(latin1)], ["model", str(latin1)]):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {argv[1]}: "), err
+        assert "internal error" not in err
+
+
+def test_a_replay_failure_fails_its_trace_item_and_names_the_node(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "tower.og"
+    path.write_text("assert SupportsQuant(P[Nat]) by rule H4 from axiom H3;\n")
+    replay = cli.verify_trace
+
+    def tampering_replay(thm):
+        h3 = thm.node.children[0]
+        object.__setattr__(h3, "judgment", SupportsQuant(TWO))
+        return replay(thm)
+
+    monkeypatch.setattr(cli, "verify_trace", tampering_replay)
+    assert main(["check", "--format", "json", str(path)]) == EXIT_CHECK_FAILED
+    items = json.loads(capsys.readouterr().out)["items"]
+    assert items[-1] == {
+        "name": "trace SupportsQuant(P[Nat])",
+        "status": "fail",
+        "detail": "2 nodes replayed; H3 node SupportsQuant(Two): replay derives SupportsQuant(Nat)",
+    }
+
+
+# Each reproducer nests one construct `n` levels deep.
+_NESTINGS = {
+    "parentheses": lambda n: "assert Gen(" + "(" * n + "Two" + ")" * n + ") by rule gen;",
+    "powersets": lambda n: "assert Gen(" + "P[" * n + "Two" + "]" * n + ") by rule gen;",
+    "product": lambda n: "assert Gen(" + "*".join(["Two"] * (n + 1)) + ") by rule gen;",
+    "from chain": lambda n: "assert SupportsQuant(Nat) by " + "rule H4 from " * n + "axiom H3;",
+    "pair key": lambda n: (
+        "morphism m : Two -> Two := table { "
+        + "(" * n + "Two.yes" + ", Two.no)" * n + " -> Two.yes };"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", _NESTINGS)
+def test_nesting_past_the_bound_is_a_syntax_error(kind, tmp_path, capsys):
+    path = tmp_path / "nested.og"
+    path.write_text(_NESTINGS[kind](1000) + "\ngenerator G primitive;\n")
+    assert main(["check", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("error[") == 1  # the parser recovers at `;`
+    assert f"error[E0002]: nesting deeper than MAX_NESTING = {MAX_NESTING}" in err
+    assert "internal error" not in err
+    assert parse_source(_NESTINGS[kind](MAX_NESTING))[1] == []
+    assert parse_source(_NESTINGS[kind](MAX_NESTING + 1))[1] != []
+
+
+_WRAPPERS = {
+    "assert Gen({}) by rule gen;": ("Two", ("({})", "P[{}]", "{}*Two", "Two*{}")),
+    "assert SupportsQuant(Nat) by {};": (
+        "axiom H3",
+        ("({})", "rule H4 from {}", "rule set_intro from {}, axiom H1"),
+    ),
+    "morphism m : Two -> Two := table {{ {} -> Two.yes }};": (
+        "Two.yes",
+        ("({}, Two.no)", "(Two.no, {})"),
+    ),
+}
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    template=st.sampled_from(sorted(_WRAPPERS)),
+    pattern=st.lists(st.integers(0, 3), min_size=1, max_size=6),
+    depth=st.integers(0, 1000),
+)
+def test_random_nestings_end_in_a_verdict(template, pattern, depth, tmp_path, capsys):
+    base, wrappers = _WRAPPERS[template]
+    text = base
+    for level in range(depth):
+        text = wrappers[pattern[level % len(pattern)] % len(wrappers)].format(text)
+    path = tmp_path / "nested.og"
+    path.write_text(template.format(text) + "\n")
+    assert main(["check", str(path)]) in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE)
+    assert "internal error" not in capsys.readouterr().err

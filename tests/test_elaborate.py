@@ -113,6 +113,15 @@ def test_include_missing_file_is_e0005(tmp_path):
     assert [d.code for d in result.diagnostics] == ["E0005"]
 
 
+def test_include_of_a_file_that_is_not_utf8_is_e0005(tmp_path):
+    (tmp_path / "latin1.og").write_bytes(b"-- caf\xe9\n")
+    main = tmp_path / "main.og"
+    main.write_text('include "latin1.og";\n')
+    (diagnostic,) = elaborate_file(main).diagnostics
+    assert diagnostic.code == "E0005"
+    assert diagnostic.message.startswith("cannot include 'latin1.og': 'utf-8' codec")
+
+
 def test_include_cycle_is_detected(tmp_path):
     a = tmp_path / "a.og"
     b = tmp_path / "b.og"

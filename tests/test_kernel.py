@@ -18,7 +18,7 @@ from ogkernel.kernel import (
     Theorem,
     TotalityError,
     TraceNode,
-    _replay_node,
+    _judge,
     axioms_used,
     leaf_kinds,
     trace_nodes,
@@ -302,11 +302,8 @@ def test_incoherent_family_is_refused_upstream(kernel):
             kernel.coherent_family(family)
         assert (exc.value.stage, exc.value.index) == (stage, index)
         # a forged declaration node is refused on replay the same way
-        forged = TraceNode(
-            "decl", "coherent_family", IsCoherentFamily(family), payload=(family,)
-        )
         with pytest.raises(CoherenceError) as exc:
-            _replay_node(forged, ())
+            _judge("decl", "coherent_family", (family,), ())
         assert (exc.value.stage, exc.value.index) == (stage, index)
 
 
@@ -423,7 +420,27 @@ def test_corrupted_trace_fails_at_root(kernel):
     object.__setattr__(thm.node, "judgment", SupportsQuant(TWO))
     report = verify_trace(thm)
     assert not report.passed
-    assert not report.entries[0].ok
+    assert report.failure.startswith("H3 node SupportsQuant(Two): ")
+
+
+def test_tampered_inner_node_is_named_by_replay(kernel):
+    p2 = kernel.squant_from_powerset(
+        kernel.squant_from_powerset(kernel.axiom(AxiomId.H3_NAT_SUPPORTS_QUANT))
+    )
+    middle = p2.node.children[0]
+    object.__setattr__(middle, "judgment", SupportsQuant(Powerset(TWO)))
+    report = verify_trace(p2)
+    assert not report.passed and report.node_count == 3
+    assert report.failure == (
+        "squant_from_powerset node SupportsQuant(P[Two]): "
+        "replay derives SupportsQuant(P[Nat])"
+    )
+
+
+def test_replay_rederives_a_generator_declaration_from_its_name(kernel):
+    thm = kernel.gen_intro(Ident("G"))
+    object.__setattr__(thm.node, "judgment", IsGen(Named(Ident("H"))))
+    assert verify_trace(thm).failure == "generator node Gen(H): replay derives Gen(G)"
 
 
 def test_trace_leaf_kinds_for_naturals(kernel):
