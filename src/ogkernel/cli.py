@@ -35,7 +35,7 @@ from .streams import (
     ep_decide,
     parse_stream_spec,
 )
-from .surface import parse_source
+from .surface import parse_source, read_source
 from .terms import render
 
 __all__ = ["RunConfig", "Report", "run", "emit_report", "main"]
@@ -134,7 +134,7 @@ def _read_inputs(config: RunConfig) -> list[tuple[Path, list]]:
     for name in config.inputs:
         path = Path(name)
         try:
-            source = path.read_text("utf-8")
+            source = read_source(path)
         except FileNotFoundError:
             raise UsageError(f"file not found: {name}") from None
         except (OSError, UnicodeDecodeError) as exc:

@@ -50,6 +50,7 @@ from .surface import (
     RuleApp,
     SurfaceJudgment,
     parse_source,
+    read_source,
     render_arg,
 )
 from .terms import (
@@ -476,7 +477,7 @@ def elaborate_source(source: str, *, base_dir: Path | None = None) -> ElabResult
 
 
 def elaborate_file(path: Path) -> ElabResult:
-    return elaborate_source(path.read_text("utf-8"), base_dir=path.parent)
+    return elaborate_source(read_source(path), base_dir=path.parent)
 
 
 def elaborate_files(sources: list[tuple[Path, list[Decl]]]) -> ElabResult:
@@ -650,7 +651,7 @@ def _run_include(session: _Session, decl: IncludeDecl, base_dir: Path | None) ->
     if path in session.including:
         raise _ElabError("E0005", f"circular include of {decl.path!r}")
     try:
-        source = path.read_text("utf-8")
+        source = read_source(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise _ElabError("E0005", f"cannot include {decl.path!r}: {exc}")
     decls, diagnostics = parse_source(source)

@@ -30,11 +30,16 @@ a STRING must be nonempty.  Comments run from `--` to end of line.
 Statement terminator is `;`.  Each `(`, `P[`, `from` and `*` nests one
 level deeper; a generator expression, object literal or proof nested deeper
 than MAX_NESTING levels is E0002.
+
+Lexing is line-at-a-time: no token, comment or lexical error spans a newline.
+`read_source` drops a byte-order mark that starts a file; any other U+FEFF is E0001.
 """
 
 from __future__ import annotations
 
 import re
+from operator import attrgetter
+from pathlib import Path
 from typing import NamedTuple
 
 from .terms import (
@@ -60,6 +65,7 @@ __all__ = [
     "lex",
     "parse",
     "parse_source",
+    "read_source",
     "parse_gen_expr",
     "GeneratorDecl",
     "MorphismDecl",
@@ -109,55 +115,47 @@ class Diagnostic(NamedTuple):
         return base + (f"\n  note: {self.note}" if self.note else "")
 
 
-# One alternative per token kind, tried in order; each is maximal munch.
-# `space` takes a whole run of blanks, newlines and `--` comments at once.
+# One alternative per token kind, tried in order; each is maximal munch.  A match
+# of a named group is a token of that kind with text `m[kind]`, or a lexical error
+# that `_LEX_ERRORS` names; the unnamed one is a run of blanks and a `--` comment.
 _TOKEN_RE = re.compile(
-    r"""(?P<space>(?:[ \t\r\n]|--[^\n]*)+)
-      | (?P<string>"[^"\n]*")
-      | (?P<unterminated>"[^"\n]*)
-      | (?P<bitlist>\#[01]+)
+    r"""(?:[ \t\r]|--.*)+
+      | "(?P<string>[^"]*)"
+      | (?P<unterminated>"[^"]*)
+      | \#(?P<bitlist>[01]+)
       | (?P<hash>\#)
       | (?P<integer>[0-9]+)
-      | (?P<word>[A-Za-z][A-Za-z0-9_]*)
+      | (?P<keyword>(?:KEYWORDS)(?![A-Za-z0-9_]))
+      | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
       | (?P<symbol>->|:=|[()\[\]{}*;,.:])
-      | (?P<illegal>.)""",
+      | (?P<illegal>.)""".replace("KEYWORDS", "|".join(sorted(KEYWORDS))),
     re.VERBOSE,
 )
 _LEX_ERRORS = {
     "unterminated": "unterminated string literal",
     "hash": "'#' must be followed by a 0/1 bit list",
+    "illegal": "illegal character {!r}",
 }
 
 
 def lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
     """Maximal-munch tokenization; `--` comments are skipped."""
     tokens: list[Token] = []
+    at = 0  # the offset of the line's first character
+    for n, text in enumerate(source.split("\n"), 1):
+        # One line: a line tracer charges each line of a comprehension per token.
+        tokens += [Token(k, m[k], Span(n, m.start() + 1, at + m.start(), at + m.end())) for m in _TOKEN_RE.finditer(text) if (k := m.lastgroup)]
+        at += len(text) + 1
     diagnostics: list[Diagnostic] = []
-    line, line_start = 1, 0  # line_start: the offset just past the last newline
-    for match in _TOKEN_RE.finditer(source):
-        kind = match.lastgroup
-        start, end = match.span()
-        if kind == "space":
-            last = source.rfind("\n", start, end)
-            if last >= 0:
-                line += source.count("\n", start, end)
-                line_start = last + 1
-            continue
-        span = Span(line, start - line_start + 1, start, end)
-        text = match.group()
-        if kind == "word":
-            kind = "keyword" if text in KEYWORDS else "ident"
-        elif kind == "string":
-            text = text[1:-1]
-        elif kind == "bitlist":
-            text = text[1:]
-        elif kind in _LEX_ERRORS or kind == "illegal":
-            message = _LEX_ERRORS.get(kind, f"illegal character {text!r}")
-            diagnostics.append(Diagnostic("error", "E0001", message, span))
-            continue
-        tokens.append(Token(kind, text, span))
+    if not _LEX_ERRORS.keys().isdisjoint(map(attrgetter("kind"), tokens)):
+        diagnostics = [
+            Diagnostic("error", "E0001", _LEX_ERRORS[t.kind].format(t.text), t.span)
+            for t in tokens
+            if t.kind in _LEX_ERRORS
+        ]
+        tokens = [t for t in tokens if t.kind not in _LEX_ERRORS]
     end = len(source)
-    tokens.append(Token("eof", "", Span(line, end - line_start + 1, end, end)))
+    tokens.append(Token("eof", "", Span(n, len(text) + 1, end, end)))
     return tokens, diagnostics
 
 
@@ -277,8 +275,13 @@ class _Parser:
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]  # `advance` never moves past `eof`
+
+    def bracket_follows(self) -> bool:
+        """Whether a `[` follows the token at hand."""
+        tok = self.tokens[min(self.pos + 1, len(self.tokens) - 1)]
+        return tok.kind == "symbol" and tok.text == "["
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -287,7 +290,7 @@ class _Parser:
         return tok
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def error(self, code: str, message: str, span: Span | None = None, note: str | None = None):
@@ -299,9 +302,7 @@ class _Parser:
         if self.at(kind, text):
             return self.advance()
         want = text if text is not None else kind
-        got = self.peek()
-        shown = got.text or got.kind
-        raise self.error("E0002", f"expected {want!r}, found {shown!r}")
+        raise self.error("E0002", f"expected {want!r}, found {self.shown()!r}")
 
     def enter(self) -> Token:
         """Consume the token at hand, which opens one more level of nesting."""
@@ -318,13 +319,26 @@ class _Parser:
     def expect_closing(self, closer: str, opener_span: Span) -> Token:
         if self.at("symbol", closer):
             return self.advance()
-        got = self.peek()
-        shown = got.text or got.kind
         raise self.error(
             "E0003",
-            f"unclosed bracket: expected {closer!r}, found {shown!r}",
+            f"unclosed bracket: expected {closer!r}, found {self.shown()!r}",
             note=f"opened at line {opener_span.line}, column {opener_span.col}",
         )
+
+    def comma_list(self, item, closer: str | None = None) -> list:
+        """`item()` once and again after each `,`; no items before `closer`."""
+        if closer is not None and self.at("symbol", closer):
+            return []
+        items = [item()]
+        while self.at("symbol", ","):
+            self.advance()
+            items.append(item())
+        return items
+
+    def shown(self) -> str:
+        """How an error message names the token at hand."""
+        tok = self.tokens[self.pos]
+        return tok.text or tok.kind
 
     def sync(self) -> None:
         """Recover at the next `;` (consumed) and continue parsing."""
@@ -361,8 +375,7 @@ class _Parser:
                 return self.parse_include_decl()
             if tok.text == "limit":
                 return self.parse_limit_decl()
-        shown = tok.text or tok.kind
-        raise self.error("E0002", f"expected a declaration, found {shown!r}")
+        raise self.error("E0002", f"expected a declaration, found {self.shown()!r}")
 
     def parse_gen_decl(self) -> GeneratorDecl:
         start = self.expect("keyword", "generator")
@@ -373,12 +386,8 @@ class _Parser:
             self.advance()
             if self.at("symbol", "{"):
                 opener = self.advance()
-                tag_list = [self.parse_tag()]
-                while self.at("symbol", ","):
-                    self.advance()
-                    tag_list.append(self.parse_tag())
+                tags = tuple(self.comma_list(self.parse_tag))
                 self.expect_closing("}", opener.span)
-                tags = tuple(tag_list)
         elif self.at("symbol", ":="):
             self.advance()
             body = self.parse_gen_expr()
@@ -414,12 +423,7 @@ class _Parser:
 
     def parse_table_body(self) -> Rows:
         opener = self.expect("symbol", "{")
-        rows: list[tuple[ObjLit, ObjLit]] = []
-        if not self.at("symbol", "}"):
-            rows.append(self.parse_row())
-            while self.at("symbol", ","):
-                self.advance()
-                rows.append(self.parse_row())
+        rows = self.comma_list(self.parse_row, "}")
         self.expect_closing("}", opener.span)
         return tuple(rows)
 
@@ -460,11 +464,7 @@ class _Parser:
         args: list = []
         if self.at("symbol", "["):
             opener = self.advance()
-            if not self.at("symbol", "]"):
-                args.append(self.parse_builtin_arg())
-                while self.at("symbol", ","):
-                    self.advance()
-                    args.append(self.parse_builtin_arg())
+            args = self.comma_list(self.parse_builtin_arg, "]")
             self.expect_closing("]", opener.span)
         try:
             return BuiltinRule(name.text, tuple(args))
@@ -506,7 +506,7 @@ class _Parser:
             self.leave(")", opener)
             return expr
         if tok.kind == "ident":
-            if tok.text == "P" and self.peek(1).kind == "symbol" and self.peek(1).text == "[":
+            if tok.text == "P" and self.bracket_follows():
                 self.advance()
                 opener = self.enter()
                 inner = self.parse_gen_expr()
@@ -514,28 +514,21 @@ class _Parser:
                 return Powerset(inner)
             self.advance()
             return Named(Ident(tok.text, tok.span))
-        shown = tok.text or tok.kind
-        raise self.error("E0002", f"expected a generator expression, found {shown!r}")
+        raise self.error("E0002", f"expected a generator expression, found {self.shown()!r}")
 
     # -- judgments
 
     def parse_judgment(self) -> SurfaceJudgment:
         tok = self.peek()
         if tok.kind != "ident" or tok.text not in JUDGMENT_HEADS:
-            shown = tok.text or tok.kind
             raise self.error(
                 "E0002",
-                f"expected a judgment head, found {shown!r}",
+                f"expected a judgment head, found {self.shown()!r}",
                 note="heads: " + ", ".join(sorted(JUDGMENT_HEADS)),
             )
         self.advance()
         opener = self.expect("symbol", "(")
-        args: list = []
-        if not self.at("symbol", ")"):
-            args.append(self.parse_arg())
-            while self.at("symbol", ","):
-                self.advance()
-                args.append(self.parse_arg())
+        args = self.comma_list(self.parse_arg, ")")
         self.expect_closing(")", opener.span)
         return SurfaceJudgment(tok.text, tuple(args), tok.span)
 
@@ -569,12 +562,7 @@ class _Parser:
                 raise self.error("E0002", "expected a generator expression in parentheses")
             return self.finish_arg_expr(first)
         tok = self.peek()
-        if (
-            tok.kind == "ident"
-            and tok.text in BUILTIN_RULES
-            and self.peek(1).kind == "symbol"
-            and self.peek(1).text == "["
-        ):
+        if tok.kind == "ident" and tok.text in BUILTIN_RULES and self.bracket_follows():
             return self.parse_builtin(self.advance())
         atom = self.parse_gen_atom()
         return self.finish_arg_expr(atom)
@@ -604,18 +592,14 @@ class _Parser:
             subproofs: list[ProofExpr] = []
             if self.at("keyword", "from"):
                 self.enter()
-                subproofs.append(self.parse_proof())
-                while self.at("symbol", ","):
-                    self.advance()
-                    subproofs.append(self.parse_proof())
+                subproofs = self.comma_list(self.parse_proof)
                 self.depth -= 1
             return RuleApp(name, tuple(subproofs), tok.span)
         if tok.kind == "ident" and tok.text in _AXIOM_NAMES:
             # Shorthand: a bare axiom name stands for `axiom <name>`.
             self.advance()
             return AxiomRef(tok.text, tok.span)
-        shown = tok.text or tok.kind
-        raise self.error("E0002", f"expected a proof expression, found {shown!r}")
+        raise self.error("E0002", f"expected a proof expression, found {self.shown()!r}")
 
     # -- remaining declarations
 
@@ -669,6 +653,12 @@ def parse(tokens: list[Token]) -> tuple[list[Decl], list[Diagnostic]]:
     parser = _Parser(tokens)
     decls = parser.parse_file()
     return decls, parser.diagnostics
+
+
+def read_source(path: Path) -> str:
+    """The text of a `.og` file, read as UTF-8 less a byte-order mark at its start.
+    This is what the `utf-8-sig` codec does, without importing its module."""
+    return path.read_text("utf-8").removeprefix("\ufeff")
 
 
 def parse_source(source: str) -> tuple[list[Decl], list[Diagnostic]]:

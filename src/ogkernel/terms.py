@@ -451,20 +451,27 @@ def _render_obj(o: ObjLit) -> str:
     return f'{_render_gen_atom(o.of)}."{o.tag}"'
 
 
+_BRACKETS = frozenset("(){}")
+_DELIMITER_RE = re.compile(r"[(){},]")
+
+
 def split_top_level(body: str) -> list[str]:
     """Split `body` at the commas outside any parentheses or braces; a
     closing bracket without its opener is a ValueError."""
+    if _BRACKETS.isdisjoint(body):
+        return body.split(",")
     parts, depth, start = [], 0, 0
-    for i, ch in enumerate(body):
+    for m in _DELIMITER_RE.finditer(body):
+        ch = m[0]
         if ch in "({":
             depth += 1
         elif ch in ")}":
             depth -= 1
             if depth < 0:
                 raise ValueError(f"unbalanced brackets in {body!r}")
-        elif ch == "," and depth == 0:
-            parts.append(body[start:i])
-            start = i + 1
+        elif depth == 0:
+            parts.append(body[start : m.start()])
+            start = m.end()
     parts.append(body[start:])
     return parts
 

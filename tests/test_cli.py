@@ -560,6 +560,22 @@ def test_unreadable_inputs_are_usage_errors(tmp_path, capsys):
         assert "internal error" not in err
 
 
+def test_a_byte_order_mark_at_the_start_of_a_file_is_skipped(tmp_path, capsys):
+    source = "assert SupportsQuant(P[Nat]) by rule H4 from axiom H3;\n"
+    reports = []
+    for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+        path = tmp_path / name / "tower.og"
+        path.parent.mkdir()
+        path.write_text(source, encoding)
+        assert main(["check", "--format", "json", str(path)]) == EXIT_OK
+        reports.append(capsys.readouterr().out.replace(name, "DIR"))
+    assert reports[0] == reports[1]
+    stray = tmp_path / "stray.og"
+    stray.write_text(source + "\ufeff", "utf-8-sig")
+    assert main(["check", str(stray)]) == EXIT_USAGE
+    assert "2:1: error[E0001]: illegal character '\\ufeff'" in capsys.readouterr().err
+
+
 def test_a_replay_failure_fails_its_trace_item_and_names_the_node(tmp_path, monkeypatch, capsys):
     path = tmp_path / "tower.og"
     path.write_text("assert SupportsQuant(P[Nat]) by rule H4 from axiom H3;\n")

@@ -122,6 +122,18 @@ def test_include_of_a_file_that_is_not_utf8_is_e0005(tmp_path):
     assert diagnostic.message.startswith("cannot include 'latin1.og': 'utf-8' codec")
 
 
+def test_a_byte_order_mark_at_the_start_of_a_file_is_skipped(tmp_path):
+    lib = tmp_path / "lib.og"
+    lib.write_text("assert Set(Two) by axiom H1;\n", "utf-8-sig")
+    main = tmp_path / "main.og"
+    main.write_text('include "lib.og";\nassert SupportsQuant(Nat) by axiom H3;\n', "utf-8-sig")
+    for path, count in ((lib, 1), (main, 2)):
+        result = elaborate_file(path)
+        assert not result.diagnostics
+        assert [i.status for i in result.items] == ["pass"] * len(result.items)
+        assert len(result.theorems) == count
+
+
 def test_include_cycle_is_detected(tmp_path):
     a = tmp_path / "a.og"
     b = tmp_path / "b.og"

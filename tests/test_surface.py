@@ -7,6 +7,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ogkernel.stdlib import prelude_source
 from ogkernel.surface import (
     KEYWORDS,
     AssertDecl,
@@ -319,11 +320,29 @@ def reference_lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
     return tokens, diagnostics
 
 
+def _assert_lex_agrees(source: str) -> None:
+    tokens, diagnostics = lex(source)
+    expected_tokens, expected_diagnostics = reference_lex(source)
+    assert [(t.kind, t.text, t.span) for t in tokens] == [
+        (t.kind, t.text, t.span) for t in expected_tokens
+    ]
+    assert diagnostics == expected_diagnostics
+
+
+def test_lex_agrees_with_reference_lexer_on_corpus_and_prelude():
+    for path in sorted(CORPUS.glob("*.og")):
+        _assert_lex_agrees(path.read_text("utf-8"))
+    _assert_lex_agrees(prelude_source())
+
+
 # Fragments of `.og` text, so that keywords, comments, arrows and literals
-# occur often, plus single characters of the alphabet and stray ones.
+# occur often, plus single characters of the alphabet and stray ones.  Some
+# are longer words that begin with a keyword, and some leave a comment or a
+# string open at the end of a line or of the input.
 _FRAGMENTS = [
     *sorted(KEYWORDS), "Set", "P", "x_1", "--", "-- note", "->", ":=", '"sq"', "#01",
-    "42", "007", " ", "  ", "\n", "\r\n", "\t",
+    "42", "007", " ", "  ", "\n", "\r\n", "\t", "\r", "-- end", '"abc\n',
+    "Two_x", "limitdemo", "generator2", "Two\u00e9",
 ]
 _CHARS = list("aZ9_()[]{}*;,.:>= ") + ["-", "#", '"', "²", "\t", "\r", "\n"]
 
@@ -331,10 +350,4 @@ _CHARS = list("aZ9_()[]{}*;,.:>= ") + ["-", "#", '"', "²", "\t", "\r", "\n"]
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(_FRAGMENTS) | st.sampled_from(_CHARS), max_size=40))
 def test_lex_agrees_with_reference_lexer(pieces):
-    source = "".join(pieces)
-    tokens, diagnostics = lex(source)
-    expected_tokens, expected_diagnostics = reference_lex(source)
-    assert [(t.kind, t.text, t.span) for t in tokens] == [
-        (t.kind, t.text, t.span) for t in expected_tokens
-    ]
-    assert diagnostics == expected_diagnostics
+    _assert_lex_agrees("".join(pieces))

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ogkernel.surface import lex, _Parser, parse_gen_expr
 from ogkernel.terms import (
@@ -27,6 +29,7 @@ from ogkernel.terms import (
     free_names,
     render,
     split_pair_tag,
+    split_top_level,
     structurally_equal,
 )
 
@@ -111,6 +114,36 @@ def test_builtin_rule_arguments_follow_the_catalog():
     for rule, args in malformed:
         with pytest.raises(ValueError, match=f"builtin {rule} takes"):
             BuiltinRule(rule, args)
+
+
+def reference_split_top_level(body: str) -> list[str]:
+    """The character-at-a-time `split_top_level`, kept as the reference."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(body):
+        if ch in "({":
+            depth += 1
+        elif ch in ")}":
+            depth -= 1
+            if depth < 0:
+                raise ValueError(f"unbalanced brackets in {body!r}")
+        elif ch == "," and depth == 0:
+            parts.append(body[start:i])
+            start = i + 1
+    parts.append(body[start:])
+    return parts
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="(){},ab ", max_size=24))
+def test_split_top_level_agrees_with_reference(body):
+    try:
+        expected = reference_split_top_level(body)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            split_top_level(body)
+        assert str(raised.value) == str(exc)
+    else:
+        assert split_top_level(body) == expected
 
 
 def test_split_pair_tag_handles_nesting():
