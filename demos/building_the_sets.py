@@ -40,25 +40,22 @@ print("  all traces verified")
 
 print("\n== equality only exists inside one set ==")
 from ogkernel.kernel import CrossDomainEqualityError
-from ogkernel.semantics import default_model
 from ogkernel.terms import ObjLit
 
-kernel = Kernel()  # equality queries and H2 instances need no prior state
+kernel = Kernel()  # an equality query needs no prior state
 query = kernel.eq_within_domain(domains[NAT], ObjLit("3", NAT), ObjLit("3", NAT))
-print(f"  eq(3, 3) evaluates to {query.evaluate(default_model(5))!r}")
+print(f"  eq(3, 3) evaluates to {query.evaluate()!r}")
 try:
     kernel.eq_within_domain(domains[NAT], ObjLit("yes", TWO), ObjLit("0", NAT))
 except CrossDomainEqualityError as refusal:
     print(f"  mixed query refused: {refusal}")
 
 print("\n== H2 at work: a concrete surjection admits a section ==")
-from ogkernel.semantics import Carrier, Model
 from ogkernel.stdlib import choice_instance
 from ogkernel.terms import Ident, Named, Table
 
-kernel.gen_intro(Ident("G"))
+kernel.gen_intro(Ident("G"), ("a", "b", "c"))
 g = Named(Ident("G"))
-model = Model.make({"G": Carrier("G", ("a", "b", "c"))}, nat_bound=1)
 surj = Table(
     g,
     TWO,
@@ -67,5 +64,5 @@ surj = Table(
         for t, v in (("a", "yes"), ("b", "yes"), ("c", "no"))
     ),
 )
-section = choice_instance(kernel, surj, g, TWO, model)
+section = choice_instance(kernel, surj, g, TWO)
 print(f"  |- {render(section.judgment)}")

@@ -246,28 +246,22 @@ def _run_model(config: RunConfig, timings: dict[str, float]) -> Report:
 
 def _sweep_items(result: ElabResult, max_size: int) -> list[Item]:
     items: list[Item] = []
-    sweep = soundness_sweep(result.theorems, max_size)
     by_judgment: dict[str, list] = {}
-    for entry in sweep.items:
+    for entry in soundness_sweep(result.theorems, max_size).items:
         by_judgment.setdefault(entry.judgment, []).append(entry)
     for judgment, entries in by_judgment.items():
         fails = [e for e in entries if e.status == FAILS]
-        checked = [e for e in entries if e.status == HOLDS]
+        holds = sum(e.status == HOLDS for e in entries)
         name = f"soundness {judgment}"
         if fails:
-            items.append(
-                Item(
-                    name,
-                    "fail",
-                    f"fails in {len(fails)}/{len(entries)} models",
-                    dict(fails[0].witness or ()) | {"model": fails[0].model},
-                )
-            )
-        elif not checked:
+            detail = f"fails in {len(fails)}/{len(entries)} models"
+            witness = dict(fails[0].witness) | {"model": fails[0].model}
+            items.append(Item(name, "fail", detail, witness))
+        elif not holds:
             items.append(Item(name, "skipped", "not finitely checkable at this bound"))
         else:
-            detail = f"holds in {len(checked)}/{len(entries)} models"
-            if len(checked) != len(entries):
+            detail = f"holds in {holds}/{len(entries)} models"
+            if holds != len(entries):
                 detail += " (rest not finitely checkable)"
             items.append(Item(name, "pass", detail))
     return items

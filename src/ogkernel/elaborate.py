@@ -26,16 +26,8 @@ from .kernel import (
     axioms_used,
     builtin_premises,
 )
-from .semantics import (
-    FAILS,
-    HOLDS,
-    SWEEP_SIZES,
-    Carrier,
-    Model,
-    models_for_judgment,
-    verify_judgment,
-)
-from .stdlib import evidence_models
+from .semantics import FAILS, HOLDS, SWEEP_SIZES, models_for_judgment, verify_judgment
+from .stdlib import evidence_models  # unused here, but bench/probes.py patches this name
 from .surface import (
     AssertDecl,
     AxiomRef,
@@ -74,7 +66,6 @@ from .terms import (
     Product,
     SupportsQuant,
     Table,
-    free_names,
     limit_descriptor,
     limit_lit,
     render,
@@ -142,7 +133,6 @@ class _Session:
         self.items: list[Item] = []
         self.diagnostics: list[Diagnostic] = []
         self.aliases: dict[str, GenExpr] = {}
-        self.carriers: dict[str, Carrier] = {}
         self.morphisms: dict[str, tuple[FnExpr, GenExpr, GenExpr]] = {}
         self.families: dict[str, FamilySpec] = {}
         self.including: list[Path] = []
@@ -151,14 +141,6 @@ class _Session:
 
     def result(self) -> ElabResult:
         return ElabResult(tuple(self.theorems), tuple(self.items), tuple(self.diagnostics))
-
-    def session_model(self, nat_bound: int = 1) -> Model:
-        return Model.make(self.carriers, nat_bound=nat_bound)
-
-    def evidence_for(self, expr: GenExpr) -> tuple[Model, ...]:
-        if free_names(expr):
-            return (self.session_model(),)
-        return evidence_models(expr)
 
     def find(self, predicate) -> Theorem | None:
         for thm in reversed(self.theorems):
@@ -184,7 +166,7 @@ class _Session:
             name = expr.name.text
             if name in self.aliases:
                 return self.aliases[name]
-            if name in self.carriers or self.kernel_declared(name):
+            if name in self.kernel._declared:
                 return expr
             raise _ElabError("E0004", f"unknown generator {name!r}")
         if isinstance(expr, Product):
@@ -192,9 +174,6 @@ class _Session:
         if isinstance(expr, Powerset):
             return Powerset(self.resolve_expr(expr.arg))
         return expr
-
-    def kernel_declared(self, name: str) -> bool:
-        return name in self.kernel._declared
 
     def resolve_objlit(self, lit: ObjLit) -> ObjLit:
         return ObjLit(lit.tag, self.resolve_expr(lit.of))
@@ -386,7 +365,7 @@ def _apply_rule(
             )
         if gen is None:
             gen = session.find(lambda j: j == IsGen(expr)) or kernel.gen_intro(expr)
-        return kernel.domain_intro(gen, eq, session.evidence_for(expr))
+        return kernel.domain_intro(gen, eq)
 
     if name == "gen":
         if not isinstance(goal, IsGen):
@@ -455,8 +434,7 @@ def _mor_intro(
 ) -> Theorem:
     kernel = session.kernel
     if isinstance(fn, Table):
-        return kernel.mor_intro(fn, dom, cod, model=session.session_model())
-    assert isinstance(fn, BuiltinRule)
+        return kernel.mor_intro(fn, dom, cod)  # a row scan needs no premises
     if not premises:
         needed = [SupportsQuant(base) for base in builtin_premises(fn)]
         premises = [session.require(lambda j, n=n: j == n, render(n)) for n in needed]
@@ -527,18 +505,7 @@ def _run_generator(session: _Session, decl: GeneratorDecl) -> None:
         session.aliases[decl.name] = resolved
         session.theorems.append(session.kernel.gen_intro(resolved))
         return
-    # A repeated tag is refused before the kernel declares the name, so a
-    # refused declaration leaves no generator behind.
-    tags = decl.tags or ()
-    repeated = [t for i, t in enumerate(tags) if t in tags[:i]]
-    if repeated:
-        raise _ElabError(
-            "E0102", f"generator {decl.name!r} lists the tag {repeated[0]!r} twice"
-        )
-    thm = session.kernel.gen_intro(Ident(decl.name))
-    if tags:
-        session.carriers[decl.name] = Carrier(decl.name, tags)
-    session.theorems.append(thm)
+    session.theorems.append(session.kernel.gen_intro(Ident(decl.name), decl.tags or ()))
 
 
 def _run_morphism(session: _Session, decl: MorphismDecl) -> None:
@@ -593,7 +560,7 @@ def _run_eq_assert(session: _Session, decl: AssertDecl, goal: _EqGoal) -> None:
             )
         raise _ElabError("E0102", f"no proof of Domain({render(expr)}, ...) in scope")
     query = session.kernel.eq_within_domain(domain, goal.left, goal.right)
-    value = query.evaluate(session.session_model(nat_bound=3))
+    value = query.evaluate()
     session.items.append(
         Item(
             f"Eq({render(goal.left)}, {render(goal.right)})",
@@ -611,33 +578,19 @@ def _run_model_check(session: _Session, decl: ModelCheckDecl) -> None:
         sizes = f"{SWEEP_SIZES[0]}..{SWEEP_SIZES[-1]}"
         raise _ElabError("E0102", f"model check bounds range over {sizes}")
     models = models_for_judgment(goal, decl.bound)
-    fails = 0
-    checked = 0
-    skipped = 0
-    witness = None
-    for model in models:
-        verdict = verify_judgment(goal, model)
-        checked += 1
-        if verdict.status == FAILS:
-            fails += 1
-            if witness is None:
-                witness = {
-                    "model": model.describe(),
-                    **dict(verdict.witness or ()),
-                }
-        elif verdict.status != HOLDS:
-            skipped += 1
+    verdicts = [verify_judgment(goal, model) for model in models]
+    fails = [k for k, verdict in enumerate(verdicts) if verdict.status == FAILS]
+    holds = sum(verdict.status == HOLDS for verdict in verdicts)
     name = f"model check {render(goal)} upto {decl.bound}"
     if fails:
-        session.items.append(Item(name, "fail", f"{fails}/{checked} models fail", witness))
-    elif skipped == checked:
-        session.items.append(
-            Item(name, "skipped", "not finitely checkable at these bounds")
-        )
+        witness = {"model": models[fails[0]].describe(), **dict(verdicts[fails[0]].witness)}
+        session.items.append(Item(name, "fail", f"{len(fails)}/{len(models)} models fail", witness))
+    elif not holds:
+        session.items.append(Item(name, "skipped", "not finitely checkable at these bounds"))
     else:
-        detail = f"holds in {checked - skipped}/{checked} models"
-        if skipped:
-            detail += f" ({skipped} not finitely checkable)"
+        detail = f"holds in {holds}/{len(models)} models"
+        if holds < len(models):
+            detail += f" ({len(models) - holds} not finitely checkable)"
         session.items.append(Item(name, "pass", detail))
 
 

@@ -6,6 +6,11 @@ coherent-limit axiom exposed through `coherent_limit`) plus a small fixed set
 of inference rules.  `_judge` is the one place that says what a trace node
 concludes: every theorem is built through it, and `verify_trace` replays each
 node of a theorem's trace through it and reports the first node that fails.
+
+The kernel owns its carriers: a table is checked by a scan of its rows on
+carriers it knows whole, with the tags its own declarations record, and no
+operation takes a model.  It imports nothing from the finite-model oracle
+(`ogkernel.semantics`), so that agreement between the two is evidence.
 """
 
 from __future__ import annotations
@@ -15,15 +20,6 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from . import streams
-from .semantics import (
-    NO_VALUE,
-    Model,
-    NotFinitelyCheckable,
-    diagonal_violation,
-    fn_holes,
-    fn_values,
-    interpret,
-)
 from .terms import (
     NAT,
     TWO,
@@ -50,8 +46,11 @@ from .terms import (
     Table,
     Two,
     fn_signature,
+    free_names,
     limit_lit,
     render,
+    split_pair_tag,
+    split_top_level,
 )
 
 __all__ = [
@@ -121,11 +120,10 @@ class CrossDomainEqualityError(KernelError):
 
 
 class CounterexampleError(KernelError):
-    """A choice instance failed: the map is not surjective in the model."""
+    """A choice instance failed: the map is not surjective."""
 
-    def __init__(self, message: str, model: Model, uncovered: str):
+    def __init__(self, message: str, uncovered: str):
         super().__init__(message)
-        self.model = model
         self.uncovered = uncovered
 
 
@@ -230,37 +228,99 @@ def _theorem(kind, label, payload=(), premises=(), parts=()) -> Theorem:
 
 
 class EqQuery(NamedTuple):
-    """A well-formed within-domain equality question, evaluable in models."""
+    """A well-formed within-domain equality question."""
 
     domain: Theorem
     left: ObjLit
     right: ObjLit
 
-    def evaluate(self, model: Model) -> str:
-        dom_judgment = self.domain.judgment
-        assert isinstance(dom_judgment, IsDomain)
-        expr = dom_judgment.expr
-        lits = (self.left, self.right)
-        if isinstance(expr, Nat):
-            # A numeral is an object of Nat whatever the truncation bound:
-            # widen the bound to cover the numerals asked about.
-            numerals = [int(lit.tag) for lit in lits if lit.tag.isdecimal()]
-            model = Model(model.assignments, max([model.nat_bound or 0, *numerals]))
-        try:
-            carrier = interpret(expr, model)
-            i, j = codes = [carrier.index(lit.tag) for lit in lits]
-            if None in codes:
-                tag = lits[codes.index(None)].tag
-                raise KernelError(f"{tag!r} is not an object of {carrier.name} in this model")
-            eq = dom_judgment.eq
-            if isinstance(eq, BuiltinRule) and eq.rule == "eq_of":
-                return "yes" if i == j else "no"  # one pair: the square is not built
-            value = fn_values(eq, model)[i * len(carrier) + j]
-        except NotFinitelyCheckable as exc:
-            raise KernelError(f"cannot evaluate this equality: {exc}") from exc
-        if value < 0:
-            raise KernelError("equality pairing has no value at this pair")
-        return interpret(TWO, model).tag(value)
+    def evaluate(self) -> str:
+        """A table's row at the pair, or whether two canonical tags agree."""
+        expr, eq = self.domain.judgment.expr, self.domain.judgment.eq
+        x, y = self.left.tag, self.right.tag
+        # A table is total on expr * expr with canonical keys, so t names an
+        # object exactly when (t,t) has a row.
+        values = {key.tag: value.tag for key, value in eq.rows} if isinstance(eq, Table) else None
+        for t in (x, y):
+            if (_key(expr, t, {}) if values is None else values.get(f"({t},{t})")) is None:
+                raise KernelError(f"{t!r} is not an object of {render(expr)}")
+        return ("yes" if x == y else "no") if values is None else values[f"({x},{y})"]
+
+
+# ---------------------------------------------------------------------------
+# Known carriers: Two and the generators declared with tags, closed under `*`
+# and `P[...]`.  An object is named by its canonical tag: `yes`/`no`, a
+# declared tag, `(a,b)` for a pair, `{a,c}` for a subset with its members in
+# carrier order.  That order is the oracle's index order (pairs row by row,
+# subsets by bitmask), but no index is formed, so any carrier can be read.
+
+Tags = dict[str, tuple[str, ...]]  # a generator's name -> its declared tags
+
+_TWO_KEYS = {"yes": 0, "no": 1}
+
+
+def _unknown_part(expr: GenExpr, tags: Tags) -> str | None:
+    """What keeps `expr` from being a carrier known whole; None when it is one."""
+    if isinstance(expr, Nat):
+        return "it mentions Nat, which is infinite"
+    if isinstance(expr, Named):
+        name = expr.name.text
+        return None if tags.get(name) else f"generator {name!r} declares no tags"
+    if isinstance(expr, Product):
+        return _unknown_part(expr.left, tags) or _unknown_part(expr.right, tags)
+    if isinstance(expr, Powerset):
+        return _unknown_part(expr.arg, tags)
+    return None
+
+
+def _key(expr: GenExpr, tag: str, tags: Tags):
+    """A sort key of the object that `tag` names in `expr`, in carrier order;
+    None unless `tag` is the canonical tag of an object.  Nat is read whole:
+    every numeral in ASCII digits without a leading zero names an object."""
+    if isinstance(expr, Two):
+        return _TWO_KEYS.get(tag)
+    if isinstance(expr, Named):
+        names = tags[expr.name.text]
+        return names.index(tag) if tag in names else None
+    if isinstance(expr, Nat):
+        numeral = tag.isascii() and tag.isdigit() and (tag == "0" or tag[0] != "0")
+        return (len(tag), tag) if numeral else None
+    try:
+        if isinstance(expr, Product):
+            left, right = split_pair_tag(tag)
+            pair = (_key(expr.left, left, tags), _key(expr.right, right, tags))
+            return None if None in pair else pair
+        if tag[:1] != "{" or tag[-1:] != "}":
+            return None
+        members = split_top_level(tag[1:-1]) if tag != "{}" else ()
+    except ValueError:
+        return None
+    keys = [_key(expr.arg, member, tags) for member in members]
+    if None in keys or any(a >= b for a, b in zip(keys, keys[1:])):
+        return None  # not a member, or not in carrier order
+    # Subsets compare as their bitmasks do: by the largest member they do
+    # not share, which a comparison of the members, largest first, finds.
+    return tuple(reversed(keys))
+
+
+def _first_objects(expr: GenExpr, tags: Tags, count: int) -> list[str]:
+    """The canonical tags of a known carrier's first `count` objects, or all."""
+    if isinstance(expr, Two):
+        objects = ["yes", "no"]
+    elif isinstance(expr, Named):
+        objects = list(tags[expr.name.text])
+    elif isinstance(expr, Product):
+        right = _first_objects(expr.right, tags, count)
+        left = _first_objects(expr.left, tags, -(-count // len(right)))
+        objects = [f"({a},{b})" for a in left for b in right]
+    else:
+        # A mask below `count` has its members among count.bit_length() objects.
+        base = _first_objects(expr.arg, tags, count.bit_length())
+        objects = [
+            "{" + ",".join(b for j, b in enumerate(base) if k >> j & 1) + "}"
+            for k in range(min(count, 1 << len(base)))
+        ]
+    return objects[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +339,12 @@ def _judge(kind: str, label: str, payload: tuple, premises: tuple[Judgment, ...]
             return SupportsQuant(TWO)
         case "axiom", "H3", ():
             return SupportsQuant(NAT)
-        case "axiom", "H2", (surj, dom, cod, model):
-            return _choice_judgment(surj, dom, cod, model)
-        case "decl", "generator", (name,):
+        case "axiom", "H2", (surj, dom, cod, tags):
+            return _choice_judgment(surj, dom, cod, dict(tags))
+        case "decl", "generator", (name, tags):
+            repeated = [t for i, t in enumerate(tags) if t in tags[:i]]
+            if repeated:
+                raise SchemaError(f"generator {name!r} lists the tag {repeated[0]!r} twice")
             return IsGen(Named(Ident(name)))
         case "decl", "coherent_family", (family,):
             streams.family_limit(family.descriptor)  # raises CoherenceError unless coherent
@@ -289,23 +352,21 @@ def _judge(kind: str, label: str, payload: tuple, premises: tuple[Judgment, ...]
     raise SchemaError(f"no {kind} node {label!r} with this payload")
 
 
-def _choice_judgment(surj: FnExpr, dom: GenExpr, cod: GenExpr, model: Model) -> Judgment:
-    _check_mor(surj, dom, cod, model, ())
-    dom_carrier = interpret(dom, model)
-    cod_carrier = interpret(cod, model)
-    values = fn_values(surj, model)
-    section_rows = []
-    for target in range(len(cod_carrier)):
-        tag = cod_carrier.tag(target)
-        if target not in values:
-            raise CounterexampleError(
-                f"not surjective in {model.describe()}: {tag!r} is uncovered",
-                model=model,
-                uncovered=tag,
-            )
-        section_rows.append((ObjLit(tag, cod), ObjLit(dom_carrier.tag(values.index(target)), dom)))
-    section = Table(cod, dom, tuple(section_rows))
-    return IsMor(section, cod, dom)
+def _choice_judgment(surj: FnExpr, dom: GenExpr, cod: GenExpr, tags: Tags) -> Judgment:
+    """A section of `surj`, one row per codomain object taking its least preimage."""
+    if not isinstance(surj, Table):
+        raise SchemaError("H2 reads its surjection from the rows of a table")
+    _check_mor(surj, dom, cod, tags, ())
+    value_at = {key.tag: value.tag for key, value in surj.rows}
+    least: dict[str, str] = {}
+    for tag in _first_objects(dom, tags, len(value_at)):  # every object: the table is total
+        least.setdefault(value_at[tag], tag)
+    targets = _first_objects(cod, tags, len(least) + 1)
+    uncovered = next((t for t in targets if t not in least), None)
+    if uncovered is not None:
+        raise CounterexampleError(f"not surjective: {uncovered!r} is uncovered", uncovered)
+    rows = tuple((ObjLit(t, cod), ObjLit(least[t], dom)) for t in targets)
+    return IsMor(Table(cod, dom, rows), cod, dom)
 
 
 def _required_squants(expr: GenExpr) -> tuple[GenExpr, ...]:
@@ -344,7 +405,7 @@ def _check_mor(
     fn: FnExpr,
     dom: GenExpr,
     cod: GenExpr,
-    model: Model | None,
+    tags: Tags,
     premises: tuple[Judgment, ...],
 ) -> Judgment:
     if isinstance(fn, Table):
@@ -353,27 +414,7 @@ def _check_mor(
                 f"table is declared {render(fn.domain)} -> {render(fn.codomain)}, "
                 f"not {render(dom)} -> {render(cod)}"
             )
-        if model is None:
-            raise TotalityError(
-                "a finite model is required to check totality of a table"
-            )
-        try:
-            dom_carrier = interpret(dom, model)
-            values = fn_values(fn, model)
-        except NotFinitelyCheckable as exc:
-            raise TotalityError(f"cannot check totality: {exc}") from exc
-        # Row keys are distinct, so a row missing from the encoding names no object.
-        holes, outside = fn_holes(fn, model)
-        if len(values) - holes < len(fn.rows):
-            stray = next(k.tag for k, _ in fn.rows if dom_carrier.index(k.tag) is None)
-            raise CodomainError(f"row key {stray!r} is not an object of the domain")
-        if holes or outside:
-            bad = next(i for i, v in enumerate(values) if v < 0)
-            tag = dom_carrier.tag(bad)
-            if values[bad] == NO_VALUE:
-                raise TotalityError(f"table has no row for {tag!r}")
-            value = next(v.tag for k, v in fn.rows if k.tag == tag)
-            raise CodomainError(f"row value {value!r} is not an object of the codomain")
+        _check_rows(fn, tags)
     elif isinstance(fn, BuiltinRule):
         if fn.rule == "restrict":
             raise CatalogError(
@@ -407,13 +448,37 @@ def _check_mor(
     return IsMor(fn, dom, cod)
 
 
+def _check_rows(table: Table, tags: Tags) -> None:
+    """A row scan on carriers known whole: every key is a domain object, every
+    value a codomain object, and there is a row for each domain object."""
+    dom, cod, rows = table.domain, table.codomain, table.rows
+    for side, expr, error in (("domain", dom, TotalityError), ("codomain", cod, CodomainError)):
+        unknown = _unknown_part(expr, tags)
+        if unknown:
+            raise error(
+                f"a table's {side} must be a finite carrier known whole, and "
+                f"{render(expr)} is not: {unknown}"
+            )
+    stray = next((key.tag for key, _ in rows if _key(dom, key.tag, tags) is None), None)
+    if stray is not None:
+        raise CodomainError(f"row key {stray!r} is not an object of the domain")
+    outside = next((value.tag for _, value in rows if _key(cod, value.tag, tags) is None), None)
+    if outside is not None:
+        raise CodomainError(f"row value {outside!r} is not an object of the codomain")
+    # The keys are distinct canonical tags: one is missing iff |dom| > len(rows).
+    keys = {key.tag for key, _ in rows}
+    missing = next((t for t in _first_objects(dom, tags, len(rows) + 1) if t not in keys), None)
+    if missing is not None:
+        raise TotalityError(f"table has no row for {missing!r}")
+
+
 def _check_rule(rule: RuleId, payload: tuple, premises: tuple[Judgment, ...]) -> Judgment:
     if rule is RuleId.GEN_INTRO:
         (expr,) = payload
         return _check_gen_formation(expr, premises)
     if rule is RuleId.MOR_INTRO:
-        fn, dom, cod, model = payload
-        return _check_mor(fn, dom, cod, model, premises)
+        fn, dom, cod, tags = payload
+        return _check_mor(fn, dom, cod, dict(tags), premises)
     if rule is RuleId.BIN_FN_FROM_MOR:
         (premise,) = premises
         if not isinstance(premise, IsMor) or premise.cod != TWO:
@@ -423,8 +488,7 @@ def _check_rule(rule: RuleId, payload: tuple, premises: tuple[Judgment, ...]) ->
         return IsBinFn(premise.fn, premise.dom)
     if rule is RuleId.DOMAIN_INTRO:
         gen_j, eq_j = premises
-        (models,) = payload
-        return _check_domain(gen_j, eq_j, models)
+        return _check_domain(gen_j, eq_j)
     if rule is RuleId.SET_INTRO:
         dom_j, sq_j = premises
         if not isinstance(dom_j, IsDomain):
@@ -472,35 +536,32 @@ def _check_gen_formation(expr: GenExpr, premises: tuple[Judgment, ...]) -> Judgm
     raise PremiseError(f"cannot form {render(expr)} by formation rules")
 
 
-def _check_domain(
-    gen_j: Judgment, eq_j: Judgment, models: tuple[Model, ...]
-) -> Judgment:
+def _check_domain(gen_j: Judgment, eq_j: Judgment) -> Judgment:
     if not isinstance(gen_j, IsGen):
         raise PremiseError(f"domain_intro needs Gen(A), got {render(gen_j)}")
     if not isinstance(eq_j, IsBinFn):
         raise PremiseError(
             f"domain_intro needs a binary function premise, got {render(eq_j)}"
         )
-    expr = gen_j.expr
+    expr, eq = gen_j.expr, eq_j.fn
     if eq_j.dom != Product(expr, expr):
         raise PremiseError(
             f"equality pairing is on {render(eq_j.dom)}, expected "
             f"{render(Product(expr, expr))}"
         )
-    if not models:
-        raise PremiseError("domain_intro needs at least one evidence model")
-    for model in models:
-        try:
-            violation = diagonal_violation(eq_j.fn, expr, model)
-        except NotFinitelyCheckable as exc:
-            raise PremiseError(f"evidence model cannot interpret {render(expr)}: {exc}")
-        if violation is not None:
-            x, y, got, expected = violation
-            raise EqualityLawError(
-                f"equality pairing on {render(expr)} returns {got!r} at "
-                f"({x!r}, {y!r}) in {model.describe()}, expected {expected!r}"
-            )
-    return IsDomain(expr, eq_j.fn)
+    if isinstance(eq, Table):
+        # The BinFn premise proved the keys canonical: (x,y) is a diagonal pair iff x == y.
+        for key, value in eq.rows:
+            x, y = split_pair_tag(key.tag)
+            expected = "yes" if x == y else "no"
+            if value.tag != expected:
+                raise EqualityLawError(
+                    f"equality pairing on {render(expr)} returns {value.tag!r} at "
+                    f"({x!r}, {y!r}), expected {expected!r}"
+                )
+    elif eq != BuiltinRule("eq_of", (expr,)):  # eq_of rests on its premises alone
+        raise EqualityLawError(f"{render(eq)} is not the equality on {render(expr)}")
+    return IsDomain(expr, eq)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +586,7 @@ class Kernel:
 
     # -- axioms
 
-    def axiom(self, axiom: AxiomId, params: Sequence = (), model: Model | None = None) -> Theorem:
+    def axiom(self, axiom: AxiomId, params: Sequence = ()) -> Theorem:
         params = tuple(params)
         if axiom is AxiomId.H1_TWO_IS_SET:
             if params:
@@ -539,9 +600,7 @@ class Kernel:
         if axiom is AxiomId.H2_CHOICE:
             if len(params) != 3:
                 raise SchemaError("H2 takes a surjection description: (fn, dom, cod)")
-            if model is None:
-                raise SchemaError("H2 needs a finite model to check surjectivity")
-            return _theorem("axiom", axiom.value, (*params, model))
+            return _theorem("axiom", axiom.value, (*params, self._tags(params[0])))
         if axiom is AxiomId.H4_POWERSET_QUANT:
             raise SchemaError(
                 "H4 is a closure rule: apply squant_from_powerset to a "
@@ -556,14 +615,17 @@ class Kernel:
 
     # -- generators
 
-    def gen_intro(self, decl: Ident | GenExpr) -> Theorem:
-        """Declare a fresh primitive generator, or form a composite one."""
+    def gen_intro(self, decl: Ident | GenExpr, tags: Sequence[str] = ()) -> Theorem:
+        """Declare a fresh primitive generator with the tags of its objects
+        (without tags, no table on it is ever checked), or form a composite one."""
         if isinstance(decl, Ident):
             if decl.text in self._declared:
                 raise NameClashError(f"generator {decl.text!r} is already declared")
-            thm = _theorem("decl", "generator", (decl.text,))
+            thm = _theorem("decl", "generator", (decl.text, tuple(tags)))
             self._declared[decl.text] = thm
             return thm
+        if tags:
+            raise SchemaError("only a primitive generator declares tags")
         if isinstance(decl, Named):
             thm = self._declared.get(decl.name.text)
             if thm is None:
@@ -591,6 +653,13 @@ class Kernel:
             expr, self._derive(RuleId.GEN_INTRO, children, (expr,))
         )
 
+    def _tags(self, fn: FnExpr) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """The tags this kernel's declarations give the generators a table names."""
+        if not isinstance(fn, Table):
+            return ()
+        names = free_names(fn.domain) | free_names(fn.codomain)
+        return tuple(sorted((i.text, self.gen_intro(Named(i)).node.payload[1]) for i in names))
+
     # -- morphisms
 
     def mor_intro(
@@ -599,20 +668,17 @@ class Kernel:
         dom: GenExpr,
         cod: GenExpr,
         *,
-        model: Model | None = None,
         premises: Sequence[Theorem] = (),
     ) -> Theorem:
-        return self._derive(RuleId.MOR_INTRO, premises, (fn, dom, cod, model))
+        return self._derive(RuleId.MOR_INTRO, premises, (fn, dom, cod, self._tags(fn)))
 
     def bin_fn_from_mor(self, mor: Theorem) -> Theorem:
         return self._derive(RuleId.BIN_FN_FROM_MOR, (mor,))
 
     # -- domains and sets
 
-    def domain_intro(
-        self, gen: Theorem, eq: Theorem, models: Sequence[Model]
-    ) -> Theorem:
-        return self._derive(RuleId.DOMAIN_INTRO, (gen, eq), (tuple(models),))
+    def domain_intro(self, gen: Theorem, eq: Theorem) -> Theorem:
+        return self._derive(RuleId.DOMAIN_INTRO, (gen, eq))
 
     def set_intro(self, domain: Theorem, squant: Theorem) -> Theorem:
         return self._derive(RuleId.SET_INTRO, (domain, squant))

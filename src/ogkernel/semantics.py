@@ -71,7 +71,6 @@ __all__ = [
     "fn_values",
     "fn_holes",
     "interpret_fn",
-    "diagonal_violation",
     "verify_judgment",
     "verify_axiom_instances",
     "AxiomCheck",
@@ -340,26 +339,6 @@ def interpret_fn(fn: FnExpr, model: Model) -> dict[str, str]:
     return {dom.tag(k): cod.tag(v) for k, v in enumerate(values) if v >= 0}
 
 
-def diagonal_violation(
-    eq: FnExpr, expr: GenExpr, model: Model
-) -> tuple[str, str, str | None, str] | None:
-    """The diagonal law of an equality pairing `eq` on `expr`, evaluated at
-    all |A|^2 pairs: None when `eq` answers yes exactly at the same-object
-    pairs, else the first pair (x, y) where it does not, with the value got
-    (None for no value) and the value expected."""
-    carrier = interpret(expr, model)
-    got = fn_values(eq, model)  # over A * A: not checkable past the budget
-    n = len(carrier)
-    expected = [NO] * (n * n)
-    expected[:: n + 1] = [YES] * n
-    if got == expected:
-        return None
-    k = next(k for k, (g, e) in enumerate(zip(got, expected)) if g != e)
-    i, j = divmod(k, n)
-    value = TWO_CARRIER.tag(got[k]) if got[k] >= 0 else None
-    return carrier.tag(i), carrier.tag(j), value, "yes" if i == j else "no"
-
-
 # ---------------------------------------------------------------------------
 # Judgment evaluation
 
@@ -427,12 +406,8 @@ def verify_judgment(j: Judgment, model: Model) -> Verdict:
         return Verdict(NOT_FINITELY_CHECKABLE, detail=str(exc))
 
 
-def _truncated(j: Judgment, model: Model) -> bool:
-    return model.truncated and mentions_nat(j)
-
-
 def _verify(j: Judgment, model: Model) -> Verdict:
-    trunc = _truncated(j, model)
+    trunc = model.truncated and mentions_nat(j)
     if isinstance(j, IsGen):
         carrier = interpret(j.expr, model)
         return Verdict(HOLDS, detail=f"{len(carrier)} objects", truncated=trunc)
@@ -475,6 +450,9 @@ def _verify_obj(j: IsObj, model: Model, trunc: bool) -> Verdict:
     return _fails(f"{tag!r} is not an object of {name}", trunc, tag=tag, carrier=name)
 
 
+_TAG_ATOMS = re.compile(r"[(){},]")  # splits an object tag into its atoms
+
+
 def _verify_mor(
     fn: FnExpr, dom: GenExpr, cod: GenExpr, model: Model, trunc: bool
 ) -> Verdict:
@@ -490,6 +468,11 @@ def _verify_mor(
         coherence = _verify_coherence(fn.args[0], trunc)
         if not coherence.holds:
             return coherence
+    if isinstance(fn, Table) and mentions_nat(dom):
+        # Finitely many rows on an infinite carrier: some numeral is in no key.
+        mentioned = {atom for key, _ in fn.rows for atom in _TAG_ATOMS.split(key.tag)}
+        n = str(next(k for k in itertools.count() if str(k) not in mentioned))
+        return _fails(f"not total: Nat is infinite and no row mentions {n}", trunc, missing=n)
     dom_carrier = interpret(dom, model)
     values = fn_values(fn, model)
     holes, outside = fn_holes(fn, model)
@@ -505,6 +488,13 @@ def _verify_mor(
         if values[k] == NO_VALUE:
             return _fails(f"not total: no value at {tag!r}", trunc, missing=tag)
         got = next(val.tag for key, val in fn.rows if key.tag == tag)
+        bound = model.nat_bound  # not None where the codomain mentions Nat
+        numerals = [a for a in _TAG_ATOMS.split(got) if a.isdecimal()] if mentions_nat(cod) else ()
+        if any(len(a) > 9 or int(a) > bound for a in numerals):
+            # As for `Obj`: a numeral past the bound is still an object of Nat.
+            raise NotFinitelyCheckable(
+                f"value {got!r} mentions a numeral past the truncation bound {bound}"
+            )
         return _fails(f"value at {tag!r} is outside the codomain", trunc, at=tag, got=got)
     return Verdict(HOLDS, detail=f"total on {len(dom_carrier)} objects", truncated=trunc)
 
@@ -513,12 +503,17 @@ def _verify_domain(j: IsDomain, model: Model, trunc: bool) -> Verdict:
     mor = _verify_mor(j.eq, Product(j.expr, j.expr), TWO, model, trunc)
     if mor.status != HOLDS:
         return mor
-    violation = diagonal_violation(j.eq, j.expr, model)
-    if violation is not None:
-        x, y, got, expected = violation
+    # The diagonal law at all |A|^2 pairs: yes exactly at the pairs (i, i).
+    carrier = interpret(j.expr, model)
+    n = len(carrier)
+    got = fn_values(j.eq, model)  # total on A * A: the Mor check held
+    expected = [NO] * (n * n)
+    expected[:: n + 1] = [YES] * n
+    if got != expected:
+        x, y = divmod(next(k for k, (g, e) in enumerate(zip(got, expected)) if g != e), n)
         detail = "equality pairing does not flag exactly the same-object pairs"
-        return _fails(detail, trunc, x=x, y=y, got=str(got), expected=expected)
-    n = len(interpret(j.expr, model))
+        value, want = TWO_CARRIER.tag(got[x * n + y]), "yes" if x == y else "no"
+        return _fails(detail, trunc, x=carrier.tag(x), y=carrier.tag(y), got=value, expected=want)
     return Verdict(HOLDS, detail=f"diagonal law on {n}^2 pairs", truncated=trunc)
 
 
@@ -680,21 +675,21 @@ def verify_axiom_instances(model: Model, _interpret=interpret) -> list[AxiomChec
     checks: list[AxiomCheck] = []
     carriers = _checked_carriers(model)
 
+    def check(axiom: str, witness, broken: str, held: str) -> None:
+        status, detail = (FAILS, broken) if witness else (HOLDS, held)
+        checks.append(AxiomCheck(axiom, status, detail, witness))
+
     # H1: there is a 2-element set.
     two = _interpret(TWO, model)
     if len(two) != 2:
         witness = _witness(carrier=two.name, size=str(len(two)))
     else:
         witness = _detector_law(TWO, model, _interpret)
-    checks.append(
-        AxiomCheck(
-            "H1",
-            FAILS if witness else HOLDS,
-            "the two-object carrier or its powerset detector law is broken"
-            if witness
-            else "a fixed two-object carrier with diagonal equality and empty-detector",
-            witness,
-        )
+    check(
+        "H1",
+        witness,
+        "the two-object carrier or its powerset detector law is broken",
+        "a fixed two-object carrier with diagonal equality and empty-detector",
     )
 
     # H2: every surjection between checked carriers admits a section.  A map
@@ -710,16 +705,12 @@ def verify_axiom_instances(model: Model, _interpret=interpret) -> list[AxiomChec
                 section = [values.index(t) for t in targets]
                 if any(values[section[t]] != t for t in targets):
                     h2_witness = h2_witness or _witness(dom=dom.name, cod=cod.name)
-    checks.append(
-        AxiomCheck(
-            "H2",
-            FAILS if h2_witness else HOLDS,
-            "no section for a surjection between checked carriers"
-            if h2_witness
-            else f"sections found for all {surjections} surjections "
-            "between checked carriers with |dom| <= 4",
-            h2_witness,
-        )
+    check(
+        "H2",
+        h2_witness,
+        "no section for a surjection between checked carriers",
+        f"sections found for all {surjections} surjections between checked carriers "
+        "with |dom| <= 4",
     )
 
     # H3: the naturals support quantification — not finitely checkable.
@@ -742,15 +733,10 @@ def verify_axiom_instances(model: Model, _interpret=interpret) -> list[AxiomChec
         )
         if h4_witness:
             break
-    checks.append(
-        AxiomCheck(
-            "H4",
-            FAILS if h4_witness else HOLDS,
-            f"powerset detector law violated over {render(expr)}"
-            if h4_witness
-            else f"powerset detector law verified for {len(small)} checked domains "
-            "with |A| <= 4",
-            h4_witness,
-        )
+    check(
+        "H4",
+        h4_witness,
+        f"powerset detector law violated over {render(expr)}",
+        f"powerset detector law verified for {len(small)} checked domains with |A| <= 4",
     )
     return checks

@@ -3,9 +3,12 @@
 The standard objects (the two-object set, the naturals, the iterated
 powersets up to Set(P[P[Nat]])) are stated once, in the shipped `.og`
 prelude, and reach the kernel through elaboration.  This module ships that
-prelude, picks the evidence models a domain's equality law is checked in,
-and builds concrete choice instances.  Everything here goes through kernel
-operations; nothing is trusted.
+prelude and builds concrete choice instances through kernel operations;
+nothing here is trusted.
+
+`evidence_models` is no longer called: the kernel checks tables on carriers
+it knows whole and takes no model.  `bench/probes.py` still patches it by
+name, here and in `ogkernel.elaborate`, so it stays until that probe goes.
 """
 
 from __future__ import annotations
@@ -19,14 +22,14 @@ from .terms import FnExpr, GenExpr, free_names, render
 __all__ = ["evidence_models", "choice_instance", "prelude_source"]
 
 
-# Evidence models keep the diagonal check at or below this many objects.
+# An evidence model gives `expr` at most this many objects.
 _EVIDENCE_SIZE_CAP = 64
 
 
 def evidence_models(expr: GenExpr) -> tuple[Model, ...]:
-    """Small finite models in which equality-law evidence for `expr` is
-    checked exhaustively.  The two largest feasible Nat truncations are used;
-    an expression without Nat gets the single model with bound 1."""
+    """Small finite models to check equality-law evidence for `expr` in:
+    the two largest feasible Nat truncations, or, for an expression without
+    Nat, the single model with bound 1."""
     feasible = [
         k
         for k in (range(4) if mentions_nat(expr) else (1,))
@@ -40,16 +43,11 @@ def evidence_models(expr: GenExpr) -> tuple[Model, ...]:
     return tuple(Model.make({}, nat_bound=k) for k in feasible[-2:])
 
 
-def choice_instance(
-    kernel: Kernel, surj: FnExpr, dom: GenExpr, cod: GenExpr, model: Model
-) -> Theorem:
-    """A section-existence theorem for a concrete surjection.
-
-    Raises CounterexampleError (with the model and the uncovered object)
-    when the map is not surjective in the checked model.
-    """
-    kernel.mor_intro(surj, dom, cod, model=model)
-    return kernel.axiom(AxiomId.H2_CHOICE, (surj, dom, cod), model=model)
+def choice_instance(kernel: Kernel, surj: FnExpr, dom: GenExpr, cod: GenExpr) -> Theorem:
+    """A section-existence theorem for a surjection, given as a table on
+    carriers the kernel knows whole; raises CounterexampleError, naming an
+    uncovered object, when the map is not surjective."""
+    return kernel.axiom(AxiomId.H2_CHOICE, (surj, dom, cod))
 
 
 def prelude_source() -> str:

@@ -94,21 +94,14 @@ def test_criterion_3_powerset_law():
 
 def test_criterion_4_choice_instances():
     with _timed("4 choice-instances", 10.0):
-        kernel = Kernel()
-        kernel.gen_intro(Ident("D"))
-        kernel.gen_intro(Ident("C"))
         d, c = Named(Ident("D")), Named(Ident("C"))
         tags = ("t0", "t1", "t2", "t3")
         surjections = 0
         for nd in range(1, 5):
             for nc in range(1, 5):
-                model = Model.make(
-                    {
-                        "D": Carrier("D", tags[:nd]),
-                        "C": Carrier("C", tags[:nc]),
-                    },
-                    nat_bound=1,
-                )
+                kernel = Kernel()
+                kernel.gen_intro(Ident("D"), tags[:nd])
+                kernel.gen_intro(Ident("C"), tags[:nc])
                 for values in itertools.product(tags[:nc], repeat=nd):
                     if set(values) != set(tags[:nc]):
                         continue
@@ -121,7 +114,7 @@ def test_criterion_4_choice_instances():
                             for t, v in zip(tags[:nd], values)
                         ),
                     )
-                    thm = choice_instance(kernel, surj, d, c, model)
+                    thm = choice_instance(kernel, surj, d, c)
                     section = {k.tag: v.tag for k, v in thm.judgment.fn.rows}
                     surj_map = dict(zip(tags[:nd], values))
                     assert all(surj_map[section[t]] == t for t in tags[:nc])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ogkernel.cli import main
-from ogkernel.kernel import AxiomId, Kernel, KernelError, PremiseError
+from ogkernel.kernel import AxiomId, Kernel, KernelError, verify_trace
 from ogkernel.semantics import (
     CARRIER_BUDGET,
     NOT_FINITELY_CHECKABLE,
@@ -130,7 +130,7 @@ def test_domain_past_the_budget_is_not_finitely_checkable():
     assert verify_judgment(judgment, default_model(2)).holds  # 256^2 pairs
 
 
-def test_kernel_refuses_a_domain_past_the_budget():
+def test_kernel_accepts_a_builtin_domain_past_the_budget():
     kernel = Kernel()
     squant = kernel.axiom(AxiomId.H1_TWO_IS_SET).parts[1]
     squant = kernel.squant_from_powerset(kernel.squant_from_powerset(squant))
@@ -138,8 +138,10 @@ def test_kernel_refuses_a_domain_past_the_budget():
     eq = BuiltinRule("eq_of", (tower,))
     mor = kernel.mor_intro(eq, Product(tower, tower), TWO, premises=(squant,))
     binfn = kernel.bin_fn_from_mor(mor)
-    with pytest.raises(PremiseError, match="evidence model cannot interpret"):
-        kernel.domain_intro(kernel.gen_intro(tower), binfn, [default_model(1)])
+    # the builtin equality rests on its premises: no pair is enumerated
+    domain = kernel.domain_intro(kernel.gen_intro(tower), binfn)
+    assert domain.judgment == IsDomain(tower, eq)
+    assert verify_trace(domain).passed
 
 
 def test_model_sweep_at_size_4_ends_within_the_budget():
@@ -250,13 +252,15 @@ def test_only_decimal_tags_are_numerals():
     kernel = Kernel()
     eq = BuiltinRule("eq_of", (NAT,))
     binfn = kernel.bin_fn_from_mor(kernel.mor_intro(eq, Product(NAT, NAT), TWO))
-    domain = kernel.domain_intro(kernel.gen_intro(NAT), binfn, [default_model(3)])
+    domain = kernel.domain_intro(kernel.gen_intro(NAT), binfn)
     far = kernel.eq_within_domain(domain, ObjLit("3", NAT), ObjLit("70", NAT))
-    assert far.evaluate(default_model(3)) == "no"  # numerals past the bound
-    # 301^2 pairs exceed the carrier budget: one pair is read, the square is not built
-    for left, expected in (("300", "yes"), ("3", "no")):
-        query = kernel.eq_within_domain(domain, ObjLit(left, NAT), ObjLit("300", NAT))
-        assert query.evaluate(default_model(3)) == expected
-    odd = kernel.eq_within_domain(domain, ObjLit("²", NAT), ObjLit("2", NAT))
-    with pytest.raises(KernelError, match="not an object of Nat"):
-        odd.evaluate(default_model(3))
+    assert far.evaluate() == "no"
+    # a numeral of any size is an object of Nat; equality compares canonical tags
+    huge = "9" * 5000
+    for left, expected in (("300", "no"), (huge, "yes")):
+        query = kernel.eq_within_domain(domain, ObjLit(left, NAT), ObjLit(huge, NAT))
+        assert query.evaluate() == expected
+    for tag in ("²", "٣", "03", "-1"):  # superscript two, Arabic-Indic three
+        odd = kernel.eq_within_domain(domain, ObjLit(tag, NAT), ObjLit("2", NAT))
+        with pytest.raises(KernelError, match="not an object of Nat"):
+            odd.evaluate()

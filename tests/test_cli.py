@@ -76,22 +76,55 @@ def test_check_refusals_exit_1(tmp_path, capsys):
             "assert Mor(e, Two, Two) by rule mor;\n",
             "E0102 at 1:1 | duplicate table row for 'yes'",
         ),
-        "deep_tower.og": (
-            "assert Set(Two) by axiom H1;\n"
-            "assert SupportsQuant(P[Two]) by rule H4;\n"
-            "assert SupportsQuant(P[P[Two]]) by rule H4;\n"
-            "assert Gen(P[P[P[Two]]]) by rule gen;\n"
-            "morphism eq3 : P[P[P[Two]]] * P[P[P[Two]]] -> Two := rule eq_of[P[P[P[Two]]]];\n"
-            "assert BinFn(eq3, P[P[P[Two]]] * P[P[P[Two]]]) by rule binfn;\n"
-            "assert Domain(P[P[P[Two]]], eq3) by rule domain_intro;\n",
-            "E0102 at 7:1 | no feasible evidence model for P[P[P[Two]]]",
-        ),
     }
     for name, (source, expected) in cases.items():
         path = tmp_path / name
         path.write_text(source)
         assert main(["check", str(path)]) == EXIT_CHECK_FAILED, name
         assert expected in capsys.readouterr().out, name
+
+
+def test_builtin_equality_on_a_deep_tower_rests_on_its_premises(capsys):
+    # P[P[P[Two]]] has 2^16 objects; no pair of them is enumerated.
+    path = Path(__file__).parents[1] / "bench" / "inputs" / "deep_tower.og"
+    started = time.perf_counter()
+    assert main(["check", str(path)]) == EXIT_OK
+    assert time.perf_counter() - started < 1.0
+    out = capsys.readouterr().out
+    assert "Domain(P[P[P[Two]]], eq_of[P[P[P[Two]]]]) | axioms: H1, H4, H4" in out
+    assert "summary: 13 pass, 0 fail" in out
+
+
+# The two finite tables on Nat that the kernel once certified as total.
+_NAT_TABLES = {
+    "Nat": "table { Nat.0 -> Two.yes, Nat.1 -> Two.no }",
+    "Nat * Nat": "table { (Nat.0, Nat.0) -> Two.yes, (Nat.0, Nat.1) -> Two.no, "
+    "(Nat.1, Nat.0) -> Two.no, (Nat.1, Nat.1) -> Two.yes }",
+}
+
+
+@pytest.mark.parametrize("domain", sorted(_NAT_TABLES))
+def test_a_finite_table_on_nat_is_refused_and_fails_in_the_oracle(domain, tmp_path, capsys):
+    table = _NAT_TABLES[domain]
+    path = tmp_path / "nat_table.og"
+    path.write_text(
+        f"morphism g : {domain} -> Two := {table};\n"
+        f"assert Mor(g, {domain}, Two) by rule mor;\n"
+        f"assert BinFn(g, {domain}) by rule binfn;\n"
+    )
+    refusal = (
+        f"E0102 at 1:1 | a table's domain must be a finite carrier known whole, "
+        f"and {domain} is not: it mentions Nat, which is infinite"
+    )
+    for command in ("check", "model"):
+        assert main([command, str(path)]) == EXIT_CHECK_FAILED, command
+        out = capsys.readouterr().out
+        assert refusal in out and "PASS     Mor(" not in out, command
+    # the oracle fails the judgment in every model, naming a numeral with no row
+    path.write_text(f"model check Mor({table}, {domain}, Two) upto 3;\n")
+    assert main(["model", str(path)]) == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    assert "| 3/3 models fail [witness: {'model': 'model(nat<=:0)', 'missing': '2'}]" in out
 
 
 @pytest.mark.parametrize(
@@ -162,6 +195,20 @@ def test_check_refusals_exit_1(tmp_path, capsys):
             'limit member "shift(squares,100000000000)" upto 1 1 3;\n',
             EXIT_CHECK_FAILED,
             "E0102 at 1:1 | shift offset 100000000000 above the maximum 65536",
+        ),
+        (
+            ["check"],
+            "generator G primitive;\nmorphism f : G -> Two := table { G.a -> Two.yes };\n",
+            EXIT_CHECK_FAILED,
+            "E0102 at 2:1 | a table's domain must be a finite carrier known whole, "
+            "and G is not: generator 'G' declares no tags",
+        ),
+        (
+            ["check"],
+            "morphism n : Two -> Nat := table { Two.yes -> Nat.0, Two.no -> Nat.1 };\n",
+            EXIT_CHECK_FAILED,
+            "E0102 at 1:1 | a table's codomain must be a finite carrier known whole, "
+            "and Nat is not: it mentions Nat, which is infinite",
         ),
     ],
 )

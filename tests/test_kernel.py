@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ogkernel import kernel as kernel_module
 
 from ogkernel.kernel import (
     AxiomId,
@@ -12,6 +19,7 @@ from ogkernel.kernel import (
     CrossDomainEqualityError,
     EqualityLawError,
     Kernel,
+    KernelError,
     NameClashError,
     PremiseError,
     SchemaError,
@@ -24,7 +32,7 @@ from ogkernel.kernel import (
     trace_nodes,
     verify_trace,
 )
-from ogkernel.semantics import Carrier, Model, default_model
+from ogkernel.semantics import Carrier, Model, interpret, verify_judgment
 from ogkernel.streams import CoherenceError
 from ogkernel.terms import (
     NAT,
@@ -51,10 +59,6 @@ from ogkernel.terms import (
 @pytest.fixture
 def kernel() -> Kernel:
     return Kernel()
-
-
-def _model(name: str, *tags: str) -> Model:
-    return Model.make({name: Carrier(name, tags)}, nat_bound=2)
 
 
 # -- axioms
@@ -122,46 +126,41 @@ def test_formation_theorems_are_shared(kernel):
 
 def test_mor_intro_identity_table(kernel):
     g = Named(Ident("G"))
-    kernel.gen_intro(Ident("G"))
-    model = _model("G", "a", "b", "c")
+    kernel.gen_intro(Ident("G"), ("a", "b", "c"))
     identity = Table(g, g, tuple((ObjLit(t, g), ObjLit(t, g)) for t in "abc"))
-    thm = kernel.mor_intro(identity, g, g, model=model)
+    thm = kernel.mor_intro(identity, g, g)
     assert thm.judgment == IsMor(identity, g, g)
     assert verify_trace(thm).passed
 
 
 def test_mor_intro_binary_function(kernel):
     g = Named(Ident("G"))
-    kernel.gen_intro(Ident("G"))
-    model = _model("G", "a", "b")
+    kernel.gen_intro(Ident("G"), ("a", "b"))
     table = Table(
         g, TWO, ((ObjLit("a", g), ObjLit("yes", TWO)), (ObjLit("b", g), ObjLit("no", TWO)))
     )
-    mor = kernel.mor_intro(table, g, TWO, model=model)
+    mor = kernel.mor_intro(table, g, TWO)
     binfn = kernel.bin_fn_from_mor(mor)
     assert binfn.judgment == IsBinFn(table, g)
 
 
 def test_mor_intro_totality_and_codomain_errors(kernel):
     g = Named(Ident("G"))
-    kernel.gen_intro(Ident("G"))
-    model = _model("G", "a", "b")
+    kernel.gen_intro(Ident("G"), ("a", "b"))
     partial = Table(g, TWO, ((ObjLit("a", g), ObjLit("yes", TWO)),))
     with pytest.raises(TotalityError, match="^table has no row for 'b'$"):
-        kernel.mor_intro(partial, g, TWO, model=model)
+        kernel.mor_intro(partial, g, TWO)
     bad = Table(
         g, TWO, ((ObjLit("a", g), ObjLit("up", TWO)), (ObjLit("b", g), ObjLit("no", TWO)))
     )
     with pytest.raises(CodomainError, match="^row value 'up' is not an object of the codomain$"):
-        kernel.mor_intro(bad, g, TWO, model=model)
-    with pytest.raises(TotalityError, match="model"):
-        kernel.mor_intro(partial, g, TWO)  # no model supplied
+        kernel.mor_intro(bad, g, TWO)
     # a row whose key is no object of the domain, also where a row is missing
     stray_row = (ObjLit("z", g), ObjLit("no", TWO))
     total = ((ObjLit("a", g), ObjLit("yes", TWO)), bad.rows[1])
     for rows in (total + (stray_row,), total[1:] + (stray_row,)):
         with pytest.raises(CodomainError, match="row key 'z' is not an object"):
-            kernel.mor_intro(Table(g, TWO, rows), g, TWO, model=model)
+            kernel.mor_intro(Table(g, TWO, rows), g, TWO)
 
 
 def test_builtin_morphisms(kernel):
@@ -204,9 +203,9 @@ def test_domain_intro_two(kernel):
             for y in ("yes", "no")
         ),
     )
-    mor = kernel.mor_intro(table, pair, TWO, model=default_model(1))
+    mor = kernel.mor_intro(table, pair, TWO)
     binfn = kernel.bin_fn_from_mor(mor)
-    thm = kernel.domain_intro(gen, binfn, [default_model(1)])
+    thm = kernel.domain_intro(gen, binfn)
     assert thm.judgment == IsDomain(TWO, table)
 
 
@@ -214,14 +213,13 @@ def test_domain_intro_nat_builtin(kernel):
     gen = kernel.gen_intro(NAT)
     eq = BuiltinRule("eq_of", (NAT,))
     binfn = kernel.bin_fn_from_mor(kernel.mor_intro(eq, Product(NAT, NAT), TWO))
-    thm = kernel.domain_intro(gen, binfn, [default_model(2), default_model(3)])
+    thm = kernel.domain_intro(gen, binfn)
     assert thm.judgment == IsDomain(NAT, eq)
 
 
 def test_domain_intro_rejects_constant_yes(kernel):
     g = Named(Ident("G"))
-    kernel.gen_intro(Ident("G"))
-    model = _model("G", "a", "b")
+    kernel.gen_intro(Ident("G"), ("a", "b"))
     constant = Table(
         Product(g, g),
         TWO,
@@ -232,9 +230,9 @@ def test_domain_intro_rejects_constant_yes(kernel):
         ),
     )
     gen = kernel.gen_intro(g)
-    binfn = kernel.bin_fn_from_mor(kernel.mor_intro(constant, Product(g, g), TWO, model=model))
-    with pytest.raises(EqualityLawError):
-        kernel.domain_intro(gen, binfn, [model])
+    binfn = kernel.bin_fn_from_mor(kernel.mor_intro(constant, Product(g, g), TWO))
+    with pytest.raises(EqualityLawError, match=r"returns 'yes' at \('a', 'b'\)"):
+        kernel.domain_intro(gen, binfn)
 
 
 def test_domain_intro_premise_mismatch(kernel):
@@ -242,14 +240,14 @@ def test_domain_intro_premise_mismatch(kernel):
     eq_nat = BuiltinRule("eq_of", (NAT,))
     binfn = kernel.bin_fn_from_mor(kernel.mor_intro(eq_nat, Product(NAT, NAT), TWO))
     with pytest.raises(PremiseError):
-        kernel.domain_intro(gen_two, binfn, [default_model(2)])
+        kernel.domain_intro(gen_two, binfn)
 
 
 def test_set_intro_and_mismatch(kernel):
     gen = kernel.gen_intro(NAT)
     eq = BuiltinRule("eq_of", (NAT,))
     binfn = kernel.bin_fn_from_mor(kernel.mor_intro(eq, Product(NAT, NAT), TWO))
-    domain = kernel.domain_intro(gen, binfn, [default_model(2)])
+    domain = kernel.domain_intro(gen, binfn)
     squant = kernel.axiom(AxiomId.H3_NAT_SUPPORTS_QUANT)
     thm = kernel.set_intro(domain, squant)
     assert thm.judgment == IsSet(NAT)
@@ -335,14 +333,13 @@ def _nat_domain(kernel: Kernel):
     gen = kernel.gen_intro(NAT)
     eq = BuiltinRule("eq_of", (NAT,))
     binfn = kernel.bin_fn_from_mor(kernel.mor_intro(eq, Product(NAT, NAT), TWO))
-    return kernel.domain_intro(gen, binfn, [default_model(2)])
+    return kernel.domain_intro(gen, binfn)
 
 
 def test_eq_within_domain_evaluates(kernel):
     domain = _nat_domain(kernel)
-    model = default_model(nat_bound=5)
-    assert kernel.eq_within_domain(domain, ObjLit("3", NAT), ObjLit("3", NAT)).evaluate(model) == "yes"
-    assert kernel.eq_within_domain(domain, ObjLit("3", NAT), ObjLit("5", NAT)).evaluate(model) == "no"
+    assert kernel.eq_within_domain(domain, ObjLit("3", NAT), ObjLit("3", NAT)).evaluate() == "yes"
+    assert kernel.eq_within_domain(domain, ObjLit("3", NAT), ObjLit("5", NAT)).evaluate() == "no"
 
 
 def test_cross_domain_equality_is_refused(kernel):
@@ -356,8 +353,7 @@ def test_cross_domain_equality_is_refused(kernel):
 
 def test_choice_section_for_three_to_two(kernel):
     g = Named(Ident("G"))
-    kernel.gen_intro(Ident("G"))
-    model = Model.make({"G": Carrier("G", ("a", "b", "c"))}, nat_bound=1)
+    kernel.gen_intro(Ident("G"), ("a", "b", "c"))
     surj = Table(
         g,
         TWO,
@@ -367,7 +363,7 @@ def test_choice_section_for_three_to_two(kernel):
             (ObjLit("c", g), ObjLit("no", TWO)),
         ),
     )
-    thm = kernel.axiom(AxiomId.H2_CHOICE, (surj, g, TWO), model=model)
+    thm = kernel.axiom(AxiomId.H2_CHOICE, (surj, g, TWO))
     judgment = thm.judgment
     assert isinstance(judgment, IsMor)
     assert judgment.dom == TWO and judgment.cod == g
@@ -386,23 +382,21 @@ def test_choice_identity_on_two(kernel):
     identity = Table(
         TWO, TWO, ((ObjLit("yes", TWO), ObjLit("yes", TWO)), (ObjLit("no", TWO), ObjLit("no", TWO)))
     )
-    thm = kernel.axiom(AxiomId.H2_CHOICE, (identity, TWO, TWO), model=default_model(1))
+    thm = kernel.axiom(AxiomId.H2_CHOICE, (identity, TWO, TWO))
     assert {k.tag: v.tag for k, v in thm.judgment.fn.rows} == {"yes": "yes", "no": "no"}
 
 
 def test_choice_counterexample(kernel):
     g = Named(Ident("G"))
-    kernel.gen_intro(Ident("G"))
-    model = Model.make({"G": Carrier("G", ("a", "b"))}, nat_bound=1)
+    kernel.gen_intro(Ident("G"), ("a", "b"))
     not_surjective = Table(
         g,
         TWO,
         ((ObjLit("a", g), ObjLit("yes", TWO)), (ObjLit("b", g), ObjLit("yes", TWO))),
     )
-    with pytest.raises(CounterexampleError) as exc:
-        kernel.axiom(AxiomId.H2_CHOICE, (not_surjective, g, TWO), model=model)
+    with pytest.raises(CounterexampleError, match="^not surjective: 'no' is uncovered$") as exc:
+        kernel.axiom(AxiomId.H2_CHOICE, (not_surjective, g, TWO))
     assert exc.value.uncovered == "no"
-    assert exc.value.model == model
 
 
 # -- sealing and trace integrity
@@ -468,3 +462,150 @@ def test_trace_nodes_deduplicate_shared_premises(kernel):
     # different applications share the H3 leaf by identity
     merged = {id(n) for n in trace_nodes(p1)} & {id(n) for n in trace_nodes(p2)}
     assert id(h3.node) in merged
+
+
+# -- carriers the kernel knows whole
+
+
+def test_kernel_imports_only_terms_and_streams_from_the_package():
+    source = Path(kernel_module.__file__).read_text("utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.level and not node.module.startswith("ogkernel"), node.module
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("ogkernel") for a in node.names)
+    assert imported == {"terms", "streams"}
+
+
+def test_tables_need_carriers_known_whole(kernel):
+    kernel.gen_intro(Ident("G"))  # no tags
+    g = Named(Ident("G"))
+    one_row = Table(g, TWO, ((ObjLit("a", g), ObjLit("yes", TWO)),))
+    with pytest.raises(TotalityError, match="G is not: generator 'G' declares no tags"):
+        kernel.mor_intro(one_row, g, TWO)
+    on_nat = Table(NAT, TWO, ((ObjLit("0", NAT), ObjLit("yes", TWO)),))
+    with pytest.raises(TotalityError, match="Nat is not: it mentions Nat"):
+        kernel.mor_intro(on_nat, NAT, TWO)
+    # a table into Nat is refused too, whatever its values
+    into_nat = Table(
+        TWO, NAT, ((ObjLit("yes", TWO), ObjLit("0", NAT)), (ObjLit("no", TWO), ObjLit("1", NAT)))
+    )
+    with pytest.raises(CodomainError, match="codomain must be a finite carrier known whole"):
+        kernel.mor_intro(into_nat, TWO, NAT)
+    with pytest.raises(PremiseError, match="'H' is not declared"):
+        kernel.mor_intro(Table(Named(Ident("H")), TWO, ()), Named(Ident("H")), TWO)
+
+
+def test_table_payload_carries_the_declared_tags(kernel):
+    kernel.gen_intro(Ident("G"), ("a", "b"))
+    kernel.gen_intro(Ident("H"), ("u",))
+    g, h = Named(Ident("G")), Named(Ident("H"))
+    table = Table(Product(g, h), TWO, tuple(
+        (ObjLit(f"({x},u)", Product(g, h)), ObjLit("yes", TWO)) for x in "ab"
+    ))
+    thm = kernel.mor_intro(table, Product(g, h), TWO)
+    assert thm.node.payload[3] == (("G", ("a", "b")), ("H", ("u",)))
+    assert verify_trace(thm).passed
+
+
+def test_repeated_tag_is_refused_by_the_kernel(kernel):
+    with pytest.raises(SchemaError, match="^generator 'G' lists the tag 'a' twice$"):
+        kernel.gen_intro(Ident("G"), ("a", "b", "a"))
+    kernel.gen_intro(Ident("G"), ("a", "b"))  # the refused name was not declared
+    with pytest.raises(SchemaError):
+        kernel.gen_intro(Powerset(TWO), ("a",))
+
+
+def test_a_huge_domain_is_refused_without_building_it(kernel):
+    tower = TWO
+    for _ in range(5):
+        tower = Powerset(tower)  # 2^65536 objects at P^4; P^5 is never counted
+    one_row = Table(tower, TWO, ((ObjLit("{}", tower), ObjLit("yes", TWO)),))
+    with pytest.raises(TotalityError, match=r"^table has no row for '\{\{\}\}'$"):
+        kernel.mor_intro(one_row, tower, TWO)
+
+
+def test_canonical_tags_order_objects_as_the_carrier_does(kernel):
+    kernel.gen_intro(Ident("G"), ("b", "a"))
+    g = Named(Ident("G"))
+    # P[G] in bitmask order: {}, {b}, {a}, {b,a}; {a,b} is not canonical
+    sub = Powerset(g)
+    rows = tuple((ObjLit(t, sub), ObjLit("yes", TWO)) for t in ("{}", "{b}", "{a}", "{b,a}"))
+    kernel.mor_intro(Table(sub, TWO, rows), sub, TWO)
+    bad = rows[:3] + ((ObjLit("{a,b}", sub), ObjLit("yes", TWO)),)
+    with pytest.raises(CodomainError, match="row key '{a,b}' is not an object"):
+        kernel.mor_intro(Table(sub, TWO, bad), sub, TWO)
+    # H2 takes the least preimage in carrier order, whatever the row order
+    collapse = Table(sub, TWO, tuple(
+        (ObjLit(t, sub), ObjLit("no" if t == "{}" else "yes", TWO))
+        for t in ("{b,a}", "{a}", "{b}", "{}")
+    ))
+    section = kernel.axiom(AxiomId.H2_CHOICE, (collapse, sub, TWO)).judgment.fn
+    assert [(k.tag, v.tag) for k, v in section.rows] == [("yes", "{b}"), ("no", "{}")]
+
+
+def test_h2_reads_a_table():
+    with pytest.raises(SchemaError, match="table"):
+        Kernel().axiom(AxiomId.H2_CHOICE, (BuiltinRule("eq_of", (TWO,)), Product(TWO, TWO), TWO))
+
+
+def test_equality_on_a_table_domain_reads_its_rows(kernel):
+    kernel.gen_intro(Ident("G"), ("a", "b"))
+    g = Named(Ident("G"))
+    pair = Product(g, g)
+    diagonal = Table(pair, TWO, tuple(
+        (ObjLit(f"({x},{y})", pair), ObjLit("yes" if x == y else "no", TWO))
+        for x in "ab" for y in "ab"
+    ))
+    binfn = kernel.bin_fn_from_mor(kernel.mor_intro(diagonal, pair, TWO))
+    domain = kernel.domain_intro(kernel.gen_intro(g), binfn)
+    ask = lambda x, y: kernel.eq_within_domain(domain, ObjLit(x, g), ObjLit(y, g)).evaluate()
+    assert (ask("a", "a"), ask("a", "b")) == ("yes", "no")
+    with pytest.raises(KernelError, match="'c' is not an object of G"):
+        ask("c", "a")
+
+
+# -- differential: the kernel against the oracle on tables over G{a,b,c} and Two
+
+_G = Named(Ident("G"))
+_G_TAGS = ("a", "b", "c")
+_G_MODEL = Model.make({"G": Carrier("G", _G_TAGS)})
+_CARRIERS = [_G, TWO, Product(_G, TWO), Product(TWO, _G), Product(TWO, TWO), Product(_G, _G)]
+
+
+_STRAY = ("z", "(a,z)", "{}", "(yes,a", "a ", "yes,no", "(c,no)", "(yes,yes)", "b", "no")
+
+
+@st.composite
+def _tables(draw):
+    """A total table on two of the carriers, then up to three faults: a row
+    missing, a row with an extra or unknown key, a value outside the codomain."""
+    dom, cod = draw(st.sampled_from(_CARRIERS)), draw(st.sampled_from(_CARRIERS))
+    keys, targets = (interpret(expr, _G_MODEL).objects for expr in (dom, cod))
+    values = st.lists(st.sampled_from(targets), min_size=len(keys), max_size=len(keys))
+    rows = dict(zip(keys, draw(values)))
+    for fault in draw(st.lists(st.sampled_from(["missing", "key", "value"]), max_size=3)):
+        if fault == "missing" and rows:
+            del rows[draw(st.sampled_from(sorted(rows)))]
+        elif fault == "key":
+            rows.setdefault(draw(st.sampled_from(_STRAY)), draw(st.sampled_from(targets)))
+        elif fault == "value" and rows:
+            rows[draw(st.sampled_from(sorted(rows)))] = draw(st.sampled_from(_STRAY))
+    return Table(dom, cod, tuple((ObjLit(k, dom), ObjLit(v, cod)) for k, v in rows.items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_kernel_accepts_a_table_exactly_when_the_oracle_holds(table):
+    kernel = Kernel()
+    kernel.gen_intro(Ident("G"), _G_TAGS)
+    try:
+        kernel.mor_intro(table, table.domain, table.codomain)
+        accepted = True
+    except KernelError:
+        accepted = False
+    judgment = IsMor(table, table.domain, table.codomain)
+    assert accepted == verify_judgment(judgment, _G_MODEL).holds

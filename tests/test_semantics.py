@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from ogkernel import semantics
+from ogkernel.elaborate import elaborate_source
 from ogkernel.semantics import (
     FAILS,
     HOLDS,
@@ -153,6 +154,32 @@ def test_verify_domain_examples():
     assert verdict.status == FAILS
     witness = dict(verdict.witness)
     assert witness["x"] != witness["y"] and witness["got"] == "yes"
+
+
+def _table(dom, cod, pairs) -> Table:
+    return Table(dom, cod, tuple((ObjLit(k, dom), ObjLit(v, cod)) for k, v in pairs))
+
+
+def test_a_table_on_nat_fails_at_the_least_numeral_without_a_row():
+    gap = _table(NAT, TWO, (("0", "yes"), ("2", "no")))
+    pairs = _table(Product(NAT, TWO), TWO, (("(0,yes)", "yes"), ("(0,no)", "no")))
+    for table, missing in ((gap, "1"), (pairs, "1")):
+        judgment = IsMor(table, table.domain, TWO)
+        for bound in range(4):  # in every truncation, the rows included
+            verdict = verify_judgment(judgment, default_model(bound))
+            assert verdict.status == FAILS and dict(verdict.witness)["missing"] == missing
+
+
+def test_a_numeral_value_past_the_bound_is_not_checkable_rather_than_false():
+    flip = IsMor(_table(TWO, NAT, (("yes", "1"), ("no", "0"))), TWO, NAT)
+    assert verify_judgment(flip, default_model(0)).status == NOT_FINITELY_CHECKABLE
+    assert verify_judgment(flip, default_model(1)).holds
+    # a value that names no object at any bound still fails
+    bad = IsMor(_table(TWO, NAT, (("yes", "one"), ("no", "0"))), TWO, NAT)
+    assert verify_judgment(bad, default_model(3)).status == FAILS
+    source = "model check Mor(table { Two.yes -> Nat.1, Two.no -> Nat.0 }, Two, Nat) upto 3;"
+    (item,) = elaborate_source(source).items
+    assert (item.status, item.detail) == ("pass", "holds in 2/3 models (1 not finitely checkable)")
 
 
 def test_supports_quant_search_on_three_objects():

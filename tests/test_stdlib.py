@@ -15,7 +15,7 @@ from ogkernel.kernel import (
     leaf_kinds,
     verify_trace,
 )
-from ogkernel.semantics import Carrier, Model, default_model, fn_values, interpret
+from ogkernel.semantics import Model, default_model, fn_values, interpret
 from ogkernel.stdlib import choice_instance, evidence_models, prelude_source
 from ogkernel.terms import (
     NAT,
@@ -181,8 +181,7 @@ def kernel() -> Kernel:
 
 def test_choice_instance_three_to_two(kernel):
     g = Named(Ident("G"))
-    kernel.gen_intro(Ident("G"))
-    model = Model.make({"G": Carrier("G", ("a", "b", "c"))}, nat_bound=1)
+    kernel.gen_intro(Ident("G"), ("a", "b", "c"))
     surj = Table(
         g,
         TWO,
@@ -192,7 +191,7 @@ def test_choice_instance_three_to_two(kernel):
             (ObjLit("c", g), ObjLit("no", TWO)),
         ),
     )
-    thm = choice_instance(kernel, surj, g, TWO, model)
+    thm = choice_instance(kernel, surj, g, TWO)
     section = {k.tag: v.tag for k, v in thm.judgment.fn.rows}
     surj_map = {k.tag: v.tag for k, v in surj.rows}
     assert all(surj_map[section[t]] == t for t in ("yes", "no"))
@@ -200,31 +199,27 @@ def test_choice_instance_three_to_two(kernel):
 
 def test_choice_instance_counterexample(kernel):
     g = Named(Ident("G"))
-    kernel.gen_intro(Ident("G"))
-    model = Model.make({"G": Carrier("G", ("a", "b"))}, nat_bound=1)
+    kernel.gen_intro(Ident("G"), ("a", "b"))
     not_surj = Table(
         g,
         TWO,
         ((ObjLit("a", g), ObjLit("yes", TWO)), (ObjLit("b", g), ObjLit("yes", TWO))),
     )
     with pytest.raises(CounterexampleError) as exc:
-        choice_instance(kernel, not_surj, g, TWO, model)
+        choice_instance(kernel, not_surj, g, TWO)
     assert exc.value.uncovered == "no"
 
 
-def test_choice_instances_exhaustive_small(kernel):
+def test_choice_instances_exhaustive_small():
     # every surjection between carriers with |dom| <= 3, |cod| <= 3 here
     # (the acceptance suite pushes this to 4)
-    kernel.gen_intro(Ident("D"))
-    kernel.gen_intro(Ident("C"))
     d, c = Named(Ident("D")), Named(Ident("C"))
     tags = "wxyz"
     for nd in range(1, 4):
         for nc in range(1, 4):
-            model = Model.make(
-                {"D": Carrier("D", tuple(tags[:nd])), "C": Carrier("C", tuple(tags[:nc]))},
-                nat_bound=1,
-            )
+            kernel = Kernel()
+            kernel.gen_intro(Ident("D"), tuple(tags[:nd]))
+            kernel.gen_intro(Ident("C"), tuple(tags[:nc]))
             for values in itertools.product(tags[:nc], repeat=nd):
                 if set(values) != set(tags[:nc]):
                     continue
@@ -235,7 +230,7 @@ def test_choice_instances_exhaustive_small(kernel):
                         (ObjLit(t, d), ObjLit(v, c)) for t, v in zip(tags[:nd], values)
                     ),
                 )
-                thm = choice_instance(kernel, surj, d, c, model)
+                thm = choice_instance(kernel, surj, d, c)
                 section = {k.tag: v.tag for k, v in thm.judgment.fn.rows}
                 surj_map = dict(zip(tags[:nd], values))
                 assert all(surj_map[section[t]] == t for t in tags[:nc])
