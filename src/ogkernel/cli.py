@@ -17,13 +17,14 @@ import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
 from .elaborate import ElabResult, Item, elaborate_files, gap_items, membership_item
 from .hf import HFUniverse, check_zfc1_instances
-from .kernel import AXIOM_STATEMENTS, AxiomId, verify_trace
+from .kernel import AXIOM_STATEMENTS, verify_trace
 from .semantics import (
     FAILS, HOLDS, SWEEP_SIZES, default_model, soundness_sweep, verify_axiom_instances
 )
@@ -77,26 +78,33 @@ class Report(NamedTuple):
         for entry in items:
             if entry["witness"] is None:
                 del entry["witness"]
-        return {
-            "version": self.version,
-            "command": self.command,
-            "items": items,
-            "summary": self.summary,
-        }
+        return {"version": self.version, "command": self.command, "items": items,
+                "summary": self.summary}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """`json.dumps(self.to_dict(), indent=2)` and a newline, byte for byte,
+        without the pure-Python encoder that an indent selects: each string
+        (every field and witness entry is one) is encoded as `json.dumps` does."""
+        q = encode_basestring_ascii
+        items = []
+        for item in self.items:
+            fields = [f'"name": {q(item.name)}', f'"status": {q(item.status)}']
+            fields.append(f'"detail": {q(item.detail)}')
+            if item.witness is not None:
+                witness = [f"{q(key)}: {q(value)}" for key, value in item.witness.items()]
+                fields.append('"witness": ' + _json_block("{}", witness, 3))
+            items.append(_json_block("{}", fields, 2))
+        summary = [f'"{key}": {count}' for key, count in self.summary.items()]
+        fields = [f'"version": {q(self.version)}', f'"command": {q(self.command)}']
+        fields.append('"items": ' + _json_block("[]", items, 1))
+        fields.append('"summary": ' + _json_block("{}", summary, 1))
+        return _json_block("{}", fields, 0) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Report":
         data = json.loads(text)
         items = tuple(
-            Item(
-                entry["name"],
-                entry["status"],
-                entry.get("detail", ""),
-                entry.get("witness"),
-            )
+            Item(entry["name"], entry["status"], entry.get("detail", ""), entry.get("witness"))
             for entry in data["items"]
         )
         return cls(data["version"], data["command"], items)
@@ -120,6 +128,14 @@ class Report(NamedTuple):
             f"{counts['assumed']} assumed"
         )
         return "\n".join(lines) + "\n"
+
+
+def _json_block(brackets: str, entries: list[str], depth: int) -> str:
+    """Encoded `entries` in `brackets`, as `json.dumps(indent=2)` lays them out at `depth`."""
+    if not entries:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(entries) + pad[:-2] + brackets[1]
 
 
 class UsageError(Exception):
@@ -220,14 +236,8 @@ def _run_model(config: RunConfig, timings: dict[str, float]) -> Report:
     started = time.perf_counter()
     for check in verify_axiom_instances(default_model(nat_bound=config.max_size)):
         status = {HOLDS: "pass", FAILS: "fail"}.get(check.status, "assumed")
-        items.append(
-            Item(
-                f"axiom {check.axiom}",
-                status,
-                check.detail,
-                dict(check.witness) if check.witness else None,
-            )
-        )
+        witness = dict(check.witness) if check.witness else None
+        items.append(Item(f"axiom {check.axiom}", status, check.detail, witness))
     timings["semantics.axioms"] = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -285,9 +295,7 @@ def _run_limits(config: RunConfig, timings: dict[str, float]) -> Report:
 
 
 def _run_axioms(config: RunConfig, timings: dict[str, float]) -> Report:
-    items = [
-        Item(axiom.value, "assumed", AXIOM_STATEMENTS[axiom]) for axiom in AxiomId
-    ]
+    items = (Item(axiom.value, "assumed", text) for axiom, text in AXIOM_STATEMENTS.items())
     return Report(__version__, "axioms", tuple(items))
 
 

@@ -301,10 +301,7 @@ def _execute_axiom(session: _Session, name: str) -> Theorem:
 
 
 def _pick(premises: list[Theorem], predicate) -> Theorem | None:
-    for thm in premises:
-        if predicate(thm.judgment):
-            return thm
-    return None
+    return next((thm for thm in premises if predicate(thm.judgment)), None)
 
 
 def _apply_rule(
@@ -523,9 +520,7 @@ def _axiom_summary(thm: Theorem) -> str:
     uses = axioms_used(thm)
     if not uses:
         return "no axioms"
-    return "axioms: " + ", ".join(
-        axiom.value for axiom in sorted(uses.elements(), key=lambda a: a.value)
-    )
+    return "axioms: " + ", ".join(sorted(uses.elements()))  # members are their names
 
 
 def _run_assert(session: _Session, decl: AssertDecl) -> None:
@@ -560,14 +555,8 @@ def _run_eq_assert(session: _Session, decl: AssertDecl, goal: _EqGoal) -> None:
             )
         raise _ElabError("E0102", f"no proof of Domain({render(expr)}, ...) in scope")
     query = session.kernel.eq_within_domain(domain, goal.left, goal.right)
-    value = query.evaluate()
-    session.items.append(
-        Item(
-            f"Eq({render(goal.left)}, {render(goal.right)})",
-            "pass",
-            f"evaluates to {value}",
-        )
-    )
+    name = f"Eq({render(goal.left)}, {render(goal.right)})"
+    session.items.append(Item(name, "pass", f"evaluates to {query.evaluate()}"))
 
 
 def _run_model_check(session: _Session, decl: ModelCheckDecl) -> None:

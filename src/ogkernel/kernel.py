@@ -127,7 +127,10 @@ class CounterexampleError(KernelError):
         self.uncovered = uncovered
 
 
-class AxiomId(Enum):
+class AxiomId(str, Enum):
+    """A member is also the string of its name, and hashes, compares and joins
+    as it; f-strings render it differently across Python versions."""
+
     H1_TWO_IS_SET = "H1"
     H2_CHOICE = "H2"
     H3_NAT_SUPPORTS_QUANT = "H3"
@@ -136,10 +139,13 @@ class AxiomId(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "AxiomId":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise SchemaError(f"unknown axiom: {name!r}")
+        try:
+            return _AXIOMS_BY_NAME[name]
+        except KeyError:
+            raise SchemaError(f"unknown axiom: {name!r}") from None
+
+
+_AXIOMS_BY_NAME = {axiom.value: axiom for axiom in AxiomId}
 
 
 AXIOM_STATEMENTS: dict[AxiomId, str] = {
@@ -158,7 +164,9 @@ AXIOM_STATEMENTS: dict[AxiomId, str] = {
 }
 
 
-class RuleId(Enum):
+class RuleId:
+    """The labels of rule nodes: plain strings, as a trace node carries them."""
+
     GEN_INTRO = "gen_intro"
     MOR_INTRO = "mor_intro"
     BIN_FN_FROM_MOR = "bin_fn_from_mor"
@@ -332,7 +340,7 @@ def _judge(kind: str, label: str, payload: tuple, premises: tuple[Judgment, ...]
     premises' judgments; raises unless the node's rule admits them."""
     match kind, label, payload:
         case "rule", _, _:
-            return _check_rule(RuleId(label), payload, premises)
+            return _check_rule(label, payload, premises)
         case "axiom", "H1", ("domain",):
             return IsDomain(TWO, BuiltinRule("eq_of", (TWO,)))
         case "axiom", "H1", ("squant",):
@@ -449,8 +457,9 @@ def _check_mor(
 
 
 def _check_rows(table: Table, tags: Tags) -> None:
-    """A row scan on carriers known whole: every key is a domain object, every
-    value a codomain object, and there is a row for each domain object."""
+    """A row scan on carriers known whole: every key is a domain object and
+    every value a codomain object, each written on that carrier, and there is
+    a row for each domain object."""
     dom, cod, rows = table.domain, table.codomain, table.rows
     for side, expr, error in (("domain", dom, TotalityError), ("codomain", cod, CodomainError)):
         unknown = _unknown_part(expr, tags)
@@ -459,6 +468,10 @@ def _check_rows(table: Table, tags: Tags) -> None:
                 f"a table's {side} must be a finite carrier known whole, and "
                 f"{render(expr)} is not: {unknown}"
             )
+    elsewhere = next((row for row in rows if row[0].of != dom or row[1].of != cod), None)
+    if elsewhere is not None:
+        row = " -> ".join(map(render, elsewhere))
+        raise CodomainError(f"row {row} is not written on {render(dom)} -> {render(cod)}")
     stray = next((key.tag for key, _ in rows if _key(dom, key.tag, tags) is None), None)
     if stray is not None:
         raise CodomainError(f"row key {stray!r} is not an object of the domain")
@@ -472,24 +485,24 @@ def _check_rows(table: Table, tags: Tags) -> None:
         raise TotalityError(f"table has no row for {missing!r}")
 
 
-def _check_rule(rule: RuleId, payload: tuple, premises: tuple[Judgment, ...]) -> Judgment:
-    if rule is RuleId.GEN_INTRO:
+def _check_rule(rule: str, payload: tuple, premises: tuple[Judgment, ...]) -> Judgment:
+    if rule == RuleId.GEN_INTRO:
         (expr,) = payload
         return _check_gen_formation(expr, premises)
-    if rule is RuleId.MOR_INTRO:
+    if rule == RuleId.MOR_INTRO:
         fn, dom, cod, tags = payload
         return _check_mor(fn, dom, cod, dict(tags), premises)
-    if rule is RuleId.BIN_FN_FROM_MOR:
+    if rule == RuleId.BIN_FN_FROM_MOR:
         (premise,) = premises
         if not isinstance(premise, IsMor) or premise.cod != TWO:
             raise PremiseError(
                 f"bin_fn_from_mor needs a morphism into Two, got {render(premise)}"
             )
         return IsBinFn(premise.fn, premise.dom)
-    if rule is RuleId.DOMAIN_INTRO:
+    if rule == RuleId.DOMAIN_INTRO:
         gen_j, eq_j = premises
         return _check_domain(gen_j, eq_j)
-    if rule is RuleId.SET_INTRO:
+    if rule == RuleId.SET_INTRO:
         dom_j, sq_j = premises
         if not isinstance(dom_j, IsDomain):
             raise PremiseError(f"set_intro needs a domain premise, got {render(dom_j)}")
@@ -503,21 +516,21 @@ def _check_rule(rule: RuleId, payload: tuple, premises: tuple[Judgment, ...]) ->
                 f"vs {render(sq_j.expr)}"
             )
         return IsSet(dom_j.expr)
-    if rule is RuleId.SQUANT_FROM_POWERSET:
+    if rule == RuleId.SQUANT_FROM_POWERSET:
         (premise,) = premises
         if not isinstance(premise, SupportsQuant):
             raise PremiseError(
                 f"squant_from_powerset needs SupportsQuant(A), got {render(premise)}"
             )
         return SupportsQuant(Powerset(premise.expr))
-    if rule is RuleId.COHERENT_LIMIT:
+    if rule == RuleId.COHERENT_LIMIT:
         (premise,) = premises
         if not isinstance(premise, IsCoherentFamily):
             raise PremiseError(
                 f"coherent_limit needs a coherence premise, got {render(premise)}"
             )
         return IsObj(limit_lit(premise.family.descriptor), Powerset(NAT))
-    raise SchemaError(f"rule {rule.value} is not derivable this way")
+    raise SchemaError(f"rule {rule} is not derivable this way")
 
 
 def _check_gen_formation(expr: GenExpr, premises: tuple[Judgment, ...]) -> Judgment:
@@ -578,29 +591,27 @@ class Kernel:
         self._declared: dict[str, Theorem] = {}
         self._formations: dict[GenExpr, Theorem] = {}
 
-    def _derive(self, rule: RuleId, premises: Sequence[Theorem], payload: tuple = ()) -> Theorem:
+    def _derive(self, rule: str, premises: Sequence[Theorem], payload: tuple = ()) -> Theorem:
         """Apply `rule` to `premises`: the one path by which a rule's
         conclusion becomes a theorem.  A set keeps its premises as parts."""
-        parts = premises if rule is RuleId.SET_INTRO else ()
-        return _theorem("rule", rule.value, payload, premises, parts)
+        parts = premises if rule == RuleId.SET_INTRO else ()
+        return _theorem("rule", rule, payload, premises, parts)
 
     # -- axioms
 
     def axiom(self, axiom: AxiomId, params: Sequence = ()) -> Theorem:
         params = tuple(params)
+        if axiom in (AxiomId.H1_TWO_IS_SET, AxiomId.H3_NAT_SUPPORTS_QUANT) and params:
+            raise SchemaError(f"{axiom.value} takes no parameters")
         if axiom is AxiomId.H1_TWO_IS_SET:
-            if params:
-                raise SchemaError("H1 takes no parameters")
             parts = (_theorem("axiom", "H1", ("domain",)), _theorem("axiom", "H1", ("squant",)))
             return self._derive(RuleId.SET_INTRO, parts)
         if axiom is AxiomId.H3_NAT_SUPPORTS_QUANT:
-            if params:
-                raise SchemaError("H3 takes no parameters")
-            return _theorem("axiom", axiom.value)
+            return _theorem("axiom", "H3")
         if axiom is AxiomId.H2_CHOICE:
             if len(params) != 3:
                 raise SchemaError("H2 takes a surjection description: (fn, dom, cod)")
-            return _theorem("axiom", axiom.value, (*params, self._tags(params[0])))
+            return _theorem("axiom", "H2", (*params, self._tags(params[0])))
         if axiom is AxiomId.H4_POWERSET_QUANT:
             raise SchemaError(
                 "H4 is a closure rule: apply squant_from_powerset to a "
@@ -741,10 +752,9 @@ def axioms_used(thm: Theorem) -> Counter:
         if node.kind == "axiom":
             uses[AxiomId.from_name(node.label)] += 1
         elif node.kind == "rule":
-            rule = RuleId(node.label)
-            if rule in _RULE_AXIOMS:
-                uses[_RULE_AXIOMS[rule]] += 1
-            elif rule is RuleId.MOR_INTRO and _is_union(node.payload[0]):
+            if node.label in _RULE_AXIOMS:
+                uses[_RULE_AXIOMS[node.label]] += 1
+            elif node.label == RuleId.MOR_INTRO and _is_union(node.payload[0]):
                 uses[AxiomId.CLA_COHERENT_LIMIT] += 1
     return uses
 
@@ -777,7 +787,7 @@ def verify_trace(thm: Theorem) -> TraceReport:
         premises = tuple(child.judgment for child in node.children)
         try:
             derived = _judge(node.kind, node.label, node.payload, premises)
-        except (KernelError, ValueError) as exc:  # a bad arity or label is a ValueError
+        except (KernelError, ValueError) as exc:  # a bad arity is a ValueError
             reason = str(exc)
         else:
             if derived == node.judgment:

@@ -283,14 +283,14 @@ def _table_values(table: Table, model: Model) -> tuple[tuple[int, ...], int, int
     """`table` encoded once per model: the codomain index at each domain
     index, NO_VALUE where it has no row and OUTSIDE where its row names no
     codomain object, with the number of each.  Rows whose key is no domain
-    object are left out."""
+    object are left out.  A literal names an object only of its own carrier."""
     dom = interpret(table.domain, model)
     cod = interpret(table.codomain, model)
     values = [NO_VALUE] * len(dom)
     for key, val in table.rows:
-        k = dom.index(key.tag)
+        k = dom.index(key.tag) if key.of == table.domain else None
         if k is not None:
-            v = cod.index(val.tag)
+            v = cod.index(val.tag) if val.of == table.codomain else None
             values[k] = OUTSIDE if v is None else v
     # cached: shared by every caller
     return tuple(values), values.count(NO_VALUE), values.count(OUTSIDE)
@@ -476,6 +476,12 @@ def _verify_mor(
     dom_carrier = interpret(dom, model)
     values = fn_values(fn, model)
     holes, outside = fn_holes(fn, model)
+    if isinstance(fn, Table) and (len(fn.rows) != len(dom_carrier) or holes or outside):
+        # `_table_values` skips a literal written on another carrier, so a
+        # table with one matches no model, and it fails in every model.
+        row = next((r for r in fn.rows if r[0].of != dom or r[1].of != cod), None)
+        if row is not None:
+            return _fails("a row is written on another carrier", trunc, row=" -> ".join(map(render, row)))
     if isinstance(fn, Table) and (len(fn.rows) != len(dom_carrier) or holes):
         # A table names its objects; in a model whose carrier differs the
         # judgment is not interpretable rather than false.

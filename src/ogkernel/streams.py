@@ -547,13 +547,19 @@ class GapReport(NamedTuple):
         ]
 
 
+def _draw(rng: random.Random, low: int, high: int) -> int:
+    """An integer in low..high from one `random()` call: C code, and the one
+    draw whose values Python keeps the same across versions."""
+    return low + int(rng.random() * (high - low + 1))
+
+
 def _random_member(rng: random.Random) -> tuple[BitStream, tuple[int, int]]:
     """A random eventually periodic stream with a constructed witness."""
     if rng.random() < 0.5:
-        pre = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 4)))
-        per = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 4)))
+        pre = tuple(_draw(rng, 0, 1) for _ in range(_draw(rng, 0, 4)))
+        per = tuple(_draw(rng, 0, 1) for _ in range(_draw(rng, 1, 4)))
         return Periodic(pre, per), (len(pre), len(per))
-    bits = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 6)))
+    bits = tuple(_draw(rng, 0, 1) for _ in range(_draw(rng, 0, 6)))
     return FiniteSupport(bits), (len(bits), 1)
 
 
@@ -576,8 +582,9 @@ def demonstrate_gap(
     spec = stream_spec(base)
 
     # (a) restrictions, extended by zeros, are eventually periodic members.
+    bits = base.prefix(_RESTRICTION_STAGES)
     restriction_passes = sum(
-        ep_decide(FiniteSupport(tuple(base.prefix(n))), n + 1, 1, n + 3).member
+        ep_decide(FiniteSupport(tuple(bits[: n + 1])), n + 1, 1, n + 3).member
         for n in range(_RESTRICTION_STAGES + 1)
     )
 
@@ -591,10 +598,10 @@ def demonstrate_gap(
             s2, w2 = _random_member(rng)
             combined, predicted = XorOf(s1, s2), xor_witness(w1, w2)
         elif op == 1:
-            k = rng.randint(0, 8)
+            k = _draw(rng, 0, 8)
             combined, predicted = ShiftOf(s1, k), shift_witness(w1, k)
         else:
-            i = rng.randint(0, 16)
+            i = _draw(rng, 0, 16)
             combined, predicted = FlipAt(s1, i), flip_witness(w1, i)
         scan_ok = is_ep_witness(combined, *predicted, horizon=256)
         decide_ok = ep_decide(combined, 32, 16, 256).member

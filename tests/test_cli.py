@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import enum
 import json
+import json.encoder
+import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ogkernel import __version__, cli
@@ -294,6 +297,30 @@ def test_report_json_round_trip():
     data = json.loads(report.to_json())
     assert data["summary"] == {"pass": 1, "fail": 1, "assumed": 1}
     assert set(data) == {"version", "command", "items", "summary"}
+
+
+# Strings that the encoder escapes: quotes, backslashes, control characters,
+# non-ASCII and astral characters, U+2028 and a lone surrogate.
+_REPORT_TEXT = st.text(st.sampled_from('"\\\x00\n\x1f\x7f\u2028\u00e9\ud800\U0001f600') | st.characters())
+_REPORT_ITEMS = st.lists(
+    st.builds(
+        Item,
+        _REPORT_TEXT,
+        st.sampled_from(["pass", "fail", "assumed", "skipped"]) | _REPORT_TEXT,
+        _REPORT_TEXT,
+        st.none() | st.dictionaries(_REPORT_TEXT, _REPORT_TEXT, max_size=4),
+    ),
+    max_size=5,
+)
+
+
+@given(items=_REPORT_ITEMS, command=_REPORT_TEXT)
+@example(items=[], command="check")
+@example(items=[Item("a", "pass"), Item("b", "fail", "", {})], command="model")
+@example(items=[Item("c", "fail", "d", {"model": "model(G:2)", "at": "(a,b)"})], command="model")
+def test_to_json_writes_what_json_dumps_writes(items, command):
+    report = Report(__version__, command, tuple(items))
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 def test_empty_report_shape():
@@ -641,6 +668,51 @@ def test_a_replay_failure_fails_its_trace_item_and_names_the_node(tmp_path, monk
         "status": "fail",
         "detail": "2 nodes replayed; H3 node SupportsQuant(Two): replay derives SupportsQuant(Nat)",
     }
+
+
+@pytest.mark.parametrize("command", ["check", "model"])
+def test_row_literals_on_another_carrier_are_refused(command, tmp_path, capsys):
+    path = tmp_path / "wrong_carrier.og"
+    path.write_text(
+        "generator G primitive {yes, no};\n"
+        "morphism f : G -> Two := table { Two.yes -> Two.yes, Two.no -> Two.no };\n"
+        "assert Mor(f, G, Two) by rule mor;\n"
+    )
+    assert main([command, str(path)]) == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    assert "FAIL     E0102 at 2:1 | row Two.yes -> Two.yes is not written on G -> Two\n" in out
+    assert "Mor(" not in out  # no theorem, trace or sweep item about f
+
+
+def test_ogk_runs_no_pure_python_json_enum_or_random_code(tmp_path):
+    # Reports are written without json's pure-Python encoder, rule and axiom
+    # ids are looked up without calling an Enum class, and the gap demo draws
+    # with `random()` alone; a profiler's call events would show each.
+    watched = {
+        json.encoder._make_iterencode.__code__,
+        type(enum.Enum).__call__.__code__,
+        random.Random.randrange.__code__,
+    }
+    entered = set()
+
+    def on_call(frame, event, arg):
+        if frame.f_code in watched:
+            entered.add(frame.f_code.co_name)
+
+    out = str(tmp_path / "report.json")
+    previous = sys.gettrace()
+    for argv in (
+        ["check", str(CORPUS / "20_full_tower.og")],
+        ["check", str(CORPUS / "10_limit_lab.og")],
+        ["model", "--max-size", "2"],
+    ):
+        sys.settrace(on_call)
+        try:
+            code = main([*argv, "--format", "json", "--out", out])
+        finally:
+            sys.settrace(previous)
+        assert code == EXIT_OK, argv
+    assert entered == set()
 
 
 # Each reproducer nests one construct `n` levels deep.

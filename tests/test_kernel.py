@@ -163,6 +163,18 @@ def test_mor_intro_totality_and_codomain_errors(kernel):
             kernel.mor_intro(Table(g, TWO, rows), g, TWO)
 
 
+def test_mor_intro_refuses_row_literals_on_another_carrier(kernel):
+    # G declares the tags yes and no, so only the literals' carriers are wrong
+    g = Named(Ident("G"))
+    kernel.gen_intro(Ident("G"), ("yes", "no"))
+    keys_on_two = Table(g, TWO, tuple((ObjLit(t, TWO), ObjLit(t, TWO)) for t in ("yes", "no")))
+    with pytest.raises(CodomainError, match=r"^row Two\.yes -> Two\.yes is not written on G -> Two$"):
+        kernel.mor_intro(keys_on_two, g, TWO)
+    values_on_g = Table(g, TWO, tuple((ObjLit(t, g), ObjLit(t, g)) for t in ("yes", "no")))
+    with pytest.raises(CodomainError, match=r"^row G\.yes -> G\.yes is not written on G -> Two$"):
+        kernel.mor_intro(values_on_g, g, TWO)
+
+
 def test_builtin_morphisms(kernel):
     eq_nat = kernel.mor_intro(BuiltinRule("eq_of", (NAT,)), Product(NAT, NAT), TWO)
     assert eq_nat.judgment == IsMor(BuiltinRule("eq_of", (NAT,)), Product(NAT, NAT), TWO)

@@ -239,6 +239,18 @@ def test_mor_verification():
     )
 
 
+def test_a_row_literal_on_another_carrier_names_no_object_and_fails():
+    # G's carrier has the tags yes and no, so only the literals' carriers are wrong
+    expr, model = _named("G", "yes", "no")
+    cases = ((TWO, TWO, (2, 0), "Two.yes -> Two.yes"), (expr, expr, (0, 2), "G.yes -> G.yes"))
+    for key_of, value_of, holes, row in cases:
+        rows = tuple((ObjLit(t, key_of), ObjLit(t, value_of)) for t in ("yes", "no"))
+        table = Table(expr, TWO, rows)
+        assert semantics.fn_holes(table, model) == holes
+        verdict = verify_judgment(IsMor(table, expr, TWO), model)
+        assert verdict.status == FAILS and dict(verdict.witness) == {"row": row}
+
+
 def test_partial_functions_fail_totality_as_before():
     expr, model = _named("A", "x", "y")
     hole = Table(expr, TWO, ((ObjLit("x", expr), ObjLit("yes", TWO)),))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import time
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ogkernel import streams
 from ogkernel.streams import (
     MAX_COMBINATORS,
     MAX_HORIZON,
@@ -353,6 +355,37 @@ def test_demonstrate_gap_passes():
     assert not report.base_verdict.member
     assert report.passed
     assert "not the coherent limit" in report.conclusion
+
+
+@pytest.mark.parametrize(
+    "name, wrong",
+    [
+        ("xor_witness", lambda w1, w2: (0, math.lcm(w1[1], w2[1]))),
+        ("shift_witness", lambda w, offset: (0, w[1])),
+        ("flip_witness", lambda w, index: w),
+    ],
+)
+def test_the_closure_spot_checks_catch_a_wrong_witness(name, wrong, monkeypatch):
+    monkeypatch.setattr(streams, name, wrong)
+    assert demonstrate_gap().closure_passes < 100
+
+
+def test_closure_draws_reach_every_length_in_their_ranges():
+    rng = random.Random(1)
+    lengths: dict[str, set[int]] = {"preperiod": set(), "period": set(), "support": set()}
+    for _ in range(2000):
+        stream, witness = streams._random_member(rng)
+        if isinstance(stream, Periodic):
+            lengths["preperiod"].add(len(stream.preperiod))
+            lengths["period"].add(len(stream.period))
+            assert witness == (len(stream.preperiod), len(stream.period))
+        else:
+            lengths["support"].add(len(stream.bits))
+            assert witness == (len(stream.bits), 1)
+    assert lengths == {"preperiod": set(range(5)), "period": set(range(1, 5)), "support": set(range(7))}
+    # the shift and flip draws
+    assert {streams._draw(rng, 0, 8) for _ in range(2000)} == set(range(9))
+    assert {streams._draw(rng, 0, 16) for _ in range(2000)} == set(range(17))
 
 
 def test_demonstrate_gap_control_flips():
