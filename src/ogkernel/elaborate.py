@@ -14,7 +14,7 @@ wrapped with the offending declaration's span.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import streams
 from .kernel import (
@@ -153,11 +153,15 @@ class _Session:
                     return part
         return None
 
-    def require(self, predicate, what: str) -> Theorem:
+    def require(self, predicate, what: Callable[[], str]) -> Theorem:
+        """`find(predicate)`, or E0102 naming `what()`, which runs only then."""
         thm = self.find(predicate)
         if thm is None:
-            raise _ElabError("E0102", f"no proof of {what} in scope")
+            raise _ElabError("E0102", f"no proof of {what()} in scope")
         return thm
+
+    def require_judgment(self, target: Judgment) -> Theorem:
+        return self.require(lambda j: j == target, lambda: render(target))
 
     # -- name resolution
 
@@ -316,11 +320,7 @@ def _apply_rule(
                 raise _ElabError(
                     "E0102", "squant_from_powerset needs a SupportsQuant premise"
                 )
-            base = goal.expr.arg
-            premise = session.require(
-                lambda j: j == SupportsQuant(base),
-                render(SupportsQuant(base)),
-            )
+            premise = session.require_judgment(SupportsQuant(goal.expr.arg))
         return kernel.squant_from_powerset(premise)
 
     if name == "set_intro":
@@ -336,12 +336,10 @@ def _apply_rule(
         if dom is None:
             dom = session.require(
                 lambda j: isinstance(j, IsDomain) and j.expr == expr,
-                f"Domain({render(expr)}, ...)",
+                lambda: f"Domain({render(expr)}, ...)",
             )
         if sq is None:
-            sq = session.require(
-                lambda j: j == SupportsQuant(expr), render(SupportsQuant(expr))
-            )
+            sq = session.require_judgment(SupportsQuant(expr))
         return kernel.set_intro(dom, sq)
 
     if name == "domain_intro":
@@ -354,14 +352,16 @@ def _apply_rule(
         expr = goal.expr if isinstance(goal, IsDomain) else gen.judgment.expr
         if eq is None:
             target = goal.eq if isinstance(goal, IsDomain) else None
+            square = Product(expr, expr)
             eq = session.require(
                 lambda j: isinstance(j, IsBinFn)
-                and j.dom == Product(expr, expr)
+                and j.dom == square
                 and (target is None or j.fn == target),
-                f"BinFn(..., {render(Product(expr, expr))})",
+                lambda: f"BinFn(..., {render(square)})",
             )
         if gen is None:
-            gen = session.find(lambda j: j == IsGen(expr)) or kernel.gen_intro(expr)
+            wanted = IsGen(expr)
+            gen = session.find(lambda j: j == wanted) or kernel.gen_intro(expr)
         return kernel.domain_intro(gen, eq)
 
     if name == "gen":
@@ -376,11 +376,7 @@ def _apply_rule(
         if mor is None:
             if goal is None:
                 raise _ElabError("E0102", "bin_fn_from_mor needs a morphism premise")
-            fn, dom = goal.fn, goal.dom
-            mor = session.require(
-                lambda j: j == IsMor(fn, dom, TWO),
-                f"Mor({render(fn)}, {render(dom)}, Two)",
-            )
+            mor = session.require_judgment(IsMor(goal.fn, goal.dom, TWO))
         return kernel.bin_fn_from_mor(mor)
 
     if name == "mor":
@@ -412,7 +408,7 @@ def _apply_rule(
             fam = session.require(
                 lambda j: isinstance(j, IsCoherentFamily)
                 and j.family.descriptor == descriptor,
-                f"Coherent(..., \"{descriptor}\")",
+                lambda: f"Coherent(..., \"{descriptor}\")",
             )
         return kernel.coherent_limit(fam)
 
@@ -433,8 +429,7 @@ def _mor_intro(
     if isinstance(fn, Table):
         return kernel.mor_intro(fn, dom, cod)  # a row scan needs no premises
     if not premises:
-        needed = [SupportsQuant(base) for base in builtin_premises(fn)]
-        premises = [session.require(lambda j, n=n: j == n, render(n)) for n in needed]
+        premises = [session.require_judgment(SupportsQuant(b)) for b in builtin_premises(fn)]
     return kernel.mor_intro(fn, dom, cod, premises=premises)
 
 

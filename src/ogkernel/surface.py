@@ -33,28 +33,34 @@ than MAX_NESTING levels is E0002.
 
 Lexing is line-at-a-time: no token, comment or lexical error spans a newline.
 `read_source` drops a byte-order mark that starts a file; any other U+FEFF is E0001.
+
+A token is a plain tuple `(key, text, line, col, start, end)`.  Its key is
+its text for a keyword or symbol and its kind for any other token (`ident`,
+`integer`, `string`, `bitlist`, `eof`); no keyword is spelled like a kind.
+The parser compares keys and builds a `Span` only for a node or diagnostic
+that keeps one.  `lex` gives the same tokens as `Token` records.
 """
 
 from __future__ import annotations
 
 import re
-from operator import attrgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
 from .terms import (
     BUILTIN_RULES,
+    NAT,
+    TWO,
     BuiltinRule,
     GenExpr,
     Ident,
     Named,
-    Nat,
     ObjLit,
     Powerset,
     Product,
     Record,
     Span,
-    Two,
     render,
 )
 
@@ -63,7 +69,6 @@ __all__ = [
     "Token",
     "Diagnostic",
     "lex",
-    "parse",
     "parse_source",
     "read_source",
     "parse_gen_expr",
@@ -116,8 +121,10 @@ class Diagnostic(NamedTuple):
 
 
 # One alternative per token kind, tried in order; each is maximal munch.  A match
-# of a named group is a token of that kind with text `m[kind]`, or a lexical error
-# that `_LEX_ERRORS` names; the unnamed one is a run of blanks and a `--` comment.
+# of a named group is a token with text `m[kind]`, or a lexical error that
+# `_LEX_ERRORS` names; the unnamed one is a run of blanks and a `--` comment.
+# `spelled` is a keyword or a symbol (no symbol starts with a letter, so the two
+# can share a group ahead of `ident`): its key is its text.
 _TOKEN_RE = re.compile(
     r"""(?:[ \t\r]|--.*)+
       | "(?P<string>[^"]*)"
@@ -125,9 +132,8 @@ _TOKEN_RE = re.compile(
       | \#(?P<bitlist>[01]+)
       | (?P<hash>\#)
       | (?P<integer>[0-9]+)
-      | (?P<keyword>(?:KEYWORDS)(?![A-Za-z0-9_]))
+      | (?P<spelled>(?:KEYWORDS)(?![A-Za-z0-9_])|->|:=|[()\[\]{}*;,.:])
       | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-      | (?P<symbol>->|:=|[()\[\]{}*;,.:])
       | (?P<illegal>.)""".replace("KEYWORDS", "|".join(sorted(KEYWORDS))),
     re.VERBOSE,
 )
@@ -136,26 +142,36 @@ _LEX_ERRORS = {
     "hash": "'#' must be followed by a 0/1 bit list",
     "illegal": "illegal character {!r}",
 }
+_KIND_KEYS = frozenset({"ident", "integer", "string", "bitlist", "eof"})  # keyed by kind
+_Tok = tuple[str, str, int, int, int, int]  # key, text, line, col, start, end
 
 
-def lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
-    """Maximal-munch tokenization; `--` comments are skipped."""
-    tokens: list[Token] = []
+def _scan(source: str) -> tuple[list[_Tok], list[Diagnostic]]:
+    """Maximal-munch tokenization into keyed tuples; `--` comments are skipped."""
+    toks: list[_Tok] = []
     at = 0  # the offset of the line's first character
     for n, text in enumerate(source.split("\n"), 1):
         # One line: a line tracer charges each line of a comprehension per token.
-        tokens += [Token(k, m[k], Span(n, m.start() + 1, at + m.start(), at + m.end())) for m in _TOKEN_RE.finditer(text) if (k := m.lastgroup)]
+        toks += [(m[k] if k == "spelled" else k, m[k], n, m.start() + 1, at + m.start(), at + m.end()) for m in _TOKEN_RE.finditer(text) if (k := m.lastgroup)]
         at += len(text) + 1
     diagnostics: list[Diagnostic] = []
-    if not _LEX_ERRORS.keys().isdisjoint(map(attrgetter("kind"), tokens)):
+    if not _LEX_ERRORS.keys().isdisjoint(map(itemgetter(0), toks)):
         diagnostics = [
-            Diagnostic("error", "E0001", _LEX_ERRORS[t.kind].format(t.text), t.span)
-            for t in tokens
-            if t.kind in _LEX_ERRORS
+            Diagnostic("error", "E0001", _LEX_ERRORS[t[0]].format(t[1]), Span(*t[2:]))
+            for t in toks
+            if t[0] in _LEX_ERRORS
         ]
-        tokens = [t for t in tokens if t.kind not in _LEX_ERRORS]
+        toks = [t for t in toks if t[0] not in _LEX_ERRORS]
     end = len(source)
-    tokens.append(Token("eof", "", Span(n, len(text) + 1, end, end)))
+    toks.append(("eof", "", n, len(text) + 1, end, end))
+    return toks, diagnostics
+
+
+def lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
+    """`_scan`'s tokens as `Token` records, for tests and tools."""
+    toks, diagnostics = _scan(source)
+    kinds = dict.fromkeys(KEYWORDS, "keyword") | {kind: kind for kind in _KIND_KEYS}
+    tokens = [Token(kinds.get(key, "symbol"), text, Span(*where)) for key, text, *where in toks]
     return tokens, diagnostics
 
 
@@ -267,91 +283,80 @@ class _ParseError(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """Recursive descent over `_scan`'s tokens: a test compares `keys[pos]` with
+    a key, and `pos += 1` consumes the token at hand.  No sentinel follows `eof`:
+    each `pos += 1` follows a test that excludes "eof", so `pos` stops at the last
+    token (the prefix tests of `tests/test_surface.py` cut every construct short)."""
+
+    def __init__(self, toks: list[_Tok]):
+        self.toks = toks
+        self.keys = list(map(itemgetter(0), toks))
         self.pos = 0
         self.depth = 0  # open `(`, `P[`, `from` and `*` levels
         self.diagnostics: list[Diagnostic] = []
 
     # -- token plumbing
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]  # `advance` never moves past `eof`
-
-    def bracket_follows(self) -> bool:
-        """Whether a `[` follows the token at hand."""
-        tok = self.tokens[min(self.pos + 1, len(self.tokens) - 1)]
-        return tok.kind == "symbol" and tok.text == "["
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind == kind and (text is None or tok.text == text)
-
     def error(self, code: str, message: str, span: Span | None = None, note: str | None = None):
         return _ParseError(
-            Diagnostic("error", code, message, span or self.peek().span, note)
+            Diagnostic("error", code, message, span or Span(*self.toks[self.pos][2:]), note)
         )
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        if self.at(kind, text):
-            return self.advance()
-        want = text if text is not None else kind
-        raise self.error("E0002", f"expected {want!r}, found {self.shown()!r}")
+    def expect(self, key: str) -> _Tok:
+        if self.keys[self.pos] != key:
+            raise self.error("E0002", f"expected {key!r}, found {self.shown()!r}")
+        self.pos += 1
+        return self.toks[self.pos - 1]
 
-    def enter(self) -> Token:
+    def enter(self) -> _Tok:
         """Consume the token at hand, which opens one more level of nesting."""
         if self.depth == MAX_NESTING:
             raise self.error("E0002", f"nesting deeper than MAX_NESTING = {MAX_NESTING}")
         self.depth += 1
-        return self.advance()
+        self.pos += 1
+        return self.toks[self.pos - 1]
 
-    def leave(self, closer: str, opener: Token) -> Token:
+    def leave(self, closer: str, opener: _Tok) -> None:
         """Consume the bracket that closes the level `opener` entered."""
         self.depth -= 1
-        return self.expect_closing(closer, opener.span)
+        self.expect_closing(closer, opener)
 
-    def expect_closing(self, closer: str, opener_span: Span) -> Token:
-        if self.at("symbol", closer):
-            return self.advance()
-        raise self.error(
-            "E0003",
-            f"unclosed bracket: expected {closer!r}, found {self.shown()!r}",
-            note=f"opened at line {opener_span.line}, column {opener_span.col}",
-        )
+    def expect_closing(self, closer: str, opener: _Tok) -> None:
+        if self.keys[self.pos] != closer:
+            raise self.error(
+                "E0003",
+                f"unclosed bracket: expected {closer!r}, found {self.shown()!r}",
+                note=f"opened at line {opener[2]}, column {opener[3]}",
+            )
+        self.pos += 1
 
     def comma_list(self, item, closer: str | None = None) -> list:
         """`item()` once and again after each `,`; no items before `closer`."""
-        if closer is not None and self.at("symbol", closer):
+        if self.keys[self.pos] == closer:
             return []
         items = [item()]
-        while self.at("symbol", ","):
-            self.advance()
+        while self.keys[self.pos] == ",":
+            self.pos += 1
             items.append(item())
         return items
 
     def shown(self) -> str:
         """How an error message names the token at hand."""
-        tok = self.tokens[self.pos]
-        return tok.text or tok.kind
+        key, text, *_ = self.toks[self.pos]
+        return text or key
 
     def sync(self) -> None:
         """Recover at the next `;` (consumed) and continue parsing."""
-        while not self.at("eof") and not self.at("symbol", ";"):
-            self.advance()
-        if self.at("symbol", ";"):
-            self.advance()
+        while self.keys[self.pos] not in ("eof", ";"):
+            self.pos += 1
+        if self.keys[self.pos] == ";":
+            self.pos += 1
 
     # -- entry point
 
     def parse_file(self) -> list[Decl]:
         decls: list[Decl] = []
-        while not self.at("eof"):
+        while self.keys[self.pos] != "eof":
             try:
                 decls.append(self.parse_decl())
             except _ParseError as err:
@@ -361,121 +366,120 @@ class _Parser:
         return decls
 
     def parse_decl(self) -> Decl:
-        tok = self.peek()
-        if tok.kind == "keyword":
-            if tok.text == "generator":
-                return self.parse_gen_decl()
-            if tok.text == "morphism":
-                return self.parse_mor_decl()
-            if tok.text == "assert":
-                return self.parse_assert_decl()
-            if tok.text == "model":
-                return self.parse_check_decl()
-            if tok.text == "include":
-                return self.parse_include_decl()
-            if tok.text == "limit":
-                return self.parse_limit_decl()
-        raise self.error("E0002", f"expected a declaration, found {self.shown()!r}")
+        parse = self.DECLS.get(self.keys[self.pos])
+        if parse is None:
+            raise self.error("E0002", f"expected a declaration, found {self.shown()!r}")
+        start = Span(*self.toks[self.pos][2:])
+        self.pos += 1
+        return parse(self, start)
 
-    def parse_gen_decl(self) -> GeneratorDecl:
-        start = self.expect("keyword", "generator")
-        name = self.expect("ident").text
+    def parse_gen_decl(self, start: Span) -> GeneratorDecl:
+        name = self.expect("ident")[1]
         body: GenExpr | None = None
         tags: tuple[str, ...] | None = None
-        if self.at("keyword", "primitive"):
-            self.advance()
-            if self.at("symbol", "{"):
-                opener = self.advance()
+        key = self.keys[self.pos]
+        if key == "primitive":
+            self.pos += 1
+            if self.keys[self.pos] == "{":
+                opener = self.toks[self.pos]
+                self.pos += 1
                 tags = tuple(self.comma_list(self.parse_tag))
-                self.expect_closing("}", opener.span)
-        elif self.at("symbol", ":="):
-            self.advance()
+                self.expect_closing("}", opener)
+        elif key == ":=":
+            self.pos += 1
             body = self.parse_gen_expr()
         else:
             raise self.error("E0002", "expected 'primitive' or ':=' in generator declaration")
-        self.expect("symbol", ";")
-        return GeneratorDecl(name, body, tags, start.span)
+        self.expect(";")
+        return GeneratorDecl(name, body, tags, start)
 
     def parse_tag(self) -> str:
-        if self.at("ident") or self.at("integer"):
-            return self.advance().text
+        if self.keys[self.pos] in ("ident", "integer"):
+            self.pos += 1
+            return self.toks[self.pos - 1][1]
         raise self.error("E0002", "expected an object tag")
 
-    def parse_mor_decl(self) -> MorphismDecl:
-        start = self.expect("keyword", "morphism")
-        name = self.expect("ident").text
-        self.expect("symbol", ":")
+    def parse_mor_decl(self, start: Span) -> MorphismDecl:
+        name = self.expect("ident")[1]
+        self.expect(":")
         dom = self.parse_gen_expr()
-        self.expect("symbol", "->")
+        self.expect("->")
         cod = self.parse_gen_expr()
-        self.expect("symbol", ":=")
+        self.expect(":=")
         body: Rows | BuiltinRule
-        if self.at("keyword", "table"):
-            self.advance()
+        key = self.keys[self.pos]
+        if key == "table":
+            self.pos += 1
             body = self.parse_table_body()
-        elif self.at("keyword", "rule"):
-            self.advance()
+        elif key == "rule":
+            self.pos += 1
             body = self.parse_builtin(self.expect("ident"))
         else:
             raise self.error("E0002", "expected 'table' or 'rule' after ':='")
-        self.expect("symbol", ";")
-        return MorphismDecl(name, dom, cod, body, start.span)
+        self.expect(";")
+        return MorphismDecl(name, dom, cod, body, start)
 
     def parse_table_body(self) -> Rows:
-        opener = self.expect("symbol", "{")
+        opener = self.expect("{")
         rows = self.comma_list(self.parse_row, "}")
-        self.expect_closing("}", opener.span)
+        self.expect_closing("}", opener)
         return tuple(rows)
 
     def parse_row(self) -> tuple[ObjLit, ObjLit]:
         key = self.parse_obj_lit()
-        self.expect("symbol", "->")
+        self.expect("->")
         value = self.parse_obj_lit()
         return key, value
 
     def parse_obj_lit(self) -> ObjLit:
-        if self.at("symbol", "("):
+        if self.keys[self.pos] == "(":
             # Either a pair literal or a parenthesized carrier before `.`;
             # try the pair reading first and backtrack.
             saved = self.pos, self.depth
             opener = self.enter()
             try:
                 left = self.parse_obj_lit()
-                self.expect("symbol", ",")
+                self.expect(",")
                 right = self.parse_obj_lit()
                 self.leave(")", opener)
                 return ObjLit(f"({left.tag},{right.tag})", Product(left.of, right.of))
             except _ParseError:
                 self.pos, self.depth = saved
         atom = self.parse_gen_atom()
-        self.expect("symbol", ".")
+        self.expect(".")
         return ObjLit(self.parse_obj_tag(), atom)
 
     def parse_obj_tag(self) -> str:
-        if self.at("string", ""):
+        key, text, *_ = self.toks[self.pos]
+        if key in ("ident", "integer") or key == "string" and text:
+            self.pos += 1
+            return text
+        if key == "string":
             raise self.error("E0002", "an object tag must be nonempty")
-        if self.at("ident") or self.at("integer") or self.at("string"):
-            return self.advance().text
         raise self.error("E0002", "expected an object tag after '.'")
 
-    def parse_builtin(self, name: Token) -> BuiltinRule:
+    def parse_builtin(self, name: _Tok) -> BuiltinRule:
         """The former `name[args]`, whose brackets may be left out when there
         are no arguments; one the catalog does not admit is E0002."""
         args: list = []
-        if self.at("symbol", "["):
-            opener = self.advance()
+        if self.keys[self.pos] == "[":
+            opener = self.toks[self.pos]
+            self.pos += 1
             args = self.comma_list(self.parse_builtin_arg, "]")
-            self.expect_closing("]", opener.span)
+            self.expect_closing("]", opener)
         try:
-            return BuiltinRule(name.text, tuple(args))
+            return BuiltinRule(name[1], tuple(args))
         except ValueError as exc:
-            raise self.error("E0002", str(exc), name.span) from None
+            raise self.error("E0002", str(exc), Span(*name[2:])) from None
 
     def parse_builtin_arg(self):
-        if self.at("string"):
-            return self.advance().text
-        if self.at("integer"):
-            return int(self.advance().text)
+        key = self.keys[self.pos]
+        if key == "string":
+            self.pos += 1
+            return self.toks[self.pos - 1][1]
+        if key == "integer":
+            self.pos += 1
+            return int(self.toks[self.pos - 1][1])
         return self.parse_gen_expr()
 
     # -- generator expressions
@@ -486,70 +490,74 @@ class _Parser:
     def parse_factors(self, expr: GenExpr) -> GenExpr:
         """`expr` times the `*` factors that follow it."""
         depth = self.depth
-        while self.at("symbol", "*"):
+        while self.keys[self.pos] == "*":
             self.enter()
             expr = Product(expr, self.parse_gen_atom())
         self.depth = depth
         return expr
 
     def parse_gen_atom(self) -> GenExpr:
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text == "Two":
-            self.advance()
-            return Two()
-        if tok.kind == "keyword" and tok.text == "Nat":
-            self.advance()
-            return Nat()
-        if tok.kind == "symbol" and tok.text == "(":
-            opener = self.enter()
-            expr = self.parse_gen_expr()
-            self.leave(")", opener)
-            return expr
-        if tok.kind == "ident":
-            if tok.text == "P" and self.bracket_follows():
-                self.advance()
+        tok = self.toks[self.pos]
+        key = tok[0]
+        if key == "Two":
+            self.pos += 1
+            return TWO
+        if key == "Nat":
+            self.pos += 1
+            return NAT
+        if key == "ident":
+            if tok[1] == "P" and self.keys[self.pos + 1] == "[":
+                self.pos += 1
                 opener = self.enter()
                 inner = self.parse_gen_expr()
                 self.leave("]", opener)
                 return Powerset(inner)
-            self.advance()
-            return Named(Ident(tok.text, tok.span))
+            self.pos += 1
+            return Named(Ident(tok[1], Span(*tok[2:])))
+        if key == "(":
+            opener = self.enter()
+            expr = self.parse_gen_expr()
+            self.leave(")", opener)
+            return expr
         raise self.error("E0002", f"expected a generator expression, found {self.shown()!r}")
 
     # -- judgments
 
     def parse_judgment(self) -> SurfaceJudgment:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text not in JUDGMENT_HEADS:
+        head = self.toks[self.pos]
+        if head[0] != "ident" or head[1] not in JUDGMENT_HEADS:
             raise self.error(
                 "E0002",
                 f"expected a judgment head, found {self.shown()!r}",
                 note="heads: " + ", ".join(sorted(JUDGMENT_HEADS)),
             )
-        self.advance()
-        opener = self.expect("symbol", "(")
+        self.pos += 1
+        opener = self.expect("(")
         args = self.comma_list(self.parse_arg, ")")
-        self.expect_closing(")", opener.span)
-        return SurfaceJudgment(tok.text, tuple(args), tok.span)
+        self.expect_closing(")", opener)
+        return SurfaceJudgment(head[1], tuple(args), Span(*head[2:]))
 
     def parse_arg(self):
-        if self.at("string"):
-            return self.advance().text
-        if self.at("keyword", "limit"):
-            self.advance()
-            opener = self.expect("symbol", "(")
-            name = self.expect("ident").text
-            self.expect_closing(")", opener.span)
+        tok = self.toks[self.pos]
+        key = tok[0]
+        if key == "string":
+            self.pos += 1
+            return tok[1]
+        if key == "limit":
+            self.pos += 1
+            opener = self.expect("(")
+            name = self.expect("ident")[1]
+            self.expect_closing(")", opener)
             return LimitRef(name)
-        if self.at("keyword", "table"):
-            self.advance()
+        if key == "table":
+            self.pos += 1
             return self.parse_table_body()
-        if self.at("symbol", "("):
+        if key == "(":
             # Either a parenthesized generator expression or a pair literal.
             opener = self.enter()
             first = self.parse_arg()
-            if self.at("symbol", ","):
-                self.advance()
+            if self.keys[self.pos] == ",":
+                self.pos += 1
                 second = self.parse_arg()
                 self.leave(")", opener)
                 if not isinstance(first, ObjLit) or not isinstance(second, ObjLit):
@@ -561,98 +569,99 @@ class _Parser:
             if not isinstance(first, GenExpr):
                 raise self.error("E0002", "expected a generator expression in parentheses")
             return self.finish_arg_expr(first)
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text in BUILTIN_RULES and self.bracket_follows():
-            return self.parse_builtin(self.advance())
-        atom = self.parse_gen_atom()
-        return self.finish_arg_expr(atom)
+        if key == "ident" and tok[1] in BUILTIN_RULES and self.keys[self.pos + 1] == "[":
+            self.pos += 1
+            return self.parse_builtin(tok)
+        return self.finish_arg_expr(self.parse_gen_atom())
 
     def finish_arg_expr(self, atom: GenExpr):
-        if self.at("symbol", "."):
-            self.advance()
+        if self.keys[self.pos] == ".":
+            self.pos += 1
             return ObjLit(self.parse_obj_tag(), atom)
         return self.parse_factors(atom)
 
     # -- proof expressions
 
     def parse_proof(self) -> ProofExpr:
-        tok = self.peek()
-        if self.at("symbol", "("):
+        tok = self.toks[self.pos]
+        key = tok[0]
+        if key == "(":
             opener = self.enter()
             inner = self.parse_proof()
             self.leave(")", opener)
             return inner
-        if self.at("keyword", "axiom"):
-            self.advance()
-            name = self.expect("ident").text
-            return AxiomRef(name, tok.span)
-        if self.at("keyword", "rule"):
-            self.advance()
-            name = self.expect("ident").text
+        if key == "axiom":
+            self.pos += 1
+            name = self.expect("ident")[1]
+            return AxiomRef(name, Span(*tok[2:]))
+        if key == "rule":
+            self.pos += 1
+            name = self.expect("ident")[1]
             subproofs: list[ProofExpr] = []
-            if self.at("keyword", "from"):
+            if self.keys[self.pos] == "from":
                 self.enter()
                 subproofs = self.comma_list(self.parse_proof)
                 self.depth -= 1
-            return RuleApp(name, tuple(subproofs), tok.span)
-        if tok.kind == "ident" and tok.text in _AXIOM_NAMES:
+            return RuleApp(name, tuple(subproofs), Span(*tok[2:]))
+        if key == "ident" and tok[1] in _AXIOM_NAMES:
             # Shorthand: a bare axiom name stands for `axiom <name>`.
-            self.advance()
-            return AxiomRef(tok.text, tok.span)
+            self.pos += 1
+            return AxiomRef(tok[1], Span(*tok[2:]))
         raise self.error("E0002", f"expected a proof expression, found {self.shown()!r}")
 
     # -- remaining declarations
 
-    def parse_assert_decl(self) -> AssertDecl:
-        start = self.expect("keyword", "assert")
+    def parse_assert_decl(self, start: Span) -> AssertDecl:
         judgment = self.parse_judgment()
-        self.expect("keyword", "by")
+        self.expect("by")
         proof = self.parse_proof()
-        self.expect("symbol", ";")
-        return AssertDecl(judgment, proof, start.span)
+        self.expect(";")
+        return AssertDecl(judgment, proof, start)
 
-    def parse_check_decl(self) -> ModelCheckDecl:
-        start = self.expect("keyword", "model")
-        self.expect("keyword", "check")
+    def parse_check_decl(self, start: Span) -> ModelCheckDecl:
+        self.expect("check")
         judgment = self.parse_judgment()
-        self.expect("keyword", "upto")
-        bound = int(self.expect("integer").text)
-        self.expect("symbol", ";")
-        return ModelCheckDecl(judgment, bound, start.span)
+        self.expect("upto")
+        bound = int(self.expect("integer")[1])
+        self.expect(";")
+        return ModelCheckDecl(judgment, bound, start)
 
-    def parse_include_decl(self) -> IncludeDecl:
-        start = self.expect("keyword", "include")
-        path = self.expect("string").text
-        self.expect("symbol", ";")
-        return IncludeDecl(path, start.span)
+    def parse_include_decl(self, start: Span) -> IncludeDecl:
+        path = self.expect("string")[1]
+        self.expect(";")
+        return IncludeDecl(path, start)
 
-    def parse_limit_decl(self) -> LimitDecl:
-        start = self.expect("keyword", "limit")
-        if self.at("keyword", "demo"):
-            self.advance()
-            self.expect("symbol", ";")
-            return LimitDecl("demo", None, None, start.span)
-        if self.at("keyword", "member"):
-            self.advance()
-            if self.at("bitlist"):
+    def parse_limit_decl(self, start: Span) -> LimitDecl:
+        key = self.keys[self.pos]
+        if key == "demo":
+            self.pos += 1
+            self.expect(";")
+            return LimitDecl("demo", None, None, start)
+        if key == "member":
+            self.pos += 1
+            if self.keys[self.pos] == "bitlist":
                 # `#1101` is sugar for the finite-support spec string.
-                spec = "finite:" + self.advance().text
+                self.pos += 1
+                spec = "finite:" + self.toks[self.pos - 1][1]
             else:
-                spec = self.expect("string").text
-            self.expect("keyword", "upto")
-            p = int(self.expect("integer").text)
-            q = int(self.expect("integer").text)
-            h = int(self.expect("integer").text)
-            self.expect("symbol", ";")
-            return LimitDecl("member", spec, (p, q, h), start.span)
+                spec = self.expect("string")[1]
+            self.expect("upto")
+            p = int(self.expect("integer")[1])
+            q = int(self.expect("integer")[1])
+            h = int(self.expect("integer")[1])
+            self.expect(";")
+            return LimitDecl("member", spec, (p, q, h), start)
         raise self.error("E0002", "expected 'demo' or 'member' after 'limit'")
 
-
-def parse(tokens: list[Token]) -> tuple[list[Decl], list[Diagnostic]]:
-    """Recursive-descent parse with recovery at `;`."""
-    parser = _Parser(tokens)
-    decls = parser.parse_file()
-    return decls, parser.diagnostics
+    # The parser of each declaration, by its keyword.
+    DECLS = {
+        "generator": parse_gen_decl,
+        "morphism": parse_mor_decl,
+        "assert": parse_assert_decl,
+        "model": parse_check_decl,
+        "include": parse_include_decl,
+        "limit": parse_limit_decl,
+    }
 
 
 def read_source(path: Path) -> str:
@@ -662,23 +671,25 @@ def read_source(path: Path) -> str:
 
 
 def parse_source(source: str) -> tuple[list[Decl], list[Diagnostic]]:
-    tokens, lex_diags = lex(source)
-    decls, parse_diags = parse(tokens)
-    return decls, lex_diags + parse_diags
+    """Recursive-descent parse with recovery at `;`."""
+    toks, lex_diags = _scan(source)
+    parser = _Parser(toks)
+    decls = parser.parse_file()
+    return decls, lex_diags + parser.diagnostics
 
 
 def parse_gen_expr(text: str) -> GenExpr:
     """Parse a standalone generator expression (testing convenience)."""
-    tokens, lex_diags = lex(text)
-    parser = _Parser(tokens)
+    toks, lex_diags = _scan(text)
+    parser = _Parser(toks)
     expr = parser.parse_gen_expr()
-    if lex_diags or parser.diagnostics or not parser.at("eof"):
+    if lex_diags or parser.diagnostics or parser.keys[parser.pos] != "eof":
         raise ValueError(f"not a generator expression: {text!r}")
     return expr
 
 
 # ---------------------------------------------------------------------------
-# Rendering (deterministic; parse(render_decl(d)) == d up to spans)
+# Rendering (deterministic; parse_source(render_decl(d)) == d up to spans)
 
 
 def render_arg(arg) -> str:

@@ -406,7 +406,7 @@ def render(x: _TermLike) -> str:
     if isinstance(x, FnExpr):
         return _render_fn(x)
     if isinstance(x, ObjLit):
-        return _render_obj(x)
+        return _render_obj(x.tag, x.of)
     if isinstance(x, Judgment):
         return _render_judgment(x)
     raise TypeError(f"cannot render {type(x).__name__}")
@@ -436,19 +436,19 @@ def _render_gen_atom(e: GenExpr) -> str:
     return f"({text})" if isinstance(e, Product) else text
 
 
-def _render_obj(o: ObjLit) -> str:
-    if isinstance(o.of, Product):
+def _render_obj(tag: str, of: GenExpr) -> str:
+    if isinstance(of, Product):
         try:
-            left_tag, right_tag = split_pair_tag(o.tag)
+            left_tag, right_tag = split_pair_tag(tag)
         except ValueError:
             pass  # a non-pair tag on a product carrier: dotted form below
         else:
-            left = _render_obj(ObjLit(left_tag, o.of.left))
-            right = _render_obj(ObjLit(right_tag, o.of.right))
+            left = _render_obj(left_tag, of.left)
+            right = _render_obj(right_tag, of.right)
             return f"({left}, {right})"
-    if _IDENT_RE.match(o.tag) or _NUMERAL_RE.match(o.tag):
-        return f"{_render_gen_atom(o.of)}.{o.tag}"
-    return f'{_render_gen_atom(o.of)}."{o.tag}"'
+    if _IDENT_RE.match(tag) or _NUMERAL_RE.match(tag):
+        return f"{_render_gen_atom(of)}.{tag}"
+    return f'{_render_gen_atom(of)}."{tag}"'
 
 
 _BRACKETS = frozenset("(){}")
@@ -498,7 +498,9 @@ def _render_fn(f: FnExpr) -> str:
         args = ", ".join(_render_builtin_arg(a) for a in f.args)
         return f"{f.rule}[{args}]"
     if isinstance(f, Table):
-        rows = ", ".join(f"{_render_obj(k)} -> {_render_obj(v)}" for k, v in f.rows)
+        rows = ", ".join(
+            f"{_render_obj(k.tag, k.of)} -> {_render_obj(v.tag, v.of)}" for k, v in f.rows
+        )
         body = f"{{ {rows} }}" if rows else "{ }"
         return f"table {body}"
     raise TypeError(f"unknown FnExpr: {f!r}")
@@ -508,7 +510,7 @@ def _render_judgment(j: Judgment) -> str:
     if isinstance(j, IsGen):
         return f"Gen({_render_gen(j.expr)})"
     if isinstance(j, IsObj):
-        return f"Obj({_render_obj(j.obj)}, {_render_gen(j.expr)})"
+        return f"Obj({_render_obj(j.obj.tag, j.obj.of)}, {_render_gen(j.expr)})"
     if isinstance(j, IsMor):
         return f"Mor({_render_fn(j.fn)}, {_render_gen(j.dom)}, {_render_gen(j.cod)})"
     if isinstance(j, IsBinFn):

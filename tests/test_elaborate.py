@@ -196,3 +196,25 @@ def test_duplicate_primitive_tag_declares_nothing():
         ("E0102", "generator 'G' lists the tag 'a' twice")
     ]
     assert [render(j) for j in result.judgments] == ["Gen(G)"]
+
+
+def test_each_missing_premise_is_named():
+    # `require` renders what it looked for only when the lookup fails.
+    result = elaborate_source(
+        "generator G primitive {a, b};\n"
+        "morphism f : G -> Two := table { G.a -> Two.yes, G.b -> Two.no };\n"
+        "assert SupportsQuant(P[G]) by rule H4;\n"
+        "assert Set(G) by rule set_intro;\n"
+        "assert BinFn(eq_of[Two], Two * Two) by rule binfn;\n"
+        "assert Domain(G, f) by rule domain_intro;\n"
+        'assert Obj(P[Nat]."limit(restrictions(squares))", P[Nat]) by rule cla;\n'
+        "assert Mor(empty_detector_of[G], P[G], Two) by rule mor;\n"
+    )
+    assert [(d.span.line, d.code, d.message) for d in result.diagnostics] == [
+        (3, "E0102", "no proof of SupportsQuant(G) in scope"),
+        (4, "E0102", "no proof of Domain(G, ...) in scope"),
+        (5, "E0102", "no proof of Mor(eq_of[Two], Two * Two, Two) in scope"),
+        (6, "E0102", "no proof of BinFn(..., G * G) in scope"),
+        (7, "E0102", 'no proof of Coherent(..., "restrictions(squares)") in scope'),
+        (8, "E0102", "no proof of SupportsQuant(G) in scope"),
+    ]

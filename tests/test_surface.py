@@ -2,25 +2,51 @@
 
 from __future__ import annotations
 
+import re
+import sys
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ogkernel.cli import EXIT_OK, main
 from ogkernel.stdlib import prelude_source
 from ogkernel.surface import (
+    _AXIOM_NAMES,
+    _KIND_KEYS,
+    _LEX_ERRORS,
+    JUDGMENT_HEADS,
     KEYWORDS,
+    MAX_NESTING,
     AssertDecl,
     AxiomRef,
     Diagnostic,
     GeneratorDecl,
+    IncludeDecl,
+    LimitDecl,
+    LimitRef,
+    ModelCheckDecl,
+    MorphismDecl,
     RuleApp,
+    SurfaceJudgment,
     Token,
     lex,
     parse_source,
     render_decl,
 )
-from ogkernel.terms import Span
+from ogkernel.terms import (
+    BUILTIN_RULES,
+    BuiltinRule,
+    GenExpr,
+    Ident,
+    Named,
+    Nat,
+    ObjLit,
+    Powerset,
+    Product,
+    Span,
+    Two,
+)
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -351,3 +377,522 @@ _CHARS = list("aZ9_()[]{}*;,.:>= ") + ["-", "#", '"', "²", "\t", "\r", "\n"]
 @given(st.lists(st.sampled_from(_FRAGMENTS) | st.sampled_from(_CHARS), max_size=40))
 def test_lex_agrees_with_reference_lexer(pieces):
     _assert_lex_agrees("".join(pieces))
+
+
+# ---------------------------------------------------------------------------
+# The parser on `Token` records that the key-dispatching `_Parser` replaced,
+# kept verbatim but for its three names and the two constants it imports, as
+# the reference of the differential tests below.
+
+
+class _ReferenceParseError(Exception):
+    def __init__(self, diagnostic: Diagnostic):
+        self.diagnostic = diagnostic
+
+
+class _ReferenceParser:
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.pos = 0
+        self.depth = 0  # open `(`, `P[`, `from` and `*` levels
+        self.diagnostics: list[Diagnostic] = []
+
+    # -- token plumbing
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]  # `advance` never moves past `eof`
+
+    def bracket_follows(self) -> bool:
+        """Whether a `[` follows the token at hand."""
+        tok = self.tokens[min(self.pos + 1, len(self.tokens) - 1)]
+        return tok.kind == "symbol" and tok.text == "["
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def at(self, kind: str, text: str | None = None) -> bool:
+        tok = self.tokens[self.pos]
+        return tok.kind == kind and (text is None or tok.text == text)
+
+    def error(self, code: str, message: str, span: Span | None = None, note: str | None = None):
+        return _ReferenceParseError(
+            Diagnostic("error", code, message, span or self.peek().span, note)
+        )
+
+    def expect(self, kind: str, text: str | None = None) -> Token:
+        if self.at(kind, text):
+            return self.advance()
+        want = text if text is not None else kind
+        raise self.error("E0002", f"expected {want!r}, found {self.shown()!r}")
+
+    def enter(self) -> Token:
+        """Consume the token at hand, which opens one more level of nesting."""
+        if self.depth == MAX_NESTING:
+            raise self.error("E0002", f"nesting deeper than MAX_NESTING = {MAX_NESTING}")
+        self.depth += 1
+        return self.advance()
+
+    def leave(self, closer: str, opener: Token) -> Token:
+        """Consume the bracket that closes the level `opener` entered."""
+        self.depth -= 1
+        return self.expect_closing(closer, opener.span)
+
+    def expect_closing(self, closer: str, opener_span: Span) -> Token:
+        if self.at("symbol", closer):
+            return self.advance()
+        raise self.error(
+            "E0003",
+            f"unclosed bracket: expected {closer!r}, found {self.shown()!r}",
+            note=f"opened at line {opener_span.line}, column {opener_span.col}",
+        )
+
+    def comma_list(self, item, closer: str | None = None) -> list:
+        """`item()` once and again after each `,`; no items before `closer`."""
+        if closer is not None and self.at("symbol", closer):
+            return []
+        items = [item()]
+        while self.at("symbol", ","):
+            self.advance()
+            items.append(item())
+        return items
+
+    def shown(self) -> str:
+        """How an error message names the token at hand."""
+        tok = self.tokens[self.pos]
+        return tok.text or tok.kind
+
+    def sync(self) -> None:
+        """Recover at the next `;` (consumed) and continue parsing."""
+        while not self.at("eof") and not self.at("symbol", ";"):
+            self.advance()
+        if self.at("symbol", ";"):
+            self.advance()
+
+    # -- entry point
+
+    def parse_file(self) -> list[Decl]:
+        decls: list[Decl] = []
+        while not self.at("eof"):
+            try:
+                decls.append(self.parse_decl())
+            except _ReferenceParseError as err:
+                self.diagnostics.append(err.diagnostic)
+                self.depth = 0
+                self.sync()
+        return decls
+
+    def parse_decl(self) -> Decl:
+        tok = self.peek()
+        if tok.kind == "keyword":
+            if tok.text == "generator":
+                return self.parse_gen_decl()
+            if tok.text == "morphism":
+                return self.parse_mor_decl()
+            if tok.text == "assert":
+                return self.parse_assert_decl()
+            if tok.text == "model":
+                return self.parse_check_decl()
+            if tok.text == "include":
+                return self.parse_include_decl()
+            if tok.text == "limit":
+                return self.parse_limit_decl()
+        raise self.error("E0002", f"expected a declaration, found {self.shown()!r}")
+
+    def parse_gen_decl(self) -> GeneratorDecl:
+        start = self.expect("keyword", "generator")
+        name = self.expect("ident").text
+        body: GenExpr | None = None
+        tags: tuple[str, ...] | None = None
+        if self.at("keyword", "primitive"):
+            self.advance()
+            if self.at("symbol", "{"):
+                opener = self.advance()
+                tags = tuple(self.comma_list(self.parse_tag))
+                self.expect_closing("}", opener.span)
+        elif self.at("symbol", ":="):
+            self.advance()
+            body = self.parse_gen_expr()
+        else:
+            raise self.error("E0002", "expected 'primitive' or ':=' in generator declaration")
+        self.expect("symbol", ";")
+        return GeneratorDecl(name, body, tags, start.span)
+
+    def parse_tag(self) -> str:
+        if self.at("ident") or self.at("integer"):
+            return self.advance().text
+        raise self.error("E0002", "expected an object tag")
+
+    def parse_mor_decl(self) -> MorphismDecl:
+        start = self.expect("keyword", "morphism")
+        name = self.expect("ident").text
+        self.expect("symbol", ":")
+        dom = self.parse_gen_expr()
+        self.expect("symbol", "->")
+        cod = self.parse_gen_expr()
+        self.expect("symbol", ":=")
+        body: Rows | BuiltinRule
+        if self.at("keyword", "table"):
+            self.advance()
+            body = self.parse_table_body()
+        elif self.at("keyword", "rule"):
+            self.advance()
+            body = self.parse_builtin(self.expect("ident"))
+        else:
+            raise self.error("E0002", "expected 'table' or 'rule' after ':='")
+        self.expect("symbol", ";")
+        return MorphismDecl(name, dom, cod, body, start.span)
+
+    def parse_table_body(self) -> Rows:
+        opener = self.expect("symbol", "{")
+        rows = self.comma_list(self.parse_row, "}")
+        self.expect_closing("}", opener.span)
+        return tuple(rows)
+
+    def parse_row(self) -> tuple[ObjLit, ObjLit]:
+        key = self.parse_obj_lit()
+        self.expect("symbol", "->")
+        value = self.parse_obj_lit()
+        return key, value
+
+    def parse_obj_lit(self) -> ObjLit:
+        if self.at("symbol", "("):
+            # Either a pair literal or a parenthesized carrier before `.`;
+            # try the pair reading first and backtrack.
+            saved = self.pos, self.depth
+            opener = self.enter()
+            try:
+                left = self.parse_obj_lit()
+                self.expect("symbol", ",")
+                right = self.parse_obj_lit()
+                self.leave(")", opener)
+                return ObjLit(f"({left.tag},{right.tag})", Product(left.of, right.of))
+            except _ReferenceParseError:
+                self.pos, self.depth = saved
+        atom = self.parse_gen_atom()
+        self.expect("symbol", ".")
+        return ObjLit(self.parse_obj_tag(), atom)
+
+    def parse_obj_tag(self) -> str:
+        if self.at("string", ""):
+            raise self.error("E0002", "an object tag must be nonempty")
+        if self.at("ident") or self.at("integer") or self.at("string"):
+            return self.advance().text
+        raise self.error("E0002", "expected an object tag after '.'")
+
+    def parse_builtin(self, name: Token) -> BuiltinRule:
+        """The former `name[args]`, whose brackets may be left out when there
+        are no arguments; one the catalog does not admit is E0002."""
+        args: list = []
+        if self.at("symbol", "["):
+            opener = self.advance()
+            args = self.comma_list(self.parse_builtin_arg, "]")
+            self.expect_closing("]", opener.span)
+        try:
+            return BuiltinRule(name.text, tuple(args))
+        except ValueError as exc:
+            raise self.error("E0002", str(exc), name.span) from None
+
+    def parse_builtin_arg(self):
+        if self.at("string"):
+            return self.advance().text
+        if self.at("integer"):
+            return int(self.advance().text)
+        return self.parse_gen_expr()
+
+    # -- generator expressions
+
+    def parse_gen_expr(self) -> GenExpr:
+        return self.parse_factors(self.parse_gen_atom())
+
+    def parse_factors(self, expr: GenExpr) -> GenExpr:
+        """`expr` times the `*` factors that follow it."""
+        depth = self.depth
+        while self.at("symbol", "*"):
+            self.enter()
+            expr = Product(expr, self.parse_gen_atom())
+        self.depth = depth
+        return expr
+
+    def parse_gen_atom(self) -> GenExpr:
+        tok = self.peek()
+        if tok.kind == "keyword" and tok.text == "Two":
+            self.advance()
+            return Two()
+        if tok.kind == "keyword" and tok.text == "Nat":
+            self.advance()
+            return Nat()
+        if tok.kind == "symbol" and tok.text == "(":
+            opener = self.enter()
+            expr = self.parse_gen_expr()
+            self.leave(")", opener)
+            return expr
+        if tok.kind == "ident":
+            if tok.text == "P" and self.bracket_follows():
+                self.advance()
+                opener = self.enter()
+                inner = self.parse_gen_expr()
+                self.leave("]", opener)
+                return Powerset(inner)
+            self.advance()
+            return Named(Ident(tok.text, tok.span))
+        raise self.error("E0002", f"expected a generator expression, found {self.shown()!r}")
+
+    # -- judgments
+
+    def parse_judgment(self) -> SurfaceJudgment:
+        tok = self.peek()
+        if tok.kind != "ident" or tok.text not in JUDGMENT_HEADS:
+            raise self.error(
+                "E0002",
+                f"expected a judgment head, found {self.shown()!r}",
+                note="heads: " + ", ".join(sorted(JUDGMENT_HEADS)),
+            )
+        self.advance()
+        opener = self.expect("symbol", "(")
+        args = self.comma_list(self.parse_arg, ")")
+        self.expect_closing(")", opener.span)
+        return SurfaceJudgment(tok.text, tuple(args), tok.span)
+
+    def parse_arg(self):
+        if self.at("string"):
+            return self.advance().text
+        if self.at("keyword", "limit"):
+            self.advance()
+            opener = self.expect("symbol", "(")
+            name = self.expect("ident").text
+            self.expect_closing(")", opener.span)
+            return LimitRef(name)
+        if self.at("keyword", "table"):
+            self.advance()
+            return self.parse_table_body()
+        if self.at("symbol", "("):
+            # Either a parenthesized generator expression or a pair literal.
+            opener = self.enter()
+            first = self.parse_arg()
+            if self.at("symbol", ","):
+                self.advance()
+                second = self.parse_arg()
+                self.leave(")", opener)
+                if not isinstance(first, ObjLit) or not isinstance(second, ObjLit):
+                    raise self.error("E0002", "pair literals take object literals")
+                return ObjLit(
+                    f"({first.tag},{second.tag})", Product(first.of, second.of)
+                )
+            self.leave(")", opener)
+            if not isinstance(first, GenExpr):
+                raise self.error("E0002", "expected a generator expression in parentheses")
+            return self.finish_arg_expr(first)
+        tok = self.peek()
+        if tok.kind == "ident" and tok.text in BUILTIN_RULES and self.bracket_follows():
+            return self.parse_builtin(self.advance())
+        atom = self.parse_gen_atom()
+        return self.finish_arg_expr(atom)
+
+    def finish_arg_expr(self, atom: GenExpr):
+        if self.at("symbol", "."):
+            self.advance()
+            return ObjLit(self.parse_obj_tag(), atom)
+        return self.parse_factors(atom)
+
+    # -- proof expressions
+
+    def parse_proof(self) -> ProofExpr:
+        tok = self.peek()
+        if self.at("symbol", "("):
+            opener = self.enter()
+            inner = self.parse_proof()
+            self.leave(")", opener)
+            return inner
+        if self.at("keyword", "axiom"):
+            self.advance()
+            name = self.expect("ident").text
+            return AxiomRef(name, tok.span)
+        if self.at("keyword", "rule"):
+            self.advance()
+            name = self.expect("ident").text
+            subproofs: list[ProofExpr] = []
+            if self.at("keyword", "from"):
+                self.enter()
+                subproofs = self.comma_list(self.parse_proof)
+                self.depth -= 1
+            return RuleApp(name, tuple(subproofs), tok.span)
+        if tok.kind == "ident" and tok.text in _AXIOM_NAMES:
+            # Shorthand: a bare axiom name stands for `axiom <name>`.
+            self.advance()
+            return AxiomRef(tok.text, tok.span)
+        raise self.error("E0002", f"expected a proof expression, found {self.shown()!r}")
+
+    # -- remaining declarations
+
+    def parse_assert_decl(self) -> AssertDecl:
+        start = self.expect("keyword", "assert")
+        judgment = self.parse_judgment()
+        self.expect("keyword", "by")
+        proof = self.parse_proof()
+        self.expect("symbol", ";")
+        return AssertDecl(judgment, proof, start.span)
+
+    def parse_check_decl(self) -> ModelCheckDecl:
+        start = self.expect("keyword", "model")
+        self.expect("keyword", "check")
+        judgment = self.parse_judgment()
+        self.expect("keyword", "upto")
+        bound = int(self.expect("integer").text)
+        self.expect("symbol", ";")
+        return ModelCheckDecl(judgment, bound, start.span)
+
+    def parse_include_decl(self) -> IncludeDecl:
+        start = self.expect("keyword", "include")
+        path = self.expect("string").text
+        self.expect("symbol", ";")
+        return IncludeDecl(path, start.span)
+
+    def parse_limit_decl(self) -> LimitDecl:
+        start = self.expect("keyword", "limit")
+        if self.at("keyword", "demo"):
+            self.advance()
+            self.expect("symbol", ";")
+            return LimitDecl("demo", None, None, start.span)
+        if self.at("keyword", "member"):
+            self.advance()
+            if self.at("bitlist"):
+                # `#1101` is sugar for the finite-support spec string.
+                spec = "finite:" + self.advance().text
+            else:
+                spec = self.expect("string").text
+            self.expect("keyword", "upto")
+            p = int(self.expect("integer").text)
+            q = int(self.expect("integer").text)
+            h = int(self.expect("integer").text)
+            self.expect("symbol", ";")
+            return LimitDecl("member", spec, (p, q, h), start.span)
+        raise self.error("E0002", "expected 'demo' or 'member' after 'limit'")
+
+
+def reference_parse(tokens: list[Token]) -> tuple[list[Decl], list[Diagnostic]]:
+    """Recursive-descent parse with recovery at `;`."""
+    parser = _ReferenceParser(tokens)
+    decls = parser.parse_file()
+    return decls, parser.diagnostics
+
+
+def _ident_repr(ident: Ident) -> str:
+    return f"Ident({ident.text!r}, {ident.span!r})"
+
+
+def _assert_parse_agrees(source: str) -> None:
+    tokens, lex_diagnostics = lex(source)
+    decls, parse_diagnostics = reference_parse(tokens)
+    expected = decls, lex_diagnostics + parse_diagnostics
+    actual = parse_source(source)
+    assert actual == expected
+    # Record and term equality ignore spans, and so does an Ident's repr: the
+    # reprs are compared with every span shown.
+    shown = Ident.__repr__
+    Ident.__repr__ = _ident_repr
+    try:
+        assert repr(actual) == repr(expected)
+    finally:
+        Ident.__repr__ = shown
+
+
+def _corpus_and_prelude() -> list[str]:
+    return [*(p.read_text("utf-8") for p in sorted(CORPUS.glob("*.og"))), prelude_source()]
+
+
+def test_parser_agrees_with_reference_parser_on_every_prefix():
+    for source in _corpus_and_prelude():
+        for end in range(len(source) + 1):
+            _assert_parse_agrees(source[:end])
+
+
+# Multi-token pieces reach deeper into the grammar than single tokens do.
+_SOUP = [
+    *_FRAGMENTS, *_SYMBOLS, *sorted(JUDGMENT_HEADS), *sorted(_AXIOM_NAMES), *sorted(_KIND_KEYS),
+    "P", "P[", "eq_of", "restrict", '""', '"squares"', "Two.yes", 'Two.""', "Nat.3", "(Two.yes, Nat.0)",
+    "assert Gen(", "by rule gen;", "rule H4 from", "morphism f : Two -> Two := table {",
+    "generator G primitive", "limit member #01 upto 1 2 3;", "limit(F)",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_SOUP), max_size=40))
+def test_parser_agrees_with_reference_parser(pieces):
+    _assert_parse_agrees(" ".join(pieces))
+
+
+# ---------------------------------------------------------------------------
+# Keyed dispatch: a keyword or symbol token is keyed by its text, any other
+# token by its kind.
+
+
+def test_no_keyword_is_a_token_kind():
+    assert KEYWORDS.isdisjoint(_KIND_KEYS | _LEX_ERRORS.keys())
+
+
+def test_names_that_are_token_kinds_check_like_any_other(tmp_path, monkeypatch, capsys):
+    # The same file with each of those names prefixed by `K` gives the same
+    # report, once the prefixes are taken out again.
+    kinds = "ident|string|integer|bitlist|eof"
+    source = (
+        "generator ident primitive {string, integer, bitlist, eof, ident};\n"
+        "generator string := ident * Two;\n"
+        "morphism eof : ident -> Two := table { ident.string -> Two.yes, "
+        "ident.integer -> Two.no, ident.bitlist -> Two.no, ident.eof -> Two.yes, "
+        "ident.ident -> Two.no };\n"
+        "morphism bitlist : Two * Two -> Two := rule eq_of[Two];\n"
+        "assert Gen(P[string]) by rule gen;\n"
+        "assert Mor(eof, ident, Two) by rule mor;\n"
+        "assert BinFn(eof, ident) by rule binfn;\n"
+        "assert BinFn(bitlist, Two * Two) by rule mor;\n"
+        "assert Domain(Two, bitlist) by rule domain_intro;\n"
+        'assert Coherent(integer, "restrictions(squares)") by rule coherent;\n'
+        "assert Obj(limit(integer), P[Nat]) by rule cla;\n"
+        "model check Gen(string) upto 2;\n"
+    )
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for text in (source, re.sub(rf"\b({kinds})\b", r"K\1", source)):
+        Path("names.og").write_text(text)
+        assert main(["check", "names.og"]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert "summary: 19 pass, 0 fail" in outputs[0]
+    assert outputs[0] == re.sub(rf"\bK({kinds})\b", r"\1", outputs[1])
+
+
+def test_every_token_boundary_prefix_ends_in_decls_or_one_diagnostic():
+    for source in ((CORPUS / "20_full_tower.og").read_text("utf-8"), prelude_source()):
+        tokens, _ = lex(source)
+        complete = 0  # the declarations the prefix holds whole
+        for tok in tokens[:-1]:
+            decls, diagnostics = parse_source(source[: tok.span.end])
+            if tok.text == ";":
+                complete += 1
+                assert diagnostics == []
+            else:
+                assert len(diagnostics) == 1 and diagnostics[0].code in ("E0002", "E0003")
+            assert len(decls) == complete
+
+
+def test_parsing_makes_no_token_records_and_few_calls():
+    # A profiler sees each Python-level call; the parser consumes the scanner's
+    # tuples and builds a Span only for a node or diagnostic that keeps one.
+    source = prelude_source()
+    token_count = len(lex(source)[0])
+    calls: list[str] = []
+
+    def on_event(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_qualname)
+
+    previous = sys.getprofile()
+    sys.setprofile(on_event)
+    try:
+        parse_source(source)
+    finally:
+        sys.setprofile(previous)
+    assert "Token.__init__" not in calls
+    assert len(calls) < 4 * token_count, (len(calls), token_count)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ogkernel.surface import lex, _Parser, parse_gen_expr
+from ogkernel.surface import _Parser, _scan, parse_gen_expr
 from ogkernel.terms import (
     NAT,
     TWO,
@@ -199,11 +199,11 @@ def test_render_parse_round_trip_on_corpus():
 
 
 def _parse_obj_lit(text: str) -> ObjLit:
-    tokens, diags = lex(text)
+    toks, diags = _scan(text)
     assert not diags
-    parser = _Parser(tokens)
+    parser = _Parser(toks)
     lit = parser.parse_obj_lit()
-    assert parser.at("eof") and not parser.diagnostics
+    assert parser.keys[parser.pos] == "eof" and not parser.diagnostics
     return lit
 
 
