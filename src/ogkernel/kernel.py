@@ -47,6 +47,7 @@ from .terms import (
     Two,
     fn_signature,
     free_names,
+    is_numeral,
     limit_lit,
     render,
     split_pair_tag,
@@ -291,8 +292,7 @@ def _key(expr: GenExpr, tag: str, tags: Tags):
         names = tags[expr.name.text]
         return names.index(tag) if tag in names else None
     if isinstance(expr, Nat):
-        numeral = tag.isascii() and tag.isdigit() and (tag == "0" or tag[0] != "0")
-        return (len(tag), tag) if numeral else None
+        return (len(tag), tag) if is_numeral(tag) else None
     try:
         if isinstance(expr, Product):
             left, right = split_pair_tag(tag)
@@ -339,8 +339,48 @@ def _judge(kind: str, label: str, payload: tuple, premises: tuple[Judgment, ...]
     """The judgment that a trace node concludes from its payload and its
     premises' judgments; raises unless the node's rule admits them."""
     match kind, label, payload:
-        case "rule", _, _:
-            return _check_rule(label, payload, premises)
+        case "rule", RuleId.MOR_INTRO, (fn, dom, cod, tags):
+            return _check_mor(fn, dom, cod, dict(tags), premises)
+        case "rule", RuleId.GEN_INTRO, (expr,):
+            return _check_gen_formation(expr, premises)
+        case "rule", RuleId.BIN_FN_FROM_MOR, ():
+            (premise,) = premises
+            if not isinstance(premise, IsMor) or premise.cod != TWO:
+                raise PremiseError(
+                    f"bin_fn_from_mor needs a morphism into Two, got {render(premise)}"
+                )
+            return IsBinFn(premise.fn, premise.dom)
+        case "rule", RuleId.DOMAIN_INTRO, ():
+            gen_j, eq_j = premises
+            return _check_domain(gen_j, eq_j)
+        case "rule", RuleId.SET_INTRO, ():
+            dom_j, sq_j = premises
+            if not isinstance(dom_j, IsDomain):
+                raise PremiseError(f"set_intro needs a domain premise, got {render(dom_j)}")
+            if not isinstance(sq_j, SupportsQuant):
+                raise PremiseError(
+                    f"set_intro needs a supports-quantification premise, got {render(sq_j)}"
+                )
+            if dom_j.expr != sq_j.expr:
+                raise PremiseError(
+                    f"premises concern different expressions: {render(dom_j.expr)} "
+                    f"vs {render(sq_j.expr)}"
+                )
+            return IsSet(dom_j.expr)
+        case "rule", RuleId.SQUANT_FROM_POWERSET, ():
+            (premise,) = premises
+            if not isinstance(premise, SupportsQuant):
+                raise PremiseError(
+                    f"squant_from_powerset needs SupportsQuant(A), got {render(premise)}"
+                )
+            return SupportsQuant(Powerset(premise.expr))
+        case "rule", RuleId.COHERENT_LIMIT, ():
+            (premise,) = premises
+            if not isinstance(premise, IsCoherentFamily):
+                raise PremiseError(
+                    f"coherent_limit needs a coherence premise, got {render(premise)}"
+                )
+            return IsObj(limit_lit(premise.family.descriptor), Powerset(NAT))
         case "axiom", "H1", ("domain",):
             return IsDomain(TWO, BuiltinRule("eq_of", (TWO,)))
         case "axiom", "H1", ("squant",):
@@ -483,54 +523,6 @@ def _check_rows(table: Table, tags: Tags) -> None:
     missing = next((t for t in _first_objects(dom, tags, len(rows) + 1) if t not in keys), None)
     if missing is not None:
         raise TotalityError(f"table has no row for {missing!r}")
-
-
-def _check_rule(rule: str, payload: tuple, premises: tuple[Judgment, ...]) -> Judgment:
-    if rule == RuleId.GEN_INTRO:
-        (expr,) = payload
-        return _check_gen_formation(expr, premises)
-    if rule == RuleId.MOR_INTRO:
-        fn, dom, cod, tags = payload
-        return _check_mor(fn, dom, cod, dict(tags), premises)
-    if rule == RuleId.BIN_FN_FROM_MOR:
-        (premise,) = premises
-        if not isinstance(premise, IsMor) or premise.cod != TWO:
-            raise PremiseError(
-                f"bin_fn_from_mor needs a morphism into Two, got {render(premise)}"
-            )
-        return IsBinFn(premise.fn, premise.dom)
-    if rule == RuleId.DOMAIN_INTRO:
-        gen_j, eq_j = premises
-        return _check_domain(gen_j, eq_j)
-    if rule == RuleId.SET_INTRO:
-        dom_j, sq_j = premises
-        if not isinstance(dom_j, IsDomain):
-            raise PremiseError(f"set_intro needs a domain premise, got {render(dom_j)}")
-        if not isinstance(sq_j, SupportsQuant):
-            raise PremiseError(
-                f"set_intro needs a supports-quantification premise, got {render(sq_j)}"
-            )
-        if dom_j.expr != sq_j.expr:
-            raise PremiseError(
-                f"premises concern different expressions: {render(dom_j.expr)} "
-                f"vs {render(sq_j.expr)}"
-            )
-        return IsSet(dom_j.expr)
-    if rule == RuleId.SQUANT_FROM_POWERSET:
-        (premise,) = premises
-        if not isinstance(premise, SupportsQuant):
-            raise PremiseError(
-                f"squant_from_powerset needs SupportsQuant(A), got {render(premise)}"
-            )
-        return SupportsQuant(Powerset(premise.expr))
-    if rule == RuleId.COHERENT_LIMIT:
-        (premise,) = premises
-        if not isinstance(premise, IsCoherentFamily):
-            raise PremiseError(
-                f"coherent_limit needs a coherence premise, got {render(premise)}"
-            )
-        return IsObj(limit_lit(premise.family.descriptor), Powerset(NAT))
-    raise SchemaError(f"rule {rule} is not derivable this way")
 
 
 def _check_gen_formation(expr: GenExpr, premises: tuple[Judgment, ...]) -> Judgment:

@@ -11,8 +11,9 @@ pair (i, j) is ``i*|B| + j``, and a powerset element is the bitmask of its
 members.  Every law is checked on these indices, by list and bytes operations
 that run in C where it spans a whole carrier; object tags are parsed only where
 a term names an object and rendered only for witnesses and reports.  One budget
-bounds every check: a carrier or function domain of more than CARRIER_BUDGET
-objects is not finitely checkable, and its size is computed before it is built.
+bounds every check: `interpret` refuses a carrier or function domain of more
+than CARRIER_BUDGET objects as not finitely checkable.  A carrier records its
+parts and no objects, so it is sized before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .terms import (
     Two,
     fn_signature,
     free_names,
+    is_numeral,
     limit_descriptor,
     render,
     split_pair_tag,
@@ -66,7 +68,6 @@ __all__ = [
     "NO_VALUE",
     "InterpretationError",
     "NotFinitelyCheckable",
-    "carrier_size",
     "interpret",
     "fn_values",
     "fn_holes",
@@ -204,10 +205,6 @@ class Model(NamedTuple):
     def carrier_for(self, name: str) -> Carrier | None:
         return dict(self.assignments).get(name)
 
-    @property
-    def truncated(self) -> bool:
-        return self.nat_bound is not None
-
     def describe(self) -> str:
         parts = [f"{name}:{len(carrier)}" for name, carrier in self.assignments]
         if self.nat_bound is not None:
@@ -223,52 +220,37 @@ def default_model(nat_bound: int = 3) -> Model:
 # Interpretation
 
 
-def carrier_size(expr: GenExpr, model: Model) -> int:
-    """The number of objects of `expr` in `model`, computed from the
-    expression alone; it saturates at CARRIER_BUDGET + 1, so no number far
-    past the budget is ever formed."""
-    cap = CARRIER_BUDGET + 1
-    if isinstance(expr, Two):
-        return 2
-    if isinstance(expr, Nat):
-        if model.nat_bound is None:
-            raise NotFinitelyCheckable("Nat has no truncation bound in this model")
-        return min(model.nat_bound + 1, cap)
-    if isinstance(expr, Named):
-        carrier = model.carrier_for(expr.name.text)
-        if carrier is None:
-            raise InterpretationError(f"no carrier assigned to {expr.name.text!r}")
-        return min(len(carrier), cap)
-    if isinstance(expr, Product):
-        return min(carrier_size(expr.left, model) * carrier_size(expr.right, model), cap)
-    if isinstance(expr, Powerset):
-        base = carrier_size(expr.arg, model)
-        return min(1 << min(base, cap.bit_length()), cap)
-    raise TypeError(f"cannot interpret {expr!r}")
-
-
 @lru_cache(maxsize=4096)
 def interpret(expr: GenExpr, model: Model) -> Carrier:
     """The carrier of `expr` in `model`; not finitely checkable past the budget.
 
-    Nothing is enumerated: a product or powerset carrier only records its
-    parts, and its objects are indices (see `Carrier`).
+    Nothing is enumerated past the budget: a product or powerset carrier only
+    records its parts, which are within the budget, and Nat lists at most
+    CARRIER_BUDGET + 1 numerals.  Its objects are indices (see `Carrier`).
     """
-    if carrier_size(expr, model) > CARRIER_BUDGET:
+    if isinstance(expr, Two):
+        carrier = TWO_CARRIER
+    elif isinstance(expr, Nat):
+        if model.nat_bound is None:
+            raise NotFinitelyCheckable("Nat has no truncation bound in this model")
+        carrier = Carrier("Nat", tuple(map(str, range(min(model.nat_bound, CARRIER_BUDGET) + 1))))
+    elif isinstance(expr, Named):
+        carrier = model.carrier_for(expr.name.text)
+        if carrier is None:
+            raise InterpretationError(f"no carrier assigned to {expr.name.text!r}")
+    elif isinstance(expr, Product):
+        left, right = interpret(expr.left, model), interpret(expr.right, model)
+        carrier = Carrier(f"({left.name} x {right.name})", parts=(left, right))
+    elif isinstance(expr, Powerset):
+        base = interpret(expr.arg, model)
+        carrier = Carrier(f"P[{base.name}]", parts=(base,))
+    else:
+        raise TypeError(f"cannot interpret {expr!r}")
+    if carrier.size > CARRIER_BUDGET:  # not len(): it overflows past sys.maxsize
         raise NotFinitelyCheckable(
             f"{render(expr)} has more than {CARRIER_BUDGET} objects in {model.describe()}"
         )
-    if isinstance(expr, Two):
-        return TWO_CARRIER
-    if isinstance(expr, Nat):
-        return Carrier("Nat", tuple(map(str, range(model.nat_bound + 1))))
-    if isinstance(expr, Named):
-        return model.carrier_for(expr.name.text)
-    if isinstance(expr, Product):
-        left, right = interpret(expr.left, model), interpret(expr.right, model)
-        return Carrier(f"({left.name} x {right.name})", parts=(left, right))
-    base = interpret(expr.arg, model)
-    return Carrier(f"P[{base.name}]", parts=(base,))
+    return carrier
 
 
 def tag_members(tag: str) -> tuple[str, ...]:
@@ -303,7 +285,7 @@ def fn_holes(fn: FnExpr, model: Model) -> tuple[int, int]:
     if isinstance(fn, Table):
         return _table_values(fn, model)[1:]
     if fn.rule == "restrict":
-        return max(carrier_size(NAT, model) - fn.args[1] - 1, 0), 0
+        return max(len(interpret(NAT, model)) - fn.args[1] - 1, 0), 0
     return 0, 0
 
 
@@ -344,12 +326,12 @@ def interpret_fn(fn: FnExpr, model: Model) -> dict[str, str]:
 
 
 class Verdict(FrozenRecord):
-    __slots__ = ("status", "detail", "witness", "truncated")
+    __slots__ = ("status", "detail", "witness")
 
-    def __init__(self, status: str, detail: str = "", witness=None, truncated: bool = False):
+    def __init__(self, status: str, detail: str = "", witness=None):
         if status == FAILS and witness is None:
             raise ValueError("a failing verdict must carry a witness")
-        self._init(status=status, detail=detail, witness=witness, truncated=truncated)
+        self._init(status=status, detail=detail, witness=witness)
 
     @property
     def holds(self) -> bool:
@@ -360,8 +342,8 @@ def _witness(**kwargs: str) -> tuple[tuple[str, str], ...]:
     return tuple(sorted(kwargs.items()))
 
 
-def _fails(detail: str, trunc: bool, **witness: str) -> Verdict:
-    return Verdict(FAILS, detail=detail, witness=_witness(**witness), truncated=trunc)
+def _fails(detail: str, **witness: str) -> Verdict:
+    return Verdict(FAILS, detail=detail, witness=_witness(**witness))
 
 
 def mentions_nat(x: object) -> bool:
@@ -407,72 +389,69 @@ def verify_judgment(j: Judgment, model: Model) -> Verdict:
 
 
 def _verify(j: Judgment, model: Model) -> Verdict:
-    trunc = model.truncated and mentions_nat(j)
     if isinstance(j, IsGen):
         carrier = interpret(j.expr, model)
-        return Verdict(HOLDS, detail=f"{len(carrier)} objects", truncated=trunc)
+        return Verdict(HOLDS, detail=f"{len(carrier)} objects")
     if isinstance(j, IsObj):
-        return _verify_obj(j, model, trunc)
+        return _verify_obj(j, model)
     if isinstance(j, IsMor):
-        return _verify_mor(j.fn, j.dom, j.cod, model, trunc)
+        return _verify_mor(j.fn, j.dom, j.cod, model)
     if isinstance(j, IsBinFn):
-        return _verify_mor(j.fn, j.dom, TWO, model, trunc)
+        return _verify_mor(j.fn, j.dom, TWO, model)
     if isinstance(j, IsDomain):
-        return _verify_domain(j, model, trunc)
+        return _verify_domain(j, model)
     if isinstance(j, SupportsQuant):
-        return _verify_squant(j.expr, model, trunc)
+        return _verify_squant(j.expr, model)
     if isinstance(j, IsSet):
-        sq = _verify_squant(j.expr, model, trunc)
+        sq = _verify_squant(j.expr, model)
         if sq.status != HOLDS:
             return sq
         # A finite carrier always admits the diagonal equality pairing, so
         # set-hood reduces to supporting quantification.
-        return Verdict(HOLDS, detail=f"diagonal equality exists; {sq.detail}", truncated=trunc)
+        return Verdict(HOLDS, detail=f"diagonal equality exists; {sq.detail}")
     if isinstance(j, IsCoherentFamily):
         return _verify_coherence(j.family.descriptor)
     raise TypeError(f"cannot verify {j!r}")
 
 
-def _verify_obj(j: IsObj, model: Model, trunc: bool) -> Verdict:
+def _verify_obj(j: IsObj, model: Model) -> Verdict:
     tag = j.obj.tag
-    if isinstance(j.expr, Nat) and tag.isdecimal():
-        detail = "numeral"
-        if model.nat_bound is not None and int(tag) > model.nat_bound:
-            detail = f"numeral beyond truncation bound {model.nat_bound}"
-        return Verdict(HOLDS, detail=detail, truncated=trunc)
+    if isinstance(j.expr, Nat) and is_numeral(tag):
+        detail, bound = "numeral", model.nat_bound
+        # a numeral longer than the bound is past it: int() refuses 4,300 digits
+        if bound is not None and (len(tag) > len(str(bound)) or int(tag) > bound):
+            detail = f"numeral beyond truncation bound {bound}"
+        return Verdict(HOLDS, detail=detail)
     descriptor = limit_descriptor(tag)
     if descriptor is not None and j.expr == Powerset(NAT):
-        return _verify_coherence(descriptor, trunc)
+        return _verify_coherence(descriptor)
     carrier = interpret(j.expr, model)
     if carrier.index(tag) is not None:
-        return Verdict(HOLDS, truncated=trunc)
+        return Verdict(HOLDS)
     name = carrier.name
-    return _fails(f"{tag!r} is not an object of {name}", trunc, tag=tag, carrier=name)
+    return _fails(f"{tag!r} is not an object of {name}", tag=tag, carrier=name)
 
 
 _TAG_ATOMS = re.compile(r"[(){},]")  # splits an object tag into its atoms
 
 
-def _verify_mor(
-    fn: FnExpr, dom: GenExpr, cod: GenExpr, model: Model, trunc: bool
-) -> Verdict:
+def _verify_mor(fn: FnExpr, dom: GenExpr, cod: GenExpr, model: Model) -> Verdict:
     declared_dom, declared_cod = fn_signature(fn)
     if declared_dom != dom or declared_cod != cod:
         return _fails(
             "declared signature does not match",
-            trunc,
             declared=f"{render(declared_dom)} -> {render(declared_cod)}",
             expected=f"{render(dom)} -> {render(cod)}",
         )
     if isinstance(fn, BuiltinRule) and fn.rule == "union_of_family":
-        coherence = _verify_coherence(fn.args[0], trunc)
+        coherence = _verify_coherence(fn.args[0])
         if not coherence.holds:
             return coherence
     if isinstance(fn, Table) and mentions_nat(dom):
         # Finitely many rows on an infinite carrier: some numeral is in no key.
         mentioned = {atom for key, _ in fn.rows for atom in _TAG_ATOMS.split(key.tag)}
         n = str(next(k for k in itertools.count() if str(k) not in mentioned))
-        return _fails(f"not total: Nat is infinite and no row mentions {n}", trunc, missing=n)
+        return _fails(f"not total: Nat is infinite and no row mentions {n}", missing=n)
     dom_carrier = interpret(dom, model)
     values = fn_values(fn, model)
     holes, outside = fn_holes(fn, model)
@@ -481,7 +460,7 @@ def _verify_mor(
         # table with one matches no model, and it fails in every model.
         row = next((r for r in fn.rows if r[0].of != dom or r[1].of != cod), None)
         if row is not None:
-            return _fails("a row is written on another carrier", trunc, row=" -> ".join(map(render, row)))
+            return _fails("a row is written on another carrier", row=" -> ".join(map(render, row)))
     if isinstance(fn, Table) and (len(fn.rows) != len(dom_carrier) or holes):
         # A table names its objects; in a model whose carrier differs the
         # judgment is not interpretable rather than false.
@@ -492,21 +471,21 @@ def _verify_mor(
         k = next(k for k, v in enumerate(values) if v < 0)
         tag = dom_carrier.tag(k)
         if values[k] == NO_VALUE:
-            return _fails(f"not total: no value at {tag!r}", trunc, missing=tag)
+            return _fails(f"not total: no value at {tag!r}", missing=tag)
         got = next(val.tag for key, val in fn.rows if key.tag == tag)
         bound = model.nat_bound  # not None where the codomain mentions Nat
-        numerals = [a for a in _TAG_ATOMS.split(got) if a.isdecimal()] if mentions_nat(cod) else ()
+        numerals = [a for a in _TAG_ATOMS.split(got) if is_numeral(a)] if mentions_nat(cod) else ()
         if any(len(a) > 9 or int(a) > bound for a in numerals):
             # As for `Obj`: a numeral past the bound is still an object of Nat.
             raise NotFinitelyCheckable(
                 f"value {got!r} mentions a numeral past the truncation bound {bound}"
             )
-        return _fails(f"value at {tag!r} is outside the codomain", trunc, at=tag, got=got)
-    return Verdict(HOLDS, detail=f"total on {len(dom_carrier)} objects", truncated=trunc)
+        return _fails(f"value at {tag!r} is outside the codomain", at=tag, got=got)
+    return Verdict(HOLDS, detail=f"total on {len(dom_carrier)} objects")
 
 
-def _verify_domain(j: IsDomain, model: Model, trunc: bool) -> Verdict:
-    mor = _verify_mor(j.eq, Product(j.expr, j.expr), TWO, model, trunc)
+def _verify_domain(j: IsDomain, model: Model) -> Verdict:
+    mor = _verify_mor(j.eq, Product(j.expr, j.expr), TWO, model)
     if mor.status != HOLDS:
         return mor
     # The diagonal law at all |A|^2 pairs: yes exactly at the pairs (i, i).
@@ -519,16 +498,16 @@ def _verify_domain(j: IsDomain, model: Model, trunc: bool) -> Verdict:
         x, y = divmod(next(k for k, (g, e) in enumerate(zip(got, expected)) if g != e), n)
         detail = "equality pairing does not flag exactly the same-object pairs"
         value, want = TWO_CARRIER.tag(got[x * n + y]), "yes" if x == y else "no"
-        return _fails(detail, trunc, x=carrier.tag(x), y=carrier.tag(y), got=value, expected=want)
-    return Verdict(HOLDS, detail=f"diagonal law on {n}^2 pairs", truncated=trunc)
+        return _fails(detail, x=carrier.tag(x), y=carrier.tag(y), got=value, expected=want)
+    return Verdict(HOLDS, detail=f"diagonal law on {n}^2 pairs")
 
 
-def _verify_squant(expr: GenExpr, model: Model, trunc: bool) -> Verdict:
+def _verify_squant(expr: GenExpr, model: Model) -> Verdict:
     witness = _detector_law(expr, model)
     if witness is not None:
-        return Verdict(FAILS, "canonical detector law violated", witness, trunc)
+        return Verdict(FAILS, "canonical detector law violated", witness)
     tables = len(interpret(Powerset(expr), model))
-    return Verdict(HOLDS, f"canonical detector verified on {tables} tables", truncated=trunc)
+    return Verdict(HOLDS, f"canonical detector verified on {tables} tables")
 
 
 def _detector_law(
@@ -567,7 +546,7 @@ def _member_counts(base_size: int) -> bytes:
     return counts
 
 
-def _verify_coherence(descriptor: str, trunc: bool = False) -> Verdict:
+def _verify_coherence(descriptor: str) -> Verdict:
     """Scan a family's stages for one that does not restrict to its
     predecessor.  Independent of the kernel's rule on descriptors: it only
     resolves the stages and compares them."""
@@ -583,8 +562,8 @@ def _verify_coherence(descriptor: str, trunc: bool = False) -> Verdict:
     result = streams.is_coherent([member_at(n) for n in range(last + 1)])
     if not result.ok:
         stage = str(result.violation)
-        return _fails(f"stage {stage} disagrees with its predecessor", trunc, stage=stage)
-    return Verdict(HOLDS, detail=f"coherent on stages 0..{last}", truncated=trunc)
+        return _fails(f"stage {stage} disagrees with its predecessor", stage=stage)
+    return Verdict(HOLDS, detail=f"coherent on stages 0..{last}")
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +597,6 @@ class SweepItem(NamedTuple):
     status: str
     detail: str = ""
     witness: tuple[tuple[str, str], ...] | None = None
-    truncated: bool = False
 
 
 class SweepReport(NamedTuple):
@@ -647,7 +625,7 @@ def soundness_sweep(theorems: Sequence, max_size: int = 3) -> SweepReport:
         for model in models_for_judgment(thm.judgment, max_size):
             v = verify_judgment(thm.judgment, model)
             items.append(
-                SweepItem(rendered, model.describe(), v.status, v.detail, v.witness, v.truncated)
+                SweepItem(rendered, model.describe(), v.status, v.detail, v.witness)
             )
     counts = Counter(item.status for item in items)
     return SweepReport(

@@ -16,8 +16,8 @@ from __future__ import annotations
 from pathlib import Path
 
 from .kernel import AxiomId, Kernel, PremiseError, Theorem
-from .semantics import Model, carrier_size, mentions_nat
-from .terms import FnExpr, GenExpr, free_names, render
+from .semantics import InterpretationError, Model, NotFinitelyCheckable, interpret, mentions_nat
+from .terms import FnExpr, GenExpr, render
 
 __all__ = ["evidence_models", "choice_instance", "prelude_source"]
 
@@ -30,17 +30,19 @@ def evidence_models(expr: GenExpr) -> tuple[Model, ...]:
     """Small finite models to check equality-law evidence for `expr` in:
     the two largest feasible Nat truncations, or, for an expression without
     Nat, the single model with bound 1."""
-    feasible = [
-        k
-        for k in (range(4) if mentions_nat(expr) else (1,))
-        if not free_names(expr)  # a named generator has no carrier without a model
-        and carrier_size(expr, Model.make({}, nat_bound=k)) <= _EVIDENCE_SIZE_CAP
-    ]
+    feasible = []
+    for k in range(4) if mentions_nat(expr) else (1,):
+        model = Model.make({}, nat_bound=k)
+        try:
+            if len(interpret(expr, model)) <= _EVIDENCE_SIZE_CAP:
+                feasible.append(model)
+        except (InterpretationError, NotFinitelyCheckable):
+            pass  # a named generator has no carrier here, or past the budget
     if not feasible:
         raise PremiseError(
             f"no feasible evidence model for {render(expr)}; supply models explicitly"
         )
-    return tuple(Model.make({}, nat_bound=k) for k in feasible[-2:])
+    return tuple(feasible[-2:])
 
 
 def choice_instance(kernel: Kernel, surj: FnExpr, dom: GenExpr, cod: GenExpr) -> Theorem:

@@ -35,6 +35,7 @@ __all__ = [
     "ObjLit",
     "limit_lit",
     "limit_descriptor",
+    "is_numeral",
     "FnExpr",
     "Table",
     "BuiltinRule",
@@ -167,6 +168,12 @@ NAT = Nat()
 # Object literals and function expressions
 
 _NUMERAL_RE = re.compile(r"(0|[1-9][0-9]*)\Z")
+
+
+def is_numeral(tag: str) -> bool:
+    """Whether `tag` is a numeral, the tag of an object of Nat: ASCII digits
+    without a leading zero."""
+    return _NUMERAL_RE.match(tag) is not None
 
 
 @dataclass(frozen=True)
@@ -446,7 +453,7 @@ def _render_obj(tag: str, of: GenExpr) -> str:
             left = _render_obj(left_tag, of.left)
             right = _render_obj(right_tag, of.right)
             return f"({left}, {right})"
-    if _IDENT_RE.match(tag) or _NUMERAL_RE.match(tag):
+    if _IDENT_RE.match(tag) or is_numeral(tag):
         return f"{_render_gen_atom(of)}.{tag}"
     return f'{_render_gen_atom(of)}."{tag}"'
 

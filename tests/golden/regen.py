@@ -32,6 +32,7 @@ CASES: dict[str, list[str]] = {
     },
     "model_prelude_2": ["model", "--format", "json", "--max-size", "2"],
     "model_prelude_3": ["model", "--format", "json", "--max-size", "3"],
+    "model_prelude_4": ["model", "--format", "json", "--max-size", "4"],
     **{
         f"model_{name[:-3]}_3": [
             "model", "--format", "json", "--max-size", "3", f"tests/corpus/{name}"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
 from contextlib import redirect_stdout
 
 import pytest
@@ -18,7 +19,6 @@ from ogkernel.semantics import (
     Carrier,
     Model,
     NotFinitelyCheckable,
-    carrier_size,
     default_model,
     interpret,
     models_for_judgment,
@@ -65,6 +65,22 @@ def reference_tags(expr, model) -> list[str]:
     ]
 
 
+def reference_size(expr, model) -> int | float:
+    """The number of objects of `expr`, from the definition; inf for a
+    powerset whose base has more than 64 objects."""
+    if expr == TWO:
+        return 2
+    if expr == NAT:
+        return model.nat_bound + 1
+    if isinstance(expr, Named):
+        return len(model.carrier_for(expr.name.text).tags)
+    if isinstance(expr, Product):
+        left, right = reference_size(expr.left, model), reference_size(expr.right, model)
+        return left * right if left and right else 0
+    base = reference_size(expr.arg, model)
+    return 2**base if base <= 64 else math.inf
+
+
 def _small_exprs():
     leaves = [TWO, NAT, A]
     products = [Product(x, y) for x in leaves for y in leaves]
@@ -108,19 +124,25 @@ def test_tags_that_name_no_object_do_not_encode():
     assert interpret(NAT, model).index("3") is None
 
 
-def test_carrier_size_saturates_and_bounds_interpretation():
+def test_interpret_refuses_carriers_past_the_budget():
     model = default_model(nat_bound=3)
     tower = Powerset(Powerset(NAT))
-    assert carrier_size(tower, model) == len(interpret(tower, model)) == CARRIER_BUDGET
+    assert len(interpret(tower, model)) == CARRIER_BUDGET
+    two_tower = TWO
+    for _ in range(6):
+        two_tower = Powerset(two_tower)  # 2, 4, 16, 2^16, then 2^(2^16): never formed
     for expr in (
         Product(tower, tower),
         Powerset(tower),
         Powerset(Powerset(tower)),  # 2^(2^65536): never formed
         Product(Powerset(tower), NAT),
+        two_tower,
     ):
-        assert carrier_size(expr, model) == CARRIER_BUDGET + 1
         with pytest.raises(NotFinitelyCheckable):
             interpret(expr, model)
+    # Nat lists at most CARRIER_BUDGET + 1 numerals, whatever its bound
+    with pytest.raises(NotFinitelyCheckable):
+        interpret(NAT, default_model(nat_bound=10**12))
 
 
 def test_domain_past_the_budget_is_not_finitely_checkable():
@@ -195,7 +217,7 @@ _models = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(_exprs(), _models, st.data())
 def test_codec_round_trip_property(expr, model, data):
-    size = carrier_size(expr, model)
+    size = reference_size(expr, model)
     if size > CARRIER_BUDGET:
         with pytest.raises(NotFinitelyCheckable):
             interpret(expr, model)
@@ -247,8 +269,11 @@ def test_named_carrier_enumeration_is_canonical():
 def test_only_decimal_tags_are_numerals():
     model = default_model(nat_bound=2)
     assert verify_judgment(IsObj(ObjLit("7", NAT), NAT), model).holds
-    verdict = verify_judgment(IsObj(ObjLit("²", NAT), NAT), model)  # superscript two
-    assert verdict.status == "fails" and dict(verdict.witness)["tag"] == "²"
+    past = verify_judgment(IsObj(ObjLit("9" * 5000, NAT), NAT), model)
+    assert past.holds and past.detail == "numeral beyond truncation bound 2"
+    for tag in ("²", "٣", "007"):  # superscript two, Arabic-Indic three, a leading zero
+        verdict = verify_judgment(IsObj(ObjLit(tag, NAT), NAT), model)
+        assert verdict.status == "fails" and dict(verdict.witness)["tag"] == tag
     kernel = Kernel()
     eq = BuiltinRule("eq_of", (NAT,))
     binfn = kernel.bin_fn_from_mor(kernel.mor_intro(eq, Product(NAT, NAT), TWO))

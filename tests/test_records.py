@@ -195,7 +195,7 @@ def test_verdict_rejects_a_failure_without_witness():
         Verdict(FAILS, "no witness")
     verdict = Verdict(FAILS, "bad", (("at", "x"),))
     assert verdict == Verdict(FAILS, "bad", (("at", "x"),)) != Verdict(HOLDS)
-    assert not verdict.holds and Verdict(HOLDS, truncated=True).holds
+    assert not verdict.holds and Verdict(HOLDS).holds
 
 
 @pytest.mark.parametrize(

@@ -132,11 +132,6 @@ def test_interpret_errors():
     assert verdict.status == NOT_FINITELY_CHECKABLE
 
 
-def test_nat_truncation_flag():
-    verdict = verify_judgment(IsGen(NAT), default_model(nat_bound=2))
-    assert verdict.status == HOLDS and verdict.truncated
-
-
 def test_verify_domain_examples():
     diagonal = BuiltinRule("eq_of", (TWO,))
     assert verify_judgment(IsDomain(TWO, diagonal), default_model()).holds
