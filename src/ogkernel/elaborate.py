@@ -188,7 +188,7 @@ class _Session:
                 self.resolve_expr(a) if isinstance(a, GenExpr) else a for a in arg.args
             )
             return BuiltinRule(arg.rule, resolved)
-        if isinstance(arg, tuple):  # a table literal's rows
+        if type(arg) is tuple:  # a table literal's rows (a term is a tuple subclass)
             rows = tuple((self.resolve_objlit(k), self.resolve_objlit(v)) for k, v in arg)
             try:
                 return Table(dom, cod, rows)

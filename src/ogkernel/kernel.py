@@ -338,6 +338,8 @@ def _first_objects(expr: GenExpr, tags: Tags, count: int) -> list[str]:
 def _judge(kind: str, label: str, payload: tuple, premises: tuple[Judgment, ...]) -> Judgment:
     """The judgment that a trace node concludes from its payload and its
     premises' judgments; raises unless the node's rule admits them."""
+    if type(payload) is not tuple:  # a term is a tuple too, and would match by its items
+        raise SchemaError(f"no {kind} node {label!r} with this payload")
     match kind, label, payload:
         case "rule", RuleId.MOR_INTRO, (fn, dom, cod, tags):
             return _check_mor(fn, dom, cod, dict(tags), premises)

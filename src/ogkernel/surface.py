@@ -697,7 +697,7 @@ def render_arg(arg) -> str:
         return f'"{arg}"'
     if isinstance(arg, LimitRef):
         return f"limit({arg.name})"
-    if isinstance(arg, tuple):
+    if type(arg) is tuple:  # a table literal's rows, not a term
         rows = ", ".join(f"{render(k)} -> {render(v)}" for k, v in arg)
         return f"table {{ {rows} }}" if rows else "table { }"
     return render(arg)
@@ -730,7 +730,7 @@ def render_decl(d: Decl) -> str:
             return f"generator {d.name} primitive {{{', '.join(d.tags)}}};"
         return f"generator {d.name} primitive;"
     if isinstance(d, MorphismDecl):
-        body = render_arg(d.body) if isinstance(d.body, tuple) else f"rule {render(d.body)}"
+        body = render_arg(d.body) if type(d.body) is tuple else f"rule {render(d.body)}"
         return (
             f"morphism {d.name} : {render(d.dom)} -> {render(d.cod)} := {body};"
         )

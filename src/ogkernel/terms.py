@@ -1,28 +1,28 @@
 """Immutable syntax trees: generator expressions, function expressions, judgments.
 
-The terms and judgments are frozen dataclasses with structural equality
-(source spans are ignored): the only dataclasses in the package, so that a
-`dataclasses.fields` walk reaches every subterm of a judgment, and so that
-terms of different classes never compare equal, as tuples of equal fields
-would.  `render` produces the surface syntax that
+Every term and judgment is a `Term`, the tuple of its class name and its
+fields, so equality and `hash` are the tuple's own and run in C.  The name tag
+keeps terms of different classes apart and hashes alike in every run; source
+spans are ignored.  `render` produces the surface syntax that
 `ogkernel.surface.parse_gen_expr` and friends read back.  The one piece of
 logic is the builtin catalog: each former's argument kinds (enforced when a
 `BuiltinRule` is built) and its signature (`fn_signature`).
 
-Records outside the term language cost nothing to define at import: they are
-`typing.NamedTuple`s, like `Span`, or subclasses of `Record`.
+Records outside the term language are `typing.NamedTuple`s, like `Span`, or
+subclasses of `Record`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple, Union
 
 __all__ = [
     "Span",
     "Record",
     "FrozenRecord",
+    "Term",
     "Ident",
     "GenExpr",
     "Two",
@@ -106,19 +106,44 @@ class FrozenRecord(Record):
     __delattr__ = __setattr__
 
 
+class Term(tuple):
+    """A term: the tuple of its class name and its fields.  A subclass names its
+    fields in its class statement, as `Product(GenExpr, fields="left right")`
+    does, and sets `__slots__ = ()`; each field is a read-only item getter."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, fields: str = "") -> None:
+        cls._fields = tuple(fields.split())
+        for i, name in enumerate(cls._fields, 1):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __new__(cls, *fields: object):
+        if len(fields) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(fields)}")
+        return tuple.__new__(cls, (cls.__name__, *fields))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self[1:]))
+        return f"{type(self).__name__}({shown})"
+
+
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class Ident:
-    """A name.  Two idents are the same name iff their text is equal."""
+class Ident(Term, fields="text"):
+    """A name, equal to another iff their text is.  Its `span` lies outside the
+    tuple, in the one instance `__dict__` of the term classes, and is frozen."""
 
-    text: str
-    span: Span | None = field(default=None, compare=False, repr=False)
+    def __new__(cls, text: str, span: Span | None = None):
+        if not _IDENT_RE.match(text):
+            raise ValueError(f"invalid identifier: {text!r}")
+        self = tuple.__new__(cls, (cls.__name__, text))
+        object.__setattr__(self, "span", span)
+        return self
 
-    def __post_init__(self) -> None:
-        if not _IDENT_RE.match(self.text):
-            raise ValueError(f"invalid identifier: {self.text!r}")
+    __setattr__ = __delattr__ = FrozenRecord.__setattr__
 
     def __str__(self) -> str:
         return self.text
@@ -128,36 +153,34 @@ class Ident:
 # Generator expressions
 
 
-class GenExpr:
+class GenExpr(Term):
     """Base class for generator expressions."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Two(GenExpr):
     """The fixed two-object generator (objects `yes` and `no`)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Nat(GenExpr):
     """The natural numbers, with numeral objects."""
 
-
-@dataclass(frozen=True)
-class Named(GenExpr):
-    name: Ident
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Product(GenExpr):
-    left: GenExpr
-    right: GenExpr
+class Named(GenExpr, fields="name"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Powerset(GenExpr):
-    arg: GenExpr
+class Product(GenExpr, fields="left right"):
+    __slots__ = ()
+
+
+class Powerset(GenExpr, fields="arg"):
+    __slots__ = ()
 
 
 TWO = Two()
@@ -176,8 +199,7 @@ def is_numeral(tag: str) -> bool:
     return _NUMERAL_RE.match(tag) is not None
 
 
-@dataclass(frozen=True)
-class ObjLit:
+class ObjLit(Term, fields="tag of"):
     """A tagged constant naming one object of a carrier.
 
     Tags for the builtin carriers: ``yes``/``no`` for Two, decimal numerals
@@ -185,12 +207,12 @@ class ObjLit:
     for powersets, and ``limit(<family descriptor>)`` for coherent limits.
     """
 
-    tag: str
-    of: GenExpr
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.tag:
+    def __new__(cls, tag: str, of: GenExpr):
+        if not tag:
             raise ValueError("object literal tag must be nonempty")
+        return tuple.__new__(cls, (cls.__name__, tag, of))
 
 
 def limit_lit(descriptor: str) -> ObjLit:
@@ -205,24 +227,22 @@ def limit_descriptor(tag: str) -> str | None:
     return None
 
 
-class FnExpr:
+class FnExpr(Term):
     """Base class for function expressions (finite tables or builtin rules)."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Table(FnExpr):
-    domain: GenExpr
-    codomain: GenExpr
-    rows: tuple[tuple[ObjLit, ObjLit], ...]
+class Table(FnExpr, fields="domain codomain rows"):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, domain: GenExpr, codomain: GenExpr, rows: tuple[tuple[ObjLit, ObjLit], ...]):
         seen = set()
-        for key, _ in self.rows:
+        for key, _ in rows:
             if key.tag in seen:
                 raise ValueError(f"duplicate table row for {key.tag!r}")
             seen.add(key.tag)
+        return tuple.__new__(cls, (cls.__name__, domain, codomain, rows))
 
 
 BuiltinArg = Union[GenExpr, str, int]
@@ -245,23 +265,20 @@ BUILTIN_RULES: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class BuiltinRule(FnExpr):
+class BuiltinRule(FnExpr, fields="rule args"):
     """A catalogued function former, its arguments of the kinds that
     BUILTIN_RULES lists; any other former is a ValueError."""
 
-    rule: str
-    args: tuple[BuiltinArg, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        kinds = BUILTIN_RULES.get(self.rule)
+    def __new__(cls, rule: str, args: tuple[BuiltinArg, ...] = ()):
+        kinds = BUILTIN_RULES.get(rule)
         if kinds is None:
             known = ", ".join(sorted(BUILTIN_RULES))
-            raise ValueError(f"unknown builtin rule {self.rule!r} (known: {known})")
-        if len(self.args) != len(kinds) or not all(
-            _ARG_KINDS[kind](arg) for kind, arg in zip(kinds, self.args)
-        ):
-            raise ValueError(f"builtin {self.rule} takes [{', '.join(kinds)}]")
+            raise ValueError(f"unknown builtin rule {rule!r} (known: {known})")
+        if len(args) != len(kinds) or not all(_ARG_KINDS[k](a) for k, a in zip(kinds, args)):
+            raise ValueError(f"builtin {rule} takes [{', '.join(kinds)}]")
+        return tuple.__new__(cls, (cls.__name__, rule, args))
 
 
 def fn_signature(fn: FnExpr) -> tuple[GenExpr, GenExpr]:
@@ -279,8 +296,7 @@ def fn_signature(fn: FnExpr) -> tuple[GenExpr, GenExpr]:
 # Families (stage n: a stream's bits at 0..n) for the coherent-limit lab
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Term, fields="name descriptor"):
     """A coherent-family description drawn from the stream catalog.
 
     The descriptor grammar and its coherence decision are owned by
@@ -288,65 +304,51 @@ class FamilySpec:
     ``restrictions(<stream spec>)`` or ``corrupt(<stream spec>,<stage>,<index>)``.
     """
 
-    name: Ident
-    descriptor: str
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
-# Judgments
+# Judgments (the expressions are GenExprs; fn and eq are FnExprs)
 
 
-class Judgment:
+class Judgment(Term):
     """Base class for the judgment forms the kernel can assert."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IsGen(Judgment):
-    expr: GenExpr
+class IsGen(Judgment, fields="expr"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IsObj(Judgment):
-    obj: ObjLit
-    expr: GenExpr
+class IsObj(Judgment, fields="obj expr"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IsMor(Judgment):
-    fn: FnExpr
-    dom: GenExpr
-    cod: GenExpr
+class IsMor(Judgment, fields="fn dom cod"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IsBinFn(Judgment):
+class IsBinFn(Judgment, fields="fn dom"):
     """Definitionally IsMor(fn, dom, Two); see kernel rule bin_fn_from_mor."""
 
-    fn: FnExpr
-    dom: GenExpr
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IsDomain(Judgment):
-    expr: GenExpr
-    eq: FnExpr
+class IsDomain(Judgment, fields="expr eq"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SupportsQuant(Judgment):
-    expr: GenExpr
+class SupportsQuant(Judgment, fields="expr"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IsSet(Judgment):
-    expr: GenExpr
+class IsSet(Judgment, fields="expr"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IsCoherentFamily(Judgment):
-    family: FamilySpec
+class IsCoherentFamily(Judgment, fields="family"):
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +356,9 @@ class IsCoherentFamily(Judgment):
 
 _TermLike = Union[GenExpr, FnExpr, Judgment, ObjLit]
 
-_KINDS = ((GenExpr,), (FnExpr,), (Judgment,), (ObjLit,))
-
 
 def _kind_of(x: _TermLike) -> type:
-    for (k,) in _KINDS:
+    for k in (GenExpr, FnExpr, Judgment, ObjLit):
         if isinstance(x, k):
             return k
     raise TypeError(f"not a term: {x!r}")
@@ -370,9 +370,7 @@ def structurally_equal(a: _TermLike, b: _TermLike) -> bool:
     Raises TypeError when `a` and `b` are not the same syntactic kind.
     """
     if _kind_of(a) is not _kind_of(b):
-        raise TypeError(
-            f"cannot compare {type(a).__name__} with {type(b).__name__}"
-        )
+        raise TypeError(f"cannot compare {type(a).__name__} with {type(b).__name__}")
     return a == b
 
 

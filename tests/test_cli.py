@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import json
 import json.encoder
+import os
 import random
 import subprocess
 import sys
@@ -550,6 +551,23 @@ def test_check_imports_no_argparse_or_locale():
             [sys.executable, "-c", script], capture_output=True, text=True, check=True
         )
         assert result.stdout.splitlines()[-1] == "0 []", argv
+
+
+def test_reports_are_byte_identical_under_every_hash_seed():
+    for argv in (
+        ["check", str(CORPUS / "20_full_tower.og"), "--format", "json"],
+        ["model", "--max-size", "2", "--format", "json"],
+    ):
+        reports = set()
+        for seed in ("0", "1"):
+            result = subprocess.run(
+                [sys.executable, "-m", "ogkernel", *argv],
+                capture_output=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert result.returncode in (EXIT_OK, EXIT_CHECK_FAILED) and result.stdout, argv
+            reports.add(result.stdout)
+        assert len(reports) == 1, argv
 
 
 def test_cli_runs_where_numpy_cannot_be_imported():

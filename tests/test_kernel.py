@@ -531,6 +531,21 @@ def test_repeated_tag_is_refused_by_the_kernel(kernel):
         kernel.gen_intro(Powerset(TWO), ("a",))
 
 
+@pytest.mark.parametrize(
+    "kind, label, payload",
+    [
+        ("decl", "generator", Named(Ident("G"))),
+        ("rule", "gen_intro", TWO),
+        ("decl", "coherent_family", TWO),
+    ],
+)
+def test_the_judge_refuses_a_term_as_its_payload(kind, label, payload):
+    # A term is a tuple, but a payload is a plain one: a sequence pattern
+    # matched against a term's items would judge the wrong thing or crash.
+    with pytest.raises(SchemaError, match="with this payload"):
+        _judge(kind, label, payload, ())
+
+
 def test_a_huge_domain_is_refused_without_building_it(kernel):
     tower = TWO
     for _ in range(5):

@@ -1,18 +1,21 @@
-"""Records: the term language keeps its dataclasses, every other record is a
-NamedTuple or a slotted `Record`, and the conversion keeps each record's
-equality, validation and immutability."""
+"""Records: every term is a `Term` tuple tagged with its class name, every
+other record is a NamedTuple or a slotted `Record`, no class is a dataclass,
+and each record keeps its equality, validation and immutability."""
 
 from __future__ import annotations
 
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ogkernel
 from ogkernel import cli, terms
@@ -32,7 +35,12 @@ from ogkernel.terms import (
     NAT,
     TWO,
     BuiltinRule,
+    FamilySpec,
     Ident,
+    IsBinFn,
+    IsCoherentFamily,
+    IsDomain,
+    IsGen,
     IsMor,
     IsObj,
     IsSet,
@@ -42,7 +50,15 @@ from ogkernel.terms import (
     Powerset,
     Product,
     Span,
+    SupportsQuant,
     Table,
+    Term,
+    Two,
+)
+
+TERM_CLASSES = (
+    Ident, ObjLit, FamilySpec, Two, Nat, Named, Product, Powerset, Table, BuiltinRule,
+    IsGen, IsObj, IsMor, IsBinFn, IsDomain, SupportsQuant, IsSet, IsCoherentFamily,
 )
 
 
@@ -56,32 +72,27 @@ def _package_classes():
                 yield module.__name__, cls
 
 
-def test_only_the_term_classes_are_dataclasses():
-    classes = _package_classes()
-    found = {(mod, cls.__name__) for mod, cls in classes if dataclasses.is_dataclass(cls)}
-    assert found and all(module == "ogkernel.terms" for module, _ in found)
-    term_bases = (terms.GenExpr, terms.FnExpr, terms.Judgment)
-    for _, name in found:
-        cls = getattr(terms, name)
-        assert issubclass(cls, term_bases) or cls in (terms.Ident, terms.ObjLit, terms.FamilySpec)
+def test_no_class_is_a_dataclass_and_every_term_class_is_a_term():
+    classes = [cls for _, cls in _package_classes()]
+    assert classes and not any(dataclasses.is_dataclass(cls) for cls in classes)
+    bases = (terms.GenExpr, terms.FnExpr, terms.Judgment)
+    assert {cls for cls in classes if issubclass(cls, Term)} == {Term, *bases, *TERM_CLASSES}
+    for cls in (*bases, *TERM_CLASSES):
+        # Only an Ident has an instance __dict__: its span, outside the tuple.
+        assert (cls.__dict__.get("__slots__") == ()) == (cls is not Ident), cls
 
 
-def test_importing_the_cli_processes_few_dataclasses():
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     script = (
-        "import dataclasses\n"
-        "calls = []\n"
-        "process = dataclasses._process_class\n"
-        "def counted(cls, *args):\n"
-        "    calls.append(cls.__name__)\n"
-        "    return process(cls, *args)\n"
-        "dataclasses._process_class = counted\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
         "import ogkernel.cli\n"
-        "print(len(calls))\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
-    assert int(result.stdout.split()[-1]) <= 18
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def _fields_walk(term, names: set[str]) -> bool:
@@ -121,6 +132,89 @@ def test_a_fields_walk_reaches_every_subterm_of_a_judgment():
 def test_judgments_of_different_forms_are_not_equal():
     assert IsSet(TWO) != terms.SupportsQuant(TWO)
     assert hash(IsSet(TWO)) == hash(IsSet(TWO))
+
+
+# -- terms: tuples tagged with their class name
+
+
+def _reference_equal(a, b) -> bool:
+    """Term equality as the dataclass terms had it: the same class, and equal
+    fields, compared the same way."""
+    if isinstance(a, Term) or isinstance(b, Term):
+        return type(a) is type(b) and all(
+            _reference_equal(getattr(a, f), getattr(b, f)) for f in a._fields
+        )
+    if type(a) is tuple and type(b) is tuple:
+        return len(a) == len(b) and all(map(_reference_equal, a, b))
+    return type(a) is type(b) and a == b
+
+
+def _rebuilt(x):
+    """An equal copy of `x` built afresh, without spans."""
+    if isinstance(x, Term):
+        return type(x)(*(_rebuilt(getattr(x, f)) for f in x._fields))
+    return tuple(map(_rebuilt, x)) if type(x) is tuple else x
+
+
+_SPANS = st.none() | st.builds(Span, st.integers(1, 3), st.integers(1, 3), st.just(0), st.just(1))
+_IDENTS = st.builds(Ident, st.sampled_from(["G", "H"]), _SPANS)
+_GEN_EXPRS = st.recursive(
+    st.sampled_from([TWO, NAT]) | st.builds(Named, _IDENTS),
+    lambda inner: st.builds(Product, inner, inner) | st.builds(Powerset, inner),
+    max_leaves=4,
+)
+_OBJ_LITS = st.builds(ObjLit, st.sampled_from(["a", "yes", "0"]), _GEN_EXPRS)
+_ROWS = st.lists(st.tuples(_OBJ_LITS, _OBJ_LITS), max_size=2, unique_by=lambda r: r[0].tag)
+_FN_EXPRS = st.builds(BuiltinRule, st.just("eq_of"), st.tuples(_GEN_EXPRS)) | st.builds(
+    Table, _GEN_EXPRS, _GEN_EXPRS, _ROWS.map(tuple)
+)
+_FAMILIES = st.builds(FamilySpec, _IDENTS, st.sampled_from(["restrictions(squares)", "x"]))
+_JUDGMENTS = st.one_of(
+    *(st.builds(form, _GEN_EXPRS) for form in (IsGen, SupportsQuant, IsSet)),
+    st.builds(IsObj, _OBJ_LITS, _GEN_EXPRS),
+    st.builds(IsMor, _FN_EXPRS, _GEN_EXPRS, _GEN_EXPRS),
+    st.builds(IsBinFn, _FN_EXPRS, _GEN_EXPRS),
+    st.builds(IsDomain, _GEN_EXPRS, _FN_EXPRS),
+    st.builds(IsCoherentFamily, _FAMILIES),
+)
+_TERMS = st.one_of(_IDENTS, _GEN_EXPRS, _OBJ_LITS, _FN_EXPRS, _FAMILIES, _JUDGMENTS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TERMS, _TERMS)
+def test_term_equality_is_class_and_field_equality(a, b):
+    assert (a == b) == _reference_equal(a, b)
+    if a == b:
+        assert hash(a) == hash(b)
+    copy = _rebuilt(a)
+    assert copy == a and hash(copy) == hash(a) and _reference_equal(copy, a)
+
+
+def test_terms_of_different_classes_or_fields_differ():
+    e = Named(Ident("G"))
+    assert IsSet(e) != SupportsQuant(e) and IsGen(e) != IsSet(e) and TWO != NAT
+    assert IsGen(e) != IsGen(Named(Ident("H"))) and Two() == TWO
+    spanned = Named(Ident("G", Span(3, 4, 10, 11)))
+    assert spanned == e and hash(spanned) == hash(e) and spanned.name.span == Span(3, 4, 10, 11)
+    assert repr(spanned) == "Named(name=Ident(text='G'))"
+    for term, field in ((e, "name"), (e.name, "text"), (e.name, "span"), (IsGen(e), "expr")):
+        with pytest.raises(AttributeError):
+            setattr(term, field, None)
+    with pytest.raises(TypeError, match="Product takes 2 fields, got 1"):
+        Product(TWO)
+
+
+def test_a_term_hashes_alike_in_every_interpreter():
+    # The class-name tag hashes by its text; a class object would hash by address.
+    script = "from ogkernel.terms import Ident, Named; print(hash(Named(Ident('G'))))"
+    env = {**os.environ, "PYTHONHASHSEED": "0"}
+    hashes = {
+        subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        for _ in range(2)
+    }
+    assert len(hashes) == 1
 
 
 # -- equality that ignores spans
