@@ -26,7 +26,6 @@ from .terms import (
     BuiltinRule,
     FamilySpec,
     FnExpr,
-    FrozenRecord,
     GenExpr,
     Ident,
     IsBinFn,
@@ -44,6 +43,7 @@ from .terms import (
     Product,
     SupportsQuant,
     Table,
+    Term,
     Two,
     fn_signature,
     free_names,
@@ -185,15 +185,15 @@ _RULE_AXIOMS = {
 }
 
 
-class TraceNode(FrozenRecord):
+class TraceNode(Term, fields="kind label judgment children payload"):  # kind: axiom | decl | rule
     """One derivation step.  Nodes compare by identity so that shared
     premises (the same Theorem used twice) are counted once in a trace."""
 
-    __slots__ = ("kind", "label", "judgment", "children", "payload")  # kind: axiom | decl | rule
-    __eq__, __hash__ = object.__eq__, object.__hash__
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __init__(self, kind: str, label: str, judgment: Judgment, children=(), payload=()):
-        self._init(kind=kind, label=label, judgment=judgment, children=children, payload=payload)
+    def __new__(cls, kind: str, label: str, judgment: Judgment, children=(), payload=()):
+        return tuple.__new__(cls, (cls.__name__, kind, label, judgment, children, payload))
 
 
 _SEAL = object()

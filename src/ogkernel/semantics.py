@@ -30,7 +30,6 @@ from .terms import (
     TWO,
     BuiltinRule,
     FnExpr,
-    FrozenRecord,
     GenExpr,
     Ident,
     IsBinFn,
@@ -47,6 +46,7 @@ from .terms import (
     Product,
     SupportsQuant,
     Table,
+    Term,
     Two,
     fn_signature,
     free_names,
@@ -116,7 +116,7 @@ class NotFinitelyCheckable(Exception):
     """The question cannot be settled by finite enumeration at these bounds."""
 
 
-class Carrier(FrozenRecord):
+class Carrier(Term, fields="name tags parts size"):
     """A finite carrier whose objects are the indices 0 .. len-1.
 
     An explicit carrier lists pairwise distinct object tags, object k being
@@ -126,12 +126,10 @@ class Carrier(FrozenRecord):
     and object k is the subset of A whose bitmask is k, so index 0 is the
     empty (all-no) function.  `tag` renders one object and `index` encodes
     one tag; `objects` renders them all and is a view for reports and tests.
-    Carriers key the interpretation caches, so each keeps its hash.
+    An explicit carrier keeps its tag-to-index table aside, out of equality.
     """
 
-    __slots__ = ("name", "tags", "parts", "size", "_codes", "_hash")
-
-    def __init__(self, name: str, tags: tuple[str, ...] = (), parts: tuple[Carrier, ...] = ()):
+    def __new__(cls, name: str, tags: tuple[str, ...] = (), parts: tuple[Carrier, ...] = ()):
         codes = None
         if len(parts) == 2:
             size = len(parts[0]) * len(parts[1])
@@ -142,11 +140,7 @@ class Carrier(FrozenRecord):
             if len(codes) != len(tags):
                 raise ValueError(f"carrier {name!r} has duplicate tags")
             size = len(tags)
-        key = name, tags, parts, size
-        self._init(name=name, tags=tags, parts=parts, size=size, _codes=codes, _hash=hash(key))
-
-    def __hash__(self) -> int:
-        return self._hash
+        return tuple.__new__(cls, (cls.__name__, name, tags, parts, size))._aside(_codes=codes)
 
     def __len__(self) -> int:
         return self.size
@@ -325,13 +319,13 @@ def interpret_fn(fn: FnExpr, model: Model) -> dict[str, str]:
 # Judgment evaluation
 
 
-class Verdict(FrozenRecord):
-    __slots__ = ("status", "detail", "witness")
+class Verdict(Term, fields="status detail witness"):
+    __slots__ = ()
 
-    def __init__(self, status: str, detail: str = "", witness=None):
+    def __new__(cls, status: str, detail: str = "", witness=None):
         if status == FAILS and witness is None:
             raise ValueError("a failing verdict must carry a witness")
-        self._init(status=status, detail=detail, witness=witness)
+        return tuple.__new__(cls, (cls.__name__, status, detail, witness))
 
     @property
     def holds(self) -> bool:

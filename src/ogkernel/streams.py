@@ -16,7 +16,7 @@ import math
 import random
 from typing import Callable, NamedTuple, Sequence
 
-from .terms import FrozenRecord, split_top_level
+from .terms import Term, split_top_level
 
 __all__ = [
     "BitStream",
@@ -87,8 +87,8 @@ class BitStream:
     each stream has `value_at(n)`, the bit at n, and `prefix(n)`, the bits at
     0..n as n + 1 bytes of 0 or 1.
 
-    The catalog streams are also FrozenRecords: immutable, and equal when
-    they are of one class with equal fields."""
+    The catalog streams are also `Term`s: immutable, and equal when they
+    are of one class with equal fields."""
 
     __slots__ = ()
 
@@ -98,15 +98,15 @@ def _check_bits(bits: Sequence[int], what: str) -> None:
         raise ValueError(f"{what} must consist of 0/1 bits")
 
 
-class Periodic(FrozenRecord, BitStream):
-    __slots__ = ("preperiod", "period")
+class Periodic(Term, BitStream, fields="preperiod period"):
+    __slots__ = ()
 
-    def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...]):
+    def __new__(cls, preperiod: tuple[int, ...], period: tuple[int, ...]):
         if not period:
             raise ValueError("period must be nonempty")
         _check_bits(preperiod, "preperiod")
         _check_bits(period, "period")
-        self._init(preperiod=preperiod, period=period)
+        return tuple.__new__(cls, (cls.__name__, preperiod, period))
 
     def value_at(self, n: int) -> int:
         if n < len(self.preperiod):
@@ -118,7 +118,7 @@ class Periodic(FrozenRecord, BitStream):
         return (bytes(self.preperiod) + bytes(self.period) * reps)[: n + 1]
 
 
-class SquaresIndicator(FrozenRecord, BitStream):
+class SquaresIndicator(Term, BitStream):
     __slots__ = ()
 
     def value_at(self, n: int) -> int:
@@ -131,7 +131,7 @@ class SquaresIndicator(FrozenRecord, BitStream):
         return bytes(out)
 
 
-class PowersOfTwoIndicator(FrozenRecord, BitStream):
+class PowersOfTwoIndicator(Term, BitStream):
     __slots__ = ()
 
     def value_at(self, n: int) -> int:
@@ -146,12 +146,12 @@ class PowersOfTwoIndicator(FrozenRecord, BitStream):
         return bytes(out)
 
 
-class FiniteSupport(FrozenRecord, BitStream):
-    __slots__ = ("bits",)
+class FiniteSupport(Term, BitStream, fields="bits"):
+    __slots__ = ()
 
-    def __init__(self, bits: tuple[int, ...]):
+    def __new__(cls, bits: tuple[int, ...]):
         _check_bits(bits, "bits")
-        self._init(bits=bits)
+        return tuple.__new__(cls, (cls.__name__, bits))
 
     def value_at(self, n: int) -> int:
         return self.bits[n] if n < len(self.bits) else 0
@@ -160,11 +160,8 @@ class FiniteSupport(FrozenRecord, BitStream):
         return bytes(self.bits[: n + 1]) + bytes(max(n + 1 - len(self.bits), 0))
 
 
-class XorOf(FrozenRecord, BitStream):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: BitStream, right: BitStream):
-        self._init(left=left, right=right)
+class XorOf(Term, BitStream, fields="left right"):
+    __slots__ = ()
 
     def value_at(self, n: int) -> int:
         return self.left.value_at(n) ^ self.right.value_at(n)
@@ -175,15 +172,15 @@ class XorOf(FrozenRecord, BitStream):
         return (left ^ right).to_bytes(n + 1, "big")
 
 
-class ShiftOf(FrozenRecord, BitStream):
+class ShiftOf(Term, BitStream, fields="base offset"):
     """Left shift: value_at(n) = base.value_at(n + offset)."""
 
-    __slots__ = ("base", "offset")
+    __slots__ = ()
 
-    def __init__(self, base: BitStream, offset: int):
+    def __new__(cls, base: BitStream, offset: int):
         if offset < 0:
             raise ValueError("offset must be nonnegative")
-        self._init(base=base, offset=offset)
+        return tuple.__new__(cls, (cls.__name__, base, offset))
 
     def value_at(self, n: int) -> int:
         return self.base.value_at(n + self.offset)
@@ -192,13 +189,13 @@ class ShiftOf(FrozenRecord, BitStream):
         return self.base.prefix(n + self.offset)[self.offset :]
 
 
-class FlipAt(FrozenRecord, BitStream):
-    __slots__ = ("base", "index")
+class FlipAt(Term, BitStream, fields="base index"):
+    __slots__ = ()
 
-    def __init__(self, base: BitStream, index: int):
+    def __new__(cls, base: BitStream, index: int):
         if index < 0:
             raise ValueError("index must be nonnegative")
-        self._init(base=base, index=index)
+        return tuple.__new__(cls, (cls.__name__, base, index))
 
     def value_at(self, n: int) -> int:
         v = self.base.value_at(n)

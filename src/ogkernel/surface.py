@@ -38,7 +38,7 @@ A token is a plain tuple `(key, text, line, col, start, end)`.  Its key is
 its text for a keyword or symbol and its kind for any other token (`ident`,
 `integer`, `string`, `bitlist`, `eof`); no keyword is spelled like a kind.
 The parser compares keys and builds a `Span` only for a node or diagnostic
-that keeps one.  `lex` gives the same tokens as `Token` records.
+that keeps one.
 """
 
 from __future__ import annotations
@@ -59,16 +59,15 @@ from .terms import (
     ObjLit,
     Powerset,
     Product,
-    Record,
     Span,
+    Spanned,
+    Term,
     render,
 )
 
 __all__ = [
     "MAX_NESTING",
-    "Token",
     "Diagnostic",
-    "lex",
     "parse_source",
     "read_source",
     "parse_gen_expr",
@@ -95,14 +94,6 @@ KEYWORDS = frozenset(
 JUDGMENT_HEADS = frozenset(
     {"Gen", "Set", "Domain", "SupportsQuant", "Mor", "BinFn", "Eq", "Coherent", "Obj"}
 )
-
-
-class Token(Record):
-    # kind: keyword | ident | symbol | integer | bitlist | string | eof
-    __slots__ = ("kind", "text", "span")
-
-    def __init__(self, kind: str, text: str, span: Span):
-        self.kind, self.text, self.span = kind, text, span
 
 
 class Diagnostic(NamedTuple):
@@ -142,7 +133,6 @@ _LEX_ERRORS = {
     "hash": "'#' must be followed by a 0/1 bit list",
     "illegal": "illegal character {!r}",
 }
-_KIND_KEYS = frozenset({"ident", "integer", "string", "bitlist", "eof"})  # keyed by kind
 _Tok = tuple[str, str, int, int, int, int]  # key, text, line, col, start, end
 
 
@@ -167,104 +157,62 @@ def _scan(source: str) -> tuple[list[_Tok], list[Diagnostic]]:
     return toks, diagnostics
 
 
-def lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
-    """`_scan`'s tokens as `Token` records, for tests and tools."""
-    toks, diagnostics = _scan(source)
-    kinds = dict.fromkeys(KEYWORDS, "keyword") | {kind: kind for kind in _KIND_KEYS}
-    tokens = [Token(kinds.get(key, "symbol"), text, Span(*where)) for key, text, *where in toks]
-    return tokens, diagnostics
-
-
 # ---------------------------------------------------------------------------
 # Declarations and proof expressions
 #
-# Tokens, judgments, proofs and declarations are Records, so their equality
-# ignores the source span.  In argument position a string literal is a `str`
-# and a table literal is its tuple of (key, value) rows; its signature comes
-# from context.
+# Judgments, proofs and declarations are `Spanned` terms: their span is the
+# last constructor argument, and their equality ignores it.  In argument
+# position a string literal is a `str` and a table literal is its tuple of
+# (key, value) rows; its signature comes from context.
 
 
-class LimitRef(Record):
-    __slots__ = ("name",)
+class LimitRef(Term, fields="name"):
+    """`limit(name)`: the object a coherent family's limit names."""
 
-    def __init__(self, name: str):
-        self.name = name
+    __slots__ = ()
 
 
 Rows = tuple[tuple[ObjLit, ObjLit], ...]
 SurfaceArg = object  # GenExpr | ObjLit | BuiltinRule | Rows | LimitRef | str
 
 
-class SurfaceJudgment(Record):
-    __slots__ = ("head", "args", "span")
-
-    def __init__(self, head: str, args: tuple[SurfaceArg, ...], span: Span):
-        self.head, self.args, self.span = head, args, span
+class SurfaceJudgment(Spanned, fields="head args"):
+    """`head(args)`, each argument a SurfaceArg."""
 
 
-class AxiomRef(Record):
-    __slots__ = ("name", "span")
-
-    def __init__(self, name: str, span: Span):
-        self.name, self.span = name, span
+class AxiomRef(Spanned, fields="name"):
+    """`axiom name`."""
 
 
-class RuleApp(Record):
-    __slots__ = ("name", "subproofs", "span")
-
-    def __init__(self, name: str, subproofs: tuple[AxiomRef | RuleApp, ...], span: Span):
-        self.name, self.subproofs, self.span = name, subproofs, span
+class RuleApp(Spanned, fields="name subproofs"):
+    """`rule name from subproofs`, each a ProofExpr."""
 
 
 ProofExpr = AxiomRef | RuleApp
 
 
-class GeneratorDecl(Record):
-    __slots__ = ("name", "body", "tags", "span")  # body None means `primitive`
-
-    def __init__(
-        self, name: str, body: GenExpr | None, tags: tuple[str, ...] | None, span: Span
-    ):
-        self.name, self.body, self.tags, self.span = name, body, tags, span
+class GeneratorDecl(Spanned, fields="name body tags"):
+    """`generator name := body;`, or `primitive` with optional tags when body is None."""
 
 
-class MorphismDecl(Record):
-    __slots__ = ("name", "dom", "cod", "body", "span")
-
-    def __init__(
-        self, name: str, dom: GenExpr, cod: GenExpr, body: Rows | BuiltinRule, span: Span
-    ):
-        self.name, self.dom, self.cod, self.body, self.span = name, dom, cod, body, span
+class MorphismDecl(Spanned, fields="name dom cod body"):
+    """`morphism name : dom -> cod := body;`, body a Rows table or a BuiltinRule."""
 
 
-class AssertDecl(Record):
-    __slots__ = ("judgment", "proof", "span")
-
-    def __init__(self, judgment: SurfaceJudgment, proof: ProofExpr, span: Span):
-        self.judgment, self.proof, self.span = judgment, proof, span
+class AssertDecl(Spanned, fields="judgment proof"):
+    """`assert judgment by proof;`."""
 
 
-class ModelCheckDecl(Record):
-    __slots__ = ("judgment", "bound", "span")
-
-    def __init__(self, judgment: SurfaceJudgment, bound: int, span: Span):
-        self.judgment, self.bound, self.span = judgment, bound, span
+class ModelCheckDecl(Spanned, fields="judgment bound"):
+    """`model check judgment upto bound;`."""
 
 
-class IncludeDecl(Record):
-    __slots__ = ("path", "span")
-
-    def __init__(self, path: str, span: Span):
-        self.path, self.span = path, span
+class IncludeDecl(Spanned, fields="path"):
+    """`include "path";`."""
 
 
-class LimitDecl(Record):
-    __slots__ = ("command", "spec", "bounds", "span")  # command: "demo" | "member"
-
-    def __init__(
-        self, command: str, spec: str | None, bounds: tuple[int, int, int] | None, span: Span
-    ):
-        self.command, self.spec, self.bounds, self.span = command, spec, bounds, span
+class LimitDecl(Spanned, fields="command spec bounds"):
+    """`limit demo;` or `limit member spec upto bounds;` (command "demo" or "member")."""
 
 
 Decl = GeneratorDecl | MorphismDecl | AssertDecl | ModelCheckDecl | IncludeDecl | LimitDecl

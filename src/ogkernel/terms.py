@@ -8,8 +8,10 @@ spans are ignored.  `render` produces the surface syntax that
 logic is the builtin catalog: each former's argument kinds (enforced when a
 `BuiltinRule` is built) and its signature (`fn_signature`).
 
-Records outside the term language are `typing.NamedTuple`s, like `Span`, or
-subclasses of `Record`.
+Records outside the term language follow the same rule: a record is a `Term`
+when its class must take part in equality (the stream catalog, a trace node,
+a carrier, a verdict, a surface declaration) and a `typing.NamedTuple`, like
+`Span`, otherwise.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from typing import NamedTuple, Union
 
 __all__ = [
     "Span",
-    "Record",
-    "FrozenRecord",
     "Term",
+    "Spanned",
     "Ident",
     "GenExpr",
     "Two",
@@ -68,48 +69,14 @@ class Span(NamedTuple):
     end: int
 
 
-class Record:
-    """Base of the records a NamedTuple cannot be.  A subclass lists its fields
-    in `__slots__` and sets them in its own `__init__`.  Equality and `hash`
-    read the fields but `span` and names starting with `_`; `repr` shows `span`."""
-
-    __slots__ = ()
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__ if f != "span" and f[0] != "_")
-
-    def __eq__(self, other: object):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f[0] != "_")
-        return f"{type(self).__name__}({shown})"
-
-
-class FrozenRecord(Record):
-    """A Record whose `__init__` sets its fields once, through `_init`."""
-
-    __slots__ = ()
-
-    def _init(self, **fields: object) -> None:
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, *_: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-
 class Term(tuple):
-    """A term: the tuple of its class name and its fields.  A subclass names its
-    fields in its class statement, as `Product(GenExpr, fields="left right")`
-    does, and sets `__slots__ = ()`; each field is a read-only item getter."""
+    """A record that takes part in equality: the tuple of its class name and
+    its fields.  A subclass names its fields in its class statement, as
+    `Product(GenExpr, fields="left right")` does; each field is a read-only
+    item getter.  A subclass that sets `__slots__ = ()` holds nothing else;
+    one without keeps an instance `__dict__` for values set aside by `_aside`.
+    No attribute can be assigned, and copying or pickling is refused: the
+    tuple's own `__reduce_ex__` would rebuild another record."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -124,26 +91,49 @@ class Term(tuple):
             raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(fields)}")
         return tuple.__new__(cls, (cls.__name__, *fields))
 
+    def _aside(self, **values: object):
+        """`self`, with `values` kept outside the tuple, in the instance
+        `__dict__`: read-only like a field, but out of equality and `hash`."""
+        self.__dict__.update(values)
+        return self
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce_ex__(self, protocol: object):
+        raise TypeError(f"cannot copy or pickle a {type(self).__name__}")
+
     def __repr__(self) -> str:
         shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self[1:]))
         return f"{type(self).__name__}({shown})"
 
 
+class Spanned(Term):
+    """A term with a source `span` after its fields, kept aside: equality
+    ignores it and `repr` shows it last."""
+
+    def __new__(cls, *fields_and_span: object):
+        *fields, span = fields_and_span
+        return Term.__new__(cls, *fields)._aside(span=span)
+
+    def __repr__(self) -> str:
+        return f"{Term.__repr__(self)[:-1]}, span={self.span!r})"
+
+
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-class Ident(Term, fields="text"):
-    """A name, equal to another iff their text is.  Its `span` lies outside the
-    tuple, in the one instance `__dict__` of the term classes, and is frozen."""
+class Ident(Spanned, fields="text"):
+    """A name, equal to another iff their text is; its `repr` hides its span."""
 
     def __new__(cls, text: str, span: Span | None = None):
         if not _IDENT_RE.match(text):
             raise ValueError(f"invalid identifier: {text!r}")
-        self = tuple.__new__(cls, (cls.__name__, text))
-        object.__setattr__(self, "span", span)
-        return self
+        return tuple.__new__(cls, (cls.__name__, text))._aside(span=span)
 
-    __setattr__ = __delattr__ = FrozenRecord.__setattr__
+    __repr__ = Term.__repr__
 
     def __str__(self) -> str:
         return self.text

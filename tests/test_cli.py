@@ -557,6 +557,10 @@ def test_reports_are_byte_identical_under_every_hash_seed():
     for argv in (
         ["check", str(CORPUS / "20_full_tower.og"), "--format", "json"],
         ["model", "--max-size", "2", "--format", "json"],
+        # the stream catalog: coherent families, limits and periodicity
+        ["check", str(CORPUS / "08_coherent_squares.og"), str(CORPUS / "10_limit_lab.og"),
+         "--format", "json"],
+        ["limits", "--demo"],
     ):
         reports = set()
         for seed in ("0", "1"):
@@ -668,14 +672,15 @@ def test_a_byte_order_mark_at_the_start_of_a_file_is_skipped(tmp_path, capsys):
     assert "2:1: error[E0001]: illegal character '\\ufeff'" in capsys.readouterr().err
 
 
-def test_a_replay_failure_fails_its_trace_item_and_names_the_node(tmp_path, monkeypatch, capsys):
+def test_a_replay_failure_fails_its_trace_item_and_names_the_node(
+    tmp_path, monkeypatch, capsys, rejudge
+):
     path = tmp_path / "tower.og"
     path.write_text("assert SupportsQuant(P[Nat]) by rule H4 from axiom H3;\n")
     replay = cli.verify_trace
 
     def tampering_replay(thm):
-        h3 = thm.node.children[0]
-        object.__setattr__(h3, "judgment", SupportsQuant(TWO))
+        rejudge(thm, (0,), SupportsQuant(TWO))  # the H3 node
         return replay(thm)
 
     monkeypatch.setattr(cli, "verify_trace", tampering_replay)

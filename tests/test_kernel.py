@@ -419,22 +419,21 @@ def test_theorems_are_sealed():
         Theorem(IsSet(TWO), TraceNode("axiom", "H1", IsSet(TWO)))
 
 
-def test_corrupted_trace_fails_at_root(kernel):
+def test_corrupted_trace_fails_at_root(kernel, rejudge):
     thm = kernel.axiom(AxiomId.H3_NAT_SUPPORTS_QUANT)
     assert verify_trace(thm).passed
     # swap the recorded judgment behind the kernel's back
-    object.__setattr__(thm.node, "judgment", SupportsQuant(TWO))
+    rejudge(thm, (), SupportsQuant(TWO))
     report = verify_trace(thm)
     assert not report.passed
     assert report.failure.startswith("H3 node SupportsQuant(Two): ")
 
 
-def test_tampered_inner_node_is_named_by_replay(kernel):
+def test_tampered_inner_node_is_named_by_replay(kernel, rejudge):
     p2 = kernel.squant_from_powerset(
         kernel.squant_from_powerset(kernel.axiom(AxiomId.H3_NAT_SUPPORTS_QUANT))
     )
-    middle = p2.node.children[0]
-    object.__setattr__(middle, "judgment", SupportsQuant(Powerset(TWO)))
+    rejudge(p2, (0,), SupportsQuant(Powerset(TWO)))  # the middle node
     report = verify_trace(p2)
     assert not report.passed and report.node_count == 3
     assert report.failure == (
@@ -443,9 +442,9 @@ def test_tampered_inner_node_is_named_by_replay(kernel):
     )
 
 
-def test_replay_rederives_a_generator_declaration_from_its_name(kernel):
+def test_replay_rederives_a_generator_declaration_from_its_name(kernel, rejudge):
     thm = kernel.gen_intro(Ident("G"))
-    object.__setattr__(thm.node, "judgment", IsGen(Named(Ident("H"))))
+    rejudge(thm, (), IsGen(Named(Ident("H"))))
     assert verify_trace(thm).failure == "generator node Gen(H): replay derives Gen(G)"
 
 

@@ -1,13 +1,15 @@
-"""Records: every term is a `Term` tuple tagged with its class name, every
-other record is a NamedTuple or a slotted `Record`, no class is a dataclass,
-and each record keeps its equality, validation and immutability."""
+"""Records: a record whose class takes part in equality is a `Term` tuple
+tagged with its class name, every other record is a NamedTuple, no class is a
+dataclass, and each record keeps its equality, validation and immutability."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import importlib
 import inspect
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -26,16 +28,31 @@ from ogkernel.streams import (
     FiniteSupport,
     FlipAt,
     Periodic,
+    PowersOfTwoIndicator,
     ShiftOf,
     SquaresIndicator,
     XorOf,
 )
-from ogkernel.surface import LimitDecl, Token, lex, parse_source
+from ogkernel.surface import (
+    AssertDecl,
+    AxiomRef,
+    GeneratorDecl,
+    IncludeDecl,
+    LimitDecl,
+    LimitRef,
+    ModelCheckDecl,
+    MorphismDecl,
+    RuleApp,
+    SurfaceJudgment,
+    parse_source,
+)
 from ogkernel.terms import (
     NAT,
     TWO,
     BuiltinRule,
     FamilySpec,
+    FnExpr,
+    GenExpr,
     Ident,
     IsBinFn,
     IsCoherentFamily,
@@ -44,12 +61,14 @@ from ogkernel.terms import (
     IsMor,
     IsObj,
     IsSet,
+    Judgment,
     Named,
     Nat,
     ObjLit,
     Powerset,
     Product,
     Span,
+    Spanned,
     SupportsQuant,
     Table,
     Term,
@@ -60,6 +79,13 @@ TERM_CLASSES = (
     Ident, ObjLit, FamilySpec, Two, Nat, Named, Product, Powerset, Table, BuiltinRule,
     IsGen, IsObj, IsMor, IsBinFn, IsDomain, SupportsQuant, IsSet, IsCoherentFamily,
 )
+# Records outside the term language whose class takes part in equality.
+RECORD_CLASSES = (
+    Periodic, SquaresIndicator, PowersOfTwoIndicator, FiniteSupport, XorOf, ShiftOf, FlipAt,
+    TraceNode, Carrier, Verdict, LimitRef, SurfaceJudgment, AxiomRef, RuleApp,
+    GeneratorDecl, MorphismDecl, AssertDecl, ModelCheckDecl, IncludeDecl, LimitDecl,
+)
+BASES = (Term, Spanned, GenExpr, FnExpr, Judgment)
 
 
 def _package_classes():
@@ -75,11 +101,12 @@ def _package_classes():
 def test_no_class_is_a_dataclass_and_every_term_class_is_a_term():
     classes = [cls for _, cls in _package_classes()]
     assert classes and not any(dataclasses.is_dataclass(cls) for cls in classes)
-    bases = (terms.GenExpr, terms.FnExpr, terms.Judgment)
-    assert {cls for cls in classes if issubclass(cls, Term)} == {Term, *bases, *TERM_CLASSES}
-    for cls in (*bases, *TERM_CLASSES):
-        # Only an Ident has an instance __dict__: its span, outside the tuple.
-        assert (cls.__dict__.get("__slots__") == ()) == (cls is not Ident), cls
+    term_classes = {cls for cls in classes if issubclass(cls, Term)}
+    assert term_classes == {*BASES, *TERM_CLASSES, *RECORD_CLASSES}
+    for cls in term_classes:
+        # Only a Spanned term (its span) and a Carrier (its tag codes) keep an
+        # instance __dict__, for values outside the tuple.
+        assert (cls.__dict__.get("__slots__") == ()) == (not issubclass(cls, (Spanned, Carrier)))
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
@@ -221,17 +248,19 @@ def test_a_term_hashes_alike_in_every_interpreter():
 
 
 def test_tokens_and_declarations_compare_without_spans():
-    (first, *_), _ = lex("Two")
-    (second, *_), _ = lex("\n\n   Two")
-    assert first.span != second.span
-    assert first == second and hash(first) == hash(second)
-    assert first != Token("ident", "Two", first.span)
+    # The parser's tokens are plain tuples; the records it builds from them,
+    # from a judgment or proof up to a declaration, ignore their spans.
+    (first,), _ = parse_source("assert Set(Two) by axiom H1;")
+    (second,), _ = parse_source("\n\n   assert Set(Two) by axiom H1;")
+    for a, b in ((first.judgment, second.judgment), (first.proof, second.proof)):
+        assert a.span != b.span and a == b and hash(a) == hash(b)
+    assert first.proof != AxiomRef("H3", first.proof.span)
     source = 'limit member "squares" upto 1 2 8;'
     (decl,), _ = parse_source(source)
     (moved,), _ = parse_source("\n  " + source)
     assert decl.span != moved.span and decl == moved and hash(decl) == hash(moved)
     assert decl != LimitDecl("member", "squares", (1, 2, 9), decl.span)
-    assert decl != Token("keyword", "limit", decl.span)
+    assert decl != IncludeDecl("limit", decl.span)
     assert repr(decl).startswith("LimitDecl(command='member', spec='squares'")
 
 
@@ -336,3 +365,57 @@ def test_hashed_records_are_immutable_values():
     assert Periodic((), (1,)) != FiniteSupport((1,))
     node = TraceNode("axiom", "H3", IsSet(NAT))
     assert node != TraceNode("axiom", "H3", IsSet(NAT)) and node == node
+
+
+# -- the contracts of the Term records outside the term language
+
+
+def _one_record_of_each_class() -> list[Term]:
+    g, span = Named(Ident("G")), Span(1, 1, 0, 6)
+    yes = ObjLit("yes", TWO)
+    eq = BuiltinRule("eq_of", (TWO,))
+    family = FamilySpec(Ident("F"), "restrictions(squares)")
+    judgment, proof = SurfaceJudgment("Set", (TWO,), span), AxiomRef("H1", span)
+    squares = SquaresIndicator()
+    return [
+        Ident("G", span), yes, family, TWO, NAT, g, Product(g, TWO), Powerset(g),
+        Table(TWO, TWO, ((yes, yes),)), eq, IsGen(g), IsObj(yes, TWO), IsMor(eq, TWO, TWO),
+        IsBinFn(eq, TWO), IsDomain(TWO, eq), SupportsQuant(NAT), IsSet(TWO),
+        IsCoherentFamily(family),
+        Periodic((0,), (1,)), squares, PowersOfTwoIndicator(), FiniteSupport((1, 0)),
+        XorOf(squares, squares), ShiftOf(squares, 1), FlipAt(squares, 2),
+        TraceNode("axiom", "H3", SupportsQuant(NAT)), Carrier("G", ("a",)), Verdict(HOLDS),
+        LimitRef("F"), judgment, proof, RuleApp("H4", (proof,), span),
+        GeneratorDecl("G", None, ("a",), span), MorphismDecl("f", TWO, TWO, eq, span),
+        AssertDecl(judgment, proof, span), ModelCheckDecl(judgment, 2, span),
+        IncludeDecl("lib.og", span), LimitDecl("demo", None, None, span),
+    ]
+
+
+def test_copying_or_pickling_any_record_is_refused():
+    # The tuple's own reduction would pass the whole tagged tuple to __new__
+    # and build another record, or fail on the way: a Term refuses instead.
+    records = _one_record_of_each_class()
+    assert {type(r) for r in records} == {*TERM_CLASSES, *RECORD_CLASSES}
+    for record in records:
+        for duplicate in (copy.copy, copy.deepcopy, pickle.dumps):
+            with pytest.raises(TypeError, match="cannot copy or pickle"):
+                duplicate(record)
+
+
+def test_streams_of_different_classes_differ():
+    s = Periodic((1,), (0, 1))
+    assert SquaresIndicator() != PowersOfTwoIndicator()
+    assert ShiftOf(s, 3) != FlipAt(s, 3)
+    values = [ShiftOf(s, 3), FlipAt(s, 3), ShiftOf(s, 4), ShiftOf(Periodic((1,), (0, 1)), 3)]
+    for a in values:
+        for b in values:
+            assert (hash(a) == hash(b)) == (a == b), (a, b)
+
+
+def test_a_declaration_span_is_read_only_and_shown_by_repr():
+    (decl,), _ = parse_source("\n  include \"lib.og\";")
+    with pytest.raises(AttributeError):
+        decl.span = Span(1, 1, 0, 0)
+    assert decl.span == Span(2, 3, 3, 10)
+    assert repr(decl) == "IncludeDecl(path='lib.og', span=Span(line=2, col=3, start=3, end=10))"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,6 @@ from ogkernel.cli import EXIT_OK, main
 from ogkernel.stdlib import prelude_source
 from ogkernel.surface import (
     _AXIOM_NAMES,
-    _KIND_KEYS,
     _LEX_ERRORS,
     JUDGMENT_HEADS,
     KEYWORDS,
@@ -29,8 +29,7 @@ from ogkernel.surface import (
     MorphismDecl,
     RuleApp,
     SurfaceJudgment,
-    Token,
-    lex,
+    _scan,
     parse_source,
     render_decl,
 )
@@ -49,6 +48,22 @@ from ogkernel.terms import (
 )
 
 CORPUS = Path(__file__).parent / "corpus"
+
+_KIND_KEYS = frozenset({"ident", "integer", "string", "bitlist", "eof"})  # keyed by kind
+
+
+class Token(NamedTuple):
+    kind: str  # keyword | ident | symbol | integer | bitlist | string | eof
+    text: str
+    span: Span
+
+
+def lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
+    """The parser's keyed token tuples as `Token` records."""
+    toks, diagnostics = _scan(source)
+    kinds = dict.fromkeys(KEYWORDS, "keyword") | {kind: kind for kind in _KIND_KEYS}
+    tokens = [Token(kinds.get(key, "symbol"), text, Span(*where)) for key, text, *where in toks]
+    return tokens, diagnostics
 
 
 def _tokens(source: str):
@@ -789,7 +804,7 @@ def _assert_parse_agrees(source: str) -> None:
     expected = decls, lex_diagnostics + parse_diagnostics
     actual = parse_source(source)
     assert actual == expected
-    # Record and term equality ignore spans, and so does an Ident's repr: the
+    # Term equality ignores spans, and so does an Ident's repr: the
     # reprs are compared with every span shown.
     shown = Ident.__repr__
     Ident.__repr__ = _ident_repr
