@@ -32,7 +32,6 @@ from .terms import (
     Two,
     free_names,
     render,
-    structurally_equal,
 )
 from .streams import (
     BitStream,

@@ -13,7 +13,8 @@ that run in C where it spans a whole carrier; object tags are parsed only where
 a term names an object and rendered only for witnesses and reports.  One budget
 bounds every check: `interpret` refuses a carrier or function domain of more
 than CARRIER_BUDGET objects as not finitely checkable.  A carrier records its
-parts and no objects, so it is sized before anything is enumerated.
+parts and no objects, so it is sized before anything is enumerated.  A
+judgment's models come from the names and Nat that `terms.collect_names` finds.
 """
 
 from __future__ import annotations
@@ -48,10 +49,11 @@ from .terms import (
     Table,
     Term,
     Two,
+    collect_names,
     fn_signature,
-    free_names,
     is_numeral,
     limit_descriptor,
+    mentions_nat,
     render,
     split_pair_tag,
     split_top_level,
@@ -70,7 +72,6 @@ __all__ = [
     "NotFinitelyCheckable",
     "interpret",
     "fn_values",
-    "fn_holes",
     "interpret_fn",
     "verify_judgment",
     "verify_axiom_instances",
@@ -81,7 +82,6 @@ __all__ = [
     "SweepReport",
     "models_for_judgment",
     "default_model",
-    "mentions_nat",
     "tag_members",
 ]
 
@@ -96,6 +96,9 @@ CARRIER_BUDGET = 1 << 16
 # Evaluator results besides codomain indices.
 NO_VALUE = -1  # the function has no value at this domain object
 OUTSIDE = -2  # a table row whose value is no object of the codomain
+# The formers whose values `fn_values` builds whole, by list operations in C;
+# scanning them for the two results above would cost more than building them.
+_WHOLE_FORMERS = ("eq_of", "empty_detector_of")
 YES, NO = 0, 1  # the objects of Two
 
 # Family coherence is scanned through stage max(32, m + 1), m the largest
@@ -255,11 +258,11 @@ def tag_members(tag: str) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=1024)
-def _table_values(table: Table, model: Model) -> tuple[tuple[int, ...], int, int]:
+def _table_values(table: Table, model: Model) -> tuple[int, ...]:
     """`table` encoded once per model: the codomain index at each domain
     index, NO_VALUE where it has no row and OUTSIDE where its row names no
-    codomain object, with the number of each.  Rows whose key is no domain
-    object are left out.  A literal names an object only of its own carrier."""
+    codomain object.  Rows whose key is no domain object are left out.  A
+    literal names an object only of its own carrier."""
     dom = interpret(table.domain, model)
     cod = interpret(table.codomain, model)
     values = [NO_VALUE] * len(dom)
@@ -268,27 +271,16 @@ def _table_values(table: Table, model: Model) -> tuple[tuple[int, ...], int, int
         if k is not None:
             v = cod.index(val.tag) if val.of == table.codomain else None
             values[k] = OUTSIDE if v is None else v
-    # cached: shared by every caller
-    return tuple(values), values.count(NO_VALUE), values.count(OUTSIDE)
-
-
-def fn_holes(fn: FnExpr, model: Model) -> tuple[int, int]:
-    """How many objects of its domain `fn` has no value at (NO_VALUE) and
-    how many it sends outside its codomain (OUTSIDE).  Only a table can do
-    either; of the formers, only `restrict` has holes, past its bound."""
-    if isinstance(fn, Table):
-        return _table_values(fn, model)[1:]
-    if fn.rule == "restrict":
-        return max(len(interpret(NAT, model)) - fn.args[1] - 1, 0), 0
-    return 0, 0
+    return tuple(values)  # cached: shared by every caller
 
 
 def fn_values(fn: FnExpr, model: Model) -> list[int]:
     """The codomain index of `fn` at every index of its domain; NO_VALUE
-    where `fn` has no value."""
+    where `fn` has no value.  Only a table can send an object OUTSIDE its
+    codomain, and `eq_of` and `empty_detector_of` have a value everywhere."""
     n = len(interpret(fn_signature(fn)[0], model))
     if isinstance(fn, Table):
-        return list(_table_values(fn, model)[0])
+        return list(_table_values(fn, model))
     if fn.rule == "eq_of":
         side = len(interpret(fn.args[0], model))
         values = [NO] * n
@@ -338,40 +330,6 @@ def _witness(**kwargs: str) -> tuple[tuple[str, str], ...]:
 
 def _fails(detail: str, **witness: str) -> Verdict:
     return Verdict(FAILS, detail=detail, witness=_witness(**witness))
-
-
-def mentions_nat(x: object) -> bool:
-    if isinstance(x, Nat):
-        return True
-    if isinstance(x, Product):
-        return mentions_nat(x.left) or mentions_nat(x.right)
-    if isinstance(x, Powerset):
-        return mentions_nat(x.arg)
-    if isinstance(x, Table):
-        return mentions_nat(x.domain) or mentions_nat(x.codomain)
-    if isinstance(x, BuiltinRule):
-        return any(mentions_nat(a) for a in x.args)
-    if isinstance(x, Judgment):
-        return any(mentions_nat(e) for e in judgment_exprs(x))
-    return False
-
-
-def judgment_exprs(j: Judgment) -> tuple[GenExpr | FnExpr, ...]:
-    if isinstance(j, IsGen):
-        return (j.expr,)
-    if isinstance(j, IsObj):
-        return (j.obj.of, j.expr)
-    if isinstance(j, IsMor):
-        return (j.fn, j.dom, j.cod)
-    if isinstance(j, IsBinFn):
-        return (j.fn, j.dom)
-    if isinstance(j, IsDomain):
-        return (j.expr, j.eq)
-    if isinstance(j, (SupportsQuant, IsSet)):
-        return (j.expr,)
-    if isinstance(j, IsCoherentFamily):
-        return ()
-    raise TypeError(f"unknown judgment: {j!r}")
 
 
 def verify_judgment(j: Judgment, model: Model) -> Verdict:
@@ -447,8 +405,10 @@ def _verify_mor(fn: FnExpr, dom: GenExpr, cod: GenExpr, model: Model) -> Verdict
         n = str(next(k for k in itertools.count() if str(k) not in mentioned))
         return _fails(f"not total: Nat is infinite and no row mentions {n}", missing=n)
     dom_carrier = interpret(dom, model)
+    if isinstance(fn, BuiltinRule) and fn.rule in _WHOLE_FORMERS:
+        return Verdict(HOLDS, detail=f"total on {len(dom_carrier)} objects")
     values = fn_values(fn, model)
-    holes, outside = fn_holes(fn, model)
+    holes, outside = values.count(NO_VALUE), values.count(OUTSIDE)
     if isinstance(fn, Table) and (len(fn.rows) != len(dom_carrier) or holes or outside):
         # `_table_values` skips a literal written on another carrier, so a
         # table with one matches no model, and it fails in every model.
@@ -573,8 +533,9 @@ def models_for_judgment(j: Judgment, max_size: int) -> list[Model]:
     judgment mentions Nat, the truncation bound sweeps carrier sizes
     1..max_size as well.
     """
-    names = sorted({ident.text for e in judgment_exprs(j) for ident in free_names(e)})
-    nat_bounds = range(max_size) if mentions_nat(j) else [None]
+    idents: set[Ident] = set()
+    nat_bounds = range(max_size) if collect_names(j, idents) else [None]
+    names = sorted(ident.text for ident in idents)
     return [
         Model.make(
             {name: Carrier(name, tuple(_TAG_ALPHABET[:size])) for name, size in zip(names, sizes)},

@@ -16,8 +16,8 @@ from __future__ import annotations
 from pathlib import Path
 
 from .kernel import AxiomId, Kernel, PremiseError, Theorem
-from .semantics import InterpretationError, Model, NotFinitelyCheckable, interpret, mentions_nat
-from .terms import FnExpr, GenExpr, render
+from .semantics import InterpretationError, Model, NotFinitelyCheckable, interpret
+from .terms import FnExpr, GenExpr, mentions_nat, render
 
 __all__ = ["evidence_models", "choice_instance", "prelude_source"]
 

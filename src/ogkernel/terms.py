@@ -3,10 +3,13 @@
 Every term and judgment is a `Term`, the tuple of its class name and its
 fields, so equality and `hash` are the tuple's own and run in C.  The name tag
 keeps terms of different classes apart and hashes alike in every run; source
-spans are ignored.  `render` produces the surface syntax that
-`ogkernel.surface.parse_gen_expr` and friends read back.  The one piece of
-logic is the builtin catalog: each former's argument kinds (enforced when a
-`BuiltinRule` is built) and its signature (`fn_signature`).
+spans are ignored.  The same layout gives the one walk over a term's
+subterms: `collect_names` finds the generator names and whether Nat occurs,
+which is all a finite model needs to know of a judgment (`free_names` and
+`mentions_nat` read one of the two).  `render` produces the surface syntax
+that `ogkernel.surface.parse_gen_expr` and friends read back.  The one other
+piece of logic is the builtin catalog: each former's argument kinds (enforced
+when a `BuiltinRule` is built) and its signature (`fn_signature`).
 
 Records outside the term language follow the same rule: a record is a `Term`
 when its class must take part in equality (the stream catalog, a trace node,
@@ -52,9 +55,10 @@ __all__ = [
     "IsSet",
     "IsCoherentFamily",
     "FamilySpec",
-    "structurally_equal",
     "render",
+    "collect_names",
     "free_names",
+    "mentions_nat",
     "split_pair_tag",
     "split_top_level",
 ]
@@ -347,48 +351,33 @@ class IsCoherentFamily(Judgment, fields="family"):
 _TermLike = Union[GenExpr, FnExpr, Judgment, ObjLit]
 
 
-def _kind_of(x: _TermLike) -> type:
-    for k in (GenExpr, FnExpr, Judgment, ObjLit):
-        if isinstance(x, k):
-            return k
-    raise TypeError(f"not a term: {x!r}")
+def collect_names(x: tuple, names: set[Ident]) -> bool:
+    """Add every Named ident in `x` to `names`; whether Nat occurs in `x`.
 
-
-def structurally_equal(a: _TermLike, b: _TermLike) -> bool:
-    """Node-for-node tree identity, ignoring spans.
-
-    Raises TypeError when `a` and `b` are not the same syntactic kind.
+    `x` is a term, a judgment or a plain tuple of them, such as a table's
+    rows.  The walk follows the tuple layout: the fields of a `Term` are its
+    items after the class name, and every item of a plain tuple is walked.
     """
-    if _kind_of(a) is not _kind_of(b):
-        raise TypeError(f"cannot compare {type(a).__name__} with {type(b).__name__}")
-    return a == b
-
-
-def free_names(x: GenExpr | FnExpr) -> set[Ident]:
-    """The set of Named idents occurring anywhere in `x`."""
-    out: set[Ident] = set()
-    _collect_names(x, out)
-    return out
-
-
-def _collect_names(x: object, out: set[Ident]) -> None:
     if isinstance(x, Named):
-        out.add(x.name)
-    elif isinstance(x, Product):
-        _collect_names(x.left, out)
-        _collect_names(x.right, out)
-    elif isinstance(x, Powerset):
-        _collect_names(x.arg, out)
-    elif isinstance(x, Table):
-        _collect_names(x.domain, out)
-        _collect_names(x.codomain, out)
-        for key, val in x.rows:
-            _collect_names(key.of, out)
-            _collect_names(val.of, out)
-    elif isinstance(x, BuiltinRule):
-        for arg in x.args:
-            _collect_names(arg, out)
-    # Two, Nat, str/int builtin args: nothing to collect
+        names.add(x.name)
+        return False
+    nat = isinstance(x, Nat)
+    for item in x[1:] if isinstance(x, Term) else x:
+        if isinstance(item, tuple) and collect_names(item, names):
+            nat = True
+    return nat
+
+
+def free_names(x: tuple) -> set[Ident]:
+    """The set of Named idents occurring anywhere in `x`."""
+    names: set[Ident] = set()
+    collect_names(x, names)
+    return names
+
+
+def mentions_nat(x: tuple) -> bool:
+    """Whether Nat occurs anywhere in `x`."""
+    return collect_names(x, set())
 
 
 # ---------------------------------------------------------------------------

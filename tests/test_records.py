@@ -23,7 +23,8 @@ import ogkernel
 from ogkernel import cli, terms
 from ogkernel.elaborate import Item, elaborate_source
 from ogkernel.kernel import TraceNode
-from ogkernel.semantics import FAILS, HOLDS, Carrier, Model, Verdict
+from ogkernel.semantics import FAILS, HOLDS, Carrier, Model, Verdict, models_for_judgment
+from ogkernel.stdlib import prelude_source
 from ogkernel.streams import (
     FiniteSupport,
     FlipAt,
@@ -86,6 +87,7 @@ RECORD_CLASSES = (
     GeneratorDecl, MorphismDecl, AssertDecl, ModelCheckDecl, IncludeDecl, LimitDecl,
 )
 BASES = (Term, Spanned, GenExpr, FnExpr, Judgment)
+CORPUS = Path(__file__).parent / "corpus"
 
 
 def _package_classes():
@@ -124,20 +126,16 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 
 def _fields_walk(term, names: set[str]) -> bool:
     """Generator names into `names`; true when `Nat` occurs.  The walk an
-    outside tool makes over a judgment with `dataclasses.fields`."""
+    outside tool makes over a judgment, knowing only that terms are tuples."""
     if isinstance(term, Nat):
         return True
     if isinstance(term, Named):
         names.add(term.name.text)
         return False
-    if isinstance(term, tuple):
-        parts = term
-    elif dataclasses.is_dataclass(term):
-        parts = tuple(getattr(term, f.name) for f in dataclasses.fields(term))
-    else:
+    if not isinstance(term, tuple):
         return False
     found = False
-    for part in parts:
+    for part in term:
         found = _fields_walk(part, names) or found
     return found
 
@@ -154,6 +152,29 @@ def test_a_fields_walk_reaches_every_subterm_of_a_judgment():
     names = set()
     assert _fields_walk(IsMor(BuiltinRule("eq_of", (Product(NAT, h),)), g, TWO), names)
     assert names == {"G", "H"}
+
+
+def _elaborated_judgments():
+    sources = [prelude_source(), *(path.read_text("utf-8") for path in CORPUS.glob("*.og"))]
+    results = [elaborate_source(source, base_dir=CORPUS) for source in sources]
+    return {thm.judgment for result in results for thm in result.theorems}
+
+
+def test_the_fields_walk_and_the_models_agree_with_collect_names():
+    # Over every judgment the corpus and the prelude elaborate: an outside
+    # walk finds the names and Nat the oracle finds, and the oracle makes
+    # s^|names| models at size s, times s Nat bounds when Nat occurs.
+    judgments = _elaborated_judgments()
+    assert len({type(j) for j in judgments}) == 8  # every judgment form
+    for judgment in judgments:
+        idents: set[Ident] = set()
+        nat = terms.collect_names(judgment, idents)
+        names: set[str] = set()
+        assert _fields_walk(judgment, names) == nat, judgment
+        assert names == {ident.text for ident in idents}, judgment
+        for s in range(1, 4):
+            expected = s ** len(names) * (s if nat else 1)
+            assert len(models_for_judgment(judgment, s)) == expected, (judgment, s)
 
 
 def test_judgments_of_different_forms_are_not_equal():

@@ -241,9 +241,23 @@ def test_a_row_literal_on_another_carrier_names_no_object_and_fails():
     for key_of, value_of, holes, row in cases:
         rows = tuple((ObjLit(t, key_of), ObjLit(t, value_of)) for t in ("yes", "no"))
         table = Table(expr, TWO, rows)
-        assert semantics.fn_holes(table, model) == holes
+        assert _holes_and_outside(table, model) == holes
         verdict = verify_judgment(IsMor(table, expr, TWO), model)
         assert verdict.status == FAILS and dict(verdict.witness) == {"row": row}
+
+
+def test_a_row_on_nat_makes_the_judgment_sweep_nat_bounds():
+    # The judgment mentions Nat through a row's carrier, so its models sweep
+    # the truncation bound; the row fails it in every one of them.
+    source = "model check Mor(table { Two.yes -> Two.yes, Two.no -> Nat.0 }, Two, Two) upto 2;"
+    (item,) = elaborate_source(source).items
+    assert (item.status, item.detail) == ("fail", "2/2 models fail")
+    assert item.witness == {"model": "model(nat<=:0)", "row": "Two.no -> Nat.0"}
+
+
+def _holes_and_outside(fn, model) -> tuple[int, int]:
+    values = semantics.fn_values(fn, model)
+    return values.count(semantics.NO_VALUE), values.count(semantics.OUTSIDE)
 
 
 def test_partial_functions_fail_totality_as_before():
@@ -252,8 +266,8 @@ def test_partial_functions_fail_totality_as_before():
     outside = Table(
         expr, TWO, ((ObjLit("x", expr), ObjLit("yes", TWO)), (ObjLit("y", expr), ObjLit("up", TWO)))
     )
-    assert semantics.fn_holes(hole, model) == (1, 0)
-    assert semantics.fn_holes(outside, model) == (0, 1)
+    assert _holes_and_outside(hole, model) == (1, 0)
+    assert _holes_and_outside(outside, model) == (0, 1)
     # a table with a hole names too few objects: not interpretable in this model
     verdict = verify_judgment(IsMor(hole, expr, TWO), model)
     assert verdict.status == NOT_FINITELY_CHECKABLE
@@ -265,13 +279,14 @@ def test_partial_functions_fail_totality_as_before():
     # of the formers only `restrict` has holes, past its bound
     for bound, holes in ((1, 2), (3, 0), (9, 0)):
         fn = BuiltinRule("restrict", ("squares", bound))
-        assert semantics.fn_holes(fn, model) == (holes, 0)
-        assert semantics.fn_values(fn, model).count(semantics.NO_VALUE) == holes
+        assert _holes_and_outside(fn, model) == (holes, 0)
     verdict = verify_judgment(IsMor(BuiltinRule("restrict", ("squares", 1)), NAT, TWO), model)
     assert verdict.status == FAILS and verdict.witness == (("missing", "2"),)
     assert verdict.detail == "not total: no value at '2'"
-    for fn in (BuiltinRule("eq_of", (Powerset(expr),)), BuiltinRule("indicator_stream", ("pow2",))):
-        assert semantics.fn_holes(fn, model) == (0, 0)
+    # `_verify_mor` does not scan the formers built whole: they have no holes
+    whole = [BuiltinRule(rule, (Powerset(expr),)) for rule in semantics._WHOLE_FORMERS]
+    for fn in (*whole, BuiltinRule("indicator_stream", ("pow2",))):
+        assert _holes_and_outside(fn, model) == (0, 0)
         assert verify_judgment(IsMor(fn, *fn_signature(fn)), model).holds
 
 

@@ -897,11 +897,11 @@ def test_parsing_makes_no_token_records_and_few_calls():
     # tuples and builds a Span only for a node or diagnostic that keeps one.
     source = prelude_source()
     token_count = len(lex(source)[0])
-    calls: list[str] = []
+    calls: list[object] = []
 
     def on_event(frame, event, arg):
         if event == "call":
-            calls.append(frame.f_code.co_qualname)
+            calls.append(frame.f_code)
 
     previous = sys.getprofile()
     sys.setprofile(on_event)
@@ -909,5 +909,6 @@ def test_parsing_makes_no_token_records_and_few_calls():
         parse_source(source)
     finally:
         sys.setprofile(previous)
-    assert "Token.__init__" not in calls
+    spans = calls.count(Span.__new__.__code__)
+    assert spans < token_count / 4, (spans, token_count)
     assert len(calls) < 4 * token_count, (len(calls), token_count)

@@ -1,4 +1,5 @@
-"""Syntax-level tests: structural identity, rendering, free names."""
+"""Syntax-level tests: structural identity, rendering, the names and Nat a
+term mentions."""
 
 from __future__ import annotations
 
@@ -14,10 +15,13 @@ from ogkernel.terms import (
     TWO,
     BuiltinRule,
     Ident,
+    FamilySpec,
     IsBinFn,
+    IsCoherentFamily,
     IsDomain,
     IsGen,
     IsMor,
+    IsObj,
     IsSet,
     Named,
     Nat,
@@ -26,26 +30,21 @@ from ogkernel.terms import (
     Product,
     SupportsQuant,
     Table,
+    collect_names,
     free_names,
+    limit_lit,
+    mentions_nat,
     render,
     split_pair_tag,
     split_top_level,
-    structurally_equal,
 )
 
 
 def test_structural_equality_examples():
-    assert structurally_equal(Powerset(NAT), Powerset(Nat()))
-    assert not structurally_equal(Powerset(NAT), Powerset(TWO))
+    assert Powerset(NAT) == Powerset(Nat())
+    assert Powerset(NAT) != Powerset(TWO)
     # order matters: no commutativity at the syntax level
-    assert not structurally_equal(Product(TWO, NAT), Product(NAT, TWO))
-
-
-def test_structural_equality_kind_mismatch():
-    with pytest.raises(TypeError):
-        structurally_equal(TWO, BuiltinRule("eq_of", (TWO,)))
-    with pytest.raises(TypeError):
-        structurally_equal(IsGen(TWO), TWO)
+    assert Product(TWO, NAT) != Product(NAT, TWO)
 
 
 def test_ident_rules():
@@ -80,6 +79,31 @@ def test_free_names_examples():
         ((ObjLit("x", Named(a)), ObjLit("yes", TWO)),),
     )
     assert free_names(table) == {a}
+    assert not mentions_nat(table)
+    # judgments: every name and Nat they mention, rows and former arguments too
+    f = Ident("F")
+    limit = IsObj(limit_lit("restrictions(squares)"), Powerset(NAT))
+    family = IsCoherentFamily(FamilySpec(f, "restrictions(squares)"))
+    builtin = IsMor(BuiltinRule("eq_of", (Product(Named(a), NAT),)), TWO, TWO)
+    stream = IsBinFn(BuiltinRule("restrict", ("squares", 3)), TWO)
+    nat_row = IsMor(Table(TWO, TWO, ((ObjLit("no", TWO), ObjLit("0", NAT)),)), TWO, TWO)
+    cases = (
+        (IsGen(Powerset(Named(a))), {a}, False),
+        (limit, set(), True),  # a limit object is an object of P[Nat]
+        (family, set(), False),  # a family's name is no generator
+        (builtin, {a}, True),  # a former's generator argument
+        (stream, set(), False),  # spec strings and bounds name nothing
+        (nat_row, set(), True),  # the row's value is an object of Nat
+        (IsDomain(Named(a), Table(Product(Named(a), Named(a)), TWO, ())), {a}, False),
+    )
+    for judgment, names, nat in cases:
+        found: set[Ident] = set()
+        assert collect_names(judgment, found) is nat, judgment
+        assert found == names == free_names(judgment), judgment
+        assert mentions_nat(judgment) is nat, judgment
+    # a plain tuple, such as a table's rows, is walked item by item
+    found = set()
+    assert collect_names(nat_row.fn.rows, found) and found == set()
 
 
 def test_table_rejects_duplicate_rows():
@@ -182,15 +206,15 @@ def test_structural_equality_is_an_equivalence_relation():
     corpus = _expr_corpus()
     rng = random.Random(0)
     for expr in corpus:
-        assert structurally_equal(expr, expr)  # reflexive
+        assert expr == expr  # reflexive
     for _ in range(20_000):
         a, b = rng.choice(corpus), rng.choice(corpus)
-        ab = structurally_equal(a, b)
-        assert ab == structurally_equal(b, a)  # symmetric
+        ab = a == b
+        assert ab == (b == a)  # symmetric
         if ab:
             c = rng.choice(corpus)
-            if structurally_equal(b, c):
-                assert structurally_equal(a, c)  # transitive
+            if b == c:
+                assert a == c  # transitive
 
 
 def test_render_parse_round_trip_on_corpus():
