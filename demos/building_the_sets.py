@@ -43,8 +43,8 @@ from ogkernel.kernel import CrossDomainEqualityError
 from ogkernel.terms import ObjLit
 
 kernel = Kernel()  # an equality query needs no prior state
-query = kernel.eq_within_domain(domains[NAT], ObjLit("3", NAT), ObjLit("3", NAT))
-print(f"  eq(3, 3) evaluates to {query.evaluate()!r}")
+answer = kernel.eq_within_domain(domains[NAT], ObjLit("3", NAT), ObjLit("3", NAT))
+print(f"  eq(3, 3) evaluates to {answer!r}")
 try:
     kernel.eq_within_domain(domains[NAT], ObjLit("yes", TWO), ObjLit("0", NAT))
 except CrossDomainEqualityError as refusal:

@@ -28,7 +28,7 @@ for n in range(0, 9):
     print(f"  |A| = {n}: |P[A]| = {len(power):4d}, detector flags {flagged}")
 
 print("\n== every prelude theorem holds in every small model ==")
-report = soundness_sweep(elaborate_source(prelude_source()).theorems, max_size=3)
+report = soundness_sweep(elaborate_source(prelude_source()).judgments, max_size=3)
 print(
     f"  {report.checked} (theorem, model) pairs: {report.holds} hold, "
     f"{report.fails} fail, {report.not_checkable} beyond finite checking"

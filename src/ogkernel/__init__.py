@@ -62,7 +62,6 @@ from .semantics import (
 from .hf import HFUniverse, check_zfc1_instances
 from .kernel import (
     AxiomId,
-    EqQuery,
     Kernel,
     RuleId,
     Theorem,

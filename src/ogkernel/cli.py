@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .elaborate import ElabResult, Item, elaborate_files, gap_items, membership_item
+from .elaborate import ElabResult, Item, elaborate_files, gap_items, membership_item, sweep_item
 from .hf import HFUniverse, check_zfc1_instances
 from .kernel import AXIOM_STATEMENTS, verify_trace
 from .semantics import (
@@ -255,26 +255,10 @@ def _run_model(config: RunConfig, timings: dict[str, float]) -> Report:
 
 
 def _sweep_items(result: ElabResult, max_size: int) -> list[Item]:
-    items: list[Item] = []
-    by_judgment: dict[str, list] = {}
-    for entry in soundness_sweep(result.theorems, max_size).items:
-        by_judgment.setdefault(entry.judgment, []).append(entry)
-    for judgment, entries in by_judgment.items():
-        fails = [e for e in entries if e.status == FAILS]
-        holds = sum(e.status == HOLDS for e in entries)
-        name = f"soundness {judgment}"
-        if fails:
-            detail = f"fails in {len(fails)}/{len(entries)} models"
-            witness = dict(fails[0].witness) | {"model": fails[0].model}
-            items.append(Item(name, "fail", detail, witness))
-        elif not holds:
-            items.append(Item(name, "skipped", "not finitely checkable at this bound"))
-        else:
-            detail = f"holds in {holds}/{len(entries)} models"
-            if holds != len(entries):
-                detail += " (rest not finitely checkable)"
-            items.append(Item(name, "pass", detail))
-    return items
+    return [
+        sweep_item(f"soundness {render(item.judgment)}", item)
+        for item in soundness_sweep(result.judgments, max_size).items
+    ]
 
 
 def _run_limits(config: RunConfig, timings: dict[str, float]) -> Report:

@@ -26,7 +26,8 @@ from .kernel import (
     axioms_used,
     builtin_premises,
 )
-from .semantics import FAILS, HOLDS, SWEEP_SIZES, models_for_judgment, verify_judgment
+from .semantics import FAILS, HOLDS, SWEEP_SIZES, SweepItem, soundness_sweep
+from .semantics import verify_judgment  # unused here, but bench/probes.py patches this name
 from .stdlib import evidence_models  # unused here, but bench/probes.py patches this name
 from .surface import (
     AssertDecl,
@@ -549,9 +550,9 @@ def _run_eq_assert(session: _Session, decl: AssertDecl, goal: _EqGoal) -> None:
                 f"{render(goal.left.of)} object vs {render(goal.right.of)} object"
             )
         raise _ElabError("E0102", f"no proof of Domain({render(expr)}, ...) in scope")
-    query = session.kernel.eq_within_domain(domain, goal.left, goal.right)
+    answer = session.kernel.eq_within_domain(domain, goal.left, goal.right)
     name = f"Eq({render(goal.left)}, {render(goal.right)})"
-    session.items.append(Item(name, "pass", f"evaluates to {query.evaluate()}"))
+    session.items.append(Item(name, "pass", f"evaluates to {answer}"))
 
 
 def _run_model_check(session: _Session, decl: ModelCheckDecl) -> None:
@@ -561,21 +562,25 @@ def _run_model_check(session: _Session, decl: ModelCheckDecl) -> None:
     if decl.bound not in SWEEP_SIZES:
         sizes = f"{SWEEP_SIZES[0]}..{SWEEP_SIZES[-1]}"
         raise _ElabError("E0102", f"model check bounds range over {sizes}")
-    models = models_for_judgment(goal, decl.bound)
-    verdicts = [verify_judgment(goal, model) for model in models]
-    fails = [k for k, verdict in enumerate(verdicts) if verdict.status == FAILS]
-    holds = sum(verdict.status == HOLDS for verdict in verdicts)
-    name = f"model check {render(goal)} upto {decl.bound}"
+    (item,) = soundness_sweep((goal,), decl.bound).items
+    session.items.append(sweep_item(f"model check {render(goal)} upto {decl.bound}", item))
+
+
+def sweep_item(name: str, item: SweepItem) -> Item:
+    """The report item of a judgment's sweep: it fails with the first model
+    that refutes it, is skipped when no model settles it, and passes otherwise."""
+    statuses = [verdict.status for verdict in item.verdicts]
+    fails, holds, total = statuses.count(FAILS), statuses.count(HOLDS), len(statuses)
     if fails:
-        witness = {"model": models[fails[0]].describe(), **dict(verdicts[fails[0]].witness)}
-        session.items.append(Item(name, "fail", f"{len(fails)}/{len(models)} models fail", witness))
-    elif not holds:
-        session.items.append(Item(name, "skipped", "not finitely checkable at these bounds"))
-    else:
-        detail = f"holds in {holds}/{len(models)} models"
-        if holds < len(models):
-            detail += f" ({len(models) - holds} not finitely checkable)"
-        session.items.append(Item(name, "pass", detail))
+        k = statuses.index(FAILS)
+        witness = dict(item.verdicts[k].witness) | {"model": item.models[k].describe()}
+        return Item(name, "fail", f"fails in {fails}/{total} models", witness)
+    if not holds:
+        return Item(name, "skipped", "not finitely checkable at this bound")
+    detail = f"holds in {holds}/{total} models"
+    if holds < total:
+        detail += " (rest not finitely checkable)"
+    return Item(name, "pass", detail)
 
 
 def _run_include(session: _Session, decl: IncludeDecl, base_dir: Path | None) -> None:

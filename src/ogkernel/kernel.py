@@ -51,7 +51,7 @@ from .terms import (
     limit_lit,
     render,
     split_pair_tag,
-    split_top_level,
+    tag_members,
 )
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "Theorem",
     "TraceNode",
     "Kernel",
-    "EqQuery",
     "KernelError",
     "SchemaError",
     "NameClashError",
@@ -236,26 +235,6 @@ def _theorem(kind, label, payload=(), premises=(), parts=()) -> Theorem:
     return Theorem(node, parts, _token=_SEAL)
 
 
-class EqQuery(NamedTuple):
-    """A well-formed within-domain equality question."""
-
-    domain: Theorem
-    left: ObjLit
-    right: ObjLit
-
-    def evaluate(self) -> str:
-        """A table's row at the pair, or whether two canonical tags agree."""
-        expr, eq = self.domain.judgment.expr, self.domain.judgment.eq
-        x, y = self.left.tag, self.right.tag
-        # A table is total on expr * expr with canonical keys, so t names an
-        # object exactly when (t,t) has a row.
-        values = {key.tag: value.tag for key, value in eq.rows} if isinstance(eq, Table) else None
-        for t in (x, y):
-            if (_key(expr, t, {}) if values is None else values.get(f"({t},{t})")) is None:
-                raise KernelError(f"{t!r} is not an object of {render(expr)}")
-        return ("yes" if x == y else "no") if values is None else values[f"({x},{y})"]
-
-
 # ---------------------------------------------------------------------------
 # Known carriers: Two and the generators declared with tags, closed under `*`
 # and `P[...]`.  An object is named by its canonical tag: `yes`/`no`, a
@@ -298,9 +277,7 @@ def _key(expr: GenExpr, tag: str, tags: Tags):
             left, right = split_pair_tag(tag)
             pair = (_key(expr.left, left, tags), _key(expr.right, right, tags))
             return None if None in pair else pair
-        if tag[:1] != "{" or tag[-1:] != "}":
-            return None
-        members = split_top_level(tag[1:-1]) if tag != "{}" else ()
+        members = tag_members(tag)
     except ValueError:
         return None
     keys = [_key(expr.arg, member, tags) for member in members]
@@ -703,7 +680,10 @@ class Kernel:
 
     # -- equality queries
 
-    def eq_within_domain(self, domain: Theorem, x: ObjLit, y: ObjLit) -> EqQuery:
+    def eq_within_domain(self, domain: Theorem, x: ObjLit, y: ObjLit) -> str:
+        """`yes` or `no`: the domain's equality at (x, y), a table's row at the
+        pair or whether two canonical tags agree.  Raises KernelError when a
+        tag names no object of the domain."""
         dom_j = domain.judgment
         if not isinstance(dom_j, IsDomain):
             raise PremiseError(
@@ -715,7 +695,14 @@ class Kernel:
                     f"'=' is only defined within a single set: "
                     f"{render(x.of)} object vs {render(y.of)} object"
                 )
-        return EqQuery(domain, x, y)
+        expr, eq, a, b = dom_j.expr, dom_j.eq, x.tag, y.tag
+        # A table is total on expr * expr with canonical keys, so t names an
+        # object exactly when (t,t) has a row.
+        values = {key.tag: value.tag for key, value in eq.rows} if isinstance(eq, Table) else None
+        for t in (a, b):
+            if (_key(expr, t, {}) if values is None else values.get(f"({t},{t})")) is None:
+                raise KernelError(f"{t!r} is not an object of {render(expr)}")
+        return ("yes" if a == b else "no") if values is None else values[f"({a},{b})"]
 
 
 # ---------------------------------------------------------------------------

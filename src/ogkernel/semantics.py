@@ -14,7 +14,8 @@ a term names an object and rendered only for witnesses and reports.  One budget
 bounds every check: `interpret` refuses a carrier or function domain of more
 than CARRIER_BUDGET objects as not finitely checkable.  A carrier records its
 parts and no objects, so it is sized before anything is enumerated.  A
-judgment's models come from the names and Nat that `terms.collect_names` finds.
+judgment's models come from the names and Nat that `terms.collect_names` finds,
+and `soundness_sweep` is the one place that judges a judgment in its models.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .terms import (
     mentions_nat,
     render,
     split_pair_tag,
-    split_top_level,
+    tag_members,
 )
 
 __all__ = [
@@ -82,7 +83,6 @@ __all__ = [
     "SweepReport",
     "models_for_judgment",
     "default_model",
-    "tag_members",
 ]
 
 HOLDS = "holds"
@@ -248,13 +248,6 @@ def interpret(expr: GenExpr, model: Model) -> Carrier:
             f"{render(expr)} has more than {CARRIER_BUDGET} objects in {model.describe()}"
         )
     return carrier
-
-
-def tag_members(tag: str) -> tuple[str, ...]:
-    """The member tags of a powerset object tag `{a,b,...}`."""
-    if not (tag.startswith("{") and tag.endswith("}")):
-        raise ValueError(f"not a powerset tag: {tag!r}")
-    return tuple(split_top_level(tag[1:-1])) if tag != "{}" else ()
 
 
 @lru_cache(maxsize=1024)
@@ -446,8 +439,7 @@ def _verify_domain(j: IsDomain, model: Model) -> Verdict:
     carrier = interpret(j.expr, model)
     n = len(carrier)
     got = fn_values(j.eq, model)  # total on A * A: the Mor check held
-    expected = [NO] * (n * n)
-    expected[:: n + 1] = [YES] * n
+    expected = fn_values(BuiltinRule("eq_of", (j.expr,)), model)
     if got != expected:
         x, y = divmod(next(k for k, (g, e) in enumerate(zip(got, expected)) if g != e), n)
         detail = "equality pairing does not flag exactly the same-object pairs"
@@ -526,7 +518,7 @@ def _verify_coherence(descriptor: str) -> Verdict:
 _TAG_ALPHABET = "abcdefgh"
 
 
-def models_for_judgment(j: Judgment, max_size: int) -> list[Model]:
+def models_for_judgment(j: Judgment, max_size: int) -> tuple[Model, ...]:
     """Canonical model enumeration: sizes ascending, lexicographic tags.
 
     Named generators get carriers of every size 1..max_size; when the
@@ -536,22 +528,22 @@ def models_for_judgment(j: Judgment, max_size: int) -> list[Model]:
     idents: set[Ident] = set()
     nat_bounds = range(max_size) if collect_names(j, idents) else [None]
     names = sorted(ident.text for ident in idents)
-    return [
+    return tuple(
         Model.make(
             {name: Carrier(name, tuple(_TAG_ALPHABET[:size])) for name, size in zip(names, sizes)},
             nat_bound=bound,
         )
         for sizes in itertools.product(range(1, max_size + 1), repeat=len(names))
         for bound in nat_bounds
-    ]
+    )
 
 
 class SweepItem(NamedTuple):
-    judgment: str
-    model: str
-    status: str
-    detail: str = ""
-    witness: tuple[tuple[str, str], ...] | None = None
+    """A judgment's canonical models and its verdict in each, in that order."""
+
+    judgment: Judgment
+    models: tuple[Model, ...]
+    verdicts: tuple[Verdict, ...]
 
 
 class SweepReport(NamedTuple):
@@ -561,30 +553,24 @@ class SweepReport(NamedTuple):
     fails: int
     not_checkable: int
 
-    @property
-    def failures(self) -> tuple[SweepItem, ...]:
-        return tuple(item for item in self.items if item.status == FAILS)
 
+def soundness_sweep(judgments: Sequence[Judgment], max_size: int = 3) -> SweepReport:
+    """Verify every judgment in every canonical model up to `max_size`.
 
-def soundness_sweep(theorems: Sequence, max_size: int = 3) -> SweepReport:
-    """Verify every finitely checkable theorem in every canonical model.
-
-    Each (theorem, model) pair is an independent read-only check; results
-    are reported in canonical order.  `theorems` only needs `.judgment`.
+    One item per distinct judgment, in first-seen order.  A judgment given k
+    times is verified once per model, and its models and verdicts repeat k
+    times, so the counts are over the (judgment, model) pairs given.
     """
     if max_size not in SWEEP_SIZES:
         raise ValueError(f"soundness sweep sizes range over {SWEEP_SIZES[0]}..{SWEEP_SIZES[-1]}")
     items = []
-    for thm in theorems:
-        rendered = render(thm.judgment)  # once per theorem, not once per model
-        for model in models_for_judgment(thm.judgment, max_size):
-            v = verify_judgment(thm.judgment, model)
-            items.append(
-                SweepItem(rendered, model.describe(), v.status, v.detail, v.witness)
-            )
-    counts = Counter(item.status for item in items)
+    for j, times in Counter(judgments).items():
+        models = models_for_judgment(j, max_size)
+        verdicts = tuple(verify_judgment(j, model) for model in models)
+        items.append(SweepItem(j, models * times, verdicts * times))
+    counts = Counter(v.status for item in items for v in item.verdicts)
     return SweepReport(
-        tuple(items), len(items), counts[HOLDS], counts[FAILS], counts[NOT_FINITELY_CHECKABLE]
+        tuple(items), counts.total(), counts[HOLDS], counts[FAILS], counts[NOT_FINITELY_CHECKABLE]
     )
 
 

@@ -20,6 +20,7 @@ a carrier, a verdict, a surface declaration) and a `typing.NamedTuple`, like
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple, Union
 
@@ -61,6 +62,7 @@ __all__ = [
     "mentions_nat",
     "split_pair_tag",
     "split_top_level",
+    "tag_members",
 ]
 
 
@@ -384,7 +386,10 @@ def mentions_nat(x: tuple) -> bool:
 # Rendering (targets the surface grammar; parse(render(x)) == x up to spans)
 
 
+@lru_cache(maxsize=4096)
 def render(x: _TermLike) -> str:
+    """The surface syntax of `x`; memoised, as a report names one judgment in
+    several items (its assertion, its trace, its sweep)."""
     if isinstance(x, GenExpr):
         return _render_gen(x)
     if isinstance(x, FnExpr):
@@ -469,6 +474,13 @@ def split_pair_tag(tag: str) -> tuple[str, str]:
     if len(parts) != 2:
         raise ValueError(f"not a pair tag: {tag!r}")
     return parts[0], parts[1]
+
+
+def tag_members(tag: str) -> tuple[str, ...]:
+    """The member tags of a powerset object tag `{a,b,...}`."""
+    if not (tag.startswith("{") and tag.endswith("}")):
+        raise ValueError(f"not a powerset tag: {tag!r}")
+    return tuple(split_top_level(tag[1:-1])) if tag != "{}" else ()
 
 
 def _render_builtin_arg(a: BuiltinArg) -> str:

@@ -70,8 +70,8 @@ def test_criterion_1_derivation_reproduction():
 
 def test_criterion_2_kernel_oracle_agreement():
     with _timed("2 kernel-oracle-agreement", 10.0):
-        theorems = elaborate_source(prelude_source()).theorems
-        report = soundness_sweep(theorems, max_size=3)
+        judgments = elaborate_source(prelude_source()).judgments
+        report = soundness_sweep(judgments, max_size=3)
         assert report.fails == 0
         assert report.holds > 0
 

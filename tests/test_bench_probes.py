@@ -13,7 +13,8 @@ ROOT = Path(__file__).parents[1]
 
 def test_probes_count_every_layer_of_check_and_model():
     # `bench/probes.py` patches functions by name; a renamed or deleted one
-    # would fail every operation the benchmark counts.
+    # would fail every operation the benchmark counts.  The `model check`
+    # declarations of file 09 reach the oracle's `verify_judgment`.
     script = (
         "import json, os, probes\n"
         "from ogkernel import cli\n"
@@ -21,7 +22,11 @@ def test_probes_count_every_layer_of_check_and_model():
         "probes.install(rec)\n"
         "codes = [\n"
         "    cli.main([*argv, '--out', os.devnull])\n"
-        "    for argv in (['check', 'tests/corpus/10_limit_lab.og'], ['model', '--max-size', '2'])\n"
+        "    for argv in (\n"
+        "        ['check', 'tests/corpus/10_limit_lab.og'],\n"
+        "        ['check', 'tests/corpus/09_model_checks.og'],\n"
+        "        ['model', '--max-size', '2'],\n"
+        "    )\n"
         "]\n"
         "print(json.dumps({'codes': codes, 'counts': rec.counts}))\n"
     )
@@ -31,6 +36,8 @@ def test_probes_count_every_layer_of_check_and_model():
     )
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0]
-    for key in ("streams.ep_queries", "kernel.rule_calls", "semantics.sweep_items", "hf.instances"):
+    assert report["codes"] == [0, 0, 0]
+    counted = ("streams.ep_queries", "kernel.rule_calls", "semantics.sweep_items",
+               "semantics.judgment_calls", "hf.instances")
+    for key in counted:
         assert report["counts"].get(key, 0) > 0, key

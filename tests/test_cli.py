@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -29,9 +30,21 @@ from ogkernel.cli import (
     main,
     run,
 )
-from ogkernel.elaborate import Item
+from ogkernel.elaborate import ElabResult, Item, elaborate_source
 from ogkernel.surface import MAX_NESTING, parse_source
-from ogkernel.terms import BUILTIN_RULES, TWO, SupportsQuant
+from ogkernel.terms import (
+    BUILTIN_RULES,
+    NAT,
+    TWO,
+    BuiltinRule,
+    IsBinFn,
+    IsMor,
+    ObjLit,
+    Product,
+    SupportsQuant,
+    Table,
+    render,
+)
 
 CORPUS = Path(__file__).parent / "corpus"
 PRELUDE = Path(__file__).parents[1] / "src" / "ogkernel" / "prelude.og"
@@ -128,7 +141,7 @@ def test_a_finite_table_on_nat_is_refused_and_fails_in_the_oracle(domain, tmp_pa
     path.write_text(f"model check Mor({table}, {domain}, Two) upto 3;\n")
     assert main(["model", str(path)]) == EXIT_CHECK_FAILED
     out = capsys.readouterr().out
-    assert "| 3/3 models fail [witness: {'model': 'model(nat<=:0)', 'missing': '2'}]" in out
+    assert "| fails in 3/3 models [witness: {'missing': '2', 'model': 'model(nat<=:0)'}]" in out
 
 
 @pytest.mark.parametrize(
@@ -364,6 +377,44 @@ def test_model_includes_zfc1_and_sweep():
     names = [i.name for i in report.items]
     assert any(n.startswith("zfc1 pairing") for n in names)
     assert any(n.startswith("soundness Set(P[P[Nat]])") for n in names)
+
+
+def _nat_table(cod, *rows):
+    """`Mor(table {...}, Two, cod)`, each row a value tag and its carrier."""
+    keys = (ObjLit("yes", TWO), ObjLit("no", TWO))
+    values = tuple(ObjLit(tag, of) for tag, of in rows)
+    return IsMor(Table(TWO, cod, tuple(zip(keys, values))), TWO, cod)
+
+
+@pytest.mark.parametrize(
+    "judgment, bound, status, detail",
+    [
+        (IsBinFn(BuiltinRule("eq_of", (NAT,)), Product(NAT, NAT)), 3, "pass",
+         "holds in 3/3 models"),
+        (_nat_table(NAT, ("1", NAT), ("0", NAT)), 3, "pass",
+         "holds in 2/3 models (rest not finitely checkable)"),
+        (_nat_table(NAT, ("5", NAT), ("0", NAT)), 3, "skipped",
+         "not finitely checkable at this bound"),
+        (_nat_table(TWO, ("yes", TWO), ("0", NAT)), 2, "fail", "fails in 2/2 models"),
+    ],
+)
+def test_model_check_and_the_model_sweep_word_a_judgment_alike(
+    judgment, bound, status, detail, monkeypatch, tmp_path
+):
+    # `model check J upto n` in a file, and the `soundness J` item that
+    # `ogk model --max-size n` gives a session that proved J.
+    (checked,) = elaborate_source(f"model check {render(judgment)} upto {bound};").items
+    assert checked.name == f"model check {render(judgment)} upto {bound}"
+    proved = ElabResult((SimpleNamespace(judgment=judgment),), (), ())
+    monkeypatch.setattr(cli, "elaborate_files", lambda sources: proved)
+    path = tmp_path / "empty.og"
+    path.write_text("")
+    _, report = run(RunConfig("model", (str(path),), max_size=bound))
+    (swept,) = (i for i in report.items if i.name == f"soundness {render(judgment)}")
+    assert (checked.status, checked.detail) == (status, detail)
+    assert (swept.status, swept.detail, swept.witness) == (status, detail, checked.witness)
+    if status == "fail":
+        assert checked.witness == {"row": "Two.no -> Nat.0", "model": "model(nat<=:0)"}
 
 
 def test_limits_demo():

@@ -350,8 +350,8 @@ def _nat_domain(kernel: Kernel):
 
 def test_eq_within_domain_evaluates(kernel):
     domain = _nat_domain(kernel)
-    assert kernel.eq_within_domain(domain, ObjLit("3", NAT), ObjLit("3", NAT)).evaluate() == "yes"
-    assert kernel.eq_within_domain(domain, ObjLit("3", NAT), ObjLit("5", NAT)).evaluate() == "no"
+    assert kernel.eq_within_domain(domain, ObjLit("3", NAT), ObjLit("3", NAT)) == "yes"
+    assert kernel.eq_within_domain(domain, ObjLit("3", NAT), ObjLit("5", NAT)) == "no"
 
 
 def test_cross_domain_equality_is_refused(kernel):
@@ -588,7 +588,7 @@ def test_equality_on_a_table_domain_reads_its_rows(kernel):
     ))
     binfn = kernel.bin_fn_from_mor(kernel.mor_intro(diagonal, pair, TWO))
     domain = kernel.domain_intro(kernel.gen_intro(g), binfn)
-    ask = lambda x, y: kernel.eq_within_domain(domain, ObjLit(x, g), ObjLit(y, g)).evaluate()
+    ask = lambda x, y: kernel.eq_within_domain(domain, ObjLit(x, g), ObjLit(y, g))
     assert (ask("a", "a"), ask("a", "b")) == ("yes", "no")
     with pytest.raises(KernelError, match="'c' is not an object of G"):
         ask("c", "a")

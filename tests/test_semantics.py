@@ -20,7 +20,6 @@ from ogkernel.semantics import (
     interpret_fn,
     models_for_judgment,
     soundness_sweep,
-    tag_members,
     verify_axiom_instances,
     verify_judgment,
 )
@@ -46,6 +45,7 @@ from ogkernel.terms import (
     SupportsQuant,
     Table,
     fn_signature,
+    tag_members,
 )
 
 
@@ -174,7 +174,7 @@ def test_a_numeral_value_past_the_bound_is_not_checkable_rather_than_false():
     assert verify_judgment(bad, default_model(3)).status == FAILS
     source = "model check Mor(table { Two.yes -> Nat.1, Two.no -> Nat.0 }, Two, Nat) upto 3;"
     (item,) = elaborate_source(source).items
-    assert (item.status, item.detail) == ("pass", "holds in 2/3 models (1 not finitely checkable)")
+    assert (item.status, item.detail) == ("pass", "holds in 2/3 models (rest not finitely checkable)")
 
 
 def test_supports_quant_search_on_three_objects():
@@ -251,7 +251,7 @@ def test_a_row_on_nat_makes_the_judgment_sweep_nat_bounds():
     # the truncation bound; the row fails it in every one of them.
     source = "model check Mor(table { Two.yes -> Two.yes, Two.no -> Nat.0 }, Two, Two) upto 2;"
     (item,) = elaborate_source(source).items
-    assert (item.status, item.detail) == ("fail", "2/2 models fail")
+    assert (item.status, item.detail) == ("fail", "fails in 2/2 models")
     assert item.witness == {"model": "model(nat<=:0)", "row": "Two.no -> Nat.0"}
 
 
@@ -368,11 +368,6 @@ def test_axiom_instances_detect_corruption():
     assert checks["H2"].detail.startswith("sections found for all")
 
 
-class _FakeTheorem:
-    def __init__(self, judgment):
-        self.judgment = judgment
-
-
 def test_soundness_sweep_flags_corrupt_judgments():
     constant_yes = Table(
         Product(TWO, TWO),
@@ -383,9 +378,25 @@ def test_soundness_sweep_flags_corrupt_judgments():
             for y in ("yes", "no")
         ),
     )
-    report = soundness_sweep([_FakeTheorem(IsDomain(TWO, constant_yes))], max_size=3)
+    report = soundness_sweep([IsDomain(TWO, constant_yes)], max_size=3)
     assert report.fails > 0
-    assert report.failures[0].witness is not None
+    (item,) = report.items
+    assert all(verdict.status == FAILS and verdict.witness for verdict in item.verdicts)
+
+
+def test_a_judgment_given_twice_is_verified_once_per_model(monkeypatch):
+    calls = []
+    verify = semantics.verify_judgment
+    monkeypatch.setattr(semantics, "verify_judgment", lambda j, m: calls.append(m) or verify(j, m))
+    twice = IsGen(Product(Named(Ident("A")), NAT))
+    models = models_for_judgment(twice, 2)
+    report = soundness_sweep([twice, IsGen(TWO), twice], max_size=2)
+    assert calls == [*models, Model()]
+    first, second = report.items
+    assert (first.judgment, first.models) == (twice, models * 2)
+    assert first.verdicts == tuple(verify(twice, model) for model in models * 2)
+    assert (second.judgment, second.models) == (IsGen(TWO), (Model(),))
+    assert (report.checked, report.holds) == (2 * len(models) + 1, 2 * len(models) + 1)
 
 
 def test_soundness_sweep_empty():
