@@ -5,11 +5,10 @@ kernel operations, so every Theorem below carries a replayable trace and
 nothing in this script is trusted.
 """
 
-from ogkernel import Kernel, render
 from ogkernel.elaborate import elaborate_source
-from ogkernel.kernel import axioms_used, leaf_kinds, verify_trace
+from ogkernel.kernel import Kernel, axioms_used, leaf_kinds, verify_trace
 from ogkernel.stdlib import prelude_source
-from ogkernel.terms import NAT, TWO, IsDomain, IsGen, IsSet, Powerset
+from ogkernel.terms import NAT, TWO, IsDomain, IsGen, IsSet, Powerset, render
 
 tower = elaborate_source(prelude_source())
 assert not tower.diagnostics

@@ -8,13 +8,12 @@ Commands:
 
 Exit codes: 0 all checks pass, 1 some check fails, 2 parse/usage error,
 3 internal fault.  JSON reports contain no wall-clock data; timings go to
-the `--timings` sidecar.  `OGK_COLOR=1` turns on text coloring.
+the `--timings` sidecar.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -109,14 +108,10 @@ class Report(NamedTuple):
         )
         return cls(data["version"], data["command"], items)
 
-    def to_text(self, color: bool = False) -> str:
+    def to_text(self) -> str:
         lines = []
         for item in self.items:
-            status = item.status.upper()
-            if color:
-                code = {"PASS": "32", "FAIL": "31", "ASSUMED": "33"}.get(status, "36")
-                status = f"\x1b[{code}m{status}\x1b[0m"
-            line = f"{status:<8} {item.name}"
+            line = f"{item.status.upper():<8} {item.name}"
             if item.detail:
                 line += f" | {item.detail}"
             if item.witness:
@@ -306,11 +301,7 @@ def run(config: RunConfig) -> tuple[int, Report | None]:
 
 def emit_report(report: Report, format: str, out: str | None) -> int:
     """Serialize the report; returns an exit code (3 on unwritable output)."""
-    if format == "json":
-        payload = report.to_json()
-    else:
-        color = os.environ.get("OGK_COLOR") == "1" and out is None
-        payload = report.to_text(color=color)
+    payload = report.to_json() if format == "json" else report.to_text()
     if out is None:
         sys.stdout.write(payload)
         return EXIT_OK

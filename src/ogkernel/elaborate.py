@@ -464,13 +464,11 @@ def _run_decls(session: _Session, decls: list[Decl], base_dir: Path | None) -> N
         try:
             _run_decl(session, decl, base_dir)
         except _ElabError as err:
-            session.diagnostics.append(
-                Diagnostic("error", err.code, str(err), decl.span, err.note)
-            )
+            session.diagnostics.append(Diagnostic(err.code, str(err), decl.span, err.note))
         except CrossDomainEqualityError as err:
-            session.diagnostics.append(Diagnostic("error", "E0101", str(err), decl.span))
+            session.diagnostics.append(Diagnostic("E0101", str(err), decl.span))
         except (KernelError, streams.StreamSpecError, streams.BoundError) as err:
-            session.diagnostics.append(Diagnostic("error", "E0102", str(err), decl.span))
+            session.diagnostics.append(Diagnostic("E0102", str(err), decl.span))
 
 
 def _run_decl(session: _Session, decl: Decl, base_dir: Path | None) -> None:

@@ -129,7 +129,8 @@ class Carrier(Term, fields="name tags parts size"):
     and object k is the subset of A whose bitmask is k, so index 0 is the
     empty (all-no) function.  `tag` renders one object and `index` encodes
     one tag; `objects` renders them all and is a view for reports and tests.
-    An explicit carrier keeps its tag-to-index table aside, out of equality.
+    An explicit carrier keeps its tag-to-index table in its `__dict__`, out
+    of equality.
     """
 
     def __new__(cls, name: str, tags: tuple[str, ...] = (), parts: tuple[Carrier, ...] = ()):
@@ -143,7 +144,9 @@ class Carrier(Term, fields="name tags parts size"):
             if len(codes) != len(tags):
                 raise ValueError(f"carrier {name!r} has duplicate tags")
             size = len(tags)
-        return tuple.__new__(cls, (cls.__name__, name, tags, parts, size))._aside(_codes=codes)
+        carrier = tuple.__new__(cls, (cls.__name__, name, tags, parts, size))
+        carrier.__dict__["_codes"] = codes
+        return carrier
 
     def __len__(self) -> int:
         return self.size

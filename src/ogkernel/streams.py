@@ -319,9 +319,6 @@ class CoherenceResult(NamedTuple):
     ok: bool
     violation: int | None = None  # the first stage that disagrees with its predecessor
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def is_coherent(stages: Sequence[bytes]) -> CoherenceResult:
     """Whether each stage is a prefix of the next; `stages[n]` holds the

@@ -1,4 +1,4 @@
-"""Lexer and parser for `.og` files, with error recovery and source spans.
+"""Lexer and parser for `.og` files, with error recovery.
 
 The grammar (`-- og-syntax 1`):
 
@@ -37,8 +37,8 @@ Lexing is line-at-a-time: no token, comment or lexical error spans a newline.
 A token is a plain tuple `(key, text, line, col, start, end)`.  Its key is
 its text for a keyword or symbol and its kind for any other token (`ident`,
 `integer`, `string`, `bitlist`, `eof`); no keyword is spelled like a kind.
-The parser compares keys and builds a `Span` only for a node or diagnostic
-that keeps one.
+The parser compares keys and builds a `Span` only for the start of a
+declaration and for a diagnostic.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .terms import (
     Powerset,
     Product,
     Span,
-    Spanned,
     Term,
     render,
 )
@@ -97,7 +96,6 @@ JUDGMENT_HEADS = frozenset(
 
 
 class Diagnostic(NamedTuple):
-    severity: str  # error | warning
     code: str
     message: str
     span: Span
@@ -106,7 +104,7 @@ class Diagnostic(NamedTuple):
     def format(self, filename: str = "<input>") -> str:
         base = (
             f"{filename}:{self.span.line}:{self.span.col}: "
-            f"{self.severity}[{self.code}]: {self.message}"
+            f"error[{self.code}]: {self.message}"
         )
         return base + (f"\n  note: {self.note}" if self.note else "")
 
@@ -147,7 +145,7 @@ def _scan(source: str) -> tuple[list[_Tok], list[Diagnostic]]:
     diagnostics: list[Diagnostic] = []
     if not _LEX_ERRORS.keys().isdisjoint(map(itemgetter(0), toks)):
         diagnostics = [
-            Diagnostic("error", "E0001", _LEX_ERRORS[t[0]].format(t[1]), Span(*t[2:]))
+            Diagnostic("E0001", _LEX_ERRORS[t[0]].format(t[1]), Span(*t[2:]))
             for t in toks
             if t[0] in _LEX_ERRORS
         ]
@@ -160,10 +158,10 @@ def _scan(source: str) -> tuple[list[_Tok], list[Diagnostic]]:
 # ---------------------------------------------------------------------------
 # Declarations and proof expressions
 #
-# Judgments, proofs and declarations are `Spanned` terms: their span is the
-# last constructor argument, and their equality ignores it.  In argument
-# position a string literal is a `str` and a table literal is its tuple of
-# (key, value) rows; its signature comes from context.
+# A declaration's last field is its span, the place of its first token;
+# judgments and proofs carry none.  In argument position a string literal is
+# a `str` and a table literal is its tuple of (key, value) rows; its
+# signature comes from context.
 
 
 class LimitRef(Term, fields="name"):
@@ -176,43 +174,61 @@ Rows = tuple[tuple[ObjLit, ObjLit], ...]
 SurfaceArg = object  # GenExpr | ObjLit | BuiltinRule | Rows | LimitRef | str
 
 
-class SurfaceJudgment(Spanned, fields="head args"):
+class SurfaceJudgment(Term, fields="head args"):
     """`head(args)`, each argument a SurfaceArg."""
 
+    __slots__ = ()
 
-class AxiomRef(Spanned, fields="name"):
+
+class AxiomRef(Term, fields="name"):
     """`axiom name`."""
 
+    __slots__ = ()
 
-class RuleApp(Spanned, fields="name subproofs"):
+
+class RuleApp(Term, fields="name subproofs"):
     """`rule name from subproofs`, each a ProofExpr."""
+
+    __slots__ = ()
 
 
 ProofExpr = AxiomRef | RuleApp
 
 
-class GeneratorDecl(Spanned, fields="name body tags"):
+class GeneratorDecl(Term, fields="name body tags span"):
     """`generator name := body;`, or `primitive` with optional tags when body is None."""
 
+    __slots__ = ()
 
-class MorphismDecl(Spanned, fields="name dom cod body"):
+
+class MorphismDecl(Term, fields="name dom cod body span"):
     """`morphism name : dom -> cod := body;`, body a Rows table or a BuiltinRule."""
 
+    __slots__ = ()
 
-class AssertDecl(Spanned, fields="judgment proof"):
+
+class AssertDecl(Term, fields="judgment proof span"):
     """`assert judgment by proof;`."""
 
+    __slots__ = ()
 
-class ModelCheckDecl(Spanned, fields="judgment bound"):
+
+class ModelCheckDecl(Term, fields="judgment bound span"):
     """`model check judgment upto bound;`."""
 
+    __slots__ = ()
 
-class IncludeDecl(Spanned, fields="path"):
+
+class IncludeDecl(Term, fields="path span"):
     """`include "path";`."""
 
+    __slots__ = ()
 
-class LimitDecl(Spanned, fields="command spec bounds"):
+
+class LimitDecl(Term, fields="command spec bounds span"):
     """`limit demo;` or `limit member spec upto bounds;` (command "demo" or "member")."""
+
+    __slots__ = ()
 
 
 Decl = GeneratorDecl | MorphismDecl | AssertDecl | ModelCheckDecl | IncludeDecl | LimitDecl
@@ -247,7 +263,7 @@ class _Parser:
 
     def error(self, code: str, message: str, span: Span | None = None, note: str | None = None):
         return _ParseError(
-            Diagnostic("error", code, message, span or Span(*self.toks[self.pos][2:]), note)
+            Diagnostic(code, message, span or Span(*self.toks[self.pos][2:]), note)
         )
 
     def expect(self, key: str) -> _Tok:
@@ -461,7 +477,7 @@ class _Parser:
                 self.leave("]", opener)
                 return Powerset(inner)
             self.pos += 1
-            return Named(Ident(tok[1], Span(*tok[2:])))
+            return Named(Ident(tok[1]))
         if key == "(":
             opener = self.enter()
             expr = self.parse_gen_expr()
@@ -483,7 +499,7 @@ class _Parser:
         opener = self.expect("(")
         args = self.comma_list(self.parse_arg, ")")
         self.expect_closing(")", opener)
-        return SurfaceJudgment(head[1], tuple(args), Span(*head[2:]))
+        return SurfaceJudgment(head[1], tuple(args))
 
     def parse_arg(self):
         tok = self.toks[self.pos]
@@ -541,7 +557,7 @@ class _Parser:
         if key == "axiom":
             self.pos += 1
             name = self.expect("ident")[1]
-            return AxiomRef(name, Span(*tok[2:]))
+            return AxiomRef(name)
         if key == "rule":
             self.pos += 1
             name = self.expect("ident")[1]
@@ -550,11 +566,11 @@ class _Parser:
                 self.enter()
                 subproofs = self.comma_list(self.parse_proof)
                 self.depth -= 1
-            return RuleApp(name, tuple(subproofs), Span(*tok[2:]))
+            return RuleApp(name, tuple(subproofs))
         if key == "ident" and tok[1] in _AXIOM_NAMES:
             # Shorthand: a bare axiom name stands for `axiom <name>`.
             self.pos += 1
-            return AxiomRef(tok[1], Span(*tok[2:]))
+            return AxiomRef(tok[1])
         raise self.error("E0002", f"expected a proof expression, found {self.shown()!r}")
 
     # -- remaining declarations
@@ -637,7 +653,7 @@ def parse_gen_expr(text: str) -> GenExpr:
 
 
 # ---------------------------------------------------------------------------
-# Rendering (deterministic; parse_source(render_decl(d)) == d up to spans)
+# Rendering (deterministic; parse_source(render_decl(d)) == d but for its span)
 
 
 def render_arg(arg) -> str:

@@ -2,8 +2,9 @@
 
 Every term and judgment is a `Term`, the tuple of its class name and its
 fields, so equality and `hash` are the tuple's own and run in C.  The name tag
-keeps terms of different classes apart and hashes alike in every run; source
-spans are ignored.  The same layout gives the one walk over a term's
+keeps terms of different classes apart and hashes alike in every run.  A term
+carries no source span: only a surface declaration keeps one, as its last
+field.  The same layout gives the one walk over a term's
 subterms: `collect_names` finds the generator names and whether Nat occurs,
 which is all a finite model needs to know of a judgment (`free_names` and
 `mentions_nat` read one of the two).  `render` produces the surface syntax
@@ -27,7 +28,6 @@ from typing import NamedTuple, Union
 __all__ = [
     "Span",
     "Term",
-    "Spanned",
     "Ident",
     "GenExpr",
     "Two",
@@ -79,8 +79,8 @@ class Term(tuple):
     """A record that takes part in equality: the tuple of its class name and
     its fields.  A subclass names its fields in its class statement, as
     `Product(GenExpr, fields="left right")` does; each field is a read-only
-    item getter.  A subclass that sets `__slots__ = ()` holds nothing else;
-    one without keeps an instance `__dict__` for values set aside by `_aside`.
+    item getter.  A subclass sets `__slots__ = ()` and holds nothing else,
+    but for `semantics.Carrier`, which keeps its tag codes in its `__dict__`.
     No attribute can be assigned, and copying or pickling is refused: the
     tuple's own `__reduce_ex__` would rebuild another record."""
 
@@ -97,12 +97,6 @@ class Term(tuple):
             raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(fields)}")
         return tuple.__new__(cls, (cls.__name__, *fields))
 
-    def _aside(self, **values: object):
-        """`self`, with `values` kept outside the tuple, in the instance
-        `__dict__`: read-only like a field, but out of equality and `hash`."""
-        self.__dict__.update(values)
-        return self
-
     def __setattr__(self, name: str, *_: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -116,30 +110,18 @@ class Term(tuple):
         return f"{type(self).__name__}({shown})"
 
 
-class Spanned(Term):
-    """A term with a source `span` after its fields, kept aside: equality
-    ignores it and `repr` shows it last."""
-
-    def __new__(cls, *fields_and_span: object):
-        *fields, span = fields_and_span
-        return Term.__new__(cls, *fields)._aside(span=span)
-
-    def __repr__(self) -> str:
-        return f"{Term.__repr__(self)[:-1]}, span={self.span!r})"
-
-
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-class Ident(Spanned, fields="text"):
-    """A name, equal to another iff their text is; its `repr` hides its span."""
+class Ident(Term, fields="text"):
+    """A name: a letter, then letters, digits and underscores."""
 
-    def __new__(cls, text: str, span: Span | None = None):
+    __slots__ = ()
+
+    def __new__(cls, text: str):
         if not _IDENT_RE.match(text):
             raise ValueError(f"invalid identifier: {text!r}")
-        return tuple.__new__(cls, (cls.__name__, text))._aside(span=span)
-
-    __repr__ = Term.__repr__
+        return tuple.__new__(cls, (cls.__name__, text))
 
     def __str__(self) -> str:
         return self.text
@@ -383,7 +365,7 @@ def mentions_nat(x: tuple) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Rendering (targets the surface grammar; parse(render(x)) == x up to spans)
+# Rendering (targets the surface grammar; parse(render(x)) == x)
 
 
 @lru_cache(maxsize=4096)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -489,6 +491,25 @@ def test_kernel_imports_only_terms_and_streams_from_the_package():
         elif isinstance(node, ast.Import):
             assert not any(a.name.startswith("ogkernel") for a in node.names)
     assert imported == {"terms", "streams"}
+
+
+def test_importing_the_kernel_loads_only_the_trusted_base():
+    # The package root imports nothing, so the kernel's closure in the package
+    # is what it imports: the terms and the stream catalog.
+    script = (
+        "import sys\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.partition('.')[0] == 'ogkernel')\n"
+        "import ogkernel\n"
+        "print(loaded())\n"
+        "import ogkernel.kernel\n"
+        "print(loaded())\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    root, kernel = map(ast.literal_eval, result.stdout.splitlines())
+    assert root == ["ogkernel"]
+    assert kernel == ["ogkernel", "ogkernel.kernel", "ogkernel.streams", "ogkernel.terms"]
 
 
 def test_tables_need_carriers_known_whole(kernel):

@@ -69,7 +69,6 @@ from ogkernel.terms import (
     Powerset,
     Product,
     Span,
-    Spanned,
     SupportsQuant,
     Table,
     Term,
@@ -86,7 +85,7 @@ RECORD_CLASSES = (
     TraceNode, Carrier, Verdict, LimitRef, SurfaceJudgment, AxiomRef, RuleApp,
     GeneratorDecl, MorphismDecl, AssertDecl, ModelCheckDecl, IncludeDecl, LimitDecl,
 )
-BASES = (Term, Spanned, GenExpr, FnExpr, Judgment)
+BASES = (Term, GenExpr, FnExpr, Judgment)
 CORPUS = Path(__file__).parent / "corpus"
 
 
@@ -106,9 +105,8 @@ def test_no_class_is_a_dataclass_and_every_term_class_is_a_term():
     term_classes = {cls for cls in classes if issubclass(cls, Term)}
     assert term_classes == {*BASES, *TERM_CLASSES, *RECORD_CLASSES}
     for cls in term_classes:
-        # Only a Spanned term (its span) and a Carrier (its tag codes) keep an
-        # instance __dict__, for values outside the tuple.
-        assert (cls.__dict__.get("__slots__") == ()) == (not issubclass(cls, (Spanned, Carrier)))
+        # Only a Carrier keeps an instance __dict__, for its tag codes.
+        assert (cls.__dict__.get("__slots__") == ()) == (cls is not Carrier), cls
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
@@ -141,7 +139,7 @@ def _fields_walk(term, names: set[str]) -> bool:
 
 
 def test_a_fields_walk_reaches_every_subterm_of_a_judgment():
-    g, h = Named(Ident("G", Span(1, 1, 0, 1))), Named(Ident("H"))
+    g, h = Named(Ident("G")), Named(Ident("H"))
     table = Table(Product(g, NAT), TWO, ((ObjLit("(a,0)", Product(g, NAT)), ObjLit("yes", TWO)),))
     names: set[str] = set()
     assert _fields_walk(IsMor(table, Product(g, NAT), TWO), names)
@@ -198,14 +196,13 @@ def _reference_equal(a, b) -> bool:
 
 
 def _rebuilt(x):
-    """An equal copy of `x` built afresh, without spans."""
+    """An equal copy of `x` built afresh."""
     if isinstance(x, Term):
         return type(x)(*(_rebuilt(getattr(x, f)) for f in x._fields))
     return tuple(map(_rebuilt, x)) if type(x) is tuple else x
 
 
-_SPANS = st.none() | st.builds(Span, st.integers(1, 3), st.integers(1, 3), st.just(0), st.just(1))
-_IDENTS = st.builds(Ident, st.sampled_from(["G", "H"]), _SPANS)
+_IDENTS = st.builds(Ident, st.sampled_from(["G", "H"]))
 _GEN_EXPRS = st.recursive(
     st.sampled_from([TWO, NAT]) | st.builds(Named, _IDENTS),
     lambda inner: st.builds(Product, inner, inner) | st.builds(Powerset, inner),
@@ -242,10 +239,8 @@ def test_terms_of_different_classes_or_fields_differ():
     e = Named(Ident("G"))
     assert IsSet(e) != SupportsQuant(e) and IsGen(e) != IsSet(e) and TWO != NAT
     assert IsGen(e) != IsGen(Named(Ident("H"))) and Two() == TWO
-    spanned = Named(Ident("G", Span(3, 4, 10, 11)))
-    assert spanned == e and hash(spanned) == hash(e) and spanned.name.span == Span(3, 4, 10, 11)
-    assert repr(spanned) == "Named(name=Ident(text='G'))"
-    for term, field in ((e, "name"), (e.name, "text"), (e.name, "span"), (IsGen(e), "expr")):
+    assert repr(e) == "Named(name=Ident(text='G'))"
+    for term, field in ((e, "name"), (e.name, "text"), (IsGen(e), "expr")):
         with pytest.raises(AttributeError):
             setattr(term, field, None)
     with pytest.raises(TypeError, match="Product takes 2 fields, got 1"):
@@ -265,21 +260,21 @@ def test_a_term_hashes_alike_in_every_interpreter():
     assert len(hashes) == 1
 
 
-# -- equality that ignores spans
+# -- spans: only a declaration keeps one, as its last field
 
 
 def test_tokens_and_declarations_compare_without_spans():
-    # The parser's tokens are plain tuples; the records it builds from them,
-    # from a judgment or proof up to a declaration, ignore their spans.
+    # The parser's tokens are plain tuples; a judgment or proof built from
+    # them keeps no span, and a declaration less its span is the same
+    # wherever it stands.
     (first,), _ = parse_source("assert Set(Two) by axiom H1;")
     (second,), _ = parse_source("\n\n   assert Set(Two) by axiom H1;")
-    for a, b in ((first.judgment, second.judgment), (first.proof, second.proof)):
-        assert a.span != b.span and a == b and hash(a) == hash(b)
-    assert first.proof != AxiomRef("H3", first.proof.span)
+    assert first.judgment == second.judgment and first.proof == second.proof
+    assert first.proof == AxiomRef("H1") != AxiomRef("H3")
     source = 'limit member "squares" upto 1 2 8;'
     (decl,), _ = parse_source(source)
     (moved,), _ = parse_source("\n  " + source)
-    assert decl.span != moved.span and decl == moved and hash(decl) == hash(moved)
+    assert decl != moved and decl[:-1] == moved[:-1]
     assert decl != LimitDecl("member", "squares", (1, 2, 9), decl.span)
     assert decl != IncludeDecl("limit", decl.span)
     assert repr(decl).startswith("LimitDecl(command='member', spec='squares'")
@@ -396,17 +391,17 @@ def _one_record_of_each_class() -> list[Term]:
     yes = ObjLit("yes", TWO)
     eq = BuiltinRule("eq_of", (TWO,))
     family = FamilySpec(Ident("F"), "restrictions(squares)")
-    judgment, proof = SurfaceJudgment("Set", (TWO,), span), AxiomRef("H1", span)
+    judgment, proof = SurfaceJudgment("Set", (TWO,)), AxiomRef("H1")
     squares = SquaresIndicator()
     return [
-        Ident("G", span), yes, family, TWO, NAT, g, Product(g, TWO), Powerset(g),
+        Ident("G"), yes, family, TWO, NAT, g, Product(g, TWO), Powerset(g),
         Table(TWO, TWO, ((yes, yes),)), eq, IsGen(g), IsObj(yes, TWO), IsMor(eq, TWO, TWO),
         IsBinFn(eq, TWO), IsDomain(TWO, eq), SupportsQuant(NAT), IsSet(TWO),
         IsCoherentFamily(family),
         Periodic((0,), (1,)), squares, PowersOfTwoIndicator(), FiniteSupport((1, 0)),
         XorOf(squares, squares), ShiftOf(squares, 1), FlipAt(squares, 2),
         TraceNode("axiom", "H3", SupportsQuant(NAT)), Carrier("G", ("a",)), Verdict(HOLDS),
-        LimitRef("F"), judgment, proof, RuleApp("H4", (proof,), span),
+        LimitRef("F"), judgment, proof, RuleApp("H4", (proof,)),
         GeneratorDecl("G", None, ("a",), span), MorphismDecl("f", TWO, TWO, eq, span),
         AssertDecl(judgment, proof, span), ModelCheckDecl(judgment, 2, span),
         IncludeDecl("lib.og", span), LimitDecl("demo", None, None, span),

@@ -53,10 +53,6 @@ def test_ident_rules():
         Ident("1abc")
     with pytest.raises(ValueError):
         Ident("")
-    # spans are ignored by equality
-    from ogkernel.terms import Span
-
-    assert Ident("x", Span(1, 1, 0, 1)) == Ident("x")
 
 
 def test_render_examples():
