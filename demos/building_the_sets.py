@@ -50,7 +50,7 @@ except CrossDomainEqualityError as refusal:
     print(f"  mixed query refused: {refusal}")
 
 print("\n== H2 at work: a concrete surjection admits a section ==")
-from ogkernel.stdlib import choice_instance
+from ogkernel.kernel import AxiomId
 from ogkernel.terms import Ident, Named, Table
 
 kernel.gen_intro(Ident("G"), ("a", "b", "c"))
@@ -63,5 +63,5 @@ surj = Table(
         for t, v in (("a", "yes"), ("b", "yes"), ("c", "no"))
     ),
 )
-section = choice_instance(kernel, surj, g, TWO)
+section = kernel.axiom(AxiomId.H2_CHOICE, (surj, g, TWO))
 print(f"  |- {render(section.judgment)}")

@@ -10,7 +10,6 @@ naturals can contain every finite stage and still miss the limit.
 
 from ogkernel.streams import (
     FiniteSupport,
-    Periodic,
     SquaresIndicator,
     demonstrate_gap,
     ep_decide,
@@ -42,5 +41,5 @@ for name, ok, detail in report.sub_results():
 print(f"  conclusion: {report.conclusion}")
 
 print("\n== control experiment: a periodic base stream demonstrates nothing ==")
-control = demonstrate_gap(Periodic((1,), (0, 1)))
+control = demonstrate_gap("periodic:1/01")
 print(f"  conclusion: {control.conclusion}")

@@ -99,15 +99,6 @@ class Report(NamedTuple):
         fields.append('"summary": ' + _json_block("{}", summary, 1))
         return _json_block("{}", fields, 0) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        data = json.loads(text)
-        items = tuple(
-            Item(entry["name"], entry["status"], entry.get("detail", ""), entry.get("witness"))
-            for entry in data["items"]
-        )
-        return cls(data["version"], data["command"], items)
-
     def to_text(self) -> str:
         lines = []
         for item in self.items:

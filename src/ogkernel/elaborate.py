@@ -299,8 +299,8 @@ def _execute_axiom(session: _Session, name: str) -> Theorem:
     if axiom is AxiomId.H2_CHOICE:
         raise _ElabError(
             "E0102",
-            "H2 instances need a concrete surjection; use choice_instance "
-            "or the model-check command",
+            "H2 instances need a concrete surjection: a table given to the "
+            "kernel's H2 axiom, or the model-check command",
         )
     return session.kernel.axiom(axiom)
 
@@ -392,11 +392,9 @@ def _apply_rule(
         if not isinstance(goal, IsCoherentFamily):
             raise _ElabError("E0102", "coherence proves Coherent(...) judgments")
         try:
-            thm = kernel.coherent_family(goal.family)
+            return kernel.coherent_family(goal.family)
         except streams.CoherenceError as exc:
             raise _ElabError("E0102", f"family is not coherent: {exc}")
-        session.families[goal.family.name.text] = goal.family
-        return thm
 
     if name == "cla":
         fam = _pick(premises, lambda j: isinstance(j, IsCoherentFamily))

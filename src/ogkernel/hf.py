@@ -34,14 +34,6 @@ def members(code: int) -> list[int]:
     return [z for z in range(code.bit_length()) if code >> z & 1]
 
 
-def hf_rank(code: int) -> int:
-    # Codes below 2↑↑r have rank <= r, so the top member has the top rank.
-    rank = 0
-    while code:
-        code, rank = code.bit_length() - 1, rank + 1
-    return rank
-
-
 def render_hf(code: int) -> str:
     return "{" + ",".join(render_hf(z) for z in members(code)) + "}"
 

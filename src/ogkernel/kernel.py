@@ -3,9 +3,11 @@
 Five axioms (H1 the two-element set, H2 choice-as-sections, H3 the naturals
 support quantification, H4 powerset closure exposed as a unary rule, and the
 coherent-limit axiom exposed through `coherent_limit`) plus a small fixed set
-of inference rules.  `_judge` is the one place that says what a trace node
-concludes: every theorem is built through it, and `verify_trace` replays each
-node of a theorem's trace through it and reports the first node that fails.
+of inference rules.  A theorem is the immutable root node of its own trace:
+its rule, its judgment, its premises' theorems and its payload.  `_judge` is
+the one place that says what a node concludes: every theorem is built through
+it, and `verify_trace` replays each node of a theorem's trace through it and
+reports the first node that fails.
 
 The kernel owns its carriers: a table is checked by a scan of its rows on
 carriers it knows whole, with the tags its own declarations record, and no
@@ -59,7 +61,6 @@ __all__ = [
     "RuleId",
     "AXIOM_STATEMENTS",
     "Theorem",
-    "TraceNode",
     "Kernel",
     "KernelError",
     "SchemaError",
@@ -165,7 +166,7 @@ AXIOM_STATEMENTS: dict[AxiomId, str] = {
 
 
 class RuleId:
-    """The labels of rule nodes: plain strings, as a trace node carries them."""
+    """The labels of rule nodes: plain strings, as a theorem carries them."""
 
     GEN_INTRO = "gen_intro"
     MOR_INTRO = "mor_intro"
@@ -184,55 +185,46 @@ _RULE_AXIOMS = {
 }
 
 
-class TraceNode(Term, fields="kind label judgment children payload"):  # kind: axiom | decl | rule
-    """One derivation step.  Nodes compare by identity so that shared
-    premises (the same Theorem used twice) are counted once in a trace."""
+_SEAL = object()
+
+
+class Theorem(Term, fields="kind label judgment children payload"):  # kind: axiom | decl | rule
+    """A kernel-derived judgment, sealed: the root node of its own trace,
+    whose children are its premises' theorems.  Only `_theorem` makes one.
+    Theorems compare by identity, so that a premise used twice is counted
+    once in a trace."""
 
     __slots__ = ()
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __new__(cls, kind: str, label: str, judgment: Judgment, children=(), payload=()):
+    def __new__(cls, seal, kind, label, judgment, children=(), payload=()):
+        if seal is not _SEAL:
+            raise TypeError("Theorem values are created only by kernel operations")
         return tuple.__new__(cls, (cls.__name__, kind, label, judgment, children, payload))
 
-
-_SEAL = object()
-
-
-class Theorem:
-    """A sealed witness of a kernel-derived judgment: its trace's root node."""
-
-    __slots__ = ("_node", "_parts")
-
-    def __init__(self, node, parts=(), *, _token=None):
-        if _token is not _SEAL:
-            raise TypeError("Theorem values are created only by kernel operations")
-        self._node = node
-        self._parts = tuple(parts)
-
     @property
-    def judgment(self) -> Judgment:
-        return self._node.judgment
-
-    @property
-    def node(self) -> TraceNode:
-        return self._node
+    def node(self) -> "Theorem":
+        """The theorem itself, as its trace's root node."""
+        return self
 
     @property
     def parts(self) -> tuple["Theorem", ...]:
-        """Constituent theorems (an IsSet carries its IsDomain and
-        SupportsQuant facts about the same expression)."""
-        return self._parts
+        """Constituent theorems: an IsSet's IsDomain and SupportsQuant facts
+        about the same expression, which are its premises."""
+        return self.children if self.label == RuleId.SET_INTRO else ()
 
     def __repr__(self) -> str:
         return f"|- {render(self.judgment)}"
 
 
-def _theorem(kind, label, payload=(), premises=(), parts=()) -> Theorem:
+def _theorem(kind, label, payload=(), premises=()) -> Theorem:
     """Judge a node from its premises and seal it: the one place where a
-    trace node is made."""
+    theorem is made."""
+    premises = tuple(premises)
+    if not all(type(p) is Theorem for p in premises):
+        raise PremiseError("every premise must be a theorem")
     judgment = _judge(kind, label, payload, tuple(p.judgment for p in premises))
-    node = TraceNode(kind, label, judgment, tuple(p.node for p in premises), payload)
-    return Theorem(node, parts, _token=_SEAL)
+    return Theorem(_SEAL, kind, label, judgment, premises, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +554,6 @@ class Kernel:
         self._declared: dict[str, Theorem] = {}
         self._formations: dict[GenExpr, Theorem] = {}
 
-    def _derive(self, rule: str, premises: Sequence[Theorem], payload: tuple = ()) -> Theorem:
-        """Apply `rule` to `premises`: the one path by which a rule's
-        conclusion becomes a theorem.  A set keeps its premises as parts."""
-        parts = premises if rule == RuleId.SET_INTRO else ()
-        return _theorem("rule", rule, payload, premises, parts)
-
     # -- axioms
 
     def axiom(self, axiom: AxiomId, params: Sequence = ()) -> Theorem:
@@ -576,7 +562,7 @@ class Kernel:
             raise SchemaError(f"{axiom.value} takes no parameters")
         if axiom is AxiomId.H1_TWO_IS_SET:
             parts = (_theorem("axiom", "H1", ("domain",)), _theorem("axiom", "H1", ("squant",)))
-            return self._derive(RuleId.SET_INTRO, parts)
+            return _theorem("rule", RuleId.SET_INTRO, (), parts)
         if axiom is AxiomId.H3_NAT_SUPPORTS_QUANT:
             return _theorem("axiom", "H3")
         if axiom is AxiomId.H2_CHOICE:
@@ -632,7 +618,7 @@ class Kernel:
         else:
             raise SchemaError(f"cannot form {expr!r}")
         return self._formations.setdefault(
-            expr, self._derive(RuleId.GEN_INTRO, children, (expr,))
+            expr, _theorem("rule", RuleId.GEN_INTRO, (expr,), children)
         )
 
     def _tags(self, fn: FnExpr) -> tuple[tuple[str, tuple[str, ...]], ...]:
@@ -640,7 +626,7 @@ class Kernel:
         if not isinstance(fn, Table):
             return ()
         names = free_names(fn.domain) | free_names(fn.codomain)
-        return tuple(sorted((i.text, self.gen_intro(Named(i)).node.payload[1]) for i in names))
+        return tuple(sorted((i.text, self.gen_intro(Named(i)).payload[1]) for i in names))
 
     # -- morphisms
 
@@ -652,21 +638,21 @@ class Kernel:
         *,
         premises: Sequence[Theorem] = (),
     ) -> Theorem:
-        return self._derive(RuleId.MOR_INTRO, premises, (fn, dom, cod, self._tags(fn)))
+        return _theorem("rule", RuleId.MOR_INTRO, (fn, dom, cod, self._tags(fn)), premises)
 
     def bin_fn_from_mor(self, mor: Theorem) -> Theorem:
-        return self._derive(RuleId.BIN_FN_FROM_MOR, (mor,))
+        return _theorem("rule", RuleId.BIN_FN_FROM_MOR, premises=(mor,))
 
     # -- domains and sets
 
     def domain_intro(self, gen: Theorem, eq: Theorem) -> Theorem:
-        return self._derive(RuleId.DOMAIN_INTRO, (gen, eq))
+        return _theorem("rule", RuleId.DOMAIN_INTRO, premises=(gen, eq))
 
     def set_intro(self, domain: Theorem, squant: Theorem) -> Theorem:
-        return self._derive(RuleId.SET_INTRO, (domain, squant))
+        return _theorem("rule", RuleId.SET_INTRO, premises=(domain, squant))
 
     def squant_from_powerset(self, squant: Theorem) -> Theorem:
-        return self._derive(RuleId.SQUANT_FROM_POWERSET, (squant,))
+        return _theorem("rule", RuleId.SQUANT_FROM_POWERSET, premises=(squant,))
 
     # -- coherent limits
 
@@ -676,7 +662,7 @@ class Kernel:
         return _theorem("decl", "coherent_family", (family,))
 
     def coherent_limit(self, family: Theorem) -> Theorem:
-        return self._derive(RuleId.COHERENT_LIMIT, (family,))
+        return _theorem("rule", RuleId.COHERENT_LIMIT, premises=(family,))
 
     # -- equality queries
 
@@ -709,12 +695,12 @@ class Kernel:
 # Trace replay and inspection
 
 
-def trace_nodes(thm: Theorem) -> list[TraceNode]:
-    """All trace nodes in postorder, shared subtrees visited once."""
+def trace_nodes(thm: Theorem) -> list[Theorem]:
+    """All nodes of a theorem's trace in postorder, shared subtrees visited once."""
     seen: set[int] = set()
-    out: list[TraceNode] = []
+    out: list[Theorem] = []
 
-    def walk(node: TraceNode) -> None:
+    def walk(node: Theorem) -> None:
         if id(node) in seen:
             return
         seen.add(id(node))
@@ -722,7 +708,7 @@ def trace_nodes(thm: Theorem) -> list[TraceNode]:
             walk(child)
         out.append(node)
 
-    walk(thm.node)
+    walk(thm)
     return out
 
 

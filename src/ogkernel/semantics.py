@@ -588,27 +588,24 @@ class AxiomCheck(NamedTuple):
     witness: tuple[tuple[str, str], ...] | None = None
 
 
-def _checked_carriers(model: Model) -> list[tuple[GenExpr, Carrier]]:
-    nat = [(NAT, interpret(NAT, model))] if model.nat_bound is not None else []
-    named = [(Named(Ident(name)), carrier) for name, carrier in model.assignments]
-    return [(TWO, TWO_CARRIER), *nat, *named]
-
-
 def verify_axiom_instances(model: Model, _interpret=interpret) -> list[AxiomCheck]:
     """Check H1/H2/H4 instances exhaustively at small bounds; H3 is assumed.
 
     `_interpret` exists so tests can inject a corrupted interpretation and
-    confirm the checks actually detect structural damage.
+    confirm the checks actually detect structural damage; every carrier
+    checked here is read through it.
     """
     checks: list[AxiomCheck] = []
-    carriers = _checked_carriers(model)
+    named = [Named(Ident(name)) for name, _ in model.assignments]
+    exprs = [TWO, NAT, *named] if model.nat_bound is not None else [TWO, *named]
+    carriers = [(expr, _interpret(expr, model)) for expr in exprs]
 
     def check(axiom: str, witness, broken: str, held: str) -> None:
         status, detail = (FAILS, broken) if witness else (HOLDS, held)
         checks.append(AxiomCheck(axiom, status, detail, witness))
 
     # H1: there is a 2-element set.
-    two = _interpret(TWO, model)
+    two = carriers[0][1]
     if len(two) != 2:
         witness = _witness(carrier=two.name, size=str(len(two)))
     else:

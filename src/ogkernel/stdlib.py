@@ -1,10 +1,8 @@
-"""Derived, untrusted helpers scripted over the kernel.
+"""The standard library: the shipped `.og` prelude.
 
 The standard objects (the two-object set, the naturals, the iterated
-powersets up to Set(P[P[Nat]])) are stated once, in the shipped `.og`
-prelude, and reach the kernel through elaboration.  This module ships that
-prelude and builds concrete choice instances through kernel operations;
-nothing here is trusted.
+powersets up to Set(P[P[Nat]])) are stated once, in the prelude, and reach
+the kernel through elaboration; nothing here is trusted.
 
 `evidence_models` is no longer called: the kernel checks tables on carriers
 it knows whole and takes no model.  `bench/probes.py` still patches it by
@@ -15,11 +13,11 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .kernel import AxiomId, Kernel, PremiseError, Theorem
+from .kernel import PremiseError
 from .semantics import InterpretationError, Model, NotFinitelyCheckable, interpret
-from .terms import FnExpr, GenExpr, mentions_nat, render
+from .terms import GenExpr, mentions_nat, render
 
-__all__ = ["evidence_models", "choice_instance", "prelude_source"]
+__all__ = ["evidence_models", "prelude_source"]
 
 
 # An evidence model gives `expr` at most this many objects.
@@ -43,13 +41,6 @@ def evidence_models(expr: GenExpr) -> tuple[Model, ...]:
             f"no feasible evidence model for {render(expr)}; supply models explicitly"
         )
     return tuple(feasible[-2:])
-
-
-def choice_instance(kernel: Kernel, surj: FnExpr, dom: GenExpr, cod: GenExpr) -> Theorem:
-    """A section-existence theorem for a surjection, given as a table on
-    carriers the kernel knows whole; raises CounterexampleError, naming an
-    uncovered object, when the map is not surjective."""
-    return kernel.axiom(AxiomId.H2_CHOICE, (surj, dom, cod))
 
 
 def prelude_source() -> str:

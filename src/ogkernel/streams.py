@@ -34,7 +34,6 @@ __all__ = [
     "MAX_PERIOD_BOUND",
     "MAX_COMBINATORS",
     "parse_stream_spec",
-    "stream_spec",
     "resolve_family",
     "family_violation",
     "family_limit",
@@ -290,27 +289,6 @@ def _split_args(body: str, spec: str) -> list[str]:
         raise StreamSpecError(f"unbalanced parentheses in {spec!r}") from exc
 
 
-def stream_spec(s: BitStream) -> str:
-    """The canonical spec string for a catalog stream (inverse of parse)."""
-    if isinstance(s, SquaresIndicator):
-        return "squares"
-    if isinstance(s, PowersOfTwoIndicator):
-        return "pow2"
-    if isinstance(s, Periodic):
-        pre = "".join(map(str, s.preperiod))
-        per = "".join(map(str, s.period))
-        return f"periodic:{pre}/{per}"
-    if isinstance(s, FiniteSupport):
-        return "finite:" + "".join(map(str, s.bits))
-    if isinstance(s, XorOf):
-        return f"xor({stream_spec(s.left)},{stream_spec(s.right)})"
-    if isinstance(s, ShiftOf):
-        return f"shift({stream_spec(s.base)},{s.offset})"
-    if isinstance(s, FlipAt):
-        return f"flip({stream_spec(s.base)},{s.index})"
-    raise StreamSpecError(f"stream has no catalog spec: {s!r}")
-
-
 # ---------------------------------------------------------------------------
 # Coherence of stages
 
@@ -558,25 +536,24 @@ def _random_member(rng: random.Random) -> tuple[BitStream, tuple[int, int]]:
 
 
 def demonstrate_gap(
-    base: BitStream | None = None,
+    base: str = "squares",
     *,
     preperiod_bound: int = 64,
     period_bound: int = 64,
     horizon: int = 4096,
 ) -> GapReport:
-    """Run the four sub-checks and draw (or withdraw) the conclusion.
+    """Run the four sub-checks on the stream that the spec `base` names and
+    draw (or withdraw) the conclusion.
 
     With the default squares indicator the small model contains every finite
     stage of the restriction family but not its coherent limit.  Substituting
-    an eventually periodic base stream flips sub-result (d) and the
-    conclusion is withdrawn — the control experiment.
+    the spec of an eventually periodic base stream flips sub-result (d) and
+    the conclusion is withdrawn — the control experiment.
     """
-    if base is None:
-        base = SquaresIndicator()
-    spec = stream_spec(base)
+    stream = parse_stream_spec(base)
 
     # (a) restrictions, extended by zeros, are eventually periodic members.
-    bits = base.prefix(_RESTRICTION_STAGES)
+    bits = stream.prefix(_RESTRICTION_STAGES)
     restriction_passes = sum(
         ep_decide(FiniteSupport(tuple(bits[: n + 1])), n + 1, 1, n + 3).member
         for n in range(_RESTRICTION_STAGES + 1)
@@ -603,11 +580,11 @@ def demonstrate_gap(
             closure_passes += 1
 
     # (c) union of the restriction family round-trips to the base stream.
-    union = family_limit(f"restrictions({spec})")
-    union_matches = union.prefix(_UNION_HORIZON) == base.prefix(_UNION_HORIZON)
+    union = family_limit(f"restrictions({base})")
+    union_matches = union.prefix(_UNION_HORIZON) == stream.prefix(_UNION_HORIZON)
 
     # (d) the base stream itself is outside the class, up to bounds.
-    base_verdict = ep_decide(base, preperiod_bound, period_bound, horizon)
+    base_verdict = ep_decide(stream, preperiod_bound, period_bound, horizon)
 
     passed = (
         restriction_passes == _RESTRICTION_STAGES + 1
@@ -617,18 +594,18 @@ def demonstrate_gap(
     )
     if passed:
         conclusion = (
-            f"the small model contains every finite stage of {spec} "
+            f"the small model contains every finite stage of {base} "
             "but not the coherent limit"
         )
     elif base_verdict.member:
         conclusion = (
-            f"withdrawn: {spec} is itself eventually periodic "
+            f"withdrawn: {base} is itself eventually periodic "
             f"({base_verdict.describe()}); no gap demonstrated"
         )
     else:
         conclusion = "withdrawn: a sub-check failed; no gap demonstrated"
     return GapReport(
-        base_spec=spec,
+        base_spec=base,
         restriction_passes=restriction_passes,
         restriction_total=_RESTRICTION_STAGES + 1,
         closure_passes=closure_passes,

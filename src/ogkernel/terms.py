@@ -13,9 +13,10 @@ piece of logic is the builtin catalog: each former's argument kinds (enforced
 when a `BuiltinRule` is built) and its signature (`fn_signature`).
 
 Records outside the term language follow the same rule: a record is a `Term`
-when its class must take part in equality (the stream catalog, a trace node,
-a carrier, a verdict, a surface declaration) and a `typing.NamedTuple`, like
-`Span`, otherwise.
+when its class must take part in equality (the stream catalog, a carrier, a
+verdict, a surface declaration) or no field may ever change (a kernel
+theorem, which compares by identity), and a `typing.NamedTuple`, like `Span`,
+otherwise.
 """
 
 from __future__ import annotations

@@ -4,26 +4,24 @@ from __future__ import annotations
 
 import pytest
 
-from ogkernel.kernel import TraceNode
+from ogkernel.kernel import _SEAL, Theorem
 
 
-def _rejudge(thm, path: tuple[int, ...], judgment) -> None:
-    """Give `thm` a trace whose node at `path` (child positions from the root)
-    records `judgment`: that node and every node above it are rebuilt, and the
-    new root is installed in the theorem behind the kernel's back."""
-
-    def rebuilt(node: TraceNode, path: tuple[int, ...]) -> TraceNode:
-        if not path:
-            return TraceNode(node.kind, node.label, judgment, node.children, node.payload)
-        i, *rest = path
-        children = (*node.children[:i], rebuilt(node.children[i], rest), *node.children[i + 1 :])
-        return TraceNode(node.kind, node.label, node.judgment, children, node.payload)
-
-    thm._node = rebuilt(thm.node, path)
+def _rejudge(thm: Theorem, path: tuple[int, ...], judgment) -> Theorem:
+    """A forgery of `thm` whose trace node at `path` (child positions from the
+    root) records `judgment`: that node and every node above it are rebuilt
+    with the kernel's private seal, as no kernel operation would build them."""
+    if not path:
+        return Theorem(_SEAL, thm.kind, thm.label, judgment, thm.children, thm.payload)
+    i, *rest = path
+    child = _rejudge(thm.children[i], tuple(rest), judgment)
+    children = (*thm.children[:i], child, *thm.children[i + 1 :])
+    return Theorem(_SEAL, thm.kind, thm.label, thm.judgment, children, thm.payload)
 
 
 @pytest.fixture
 def rejudge():
-    """`rejudge(thm, path, judgment)`: tamper with one recorded judgment of a
-    theorem's trace; trace nodes are tuples, so the path to it is rebuilt."""
+    """`rejudge(thm, path, judgment)`: a forged copy of a theorem with one
+    recorded judgment of its trace changed; theorems are immutable, so the
+    path to that node is rebuilt."""
     return _rejudge

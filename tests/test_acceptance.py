@@ -11,10 +11,10 @@ import json
 import time
 from pathlib import Path
 
-from ogkernel.cli import EXIT_CHECK_FAILED, EXIT_OK, Report, RunConfig, main, run
+from ogkernel.cli import EXIT_CHECK_FAILED, EXIT_OK, RunConfig, main, run
 from ogkernel.elaborate import elaborate_source
 from ogkernel.hf import HFUniverse, check_zfc1_instances
-from ogkernel.kernel import Kernel, axioms_used
+from ogkernel.kernel import AxiomId, Kernel, axioms_used
 from ogkernel.semantics import (
     Carrier,
     Model,
@@ -22,8 +22,8 @@ from ogkernel.semantics import (
     interpret_fn,
     soundness_sweep,
 )
-from ogkernel.stdlib import choice_instance, prelude_source
-from ogkernel.streams import Periodic, demonstrate_gap
+from ogkernel.stdlib import prelude_source
+from ogkernel.streams import demonstrate_gap
 from ogkernel.surface import parse_source, render_decl
 from ogkernel.terms import (
     BuiltinRule,
@@ -114,7 +114,7 @@ def test_criterion_4_choice_instances():
                             for t, v in zip(tags[:nd], values)
                         ),
                     )
-                    thm = choice_instance(kernel, surj, d, c)
+                    thm = kernel.axiom(AxiomId.H2_CHOICE, (surj, d, c))
                     section = {k.tag: v.tag for k, v in thm.judgment.fn.rows}
                     surj_map = dict(zip(tags[:nd], values))
                     assert all(surj_map[section[t]] == t for t in tags[:nc])
@@ -134,7 +134,7 @@ def test_criterion_5_coherent_limit_gap():
         assert by_name["limit-outside-model"].status == "pass"
         assert "(64, 64, 4096)" in by_name["limit-outside-model"].detail
         # control experiment: a periodic base stream flips sub-result (d)
-        control = demonstrate_gap(Periodic((1,), (0, 1)))
+        control = demonstrate_gap("periodic:1/01")
         assert control.base_verdict.member
         assert not control.passed
         assert control.conclusion.startswith("withdrawn")
@@ -182,4 +182,4 @@ def test_criterion_8_parser_robustness():
         _, first = run(config)
         _, second = run(config)
         assert first.to_json() == second.to_json()
-        assert Report.from_json(first.to_json()) == first
+        assert json.loads(first.to_json()) == first.to_dict()

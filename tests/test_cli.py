@@ -307,8 +307,8 @@ def test_report_json_round_trip():
             Item("H3", "assumed", "truncated"),
         ),
     )
-    assert Report.from_json(report.to_json()) == report
     data = json.loads(report.to_json())
+    assert data == report.to_dict()
     assert data["summary"] == {"pass": 1, "fail": 1, "assumed": 1}
     assert set(data) == {"version", "command", "items", "summary"}
 
@@ -458,7 +458,7 @@ def test_emit_report_to_file(tmp_path):
     report = Report(__version__, "axioms", (Item("H1", "assumed", "x"),))
     out = tmp_path / "report.json"
     assert emit_report(report, "json", str(out)) == EXIT_OK
-    assert Report.from_json(out.read_text()) == report
+    assert out.read_text() == report.to_json()
 
 
 @pytest.mark.parametrize(
@@ -731,8 +731,7 @@ def test_a_replay_failure_fails_its_trace_item_and_names_the_node(
     replay = cli.verify_trace
 
     def tampering_replay(thm):
-        rejudge(thm, (0,), SupportsQuant(TWO))  # the H3 node
-        return replay(thm)
+        return replay(rejudge(thm, (0,), SupportsQuant(TWO)))  # a forged H3 node
 
     monkeypatch.setattr(cli, "verify_trace", tampering_replay)
     assert main(["check", "--format", "json", str(path)]) == EXIT_CHECK_FAILED

@@ -27,14 +27,13 @@ from ogkernel.kernel import (
     SchemaError,
     Theorem,
     TotalityError,
-    TraceNode,
     _judge,
     axioms_used,
     leaf_kinds,
     trace_nodes,
     verify_trace,
 )
-from ogkernel.semantics import Carrier, Model, interpret, verify_judgment
+from ogkernel.semantics import Carrier, Model, SweepItem, interpret, verify_judgment
 from ogkernel.streams import CoherenceError
 from ogkernel.terms import (
     NAT,
@@ -55,6 +54,7 @@ from ogkernel.terms import (
     Product,
     SupportsQuant,
     Table,
+    Term,
 )
 
 
@@ -416,17 +416,43 @@ def test_choice_counterexample(kernel):
 # -- sealing and trace integrity
 
 
-def test_theorems_are_sealed():
-    with pytest.raises(TypeError):
-        Theorem(IsSet(TWO), TraceNode("axiom", "H1", IsSet(TWO)))
+def test_theorems_are_sealed(kernel):
+    with pytest.raises(TypeError, match="only by kernel operations"):
+        Theorem(object(), "axiom", "H1", IsSet(TWO), (), ())
+    assert Theorem.__slots__ == ()
+    two_set = kernel.axiom(AxiomId.H1_TWO_IS_SET)
+    assert isinstance(two_set, Term) and two_set.node is two_set
+    # a set's parts are its premises, the very theorems of its trace
+    assert len(two_set.parts) == 2
+    assert all(part is child for part, child in zip(two_set.parts, two_set.children))
+
+
+def test_a_premise_must_be_a_theorem(kernel):
+    squant = kernel.axiom(AxiomId.H3_NAT_SUPPORTS_QUANT)
+    domain = _nat_domain(kernel)
+    # anything with a judgment, even another record that carries one
+    lookalike = SweepItem(SupportsQuant(NAT), (), ())
+    with pytest.raises(PremiseError, match="every premise must be a theorem"):
+        kernel.set_intro(domain, lookalike)
+    assert kernel.set_intro(domain, squant).judgment == IsSet(NAT)
+
+
+def test_no_attribute_of_a_theorem_can_be_assigned(kernel):
+    thm = kernel.axiom(AxiomId.H3_NAT_SUPPORTS_QUANT)
+    other = kernel.axiom(AxiomId.H1_TWO_IS_SET)
+    for name in ("_node", "_parts", "judgment", "children", "payload", "parts", "node"):
+        with pytest.raises(AttributeError):
+            setattr(thm, name, other)
+        with pytest.raises(AttributeError):
+            delattr(thm, name)
+    assert thm.judgment == SupportsQuant(NAT) and verify_trace(thm).passed
 
 
 def test_corrupted_trace_fails_at_root(kernel, rejudge):
     thm = kernel.axiom(AxiomId.H3_NAT_SUPPORTS_QUANT)
     assert verify_trace(thm).passed
-    # swap the recorded judgment behind the kernel's back
-    rejudge(thm, (), SupportsQuant(TWO))
-    report = verify_trace(thm)
+    # a forgery that records another judgment under the kernel's seal
+    report = verify_trace(rejudge(thm, (), SupportsQuant(TWO)))
     assert not report.passed
     assert report.failure.startswith("H3 node SupportsQuant(Two): ")
 
@@ -435,8 +461,7 @@ def test_tampered_inner_node_is_named_by_replay(kernel, rejudge):
     p2 = kernel.squant_from_powerset(
         kernel.squant_from_powerset(kernel.axiom(AxiomId.H3_NAT_SUPPORTS_QUANT))
     )
-    rejudge(p2, (0,), SupportsQuant(Powerset(TWO)))  # the middle node
-    report = verify_trace(p2)
+    report = verify_trace(rejudge(p2, (0,), SupportsQuant(Powerset(TWO))))  # the middle node
     assert not report.passed and report.node_count == 3
     assert report.failure == (
         "squant_from_powerset node SupportsQuant(P[Two]): "
@@ -446,8 +471,8 @@ def test_tampered_inner_node_is_named_by_replay(kernel, rejudge):
 
 def test_replay_rederives_a_generator_declaration_from_its_name(kernel, rejudge):
     thm = kernel.gen_intro(Ident("G"))
-    rejudge(thm, (), IsGen(Named(Ident("H"))))
-    assert verify_trace(thm).failure == "generator node Gen(H): replay derives Gen(G)"
+    forged = rejudge(thm, (), IsGen(Named(Ident("H"))))
+    assert verify_trace(forged).failure == "generator node Gen(H): replay derives Gen(G)"
 
 
 def test_trace_leaf_kinds_for_naturals(kernel):

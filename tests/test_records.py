@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import ogkernel
 from ogkernel import cli, terms
 from ogkernel.elaborate import Item, elaborate_source
-from ogkernel.kernel import TraceNode
+from ogkernel.kernel import AxiomId, Kernel, Theorem
 from ogkernel.semantics import FAILS, HOLDS, Carrier, Model, Verdict, models_for_judgment
 from ogkernel.stdlib import prelude_source
 from ogkernel.streams import (
@@ -82,7 +82,7 @@ TERM_CLASSES = (
 # Records outside the term language whose class takes part in equality.
 RECORD_CLASSES = (
     Periodic, SquaresIndicator, PowersOfTwoIndicator, FiniteSupport, XorOf, ShiftOf, FlipAt,
-    TraceNode, Carrier, Verdict, LimitRef, SurfaceJudgment, AxiomRef, RuleApp,
+    Theorem, Carrier, Verdict, LimitRef, SurfaceJudgment, AxiomRef, RuleApp,
     GeneratorDecl, MorphismDecl, AssertDecl, ModelCheckDecl, IncludeDecl, LimitDecl,
 )
 BASES = (Term, GenExpr, FnExpr, Judgment)
@@ -367,7 +367,7 @@ def test_hashed_records_are_immutable_values():
         (stream, "left"),
         (SquaresIndicator(), "offset"),
         (Verdict(HOLDS), "status"),
-        (TraceNode("axiom", "H3", IsSet(NAT)), "judgment"),
+        (Kernel().axiom(AxiomId.H3_NAT_SUPPORTS_QUANT), "judgment"),
     ):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
@@ -379,8 +379,9 @@ def test_hashed_records_are_immutable_values():
     assert stream == copy and hash(stream) == hash(copy)
     assert SquaresIndicator() == SquaresIndicator()
     assert Periodic((), (1,)) != FiniteSupport((1,))
-    node = TraceNode("axiom", "H3", IsSet(NAT))
-    assert node != TraceNode("axiom", "H3", IsSet(NAT)) and node == node
+    kernel = Kernel()
+    h3 = kernel.axiom(AxiomId.H3_NAT_SUPPORTS_QUANT)
+    assert h3 != kernel.axiom(AxiomId.H3_NAT_SUPPORTS_QUANT) and h3 == h3  # by identity
 
 
 # -- the contracts of the Term records outside the term language
@@ -400,7 +401,7 @@ def _one_record_of_each_class() -> list[Term]:
         IsCoherentFamily(family),
         Periodic((0,), (1,)), squares, PowersOfTwoIndicator(), FiniteSupport((1, 0)),
         XorOf(squares, squares), ShiftOf(squares, 1), FlipAt(squares, 2),
-        TraceNode("axiom", "H3", SupportsQuant(NAT)), Carrier("G", ("a",)), Verdict(HOLDS),
+        Kernel().axiom(AxiomId.H3_NAT_SUPPORTS_QUANT), Carrier("G", ("a",)), Verdict(HOLDS),
         LimitRef("F"), judgment, proof, RuleApp("H4", (proof,)),
         GeneratorDecl("G", None, ("a",), span), MorphismDecl("f", TWO, TWO, eq, span),
         AssertDecl(judgment, proof, span), ModelCheckDecl(judgment, 2, span),

@@ -368,6 +368,19 @@ def test_axiom_instances_detect_corruption():
     assert checks["H2"].detail.startswith("sections found for all")
 
 
+def test_axiom_instances_read_every_carrier_through_the_hook():
+    # test hook: Nat has two objects whatever its bound, so H2 ranges over
+    # the four pairs of two-object carriers, with two surjections each
+    def short_nat(expr, model):
+        return Carrier("Nat", ("0", "1")) if expr == NAT else interpret(expr, model)
+
+    model = Model.make({}, nat_bound=3)
+    checks = {c.axiom: c for c in verify_axiom_instances(model, _interpret=short_nat)}
+    assert checks["H2"].detail == (
+        "sections found for all 8 surjections between checked carriers with |dom| <= 4"
+    )
+
+
 def test_soundness_sweep_flags_corrupt_judgments():
     constant_yes = Table(
         Product(TWO, TWO),

@@ -1,5 +1,5 @@
 """The standard constructions, built through `.og` elaboration, and choice
-instances."""
+instances through the kernel's H2."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import pytest
 
 from ogkernel.elaborate import ElabResult, elaborate_source
 from ogkernel.kernel import (
+    AxiomId,
     CounterexampleError,
     Kernel,
     PremiseError,
@@ -16,7 +17,7 @@ from ogkernel.kernel import (
     verify_trace,
 )
 from ogkernel.semantics import Model, default_model, fn_values, interpret
-from ogkernel.stdlib import choice_instance, evidence_models, prelude_source
+from ogkernel.stdlib import evidence_models, prelude_source
 from ogkernel.terms import (
     NAT,
     TWO,
@@ -191,7 +192,7 @@ def test_choice_instance_three_to_two(kernel):
             (ObjLit("c", g), ObjLit("no", TWO)),
         ),
     )
-    thm = choice_instance(kernel, surj, g, TWO)
+    thm = kernel.axiom(AxiomId.H2_CHOICE, (surj, g, TWO))
     section = {k.tag: v.tag for k, v in thm.judgment.fn.rows}
     surj_map = {k.tag: v.tag for k, v in surj.rows}
     assert all(surj_map[section[t]] == t for t in ("yes", "no"))
@@ -206,7 +207,7 @@ def test_choice_instance_counterexample(kernel):
         ((ObjLit("a", g), ObjLit("yes", TWO)), (ObjLit("b", g), ObjLit("yes", TWO))),
     )
     with pytest.raises(CounterexampleError) as exc:
-        choice_instance(kernel, not_surj, g, TWO)
+        kernel.axiom(AxiomId.H2_CHOICE, (not_surj, g, TWO))
     assert exc.value.uncovered == "no"
 
 
@@ -230,7 +231,7 @@ def test_choice_instances_exhaustive_small():
                         (ObjLit(t, d), ObjLit(v, c)) for t, v in zip(tags[:nd], values)
                     ),
                 )
-                thm = choice_instance(kernel, surj, d, c)
+                thm = kernel.axiom(AxiomId.H2_CHOICE, (surj, d, c))
                 section = {k.tag: v.tag for k, v in thm.judgment.fn.rows}
                 surj_map = dict(zip(tags[:nd], values))
                 assert all(surj_map[section[t]] == t for t in tags[:nc])
