@@ -36,7 +36,7 @@ print(f"  squares: {verdict.describe()}")
 
 print("\n== the full machine-checked report ==")
 report = demonstrate_gap()
-for name, ok, detail in report.sub_results():
+for name, ok, detail in report.sub_results:
     print(f"  [{'ok' if ok else 'FAIL'}] {name}: {detail}")
 print(f"  conclusion: {report.conclusion}")
 

@@ -606,7 +606,7 @@ def _run_include(session: _Session, decl: IncludeDecl, base_dir: Path | None) ->
 def gap_items(report: streams.GapReport) -> list[Item]:
     """The report items of a gap demonstration: its sub-results, then its
     conclusion."""
-    results = [*report.sub_results(), ("conclusion", report.passed, report.conclusion)]
+    results = [*report.sub_results, ("conclusion", report.passed, report.conclusion)]
     return [Item(name, "pass" if ok else "fail", detail) for name, ok, detail in results]
 
 

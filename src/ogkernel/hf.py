@@ -18,6 +18,8 @@ each with at most 4 members).
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
 __all__ = ["HFUniverse", "Zfc1Family", "Zfc1Report", "check_zfc1_instances", "RankError"]
@@ -147,9 +149,8 @@ def _check_union(elems: tuple[int, ...], whole: int) -> Zfc1Family:
     failures = []
     for x in elems:
         union = _union(x)
-        in_some_member = 0
-        for y in members(x):
-            in_some_member |= y
+        # The reference reads membership in x from its code, not from `members`.
+        in_some_member = reduce(or_, [y for y in elems if x >> y & 1], 0)
         # Union lowers rank, so it must land back inside the universe.
         if (union ^ in_some_member) & whole or not whole >> union & 1:
             failures.append(f"union of {render_hf(x)}")

@@ -181,6 +181,16 @@ def test_broken_union_fails(monkeypatch):
     assert failures == {"union": tuple(f"union of {render_hf(x)}" for x in (0, 1, 4, 5))}
 
 
+def test_union_reads_membership_from_the_codes(monkeypatch):
+    # Drop each set's least member from `members`: `_union` then misses that
+    # member's own members, which changes the unions of the codes 2, 4, 6 and
+    # 8.  The reference reads membership from the codes, so all four fail.
+    members = hf.members
+    monkeypatch.setattr(hf, "members", lambda code: members(code)[1:])
+    failures = _failing(check_zfc1_instances(HFUniverse.build(3)))
+    assert len(failures["union"]) == 4
+
+
 @pytest.mark.parametrize(
     "damage",
     [

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -329,11 +333,21 @@ def test_family_violation_matches_stage_scan():
                 assert violation == (scan.violation, first), descriptor
 
 
+def _oks(report) -> dict[str, bool]:
+    return {name: ok for name, ok, _ in report.sub_results}
+
+
 def test_demonstrate_gap_passes():
     report = demonstrate_gap()
-    assert report.restriction_passes == report.restriction_total == 257
-    assert report.closure_passes == report.closure_total == 100
-    assert report.union_matches
+    details = {name: detail for name, _, detail in report.sub_results}
+    assert _oks(report) == dict.fromkeys(
+        ["finite-restrictions-in-model", "closure-spot-checks", "union-round-trip",
+         "limit-outside-model"],
+        True,
+    )
+    assert details["finite-restrictions-in-model"].startswith("257/257 ")
+    assert details["closure-spot-checks"].startswith("210/210 ")
+    assert details["union-round-trip"].endswith("up to stage 256")
     assert not report.base_verdict.member
     assert report.passed
     assert "not the coherent limit" in report.conclusion
@@ -345,34 +359,70 @@ def test_demonstrate_gap_passes():
         ("xor_witness", lambda w1, w2: (0, math.lcm(w1[1], w2[1]))),
         ("shift_witness", lambda w, offset: (0, w[1])),
         ("flip_witness", lambda w, index: w),
+        pytest.param(
+            "xor_witness", lambda w1, w2: (max(w1[0], w2[0]), w1[1] + w2[1]), id="xor_witness-sum"
+        ),
     ],
 )
 def test_the_closure_spot_checks_catch_a_wrong_witness(name, wrong, monkeypatch):
     monkeypatch.setattr(streams, name, wrong)
-    assert demonstrate_gap().closure_passes < 100
+    report = demonstrate_gap()
+    assert not _oks(report)["closure-spot-checks"]
+    assert not report.passed and report.conclusion.startswith("withdrawn")
 
 
-def test_closure_draws_reach_every_length_in_their_ranges():
-    rng = random.Random(1)
-    lengths: dict[str, set[int]] = {"preperiod": set(), "period": set(), "support": set()}
-    for _ in range(2000):
-        stream, witness = streams._random_member(rng)
-        if isinstance(stream, Periodic):
-            lengths["preperiod"].add(len(stream.preperiod))
-            lengths["period"].add(len(stream.period))
-            assert witness == (len(stream.preperiod), len(stream.period))
-        else:
-            lengths["support"].add(len(stream.bits))
-            assert witness == (len(stream.bits), 1)
-    assert lengths == {"preperiod": set(range(5)), "period": set(range(1, 5)), "support": set(range(7))}
-    # the shift and flip draws
-    assert {streams._draw(rng, 0, 8) for _ in range(2000)} == set(range(9))
-    assert {streams._draw(rng, 0, 16) for _ in range(2000)} == set(range(17))
+def _stray_one_past_the_bits(monkeypatch) -> str:
+    prefix = FiniteSupport.prefix
+    monkeypatch.setattr(
+        FiniteSupport,
+        "prefix",
+        lambda self, n: prefix(self, n)[:-1] + b"\1" if n >= len(self.bits) else prefix(self, n),
+    )
+    return "squares"
+
+
+def _corrupt_stages(monkeypatch) -> str:
+    resolve = streams.resolve_family
+    monkeypatch.setattr(streams, "resolve_family", lambda _: resolve("corrupt(squares,5,7)"))
+    return "squares"
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [
+        ("finite-restrictions-in-model", _stray_one_past_the_bits),
+        ("union-round-trip", _corrupt_stages),
+    ],
+)
+def test_each_sub_result_has_a_corruption_that_flips_it(name, corrupt, monkeypatch):
+    # (b) is flipped by the wrong witnesses above, (d) by the control below.
+    report = demonstrate_gap(corrupt(monkeypatch))
+    assert not _oks(report)[name]
+    assert not report.passed and report.conclusion.startswith("withdrawn")
+
+
+def test_demonstrate_gap_searches_only_for_the_limit(monkeypatch):
+    calls = []
+    decide = streams.ep_decide
+    monkeypatch.setattr(streams, "ep_decide", lambda *args: calls.append(args) or decide(*args))
+    assert demonstrate_gap().passed
+    assert calls == [(SquaresIndicator(), 64, 64, 4096)]
+
+
+def test_importing_the_cli_loads_no_random():
+    # -S skips the .pth files of site-packages, which may import random themselves.
+    env = {**os.environ, "PYTHONPATH": str(Path(streams.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, ogkernel.cli; print('random' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "False\n"
 
 
 def test_demonstrate_gap_control_flips():
     report = demonstrate_gap("periodic:1/01")
     assert report.base_spec == "periodic:1/01" and report.base_verdict.member
+    assert _oks(report) == {**_oks(demonstrate_gap()), "limit-outside-model": False}
     assert not report.passed
     assert report.conclusion.startswith("withdrawn")
 
