@@ -564,7 +564,8 @@ def _run_model_check(session: _Session, decl: ModelCheckDecl) -> None:
 
 def sweep_item(name: str, item: SweepItem) -> Item:
     """The report item of a judgment's sweep: it fails with the first model
-    that refutes it, is skipped when no model settles it, and passes otherwise."""
+    that refutes it, is skipped when no model settles it (naming the model
+    count past MODEL_BUDGET), and passes otherwise."""
     statuses = [verdict.status for verdict in item.verdicts]
     fails, holds, total = statuses.count(FAILS), statuses.count(HOLDS), len(statuses)
     if fails:
@@ -572,7 +573,10 @@ def sweep_item(name: str, item: SweepItem) -> Item:
         witness = dict(item.verdicts[k].witness) | {"model": item.models[k].describe()}
         return Item(name, "fail", f"fails in {fails}/{total} models", witness)
     if not holds:
-        return Item(name, "skipped", "not finitely checkable at this bound")
+        detail = "not finitely checkable at this bound"
+        if not item.models:  # past MODEL_BUDGET: the verdict names the model count
+            detail += f": {item.verdicts[0].detail}"
+        return Item(name, "skipped", detail)
     detail = f"holds in {holds}/{total} models"
     if holds < total:
         detail += " (rest not finitely checkable)"

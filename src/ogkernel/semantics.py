@@ -9,13 +9,15 @@ The objects of a carrier are the integers 0 .. n-1: a Nat numeral k is k, an
 object of a named generator is its position in the assigned tags, a product
 pair (i, j) is ``i*|B| + j``, and a powerset element is the bitmask of its
 members.  Every law is checked on these indices, by list and bytes operations
-that run in C where it spans a whole carrier; object tags are parsed only where
-a term names an object and rendered only for witnesses and reports.  One budget
-bounds every check: `interpret` refuses a carrier or function domain of more
-than CARRIER_BUDGET objects as not finitely checkable.  A carrier records its
-parts and no objects, so it is sized before anything is enumerated.  A
-judgment's models come from the names and Nat that `terms.collect_names` finds,
-and `soundness_sweep` is the one place that judges a judgment in its models.
+that run in C where it spans a whole carrier: the diagonal and detector laws
+read one byte per object; object tags are parsed only where a term names an
+object and rendered only for witnesses and reports.  Two budgets bound every
+check: `interpret` refuses a carrier or function domain of more than
+CARRIER_BUDGET objects, and `models_for_judgment` a judgment of more than
+MODEL_BUDGET models, as not finitely checkable.  A carrier records its parts
+and no objects, so it is sized before anything is enumerated.  A judgment's
+models come from the names and Nat that `terms.collect_names` finds, and
+`soundness_sweep` is the one place that judges a judgment in its models.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ __all__ = [
     "FAILS",
     "NOT_FINITELY_CHECKABLE",
     "CARRIER_BUDGET",
+    "MODEL_BUDGET",
     "NO_VALUE",
     "InterpretationError",
     "NotFinitelyCheckable",
@@ -92,12 +95,16 @@ NOT_FINITELY_CHECKABLE = "not-finitely-checkable"
 # No carrier or function domain with more objects is enumerated.  2**16 is
 # the powerset of a 16-object carrier and the pair domain of a 256-object one.
 CARRIER_BUDGET = 1 << 16
+# No judgment is judged in more models: s**k of them for k names at size s,
+# times s when Nat occurs.
+MODEL_BUDGET = 1 << 10
 
 # Evaluator results besides codomain indices.
 NO_VALUE = -1  # the function has no value at this domain object
 OUTSIDE = -2  # a table row whose value is no object of the codomain
-# The formers whose values `fn_values` builds whole, by list operations in C;
-# scanning them for the two results above would cost more than building them.
+# The formers whose values `fn_values` builds whole, as bytes: they are total
+# and Two-valued, so neither result above occurs, and a whole-carrier law over
+# them compares bytes without a list of up to CARRIER_BUDGET ints.
 _WHOLE_FORMERS = ("eq_of", "empty_detector_of")
 YES, NO = 0, 1  # the objects of Two
 
@@ -270,22 +277,21 @@ def _table_values(table: Table, model: Model) -> tuple[int, ...]:
     return tuple(values)  # cached: shared by every caller
 
 
-def fn_values(fn: FnExpr, model: Model) -> list[int]:
+def fn_values(fn: FnExpr, model: Model) -> Sequence[int]:
     """The codomain index of `fn` at every index of its domain; NO_VALUE
     where `fn` has no value.  Only a table can send an object OUTSIDE its
-    codomain, and `eq_of` and `empty_detector_of` have a value everywhere."""
+    codomain.  `eq_of` and `empty_detector_of` have a value everywhere and
+    come back as bytes, one per object; the others as a list."""
     n = len(interpret(fn_signature(fn)[0], model))
     if isinstance(fn, Table):
         return list(_table_values(fn, model))
     if fn.rule == "eq_of":
         side = len(interpret(fn.args[0], model))
-        values = [NO] * n
-        values[:: side + 1] = [YES] * side  # the pairs (i, i)
+        values = bytearray((NO,)) * n
+        values[:: side + 1] = bytes((YES,)) * side  # the pairs (i, i)
         return values
     if fn.rule == "empty_detector_of":
-        values = [NO] * n
-        values[0] = YES  # the empty table
-        return values
+        return bytes((YES,)) + bytes((NO,)) * (n - 1)  # yes at the empty table
     if fn.rule == "union_of_family":
         stream = streams.family_limit(fn.args[0])
     else:  # indicator_stream, restrict: a catalog stream on Nat
@@ -441,9 +447,9 @@ def _verify_domain(j: IsDomain, model: Model) -> Verdict:
     # The diagonal law at all |A|^2 pairs: yes exactly at the pairs (i, i).
     carrier = interpret(j.expr, model)
     n = len(carrier)
-    got = fn_values(j.eq, model)  # total on A * A: the Mor check held
+    got = fn_values(j.eq, model)  # total and Two-valued: the Mor check held
     expected = fn_values(BuiltinRule("eq_of", (j.expr,)), model)
-    if got != expected:
+    if bytes(got) != expected:
         x, y = divmod(next(k for k, (g, e) in enumerate(zip(got, expected)) if g != e), n)
         detail = "equality pairing does not flag exactly the same-object pairs"
         value, want = TWO_CARRIER.tag(got[x * n + y]), "yes" if x == y else "no"
@@ -526,10 +532,14 @@ def models_for_judgment(j: Judgment, max_size: int) -> tuple[Model, ...]:
 
     Named generators get carriers of every size 1..max_size; when the
     judgment mentions Nat, the truncation bound sweeps carrier sizes
-    1..max_size as well.
+    1..max_size as well.  Not finitely checkable past MODEL_BUDGET models,
+    which are counted before any is built.
     """
     idents: set[Ident] = set()
     nat_bounds = range(max_size) if collect_names(j, idents) else [None]
+    count = max_size ** len(idents) * len(nat_bounds)
+    if count > MODEL_BUDGET:
+        raise NotFinitelyCheckable(f"{count} models at size {max_size}, more than {MODEL_BUDGET}")
     names = sorted(ident.text for ident in idents)
     return tuple(
         Model.make(
@@ -542,7 +552,8 @@ def models_for_judgment(j: Judgment, max_size: int) -> tuple[Model, ...]:
 
 
 class SweepItem(NamedTuple):
-    """A judgment's canonical models and its verdict in each, in that order."""
+    """A judgment's canonical models and its verdict in each, in that order;
+    past MODEL_BUDGET, no models and a verdict that names their count."""
 
     judgment: Judgment
     models: tuple[Model, ...]
@@ -568,8 +579,12 @@ def soundness_sweep(judgments: Sequence[Judgment], max_size: int = 3) -> SweepRe
         raise ValueError(f"soundness sweep sizes range over {SWEEP_SIZES[0]}..{SWEEP_SIZES[-1]}")
     items = []
     for j, times in Counter(judgments).items():
-        models = models_for_judgment(j, max_size)
-        verdicts = tuple(verify_judgment(j, model) for model in models)
+        try:
+            models = models_for_judgment(j, max_size)
+        except NotFinitelyCheckable as exc:
+            models, verdicts = (), (Verdict(NOT_FINITELY_CHECKABLE, str(exc)),)
+        else:
+            verdicts = tuple(verify_judgment(j, model) for model in models)
         items.append(SweepItem(j, models * times, verdicts * times))
     counts = Counter(v.status for item in items for v in item.verdicts)
     return SweepReport(

@@ -242,6 +242,33 @@ def test_refusals_end_quickly_with_their_exit_code(argv, source, code, message, 
     assert "internal error" not in captured.err
 
 
+def test_a_model_check_past_the_model_budget_ends_at_once(tmp_path):
+    # Ten untagged generators at size 4 have 4**10 models: the sweep counts
+    # them and skips the item, where building them took seconds and gigabytes.
+    names = [f"G{i}" for i in range(10)]
+    path = tmp_path / "generators.og"
+    path.write_text(
+        "".join(f"generator {name} primitive;\n" for name in names)
+        + f"model check Gen({' * '.join(names)}) upto 4;\n"
+    )
+    script = (
+        "import resource, sys\n"
+        "import ogkernel.cli as cli\n"
+        "status = open('/proc/self/status').read().split('VmSize:')[1]\n"
+        "memory = int(status.split()[0]) * 1024 + 256 * 2**20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (memory, memory))\n"
+        "resource.setrlimit(resource.RLIMIT_CPU, (2, 3))\n"
+        f"sys.exit(cli.main(['check', {str(path)!r}]))\n"
+    )
+    started = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=10
+    )
+    assert time.perf_counter() - started < 2.0
+    assert result.returncode in (EXIT_OK, EXIT_CHECK_FAILED), result.stderr
+    assert "1048576 models at size 4, more than 1024" in result.stdout
+
+
 def test_deeply_nested_stream_spec_is_refused(tmp_path, capsys):
     nested = "shift(" * 500 + "squares" + ",1)" * 500
     path = tmp_path / "nested.og"

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+import tracemalloc
 
 import pytest
 
 from ogkernel import semantics
-from ogkernel.elaborate import elaborate_source
+from ogkernel.elaborate import Item, elaborate_source, sweep_item
 from ogkernel.semantics import (
     FAILS,
     HOLDS,
@@ -123,6 +125,55 @@ def test_detector_law_reads_the_detector(monkeypatch):
     verdict = verify_judgment(SupportsQuant(expr), model)
     assert verdict.status == FAILS
     assert dict(verdict.witness) == {"carrier": "P[A]", "table": "{}", "expected": "yes"}
+
+
+def test_the_detector_law_catches_a_fault_at_full_size(monkeypatch):
+    # At 2^16 tables, the size the bytes compare was made for, a detector that
+    # also flags mask 1 fails the judgment and H4.  The fault is made on a
+    # bytearray copy, so it works whatever sequence `fn_values` returns.
+    real = semantics.fn_values
+
+    def flag_mask_one(fn, model):
+        values = real(fn, model)
+        if fn.rule != "empty_detector_of" or len(values) != semantics.CARRIER_BUDGET:
+            return values
+        values = bytearray(values)
+        values[1] = semantics.YES
+        return values
+
+    monkeypatch.setattr(semantics, "fn_values", flag_mask_one)
+    tower = Powerset(Powerset(NAT))
+    verdict = verify_judgment(SupportsQuant(tower), default_model(nat_bound=1))
+    assert verdict.status == FAILS
+    assert dict(verdict.witness) == {"carrier": "P[P[P[Nat]]]", "table": "{{}}", "expected": "no"}
+    checks = {check.axiom: check for check in verify_axiom_instances(default_model(3))}
+    assert (checks["H4"].status, checks["H4"].detail) == (
+        FAILS, "powerset detector law violated over Nat"
+    )
+    assert checks["H1"].status == HOLDS  # P[Two] has 4 tables: not patched
+
+
+def test_the_carrier_wide_laws_build_no_list_per_object():
+    # At 2^16 objects one byte each is 64 KiB, and a list of ints is 512 KiB.
+    tower = Powerset(Powerset(NAT))
+    checks = (
+        lambda: [verify_judgment(SupportsQuant(tower), default_model(nat_bound=1))],
+        lambda: [
+            verify_judgment(IsDomain(tower, BuiltinRule("eq_of", (tower,))), default_model(2))
+        ],
+        lambda: verify_axiom_instances(default_model(3)),
+    )
+    for check in checks:
+        interpret.cache_clear()
+        semantics._empty_flags.cache_clear()
+        tracemalloc.start()
+        try:
+            verdicts = check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(v.status in (HOLDS, "assumed") for v in verdicts)
+        assert peak < 256 * 1024, peak
 
 
 def test_interpret_errors():
@@ -256,7 +307,7 @@ def test_a_row_on_nat_makes_the_judgment_sweep_nat_bounds():
 
 
 def _holes_and_outside(fn, model) -> tuple[int, int]:
-    values = semantics.fn_values(fn, model)
+    values = list(semantics.fn_values(fn, model))  # bytes.count takes no -1
     return values.count(semantics.NO_VALUE), values.count(semantics.OUTSIDE)
 
 
@@ -410,6 +461,31 @@ def test_a_judgment_given_twice_is_verified_once_per_model(monkeypatch):
     assert first.verdicts == tuple(verify(twice, model) for model in models * 2)
     assert (second.judgment, second.models) == (IsGen(TWO), (Model(),))
     assert (report.checked, report.holds) == (2 * len(models) + 1, 2 * len(models) + 1)
+
+
+def test_a_judgment_past_the_model_budget_is_counted_not_built(monkeypatch):
+    # s**k models for k names at size s, times s when Nat occurs: four names
+    # and Nat at size 4 make MODEL_BUDGET = 1024 models, five make 4096.
+    made = []
+    real = semantics.Model.make
+    monkeypatch.setattr(semantics.Model, "make", lambda *a, **k: made.append(1) or real(*a, **k))
+    within, past = (
+        IsGen(functools.reduce(Product, [*(Named(Ident(f"G{i}")) for i in range(k)), NAT]))
+        for k in (4, 5)
+    )
+    detail = "4096 models at size 4, more than 1024"
+    with pytest.raises(semantics.NotFinitelyCheckable, match=detail):
+        models_for_judgment(past, 4)
+    assert made == []
+    report = soundness_sweep([within, past, past], max_size=4)
+    assert len(made) == len(report.items[0].models) == semantics.MODEL_BUDGET
+    skipped = semantics.Verdict(NOT_FINITELY_CHECKABLE, detail)
+    assert report.items[1] == (past, (), (skipped, skipped))
+    assert (report.holds, report.not_checkable) == (1024, 2)
+    name = "model check Gen(G0 * G1 * G2 * G3 * G4 * Nat) upto 4"
+    assert sweep_item(name, report.items[1]) == Item(
+        name, "skipped", f"not finitely checkable at this bound: {detail}"
+    )
 
 
 def test_soundness_sweep_empty():
