@@ -1,9 +1,14 @@
 """Elaboration: execute parsed declarations against a fresh kernel.
 
 Assertions replay explicit proof expressions through kernel operations.
-A rule application takes its premises from its `from` subproofs first and
-then from judgments already proven in the session (lexical, top-to-bottom;
-there is no proof search).  Model-check and limit declarations invoke the
+Each rule proves judgments of fixed forms.  For each premise it takes the
+first `from` subproof whose judgment has the premise's form, or else the
+latest proof in the session (lexical, top-to-bottom; there is no proof
+search) of the judgment its goal names.  A subproof has no goal, so a
+premise that only a goal names must come from its `from`.  An `Eq(...)`
+assertion is proved by `rule eq_within` with no subproofs and is evaluated,
+not derived.  Generators and aliases share one namespace.  An include runs
+at most once per session.  Model-check and limit declarations invoke the
 finite-semantics oracle and the coherent-limit laboratory.
 
 Diagnostic codes: E0004 unknown name, E0005 include failure, E0101
@@ -133,10 +138,11 @@ class _Session:
         self.theorems: list[Theorem] = []
         self.items: list[Item] = []
         self.diagnostics: list[Diagnostic] = []
-        self.aliases: dict[str, GenExpr] = {}
+        self.generators: dict[str, GenExpr] = {}  # a primitive's Named, an alias's body
         self.morphisms: dict[str, tuple[FnExpr, GenExpr, GenExpr]] = {}
         self.families: dict[str, FamilySpec] = {}
         self.including: list[Path] = []
+        self.included: set[Path] = set()
 
     # -- helpers
 
@@ -169,11 +175,9 @@ class _Session:
     def resolve_expr(self, expr: GenExpr) -> GenExpr:
         if isinstance(expr, Named):
             name = expr.name.text
-            if name in self.aliases:
-                return self.aliases[name]
-            if name in self.kernel._declared:
-                return expr
-            raise _ElabError("E0004", f"unknown generator {name!r}")
+            if name not in self.generators:
+                raise _ElabError("E0004", f"unknown generator {name!r}")
+            return self.generators[name]
         if isinstance(expr, Product):
             return Product(self.resolve_expr(expr.left), self.resolve_expr(expr.right))
         if isinstance(expr, Powerset):
@@ -283,15 +287,14 @@ def _execute_proof(session: _Session, proof, goal: Judgment | None) -> Theorem:
     if isinstance(proof, AxiomRef):
         return _execute_axiom(session, proof.name)
     assert isinstance(proof, RuleApp)
-    name = _RULE_ALIASES.get(proof.name)
-    if name is None:
+    if proof.name not in _RULE_ALIASES:
         raise _ElabError(
             "E0102",
             f"unknown rule {proof.name!r}",
             note="rules: " + ", ".join(sorted(set(_RULE_ALIASES))),
         )
     premises = [_execute_proof(session, sub, None) for sub in proof.subproofs]
-    return _apply_rule(session, name, premises, goal)
+    return _apply_rule(session, proof.name, premises, goal)
 
 
 def _execute_axiom(session: _Session, name: str) -> Theorem:
@@ -310,111 +313,80 @@ def _pick(premises: list[Theorem], predicate) -> Theorem | None:
 
 
 def _apply_rule(
-    session: _Session, name: str, premises: list[Theorem], goal: Judgment | None
+    session: _Session, rule: str, premises: list[Theorem], goal: Judgment | None
 ) -> Theorem:
+    """Apply `rule`, as the file spells it, for `goal` (None in a subproof).
+    Each case names the goal forms the rule proves and its premises' targets."""
     kernel = session.kernel
 
-    if name == "squant":
-        premise = _pick(premises, lambda j: isinstance(j, SupportsQuant))
-        if premise is None:
-            if not isinstance(goal, SupportsQuant) or not isinstance(goal.expr, Powerset):
-                raise _ElabError(
-                    "E0102", "squant_from_powerset needs a SupportsQuant premise"
-                )
-            premise = session.require_judgment(SupportsQuant(goal.expr.arg))
-        return kernel.squant_from_powerset(premise)
-
-    if name == "set_intro":
-        dom = _pick(premises, lambda j: isinstance(j, IsDomain))
-        sq = _pick(premises, lambda j: isinstance(j, SupportsQuant))
-        if goal is not None and not isinstance(goal, IsSet):
-            raise _ElabError("E0102", "set_intro proves Set(...) judgments")
-        expr = goal.expr if isinstance(goal, IsSet) else None
-        if expr is None and dom is not None:
-            expr = dom.judgment.expr
-        if expr is None:
-            raise _ElabError("E0102", "set_intro cannot infer its subject")
-        if dom is None:
-            dom = session.require(
-                lambda j: isinstance(j, IsDomain) and j.expr == expr,
-                lambda: f"Domain({render(expr)}, ...)",
+    def premise(form: type, wanted, what: Callable[[], str] | None = None) -> Theorem:
+        """The first `from` premise of form `form`, else the latest proof in scope
+        of `wanted`: a judgment, or a predicate that `what()` names; None when
+        no goal names the target."""
+        thm = _pick(premises, lambda j: isinstance(j, form))
+        if thm is not None:
+            return thm
+        if wanted is None:
+            raise _ElabError(
+                "E0102", f"rule {rule} needs its premises given with 'from' when it has no goal"
             )
-        if sq is None:
-            sq = session.require_judgment(SupportsQuant(expr))
-        return kernel.set_intro(dom, sq)
+        return session.require_judgment(wanted) if what is None else session.require(wanted, what)
 
-    if name == "domain_intro":
-        if goal is not None and not isinstance(goal, IsDomain):
-            raise _ElabError("E0102", "domain_intro proves Domain(...) judgments")
-        gen = _pick(premises, lambda j: isinstance(j, IsGen))
-        eq = _pick(premises, lambda j: isinstance(j, IsBinFn))
-        if goal is None and (gen is None or eq is None):
-            raise _ElabError("E0102", "domain_intro needs its goal or both premises")
-        expr = goal.expr if isinstance(goal, IsDomain) else gen.judgment.expr
-        if eq is None:
-            target = goal.eq if isinstance(goal, IsDomain) else None
+    match _RULE_ALIASES[rule], goal:
+        case "gen", IsGen():
+            return kernel.gen_intro(goal.expr)
+        case "coherent", IsCoherentFamily():
+            try:
+                return kernel.coherent_family(goal.family)
+            except streams.CoherenceError as exc:
+                raise _ElabError("E0102", f"family is not coherent: {exc}")
+        case "mor", IsMor():
+            return _mor_intro(session, goal.fn, goal.dom, goal.cod, premises)
+        case "mor", IsBinFn():
+            return kernel.bin_fn_from_mor(_mor_intro(session, goal.fn, goal.dom, TWO, premises))
+        case "squant", None | SupportsQuant(expr=Powerset()):
+            wanted = None if goal is None else SupportsQuant(goal.expr.arg)
+            return kernel.squant_from_powerset(premise(SupportsQuant, wanted))
+        case "binfn", None | IsBinFn():
+            wanted = None if goal is None else IsMor(goal.fn, goal.dom, TWO)
+            return kernel.bin_fn_from_mor(premise(IsMor, wanted))
+        case "cla", None | IsObj() if goal is None or limit_descriptor(goal.obj.tag) is not None:
+            descriptor = None if goal is None else limit_descriptor(goal.obj.tag)
+            fam = premise(
+                IsCoherentFamily,
+                None if goal is None else (
+                    lambda j: isinstance(j, IsCoherentFamily) and j.family.descriptor == descriptor
+                ),
+                lambda: f'Coherent(..., "{descriptor}")',
+            )
+            return kernel.coherent_limit(fam)
+        case "set_intro", None | IsSet():
+            # The subject is the goal's, or else the Domain premise's.
+            dom = premise(
+                IsDomain,
+                None if goal is None
+                else (lambda j: isinstance(j, IsDomain) and j.expr == goal.expr),
+                lambda: f"Domain({render(goal.expr)}, ...)",
+            )
+            expr = dom.judgment.expr if goal is None else goal.expr
+            return kernel.set_intro(dom, premise(SupportsQuant, SupportsQuant(expr)))
+        case "domain_intro", None | IsDomain():
+            # The subject is the goal's, or else the Gen subproof's; a missing
+            # Gen(A) is formed, as formation takes no premise.
+            gen = _pick(premises, lambda j: isinstance(j, IsGen))
+            expr = premise(IsGen, None).judgment.expr if goal is None else goal.expr
             square = Product(expr, expr)
-            eq = session.require(
+            eq = premise(
+                IsBinFn,
                 lambda j: isinstance(j, IsBinFn)
                 and j.dom == square
-                and (target is None or j.fn == target),
+                and (goal is None or j.fn == goal.eq),
                 lambda: f"BinFn(..., {render(square)})",
             )
-        if gen is None:
-            wanted = IsGen(expr)
-            gen = session.find(lambda j: j == wanted) or kernel.gen_intro(expr)
-        return kernel.domain_intro(gen, eq)
-
-    if name == "gen":
-        if not isinstance(goal, IsGen):
-            raise _ElabError("E0102", "the formation rule proves Gen(...) judgments")
-        return kernel.gen_intro(goal.expr)
-
-    if name == "binfn":
-        if goal is not None and not isinstance(goal, IsBinFn):
-            raise _ElabError("E0102", "bin_fn_from_mor proves BinFn(...) judgments")
-        mor = _pick(premises, lambda j: isinstance(j, IsMor))
-        if mor is None:
-            if goal is None:
-                raise _ElabError("E0102", "bin_fn_from_mor needs a morphism premise")
-            mor = session.require_judgment(IsMor(goal.fn, goal.dom, TWO))
-        return kernel.bin_fn_from_mor(mor)
-
-    if name == "mor":
-        if isinstance(goal, IsBinFn):
-            mor = _mor_intro(session, goal.fn, goal.dom, TWO, premises)
-            return kernel.bin_fn_from_mor(mor)
-        if isinstance(goal, IsMor):
-            return _mor_intro(session, goal.fn, goal.dom, goal.cod, premises)
-        raise _ElabError("E0102", "mor_intro proves Mor(...) or BinFn(...) judgments")
-
-    if name == "coherent":
-        if not isinstance(goal, IsCoherentFamily):
-            raise _ElabError("E0102", "coherence proves Coherent(...) judgments")
-        try:
-            return kernel.coherent_family(goal.family)
-        except streams.CoherenceError as exc:
-            raise _ElabError("E0102", f"family is not coherent: {exc}")
-
-    if name == "cla":
-        fam = _pick(premises, lambda j: isinstance(j, IsCoherentFamily))
-        if fam is None:
-            descriptor = limit_descriptor(goal.obj.tag) if isinstance(goal, IsObj) else None
-            if descriptor is None:
-                raise _ElabError(
-                    "E0102", "the coherent-limit rule proves Obj(limit(...), P[Nat])"
-                )
-            fam = session.require(
-                lambda j: isinstance(j, IsCoherentFamily)
-                and j.family.descriptor == descriptor,
-                lambda: f"Coherent(..., \"{descriptor}\")",
-            )
-        return kernel.coherent_limit(fam)
-
-    if name == "eq_within":
-        raise _ElabError("E0102", "Eq(...) assertions are evaluated, not derived")
-
-    raise _ElabError("E0102", f"rule {name!r} cannot be applied here")
+            return kernel.domain_intro(gen or kernel.gen_intro(expr), eq)
+    if goal is None:
+        raise _ElabError("E0102", f"rule {rule} needs a goal, so it cannot be a 'from' subproof")
+    raise _ElabError("E0102", f"rule {rule} cannot prove {render(goal)}")
 
 
 def _mor_intro(
@@ -487,14 +459,16 @@ def _run_decl(session: _Session, decl: Decl, base_dir: Path | None) -> None:
 
 
 def _run_generator(session: _Session, decl: GeneratorDecl) -> None:
-    if decl.name in session.aliases:
+    if decl.name in session.generators:
         raise _ElabError("E0102", f"generator {decl.name!r} is already declared")
-    if decl.body is not None:
-        resolved = session.resolve_expr(decl.body)
-        session.aliases[decl.name] = resolved
-        session.theorems.append(session.kernel.gen_intro(resolved))
-        return
-    session.theorems.append(session.kernel.gen_intro(Ident(decl.name), decl.tags or ()))
+    if decl.body is None:
+        expr = Named(Ident(decl.name))
+        thm = session.kernel.gen_intro(expr.name, decl.tags or ())
+    else:
+        expr = session.resolve_expr(decl.body)
+        thm = session.kernel.gen_intro(expr)
+    session.generators[decl.name] = expr
+    session.theorems.append(thm)
 
 
 def _run_morphism(session: _Session, decl: MorphismDecl) -> None:
@@ -535,6 +509,13 @@ def _run_assert(session: _Session, decl: AssertDecl) -> None:
 
 
 def _run_eq_assert(session: _Session, decl: AssertDecl, goal: _EqGoal) -> None:
+    proof = decl.proof
+    if not (
+        isinstance(proof, RuleApp)
+        and _RULE_ALIASES.get(proof.name) == "eq_within"
+        and not proof.subproofs
+    ):
+        raise _ElabError("E0102", "an Eq(...) assertion is proved by rule eq_within alone")
     expr = goal.left.of
     domain = session.find(lambda j: isinstance(j, IsDomain) and j.expr == expr)
     if domain is None:
@@ -592,6 +573,8 @@ def _run_include(session: _Session, decl: IncludeDecl, base_dir: Path | None) ->
         raise _ElabError("E0005", f"cannot include {decl.path!r}: file not found")
     if path in session.including:
         raise _ElabError("E0005", f"circular include of {decl.path!r}")
+    if path in session.included:
+        return
     try:
         source = read_source(path)
     except (OSError, UnicodeDecodeError) as exc:
@@ -601,6 +584,7 @@ def _run_include(session: _Session, decl: IncludeDecl, base_dir: Path | None) ->
         session.diagnostics.extend(diagnostics)
         raise _ElabError("E0005", f"included file {decl.path!r} has syntax errors")
     session.including.append(path)
+    session.included.add(path)
     try:
         _run_decls(session, decls, path.parent)
     finally:

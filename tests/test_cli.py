@@ -269,6 +269,29 @@ def test_a_model_check_past_the_model_budget_ends_at_once(tmp_path):
     assert "1048576 models at size 4, more than 1024" in result.stdout
 
 
+def test_an_include_diamond_runs_each_file_once(tmp_path):
+    # Each f{i} includes f{i+1} twice: run at every include, f0 gave 2**19 items.
+    for i in range(19):
+        (tmp_path / f"f{i}.og").write_text(f'include "f{i + 1}.og";\n' * 2)
+    (tmp_path / "f19.og").write_text("assert Set(Two) by axiom H1;\n")
+    script = (
+        "import resource, sys\n"
+        "import ogkernel.cli as cli\n"
+        "status = open('/proc/self/status').read().split('VmSize:')[1]\n"
+        "memory = int(status.split()[0]) * 1024 + 256 * 2**20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (memory, memory))\n"
+        "resource.setrlimit(resource.RLIMIT_CPU, (2, 3))\n"
+        f"sys.exit(cli.main(['check', {str(tmp_path / 'f0.og')!r}]))\n"
+    )
+    started = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=10
+    )
+    assert time.perf_counter() - started < 2.0
+    assert result.returncode == EXIT_OK, result.stderr
+    assert result.stdout.endswith("summary: 2 pass, 0 fail, 0 assumed\n")
+
+
 def test_deeply_nested_stream_spec_is_refused(tmp_path, capsys):
     nested = "shift(" * 500 + "squares" + ",1)" * 500
     path = tmp_path / "nested.og"

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from ogkernel.elaborate import elaborate_file, elaborate_source
 from ogkernel.kernel import axioms_used, verify_trace
 from ogkernel.stdlib import prelude_source
@@ -218,3 +220,85 @@ def test_each_missing_premise_is_named():
         (7, "E0102", 'no proof of Coherent(..., "restrictions(squares)") in scope'),
         (8, "E0102", "no proof of SupportsQuant(G) in scope"),
     ]
+
+
+_TWO_DOMAIN = (
+    "morphism eq_two : Two * Two -> Two := rule eq_of[Two];\n"
+    "assert BinFn(eq_two, Two * Two) by rule binfn;\n"
+    "assert Domain(Two, eq_two) by rule domain_intro;\n"
+)
+_NO_GOAL = "needs its premises given with 'from' when it has no goal"
+_SUBPROOF = "needs a goal, so it cannot be a 'from' subproof"
+_EQ_PROOF = "an Eq(...) assertion is proved by rule eq_within alone"
+
+
+@pytest.mark.parametrize(
+    "source, line, code, message",
+    [
+        # A goal of a form the rule does not prove, named as the file spells it.
+        ("assert Set(Two) by rule gen;", 1, "E0102", "rule gen cannot prove Set(Two)"),
+        ("assert Set(Two) by rule coherent;", 1, "E0102", "rule coherent cannot prove Set(Two)"),
+        ("assert Gen(Two) by rule mor_intro;", 1, "E0102", "rule mor_intro cannot prove Gen(Two)"),
+        ("assert SupportsQuant(Nat) by rule H4 from H3;", 1, "E0102",
+         "rule H4 cannot prove SupportsQuant(Nat)"),
+        ("assert Set(Two) by rule binfn;", 1, "E0102", "rule binfn cannot prove Set(Two)"),
+        ("assert Obj(Nat.3, Nat) by rule cla;", 1, "E0102",
+         "rule cla cannot prove Obj(Nat.3, Nat)"),
+        ("assert Gen(Two) by rule set_intro;", 1, "E0102", "rule set_intro cannot prove Gen(Two)"),
+        ("assert Set(Two) by rule domain_intro;", 1, "E0102",
+         "rule domain_intro cannot prove Set(Two)"),
+        ("assert Set(Two) by rule eq_within;", 1, "E0102", "rule eq_within cannot prove Set(Two)"),
+        # A subproof has no goal, so its premises come from its own `from`.
+        ("assert SupportsQuant(P[P[Nat]]) by rule H4 from rule H4;", 1, "E0102",
+         f"rule H4 {_NO_GOAL}"),
+        ("assert SupportsQuant(P[Nat]) by rule H4 from rule binfn;", 1, "E0102",
+         f"rule binfn {_NO_GOAL}"),
+        ("assert SupportsQuant(P[Nat]) by rule H4 from rule cla;", 1, "E0102",
+         f"rule cla {_NO_GOAL}"),
+        ("assert SupportsQuant(P[Nat]) by rule H4 from rule set_intro;", 1, "E0102",
+         f"rule set_intro {_NO_GOAL}"),
+        ("assert SupportsQuant(P[Nat]) by rule H4 from rule domain_intro;", 1, "E0102",
+         f"rule domain_intro {_NO_GOAL}"),
+        ("assert SupportsQuant(P[Nat]) by rule H4 from rule gen_intro;", 1, "E0102",
+         f"rule gen_intro {_SUBPROOF}"),
+        ("assert SupportsQuant(P[Nat]) by rule H4 from rule coherent;", 1, "E0102",
+         f"rule coherent {_SUBPROOF}"),
+        ("assert SupportsQuant(P[Nat]) by rule H4 from rule mor;", 1, "E0102",
+         f"rule mor {_SUBPROOF}"),
+        ("assert SupportsQuant(P[Nat]) by rule H4 from rule eq_within;", 1, "E0102",
+         f"rule eq_within {_SUBPROOF}"),
+        # Only `rule eq_within` with no subproofs proves an Eq.
+        (_TWO_DOMAIN + "assert Eq(Two.yes, Two.no) by axiom CLA;", 4, "E0102", _EQ_PROOF),
+        (_TWO_DOMAIN + "assert Eq(Two.yes, Two.no) by rule bogus from rule cla;", 4, "E0102",
+         _EQ_PROOF),
+        (_TWO_DOMAIN + "assert Eq(Two.yes, Two.no) by rule eq_within from H3;", 4, "E0102",
+         _EQ_PROOF),
+        # Primitives and aliases share one namespace.
+        ("generator G primitive {a, b};\ngenerator G := Two;", 2, "E0102",
+         "generator 'G' is already declared"),
+        ("generator G := Two;\ngenerator G primitive {a, b};", 2, "E0102",
+         "generator 'G' is already declared"),
+    ],
+)
+def test_each_refusal_names_its_rule_and_goal(source, line, code, message):
+    result = elaborate_source(source + "\n")
+    assert [(d.span.line, d.code, d.message) for d in result.diagnostics] == [
+        (line, code, message)
+    ]
+
+
+def test_a_right_eq_proof_still_evaluates():
+    for rule in ("eq_within", "eq_within_domain"):
+        result = elaborate_source(_TWO_DOMAIN + f"assert Eq(Two.yes, Two.no) by rule {rule};\n")
+        assert not result.diagnostics
+        assert result.items[-1] == ("Eq(Two.yes, Two.no)", "pass", "evaluates to no", None)
+
+
+def test_an_include_runs_once_per_session(tmp_path):
+    (tmp_path / "lib.og").write_text("assert Set(Two) by axiom H1;\n")
+    (tmp_path / "mid.og").write_text('include "lib.og";\n')
+    main = tmp_path / "main.og"
+    main.write_text('include "lib.og";\ninclude "mid.og";\ninclude "./lib.og";\n')
+    result = elaborate_file(main)
+    assert not result.diagnostics
+    assert [i.name for i in result.items] == ["Set(Two)"]
