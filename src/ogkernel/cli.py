@@ -196,8 +196,9 @@ def _run_check(config: RunConfig, timings: dict[str, float]) -> Report:
 
 def _replay_items(result: ElabResult) -> list[Item]:
     items: list[Item] = []
+    judged: dict = {}  # one replay record for the file: each node is judged once
     for thm in result.theorems:
-        trace = verify_trace(thm)
+        trace = verify_trace(thm, judged)
         detail = f"{trace.node_count} nodes replayed"
         if not trace.passed:
             detail += f"; {trace.failure}"

@@ -143,6 +143,7 @@ class _Session:
         self.families: dict[str, FamilySpec] = {}
         self.including: list[Path] = []
         self.included: set[Path] = set()
+        self.roots: list[Path] = []  # root files run so far, not yet resolved
 
     # -- helpers
 
@@ -418,14 +419,21 @@ def elaborate_source(source: str, *, base_dir: Path | None = None) -> ElabResult
 
 
 def elaborate_file(path: Path) -> ElabResult:
-    return elaborate_source(read_source(path), base_dir=path.parent)
+    decls, diagnostics = parse_source(read_source(path))
+    if diagnostics:
+        return ElabResult((), (), tuple(diagnostics))
+    return elaborate_files([(path, decls)])
 
 
 def elaborate_files(sources: list[tuple[Path, list[Decl]]]) -> ElabResult:
-    """Elaborate several parsed files in argument order against one kernel."""
+    """Elaborate several parsed files in argument order against one kernel.
+    Each file counts as included while its declarations run, so an include
+    of it is circular and, after it, does nothing."""
     session = _Session()
     for path, decls in sources:
+        session.roots.append(path)
         _run_decls(session, decls, path.parent)
+        session.including.clear()
     return session.result()
 
 
@@ -565,6 +573,11 @@ def sweep_item(name: str, item: SweepItem) -> Item:
 
 
 def _run_include(session: _Session, decl: IncludeDecl, base_dir: Path | None) -> None:
+    if session.roots:  # resolved at the session's first include, not before
+        roots = [root.resolve() for root in session.roots]
+        session.included.update(roots)
+        session.including.append(roots[-1])
+        session.roots.clear()
     path = Path(decl.path)
     if not path.is_absolute():
         path = (base_dir or Path.cwd()) / path

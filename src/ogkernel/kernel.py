@@ -745,20 +745,35 @@ class TraceReport(NamedTuple):
         return self.failure is None
 
 
-def verify_trace(thm: Theorem) -> TraceReport:
+def verify_trace(thm: Theorem, judged: dict | None = None) -> TraceReport:
     """Replay the trace, premises first: through `_judge`, each node must
     re-derive its judgment from its payload and its children's judgments.
-    The report names the first node that does not; it does not raise."""
+    The report names the first node that does not; it does not raise.
+
+    `judged` maps each node replayed so far to its failure, or None, and a
+    node found there is not judged again: a theorem hashes by identity and
+    never changes, so one record shared by a file's theorems judges each
+    node of their DAG once, and a failing node fails every theorem with it.
+    """
     nodes = trace_nodes(thm)
+    judged = {} if judged is None else judged
     for node in nodes:
-        premises = tuple(child.judgment for child in node.children)
-        try:
-            derived = _judge(node.kind, node.label, node.payload, premises)
-        except (KernelError, ValueError) as exc:  # a bad arity is a ValueError
-            reason = str(exc)
-        else:
-            if derived == node.judgment:
-                continue
-            reason = f"replay derives {render(derived)}"
-        return TraceReport(len(nodes), f"{node.label} node {render(node.judgment)}: {reason}")
+        if node not in judged:
+            judged[node] = _replay_failure(node)
+        if judged[node] is not None:
+            return TraceReport(len(nodes), judged[node])
     return TraceReport(len(nodes))
+
+
+def _replay_failure(node: Theorem) -> str | None:
+    """Why a node does not re-derive its judgment through `_judge`, or None."""
+    premises = tuple(child.judgment for child in node.children)
+    try:
+        derived = _judge(node.kind, node.label, node.payload, premises)
+    except (KernelError, ValueError) as exc:  # a bad arity is a ValueError
+        reason = str(exc)
+    else:
+        if derived == node.judgment:
+            return None
+        reason = f"replay derives {render(derived)}"
+    return f"{node.label} node {render(node.judgment)}: {reason}"

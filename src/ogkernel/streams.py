@@ -343,13 +343,24 @@ def resolve_family(descriptor: str) -> Callable[[int], bytes]:
     ``corrupt(<spec>,<stage>,<index>)``: like restrictions, but stages at or
     beyond <stage> have the bit at <index> flipped (an incoherent family when
     <index> < <stage>, used as a negative control).
+
+    Every stage is a slice of one prefix of the base stream, which a stage
+    past its end replaces by one at least twice as long, so reading stages
+    0..n builds O(log n) prefixes.
     """
     stream, corruption = _parse_family(descriptor)
-    if corruption is None:
-        return stream.prefix
-    stage, index = corruption
-    flipped = FlipAt(stream, index)
-    return lambda n: (flipped if n >= stage else stream).prefix(n)
+    stage, index = corruption or (math.inf, math.inf)
+    bits = flipped = b""
+
+    def member_at(n: int) -> bytes:
+        nonlocal bits, flipped
+        if n >= len(bits):
+            bits = flipped = stream.prefix(max(n, 2 * len(bits) - 1))
+            if index < len(bits):
+                flipped = bits[:index] + bytes((bits[index] ^ 1,)) + bits[index + 1 :]
+        return (flipped if n >= stage else bits)[: n + 1]
+
+    return member_at
 
 
 def family_violation(descriptor: str) -> tuple[int, int] | None:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ogkernel import __version__, cli
+from ogkernel import __version__, cli, kernel
 from ogkernel.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INTERNAL,
@@ -30,7 +30,8 @@ from ogkernel.cli import (
     main,
     run,
 )
-from ogkernel.elaborate import ElabResult, Item, elaborate_source
+from ogkernel.elaborate import ElabResult, Item, elaborate_files, elaborate_source
+from ogkernel.kernel import trace_nodes
 from ogkernel.surface import MAX_NESTING, parse_source
 from ogkernel.terms import (
     BUILTIN_RULES,
@@ -780,8 +781,8 @@ def test_a_replay_failure_fails_its_trace_item_and_names_the_node(
     path.write_text("assert SupportsQuant(P[Nat]) by rule H4 from axiom H3;\n")
     replay = cli.verify_trace
 
-    def tampering_replay(thm):
-        return replay(rejudge(thm, (0,), SupportsQuant(TWO)))  # a forged H3 node
+    def tampering_replay(thm, judged=None):
+        return replay(rejudge(thm, (0,), SupportsQuant(TWO)), judged)  # a forged H3 node
 
     monkeypatch.setattr(cli, "verify_trace", tampering_replay)
     assert main(["check", "--format", "json", str(path)]) == EXIT_CHECK_FAILED
@@ -791,6 +792,17 @@ def test_a_replay_failure_fails_its_trace_item_and_names_the_node(
         "status": "fail",
         "detail": "2 nodes replayed; H3 node SupportsQuant(Two): replay derives SupportsQuant(Nat)",
     }
+
+
+def test_a_file_replay_judges_each_node_of_its_dag_once(monkeypatch):
+    path = CORPUS / "20_full_tower.og"
+    result = elaborate_files([(path, parse_source(path.read_text())[0])])
+    calls = []
+    judge = kernel._judge
+    monkeypatch.setattr(kernel, "_judge", lambda *args: calls.append(args) or judge(*args))
+    items = cli._replay_items(result)
+    assert [item.status for item in items] == ["pass"] * len(result.theorems) == ["pass"] * 23
+    assert len(calls) == len({id(n) for t in result.theorems for n in trace_nodes(t)}) == 25
 
 
 @pytest.mark.parametrize("command", ["check", "model"])

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from ogkernel.elaborate import elaborate_file, elaborate_source
+from ogkernel.elaborate import elaborate_file, elaborate_files, elaborate_source
 from ogkernel.kernel import axioms_used, verify_trace
 from ogkernel.stdlib import prelude_source
+from ogkernel.surface import parse_source
 from ogkernel.terms import render
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -143,6 +144,47 @@ def test_include_cycle_is_detected(tmp_path):
     b.write_text('include "a.og";\n')
     result = elaborate_file(a)
     assert any(d.code == "E0005" and "circular" in d.message for d in result.diagnostics)
+
+
+def _both_entry_points(path: Path):
+    """The elaboration of a file through `elaborate_file` and `elaborate_files`."""
+    yield elaborate_file(path)
+    yield elaborate_files([(path, parse_source(path.read_text())[0])])
+
+
+def test_a_file_that_includes_itself_runs_once(tmp_path, monkeypatch):
+    (tmp_path / "self.og").write_text('include "self.og";\nassert Set(Two) by axiom H1;\n')
+    monkeypatch.chdir(tmp_path)
+    for result in _both_entry_points(Path("self.og")):
+        assert [i.name for i in result.items] == ["Set(Two)"]
+        assert [(d.code, d.message) for d in result.diagnostics] == [
+            ("E0005", "circular include of 'self.og'")
+        ]
+
+
+def test_an_include_cycle_runs_each_file_once(tmp_path):
+    a = tmp_path / "a.og"
+    a.write_text('include "b.og";\nassert Set(Two) by axiom H1;\n')
+    (tmp_path / "b.og").write_text('include "a.og";\nassert SupportsQuant(Nat) by axiom H3;\n')
+    for result in _both_entry_points(a):
+        assert [i.name for i in result.items] == ["SupportsQuant(Nat)", "Set(Two)"]
+        assert [(d.code, d.message) for d in result.diagnostics] == [
+            ("E0005", "circular include of 'a.og'")
+        ]
+
+
+def test_an_include_of_an_earlier_root_file_does_nothing(tmp_path, monkeypatch):
+    lib, main = tmp_path / "lib.og", tmp_path / "main.og"
+    lib.write_text("assert Set(Two) by axiom H1;\n")
+    main.write_text('include "lib.og";\nassert SupportsQuant(Nat) by axiom H3;\n')
+    resolved = []
+    resolve = Path.resolve
+    monkeypatch.setattr(Path, "resolve", lambda self: resolved.append(self) or resolve(self))
+    result = elaborate_files([(lib, parse_source(lib.read_text())[0])])
+    assert not resolved  # a session with no include resolves no path
+    result = elaborate_files([(p, parse_source(p.read_text())[0]) for p in (lib, main)])
+    assert not result.diagnostics
+    assert [i.name for i in result.items] == ["Set(Two)", "SupportsQuant(Nat)"]
 
 
 def test_model_check_items():

@@ -33,7 +33,9 @@ from ogkernel.kernel import (
     trace_nodes,
     verify_trace,
 )
+from ogkernel.elaborate import elaborate_file, elaborate_source
 from ogkernel.semantics import Carrier, Model, SweepItem, interpret, verify_judgment
+from ogkernel.stdlib import prelude_source
 from ogkernel.streams import CoherenceError
 from ogkernel.terms import (
     NAT,
@@ -56,6 +58,8 @@ from ogkernel.terms import (
     Table,
     Term,
 )
+
+CORPUS = Path(__file__).parent / "corpus"
 
 
 @pytest.fixture
@@ -473,6 +477,60 @@ def test_replay_rederives_a_generator_declaration_from_its_name(kernel, rejudge)
     thm = kernel.gen_intro(Ident("G"))
     forged = rejudge(thm, (), IsGen(Named(Ident("H"))))
     assert verify_trace(forged).failure == "generator node Gen(H): replay derives Gen(G)"
+
+
+def _file_theorems():
+    yield pytest.param(elaborate_source(prelude_source()).theorems, id="prelude")
+    for path in sorted(CORPUS.glob("*.og")):
+        yield pytest.param(elaborate_file(path).theorems, id=path.stem)
+
+
+def _node_paths(thm: Theorem, path: tuple[int, ...] = ()):
+    """Every path of child positions from a theorem to a node of its trace."""
+    yield path
+    for i, child in enumerate(thm.children):
+        yield from _node_paths(child, (*path, i))
+
+
+@pytest.mark.parametrize("theorems", _file_theorems())
+def test_a_shared_replay_record_reports_like_a_fresh_replay(theorems, rejudge):
+    # Each theorem of a file, and a forgery of it at every node, replayed
+    # with one record for the file: a forgery shares every other node with the
+    # file's own theorems, which come after it, and its forged node with the
+    # forged premise above that node, which comes right after it.
+    replayed = []
+    for thm in theorems:
+        for path in _node_paths(thm):
+            node = thm
+            for i in path:
+                node = node.children[i]
+            other = SupportsQuant(NAT if node.judgment == SupportsQuant(TWO) else TWO)
+            forged = rejudge(thm, path, other)
+            replayed += [forged, forged.children[path[0]]] if path else [forged]
+        replayed.append(thm)
+    record: dict = {}
+    reports = [verify_trace(thm, record) for thm in replayed]
+    assert reports == [verify_trace(thm) for thm in replayed]
+    assert sum(report.passed for report in reports) == len(theorems)
+
+
+def test_a_forged_node_fails_every_theorem_that_contains_it(kernel, rejudge, monkeypatch):
+    p2 = kernel.squant_from_powerset(
+        kernel.squant_from_powerset(kernel.axiom(AxiomId.H3_NAT_SUPPORTS_QUANT))
+    )
+    forged = rejudge(p2, (0, 0), SupportsQuant(TWO))  # the H3 leaf
+    theorems = (forged.children[0], forged)  # both contain the forged leaf
+    fresh = [verify_trace(thm) for thm in theorems]
+    calls = []
+    judge = kernel_module._judge
+    monkeypatch.setattr(kernel_module, "_judge", lambda *args: calls.append(args) or judge(*args))
+    record: dict = {}
+    assert [verify_trace(thm, record) for thm in theorems] == fresh
+    assert [report.node_count for report in fresh] == [2, 3]
+    assert {report.failure for report in fresh} == {
+        "H3 node SupportsQuant(Two): replay derives SupportsQuant(Nat)"
+    }
+    assert len(calls) == 1  # the second theorem reads the leaf's failure from the record
 
 
 def test_trace_leaf_kinds_for_naturals(kernel):

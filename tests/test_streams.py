@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ogkernel import streams
+from ogkernel.semantics import default_model, verify_judgment
 from ogkernel.streams import (
     MAX_COMBINATORS,
     MAX_HORIZON,
@@ -41,6 +42,7 @@ from ogkernel.streams import (
     shift_witness,
     xor_witness,
 )
+from ogkernel.terms import FamilySpec, Ident, IsCoherentFamily
 
 
 def test_restriction_stages_are_prefixes():
@@ -312,6 +314,65 @@ def test_resolve_family_descriptors():
             family_violation(bad)
         with pytest.raises(StreamSpecError):
             family_limit(bad)
+
+
+def _resolve_per_stage(descriptor: str):
+    """The reference stages: each stage its own prefix of the stream, or for
+    ``corrupt(s,k,i)`` from stage k on of the stream with bit i flipped."""
+    stream, corruption = streams._parse_family(descriptor)
+    if corruption is None:
+        return stream.prefix
+    stage, index = corruption
+    flipped = FlipAt(stream, index)
+    return lambda n: (flipped if n >= stage else stream).prefix(n)
+
+
+# One spec of each catalog stream class.
+_CATALOG_BASES = (
+    "squares", "pow2", "periodic:10/011", "finite:1011",
+    "xor(squares,pow2)", "shift(squares,3)", "flip(pow2,5)",
+)
+_CORRUPTIONS = ((0, 0), (5, 7), (7, 5), (2, 600), (300, 2), (1100, 1099), (3, 5000))
+
+
+@pytest.mark.parametrize("spec", _CATALOG_BASES)
+def test_family_stages_slice_one_prefix_like_the_per_stage_definition(spec):
+    descriptors = [f"restrictions({spec})", *(f"corrupt({spec},{k},{i})" for k, i in _CORRUPTIONS)]
+    for descriptor in descriptors:
+        reference = _resolve_per_stage(descriptor)
+        expected = [reference(n) for n in range(1101)]
+        stage = resolve_family(descriptor)
+        assert [stage(n) for n in range(1101)] == expected, descriptor
+        stage = resolve_family(descriptor)  # a fresh prefix, read out of order
+        order = (1100, 3, 700, 0, 1024, 1100, 2)
+        assert [stage(n) for n in order] == [expected[n] for n in order], descriptor
+
+
+def test_demonstrate_gap_builds_the_base_prefix_a_few_times(monkeypatch):
+    calls = []
+    prefix = SquaresIndicator.prefix
+    monkeypatch.setattr(
+        SquaresIndicator, "prefix", lambda self, n: calls.append(n) or prefix(self, n)
+    )
+    assert demonstrate_gap().passed
+    # the base bits and (d) build one each, and (c) one per doubling of its prefix
+    assert len(calls) <= 12
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        "restrictions(squares)", "restrictions(xor(squares,pow2))", "corrupt(squares,3,100)",
+        "corrupt(squares,100,3)", "corrupt(pow2,0,0)", "corrupt(periodic:1/01,40,39)",
+        "corrupt(shift(squares,3),1024,1023)", "corrupt(squares,1000000000,3)",
+    ],
+)
+def test_the_oracle_coherence_verdicts_match_the_per_stage_definition(descriptor, monkeypatch):
+    model = default_model(nat_bound=3)
+    judgment = IsCoherentFamily(FamilySpec(Ident("F"), descriptor))
+    verdict = verify_judgment(judgment, model)
+    monkeypatch.setattr(streams, "resolve_family", _resolve_per_stage)
+    assert verify_judgment(judgment, model) == verdict
 
 
 def test_family_violation_matches_stage_scan():
