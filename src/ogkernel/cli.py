@@ -161,7 +161,8 @@ def _default_prelude() -> list[tuple[Path, list]]:
 
 def _items_from_elab(result: ElabResult) -> list[Item]:
     return list(result.items) + [
-        Item(f"{diag.code} at {diag.span.line}:{diag.span.col}", "fail", diag.message)
+        Item(f"{diag.code} at {diag.span.line}:{diag.span.col}", "fail",
+             ": ".join((*diag.within, diag.message)))
         for diag in result.diagnostics
     ]
 

@@ -1,11 +1,11 @@
 """Elaboration: execute parsed declarations against a fresh kernel.
 
 Assertions replay explicit proof expressions through kernel operations.
-Each rule proves judgments of fixed forms.  For each premise it takes the
-first `from` subproof whose judgment has the premise's form, or else the
-latest proof in the session (lexical, top-to-bottom; there is no proof
-search) of the judgment its goal names.  A subproof has no goal, so a
-premise that only a goal names must come from its `from`.  An `Eq(...)`
+Each rule proves judgments of fixed forms.  `from` supplies SupportsQuant
+premises: to H4, to set_intro, and to mor on a builtin.  Every other premise
+is the latest proof in the session (lexical, top-to-bottom; there is no
+proof search) of the judgment the goal names.  A subproof has no goal, so of
+the rules only H4, with its own `from`, can be one.  An `Eq(...)`
 assertion is proved by `rule eq_within` with no subproofs and is evaluated,
 not derived.  Generators and aliases share one namespace.  An include runs
 at most once per session.  Model-check and limit declarations invoke the
@@ -150,7 +150,9 @@ class _Session:
     def result(self) -> ElabResult:
         return ElabResult(tuple(self.theorems), tuple(self.items), tuple(self.diagnostics))
 
-    def find(self, predicate) -> Theorem | None:
+    def require(self, predicate, what: Callable[[], str]) -> Theorem:
+        """The latest proof in scope whose judgment satisfies `predicate`, or
+        E0102 naming `what()`, which runs only then."""
         for thm in reversed(self.theorems):
             if predicate(thm.judgment):
                 return thm
@@ -159,14 +161,7 @@ class _Session:
             for part in thm.parts:
                 if predicate(part.judgment):
                     return part
-        return None
-
-    def require(self, predicate, what: Callable[[], str]) -> Theorem:
-        """`find(predicate)`, or E0102 naming `what()`, which runs only then."""
-        thm = self.find(predicate)
-        if thm is None:
-            raise _ElabError("E0102", f"no proof of {what()} in scope")
-        return thm
+        raise _ElabError("E0102", f"no proof of {what()} in scope")
 
     def require_judgment(self, target: Judgment) -> Theorem:
         return self.require(lambda j: j == target, lambda: render(target))
@@ -213,6 +208,9 @@ class _EqGoal(NamedTuple):
     right: ObjLit
 
 
+_UNARY_HEADS = {"Gen": IsGen, "Set": IsSet, "SupportsQuant": SupportsQuant}
+
+
 def _translate(session: _Session, j: SurfaceJudgment):
     """Surface judgment -> kernel judgment (or an equality-query goal)."""
     head, args = j.head, j.args
@@ -226,15 +224,9 @@ def _translate(session: _Session, j: SurfaceJudgment):
             raise _ElabError("E0102", f"{head}: expected a generator expression")
         return session.resolve_expr(a)
 
-    if head == "Gen":
+    if head in _UNARY_HEADS:
         want(1)
-        return IsGen(expr_arg(args[0]))
-    if head == "Set":
-        want(1)
-        return IsSet(expr_arg(args[0]))
-    if head == "SupportsQuant":
-        want(1)
-        return SupportsQuant(expr_arg(args[0]))
+        return _UNARY_HEADS[head](expr_arg(args[0]))
     if head == "Domain":
         want(2)
         expr = expr_arg(args[0])
@@ -309,29 +301,24 @@ def _execute_axiom(session: _Session, name: str) -> Theorem:
     return session.kernel.axiom(axiom)
 
 
-def _pick(premises: list[Theorem], predicate) -> Theorem | None:
-    return next((thm for thm in premises if predicate(thm.judgment)), None)
-
-
 def _apply_rule(
     session: _Session, rule: str, premises: list[Theorem], goal: Judgment | None
 ) -> Theorem:
     """Apply `rule`, as the file spells it, for `goal` (None in a subproof).
-    Each case names the goal forms the rule proves and its premises' targets."""
+    Each case names the goal form the rule proves and its premises' targets."""
     kernel = session.kernel
 
-    def premise(form: type, wanted, what: Callable[[], str] | None = None) -> Theorem:
-        """The first `from` premise of form `form`, else the latest proof in scope
-        of `wanted`: a judgment, or a predicate that `what()` names; None when
-        no goal names the target."""
-        thm = _pick(premises, lambda j: isinstance(j, form))
+    def premise(expr: GenExpr | None) -> Theorem:
+        """The first `from` premise SupportsQuant(...), else the latest proof in
+        scope of SupportsQuant(expr); a goal-less H4 names no `expr`."""
+        thm = next((thm for thm in premises if isinstance(thm.judgment, SupportsQuant)), None)
         if thm is not None:
             return thm
-        if wanted is None:
+        if expr is None:
             raise _ElabError(
                 "E0102", f"rule {rule} needs its premises given with 'from' when it has no goal"
             )
-        return session.require_judgment(wanted) if what is None else session.require(wanted, what)
+        return session.require_judgment(SupportsQuant(expr))
 
     match _RULE_ALIASES[rule], goal:
         case "gen", IsGen():
@@ -346,45 +333,29 @@ def _apply_rule(
         case "mor", IsBinFn():
             return kernel.bin_fn_from_mor(_mor_intro(session, goal.fn, goal.dom, TWO, premises))
         case "squant", None | SupportsQuant(expr=Powerset()):
-            wanted = None if goal is None else SupportsQuant(goal.expr.arg)
-            return kernel.squant_from_powerset(premise(SupportsQuant, wanted))
-        case "binfn", None | IsBinFn():
-            wanted = None if goal is None else IsMor(goal.fn, goal.dom, TWO)
-            return kernel.bin_fn_from_mor(premise(IsMor, wanted))
-        case "cla", None | IsObj() if goal is None or limit_descriptor(goal.obj.tag) is not None:
-            descriptor = None if goal is None else limit_descriptor(goal.obj.tag)
-            fam = premise(
-                IsCoherentFamily,
-                None if goal is None else (
-                    lambda j: isinstance(j, IsCoherentFamily) and j.family.descriptor == descriptor
-                ),
+            return kernel.squant_from_powerset(premise(None if goal is None else goal.expr.arg))
+        case "binfn", IsBinFn():
+            return kernel.bin_fn_from_mor(session.require_judgment(IsMor(goal.fn, goal.dom, TWO)))
+        case "cla", IsObj() if (descriptor := limit_descriptor(goal.obj.tag)) is not None:
+            fam = session.require(
+                lambda j: isinstance(j, IsCoherentFamily) and j.family.descriptor == descriptor,
                 lambda: f'Coherent(..., "{descriptor}")',
             )
             return kernel.coherent_limit(fam)
-        case "set_intro", None | IsSet():
-            # The subject is the goal's, or else the Domain premise's.
-            dom = premise(
-                IsDomain,
-                None if goal is None
-                else (lambda j: isinstance(j, IsDomain) and j.expr == goal.expr),
+        case "set_intro", IsSet():
+            dom = session.require(
+                lambda j: isinstance(j, IsDomain) and j.expr == goal.expr,
                 lambda: f"Domain({render(goal.expr)}, ...)",
             )
-            expr = dom.judgment.expr if goal is None else goal.expr
-            return kernel.set_intro(dom, premise(SupportsQuant, SupportsQuant(expr)))
-        case "domain_intro", None | IsDomain():
-            # The subject is the goal's, or else the Gen subproof's; a missing
+            return kernel.set_intro(dom, premise(goal.expr))
+        case "domain_intro", IsDomain():
             # Gen(A) is formed, as formation takes no premise.
-            gen = _pick(premises, lambda j: isinstance(j, IsGen))
-            expr = premise(IsGen, None).judgment.expr if goal is None else goal.expr
-            square = Product(expr, expr)
-            eq = premise(
-                IsBinFn,
-                lambda j: isinstance(j, IsBinFn)
-                and j.dom == square
-                and (goal is None or j.fn == goal.eq),
+            square = Product(goal.expr, goal.expr)
+            eq = session.require(
+                lambda j: isinstance(j, IsBinFn) and j.dom == square and j.fn == goal.eq,
                 lambda: f"BinFn(..., {render(square)})",
             )
-            return kernel.domain_intro(gen or kernel.gen_intro(expr), eq)
+            return kernel.domain_intro(kernel.gen_intro(goal.expr), eq)
     if goal is None:
         raise _ElabError("E0102", f"rule {rule} needs a goal, so it cannot be a 'from' subproof")
     raise _ElabError("E0102", f"rule {rule} cannot prove {render(goal)}")
@@ -525,16 +496,17 @@ def _run_eq_assert(session: _Session, decl: AssertDecl, goal: _EqGoal) -> None:
     ):
         raise _ElabError("E0102", "an Eq(...) assertion is proved by rule eq_within alone")
     expr = goal.left.of
-    domain = session.find(lambda j: isinstance(j, IsDomain) and j.expr == expr)
-    if domain is None:
-        # The cross-domain refusal comes first: mixed-carrier queries must
-        # error even when no domain theorem is in scope.
-        if goal.left.of != goal.right.of:
-            raise CrossDomainEqualityError(
-                f"'=' is only defined within a single set: "
-                f"{render(goal.left.of)} object vs {render(goal.right.of)} object"
-            )
-        raise _ElabError("E0102", f"no proof of Domain({render(expr)}, ...) in scope")
+    # The cross-domain refusal comes first: mixed-carrier queries must error
+    # even when no domain theorem is in scope.
+    if expr != goal.right.of:
+        raise CrossDomainEqualityError(
+            f"'=' is only defined within a single set: "
+            f"{render(expr)} object vs {render(goal.right.of)} object"
+        )
+    domain = session.require(
+        lambda j: isinstance(j, IsDomain) and j.expr == expr,
+        lambda: f"Domain({render(expr)}, ...)",
+    )
     answer = session.kernel.eq_within_domain(domain, goal.left, goal.right)
     name = f"Eq({render(goal.left)}, {render(goal.right)})"
     session.items.append(Item(name, "pass", f"evaluates to {answer}"))
@@ -594,14 +566,18 @@ def _run_include(session: _Session, decl: IncludeDecl, base_dir: Path | None) ->
         raise _ElabError("E0005", f"cannot include {decl.path!r}: {exc}")
     decls, diagnostics = parse_source(source)
     if diagnostics:
-        session.diagnostics.extend(diagnostics)
+        session.diagnostics += (diag._replace(within=(decl.path,)) for diag in diagnostics)
         raise _ElabError("E0005", f"included file {decl.path!r} has syntax errors")
+    start = len(session.diagnostics)
     session.including.append(path)
     session.included.add(path)
     try:
         _run_decls(session, decls, path.parent)
     finally:
         session.including.pop()
+    session.diagnostics[start:] = [  # each diagnostic names the included file it is in
+        diag._replace(within=(decl.path, *diag.within)) for diag in session.diagnostics[start:]
+    ]
 
 
 def gap_items(report: streams.GapReport) -> list[Item]:

@@ -12,12 +12,14 @@ The grammar (`-- og-syntax 1`):
                | "(" genExpr ")" ;
     morDecl   := "morphism" IDENT ":" genExpr "->" genExpr ":="
                  ("table" "{" rows? "}" | "rule" IDENT bargs?) ";" ;
+    bargs     := "[" (barg ("," barg)*)? "]" ;  barg := STRING | INT | genExpr ;
     rows      := row ("," row)* ;  row := objlit "->" objlit ;
-    objlit    := genAtom "." (IDENT | INT | STRING)
-               | "(" objlit "," objlit ")" | "limit" "(" IDENT ")" ;
+    objlit    := genAtom "." (IDENT | INT | STRING) | "(" objlit "," objlit ")" ;
     assertDecl:= "assert" judgment "by" proofExpr ";" ;
     judgment  := ("Gen"|"Set"|"Domain"|"SupportsQuant"|"Mor"|"BinFn"|"Eq"
-               |"Coherent"|"Obj") "(" argList ")" ;
+               |"Coherent"|"Obj") "(" (arg ("," arg)*)? ")" ;
+    arg       := genExpr | objlit | STRING | "limit" "(" IDENT ")"
+               | "table" "{" rows? "}" | IDENT bargs ;
     proofExpr := "axiom" IDENT | "rule" IDENT ("from" proofExpr
                  ("," proofExpr)*)? | "(" proofExpr ")" ;
     checkDecl := "model" "check" judgment "upto" INT ";" ;
@@ -100,6 +102,7 @@ class Diagnostic(NamedTuple):
     message: str
     span: Span
     note: str | None = None
+    within: tuple[str, ...] = ()  # the includes, outermost first, as each was written
 
     def format(self, filename: str = "<input>") -> str:
         base = (

@@ -293,6 +293,32 @@ def test_an_include_diamond_runs_each_file_once(tmp_path):
     assert result.stdout.endswith("summary: 2 pass, 0 fail, 0 assumed\n")
 
 
+@pytest.mark.parametrize(
+    "files, lines",
+    [
+        # a -> b -> a: the cycle is found at b's include line.
+        ({"a.og": 'include "b.og";\n', "b.og": 'include "a.og";\n'},
+         ["FAIL     E0005 at 1:1 | b.og: circular include of 'a.og'"]),
+        # A syntax error in c.og, whose include is the root file's only line.
+        ({"a.og": 'include "c.og";\n', "c.og": "assert Set(Two) by axiom H1;\n\nassert Set(Two\n"},
+         ["FAIL     E0003 at 4:1 | c.og: unclosed bracket: expected ')', found 'eof'",
+          "FAIL     E0005 at 1:1 | included file 'c.og' has syntax errors"]),
+        # An elaboration error two includes down names both, outermost first.
+        ({"a.og": 'assert Set(Two) by axiom H1;\ninclude "sub/b.og";\n',
+          "sub/b.og": 'include "c.og";\n', "sub/c.og": "\nassert Gen(G) by rule gen;\n"},
+         ["PASS     Set(Two) | axioms: H1, H1",
+          "FAIL     E0004 at 2:1 | sub/b.og: c.og: unknown generator 'G'",
+          "PASS     trace Set(Two) | 3 nodes replayed"]),
+    ],
+)
+def test_a_diagnostic_in_an_included_file_names_the_file(files, lines, tmp_path, capsys):
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert main(["check", str(tmp_path / "a.og")]) == EXIT_CHECK_FAILED
+    assert capsys.readouterr().out.splitlines()[:-1] == lines
+
+
 def test_deeply_nested_stream_spec_is_refused(tmp_path, capsys):
     nested = "shift(" * 500 + "squares" + ",1)" * 500
     path = tmp_path / "nested.og"
@@ -510,6 +536,13 @@ def test_emit_report_to_file(tmp_path):
     out = tmp_path / "report.json"
     assert emit_report(report, "json", str(out)) == EXIT_OK
     assert out.read_text() == report.to_json()
+
+
+def test_an_unwritable_report_path_exits_3(tmp_path, capsys):
+    out = tmp_path / "nonexistent" / "r.json"
+    assert main(["check", str(CORPUS / "01_two_basics.og"), "--out", str(out)]) == EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith("error: cannot write report: ")
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize(
@@ -792,6 +825,27 @@ def test_a_replay_failure_fails_its_trace_item_and_names_the_node(
         "status": "fail",
         "detail": "2 nodes replayed; H3 node SupportsQuant(Two): replay derives SupportsQuant(Nat)",
     }
+
+
+def test_a_payload_that_replay_refuses_fails_its_trace_item(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "gen.og"
+    path.write_text("generator G primitive {a, b};\n")
+    replay = cli.verify_trace
+
+    def tampering_replay(thm, judged=None):  # the same node, listing the tag a twice
+        forged = kernel.Theorem(
+            kernel._SEAL, thm.kind, thm.label, thm.judgment, thm.children, ("G", ("a", "a"))
+        )
+        return replay(forged, judged)
+
+    monkeypatch.setattr(cli, "verify_trace", tampering_replay)
+    assert main(["check", "--format", "json", str(path)]) == EXIT_CHECK_FAILED
+    items = json.loads(capsys.readouterr().out)["items"]
+    assert items == [{
+        "name": "trace Gen(G)",
+        "status": "fail",
+        "detail": "1 nodes replayed; generator node Gen(G): generator 'G' lists the tag 'a' twice",
+    }]
 
 
 def test_a_file_replay_judges_each_node_of_its_dag_once(monkeypatch):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ogkernel.elaborate import elaborate_file, elaborate_files, elaborate_source
+from ogkernel.elaborate import _RULE_ALIASES, elaborate_file, elaborate_files, elaborate_source
 from ogkernel.kernel import axioms_used, verify_trace
 from ogkernel.stdlib import prelude_source
 from ogkernel.surface import parse_source
@@ -290,17 +290,17 @@ _EQ_PROOF = "an Eq(...) assertion is proved by rule eq_within alone"
         ("assert Set(Two) by rule domain_intro;", 1, "E0102",
          "rule domain_intro cannot prove Set(Two)"),
         ("assert Set(Two) by rule eq_within;", 1, "E0102", "rule eq_within cannot prove Set(Two)"),
-        # A subproof has no goal, so its premises come from its own `from`.
+        # A subproof has no goal: only H4, with its own `from`, can be one.
         ("assert SupportsQuant(P[P[Nat]]) by rule H4 from rule H4;", 1, "E0102",
          f"rule H4 {_NO_GOAL}"),
         ("assert SupportsQuant(P[Nat]) by rule H4 from rule binfn;", 1, "E0102",
-         f"rule binfn {_NO_GOAL}"),
+         f"rule binfn {_SUBPROOF}"),
         ("assert SupportsQuant(P[Nat]) by rule H4 from rule cla;", 1, "E0102",
-         f"rule cla {_NO_GOAL}"),
+         f"rule cla {_SUBPROOF}"),
         ("assert SupportsQuant(P[Nat]) by rule H4 from rule set_intro;", 1, "E0102",
-         f"rule set_intro {_NO_GOAL}"),
+         f"rule set_intro {_SUBPROOF}"),
         ("assert SupportsQuant(P[Nat]) by rule H4 from rule domain_intro;", 1, "E0102",
-         f"rule domain_intro {_NO_GOAL}"),
+         f"rule domain_intro {_SUBPROOF}"),
         ("assert SupportsQuant(P[Nat]) by rule H4 from rule gen_intro;", 1, "E0102",
          f"rule gen_intro {_SUBPROOF}"),
         ("assert SupportsQuant(P[Nat]) by rule H4 from rule coherent;", 1, "E0102",
@@ -309,6 +309,17 @@ _EQ_PROOF = "an Eq(...) assertion is proved by rule eq_within alone"
          f"rule mor {_SUBPROOF}"),
         ("assert SupportsQuant(P[Nat]) by rule H4 from rule eq_within;", 1, "E0102",
          f"rule eq_within {_SUBPROOF}"),
+        # Judgment arguments of the wrong number or kind.
+        ("assert Gen(Two, Nat) by rule gen;", 1, "E0102", "Gen takes 1 argument(s), got 2"),
+        ('assert Gen("x") by rule gen;', 1, "E0102", "Gen: expected a generator expression"),
+        ("assert Obj(Two, Two) by rule gen;", 1, "E0102", "Obj takes an object literal"),
+        ("assert Eq(Two, Two.no) by rule eq_within;", 1, "E0102", "Eq takes two object literals"),
+        ('assert Coherent("squares", F) by rule coherent;', 1, "E0102",
+         'Coherent takes a family name and a "descriptor"'),
+        # A `model check` takes a judgment and a bound the sweep covers.
+        ("model check Gen(Two) upto 9;", 1, "E0102", "model check bounds range over 1..4"),
+        ("model check Eq(Two.yes, Two.no) upto 1;", 1, "E0102",
+         "model check takes a judgment, not an equality query"),
         # Only `rule eq_within` with no subproofs proves an Eq.
         (_TWO_DOMAIN + "assert Eq(Two.yes, Two.no) by axiom CLA;", 4, "E0102", _EQ_PROOF),
         (_TWO_DOMAIN + "assert Eq(Two.yes, Two.no) by rule bogus from rule cla;", 4, "E0102",
@@ -320,6 +331,9 @@ _EQ_PROOF = "an Eq(...) assertion is proved by rule eq_within alone"
          "generator 'G' is already declared"),
         ("generator G := Two;\ngenerator G primitive {a, b};", 2, "E0102",
          "generator 'G' is already declared"),
+        # A morphism, too, is declared once.
+        ("morphism f : Two * Two -> Two := rule eq_of[Two];\n" * 2, 2, "E0102",
+         "morphism 'f' is already declared"),
     ],
 )
 def test_each_refusal_names_its_rule_and_goal(source, line, code, message):
@@ -327,6 +341,14 @@ def test_each_refusal_names_its_rule_and_goal(source, line, code, message):
     assert [(d.span.line, d.code, d.message) for d in result.diagnostics] == [
         (line, code, message)
     ]
+
+
+@pytest.mark.parametrize("rule", sorted(_RULE_ALIASES))
+def test_only_h4_can_be_a_subproof(rule):
+    # H4 gets past "needs a goal", to ask for its own `from`.
+    result = elaborate_source(f"assert SupportsQuant(P[Nat]) by rule H4 from rule {rule};\n")
+    refusal = _NO_GOAL if _RULE_ALIASES[rule] == "squant" else _SUBPROOF
+    assert [(d.code, d.message) for d in result.diagnostics] == [("E0102", f"rule {rule} {refusal}")]
 
 
 def test_a_right_eq_proof_still_evaluates():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ogkernel.cli import EXIT_OK, main
+from ogkernel.elaborate import elaborate_source
 from ogkernel.stdlib import prelude_source
 from ogkernel.surface import (
     _AXIOM_NAMES,
@@ -238,6 +239,10 @@ def test_pair_literals_and_parenthesized_products():
     assert key.tag == "(yes,no)"
     decls, diags = parse_source("assert Gen((Two * Two) * Nat) by rule gen;")
     assert not diags
+    (item,) = elaborate_source("model check Obj((Two.yes, Two.no), Two * Two) upto 1;").items
+    assert (item.status, item.detail) == ("pass", "holds in 1/1 models")
+    _, diags = parse_source("assert Obj((Two, Nat), Two * Two) by rule gen;")
+    assert [(d.code, d.message) for d in diags] == [("E0002", "pair literals take object literals")]
 
 
 # ---------------------------------------------------------------------------
