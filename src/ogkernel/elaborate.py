@@ -2,7 +2,8 @@
 
 Assertions replay explicit proof expressions through kernel operations.
 Each rule proves judgments of fixed forms.  `from` supplies SupportsQuant
-premises: to H4, to set_intro, and to mor on a builtin.  Every other premise
+premises: to H4, to set_intro, and to mor on a builtin, and a `from`
+premise the derivation does not use is refused.  Every other premise
 is the latest proof in the session (lexical, top-to-bottom; there is no
 proof search) of the judgment the goal names.  A subproof has no goal, so of
 the rules only H4, with its own `from`, can be one.  An `Eq(...)`
@@ -30,6 +31,7 @@ from .kernel import (
     Theorem,
     axioms_used,
     builtin_premises,
+    trace_nodes,
 )
 from .semantics import FAILS, HOLDS, SWEEP_SIZES, SweepItem, soundness_sweep
 from .semantics import verify_judgment  # unused here, but bench/probes.py patches this name
@@ -287,7 +289,16 @@ def _execute_proof(session: _Session, proof, goal: Judgment | None) -> Theorem:
             note="rules: " + ", ".join(sorted(set(_RULE_ALIASES))),
         )
     premises = [_execute_proof(session, sub, None) for sub in proof.subproofs]
-    return _apply_rule(session, proof.name, premises, goal)
+    thm = _apply_rule(session, proof.name, premises, goal)
+    if premises:  # a `from` premise must be a node of the derivation
+        used = set(trace_nodes(thm))
+        unused = next((p for p in premises if p not in used), None)
+        if unused is not None:
+            raise _ElabError(
+                "E0102",
+                f"rule {proof.name} does not use its 'from' premise {render(unused.judgment)}",
+            )
+    return thm
 
 
 def _execute_axiom(session: _Session, name: str) -> Theorem:
@@ -560,6 +571,7 @@ def _run_include(session: _Session, decl: IncludeDecl, base_dir: Path | None) ->
         raise _ElabError("E0005", f"circular include of {decl.path!r}")
     if path in session.included:
         return
+    session.included.add(path)
     try:
         source = read_source(path)
     except (OSError, UnicodeDecodeError) as exc:
@@ -570,7 +582,6 @@ def _run_include(session: _Session, decl: IncludeDecl, base_dir: Path | None) ->
         raise _ElabError("E0005", f"included file {decl.path!r} has syntax errors")
     start = len(session.diagnostics)
     session.including.append(path)
-    session.included.add(path)
     try:
         _run_decls(session, decls, path.parent)
     finally:

@@ -22,13 +22,9 @@ from functools import reduce
 from operator import or_
 from typing import NamedTuple
 
-__all__ = ["HFUniverse", "Zfc1Family", "Zfc1Report", "check_zfc1_instances", "RankError"]
+__all__ = ["HFUniverse", "Zfc1Family", "Zfc1Report", "check_zfc1_instances"]
 
 MAX_RANK = 3
-
-
-class RankError(ValueError):
-    """Universe rank beyond the combinatorial budget."""
 
 
 def members(code: int) -> list[int]:
@@ -49,9 +45,9 @@ class HFUniverse(NamedTuple):
     @classmethod
     def build(cls, rank: int) -> "HFUniverse":
         if rank < 0:
-            raise RankError("rank must be nonnegative")
+            raise ValueError("rank must be nonnegative")
         if rank > MAX_RANK:
-            raise RankError(f"rank {rank} exceeds the instance-check budget (max {MAX_RANK})")
+            raise ValueError(f"rank {rank} exceeds the instance-check budget (max {MAX_RANK})")
         size = 1
         for _ in range(rank):
             size = 1 << size

@@ -63,15 +63,7 @@ __all__ = [
     "Theorem",
     "Kernel",
     "KernelError",
-    "SchemaError",
-    "NameClashError",
-    "PremiseError",
-    "TotalityError",
-    "CodomainError",
-    "CatalogError",
-    "EqualityLawError",
     "CrossDomainEqualityError",
-    "CounterexampleError",
     "verify_trace",
     "TraceReport",
     "axioms_used",
@@ -82,35 +74,7 @@ __all__ = [
 
 
 class KernelError(Exception):
-    """Base class for kernel-side refusals."""
-
-
-class SchemaError(KernelError):
-    """An axiom or rule was invoked with the wrong shape of arguments."""
-
-
-class NameClashError(KernelError):
-    """A generator name was declared twice."""
-
-
-class PremiseError(KernelError):
-    """A rule's premises do not have the required judgment forms."""
-
-
-class TotalityError(KernelError):
-    """A table morphism is not total over its domain carrier."""
-
-
-class CodomainError(KernelError):
-    """A table row mentions an object outside the declared carriers."""
-
-
-class CatalogError(KernelError):
-    """A builtin rule was requested outside its catalog entry."""
-
-
-class EqualityLawError(KernelError):
-    """A claimed equality pairing does not flag exactly the diagonal."""
+    """A kernel-side refusal; its message says which check failed."""
 
 
 class CrossDomainEqualityError(KernelError):
@@ -118,14 +82,6 @@ class CrossDomainEqualityError(KernelError):
 
     This refusal is the point: '=' exists only within a single set.
     """
-
-
-class CounterexampleError(KernelError):
-    """A choice instance failed: the map is not surjective."""
-
-    def __init__(self, message: str, uncovered: str):
-        super().__init__(message)
-        self.uncovered = uncovered
 
 
 class AxiomId(str, Enum):
@@ -143,7 +99,7 @@ class AxiomId(str, Enum):
         try:
             return _AXIOMS_BY_NAME[name]
         except KeyError:
-            raise SchemaError(f"unknown axiom: {name!r}") from None
+            raise KernelError(f"unknown axiom: {name!r}") from None
 
 
 _AXIOMS_BY_NAME = {axiom.value: axiom for axiom in AxiomId}
@@ -222,7 +178,7 @@ def _theorem(kind, label, payload=(), premises=()) -> Theorem:
     theorem is made."""
     premises = tuple(premises)
     if not all(type(p) is Theorem for p in premises):
-        raise PremiseError("every premise must be a theorem")
+        raise KernelError("every premise must be a theorem")
     judgment = _judge(kind, label, payload, tuple(p.judgment for p in premises))
     return Theorem(_SEAL, kind, label, judgment, premises, payload)
 
@@ -308,7 +264,7 @@ def _judge(kind: str, label: str, payload: tuple, premises: tuple[Judgment, ...]
     """The judgment that a trace node concludes from its payload and its
     premises' judgments; raises unless the node's rule admits them."""
     if type(payload) is not tuple:  # a term is a tuple too, and would match by its items
-        raise SchemaError(f"no {kind} node {label!r} with this payload")
+        raise KernelError(f"no {kind} node {label!r} with this payload")
     match kind, label, payload:
         case "rule", RuleId.MOR_INTRO, (fn, dom, cod, tags):
             return _check_mor(fn, dom, cod, dict(tags), premises)
@@ -317,7 +273,7 @@ def _judge(kind: str, label: str, payload: tuple, premises: tuple[Judgment, ...]
         case "rule", RuleId.BIN_FN_FROM_MOR, ():
             (premise,) = premises
             if not isinstance(premise, IsMor) or premise.cod != TWO:
-                raise PremiseError(
+                raise KernelError(
                     f"bin_fn_from_mor needs a morphism into Two, got {render(premise)}"
                 )
             return IsBinFn(premise.fn, premise.dom)
@@ -327,13 +283,13 @@ def _judge(kind: str, label: str, payload: tuple, premises: tuple[Judgment, ...]
         case "rule", RuleId.SET_INTRO, ():
             dom_j, sq_j = premises
             if not isinstance(dom_j, IsDomain):
-                raise PremiseError(f"set_intro needs a domain premise, got {render(dom_j)}")
+                raise KernelError(f"set_intro needs a domain premise, got {render(dom_j)}")
             if not isinstance(sq_j, SupportsQuant):
-                raise PremiseError(
+                raise KernelError(
                     f"set_intro needs a supports-quantification premise, got {render(sq_j)}"
                 )
             if dom_j.expr != sq_j.expr:
-                raise PremiseError(
+                raise KernelError(
                     f"premises concern different expressions: {render(dom_j.expr)} "
                     f"vs {render(sq_j.expr)}"
                 )
@@ -341,14 +297,14 @@ def _judge(kind: str, label: str, payload: tuple, premises: tuple[Judgment, ...]
         case "rule", RuleId.SQUANT_FROM_POWERSET, ():
             (premise,) = premises
             if not isinstance(premise, SupportsQuant):
-                raise PremiseError(
+                raise KernelError(
                     f"squant_from_powerset needs SupportsQuant(A), got {render(premise)}"
                 )
             return SupportsQuant(Powerset(premise.expr))
         case "rule", RuleId.COHERENT_LIMIT, ():
             (premise,) = premises
             if not isinstance(premise, IsCoherentFamily):
-                raise PremiseError(
+                raise KernelError(
                     f"coherent_limit needs a coherence premise, got {render(premise)}"
                 )
             return IsObj(limit_lit(premise.family.descriptor), Powerset(NAT))
@@ -363,18 +319,18 @@ def _judge(kind: str, label: str, payload: tuple, premises: tuple[Judgment, ...]
         case "decl", "generator", (name, tags):
             repeated = [t for i, t in enumerate(tags) if t in tags[:i]]
             if repeated:
-                raise SchemaError(f"generator {name!r} lists the tag {repeated[0]!r} twice")
+                raise KernelError(f"generator {name!r} lists the tag {repeated[0]!r} twice")
             return IsGen(Named(Ident(name)))
         case "decl", "coherent_family", (family,):
             streams.family_limit(family.descriptor)  # raises CoherenceError unless coherent
             return IsCoherentFamily(family)
-    raise SchemaError(f"no {kind} node {label!r} with this payload")
+    raise KernelError(f"no {kind} node {label!r} with this payload")
 
 
 def _choice_judgment(surj: FnExpr, dom: GenExpr, cod: GenExpr, tags: Tags) -> Judgment:
     """A section of `surj`, one row per codomain object taking its least preimage."""
     if not isinstance(surj, Table):
-        raise SchemaError("H2 reads its surjection from the rows of a table")
+        raise KernelError("H2 reads its surjection from the rows of a table")
     _check_mor(surj, dom, cod, tags, ())
     value_at = {key.tag: value.tag for key, value in surj.rows}
     least: dict[str, str] = {}
@@ -383,7 +339,7 @@ def _choice_judgment(surj: FnExpr, dom: GenExpr, cod: GenExpr, tags: Tags) -> Ju
     targets = _first_objects(cod, tags, len(least) + 1)
     uncovered = next((t for t in targets if t not in least), None)
     if uncovered is not None:
-        raise CounterexampleError(f"not surjective: {uncovered!r} is uncovered", uncovered)
+        raise KernelError(f"not surjective: {uncovered!r} is uncovered")
     rows = tuple((ObjLit(t, cod), ObjLit(least[t], dom)) for t in targets)
     return IsMor(Table(cod, dom, rows), cod, dom)
 
@@ -398,7 +354,7 @@ def _required_squants(expr: GenExpr) -> tuple[GenExpr, ...]:
         # Extensional equality on P[B] is the detector applied to the
         # symmetric difference, so it needs exactly the detector on B.
         return (expr.arg,)
-    raise CatalogError(
+    raise KernelError(
         f"no builtin equality for {render(expr)}: primitive generators "
         "provide no identity on their objects"
     )
@@ -429,20 +385,20 @@ def _check_mor(
 ) -> Judgment:
     if isinstance(fn, Table):
         if fn.domain != dom or fn.codomain != cod:
-            raise PremiseError(
+            raise KernelError(
                 f"table is declared {render(fn.domain)} -> {render(fn.codomain)}, "
                 f"not {render(dom)} -> {render(cod)}"
             )
         _check_rows(fn, tags)
     elif isinstance(fn, BuiltinRule):
         if fn.rule == "restrict":
-            raise CatalogError(
+            raise KernelError(
                 "restrictions are partial on the naturals; they are family "
                 "stages, not total morphisms"
             )
         declared_dom, declared_cod = fn_signature(fn)
         if declared_dom != dom or declared_cod != cod:
-            raise CatalogError(
+            raise KernelError(
                 f"builtin {fn.rule} has signature {render(declared_dom)} -> "
                 f"{render(declared_cod)}, not {render(dom)} -> {render(cod)}"
             )
@@ -452,18 +408,18 @@ def _check_mor(
             try:
                 streams.family_limit(fn.args[0])
             except streams.CoherenceError as exc:
-                raise CatalogError(f"union_of_family needs a coherent family: {exc}") from None
+                raise KernelError(f"union_of_family needs a coherent family: {exc}") from None
         elif fn.rule == "indicator_stream":
             streams.parse_stream_spec(fn.args[0])
         required = tuple(SupportsQuant(b) for b in builtin_premises(fn))
         if premises != required:
-            raise PremiseError(
+            raise KernelError(
                 f"builtin {fn.rule} on {render(dom)} requires premises "
                 f"[{', '.join(render(r) for r in required)}], got "
                 f"[{', '.join(render(p) for p in premises)}]"
             )
     else:
-        raise SchemaError(f"not a function expression: {fn!r}")
+        raise KernelError(f"not a function expression: {fn!r}")
     return IsMor(fn, dom, cod)
 
 
@@ -472,56 +428,56 @@ def _check_rows(table: Table, tags: Tags) -> None:
     every value a codomain object, each written on that carrier, and there is
     a row for each domain object."""
     dom, cod, rows = table.domain, table.codomain, table.rows
-    for side, expr, error in (("domain", dom, TotalityError), ("codomain", cod, CodomainError)):
+    for side, expr in (("domain", dom), ("codomain", cod)):
         unknown = _unknown_part(expr, tags)
         if unknown:
-            raise error(
+            raise KernelError(
                 f"a table's {side} must be a finite carrier known whole, and "
                 f"{render(expr)} is not: {unknown}"
             )
     elsewhere = next((row for row in rows if row[0].of != dom or row[1].of != cod), None)
     if elsewhere is not None:
         row = " -> ".join(map(render, elsewhere))
-        raise CodomainError(f"row {row} is not written on {render(dom)} -> {render(cod)}")
+        raise KernelError(f"row {row} is not written on {render(dom)} -> {render(cod)}")
     stray = next((key.tag for key, _ in rows if _key(dom, key.tag, tags) is None), None)
     if stray is not None:
-        raise CodomainError(f"row key {stray!r} is not an object of the domain")
+        raise KernelError(f"row key {stray!r} is not an object of the domain")
     outside = next((value.tag for _, value in rows if _key(cod, value.tag, tags) is None), None)
     if outside is not None:
-        raise CodomainError(f"row value {outside!r} is not an object of the codomain")
+        raise KernelError(f"row value {outside!r} is not an object of the codomain")
     # The keys are distinct canonical tags: one is missing iff |dom| > len(rows).
     keys = {key.tag for key, _ in rows}
     missing = next((t for t in _first_objects(dom, tags, len(rows) + 1) if t not in keys), None)
     if missing is not None:
-        raise TotalityError(f"table has no row for {missing!r}")
+        raise KernelError(f"table has no row for {missing!r}")
 
 
 def _check_gen_formation(expr: GenExpr, premises: tuple[Judgment, ...]) -> Judgment:
     if isinstance(expr, (Two, Nat)):
         if premises:
-            raise PremiseError("formation of a builtin generator takes no premises")
+            raise KernelError("formation of a builtin generator takes no premises")
         return IsGen(expr)
     if isinstance(expr, Powerset):
         if premises != (IsGen(expr.arg),):
-            raise PremiseError(f"powerset formation needs Gen({render(expr.arg)})")
+            raise KernelError(f"powerset formation needs Gen({render(expr.arg)})")
         return IsGen(expr)
     if isinstance(expr, Product):
         if premises != (IsGen(expr.left), IsGen(expr.right)):
-            raise PremiseError("product formation needs both component generators")
+            raise KernelError("product formation needs both component generators")
         return IsGen(expr)
-    raise PremiseError(f"cannot form {render(expr)} by formation rules")
+    raise KernelError(f"cannot form {render(expr)} by formation rules")
 
 
 def _check_domain(gen_j: Judgment, eq_j: Judgment) -> Judgment:
     if not isinstance(gen_j, IsGen):
-        raise PremiseError(f"domain_intro needs Gen(A), got {render(gen_j)}")
+        raise KernelError(f"domain_intro needs Gen(A), got {render(gen_j)}")
     if not isinstance(eq_j, IsBinFn):
-        raise PremiseError(
+        raise KernelError(
             f"domain_intro needs a binary function premise, got {render(eq_j)}"
         )
     expr, eq = gen_j.expr, eq_j.fn
     if eq_j.dom != Product(expr, expr):
-        raise PremiseError(
+        raise KernelError(
             f"equality pairing is on {render(eq_j.dom)}, expected "
             f"{render(Product(expr, expr))}"
         )
@@ -531,12 +487,12 @@ def _check_domain(gen_j: Judgment, eq_j: Judgment) -> Judgment:
             x, y = split_pair_tag(key.tag)
             expected = "yes" if x == y else "no"
             if value.tag != expected:
-                raise EqualityLawError(
+                raise KernelError(
                     f"equality pairing on {render(expr)} returns {value.tag!r} at "
                     f"({x!r}, {y!r}), expected {expected!r}"
                 )
     elif eq != BuiltinRule("eq_of", (expr,)):  # eq_of rests on its premises alone
-        raise EqualityLawError(f"{render(eq)} is not the equality on {render(expr)}")
+        raise KernelError(f"{render(eq)} is not the equality on {render(expr)}")
     return IsDomain(expr, eq)
 
 
@@ -559,7 +515,7 @@ class Kernel:
     def axiom(self, axiom: AxiomId, params: Sequence = ()) -> Theorem:
         params = tuple(params)
         if axiom in (AxiomId.H1_TWO_IS_SET, AxiomId.H3_NAT_SUPPORTS_QUANT) and params:
-            raise SchemaError(f"{axiom.value} takes no parameters")
+            raise KernelError(f"{axiom.value} takes no parameters")
         if axiom is AxiomId.H1_TWO_IS_SET:
             parts = (_theorem("axiom", "H1", ("domain",)), _theorem("axiom", "H1", ("squant",)))
             return _theorem("rule", RuleId.SET_INTRO, (), parts)
@@ -567,19 +523,19 @@ class Kernel:
             return _theorem("axiom", "H3")
         if axiom is AxiomId.H2_CHOICE:
             if len(params) != 3:
-                raise SchemaError("H2 takes a surjection description: (fn, dom, cod)")
+                raise KernelError("H2 takes a surjection description: (fn, dom, cod)")
             return _theorem("axiom", "H2", (*params, self._tags(params[0])))
         if axiom is AxiomId.H4_POWERSET_QUANT:
-            raise SchemaError(
+            raise KernelError(
                 "H4 is a closure rule: apply squant_from_powerset to a "
                 "SupportsQuant theorem"
             )
         if axiom is AxiomId.CLA_COHERENT_LIMIT:
-            raise SchemaError(
+            raise KernelError(
                 "the coherent-limit axiom applies through coherent_limit on a "
                 "verified coherent family"
             )
-        raise SchemaError(f"unknown axiom {axiom!r}")
+        raise KernelError(f"unknown axiom {axiom!r}")
 
     # -- generators
 
@@ -588,20 +544,20 @@ class Kernel:
         (without tags, no table on it is ever checked), or form a composite one."""
         if isinstance(decl, Ident):
             if decl.text in self._declared:
-                raise NameClashError(f"generator {decl.text!r} is already declared")
+                raise KernelError(f"generator {decl.text!r} is already declared")
             thm = _theorem("decl", "generator", (decl.text, tuple(tags)))
             self._declared[decl.text] = thm
             return thm
         if tags:
-            raise SchemaError("only a primitive generator declares tags")
+            raise KernelError("only a primitive generator declares tags")
         if isinstance(decl, Named):
             thm = self._declared.get(decl.name.text)
             if thm is None:
-                raise PremiseError(f"generator {decl.name.text!r} is not declared")
+                raise KernelError(f"generator {decl.name.text!r} is not declared")
             return thm
         if isinstance(decl, GenExpr):
             return self._formation(decl)
-        raise SchemaError(f"cannot introduce a generator from {decl!r}")
+        raise KernelError(f"cannot introduce a generator from {decl!r}")
 
     def _formation(self, expr: GenExpr) -> Theorem:
         cached = self._formations.get(expr)
@@ -616,7 +572,7 @@ class Kernel:
         elif isinstance(expr, Product):
             children = (self._formation(expr.left), self._formation(expr.right))
         else:
-            raise SchemaError(f"cannot form {expr!r}")
+            raise KernelError(f"cannot form {expr!r}")
         return self._formations.setdefault(
             expr, _theorem("rule", RuleId.GEN_INTRO, (expr,), children)
         )
@@ -672,7 +628,7 @@ class Kernel:
         tag names no object of the domain."""
         dom_j = domain.judgment
         if not isinstance(dom_j, IsDomain):
-            raise PremiseError(
+            raise KernelError(
                 f"eq_within_domain needs a domain theorem, got {domain!r}"
             )
         for lit in (x, y):

@@ -72,7 +72,6 @@ __all__ = [
     "CARRIER_BUDGET",
     "MODEL_BUDGET",
     "NO_VALUE",
-    "InterpretationError",
     "NotFinitelyCheckable",
     "interpret",
     "fn_values",
@@ -116,10 +115,6 @@ COHERENCE_SCAN_CAP = 1024
 
 # The carrier sizes a soundness sweep or a `model check` may go up to.
 SWEEP_SIZES = range(1, 5)
-
-
-class InterpretationError(ValueError):
-    """An expression mentions a name the model does not assign."""
 
 
 class NotFinitelyCheckable(Exception):
@@ -244,7 +239,7 @@ def interpret(expr: GenExpr, model: Model) -> Carrier:
     elif isinstance(expr, Named):
         carrier = model.carrier_for(expr.name.text)
         if carrier is None:
-            raise InterpretationError(f"no carrier assigned to {expr.name.text!r}")
+            raise ValueError(f"no carrier assigned to {expr.name.text!r}")
     elif isinstance(expr, Product):
         left, right = interpret(expr.left, model), interpret(expr.right, model)
         carrier = Carrier(f"({left.name} x {right.name})", parts=(left, right))

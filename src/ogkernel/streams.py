@@ -40,7 +40,6 @@ __all__ = [
     "MAX_COMBINATORS",
     "parse_stream_spec",
     "resolve_family",
-    "family_violation",
     "family_limit",
     "is_coherent",
     "CoherenceResult",
@@ -363,35 +362,24 @@ def resolve_family(descriptor: str) -> Callable[[int], bytes]:
     return member_at
 
 
-def family_violation(descriptor: str) -> tuple[int, int] | None:
-    """The exact coherence decision for a family descriptor.
-
-    Returns None when every stage restricts to its predecessor, otherwise
-    the first (stage, index) where a stage disagrees with the one before.
-    ``restrictions(s)`` is always coherent.  ``corrupt(s,k,i)`` first flips
-    bit i at stage k; stage k - 1 has bit i in its domain exactly when
-    i < k, so that is when the family is incoherent, first at (k, i).
-    """
-    _, corruption = _parse_family(descriptor)
-    if corruption is None:
-        return None
-    stage, index = corruption
-    return corruption if index < stage else None
-
-
 def family_limit(descriptor: str) -> BitStream:
-    """The union of a coherent family, the stream each stage is a prefix of;
-    raises CoherenceError for an incoherent family.
+    """The exact coherence decision for a family descriptor, and the union
+    of a coherent family: the stream each stage is a prefix of.
 
-    The union of ``restrictions(s)`` is s.  A coherent ``corrupt(s,k,i)``
-    has i >= k, so no stage before k reaches index i and the union is s with
-    bit i flipped.
+    ``restrictions(s)`` is always coherent, with union s.  ``corrupt(s,k,i)``
+    first flips bit i at stage k; stage k - 1 has bit i in its domain exactly
+    when i < k, so that is when the family is incoherent, and CoherenceError
+    names (k, i), the first stage and index that disagree with the stage
+    before.  Otherwise no stage before k reaches index i, and the union is s
+    with bit i flipped.
     """
-    violation = family_violation(descriptor)
-    if violation is not None:
-        raise CoherenceError(*violation)
     stream, corruption = _parse_family(descriptor)
-    return stream if corruption is None else FlipAt(stream, corruption[1])
+    if corruption is None:
+        return stream
+    stage, index = corruption
+    if index < stage:
+        raise CoherenceError(stage, index)
+    return FlipAt(stream, index)
 
 
 # ---------------------------------------------------------------------------

@@ -271,7 +271,7 @@ class _Parser:
 
     def expect(self, key: str) -> _Tok:
         if self.keys[self.pos] != key:
-            raise self.error("E0002", f"expected {key!r}, found {self.shown()!r}")
+            raise self.error("E0002", f"expected {key!r}, found {self.shown()}")
         self.pos += 1
         return self.toks[self.pos - 1]
 
@@ -292,7 +292,7 @@ class _Parser:
         if self.keys[self.pos] != closer:
             raise self.error(
                 "E0003",
-                f"unclosed bracket: expected {closer!r}, found {self.shown()!r}",
+                f"unclosed bracket: expected {closer!r}, found {self.shown()}",
                 note=f"opened at line {opener[2]}, column {opener[3]}",
             )
         self.pos += 1
@@ -308,9 +308,10 @@ class _Parser:
         return items
 
     def shown(self) -> str:
-        """How an error message names the token at hand."""
+        """How an error message names the token at hand: its text, quoted,
+        or the end of the file."""
         key, text, *_ = self.toks[self.pos]
-        return text or key
+        return "end of file" if key == "eof" else repr(text or key)
 
     def sync(self) -> None:
         """Recover at the next `;` (consumed) and continue parsing."""
@@ -335,7 +336,7 @@ class _Parser:
     def parse_decl(self) -> Decl:
         parse = self.DECLS.get(self.keys[self.pos])
         if parse is None:
-            raise self.error("E0002", f"expected a declaration, found {self.shown()!r}")
+            raise self.error("E0002", f"expected a declaration, found {self.shown()}")
         start = Span(*self.toks[self.pos][2:])
         self.pos += 1
         return parse(self, start)
@@ -486,7 +487,7 @@ class _Parser:
             expr = self.parse_gen_expr()
             self.leave(")", opener)
             return expr
-        raise self.error("E0002", f"expected a generator expression, found {self.shown()!r}")
+        raise self.error("E0002", f"expected a generator expression, found {self.shown()}")
 
     # -- judgments
 
@@ -495,7 +496,7 @@ class _Parser:
         if head[0] != "ident" or head[1] not in JUDGMENT_HEADS:
             raise self.error(
                 "E0002",
-                f"expected a judgment head, found {self.shown()!r}",
+                f"expected a judgment head, found {self.shown()}",
                 note="heads: " + ", ".join(sorted(JUDGMENT_HEADS)),
             )
         self.pos += 1
@@ -574,7 +575,7 @@ class _Parser:
             # Shorthand: a bare axiom name stands for `axiom <name>`.
             self.pos += 1
             return AxiomRef(tok[1])
-        raise self.error("E0002", f"expected a proof expression, found {self.shown()!r}")
+        raise self.error("E0002", f"expected a proof expression, found {self.shown()}")
 
     # -- remaining declarations
 

@@ -279,7 +279,7 @@ class FamilySpec(Term, fields="name descriptor"):
     """A coherent-family description drawn from the stream catalog.
 
     The descriptor grammar and its coherence decision are owned by
-    `ogkernel.streams` (`resolve_family`, `family_violation`):
+    `ogkernel.streams` (`resolve_family` and `family_limit`):
     ``restrictions(<stream spec>)`` or ``corrupt(<stream spec>,<stage>,<index>)``.
     """
 

@@ -301,7 +301,11 @@ def test_an_include_diamond_runs_each_file_once(tmp_path):
          ["FAIL     E0005 at 1:1 | b.og: circular include of 'a.og'"]),
         # A syntax error in c.og, whose include is the root file's only line.
         ({"a.og": 'include "c.og";\n', "c.og": "assert Set(Two) by axiom H1;\n\nassert Set(Two\n"},
-         ["FAIL     E0003 at 4:1 | c.og: unclosed bracket: expected ')', found 'eof'",
+         ["FAIL     E0003 at 4:1 | c.og: unclosed bracket: expected ')', found end of file",
+          "FAIL     E0005 at 1:1 | included file 'c.og' has syntax errors"]),
+        # A file with a syntax error, included twice, runs and is reported once.
+        ({"a.og": 'include "c.og";\ninclude "c.og";\n', "c.og": "assert Gen((G);\n"},
+         ["FAIL     E0003 at 1:15 | c.og: unclosed bracket: expected ')', found ';'",
           "FAIL     E0005 at 1:1 | included file 'c.og' has syntax errors"]),
         # An elaboration error two includes down names both, outermost first.
         ({"a.og": 'assert Set(Two) by axiom H1;\ninclude "sub/b.og";\n',

@@ -195,17 +195,27 @@ def test_model_check_items():
     assert result.items[0].status in ("pass", "skipped")
 
 
-def test_model_check_failing_judgment():
-    source = (
-        "generator G primitive {a, b};\n"
-        "morphism bad : G * G -> Two := table { (G.a, G.a) -> Two.yes, "
-        "(G.a, G.b) -> Two.yes, (G.b, G.a) -> Two.yes, (G.b, G.b) -> Two.yes };\n"
-        "model check Domain(G, bad) upto 2;\n"
-    )
+@pytest.mark.parametrize(
+    "source, detail, witness",
+    [
+        ("generator G primitive {a, b};\n"
+         "morphism bad : G * G -> Two := table { (G.a, G.a) -> Two.yes, "
+         "(G.a, G.b) -> Two.yes, (G.b, G.a) -> Two.yes, (G.b, G.b) -> Two.yes };\n"
+         "model check Domain(G, bad) upto 2;\n",
+         "fails in 1/2 models", {"x": "a", "y": "b", "expected": "no", "got": "yes"}),
+        # A builtin declared on another domain fails in every model.
+        ("model check Mor(eq_of[Two], Nat, Two) upto 2;\n",
+         "fails in 2/2 models", {"declared": "Two * Two -> Two", "expected": "Nat -> Two"}),
+        # A Domain's verdict is its equality's Mor verdict.
+        ("model check Domain(Two, eq_of[Nat]) upto 1;\n",
+         "fails in 1/1 models", {"declared": "Nat * Nat -> Two", "expected": "Two * Two -> Two"}),
+    ],
+)
+def test_model_check_failing_judgment(source, detail, witness):
     result = elaborate_source(source)
     items = [i for i in result.items if i.name.startswith("model check")]
-    assert items[0].status == "fail"
-    assert items[0].witness is not None
+    assert (items[0].status, items[0].detail) == ("fail", detail)
+    assert witness.items() <= items[0].witness.items()
 
 
 def test_limit_decls_produce_items():
@@ -326,6 +336,25 @@ _EQ_PROOF = "an Eq(...) assertion is proved by rule eq_within alone"
          _EQ_PROOF),
         (_TWO_DOMAIN + "assert Eq(Two.yes, Two.no) by rule eq_within from H3;", 4, "E0102",
          _EQ_PROOF),
+        # A name the catalog of axioms, rules or specs does not know.
+        ("assert SupportsQuant(Nat) by axiom H9;", 1, "E0102", "unknown axiom: 'H9'"),
+        ("assert Gen(Two) by rule foo;", 1, "E0102", "unknown rule 'foo'"),
+        ('limit member "shift(squares, x)" upto 4 4 16;', 1, "E0102",
+         "expected an integer, got 'x'"),
+        ('limit member "xor(squares),pow2)" upto 4 4 16;', 1, "E0102",
+         "unbalanced parentheses in 'xor(squares),pow2)'"),
+        ('limit member "flip(squares,-1)" upto 4 4 16;', 1, "E0102",
+         "bad spec 'flip(squares,-1)': index must be nonnegative"),
+        ('assert Coherent(F, "corrupt(squares,3)") by rule coherent;', 1, "E0102",
+         "corrupt(...) takes three arguments: 'corrupt(squares,3)'"),
+        # A `from` premise that the derivation does not use.
+        ("generator G primitive {a};\nassert Gen(P[G]) by rule gen from axiom H3;", 2, "E0102",
+         "rule gen does not use its 'from' premise SupportsQuant(Nat)"),
+        ("assert SupportsQuant(P[Nat]) by rule H4 from axiom H3, axiom H3;", 1, "E0102",
+         "rule H4 does not use its 'from' premise SupportsQuant(Nat)"),
+        ("generator G primitive {a};\nmorphism f : G -> Two := table { G.a -> Two.yes };\n"
+         "assert Mor(f, G, Two) by rule mor from H3;", 3, "E0102",
+         "rule mor does not use its 'from' premise SupportsQuant(Nat)"),
         # Primitives and aliases share one namespace.
         ("generator G primitive {a, b};\ngenerator G := Two;", 2, "E0102",
          "generator 'G' is already declared"),

@@ -10,7 +10,6 @@ import pytest
 from ogkernel import hf
 from ogkernel.hf import (
     HFUniverse,
-    RankError,
     check_zfc1_instances,
     members,
     render_hf,
@@ -93,9 +92,9 @@ def test_codes_agree_with_decoded_sets():
 
 
 def test_rank_bounds():
-    with pytest.raises(RankError):
+    with pytest.raises(ValueError, match="rank 4 exceeds the instance-check budget"):
         HFUniverse.build(4)
-    with pytest.raises(RankError):
+    with pytest.raises(ValueError, match="rank must be nonnegative"):
         HFUniverse.build(-1)
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,18 +17,10 @@ from ogkernel import kernel as kernel_module
 
 from ogkernel.kernel import (
     AxiomId,
-    CatalogError,
-    CodomainError,
-    CounterexampleError,
     CrossDomainEqualityError,
-    EqualityLawError,
     Kernel,
     KernelError,
-    NameClashError,
-    PremiseError,
-    SchemaError,
     Theorem,
-    TotalityError,
     _judge,
     axioms_used,
     leaf_kinds,
@@ -86,16 +80,16 @@ def test_axiom_h3(kernel):
 
 
 def test_axiom_arity_errors(kernel):
-    with pytest.raises(SchemaError):
+    with pytest.raises(KernelError):
         kernel.axiom(AxiomId.H1_TWO_IS_SET, [NAT])
-    with pytest.raises(SchemaError):
+    with pytest.raises(KernelError):
         kernel.axiom(AxiomId.H3_NAT_SUPPORTS_QUANT, [NAT])
 
 
 def test_h4_and_cla_are_rules_not_leaf_axioms(kernel):
-    with pytest.raises(SchemaError, match="squant_from_powerset"):
+    with pytest.raises(KernelError, match="squant_from_powerset"):
         kernel.axiom(AxiomId.H4_POWERSET_QUANT, [NAT])
-    with pytest.raises(SchemaError, match="coherent_limit"):
+    with pytest.raises(KernelError, match="coherent_limit"):
         kernel.axiom(AxiomId.CLA_COHERENT_LIMIT)
 
 
@@ -105,7 +99,7 @@ def test_h4_and_cla_are_rules_not_leaf_axioms(kernel):
 def test_gen_intro_primitive_and_clash(kernel):
     thm = kernel.gen_intro(Ident("G"))
     assert thm.judgment == IsGen(Named(Ident("G")))
-    with pytest.raises(NameClashError):
+    with pytest.raises(KernelError):
         kernel.gen_intro(Ident("G"))
 
 
@@ -119,7 +113,7 @@ def test_gen_intro_formation(kernel):
 
 
 def test_gen_intro_unknown_name(kernel):
-    with pytest.raises(PremiseError):
+    with pytest.raises(KernelError):
         kernel.gen_intro(Named(Ident("Ghost")))
 
 
@@ -154,18 +148,18 @@ def test_mor_intro_totality_and_codomain_errors(kernel):
     g = Named(Ident("G"))
     kernel.gen_intro(Ident("G"), ("a", "b"))
     partial = Table(g, TWO, ((ObjLit("a", g), ObjLit("yes", TWO)),))
-    with pytest.raises(TotalityError, match="^table has no row for 'b'$"):
+    with pytest.raises(KernelError, match="^table has no row for 'b'$"):
         kernel.mor_intro(partial, g, TWO)
     bad = Table(
         g, TWO, ((ObjLit("a", g), ObjLit("up", TWO)), (ObjLit("b", g), ObjLit("no", TWO)))
     )
-    with pytest.raises(CodomainError, match="^row value 'up' is not an object of the codomain$"):
+    with pytest.raises(KernelError, match="^row value 'up' is not an object of the codomain$"):
         kernel.mor_intro(bad, g, TWO)
     # a row whose key is no object of the domain, also where a row is missing
     stray_row = (ObjLit("z", g), ObjLit("no", TWO))
     total = ((ObjLit("a", g), ObjLit("yes", TWO)), bad.rows[1])
     for rows in (total + (stray_row,), total[1:] + (stray_row,)):
-        with pytest.raises(CodomainError, match="row key 'z' is not an object"):
+        with pytest.raises(KernelError, match="row key 'z' is not an object"):
             kernel.mor_intro(Table(g, TWO, rows), g, TWO)
 
 
@@ -174,10 +168,10 @@ def test_mor_intro_refuses_row_literals_on_another_carrier(kernel):
     g = Named(Ident("G"))
     kernel.gen_intro(Ident("G"), ("yes", "no"))
     keys_on_two = Table(g, TWO, tuple((ObjLit(t, TWO), ObjLit(t, TWO)) for t in ("yes", "no")))
-    with pytest.raises(CodomainError, match=r"^row Two\.yes -> Two\.yes is not written on G -> Two$"):
+    with pytest.raises(KernelError, match=r"^row Two\.yes -> Two\.yes is not written on G -> Two$"):
         kernel.mor_intro(keys_on_two, g, TWO)
     values_on_g = Table(g, TWO, tuple((ObjLit(t, g), ObjLit(t, g)) for t in ("yes", "no")))
-    with pytest.raises(CodomainError, match=r"^row G\.yes -> G\.yes is not written on G -> Two$"):
+    with pytest.raises(KernelError, match=r"^row G\.yes -> G\.yes is not written on G -> Two$"):
         kernel.mor_intro(values_on_g, g, TWO)
 
 
@@ -192,17 +186,17 @@ def test_builtin_morphisms(kernel):
 
 
 def test_builtin_premise_and_catalog_errors(kernel):
-    with pytest.raises(PremiseError):
+    with pytest.raises(KernelError):
         kernel.mor_intro(
             BuiltinRule("empty_detector_of", (NAT,)), Powerset(NAT), TWO
         )  # missing SupportsQuant premise
-    with pytest.raises(CatalogError):
+    with pytest.raises(KernelError):
         kernel.mor_intro(BuiltinRule("eq_of", (NAT,)), Product(NAT, NAT), NAT)
     kernel.gen_intro(Ident("G"))
     g = Named(Ident("G"))
-    with pytest.raises(CatalogError, match="no identity"):
+    with pytest.raises(KernelError, match="no identity"):
         kernel.mor_intro(BuiltinRule("eq_of", (g,)), Product(g, g), TWO)
-    with pytest.raises(CatalogError, match="partial"):
+    with pytest.raises(KernelError, match="partial"):
         kernel.mor_intro(BuiltinRule("restrict", ("squares", 5)), NAT, TWO)
 
 
@@ -249,7 +243,7 @@ def test_domain_intro_rejects_constant_yes(kernel):
     )
     gen = kernel.gen_intro(g)
     binfn = kernel.bin_fn_from_mor(kernel.mor_intro(constant, Product(g, g), TWO))
-    with pytest.raises(EqualityLawError, match=r"returns 'yes' at \('a', 'b'\)"):
+    with pytest.raises(KernelError, match=r"returns 'yes' at \('a', 'b'\)"):
         kernel.domain_intro(gen, binfn)
 
 
@@ -257,7 +251,7 @@ def test_domain_intro_premise_mismatch(kernel):
     gen_two = kernel.gen_intro(TWO)
     eq_nat = BuiltinRule("eq_of", (NAT,))
     binfn = kernel.bin_fn_from_mor(kernel.mor_intro(eq_nat, Product(NAT, NAT), TWO))
-    with pytest.raises(PremiseError):
+    with pytest.raises(KernelError):
         kernel.domain_intro(gen_two, binfn)
 
 
@@ -271,7 +265,7 @@ def test_set_intro_and_mismatch(kernel):
     assert thm.judgment == IsSet(NAT)
     assert thm.parts == (domain, squant)
     two_set = kernel.axiom(AxiomId.H1_TWO_IS_SET)
-    with pytest.raises(PremiseError):
+    with pytest.raises(KernelError):
         kernel.set_intro(domain, two_set.parts[1])  # SupportsQuant(Two) vs Nat
 
 
@@ -288,7 +282,7 @@ def test_squant_from_powerset_chain(kernel):
 
 def test_squant_premise_error(kernel):
     set_nat = kernel.axiom(AxiomId.H1_TWO_IS_SET)
-    with pytest.raises(PremiseError):
+    with pytest.raises(KernelError):
         kernel.squant_from_powerset(set_nat)  # IsSet, not SupportsQuant
 
 
@@ -327,7 +321,7 @@ def test_union_of_incoherent_family_is_refused(kernel):
     union = BuiltinRule("union_of_family", ("restrictions(pow2)",))
     assert kernel.mor_intro(union, NAT, TWO).judgment == IsMor(union, NAT, TWO)
     corrupt = BuiltinRule("union_of_family", ("corrupt(squares,5,3)",))
-    with pytest.raises(CatalogError, match="stage 5 disagrees at index 3"):
+    with pytest.raises(KernelError, match="stage 5 disagrees at index 3"):
         kernel.mor_intro(corrupt, NAT, TWO)
 
 
@@ -340,7 +334,7 @@ def test_union_of_family_counts_cla(kernel):
 
 def test_coherent_limit_premise_error(kernel):
     h3 = kernel.axiom(AxiomId.H3_NAT_SUPPORTS_QUANT)
-    with pytest.raises(PremiseError):
+    with pytest.raises(KernelError):
         kernel.coherent_limit(h3)
 
 
@@ -412,9 +406,8 @@ def test_choice_counterexample(kernel):
         TWO,
         ((ObjLit("a", g), ObjLit("yes", TWO)), (ObjLit("b", g), ObjLit("yes", TWO))),
     )
-    with pytest.raises(CounterexampleError, match="^not surjective: 'no' is uncovered$") as exc:
+    with pytest.raises(KernelError, match="^not surjective: 'no' is uncovered$"):
         kernel.axiom(AxiomId.H2_CHOICE, (not_surjective, g, TWO))
-    assert exc.value.uncovered == "no"
 
 
 # -- sealing and trace integrity
@@ -436,7 +429,7 @@ def test_a_premise_must_be_a_theorem(kernel):
     domain = _nat_domain(kernel)
     # anything with a judgment, even another record that carries one
     lookalike = SweepItem(SupportsQuant(NAT), (), ())
-    with pytest.raises(PremiseError, match="every premise must be a theorem"):
+    with pytest.raises(KernelError, match="every premise must be a theorem"):
         kernel.set_intro(domain, lookalike)
     assert kernel.set_intro(domain, squant).judgment == IsSet(NAT)
 
@@ -547,7 +540,7 @@ def test_binfn_iff_mor_into_two(kernel):
     assert isinstance(mor.judgment, IsMor) and mor.judgment.cod == TWO
     assert binfn.judgment == IsBinFn(eq, Product(TWO, TWO))
     assert binfn.node.children == (mor.node,)
-    with pytest.raises(PremiseError):
+    with pytest.raises(KernelError):
         kernel.bin_fn_from_mor(kernel.gen_intro(TWO))  # not a morphism
 
 
@@ -595,22 +588,52 @@ def test_importing_the_kernel_loads_only_the_trusted_base():
     assert kernel == ["ogkernel", "ogkernel.kernel", "ogkernel.streams", "ogkernel.terms"]
 
 
+def test_every_exception_class_is_caught_by_name_somewhere():
+    # A refusal gets a class of its own only where a program tells it apart:
+    # each exception class of the package is named in some `except` clause
+    # of the package or of the demos.  Any other refusal raises KernelError
+    # or a builtin, and its message says which check failed.
+    package = Path(kernel_module.__file__).parent
+    modules = [
+        importlib.import_module(f"ogkernel.{info.name}")
+        for info in pkgutil.iter_modules([str(package)])
+        if info.name != "__main__"
+    ]
+    defined = {
+        name
+        for module in modules
+        for name, value in vars(module).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+        and value.__module__ == module.__name__
+    }
+    caught = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in [*package.glob("*.py"), *(package.parents[1] / "demos").glob("*.py")]
+        for handler in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+        for node in ast.walk(handler.type)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert {"KernelError", "CrossDomainEqualityError", "UsageError"} <= defined
+    assert sorted(defined - caught) == []
+
+
 def test_tables_need_carriers_known_whole(kernel):
     kernel.gen_intro(Ident("G"))  # no tags
     g = Named(Ident("G"))
     one_row = Table(g, TWO, ((ObjLit("a", g), ObjLit("yes", TWO)),))
-    with pytest.raises(TotalityError, match="G is not: generator 'G' declares no tags"):
+    with pytest.raises(KernelError, match="G is not: generator 'G' declares no tags"):
         kernel.mor_intro(one_row, g, TWO)
     on_nat = Table(NAT, TWO, ((ObjLit("0", NAT), ObjLit("yes", TWO)),))
-    with pytest.raises(TotalityError, match="Nat is not: it mentions Nat"):
+    with pytest.raises(KernelError, match="Nat is not: it mentions Nat"):
         kernel.mor_intro(on_nat, NAT, TWO)
     # a table into Nat is refused too, whatever its values
     into_nat = Table(
         TWO, NAT, ((ObjLit("yes", TWO), ObjLit("0", NAT)), (ObjLit("no", TWO), ObjLit("1", NAT)))
     )
-    with pytest.raises(CodomainError, match="codomain must be a finite carrier known whole"):
+    with pytest.raises(KernelError, match="codomain must be a finite carrier known whole"):
         kernel.mor_intro(into_nat, TWO, NAT)
-    with pytest.raises(PremiseError, match="'H' is not declared"):
+    with pytest.raises(KernelError, match="'H' is not declared"):
         kernel.mor_intro(Table(Named(Ident("H")), TWO, ()), Named(Ident("H")), TWO)
 
 
@@ -627,10 +650,10 @@ def test_table_payload_carries_the_declared_tags(kernel):
 
 
 def test_repeated_tag_is_refused_by_the_kernel(kernel):
-    with pytest.raises(SchemaError, match="^generator 'G' lists the tag 'a' twice$"):
+    with pytest.raises(KernelError, match="^generator 'G' lists the tag 'a' twice$"):
         kernel.gen_intro(Ident("G"), ("a", "b", "a"))
     kernel.gen_intro(Ident("G"), ("a", "b"))  # the refused name was not declared
-    with pytest.raises(SchemaError):
+    with pytest.raises(KernelError):
         kernel.gen_intro(Powerset(TWO), ("a",))
 
 
@@ -645,7 +668,7 @@ def test_repeated_tag_is_refused_by_the_kernel(kernel):
 def test_the_judge_refuses_a_term_as_its_payload(kind, label, payload):
     # A term is a tuple, but a payload is a plain one: a sequence pattern
     # matched against a term's items would judge the wrong thing or crash.
-    with pytest.raises(SchemaError, match="with this payload"):
+    with pytest.raises(KernelError, match="with this payload"):
         _judge(kind, label, payload, ())
 
 
@@ -654,7 +677,7 @@ def test_a_huge_domain_is_refused_without_building_it(kernel):
     for _ in range(5):
         tower = Powerset(tower)  # 2^65536 objects at P^4; P^5 is never counted
     one_row = Table(tower, TWO, ((ObjLit("{}", tower), ObjLit("yes", TWO)),))
-    with pytest.raises(TotalityError, match=r"^table has no row for '\{\{\}\}'$"):
+    with pytest.raises(KernelError, match=r"^table has no row for '\{\{\}\}'$"):
         kernel.mor_intro(one_row, tower, TWO)
 
 
@@ -666,7 +689,7 @@ def test_canonical_tags_order_objects_as_the_carrier_does(kernel):
     rows = tuple((ObjLit(t, sub), ObjLit("yes", TWO)) for t in ("{}", "{b}", "{a}", "{b,a}"))
     kernel.mor_intro(Table(sub, TWO, rows), sub, TWO)
     bad = rows[:3] + ((ObjLit("{a,b}", sub), ObjLit("yes", TWO)),)
-    with pytest.raises(CodomainError, match="row key '{a,b}' is not an object"):
+    with pytest.raises(KernelError, match="row key '{a,b}' is not an object"):
         kernel.mor_intro(Table(sub, TWO, bad), sub, TWO)
     # H2 takes the least preimage in carrier order, whatever the row order
     collapse = Table(sub, TWO, tuple(
@@ -678,7 +701,7 @@ def test_canonical_tags_order_objects_as_the_carrier_does(kernel):
 
 
 def test_h2_reads_a_table():
-    with pytest.raises(SchemaError, match="table"):
+    with pytest.raises(KernelError, match="table"):
         Kernel().axiom(AxiomId.H2_CHOICE, (BuiltinRule("eq_of", (TWO,)), Product(TWO, TWO), TWO))
 
 

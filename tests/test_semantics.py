@@ -15,7 +15,6 @@ from ogkernel.semantics import (
     HOLDS,
     NOT_FINITELY_CHECKABLE,
     Carrier,
-    InterpretationError,
     Model,
     default_model,
     interpret,
@@ -177,7 +176,7 @@ def test_the_carrier_wide_laws_build_no_list_per_object():
 
 
 def test_interpret_errors():
-    with pytest.raises(InterpretationError):
+    with pytest.raises(ValueError, match="^no carrier assigned to 'Mystery'$"):
         interpret(Named(Ident("Mystery")), default_model())
     verdict = verify_judgment(IsGen(NAT), Model.make({}, nat_bound=None))
     assert verdict.status == NOT_FINITELY_CHECKABLE

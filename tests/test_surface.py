@@ -150,6 +150,14 @@ def test_parse_error_codes():
     assert diags[0].code == "E0002"
     _, diags = parse_source("morphism f : Two -> Two := table { Two.yes -> Two.no ;")
     assert diags[0].code == "E0003"
+    # the end of the file is named in words; an identifier spelled like
+    # its token kind is quoted as any other token
+    _, diags = parse_source("assert Set(Two")
+    assert diags[0].message == "unclosed bracket: expected ')', found end of file"
+    _, diags = parse_source("assert Set(Two) by")
+    assert diags[0].message == "expected a proof expression, found end of file"
+    _, diags = parse_source("assert eof;")
+    assert diags[0].message == "expected a judgment head, found 'eof'"
 
 
 def test_integers_are_ascii_digits():
@@ -446,7 +454,7 @@ class _ReferenceParser:
         if self.at(kind, text):
             return self.advance()
         want = text if text is not None else kind
-        raise self.error("E0002", f"expected {want!r}, found {self.shown()!r}")
+        raise self.error("E0002", f"expected {want!r}, found {self.shown()}")
 
     def enter(self) -> Token:
         """Consume the token at hand, which opens one more level of nesting."""
@@ -465,7 +473,7 @@ class _ReferenceParser:
             return self.advance()
         raise self.error(
             "E0003",
-            f"unclosed bracket: expected {closer!r}, found {self.shown()!r}",
+            f"unclosed bracket: expected {closer!r}, found {self.shown()}",
             note=f"opened at line {opener_span.line}, column {opener_span.col}",
         )
 
@@ -482,7 +490,7 @@ class _ReferenceParser:
     def shown(self) -> str:
         """How an error message names the token at hand."""
         tok = self.tokens[self.pos]
-        return tok.text or tok.kind
+        return "end of file" if tok.kind == "eof" else repr(tok.text or tok.kind)
 
     def sync(self) -> None:
         """Recover at the next `;` (consumed) and continue parsing."""
@@ -519,7 +527,7 @@ class _ReferenceParser:
                 return self.parse_include_decl()
             if tok.text == "limit":
                 return self.parse_limit_decl()
-        raise self.error("E0002", f"expected a declaration, found {self.shown()!r}")
+        raise self.error("E0002", f"expected a declaration, found {self.shown()}")
 
     def parse_gen_decl(self) -> GeneratorDecl:
         start = self.expect("keyword", "generator")
@@ -658,7 +666,7 @@ class _ReferenceParser:
                 return Powerset(inner)
             self.advance()
             return Named(Ident(tok.text))
-        raise self.error("E0002", f"expected a generator expression, found {self.shown()!r}")
+        raise self.error("E0002", f"expected a generator expression, found {self.shown()}")
 
     # -- judgments
 
@@ -667,7 +675,7 @@ class _ReferenceParser:
         if tok.kind != "ident" or tok.text not in JUDGMENT_HEADS:
             raise self.error(
                 "E0002",
-                f"expected a judgment head, found {self.shown()!r}",
+                f"expected a judgment head, found {self.shown()}",
                 note="heads: " + ", ".join(sorted(JUDGMENT_HEADS)),
             )
         self.advance()
@@ -743,7 +751,7 @@ class _ReferenceParser:
             # Shorthand: a bare axiom name stands for `axiom <name>`.
             self.advance()
             return AxiomRef(tok.text)
-        raise self.error("E0002", f"expected a proof expression, found {self.shown()!r}")
+        raise self.error("E0002", f"expected a proof expression, found {self.shown()}")
 
     # -- remaining declarations
 
