@@ -45,6 +45,7 @@ from .terms import (
     Product,
     SupportsQuant,
     Table,
+    Tag,
     Term,
     Two,
     fn_signature,
@@ -52,8 +53,7 @@ from .terms import (
     is_numeral,
     limit_lit,
     render,
-    split_pair_tag,
-    tag_members,
+    tag_text,
 )
 
 __all__ = [
@@ -185,14 +185,14 @@ def _theorem(kind, label, payload=(), premises=()) -> Theorem:
 
 # ---------------------------------------------------------------------------
 # Known carriers: Two and the generators declared with tags, closed under `*`
-# and `P[...]`.  An object is named by its canonical tag: `yes`/`no`, a
-# declared tag, `(a,b)` for a pair, `{a,c}` for a subset with its members in
-# carrier order.  That order is the oracle's index order (pairs row by row,
-# subsets by bitmask), but no index is formed, so any carrier can be read.
+# and `P[...]`.  An object is named by its tag: `yes`/`no`, a declared tag, a
+# pair of tags for a pair, a frozenset of tags for a subset.  The objects are
+# listed in the oracle's index order (pairs row by row, subsets by bitmask),
+# but no index is formed, so any carrier can be read.
 
 Tags = dict[str, tuple[str, ...]]  # a generator's name -> its declared tags
 
-_TWO_KEYS = {"yes": 0, "no": 1}
+_TWO_TAGS = ("yes", "no")
 
 
 def _unknown_part(expr: GenExpr, tags: Tags) -> str | None:
@@ -209,48 +209,38 @@ def _unknown_part(expr: GenExpr, tags: Tags) -> str | None:
     return None
 
 
-def _key(expr: GenExpr, tag: str, tags: Tags):
-    """A sort key of the object that `tag` names in `expr`, in carrier order;
-    None unless `tag` is the canonical tag of an object.  Nat is read whole:
-    every numeral in ASCII digits without a leading zero names an object."""
+def _is_object(expr: GenExpr, tag: Tag, tags: Tags) -> bool:
+    """Whether `tag` names an object of `expr`.  Nat is read whole: every
+    numeral in ASCII digits without a leading zero names an object."""
     if isinstance(expr, Two):
-        return _TWO_KEYS.get(tag)
+        return tag in _TWO_TAGS
     if isinstance(expr, Named):
-        names = tags[expr.name.text]
-        return names.index(tag) if tag in names else None
+        return tag in tags[expr.name.text]
     if isinstance(expr, Nat):
-        return (len(tag), tag) if is_numeral(tag) else None
-    try:
-        if isinstance(expr, Product):
-            left, right = split_pair_tag(tag)
-            pair = (_key(expr.left, left, tags), _key(expr.right, right, tags))
-            return None if None in pair else pair
-        members = tag_members(tag)
-    except ValueError:
-        return None
-    keys = [_key(expr.arg, member, tags) for member in members]
-    if None in keys or any(a >= b for a, b in zip(keys, keys[1:])):
-        return None  # not a member, or not in carrier order
-    # Subsets compare as their bitmasks do: by the largest member they do
-    # not share, which a comparison of the members, largest first, finds.
-    return tuple(reversed(keys))
+        return is_numeral(tag)
+    if isinstance(expr, Product):
+        return (
+            type(tag) is tuple and len(tag) == 2
+            and _is_object(expr.left, tag[0], tags) and _is_object(expr.right, tag[1], tags)
+        )
+    return type(tag) is frozenset and all(_is_object(expr.arg, m, tags) for m in tag)
 
 
-def _first_objects(expr: GenExpr, tags: Tags, count: int) -> list[str]:
-    """The canonical tags of a known carrier's first `count` objects, or all."""
+def _first_objects(expr: GenExpr, tags: Tags, count: int) -> list[Tag]:
+    """The tags of a known carrier's first `count` objects, or all."""
     if isinstance(expr, Two):
-        objects = ["yes", "no"]
+        objects = list(_TWO_TAGS)
     elif isinstance(expr, Named):
         objects = list(tags[expr.name.text])
     elif isinstance(expr, Product):
         right = _first_objects(expr.right, tags, count)
         left = _first_objects(expr.left, tags, -(-count // len(right)))
-        objects = [f"({a},{b})" for a in left for b in right]
+        objects = [(a, b) for a in left for b in right]
     else:
         # A mask below `count` has its members among count.bit_length() objects.
         base = _first_objects(expr.arg, tags, count.bit_length())
         objects = [
-            "{" + ",".join(b for j, b in enumerate(base) if k >> j & 1) + "}"
+            frozenset(b for j, b in enumerate(base) if k >> j & 1)
             for k in range(min(count, 1 << len(base)))
         ]
     return objects[:count]
@@ -333,13 +323,13 @@ def _choice_judgment(surj: FnExpr, dom: GenExpr, cod: GenExpr, tags: Tags) -> Ju
         raise KernelError("H2 reads its surjection from the rows of a table")
     _check_mor(surj, dom, cod, tags, ())
     value_at = {key.tag: value.tag for key, value in surj.rows}
-    least: dict[str, str] = {}
+    least: dict[Tag, Tag] = {}
     for tag in _first_objects(dom, tags, len(value_at)):  # every object: the table is total
         least.setdefault(value_at[tag], tag)
     targets = _first_objects(cod, tags, len(least) + 1)
     uncovered = next((t for t in targets if t not in least), None)
     if uncovered is not None:
-        raise KernelError(f"not surjective: {uncovered!r} is uncovered")
+        raise KernelError(f"not surjective: {tag_text(uncovered)!r} is uncovered")
     rows = tuple((ObjLit(t, cod), ObjLit(least[t], dom)) for t in targets)
     return IsMor(Table(cod, dom, rows), cod, dom)
 
@@ -439,17 +429,17 @@ def _check_rows(table: Table, tags: Tags) -> None:
     if elsewhere is not None:
         row = " -> ".join(map(render, elsewhere))
         raise KernelError(f"row {row} is not written on {render(dom)} -> {render(cod)}")
-    stray = next((key.tag for key, _ in rows if _key(dom, key.tag, tags) is None), None)
+    stray = next((key.tag for key, _ in rows if not _is_object(dom, key.tag, tags)), None)
     if stray is not None:
-        raise KernelError(f"row key {stray!r} is not an object of the domain")
-    outside = next((value.tag for _, value in rows if _key(cod, value.tag, tags) is None), None)
+        raise KernelError(f"row key {tag_text(stray)!r} is not an object of the domain")
+    outside = next((value.tag for _, value in rows if not _is_object(cod, value.tag, tags)), None)
     if outside is not None:
-        raise KernelError(f"row value {outside!r} is not an object of the codomain")
-    # The keys are distinct canonical tags: one is missing iff |dom| > len(rows).
+        raise KernelError(f"row value {tag_text(outside)!r} is not an object of the codomain")
+    # The keys name distinct objects: one is missing iff |dom| > len(rows).
     keys = {key.tag for key, _ in rows}
     missing = next((t for t in _first_objects(dom, tags, len(rows) + 1) if t not in keys), None)
     if missing is not None:
-        raise KernelError(f"table has no row for {missing!r}")
+        raise KernelError(f"table has no row for {tag_text(missing)!r}")
 
 
 def _check_gen_formation(expr: GenExpr, premises: tuple[Judgment, ...]) -> Judgment:
@@ -482,14 +472,14 @@ def _check_domain(gen_j: Judgment, eq_j: Judgment) -> Judgment:
             f"{render(Product(expr, expr))}"
         )
     if isinstance(eq, Table):
-        # The BinFn premise proved the keys canonical: (x,y) is a diagonal pair iff x == y.
+        # The BinFn premise proved each key a pair of objects (x,y): diagonal iff x == y.
         for key, value in eq.rows:
-            x, y = split_pair_tag(key.tag)
+            x, y = key.tag
             expected = "yes" if x == y else "no"
             if value.tag != expected:
                 raise KernelError(
                     f"equality pairing on {render(expr)} returns {value.tag!r} at "
-                    f"({x!r}, {y!r}), expected {expected!r}"
+                    f"({tag_text(x)!r}, {tag_text(y)!r}), expected {expected!r}"
                 )
     elif eq != BuiltinRule("eq_of", (expr,)):  # eq_of rests on its premises alone
         raise KernelError(f"{render(eq)} is not the equality on {render(expr)}")
@@ -624,7 +614,7 @@ class Kernel:
 
     def eq_within_domain(self, domain: Theorem, x: ObjLit, y: ObjLit) -> str:
         """`yes` or `no`: the domain's equality at (x, y), a table's row at the
-        pair or whether two canonical tags agree.  Raises KernelError when a
+        pair or whether two tags agree.  Raises KernelError when a
         tag names no object of the domain."""
         dom_j = domain.judgment
         if not isinstance(dom_j, IsDomain):
@@ -638,13 +628,13 @@ class Kernel:
                     f"{render(x.of)} object vs {render(y.of)} object"
                 )
         expr, eq, a, b = dom_j.expr, dom_j.eq, x.tag, y.tag
-        # A table is total on expr * expr with canonical keys, so t names an
-        # object exactly when (t,t) has a row.
+        # A table is total on expr * expr with keys that name objects, so t
+        # names an object exactly when (t,t) has a row.
         values = {key.tag: value.tag for key, value in eq.rows} if isinstance(eq, Table) else None
         for t in (a, b):
-            if (_key(expr, t, {}) if values is None else values.get(f"({t},{t})")) is None:
-                raise KernelError(f"{t!r} is not an object of {render(expr)}")
-        return ("yes" if a == b else "no") if values is None else values[f"({a},{b})"]
+            if not (_is_object(expr, t, {}) if values is None else (t, t) in values):
+                raise KernelError(f"{tag_text(t)!r} is not an object of {render(expr)}")
+        return ("yes" if a == b else "no") if values is None else values[(a, b)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ object of a named generator is its position in the assigned tags, a product
 pair (i, j) is ``i*|B| + j``, and a powerset element is the bitmask of its
 members.  Every law is checked on these indices, by list and bytes operations
 that run in C where it spans a whole carrier: the diagonal and detector laws
-read one byte per object; object tags are parsed only where a term names an
-object and rendered only for witnesses and reports.  Two budgets bound every
+read one byte per object; `Carrier.index` reads a tag without parsing text, and
+only witnesses and `interpret_fn` write tags as text.  Two budgets bound every
 check: `interpret` refuses a carrier or function domain of more than
 CARRIER_BUDGET objects, and `models_for_judgment` a judgment of more than
 MODEL_BUDGET models, as not finitely checkable.  A carrier records its parts
@@ -23,7 +23,6 @@ models come from the names and Nat that `terms.collect_names` finds, and
 from __future__ import annotations
 
 import itertools
-import re
 from collections import Counter
 from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
@@ -50,6 +49,7 @@ from .terms import (
     Product,
     SupportsQuant,
     Table,
+    Tag,
     Term,
     Two,
     collect_names,
@@ -58,8 +58,7 @@ from .terms import (
     limit_descriptor,
     mentions_nat,
     render,
-    split_pair_tag,
-    tag_members,
+    tag_text,
 )
 
 __all__ = [
@@ -107,8 +106,8 @@ OUTSIDE = -2  # a table row whose value is no object of the codomain
 _WHOLE_FORMERS = ("eq_of", "empty_detector_of")
 YES, NO = 0, 1  # the objects of Two
 
-# Family coherence is scanned through stage max(32, m + 1), m the largest
-# integer argument of the descriptor, so the scan passes every stage and index
+# Family coherence is scanned through stage max(32, m + 1), m the larger of a
+# corrupted family's stage and index, so the scan passes every stage and index
 # the descriptor names; a scan beyond the cap is not finitely checkable.
 COHERENCE_SCAN_MIN = 32
 COHERENCE_SCAN_CAP = 1024
@@ -129,8 +128,8 @@ class Carrier(Term, fields="name tags parts size"):
     to named generators.  A product carrier has ``parts == (A, B)`` and object
     ``i*|B| + j`` is the pair (i, j); a powerset carrier has ``parts == (A,)``
     and object k is the subset of A whose bitmask is k, so index 0 is the
-    empty (all-no) function.  `tag` renders one object and `index` encodes
-    one tag; `objects` renders them all and is a view for reports and tests.
+    empty (all-no) function.  `tag` gives the tag of one object and `index`
+    the object of one tag; `objects` lists every tag and is a view for tests.
     An explicit carrier keeps its tag-to-index table in its `__dict__`, out
     of equality.
     """
@@ -153,34 +152,32 @@ class Carrier(Term, fields="name tags parts size"):
     def __len__(self) -> int:
         return self.size
 
-    def tag(self, k: int) -> str:
-        """The tag of object `k`: ``(a,b)`` for a pair, ``{a,c}`` for a subset."""
+    def tag(self, k: int) -> Tag:
+        """The tag of object `k`: a pair of tags for a pair, a frozenset of
+        tags for a subset."""
         if not self.parts:
             return self.tags[k]
         if len(self.parts) == 2:
             left, right = self.parts
             i, j = divmod(k, len(right))
-            return f"({left.tag(i)},{right.tag(j)})"
+            return left.tag(i), right.tag(j)
         (base,) = self.parts
-        return "{" + ",".join(base.tag(j) for j in range(len(base)) if k >> j & 1) + "}"
+        return frozenset(base.tag(j) for j in range(len(base)) if k >> j & 1)
 
-    def index(self, tag: str) -> int | None:
+    def index(self, tag: Tag) -> int | None:
         """The object that `tag` names, or None when it names none."""
         if not self.parts:
             return self._codes.get(tag)
-        try:
-            if len(self.parts) == 2:
-                i, j = (part.index(t) for part, t in zip(self.parts, split_pair_tag(tag)))
-                return None if i is None or j is None else i * len(self.parts[1]) + j
-            members = [self.parts[0].index(t) for t in tag_members(tag)]
-        except ValueError:
-            return None
-        if None in members or members != sorted(set(members)):
-            return None  # not a member, or not in canonical order
-        return sum(1 << j for j in members)
+        if len(self.parts) == 2 and type(tag) is tuple and len(tag) == 2:
+            i, j = (part.index(t) for part, t in zip(self.parts, tag))
+            return None if i is None or j is None else i * len(self.parts[1]) + j
+        if len(self.parts) == 1 and type(tag) is frozenset:
+            members = [self.parts[0].index(t) for t in tag]
+            return None if None in members else sum(1 << j for j in members)
+        return None
 
     @property
-    def objects(self) -> tuple[str, ...]:
+    def objects(self) -> tuple[Tag, ...]:
         return tuple(map(self.tag, range(self.size)))
 
 
@@ -298,10 +295,11 @@ def fn_values(fn: FnExpr, model: Model) -> Sequence[int]:
 
 
 def interpret_fn(fn: FnExpr, model: Model) -> dict[str, str]:
-    """`fn` rendered as a tag-to-tag table over its interpreted domain."""
+    """`fn` written out as a table from tag text to tag text over its
+    interpreted domain."""
     dom, cod = (interpret(e, model) for e in fn_signature(fn))
     values = fn_values(fn, model)
-    return {dom.tag(k): cod.tag(v) for k, v in enumerate(values) if v >= 0}
+    return {tag_text(dom.tag(k)): tag_text(cod.tag(v)) for k, v in enumerate(values) if v >= 0}
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +375,13 @@ def _verify_obj(j: IsObj, model: Model) -> Verdict:
     carrier = interpret(j.expr, model)
     if carrier.index(tag) is not None:
         return Verdict(HOLDS)
-    name = carrier.name
-    return _fails(f"{tag!r} is not an object of {name}", tag=tag, carrier=name)
+    name, text = carrier.name, tag_text(tag)
+    return _fails(f"{text!r} is not an object of {name}", tag=text, carrier=name)
 
 
-_TAG_ATOMS = re.compile(r"[(){},]")  # splits an object tag into its atoms
+def _atoms(tag: Tag) -> list[str]:
+    """The atoms of an object tag, at every depth."""
+    return [tag] if type(tag) is str else [atom for part in tag for atom in _atoms(part)]
 
 
 def _verify_mor(fn: FnExpr, dom: GenExpr, cod: GenExpr, model: Model) -> Verdict:
@@ -398,7 +398,7 @@ def _verify_mor(fn: FnExpr, dom: GenExpr, cod: GenExpr, model: Model) -> Verdict
             return coherence
     if isinstance(fn, Table) and mentions_nat(dom):
         # Finitely many rows on an infinite carrier: some numeral is in no key.
-        mentioned = {atom for key, _ in fn.rows for atom in _TAG_ATOMS.split(key.tag)}
+        mentioned = {atom for key, _ in fn.rows for atom in _atoms(key.tag)}
         n = str(next(k for k in itertools.count() if str(k) not in mentioned))
         return _fails(f"not total: Nat is infinite and no row mentions {n}", missing=n)
     dom_carrier = interpret(dom, model)
@@ -421,17 +421,18 @@ def _verify_mor(fn: FnExpr, dom: GenExpr, cod: GenExpr, model: Model) -> Verdict
     if holes or outside:
         k = next(k for k, v in enumerate(values) if v < 0)
         tag = dom_carrier.tag(k)
+        at = tag_text(tag)
         if values[k] == NO_VALUE:
-            return _fails(f"not total: no value at {tag!r}", missing=tag)
+            return _fails(f"not total: no value at {at!r}", missing=at)
         got = next(val.tag for key, val in fn.rows if key.tag == tag)
         bound = model.nat_bound  # not None where the codomain mentions Nat
-        numerals = [a for a in _TAG_ATOMS.split(got) if is_numeral(a)] if mentions_nat(cod) else ()
+        numerals = [a for a in _atoms(got) if is_numeral(a)] if mentions_nat(cod) else ()
         if any(len(a) > 9 or int(a) > bound for a in numerals):
             # As for `Obj`: a numeral past the bound is still an object of Nat.
             raise NotFinitelyCheckable(
-                f"value {got!r} mentions a numeral past the truncation bound {bound}"
+                f"value {tag_text(got)!r} mentions a numeral past the truncation bound {bound}"
             )
-        return _fails(f"value at {tag!r} is outside the codomain", at=tag, got=got)
+        return _fails(f"value at {at!r} is outside the codomain", at=at, got=tag_text(got))
     return Verdict(HOLDS, detail=f"total on {len(dom_carrier)} objects")
 
 
@@ -448,7 +449,8 @@ def _verify_domain(j: IsDomain, model: Model) -> Verdict:
         x, y = divmod(next(k for k, (g, e) in enumerate(zip(got, expected)) if g != e), n)
         detail = "equality pairing does not flag exactly the same-object pairs"
         value, want = TWO_CARRIER.tag(got[x * n + y]), "yes" if x == y else "no"
-        return _fails(detail, x=carrier.tag(x), y=carrier.tag(y), got=value, expected=want)
+        x, y = tag_text(carrier.tag(x)), tag_text(carrier.tag(y))
+        return _fails(detail, x=x, y=y, got=value, expected=want)
     return Verdict(HOLDS, detail=f"diagonal law on {n}^2 pairs")
 
 
@@ -476,7 +478,7 @@ def _detector_law(
     if bytes(flags) != expected:
         k = next(k for k, (f, e) in enumerate(zip(flags, expected)) if f != e)
         want = TWO_CARRIER.tag(expected[k])
-        return _witness(carrier=power.name, table=power.tag(k), expected=want)
+        return _witness(carrier=power.name, table=tag_text(power.tag(k)), expected=want)
     return None
 
 
@@ -501,9 +503,8 @@ def _verify_coherence(descriptor: str) -> Verdict:
     predecessor.  Independent of the kernel's rule on descriptors: it only
     resolves the stages and compares them."""
     member_at = streams.resolve_family(descriptor)
-    last = max(
-        [COHERENCE_SCAN_MIN, *(int(m) + 1 for m in re.findall(r",\s*(\d+)", descriptor))]
-    )
+    _, corruption = streams.parse_family(descriptor)
+    last = max([COHERENCE_SCAN_MIN, *(m + 1 for m in corruption or ())])
     if last > COHERENCE_SCAN_CAP:
         raise NotFinitelyCheckable(
             f"coherence of {descriptor!r} needs stages 0..{last}, beyond the "

@@ -39,6 +39,7 @@ __all__ = [
     "MAX_PERIOD_BOUND",
     "MAX_COMBINATORS",
     "parse_stream_spec",
+    "parse_family",
     "resolve_family",
     "family_limit",
     "is_coherent",
@@ -315,7 +316,7 @@ def is_coherent(stages: Sequence[bytes]) -> CoherenceResult:
 # Family descriptors (shared with the kernel's coherent-limit rule)
 
 
-def _parse_family(descriptor: str) -> tuple[BitStream, tuple[int, int] | None]:
+def parse_family(descriptor: str) -> tuple[BitStream, tuple[int, int] | None]:
     """The base stream of a family descriptor and, for ``corrupt``, its
     (stage, index) pair."""
     d = descriptor.strip()
@@ -347,7 +348,7 @@ def resolve_family(descriptor: str) -> Callable[[int], bytes]:
     past its end replaces by one at least twice as long, so reading stages
     0..n builds O(log n) prefixes.
     """
-    stream, corruption = _parse_family(descriptor)
+    stream, corruption = parse_family(descriptor)
     stage, index = corruption or (math.inf, math.inf)
     bits = flipped = b""
 
@@ -373,7 +374,7 @@ def family_limit(descriptor: str) -> BitStream:
     before.  Otherwise no stage before k reaches index i, and the union is s
     with bit i flipped.
     """
-    stream, corruption = _parse_family(descriptor)
+    stream, corruption = parse_family(descriptor)
     if corruption is None:
         return stream
     stage, index = corruption

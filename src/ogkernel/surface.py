@@ -15,6 +15,7 @@ The grammar (`-- og-syntax 1`):
     bargs     := "[" (barg ("," barg)*)? "]" ;  barg := STRING | INT | genExpr ;
     rows      := row ("," row)* ;  row := objlit "->" objlit ;
     objlit    := genAtom "." (IDENT | INT | STRING) | "(" objlit "," objlit ")" ;
+    tag       := ATOM | "(" tag "," tag ")" | "{" (tag ("," tag)*)? "}" ;
     assertDecl:= "assert" judgment "by" proofExpr ";" ;
     judgment  := ("Gen"|"Set"|"Domain"|"SupportsQuant"|"Mor"|"BinFn"|"Eq"
                |"Coherent"|"Obj") "(" (arg ("," arg)*)? ")" ;
@@ -27,8 +28,11 @@ The grammar (`-- og-syntax 1`):
     limitDecl := "limit" ("demo" | "member" (STRING | BITLIST)
                  "upto" INT INT INT) ";" ;
 
-`*` binds tighter than `->`; `P[...]` is atomic.  An object tag written as
-a STRING must be nonempty.  Comments run from `--` to end of line.
+`*` binds tighter than `->`; `P[...]` is atomic.  An object tag written as a
+STRING holds one `tag`, whose value the parser builds (see `terms.ObjLit`): an
+ATOM is `limit(...)` or nonempty text without brackets or commas, and a set
+lists distinct members in any order; any other STRING is E0002.  Comments run
+from `--` to end of line.
 Statement terminator is `;`.  Each `(`, `P[`, `from` and `*` nests one
 level deeper; a generator expression, object literal or proof nested deeper
 than MAX_NESTING levels is E0002.
@@ -62,8 +66,10 @@ from .terms import (
     Powerset,
     Product,
     Span,
+    Tag,
     Term,
     render,
+    split_top_level,
 )
 
 __all__ = [
@@ -241,6 +247,7 @@ Decl = GeneratorDecl | MorphismDecl | AssertDecl | ModelCheckDecl | IncludeDecl 
 # Parser
 
 _AXIOM_NAMES = frozenset({"H1", "H2", "H3", "H4", "CLA"})
+_BRACKETS = frozenset("(){},")  # what an atom of a quoted object tag leaves out
 MAX_NESTING = 64  # keeps parsing, elaboration and replay far from the recursion limit
 
 
@@ -309,9 +316,9 @@ class _Parser:
 
     def shown(self) -> str:
         """How an error message names the token at hand: its text, quoted,
-        or the end of the file."""
+        a string literal with its own quotes, or the end of the file."""
         key, text, *_ = self.toks[self.pos]
-        return "end of file" if key == "eof" else repr(text or key)
+        return "end of file" if key == "eof" else repr(f'"{text}"' if key == "string" else text)
 
     def sync(self) -> None:
         """Recover at the next `;` (consumed) and continue parsing."""
@@ -394,37 +401,25 @@ class _Parser:
         return tuple(rows)
 
     def parse_row(self) -> tuple[ObjLit, ObjLit]:
-        key = self.parse_obj_lit()
-        self.expect("->")
-        value = self.parse_obj_lit()
+        start = self.toks[self.pos]
+        key, _, value = self.parse_arg(), self.expect("->"), self.parse_arg()
+        if not isinstance(key, ObjLit) or not isinstance(value, ObjLit):
+            raise self.error("E0002", "table rows take object literals", Span(*start[2:]))
         return key, value
 
-    def parse_obj_lit(self) -> ObjLit:
-        if self.keys[self.pos] == "(":
-            # Either a pair literal or a parenthesized carrier before `.`;
-            # try the pair reading first and backtrack.
-            saved = self.pos, self.depth
-            opener = self.enter()
-            try:
-                left = self.parse_obj_lit()
-                self.expect(",")
-                right = self.parse_obj_lit()
-                self.leave(")", opener)
-                return ObjLit(f"({left.tag},{right.tag})", Product(left.of, right.of))
-            except _ParseError:
-                self.pos, self.depth = saved
-        atom = self.parse_gen_atom()
-        self.expect(".")
-        return ObjLit(self.parse_obj_tag(), atom)
-
-    def parse_obj_tag(self) -> str:
+    def parse_obj_tag(self) -> Tag:
         key, text, *_ = self.toks[self.pos]
-        if key in ("ident", "integer") or key == "string" and text:
-            self.pos += 1
-            return text
-        if key == "string":
+        if key not in ("ident", "integer", "string"):
+            raise self.error("E0002", "expected an object tag after '.'")
+        if not text:
             raise self.error("E0002", "an object tag must be nonempty")
-        raise self.error("E0002", "expected an object tag after '.'")
+        try:
+            tag = _tag_value(text) if key == "string" else text
+        except ValueError as exc:
+            message = f"malformed object tag {text!r}"
+            raise self.error("E0002", message, note=str(exc) or None) from None
+        self.pos += 1
+        return tag
 
     def parse_builtin(self, name: _Tok) -> BuiltinRule:
         """The former `name[args]`, whose brackets may be left out when there
@@ -530,9 +525,7 @@ class _Parser:
                 self.leave(")", opener)
                 if not isinstance(first, ObjLit) or not isinstance(second, ObjLit):
                     raise self.error("E0002", "pair literals take object literals")
-                return ObjLit(
-                    f"({first.tag},{second.tag})", Product(first.of, second.of)
-                )
+                return ObjLit((first.tag, second.tag), Product(first.of, second.of))
             self.leave(")", opener)
             if not isinstance(first, GenExpr):
                 raise self.error("E0002", "expected a generator expression in parentheses")
@@ -630,6 +623,24 @@ class _Parser:
         "include": parse_include_decl,
         "limit": parse_limit_decl,
     }
+
+
+def _tag_value(text: str) -> Tag:
+    """The tag that the text of a quoted object tag writes (see `tag` in the
+    grammar); a ValueError, which may say why, when it writes none."""
+    if text.startswith("limit(") and text.endswith(")") or text and _BRACKETS.isdisjoint(text):
+        return text
+    if text == "{}":
+        return frozenset()
+    brackets = text[:1] + text[-1:]
+    if brackets not in ("()", "{}"):
+        raise ValueError
+    tags = [_tag_value(part) for part in split_top_level(text[1:-1])]
+    if brackets == "()" and len(tags) != 2:
+        raise ValueError("a pair tag has two members")
+    if brackets == "{}" and len(set(tags)) < len(tags):
+        raise ValueError("a set tag repeats a member")
+    return tuple(tags) if brackets == "()" else frozenset(tags)
 
 
 def read_source(path: Path) -> str:

@@ -8,7 +8,8 @@ field.  The same layout gives the one walk over a term's
 subterms: `collect_names` finds the generator names and whether Nat occurs,
 which is all a finite model needs to know of a judgment (`free_names` and
 `mentions_nat` read one of the two).  `render` produces the surface syntax
-that `ogkernel.surface.parse_gen_expr` and friends read back.  The one other
+that `ogkernel.surface.parse_gen_expr` and friends read back.  An object tag
+is a value (see `ObjLit`) that only `tag_text` writes as text.  The one other
 piece of logic is the builtin catalog: each former's argument kinds (enforced
 when a `BuiltinRule` is built) and its signature (`fn_signature`).
 
@@ -38,10 +39,12 @@ __all__ = [
     "Powerset",
     "TWO",
     "NAT",
+    "Tag",
     "ObjLit",
     "limit_lit",
     "limit_descriptor",
     "is_numeral",
+    "tag_text",
     "FnExpr",
     "Table",
     "BuiltinRule",
@@ -61,9 +64,7 @@ __all__ = [
     "collect_names",
     "free_names",
     "mentions_nat",
-    "split_pair_tag",
     "split_top_level",
-    "tag_members",
 ]
 
 
@@ -171,26 +172,47 @@ NAT = Nat()
 
 _NUMERAL_RE = re.compile(r"(0|[1-9][0-9]*)\Z")
 
+Tag = Union[str, tuple, frozenset]  # an object tag: see `ObjLit`
 
-def is_numeral(tag: str) -> bool:
+
+def is_numeral(tag: Tag) -> bool:
     """Whether `tag` is a numeral, the tag of an object of Nat: ASCII digits
     without a leading zero."""
-    return _NUMERAL_RE.match(tag) is not None
+    return type(tag) is str and _NUMERAL_RE.match(tag) is not None
+
+
+def _is_tag(tag: object) -> bool:
+    """Whether `tag` has the shape of an object tag, at every depth."""
+    if type(tag) is str:
+        return tag != ""
+    if type(tag) is tuple:
+        return len(tag) == 2 and _is_tag(tag[0]) and _is_tag(tag[1])
+    return type(tag) is frozenset and all(map(_is_tag, tag))
+
+
+def tag_text(tag: Tag) -> str:
+    """The one writing of an object tag as text: ``(a,b)`` for a pair and
+    ``{a,c}`` for a set, its members sorted as text."""
+    if type(tag) is str:
+        return tag
+    if type(tag) is tuple:
+        return f"({tag_text(tag[0])},{tag_text(tag[1])})"
+    return "{" + ",".join(sorted(map(tag_text, tag))) + "}"
 
 
 class ObjLit(Term, fields="tag of"):
     """A tagged constant naming one object of a carrier.
 
-    Tags for the builtin carriers: ``yes``/``no`` for Two, decimal numerals
-    for Nat, ``(a,b)`` pair tags for products, ``{...}`` member-list tags
-    for powersets, and ``limit(<family descriptor>)`` for coherent limits.
+    Its tag is an atom, a nonempty string (``yes``, a numeral, a declared tag
+    or ``limit(<descriptor>)``); a pair of tags, for a product object; or a
+    frozenset of tags, for a powerset object.  Any other tag is a ValueError.
     """
 
     __slots__ = ()
 
-    def __new__(cls, tag: str, of: GenExpr):
-        if not tag:
-            raise ValueError("object literal tag must be nonempty")
+    def __new__(cls, tag: Tag, of: GenExpr):
+        if not (tag if type(tag) is str else _is_tag(tag)):  # an atom is a nonempty string
+            raise ValueError(f"not an object tag: {tag!r}")
         return tuple.__new__(cls, (cls.__name__, tag, of))
 
 
@@ -199,9 +221,9 @@ def limit_lit(descriptor: str) -> ObjLit:
     return ObjLit(f"limit({descriptor})", Powerset(NAT))
 
 
-def limit_descriptor(tag: str) -> str | None:
+def limit_descriptor(tag: Tag) -> str | None:
     """The family descriptor of a `limit(...)` tag; None for other tags."""
-    if tag.startswith("limit(") and tag.endswith(")"):
+    if type(tag) is str and tag.startswith("limit(") and tag.endswith(")"):
         return tag[6:-1]
     return None
 
@@ -219,7 +241,7 @@ class Table(FnExpr, fields="domain codomain rows"):
         seen = set()
         for key, _ in rows:
             if key.tag in seen:
-                raise ValueError(f"duplicate table row for {key.tag!r}")
+                raise ValueError(f"duplicate table row for {tag_text(key.tag)!r}")
             seen.add(key.tag)
         return tuple.__new__(cls, (cls.__name__, domain, codomain, rows))
 
@@ -408,19 +430,12 @@ def _render_gen_atom(e: GenExpr) -> str:
     return f"({text})" if isinstance(e, Product) else text
 
 
-def _render_obj(tag: str, of: GenExpr) -> str:
-    if isinstance(of, Product):
-        try:
-            left_tag, right_tag = split_pair_tag(tag)
-        except ValueError:
-            pass  # a non-pair tag on a product carrier: dotted form below
-        else:
-            left = _render_obj(left_tag, of.left)
-            right = _render_obj(right_tag, of.right)
-            return f"({left}, {right})"
-    if _IDENT_RE.match(tag) or is_numeral(tag):
+def _render_obj(tag: Tag, of: GenExpr) -> str:
+    if type(tag) is tuple and isinstance(of, Product):
+        return f"({_render_obj(tag[0], of.left)}, {_render_obj(tag[1], of.right)})"
+    if type(tag) is str and (_IDENT_RE.match(tag) or is_numeral(tag)):
         return f"{_render_gen_atom(of)}.{tag}"
-    return f'{_render_gen_atom(of)}."{tag}"'
+    return f'{_render_gen_atom(of)}."{tag_text(tag)}"'
 
 
 _BRACKETS = frozenset("(){}")
@@ -446,24 +461,6 @@ def split_top_level(body: str) -> list[str]:
             start = m.end()
     parts.append(body[start:])
     return parts
-
-
-def split_pair_tag(tag: str) -> tuple[str, str]:
-    """Split a product tag ``(a,b)`` into its two component tags.
-
-    Components may themselves contain parenthesized or braced tags.
-    """
-    parts = split_top_level(tag[1:-1]) if tag[:1] == "(" and tag[-1:] == ")" else []
-    if len(parts) != 2:
-        raise ValueError(f"not a pair tag: {tag!r}")
-    return parts[0], parts[1]
-
-
-def tag_members(tag: str) -> tuple[str, ...]:
-    """The member tags of a powerset object tag `{a,b,...}`."""
-    if not (tag.startswith("{") and tag.endswith("}")):
-        raise ValueError(f"not a powerset tag: {tag!r}")
-    return tuple(split_top_level(tag[1:-1])) if tag != "{}" else ()
 
 
 def _render_builtin_arg(a: BuiltinArg) -> str:

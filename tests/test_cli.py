@@ -452,6 +452,20 @@ def test_model_reports_h3_assumed():
     assert report.summary["assumed"] >= 1
 
 
+def test_the_coherence_scan_bound_ignores_the_stream_arguments(tmp_path):
+    # Only a corrupted family's stage and index set the scan's last stage;
+    # the shift and flip arguments of its stream do not.
+    path = tmp_path / "families.og"
+    path.write_text(
+        'assert Coherent(F, "restrictions(shift(squares,2000))") by rule coherent;\n'
+        'assert Coherent(G, "corrupt(flip(squares,1500),3,7)") by rule coherent;\n'
+    )
+    code, report = run(RunConfig("model", (str(path),), max_size=1))
+    assert code == EXIT_OK
+    sweep = {i.name: i.detail for i in report.items if i.name.startswith("soundness")}
+    assert list(sweep.values()) == ["holds in 1/1 models"] * 2
+
+
 def test_model_includes_zfc1_and_sweep():
     code, report = run(RunConfig("model", (), max_size=2))
     assert code == EXIT_OK

@@ -21,6 +21,7 @@ from ogkernel.kernel import (
     Kernel,
     KernelError,
     Theorem,
+    _is_object,
     _judge,
     axioms_used,
     leaf_kinds,
@@ -31,6 +32,7 @@ from ogkernel.elaborate import elaborate_file, elaborate_source
 from ogkernel.semantics import Carrier, Model, SweepItem, interpret, verify_judgment
 from ogkernel.stdlib import prelude_source
 from ogkernel.streams import CoherenceError
+from ogkernel.surface import _Parser, _scan, _tag_value
 from ogkernel.terms import (
     NAT,
     TWO,
@@ -51,6 +53,8 @@ from ogkernel.terms import (
     SupportsQuant,
     Table,
     Term,
+    render,
+    tag_text,
 )
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -210,7 +214,7 @@ def test_domain_intro_two(kernel):
         pair,
         TWO,
         tuple(
-            (ObjLit(f"({x},{y})", pair), ObjLit("yes" if x == y else "no", TWO))
+            (ObjLit((x, y), pair), ObjLit("yes" if x == y else "no", TWO))
             for x in ("yes", "no")
             for y in ("yes", "no")
         ),
@@ -236,7 +240,7 @@ def test_domain_intro_rejects_constant_yes(kernel):
         Product(g, g),
         TWO,
         tuple(
-            (ObjLit(f"({x},{y})", Product(g, g)), ObjLit("yes", TWO))
+            (ObjLit((x, y), Product(g, g)), ObjLit("yes", TWO))
             for x in "ab"
             for y in "ab"
         ),
@@ -588,6 +592,18 @@ def test_importing_the_kernel_loads_only_the_trusted_base():
     assert kernel == ["ogkernel", "ogkernel.kernel", "ogkernel.streams", "ogkernel.terms"]
 
 
+def test_the_kernel_and_the_oracle_read_no_tag_or_spec_text():
+    # Only the surface and the stream catalog split text: the kernel and the
+    # oracle read object tags as values and hand spec strings to `streams`.
+    package = Path(kernel_module.__file__).parent
+    for module in ("kernel.py", "semantics.py"):
+        imported = set()
+        for node in ast.walk(ast.parse((package / module).read_text("utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported |= {alias.name for alias in node.names} | {getattr(node, "module", None)}
+        assert imported.isdisjoint({"re", "split_top_level"}), module
+
+
 def test_every_exception_class_is_caught_by_name_somewhere():
     # A refusal gets a class of its own only where a program tells it apart:
     # each exception class of the package is named in some `except` clause
@@ -642,7 +658,7 @@ def test_table_payload_carries_the_declared_tags(kernel):
     kernel.gen_intro(Ident("H"), ("u",))
     g, h = Named(Ident("G")), Named(Ident("H"))
     table = Table(Product(g, h), TWO, tuple(
-        (ObjLit(f"({x},u)", Product(g, h)), ObjLit("yes", TWO)) for x in "ab"
+        (ObjLit((x, "u"), Product(g, h)), ObjLit("yes", TWO)) for x in "ab"
     ))
     thm = kernel.mor_intro(table, Product(g, h), TWO)
     assert thm.node.payload[3] == (("G", ("a", "b")), ("H", ("u",)))
@@ -676,28 +692,30 @@ def test_a_huge_domain_is_refused_without_building_it(kernel):
     tower = TWO
     for _ in range(5):
         tower = Powerset(tower)  # 2^65536 objects at P^4; P^5 is never counted
-    one_row = Table(tower, TWO, ((ObjLit("{}", tower), ObjLit("yes", TWO)),))
+    one_row = Table(tower, TWO, ((ObjLit(frozenset(), tower), ObjLit("yes", TWO)),))
     with pytest.raises(KernelError, match=r"^table has no row for '\{\{\}\}'$"):
         kernel.mor_intro(one_row, tower, TWO)
 
 
-def test_canonical_tags_order_objects_as_the_carrier_does(kernel):
+def test_tags_list_objects_as_the_carrier_does(kernel):
     kernel.gen_intro(Ident("G"), ("b", "a"))
     g = Named(Ident("G"))
-    # P[G] in bitmask order: {}, {b}, {a}, {b,a}; {a,b} is not canonical
+    # P[G] in bitmask order: {}, {b}, {a}, {b,a}; a set has no member order
     sub = Powerset(g)
-    rows = tuple((ObjLit(t, sub), ObjLit("yes", TWO)) for t in ("{}", "{b}", "{a}", "{b,a}"))
+    subsets = [frozenset(), frozenset("b"), frozenset("a"), frozenset("ab")]
+    rows = tuple((ObjLit(t, sub), ObjLit("yes", TWO)) for t in subsets)
     kernel.mor_intro(Table(sub, TWO, rows), sub, TWO)
-    bad = rows[:3] + ((ObjLit("{a,b}", sub), ObjLit("yes", TWO)),)
-    with pytest.raises(KernelError, match="row key '{a,b}' is not an object"):
+    bad = rows[:3] + ((ObjLit(frozenset("ac"), sub), ObjLit("yes", TWO)),)
+    with pytest.raises(KernelError, match="row key '{a,c}' is not an object"):
         kernel.mor_intro(Table(sub, TWO, bad), sub, TWO)
+    with pytest.raises(KernelError, match=r"^table has no row for '\{a,b\}'$"):
+        kernel.mor_intro(Table(sub, TWO, rows[:3]), sub, TWO)
     # H2 takes the least preimage in carrier order, whatever the row order
     collapse = Table(sub, TWO, tuple(
-        (ObjLit(t, sub), ObjLit("no" if t == "{}" else "yes", TWO))
-        for t in ("{b,a}", "{a}", "{b}", "{}")
+        (ObjLit(t, sub), ObjLit("yes" if t else "no", TWO)) for t in reversed(subsets)
     ))
     section = kernel.axiom(AxiomId.H2_CHOICE, (collapse, sub, TWO)).judgment.fn
-    assert [(k.tag, v.tag) for k, v in section.rows] == [("yes", "{b}"), ("no", "{}")]
+    assert [(k.tag, v.tag) for k, v in section.rows] == [("yes", subsets[1]), ("no", subsets[0])]
 
 
 def test_h2_reads_a_table():
@@ -710,7 +728,7 @@ def test_equality_on_a_table_domain_reads_its_rows(kernel):
     g = Named(Ident("G"))
     pair = Product(g, g)
     diagonal = Table(pair, TWO, tuple(
-        (ObjLit(f"({x},{y})", pair), ObjLit("yes" if x == y else "no", TWO))
+        (ObjLit((x, y), pair), ObjLit("yes" if x == y else "no", TWO))
         for x in "ab" for y in "ab"
     ))
     binfn = kernel.bin_fn_from_mor(kernel.mor_intro(diagonal, pair, TWO))
@@ -729,7 +747,12 @@ _G_MODEL = Model.make({"G": Carrier("G", _G_TAGS)})
 _CARRIERS = [_G, TWO, Product(_G, TWO), Product(TWO, _G), Product(TWO, TWO), Product(_G, _G)]
 
 
-_STRAY = ("z", "(a,z)", "{}", "(yes,a", "a ", "yes,no", "(c,no)", "(yes,yes)", "b", "no")
+# Tags of every shape that name no object of some carrier: strings written
+# like pairs or sets are atoms, and a set on a product is the wrong shape.
+_STRAY = (
+    "z", "(a,z)", "{}", "a ", "b", "no", ("a", "z"), ("c", "no"), ("yes", "yes"),
+    (("a", "b"), "no"), frozenset(), frozenset({"a"}), frozenset({"a", "yes"}),
+)
 
 
 @st.composite
@@ -742,11 +765,11 @@ def _tables(draw):
     rows = dict(zip(keys, draw(values)))
     for fault in draw(st.lists(st.sampled_from(["missing", "key", "value"]), max_size=3)):
         if fault == "missing" and rows:
-            del rows[draw(st.sampled_from(sorted(rows)))]
+            del rows[draw(st.sampled_from(list(rows)))]
         elif fault == "key":
             rows.setdefault(draw(st.sampled_from(_STRAY)), draw(st.sampled_from(targets)))
         elif fault == "value" and rows:
-            rows[draw(st.sampled_from(sorted(rows)))] = draw(st.sampled_from(_STRAY))
+            rows[draw(st.sampled_from(list(rows)))] = draw(st.sampled_from(_STRAY))
     return Table(dom, cod, tuple((ObjLit(k, dom), ObjLit(v, cod)) for k, v in rows.items()))
 
 
@@ -762,3 +785,58 @@ def test_kernel_accepts_a_table_exactly_when_the_oracle_holds(table):
         accepted = False
     judgment = IsMor(table, table.domain, table.codomain)
     assert accepted == verify_judgment(judgment, _G_MODEL).holds
+
+
+# -- structured tags: one tag, one reading, in the kernel, the oracle and the surface
+
+_TAG_MODEL = Model.make({"G": Carrier("G", _G_TAGS)}, nat_bound=1)
+# The numerals stop at the model's bound: the kernel reads Nat whole.
+_ATOMS_ON = {TWO: ("yes", "no"), NAT: ("0", "1"), _G: _G_TAGS}
+_ANY_TAGS = st.recursive(
+    st.sampled_from(("yes", "no", "a", "c", "z", "0", "1", "01", "limit(x)")),
+    lambda inner: st.tuples(inner, inner)
+    | st.tuples(inner, inner, inner)
+    | st.frozensets(inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _exprs_to(depth: int):
+    """Generator expressions over Two, Nat and G, nested up to `depth` deep."""
+    leaves = st.sampled_from(list(_ATOMS_ON))
+    if depth == 0:
+        return leaves
+    inner = _exprs_to(depth - 1)
+    return leaves | st.builds(Powerset, inner) | st.builds(Product, inner, inner)
+
+
+@st.composite
+def _tags_on(draw, expr):
+    """The tag of an object of `expr`, or one time in five a tag of any shape,
+    a 3-tuple or a set on a product among them."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(_ANY_TAGS)
+    if isinstance(expr, Product):
+        return draw(_tags_on(expr.left)), draw(_tags_on(expr.right))
+    if isinstance(expr, Powerset):
+        return frozenset(draw(st.lists(_tags_on(expr.arg), max_size=3)))
+    return draw(st.sampled_from(_ATOMS_ON[expr]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_kernel_oracle_and_surface_read_a_tag_alike(data):
+    expr = data.draw(_exprs_to(2))
+    tag = data.draw(_tags_on(expr))
+    names_object = interpret(expr, _TAG_MODEL).index(tag) is not None
+    assert _is_object(expr, tag, {"G": _G_TAGS}) == names_object
+    try:
+        lit = ObjLit(tag, expr)
+    except ValueError:
+        assert not names_object  # a 3-tuple is no tag
+        return
+    parser = _Parser(_scan(render(lit))[0])
+    assert parser.parse_arg() == lit and parser.keys[parser.pos] == "eof"
+    if isinstance(tag, frozenset):  # a set written in any member order is one tag
+        members = data.draw(st.permutations(sorted(map(tag_text, tag))))
+        assert _tag_value("{" + ",".join(members) + "}") == tag

@@ -46,7 +46,7 @@ from ogkernel.terms import (
     SupportsQuant,
     Table,
     fn_signature,
-    tag_members,
+    tag_text,
 )
 
 
@@ -72,7 +72,7 @@ def test_powerset_cardinality_law_up_to_8():
         carrier = interpret(Powerset(expr), model)
         assert len(carrier) == 2**n
         # index 0 is the empty (always-no) table
-        assert carrier.objects[0] == "{}"
+        assert carrier.objects[0] == frozenset()
         assert len(set(carrier.objects)) == 2**n
 
 
@@ -190,7 +190,7 @@ def test_verify_domain_examples():
         Product(TWO, TWO),
         TWO,
         tuple(
-            (ObjLit(f"({x},{y})", Product(TWO, TWO)), ObjLit("yes", TWO))
+            (ObjLit((x, y), Product(TWO, TWO)), ObjLit("yes", TWO))
             for x in ("yes", "no")
             for y in ("yes", "no")
         ),
@@ -207,7 +207,7 @@ def _table(dom, cod, pairs) -> Table:
 
 def test_a_table_on_nat_fails_at_the_least_numeral_without_a_row():
     gap = _table(NAT, TWO, (("0", "yes"), ("2", "no")))
-    pairs = _table(Product(NAT, TWO), TWO, (("(0,yes)", "yes"), ("(0,no)", "no")))
+    pairs = _table(Product(NAT, TWO), TWO, ((("0", "yes"), "yes"), (("0", "no"), "no")))
     for table, missing in ((gap, "1"), (pairs, "1")):
         judgment = IsMor(table, table.domain, TWO)
         for bound in range(4):  # in every truncation, the rows included
@@ -260,8 +260,8 @@ def test_extensional_equality_on_powerset_up_to_5():
         for f in carrier.objects:
             for g in carrier.objects:
                 # oracle: pointwise agreement of the member sets
-                agree = set(tag_members(f)) == set(tag_members(g))
-                assert eq[f"({f},{g})"] == ("yes" if agree else "no")
+                agree = set(f) == set(g)
+                assert eq[tag_text((f, g))] == ("yes" if agree else "no")
 
 
 def test_mor_verification():
@@ -436,7 +436,7 @@ def test_soundness_sweep_flags_corrupt_judgments():
         Product(TWO, TWO),
         TWO,
         tuple(
-            (ObjLit(f"({x},{y})", Product(TWO, TWO)), ObjLit("yes", TWO))
+            (ObjLit((x, y), Product(TWO, TWO)), ObjLit("yes", TWO))
             for x in ("yes", "no")
             for y in ("yes", "no")
         ),

@@ -97,10 +97,10 @@ def test_two_is_a_set_by_h1_with_diagonal_equality():
     # the equality table covers all 2x2 pairs, flagging exactly the diagonal
     eq = _last(result, IsDomain).judgment.eq
     assert {(k.tag, v.tag) for k, v in eq.rows} == {
-        ("(yes,yes)", "yes"),
-        ("(yes,no)", "no"),
-        ("(no,yes)", "no"),
-        ("(no,no)", "yes"),
+        (("yes", "yes"), "yes"),
+        (("yes", "no"), "no"),
+        (("no", "yes"), "no"),
+        (("no", "no"), "yes"),
     }
 
 
@@ -123,7 +123,7 @@ def test_numeral_equality_under_eq_of_nat():
     model = default_model(nat_bound=5)
     pairs = interpret(Product(NAT, NAT), model)
     two = interpret(TWO, model)
-    at = [pairs.index("(3,3)"), pairs.index("(3,4)")]
+    at = [pairs.index(("3", "3")), pairs.index(("3", "4"))]
     values = fn_values(eq, model)
     assert [two.tag(values[k]) for k in at] == ["yes", "no"]
 

@@ -316,7 +316,7 @@ def test_resolve_family_descriptors():
 def _resolve_per_stage(descriptor: str):
     """The reference stages: each stage its own prefix of the stream, or for
     ``corrupt(s,k,i)`` from stage k on of the stream with bit i flipped."""
-    stream, corruption = streams._parse_family(descriptor)
+    stream, corruption = streams.parse_family(descriptor)
     if corruption is None:
         return stream.prefix
     stage, index = corruption

@@ -31,6 +31,7 @@ from ogkernel.surface import (
     RuleApp,
     SurfaceJudgment,
     _scan,
+    _tag_value,
     parse_source,
     render_decl,
 )
@@ -158,6 +159,42 @@ def test_parse_error_codes():
     assert diags[0].message == "expected a proof expression, found end of file"
     _, diags = parse_source("assert eof;")
     assert diags[0].message == "expected a judgment head, found 'eof'"
+    # a string literal is shown with its quotes, apart from an identifier
+    _, diags = parse_source('assert "" ;\nassert "abc";')
+    assert [d.message for d in diags] == [
+        """expected a judgment head, found '""'""",
+        """expected a judgment head, found '"abc"'""",
+    ]
+
+
+def test_a_malformed_quoted_tag_is_a_syntax_error_at_the_tag():
+    head = "morphism f : P[Two] -> Two := table { P[Two]."
+    cases = (
+        ("{yes,no", None),
+        ("{yes,yes}", "a set tag repeats a member"),
+        ("(yes,no,yes)", "a pair tag has two members"),
+        ("{a),(b}", "unbalanced brackets in 'a),(b'"),
+    )
+    for text, note in cases:
+        _, diags = parse_source(f'{head}"{text}" -> Two.yes }};')
+        assert [(d.code, d.message, d.note, d.span.col) for d in diags] == [
+            ("E0002", f"malformed object tag {text!r}", note, len(head) + 1)
+        ]
+
+
+def test_a_set_tag_names_one_object_in_any_member_order():
+    source = (
+        'model check Obj(P[Two]."{no,yes}", P[Two]) upto 1;\n'
+        'model check Obj(P[Two]."{yes,no}", P[Two]) upto 1;\n'
+        "morphism f : P[Two] -> Two := table { P[Two].\"{}\" -> Two.yes, "
+        'P[Two]."{yes}" -> Two.no, P[Two]."{no}" -> Two.no, P[Two]."{yes,no}" -> Two.no };\n'
+        "assert Mor(f, P[Two], Two) by rule mor;\n"
+    )
+    items = elaborate_source(source).items
+    assert [(i.status, i.detail) for i in items[:2]] == [("pass", "holds in 1/1 models")] * 2
+    assert items[2].status == "pass"
+    decls, _ = parse_source(source)
+    assert decls[0].judgment.args[0] == decls[1].judgment.args[0]
 
 
 def test_integers_are_ascii_digits():
@@ -244,7 +281,7 @@ def test_pair_literals_and_parenthesized_products():
     )
     assert not diags
     key = decls[0].body[0][0]  # a table literal is its tuple of rows
-    assert key.tag == "(yes,no)"
+    assert key.tag == ("yes", "no")
     decls, diags = parse_source("assert Gen((Two * Two) * Nat) by rule gen;")
     assert not diags
     (item,) = elaborate_source("model check Obj((Two.yes, Two.no), Two * Two) upto 1;").items
@@ -490,7 +527,9 @@ class _ReferenceParser:
     def shown(self) -> str:
         """How an error message names the token at hand."""
         tok = self.tokens[self.pos]
-        return "end of file" if tok.kind == "eof" else repr(tok.text or tok.kind)
+        if tok.kind == "eof":
+            return "end of file"
+        return repr(f'"{tok.text}"' if tok.kind == "string" else tok.text)
 
     def sync(self) -> None:
         """Recover at the next `;` (consumed) and continue parsing."""
@@ -580,35 +619,30 @@ class _ReferenceParser:
         return tuple(rows)
 
     def parse_row(self) -> tuple[ObjLit, ObjLit]:
-        key = self.parse_obj_lit()
+        start = self.peek()
+        key = self.parse_arg()
         self.expect("symbol", "->")
-        value = self.parse_obj_lit()
+        value = self.parse_arg()
+        if not isinstance(key, ObjLit) or not isinstance(value, ObjLit):
+            raise self.error("E0002", "table rows take object literals", start.span)
         return key, value
 
-    def parse_obj_lit(self) -> ObjLit:
-        if self.at("symbol", "("):
-            # Either a pair literal or a parenthesized carrier before `.`;
-            # try the pair reading first and backtrack.
-            saved = self.pos, self.depth
-            opener = self.enter()
-            try:
-                left = self.parse_obj_lit()
-                self.expect("symbol", ",")
-                right = self.parse_obj_lit()
-                self.leave(")", opener)
-                return ObjLit(f"({left.tag},{right.tag})", Product(left.of, right.of))
-            except _ReferenceParseError:
-                self.pos, self.depth = saved
-        atom = self.parse_gen_atom()
-        self.expect("symbol", ".")
-        return ObjLit(self.parse_obj_tag(), atom)
-
-    def parse_obj_tag(self) -> str:
+    def parse_obj_tag(self):
         if self.at("string", ""):
             raise self.error("E0002", "an object tag must be nonempty")
-        if self.at("ident") or self.at("integer") or self.at("string"):
+        if self.at("ident") or self.at("integer"):
             return self.advance().text
-        raise self.error("E0002", "expected an object tag after '.'")
+        if not self.at("string"):
+            raise self.error("E0002", "expected an object tag after '.'")
+        text = self.peek().text
+        try:
+            tag = _tag_value(text)
+        except ValueError as exc:
+            raise self.error(
+                "E0002", f"malformed object tag {text!r}", note=str(exc) or None
+            ) from None
+        self.advance()
+        return tag
 
     def parse_builtin(self, name: Token) -> BuiltinRule:
         """The former `name[args]`, whose brackets may be left out when there
@@ -706,9 +740,7 @@ class _ReferenceParser:
                 self.leave(")", opener)
                 if not isinstance(first, ObjLit) or not isinstance(second, ObjLit):
                     raise self.error("E0002", "pair literals take object literals")
-                return ObjLit(
-                    f"({first.tag},{second.tag})", Product(first.of, second.of)
-                )
+                return ObjLit((first.tag, second.tag), Product(first.of, second.of))
             self.leave(")", opener)
             if not isinstance(first, GenExpr):
                 raise self.error("E0002", "expected a generator expression in parentheses")
@@ -828,6 +860,7 @@ def test_parser_agrees_with_reference_parser_on_every_prefix():
 _SOUP = [
     *_FRAGMENTS, *_SYMBOLS, *sorted(JUDGMENT_HEADS), *sorted(_AXIOM_NAMES), *sorted(_KIND_KEYS),
     "P", "P[", "eq_of", "restrict", '""', '"squares"', "Two.yes", 'Two.""', "Nat.3", "(Two.yes, Nat.0)",
+    'P[Two]."{no,yes}"', '"{a,a}"', '"(a,b"', '"(a,{b})"',
     "assert Gen(", "by rule gen;", "rule H4 from", "morphism f : Two -> Two := table {",
     "generator G primitive", "limit member #01 upto 1 2 3;", "limit(F)",
 ]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ogkernel.surface import _Parser, _scan, parse_gen_expr
+from ogkernel.surface import _Parser, _scan, _tag_value, parse_gen_expr
 from ogkernel.terms import (
     NAT,
     TWO,
@@ -32,11 +32,12 @@ from ogkernel.terms import (
     Table,
     collect_names,
     free_names,
+    is_numeral,
     limit_lit,
     mentions_nat,
     render,
-    split_pair_tag,
     split_top_level,
+    tag_text,
 )
 
 
@@ -166,12 +167,25 @@ def test_split_top_level_agrees_with_reference(body):
         assert split_top_level(body) == expected
 
 
-def test_split_pair_tag_handles_nesting():
-    assert split_pair_tag("(a,b)") == ("a", "b")
-    assert split_pair_tag("((a,b),c)") == ("(a,b)", "c")
-    assert split_pair_tag("({x,y},z)") == ("{x,y}", "z")
-    with pytest.raises(ValueError):
-        split_pair_tag("ab")
+def test_quoted_tags_parse_once_into_values():
+    assert _tag_value("(a,b)") == ("a", "b")
+    assert _tag_value("(a,a)") == ("a", "a")  # only a set repeats no member
+    assert _tag_value("((a,b),c)") == (("a", "b"), "c")
+    assert _tag_value("({y,x},z)") == (frozenset("xy"), "z")
+    assert _tag_value("{}") == frozenset()
+    assert _tag_value("ab") == "ab"
+    assert _tag_value("limit(corrupt(squares,3,7))") == "limit(corrupt(squares,3,7))"
+    for text in ("", "(a,b", "(a)", "(a,b,c)", "{a,}", "{a,a}", "a,b", "a)", "(a),(b)"):
+        with pytest.raises(ValueError):
+            _tag_value(text)
+    assert tag_text((frozenset({"yes", "no"}), "0")) == "({no,yes},0)"  # members sorted as text
+
+
+def test_obj_lit_takes_only_tag_shapes():
+    for tag in ("", ("a",), ("a", "b", "c"), ["a", "b"], ("a", ""), frozenset({("a",)}), 3):
+        with pytest.raises(ValueError, match="not an object tag"):
+            ObjLit(tag, Product(TWO, TWO))
+    assert not is_numeral(("1", "2")) and not is_numeral(frozenset({"1"}))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +236,7 @@ def _parse_obj_lit(text: str) -> ObjLit:
     toks, diags = _scan(text)
     assert not diags
     parser = _Parser(toks)
-    lit = parser.parse_obj_lit()
+    lit = parser.parse_arg()
     assert parser.keys[parser.pos] == "eof" and not parser.diagnostics
     return lit
 
@@ -234,11 +248,11 @@ def test_obj_lit_round_trip():
         lit = ObjLit(f"t{i}", expr)
         assert _parse_obj_lit(render(lit)) == lit
     # pair literals render in tuple form
-    pair = ObjLit("(yes,3)", Product(TWO, NAT))
+    pair = ObjLit(("yes", "3"), Product(TWO, NAT))
     assert render(pair) == "(Two.yes, Nat.3)"
     assert _parse_obj_lit(render(pair)) == pair
     # tags that are not identifiers fall back to string form
-    odd = ObjLit("{}", Powerset(TWO))
+    odd = ObjLit(frozenset(), Powerset(TWO))
     assert render(odd) == 'P[Two]."{}"'
     assert _parse_obj_lit(render(odd)) == odd
 
