@@ -315,10 +315,11 @@ class _Parser:
         return items
 
     def shown(self) -> str:
-        """How an error message names the token at hand: its text, quoted,
-        a string literal with its own quotes, or the end of the file."""
+        """How an error message names the token at hand: its text, quoted (a
+        string literal with its quotes, a bit list with its `#`), or the end of the file."""
         key, text, *_ = self.toks[self.pos]
-        return "end of file" if key == "eof" else repr(f'"{text}"' if key == "string" else text)
+        shown = {"string": f'"{text}"', "bitlist": "#" + text}.get(key, text)
+        return "end of file" if key == "eof" else repr(shown)
 
     def sync(self) -> None:
         """Recover at the next `;` (consumed) and continue parsing."""

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+import sys
+from functools import lru_cache, reduce
+from operator import or_
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ogkernel import hf
 from ogkernel.hf import (
@@ -209,3 +213,154 @@ def test_subset_outside_universe_fails():
     assert _failing(report) == {
         "separation": tuple(f"subset {render_hf(5)} of {render_hf(x)}" for x in (7, 13, 15))
     }
+
+
+# The five family checks as they were written before each family became one
+# comparison with a reference: a scan per instance.  They read the
+# constructions under test through the module, so a patch reaches both.
+
+
+def _reference_families(universe: HFUniverse) -> dict[str, tuple[int, tuple[str, ...]]]:
+    elems = universe.elements
+    whole = sum(1 << z for z in set(elems))
+    families = {}
+
+    failures = [
+        f"{render_hf(x)} vs {render_hf(y)}: no separating member"
+        for i, x in enumerate(elems)
+        for y in elems[i + 1:]
+        if not (x ^ y) & whole
+    ]
+    families["extensionality"] = (len(elems) * (len(elems) - 1) // 2, tuple(failures))
+
+    failures = []
+    for i, x in enumerate(elems):
+        for y in elems[i:]:
+            pair = hf._pair(x, y)
+            if not pair >> x & pair >> y & 1 or pair & ~(1 << x) & ~(1 << y):
+                failures.append(f"pair of {render_hf(x)}, {render_hf(y)}")
+    families["pairing"] = (len(elems) * (len(elems) + 1) // 2, tuple(failures))
+
+    failures = []
+    for x in elems:
+        union = hf._union(x)
+        in_some_member = reduce(or_, [y for y in elems if x >> y & 1], 0)
+        if (union ^ in_some_member) & whole or not whole >> union & 1:
+            failures.append(f"union of {render_hf(x)}")
+    families["union"] = (len(elems), tuple(failures))
+
+    failures = []
+    for x in elems:
+        power = hf._powerset(x)
+        candidates = elems + tuple(hf.members(power))
+        if any((power >> z & 1) != (z & ~x == 0) for z in candidates):
+            failures.append(f"powerset of {render_hf(x)}")
+    families["powerset"] = (len(elems), tuple(failures))
+
+    failures = []
+    instances = 0
+    for x in elems:
+        instances += 1 << x.bit_count()
+        subset = 0
+        while True:
+            if not whole >> subset & 1:
+                failures.append(f"subset {render_hf(subset)} of {render_hf(x)}")
+            if subset == x:
+                break
+            subset = (subset - x) & x
+    families["separation"] = (instances, tuple(failures))
+    return families
+
+
+def _families(universe: HFUniverse) -> dict[str, tuple[int, tuple[str, ...]]]:
+    report = check_zfc1_instances(universe)
+    return {f.name: (f.instances, f.failures) for f in report.families}
+
+
+@st.composite
+def _damaged_universes(draw) -> HFUniverse:
+    """Rank-3 codes with some left out, one repeated, one of 16 or more, in
+    any order."""
+    codes = sorted(draw(st.sets(st.integers(0, 15))))
+    if codes and draw(st.booleans()):
+        codes.append(draw(st.sampled_from(codes)))
+    if draw(st.booleans()):
+        codes.append(draw(st.one_of(st.integers(16, 1023), st.just(1 << 12))))
+    return HFUniverse(3, tuple(draw(st.permutations(codes))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_damaged_universes())
+def test_families_fail_as_the_per_instance_scans_do(universe):
+    assert _families(universe) == _reference_families(universe)
+
+
+@pytest.mark.parametrize(
+    "name, damage, failing",
+    [
+        ("_union", lambda union: lambda x: union(x) ^ 1, {"union": 16}),
+        ("_pair", lambda pair: lambda x, y: pair(x, y) | 1, {"pairing": 120}),
+        ("members", lambda members: lambda code: members(code)[code & 1:], {"powerset": 8}),
+    ],
+)
+def test_one_fault_fails_only_its_family(monkeypatch, name, damage, failing):
+    # `members(code)[code & 1:]` drops member 0 wherever the code has it.
+    monkeypatch.setattr(hf, name, damage(getattr(hf, name)))
+    universe = HFUniverse.build(3)
+    families = _families(universe)
+    assert {name: len(f) for name, (_, f) in families.items() if f} == failing
+    assert families == _reference_families(universe)
+
+
+def _python_calls(run) -> int:
+    calls = 0
+
+    def on_event(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(on_event)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def _line_events(run) -> int:
+    lines = 0
+
+    def on_event(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return on_event
+
+    previous = sys.gettrace()
+    sys.settrace(on_event)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+def test_the_rank_3_checks_make_a_bounded_number_of_calls():
+    # Each family is one comparison with a reference built in C: the calls
+    # left are the constructions under test, about one per instance of
+    # pairing and a few per element otherwise.  A scan per instance made 666.
+    calls = _python_calls(lambda: check_zfc1_instances(HFUniverse.build(3)))
+    assert calls <= 300, calls
+
+
+def test_the_union_reference_grows_with_the_elements_not_their_codes():
+    # 1 << 12 has the one member 12, which is not in this universe, so its
+    # union {12} falls outside it.  A reference over every code below
+    # 1 << 12 would run about 12,400 line events.
+    universe = HFUniverse(3, (0, 1, 1 << 12))
+    elems, whole = universe.elements, 1 | 1 << 1 | 1 << (1 << 12)
+    family = hf._check_union(elems, whole)
+    assert family.failures == _reference_families(universe)["union"][1]
+    assert family.failures == (f"union of {render_hf(1 << 12)}",)
+    lines = _line_events(lambda: hf._check_union(elems, whole))
+    assert lines < 200, lines

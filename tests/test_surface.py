@@ -165,6 +165,12 @@ def test_parse_error_codes():
         """expected a judgment head, found '""'""",
         """expected a judgment head, found '"abc"'""",
     ]
+    # a bit list is shown with its `#`, apart from an integer
+    _, diags = parse_source("assert #1101;\nassert 1101;")
+    assert [d.message for d in diags] == [
+        "expected a judgment head, found '#1101'",
+        "expected a judgment head, found '1101'",
+    ]
 
 
 def test_a_malformed_quoted_tag_is_a_syntax_error_at_the_tag():
@@ -529,6 +535,8 @@ class _ReferenceParser:
         tok = self.tokens[self.pos]
         if tok.kind == "eof":
             return "end of file"
+        if tok.kind == "bitlist":
+            return repr("#" + tok.text)
         return repr(f'"{tok.text}"' if tok.kind == "string" else tok.text)
 
     def sync(self) -> None:
