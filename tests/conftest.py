@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from ogkernel.kernel import _SEAL, Theorem
@@ -25,3 +27,26 @@ def rejudge():
     recorded judgment of its trace changed; theorems are immutable, so the
     path to that node is rebuilt."""
     return _rejudge
+
+
+def _python_calls(run) -> int:
+    calls = 0
+
+    def on_event(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(on_event)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@pytest.fixture
+def python_calls():
+    """`python_calls(run)`: the profiler's call events while `run()` runs,
+    a count of the Python functions it enters (generator resumes too)."""
+    return _python_calls

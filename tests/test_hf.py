@@ -312,22 +312,6 @@ def test_one_fault_fails_only_its_family(monkeypatch, name, damage, failing):
     assert families == _reference_families(universe)
 
 
-def _python_calls(run) -> int:
-    calls = 0
-
-    def on_event(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
-    previous = sys.getprofile()
-    sys.setprofile(on_event)
-    try:
-        run()
-    finally:
-        sys.setprofile(previous)
-    return calls
-
-
 def _line_events(run) -> int:
     lines = 0
 
@@ -345,11 +329,11 @@ def _line_events(run) -> int:
     return lines
 
 
-def test_the_rank_3_checks_make_a_bounded_number_of_calls():
+def test_the_rank_3_checks_make_a_bounded_number_of_calls(python_calls):
     # Each family is one comparison with a reference built in C: the calls
     # left are the constructions under test, about one per instance of
     # pairing and a few per element otherwise.  A scan per instance made 666.
-    calls = _python_calls(lambda: check_zfc1_instances(HFUniverse.build(3)))
+    calls = python_calls(lambda: check_zfc1_instances(HFUniverse.build(3)))
     assert calls <= 300, calls
 
 

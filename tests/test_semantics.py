@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import sys
 import tracemalloc
 
 import pytest
@@ -489,23 +488,12 @@ def test_h2_counts_the_surjections_the_per_map_loop_counts(model):
     assert (h2.status, h2.detail) == _reference_h2(model)
 
 
-def test_the_axiom_instances_make_a_bounded_number_of_calls():
+def test_the_axiom_instances_make_a_bounded_number_of_calls(python_calls):
     # H2 picks its surjections with a C filter and checks each section with
     # `map`: no Python call per map.  A set, an `any` and `len` per map made 592.
-    calls = 0
-
-    def on_event(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
     model = default_model(3)
     verify_axiom_instances(model)  # carriers come from `interpret`'s cache
-    previous = sys.getprofile()
-    sys.setprofile(on_event)
-    try:
-        verify_axiom_instances(model)
-    finally:
-        sys.setprofile(previous)
+    calls = python_calls(lambda: verify_axiom_instances(model))
     assert calls <= 100, calls
 
 
