@@ -17,7 +17,6 @@ import json
 import sys
 import time
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
@@ -36,7 +35,7 @@ from .streams import (
     parse_stream_spec,
 )
 from .surface import parse_source, read_source
-from .terms import render
+from .terms import Term, render
 
 __all__ = ["RunConfig", "Report", "run", "emit_report", "main"]
 
@@ -59,18 +58,16 @@ class RunConfig(NamedTuple):
     timings: str | None = None
 
 
-class Report(NamedTuple):
-    version: str
-    command: str
-    items: tuple[Item, ...]
+class Report(Term, fields="version command items summary"):
+    """A command's items and their summary, the number of pass, fail and
+    assumed items, counted once; a `Term`, so no field is replaced after."""
 
-    @property
-    def summary(self) -> dict[str, int]:
-        counts = {"pass": 0, "fail": 0, "assumed": 0}
-        for item in self.items:
-            if item.status in counts:
-                counts[item.status] += 1
-        return counts
+    __slots__ = ()
+
+    def __new__(cls, version: str, command: str, items: tuple[Item, ...]):
+        statuses = [item.status for item in items]
+        summary = {status: statuses.count(status) for status in ("pass", "fail", "assumed")}
+        return tuple.__new__(cls, (cls.__name__, version, command, items, summary))
 
     def to_dict(self) -> dict:
         items = [item._asdict() for item in self.items]
@@ -108,11 +105,7 @@ class Report(NamedTuple):
             if item.witness:
                 line += f" [witness: {item.witness}]"
             lines.append(line)
-        counts = self.summary
-        lines.append(
-            f"summary: {counts['pass']} pass, {counts['fail']} fail, "
-            f"{counts['assumed']} assumed"
-        )
+        lines.append("summary: {pass} pass, {fail} fail, {assumed} assumed".format_map(self.summary))
         return "\n".join(lines) + "\n"
 
 
@@ -128,13 +121,13 @@ class UsageError(Exception):
     pass
 
 
-def _read_inputs(config: RunConfig) -> list[tuple[Path, list]]:
+def _read_inputs(config: RunConfig) -> list[tuple[str, list]]:
     """Parse all input files; raises UsageError on missing or unreadable
     files or syntax errors (diagnostics are printed to stderr first)."""
-    sources: list[tuple[Path, list]] = []
+    sources: list[tuple[str, list]] = []
     had_errors = False
     for name in config.inputs:
-        path = Path(name)
+        path = _normal_path(name)
         try:
             source = read_source(path)
         except FileNotFoundError:
@@ -143,7 +136,7 @@ def _read_inputs(config: RunConfig) -> list[tuple[Path, list]]:
             raise UsageError(f"cannot read {name}: {exc}") from None
         decls, diagnostics = parse_source(source)
         for diag in diagnostics:
-            print(diag.format(str(path)), file=sys.stderr)
+            print(diag.format(path), file=sys.stderr)
         if diagnostics:
             had_errors = True
         sources.append((path, decls))
@@ -152,11 +145,19 @@ def _read_inputs(config: RunConfig) -> list[tuple[Path, list]]:
     return sources
 
 
-def _default_prelude() -> list[tuple[Path, list]]:
+def _normal_path(name: str) -> str:
+    """`name` as reports name an input file, the way `str(Path(name))` writes it:
+    no empty or `.` segment, and one leading slash, or two where it has two."""
+    stripped = name.lstrip("/")
+    root = "//" if len(name) - len(stripped) == 2 else "/" if stripped != name else ""
+    return root + "/".join(part for part in stripped.split("/") if part not in ("", ".")) or "."
+
+
+def _default_prelude() -> list[tuple[str, list]]:
     decls, diagnostics = parse_source(prelude_source())
     if diagnostics:  # the shipped prelude must always parse
         raise RuntimeError("internal: shipped prelude has syntax errors")
-    return [(Path("prelude.og"), decls)]
+    return [("prelude.og", decls)]
 
 
 def _items_from_elab(result: ElabResult) -> list[Item]:
@@ -284,10 +285,9 @@ def run(config: RunConfig) -> tuple[int, Report | None]:
         raise UsageError(f"unknown command {config.command!r}")
     report = runners[config.command](config, timings)
     if config.timings:
-        Path(config.timings).write_text(
-            json.dumps({"command": config.command, "seconds": timings}, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        sidecar = {"command": config.command, "seconds": timings}
+        with open(config.timings, "w", encoding="utf-8") as file:
+            file.write(json.dumps(sidecar, indent=2) + "\n")
     exit_code = EXIT_OK if report.summary["fail"] == 0 else EXIT_CHECK_FAILED
     return exit_code, report
 
@@ -299,7 +299,8 @@ def emit_report(report: Report, format: str, out: str | None) -> int:
         sys.stdout.write(payload)
         return EXIT_OK
     try:
-        Path(out).write_text(payload, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as file:
+            file.write(payload)
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -19,7 +19,7 @@ wrapped with the offending declaration's span.
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 from typing import Callable, NamedTuple
 
 from . import streams
@@ -143,9 +143,9 @@ class _Session:
         self.generators: dict[str, GenExpr] = {}  # a primitive's Named, an alias's body
         self.morphisms: dict[str, tuple[FnExpr, GenExpr, GenExpr]] = {}
         self.families: dict[str, FamilySpec] = {}
-        self.including: list[Path] = []
-        self.included: set[Path] = set()
-        self.roots: list[Path] = []  # root files run so far, not yet resolved
+        self.including: list[str] = []  # resolved paths, as `os.path.realpath` gives them
+        self.included: set[str] = set()
+        self.roots: list[str | os.PathLike] = []  # root files run so far, not yet resolved
 
     # -- helpers
 
@@ -391,7 +391,7 @@ def _mor_intro(
 # Declaration execution
 
 
-def elaborate_source(source: str, *, base_dir: Path | None = None) -> ElabResult:
+def elaborate_source(source: str, *, base_dir: str | None = None) -> ElabResult:
     decls, diagnostics = parse_source(source)
     if diagnostics:
         return ElabResult((), (), tuple(diagnostics))
@@ -400,26 +400,26 @@ def elaborate_source(source: str, *, base_dir: Path | None = None) -> ElabResult
     return session.result()
 
 
-def elaborate_file(path: Path) -> ElabResult:
+def elaborate_file(path: str | os.PathLike) -> ElabResult:
     decls, diagnostics = parse_source(read_source(path))
     if diagnostics:
         return ElabResult((), (), tuple(diagnostics))
     return elaborate_files([(path, decls)])
 
 
-def elaborate_files(sources: list[tuple[Path, list[Decl]]]) -> ElabResult:
+def elaborate_files(sources: list[tuple[str | os.PathLike, list[Decl]]]) -> ElabResult:
     """Elaborate several parsed files in argument order against one kernel.
     Each file counts as included while its declarations run, so an include
     of it is circular and, after it, does nothing."""
     session = _Session()
     for path, decls in sources:
         session.roots.append(path)
-        _run_decls(session, decls, path.parent)
+        _run_decls(session, decls, os.path.dirname(path))
         session.including.clear()
     return session.result()
 
 
-def _run_decls(session: _Session, decls: list[Decl], base_dir: Path | None) -> None:
+def _run_decls(session: _Session, decls: list[Decl], base_dir: str | None) -> None:
     for decl in decls:
         try:
             _run_decl(session, decl, base_dir)
@@ -431,7 +431,7 @@ def _run_decls(session: _Session, decls: list[Decl], base_dir: Path | None) -> N
             session.diagnostics.append(Diagnostic("E0102", str(err), decl.span))
 
 
-def _run_decl(session: _Session, decl: Decl, base_dir: Path | None) -> None:
+def _run_decl(session: _Session, decl: Decl, base_dir: str | None) -> None:
     if isinstance(decl, GeneratorDecl):
         _run_generator(session, decl)
     elif isinstance(decl, MorphismDecl):
@@ -555,17 +555,14 @@ def sweep_item(name: str, item: SweepItem) -> Item:
     return Item(name, "pass", detail)
 
 
-def _run_include(session: _Session, decl: IncludeDecl, base_dir: Path | None) -> None:
+def _run_include(session: _Session, decl: IncludeDecl, base_dir: str | None) -> None:
     if session.roots:  # resolved at the session's first include, not before
-        roots = [root.resolve() for root in session.roots]
+        roots = [os.path.realpath(root) for root in session.roots]
         session.included.update(roots)
         session.including.append(roots[-1])
         session.roots.clear()
-    path = Path(decl.path)
-    if not path.is_absolute():
-        path = (base_dir or Path.cwd()) / path
-    path = path.resolve()
-    if not path.exists():
+    path = os.path.realpath(os.path.join(base_dir or "", decl.path))  # base_dir "": the cwd
+    if not os.path.exists(path):
         raise _ElabError("E0005", f"cannot include {decl.path!r}: file not found")
     if path in session.including:
         raise _ElabError("E0005", f"circular include of {decl.path!r}")
@@ -583,7 +580,7 @@ def _run_include(session: _Session, decl: IncludeDecl, base_dir: Path | None) ->
     start = len(session.diagnostics)
     session.including.append(path)
     try:
-        _run_decls(session, decls, path.parent)
+        _run_decls(session, decls, os.path.dirname(path))
     finally:
         session.including.pop()
     session.diagnostics[start:] = [  # each diagnostic names the included file it is in

@@ -18,6 +18,12 @@ MODEL_BUDGET models, as not finitely checkable.  A carrier records its parts
 and no objects, so it is sized before anything is enumerated.  A judgment's
 models come from the names and Nat that `terms.collect_names` finds, and
 `soundness_sweep` is the one place that judges a judgment in its models.
+
+Each pure fact is computed once per process, in an `lru_cache` of fixed size:
+`interpret`, `_table_values`, `_empty_flags`, a signature's `_models`,
+`_verify_mor` (for Mor, BinFn and Domain) and `_verify_squant` (for
+SupportsQuant and Set).  No cache keeps an exception: NotFinitelyCheckable is
+raised afresh at every call.
 """
 
 from __future__ import annotations
@@ -384,6 +390,7 @@ def _atoms(tag: Tag) -> list[str]:
     return [tag] if type(tag) is str else [atom for part in tag for atom in _atoms(part)]
 
 
+@lru_cache(maxsize=4096)
 def _verify_mor(fn: FnExpr, dom: GenExpr, cod: GenExpr, model: Model) -> Verdict:
     declared_dom, declared_cod = fn_signature(fn)
     if declared_dom != dom or declared_cod != cod:
@@ -453,6 +460,7 @@ def _verify_domain(j: IsDomain, model: Model) -> Verdict:
     return Verdict(HOLDS, detail=f"diagonal law on {n}^2 pairs")
 
 
+@lru_cache(maxsize=1024)
 def _verify_squant(expr: GenExpr, model: Model) -> Verdict:
     witness = _detector_law(expr, model)
     if witness is not None:
@@ -531,11 +539,16 @@ def models_for_judgment(j: Judgment, max_size: int) -> tuple[Model, ...]:
     which are counted before any is built.
     """
     idents: set[Ident] = set()
-    nat_bounds = range(max_size) if collect_names(j, idents) else [None]
-    count = max_size ** len(idents) * len(nat_bounds)
+    nat = collect_names(j, idents)
+    count = max_size ** len(idents) * (max_size if nat else 1)
     if count > MODEL_BUDGET:
         raise NotFinitelyCheckable(f"{count} models at size {max_size}, more than {MODEL_BUDGET}")
-    names = sorted(ident.text for ident in idents)
+    return _models(tuple(sorted(ident.text for ident in idents)), nat, max_size)
+
+
+@lru_cache(maxsize=32)
+def _models(names: tuple[str, ...], nat: bool, max_size: int) -> tuple[Model, ...]:
+    nat_bounds = range(max_size) if nat else [None]
     return tuple(
         Model.make(
             {name: Carrier(name, tuple(_TAG_ALPHABET[:size])) for name, size in zip(names, sizes)},

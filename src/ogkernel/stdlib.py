@@ -7,7 +7,7 @@ the kernel through elaboration; nothing here is trusted.
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 
 __all__ = ["prelude_source"]
 
@@ -16,4 +16,5 @@ evidence_models = None  # no function, but bench/probes.py patches this name
 
 def prelude_source() -> str:
     """The text of the shipped `.og` prelude."""
-    return Path(__file__).with_name("prelude.og").read_text("utf-8")
+    with open(os.path.join(os.path.dirname(__file__), "prelude.og"), "rb") as file:
+        return file.read().decode("utf-8")

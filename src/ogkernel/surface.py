@@ -14,7 +14,7 @@ The grammar (`-- og-syntax 1`):
                  ("table" "{" rows? "}" | "rule" IDENT bargs?) ";" ;
     bargs     := "[" (barg ("," barg)*)? "]" ;  barg := STRING | INT | genExpr ;
     rows      := row ("," row)* ;  row := objlit "->" objlit ;
-    objlit    := genAtom "." (IDENT | INT | STRING) | "(" objlit "," objlit ")" ;
+    objlit    := genAtom "." (IDENT | KEYWORD | INT | STRING) | "(" objlit "," objlit ")" ;
     tag       := ATOM | "(" tag "," tag ")" | "{" (tag ("," tag)*)? "}" ;
     assertDecl:= "assert" judgment "by" proofExpr ";" ;
     judgment  := ("Gen"|"Set"|"Domain"|"SupportsQuant"|"Mor"|"BinFn"|"Eq"
@@ -28,9 +28,10 @@ The grammar (`-- og-syntax 1`):
     limitDecl := "limit" ("demo" | "member" (STRING | BITLIST)
                  "upto" INT INT INT) ";" ;
 
-`*` binds tighter than `->`; `P[...]` is atomic.  An object tag written as a
-STRING holds one `tag`, whose value the parser builds (see `terms.ObjLit`): an
-ATOM is `limit(...)` or nonempty text without brackets or commas, and a set
+`*` binds tighter than `->`; `P[...]` is atomic.  A KEYWORD after `.` is the
+tag it spells.  An object tag written as a STRING holds one `tag`, whose value
+the parser builds (see `terms.ObjLit`): an ATOM is `limit(...)` with balanced
+brackets or nonempty text without brackets or commas (`terms.is_tag`), and a set
 lists distinct members in any order; any other STRING is E0002.  Comments run
 from `--` to end of line.
 Statement terminator is `;`.  Each `(`, `P[`, `from` and `*` nests one
@@ -49,9 +50,9 @@ declaration and for a diagnostic.
 
 from __future__ import annotations
 
+import os
 import re
 from operator import itemgetter
-from pathlib import Path
 from typing import NamedTuple
 
 from .terms import (
@@ -68,6 +69,7 @@ from .terms import (
     Span,
     Tag,
     Term,
+    is_tag,
     render,
     split_top_level,
 )
@@ -247,7 +249,6 @@ Decl = GeneratorDecl | MorphismDecl | AssertDecl | ModelCheckDecl | IncludeDecl 
 # Parser
 
 _AXIOM_NAMES = frozenset({"H1", "H2", "H3", "H4", "CLA"})
-_BRACKETS = frozenset("(){},")  # what an atom of a quoted object tag leaves out
 MAX_NESTING = 64  # keeps parsing, elaboration and replay far from the recursion limit
 
 
@@ -410,7 +411,7 @@ class _Parser:
 
     def parse_obj_tag(self) -> Tag:
         key, text, *_ = self.toks[self.pos]
-        if key not in ("ident", "integer", "string"):
+        if key not in ("ident", "integer", "string") and key not in KEYWORDS:
             raise self.error("E0002", "expected an object tag after '.'")
         if not text:
             raise self.error("E0002", "an object tag must be nonempty")
@@ -629,7 +630,7 @@ class _Parser:
 def _tag_value(text: str) -> Tag:
     """The tag that the text of a quoted object tag writes (see `tag` in the
     grammar); a ValueError, which may say why, when it writes none."""
-    if text.startswith("limit(") and text.endswith(")") or text and _BRACKETS.isdisjoint(text):
+    if is_tag(text):
         return text
     if text == "{}":
         return frozenset()
@@ -644,10 +645,11 @@ def _tag_value(text: str) -> Tag:
     return tuple(tags) if brackets == "()" else frozenset(tags)
 
 
-def read_source(path: Path) -> str:
+def read_source(path: str | os.PathLike) -> str:
     """The text of a `.og` file, read as UTF-8 less a byte-order mark at its start.
     This is what the `utf-8-sig` codec does, without importing its module."""
-    return path.read_text("utf-8").removeprefix("\ufeff")
+    with open(path, "rb") as file:
+        return file.read().decode("utf-8").removeprefix("\ufeff")
 
 
 def parse_source(source: str) -> tuple[list[Decl], list[Diagnostic]]:

@@ -42,6 +42,7 @@ __all__ = [
     "Tag",
     "ObjLit",
     "limit_lit",
+    "is_tag",
     "limit_descriptor",
     "is_numeral",
     "tag_text",
@@ -171,6 +172,8 @@ NAT = Nat()
 # Object literals and function expressions
 
 _NUMERAL_RE = re.compile(r"(0|[1-9][0-9]*)\Z")
+_NOT_IN_ATOM = frozenset('(){},"\n')  # a pair or set, or the end of a string literal
+_LIMIT_RE = re.compile(r'limit\([^"\n]*\)\Z')
 
 Tag = Union[str, tuple, frozenset]  # an object tag: see `ObjLit`
 
@@ -181,13 +184,20 @@ def is_numeral(tag: Tag) -> bool:
     return type(tag) is str and _NUMERAL_RE.match(tag) is not None
 
 
-def _is_tag(tag: object) -> bool:
-    """Whether `tag` has the shape of an object tag, at every depth."""
-    if type(tag) is str:
-        return tag != ""
+def is_tag(tag: object) -> bool:
+    """Whether `tag` is an object tag (see `ObjLit`) at every depth.  An atom
+    holds no quote or newline, and no bracket or comma unless it is
+    ``limit(...)`` with balanced brackets, so a pair or set splits back apart."""
     if type(tag) is tuple:
-        return len(tag) == 2 and _is_tag(tag[0]) and _is_tag(tag[1])
-    return type(tag) is frozenset and all(map(_is_tag, tag))
+        return len(tag) == 2 and is_tag(tag[0]) and is_tag(tag[1])
+    if type(tag) is not str:
+        return type(tag) is frozenset and all(map(is_tag, tag))
+    if _NOT_IN_ATOM.isdisjoint(tag):
+        return tag != ""
+    try:
+        return _LIMIT_RE.match(tag) is not None and len(split_top_level(tag + ",")) == 2
+    except ValueError:
+        return False
 
 
 def tag_text(tag: Tag) -> str:
@@ -204,14 +214,15 @@ class ObjLit(Term, fields="tag of"):
     """A tagged constant naming one object of a carrier.
 
     Its tag is an atom, a nonempty string (``yes``, a numeral, a declared tag
-    or ``limit(<descriptor>)``); a pair of tags, for a product object; or a
-    frozenset of tags, for a powerset object.  Any other tag is a ValueError.
+    or ``limit(...)``); a pair of tags, for a product object; or a frozenset of
+    tags, for a powerset object.  Any other tag (see `is_tag`) is a ValueError,
+    so `render` writes back every tag an `ObjLit` holds.
     """
 
     __slots__ = ()
 
     def __new__(cls, tag: Tag, of: GenExpr):
-        if not (tag if type(tag) is str else _is_tag(tag)):  # an atom is a nonempty string
+        if not (type(tag) is str and _NOT_IN_ATOM.isdisjoint(tag) and tag or is_tag(tag)):
             raise ValueError(f"not an object tag: {tag!r}")
         return tuple.__new__(cls, (cls.__name__, tag, of))
 
@@ -365,14 +376,23 @@ def collect_names(x: tuple, names: set[Ident]) -> bool:
     rows.  The walk follows the tuple layout: the fields of a `Term` are its
     items after the class name, and every item of a plain tuple is walked.
     """
-    if isinstance(x, Named):
-        names.add(x.name)
-        return False
-    nat = isinstance(x, Nat)
+    if isinstance(x, GenExpr):
+        found, nat = _gen_names(x)
+        names.update(found)
+        return nat
+    nat = False
     for item in x[1:] if isinstance(x, Term) else x:
         if isinstance(item, tuple) and collect_names(item, names):
             nat = True
     return nat
+
+
+@lru_cache(maxsize=4096)
+def _gen_names(e: GenExpr) -> tuple[frozenset[Ident], bool]:
+    """`collect_names` of a generator expression, walked once."""
+    names: set[Ident] = {e.name} if isinstance(e, Named) else set()
+    nat = collect_names(e[1:], names) or isinstance(e, Nat)  # a Named's Ident adds nothing
+    return frozenset(names), nat
 
 
 def free_names(x: tuple) -> set[Ident]:
@@ -406,6 +426,7 @@ def render(x: _TermLike) -> str:
     raise TypeError(f"cannot render {type(x).__name__}")
 
 
+@lru_cache(maxsize=4096)  # a judgment's `render` prints its subexpressions
 def _render_gen(e: GenExpr) -> str:
     if isinstance(e, Two):
         return "Two"

@@ -9,6 +9,28 @@ import pytest
 from ogkernel.kernel import _SEAL, Theorem
 
 
+def _clear_caches() -> None:
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "ogkernel":
+            for value in list(vars(module).values()):
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _empty_caches():
+    """Every `functools.lru_cache` of the package starts each test empty: a
+    verdict, carrier or model list cached by an earlier test would outlive a
+    monkeypatch of what it was computed from."""
+    _clear_caches()
+
+
+@pytest.fixture
+def clear_caches():
+    """`clear_caches()`: empty every `functools.lru_cache` of the package."""
+    return _clear_caches
+
+
 def _rejudge(thm: Theorem, path: tuple[int, ...], judgment) -> Theorem:
     """A forgery of `thm` whose trace node at `path` (child positions from the
     root) records `judgment`: that node and every node above it are rebuilt

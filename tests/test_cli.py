@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import json.encoder
 import os
@@ -807,6 +808,27 @@ def test_unreadable_inputs_are_usage_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read {argv[1]}: "), err
         assert "internal error" not in err
+
+
+def test_input_files_are_named_as_path_objects_write_them():
+    # Reports and diagnostics have named each input as `str(Path(name))`.
+    for n in range(7):
+        for parts in itertools.product(("/", ".", "..", "a"), repeat=n):
+            name = "".join(parts)
+            assert cli._normal_path(name) == str(Path(name)), name
+
+
+def test_a_bad_byte_past_the_first_read_chunk_is_named_at_its_file_offset(tmp_path, capsys):
+    # A file is decoded whole, so the offset counts from its start and not
+    # from the 8 KiB chunk that a buffered text read would decode it in.
+    bad, root = tmp_path / "bad.og", tmp_path / "root.og"
+    bad.write_bytes(b"-" * 8193 + b"\xff\n")
+    root.write_text('include "bad.og";\n')
+    detail = "'utf-8' codec can't decode byte 0xff in position 8193: invalid start byte"
+    assert main(["check", str(bad)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: cannot read {bad}: {detail}\n"
+    assert main(["check", str(root)]) == EXIT_CHECK_FAILED
+    assert f"FAIL     E0005 at 1:1 | cannot include 'bad.og': {detail}\n" in capsys.readouterr().out
 
 
 def test_a_byte_order_mark_at_the_start_of_a_file_is_skipped(tmp_path, capsys):

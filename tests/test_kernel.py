@@ -747,10 +747,10 @@ _G_MODEL = Model.make({"G": Carrier("G", _G_TAGS)})
 _CARRIERS = [_G, TWO, Product(_G, TWO), Product(TWO, _G), Product(TWO, TWO), Product(_G, _G)]
 
 
-# Tags of every shape that name no object of some carrier: strings written
-# like pairs or sets are atoms, and a set on a product is the wrong shape.
+# Tags of every shape that name no object of some carrier: atoms no carrier
+# lists, and a set on a product is the wrong shape.
 _STRAY = (
-    "z", "(a,z)", "{}", "a ", "b", "no", ("a", "z"), ("c", "no"), ("yes", "yes"),
+    "z", "limit(x)", "a ", "b", "no", ("a", "z"), ("c", "no"), ("yes", "yes"),
     (("a", "b"), "no"), frozenset(), frozenset({"a"}), frozenset({"a", "yes"}),
 )
 

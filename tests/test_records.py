@@ -79,11 +79,12 @@ TERM_CLASSES = (
     Ident, ObjLit, FamilySpec, Two, Nat, Named, Product, Powerset, Table, BuiltinRule,
     IsGen, IsObj, IsMor, IsBinFn, IsDomain, SupportsQuant, IsSet, IsCoherentFamily,
 )
-# Records outside the term language whose class takes part in equality.
+# Records outside the term language whose class takes part in equality, or
+# whose fields must not be replaced (a theorem, a report and its summary).
 RECORD_CLASSES = (
     Periodic, SquaresIndicator, PowersOfTwoIndicator, FiniteSupport, XorOf, ShiftOf, FlipAt,
     Theorem, Carrier, Verdict, LimitRef, SurfaceJudgment, AxiomRef, RuleApp,
-    GeneratorDecl, MorphismDecl, AssertDecl, ModelCheckDecl, IncludeDecl, LimitDecl,
+    GeneratorDecl, MorphismDecl, AssertDecl, ModelCheckDecl, IncludeDecl, LimitDecl, cli.Report,
 )
 BASES = (Term, GenExpr, FnExpr, Judgment)
 CORPUS = Path(__file__).parent / "corpus"
@@ -140,12 +141,12 @@ def _fields_walk(term, names: set[str]) -> bool:
 
 def test_a_fields_walk_reaches_every_subterm_of_a_judgment():
     g, h = Named(Ident("G")), Named(Ident("H"))
-    table = Table(Product(g, NAT), TWO, ((ObjLit("(a,0)", Product(g, NAT)), ObjLit("yes", TWO)),))
+    table = Table(Product(g, NAT), TWO, ((ObjLit(("a", "0"), Product(g, NAT)), ObjLit("yes", TWO)),))
     names: set[str] = set()
     assert _fields_walk(IsMor(table, Product(g, NAT), TWO), names)
     assert names == {"G"}
     names = set()
-    assert not _fields_walk(IsObj(ObjLit("{a}", Powerset(h)), Powerset(h)), names)
+    assert not _fields_walk(IsObj(ObjLit(frozenset("a"), Powerset(h)), Powerset(h)), names)
     assert names == {"H"}
     names = set()
     assert _fields_walk(IsMor(BuiltinRule("eq_of", (Product(NAT, h),)), g, TWO), names)
@@ -406,6 +407,7 @@ def _one_record_of_each_class() -> list[Term]:
         GeneratorDecl("G", None, ("a",), span), MorphismDecl("f", TWO, TWO, eq, span),
         AssertDecl(judgment, proof, span), ModelCheckDecl(judgment, 2, span),
         IncludeDecl("lib.og", span), LimitDecl("demo", None, None, span),
+        cli.Report(ogkernel.__version__, "axioms", (Item("H1", "assumed"),)),
     ]
 
 

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
+import sys
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from ogkernel import semantics
+from ogkernel import elaborate, semantics
 from ogkernel.elaborate import Item, elaborate_source, sweep_item
+from ogkernel.stdlib import prelude_source
 from ogkernel.semantics import (
     FAILS,
     HOLDS,
@@ -152,7 +157,7 @@ def test_the_detector_law_catches_a_fault_at_full_size(monkeypatch):
     assert checks["H1"].status == HOLDS  # P[Two] has 4 tables: not patched
 
 
-def test_the_carrier_wide_laws_build_no_list_per_object():
+def test_the_carrier_wide_laws_build_no_list_per_object(clear_caches):
     # At 2^16 objects one byte each is 64 KiB, and a list of ints is 512 KiB.
     tower = Powerset(Powerset(NAT))
     checks = (
@@ -163,8 +168,7 @@ def test_the_carrier_wide_laws_build_no_list_per_object():
         lambda: verify_axiom_instances(default_model(3)),
     )
     for check in checks:
-        interpret.cache_clear()
-        semantics._empty_flags.cache_clear()
+        clear_caches()
         tracemalloc.start()
         try:
             verdicts = check()
@@ -551,6 +555,69 @@ def test_a_judgment_past_the_model_budget_is_counted_not_built(monkeypatch):
     assert sweep_item(name, report.items[1]) == Item(
         name, "skipped", f"not finitely checkable at this bound: {detail}"
     )
+
+
+CORPUS = Path(__file__).parent / "corpus"
+
+
+def _prelude_judgments():
+    return elaborate_source(prelude_source()).judgments
+
+
+def test_the_sweep_runs_each_morphism_check_once(clear_caches):
+    # Mor, BinFn and Domain share one check of a function on its signature
+    # in a model: its body runs once per distinct argument tuple.
+    body, runs = inspect.unwrap(semantics._verify_mor).__code__, []
+
+    def on_event(frame, event, arg):
+        if event == "call" and frame.f_code is body:
+            runs.append(tuple(frame.f_locals[name] for name in ("fn", "dom", "cod", "model")))
+
+    judgments = _prelude_judgments()
+    clear_caches()
+    previous = sys.getprofile()
+    sys.setprofile(on_event)
+    try:
+        report = soundness_sweep(judgments, 3)
+    finally:
+        sys.setprofile(previous)
+    checks = sum(
+        len(item.verdicts)
+        for item in report.items
+        if isinstance(item.judgment, (IsMor, IsBinFn, IsDomain))
+    )
+    assert len(runs) == len(set(runs)) < checks, (len(runs), checks)
+
+
+def test_a_signature_has_one_model_tuple():
+    a = Named(Ident("A"))
+    models = models_for_judgment(IsGen(Product(a, NAT)), 3)
+    assert models_for_judgment(IsSet(Powerset(Product(NAT, a))), 3) is models
+    assert models_for_judgment(IsGen(Product(a, NAT)), 2) is not models
+
+
+@pytest.mark.parametrize("name", ["prelude", *(f"{n:02d}" for n in range(4, 10))])
+def test_the_sweep_is_the_same_with_every_cache_cleared_between_judgments(
+    name, clear_caches, monkeypatch
+):
+    # The judgments of a file's theorems and of its `model check`s.
+    checked, sweep = [], semantics.soundness_sweep
+    monkeypatch.setattr(elaborate, "soundness_sweep", lambda js, n: checked.extend(js) or sweep(js, n))
+    if name == "prelude":
+        result = elaborate_source(prelude_source())
+    else:
+        (path,) = CORPUS.glob(f"{name}_*.og")
+        result = elaborate_source(path.read_text("utf-8"), base_dir=str(CORPUS))
+    judgments = [*result.judgments, *checked]
+    assert judgments
+    for size in semantics.SWEEP_SIZES:
+        clear_caches()
+        items = soundness_sweep(judgments, size).items
+        alone = []
+        for judgment, times in Counter(judgments).items():
+            clear_caches()
+            alone += soundness_sweep([judgment] * times, size).items
+        assert items == tuple(alone), size
 
 
 def test_soundness_sweep_empty():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ogkernel.surface import _Parser, _scan, _tag_value, parse_gen_expr
+from ogkernel.surface import KEYWORDS, _Parser, _scan, _tag_value, parse_gen_expr
 from ogkernel.terms import (
     NAT,
     TWO,
@@ -32,6 +32,7 @@ from ogkernel.terms import (
     Table,
     collect_names,
     free_names,
+    is_tag,
     is_numeral,
     limit_lit,
     mentions_nat,
@@ -255,6 +256,54 @@ def test_obj_lit_round_trip():
     odd = ObjLit(frozenset(), Powerset(TWO))
     assert render(odd) == 'P[Two]."{}"'
     assert _parse_obj_lit(render(odd)) == odd
+
+
+# Atoms that would not read back as themselves: brackets or a comma split
+# into a pair or set, a quote or newline ends the string literal, and a
+# `limit(...)` with unbalanced brackets splits a pair that holds it wrongly.
+_NOT_ATOMS = (
+    "", "(a,b)", "{}", "{a}", "a,b", "a)", "(a", 'a"b', "a\nb",
+    "limit(a(b)", "limit(a))", "limit(a),(b)", 'limit("a")',
+)
+
+
+def test_obj_lit_refuses_an_atom_that_would_not_read_back():
+    for atom in _NOT_ATOMS:
+        assert not is_tag(atom)
+        for tag in (atom, (atom, "a"), frozenset({atom})):
+            with pytest.raises(ValueError, match="not an object tag"):
+                ObjLit(tag, Powerset(Product(TWO, TWO)))
+        assert _read_tag(atom) != atom  # a pair, a set or E0002, never the atom
+    for atom in ("a b", "a--b", "limit(corrupt(squares,5,7))", "limit({})", "\ufeff"):
+        assert is_tag(atom) and _read_tag(atom) == atom
+
+
+def _read_tag(text: str):
+    """The tag a quoted object tag holding `text` is read as, None for E0002."""
+    try:
+        return _tag_value(text)
+    except ValueError:
+        return None
+
+
+_ATOMS = st.text(max_size=4).filter(is_tag) | st.sampled_from(
+    (*sorted(KEYWORDS), "yes", "0", "007", "limit(restrictions(squares))", "limit(corrupt(s,5,7))")
+)
+_TAGS = st.recursive(
+    _ATOMS, lambda inner: st.tuples(inner, inner) | st.frozensets(inner, max_size=3), max_leaves=6
+)
+_EXPRS = st.recursive(
+    st.sampled_from((TWO, NAT, Named(Ident("G")))),
+    lambda inner: st.builds(Powerset, inner) | st.builds(Product, inner, inner),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TAGS, _EXPRS)
+def test_render_is_faithful_to_every_literal_obj_lit_accepts(tag, of):
+    lit = ObjLit(tag, of)
+    assert _parse_obj_lit(render(lit)) == lit
 
 
 def test_render_judgments_round_trip_via_surface():
