@@ -11,6 +11,7 @@ sub-result of the machine-checked report that checks it.
 """
 
 from ogkernel.streams import demonstrate_gap
+from ogkernel.surface import parse_stream_spec
 
 HEADINGS = (
     "finite restrictions, extended by zeros, hold their closed-form witnesses",
@@ -26,5 +27,5 @@ for heading, (name, ok, detail) in zip(HEADINGS, report.sub_results):
 print(f"conclusion: {report.conclusion}")
 
 print("\n== control experiment: a periodic base stream demonstrates nothing ==")
-control = demonstrate_gap("periodic:1/01")
+control = demonstrate_gap(parse_stream_spec("periodic:1/01"))
 print(f"  conclusion: {control.conclusion}")

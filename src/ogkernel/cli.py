@@ -27,14 +27,8 @@ from .semantics import (
     FAILS, HOLDS, SWEEP_SIZES, default_model, soundness_sweep, verify_axiom_instances
 )
 from .stdlib import prelude_source
-from .streams import (
-    BoundError,
-    StreamSpecError,
-    demonstrate_gap,
-    ep_decide,
-    parse_stream_spec,
-)
-from .surface import parse_source, read_source
+from .streams import BoundError, demonstrate_gap, ep_decide
+from .surface import StreamSpecError, parse_source, parse_stream_spec, read_source
 from .terms import Term, render
 
 __all__ = ["RunConfig", "Report", "run", "emit_report", "main"]

@@ -48,14 +48,19 @@ from .surface import (
     ModelCheckDecl,
     MorphismDecl,
     RuleApp,
+    StreamSpecError,
     SurfaceJudgment,
+    parse_family,
     parse_source,
+    parse_stream_spec,
     read_source,
     render_arg,
 )
 from .terms import (
+    NAT,
     TWO,
     BuiltinRule,
+    Family,
     FamilySpec,
     FnExpr,
     GenExpr,
@@ -74,8 +79,6 @@ from .terms import (
     Product,
     SupportsQuant,
     Table,
-    limit_descriptor,
-    limit_lit,
     render,
 )
 
@@ -259,7 +262,7 @@ def _translate(session: _Session, j: SurfaceJudgment):
             family = session.families.get(first.name)
             if family is None:
                 raise _ElabError("E0004", f"unknown coherent family {first.name!r}")
-            lit = limit_lit(family.descriptor)
+            lit = ObjLit(family.descriptor, Powerset(NAT))
         elif isinstance(first, ObjLit):
             lit = session.resolve_objlit(first)
         else:
@@ -270,7 +273,7 @@ def _translate(session: _Session, j: SurfaceJudgment):
         name_arg, desc_arg = args
         if not isinstance(name_arg, Named) or not isinstance(desc_arg, str):
             raise _ElabError("E0102", 'Coherent takes a family name and a "descriptor"')
-        return IsCoherentFamily(FamilySpec(Ident(name_arg.name.text), desc_arg))
+        return IsCoherentFamily(FamilySpec(Ident(name_arg.name.text), parse_family(desc_arg)))
     raise _ElabError("E0102", f"unknown judgment head {head!r}")
 
 
@@ -347,10 +350,10 @@ def _apply_rule(
             return kernel.squant_from_powerset(premise(None if goal is None else goal.expr.arg))
         case "binfn", IsBinFn():
             return kernel.bin_fn_from_mor(session.require_judgment(IsMor(goal.fn, goal.dom, TWO)))
-        case "cla", IsObj() if (descriptor := limit_descriptor(goal.obj.tag)) is not None:
+        case "cla", IsObj() if type(family := goal.obj.tag) is Family:
             fam = session.require(
-                lambda j: isinstance(j, IsCoherentFamily) and j.family.descriptor == descriptor,
-                lambda: f'Coherent(..., "{descriptor}")',
+                lambda j: isinstance(j, IsCoherentFamily) and j.family.descriptor == family,
+                lambda: f'Coherent(..., "{family}")',
             )
             return kernel.coherent_limit(fam)
         case "set_intro", IsSet():
@@ -427,7 +430,7 @@ def _run_decls(session: _Session, decls: list[Decl], base_dir: str | None) -> No
             session.diagnostics.append(Diagnostic(err.code, str(err), decl.span, err.note))
         except CrossDomainEqualityError as err:
             session.diagnostics.append(Diagnostic("E0101", str(err), decl.span))
-        except (KernelError, streams.StreamSpecError, streams.BoundError) as err:
+        except (KernelError, StreamSpecError, streams.BoundError) as err:
             session.diagnostics.append(Diagnostic("E0102", str(err), decl.span))
 
 
@@ -605,6 +608,6 @@ def _run_limit(session: _Session, decl: LimitDecl) -> None:
         session.items += gap_items(streams.demonstrate_gap())
         return
     assert decl.command == "member"
-    stream = streams.parse_stream_spec(decl.spec or "")
+    stream = parse_stream_spec(decl.spec or "")
     p, q, h = decl.bounds  # type: ignore[misc]
     session.items.append(membership_item(decl.spec, streams.ep_decide(stream, p, q, h)))

@@ -51,7 +51,6 @@ from .terms import (
     fn_signature,
     free_names,
     is_numeral,
-    limit_lit,
     render,
     tag_text,
 )
@@ -297,7 +296,7 @@ def _judge(kind: str, label: str, payload: tuple, premises: tuple[Judgment, ...]
                 raise KernelError(
                     f"coherent_limit needs a coherence premise, got {render(premise)}"
                 )
-            return IsObj(limit_lit(premise.family.descriptor), Powerset(NAT))
+            return IsObj(ObjLit(premise.family.descriptor, Powerset(NAT)), Powerset(NAT))
         case "axiom", "H1", ("domain",):
             return IsDomain(TWO, BuiltinRule("eq_of", (TWO,)))
         case "axiom", "H1", ("squant",):
@@ -392,15 +391,13 @@ def _check_mor(
                 f"builtin {fn.rule} has signature {render(declared_dom)} -> "
                 f"{render(declared_cod)}, not {render(dom)} -> {render(cod)}"
             )
-        # Totality is a catalog guarantee once the spec resolves; a union
-        # resolves to a stream only for a coherent family.
+        # A catalog stream is total; a family's union is a stream only when
+        # the family is coherent.
         if _is_union(fn):
             try:
                 streams.family_limit(fn.args[0])
             except streams.CoherenceError as exc:
                 raise KernelError(f"union_of_family needs a coherent family: {exc}") from None
-        elif fn.rule == "indicator_stream":
-            streams.parse_stream_spec(fn.args[0])
         required = tuple(SupportsQuant(b) for b in builtin_premises(fn))
         if premises != required:
             raise KernelError(

@@ -21,9 +21,9 @@ models come from the names and Nat that `terms.collect_names` finds, and
 
 Each pure fact is computed once per process, in an `lru_cache` of fixed size:
 `interpret`, `_table_values`, `_empty_flags`, a signature's `_models`,
-`_verify_mor` (for Mor, BinFn and Domain) and `_verify_squant` (for
-SupportsQuant and Set).  No cache keeps an exception: NotFinitelyCheckable is
-raised afresh at every call.
+`_verify_mor` (for Mor, BinFn and Domain), `_verify_squant` (for
+SupportsQuant and Set) and `_verify_coherence` (for a family).  No cache keeps
+an exception: NotFinitelyCheckable is raised afresh at every call.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .terms import (
     NAT,
     TWO,
     BuiltinRule,
+    Family,
     FnExpr,
     GenExpr,
     Ident,
@@ -61,7 +62,6 @@ from .terms import (
     collect_names,
     fn_signature,
     is_numeral,
-    limit_descriptor,
     mentions_nat,
     render,
     tag_text,
@@ -293,7 +293,7 @@ def fn_values(fn: FnExpr, model: Model) -> Sequence[int]:
     if fn.rule == "union_of_family":
         stream = streams.family_limit(fn.args[0])
     else:  # indicator_stream, restrict: a catalog stream on Nat
-        stream = streams.parse_stream_spec(fn.args[0])
+        stream = fn.args[0]
     defined = min(n, fn.args[1] + 1) if fn.rule == "restrict" else n
     bits = bytes(map(stream.value_at, range(defined)))
     yes_at_one = bytes.maketrans(b"\0\1", bytes((NO, YES)))
@@ -375,9 +375,8 @@ def _verify_obj(j: IsObj, model: Model) -> Verdict:
         if bound is not None and (len(tag) > len(str(bound)) or int(tag) > bound):
             detail = f"numeral beyond truncation bound {bound}"
         return Verdict(HOLDS, detail=detail)
-    descriptor = limit_descriptor(tag)
-    if descriptor is not None and j.expr == Powerset(NAT):
-        return _verify_coherence(descriptor)
+    if type(tag) is Family and j.expr == Powerset(NAT):
+        return _verify_coherence(tag)
     carrier = interpret(j.expr, model)
     if carrier.index(tag) is not None:
         return Verdict(HOLDS)
@@ -386,8 +385,9 @@ def _verify_obj(j: IsObj, model: Model) -> Verdict:
 
 
 def _atoms(tag: Tag) -> list[str]:
-    """The atoms of an object tag, at every depth."""
-    return [tag] if type(tag) is str else [atom for part in tag for atom in _atoms(part)]
+    """The atoms of an object tag, at every depth; a family counts as one."""
+    nested = type(tag) is tuple or type(tag) is frozenset
+    return [atom for part in tag for atom in _atoms(part)] if nested else [tag]
 
 
 @lru_cache(maxsize=4096)
@@ -505,16 +505,16 @@ def _member_counts(base_size: int) -> bytes:
     return counts
 
 
-def _verify_coherence(descriptor: str) -> Verdict:
+@lru_cache(maxsize=256)
+def _verify_coherence(family: Family) -> Verdict:
     """Scan a family's stages for one that does not restrict to its
-    predecessor.  Independent of the kernel's rule on descriptors: it only
+    predecessor.  Independent of the kernel's rule on families: it only
     resolves the stages and compares them."""
-    member_at = streams.resolve_family(descriptor)
-    _, corruption = streams.parse_family(descriptor)
-    last = max([COHERENCE_SCAN_MIN, *(m + 1 for m in corruption or ())])
+    member_at = streams.resolve_family(family)
+    last = max([COHERENCE_SCAN_MIN, *(m + 1 for m in family.corruption or ())])
     if last > COHERENCE_SCAN_CAP:
         raise NotFinitelyCheckable(
-            f"coherence of {descriptor!r} needs stages 0..{last}, beyond the "
+            f"coherence of '{family}' needs stages 0..{last}, beyond the "
             f"scan cap of {COHERENCE_SCAN_CAP}"
         )
     result = streams.is_coherent([member_at(n) for n in range(last + 1)])
@@ -629,10 +629,11 @@ def verify_axiom_instances(model: Model, _interpret=interpret) -> list[AxiomChec
 
     # H1: there is a 2-element set.
     two = carriers[0][1]
+    laws = {}  # each expression's detector law, run once: H1 and H4 both read Two's
     if len(two) != 2:
         witness = _witness(carrier=two.name, size=str(len(two)))
     else:
-        witness = _detector_law(TWO, model, _interpret)
+        witness = laws[TWO] = _detector_law(TWO, model, _interpret)
     check(
         "H1",
         witness,
@@ -675,9 +676,8 @@ def verify_axiom_instances(model: Model, _interpret=interpret) -> list[AxiomChec
     h4_witness = None
     small = [(expr, carrier) for expr, carrier in carriers if len(carrier) <= 4]
     for expr, _ in small:
-        h4_witness = _detector_law(expr, model, _interpret) or _detector_law(
-            Powerset(expr), model, _interpret
-        )
+        law = laws[expr] if expr in laws else _detector_law(expr, model, _interpret)
+        h4_witness = law or _detector_law(Powerset(expr), model, _interpret)
         if h4_witness:
             break
     check(

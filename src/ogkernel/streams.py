@@ -7,7 +7,9 @@ single-bit flips, yet the squares indicator — the union of its own finite
 restrictions, all of which lie in the class — does not belong to it.
 
 Stage n of a family is the prefix of a stream up to n, as n + 1 bytes, and
-the union of a coherent catalog family is itself a catalog stream.
+the union of a coherent catalog family is itself a catalog stream.  Streams
+and families are terms (`terms.BitStream`, `terms.Family`): this module reads
+no spec text, whose grammar `ogkernel.surface` owns.
 
 The gap demonstration checks the finite restrictions and the closure by
 witnesses known in closed form, the closure exhaustively over a fixed family
@@ -21,10 +23,9 @@ import math
 from itertools import combinations_with_replacement
 from typing import Callable, NamedTuple, Sequence
 
-from .terms import Term, split_top_level
+from .terms import BitStream, Family
 
 __all__ = [
-    "BitStream",
     "Periodic",
     "SquaresIndicator",
     "PowersOfTwoIndicator",
@@ -32,14 +33,10 @@ __all__ = [
     "XorOf",
     "ShiftOf",
     "FlipAt",
-    "StreamSpecError",
     "CoherenceError",
     "BoundError",
     "MAX_HORIZON",
     "MAX_PERIOD_BOUND",
-    "MAX_COMBINATORS",
-    "parse_stream_spec",
-    "parse_family",
     "resolve_family",
     "family_limit",
     "is_coherent",
@@ -53,10 +50,6 @@ __all__ = [
     "demonstrate_gap",
     "GapReport",
 ]
-
-
-class StreamSpecError(ValueError):
-    """Malformed stream or family spec string."""
 
 
 class CoherenceError(ValueError):
@@ -77,24 +70,11 @@ class BoundError(ValueError):
 # milliseconds, and every larger request is refused rather than attempted.
 MAX_HORIZON = 65536
 MAX_PERIOD_BOUND = 1024
-# At most MAX_COMBINATORS xor/shift/flip nodes and shift offsets of at most
-# MAX_HORIZON keep a spec's prefixes to megabytes and its parse shallow.
-MAX_COMBINATORS = 32
 
 
 # ---------------------------------------------------------------------------
-# Stream catalog
-
-
-class BitStream:
-    """A total, deterministic assignment of a bit to every natural number:
-    each stream has `value_at(n)`, the bit at n, and `prefix(n)`, the bits at
-    0..n as n + 1 bytes of 0 or 1.
-
-    The catalog streams are also `Term`s: immutable, and equal when they
-    are of one class with equal fields."""
-
-    __slots__ = ()
+# Stream catalog: each stream has `value_at(n)`, the bit at n, and
+# `prefix(n)`, the bits at 0..n as n + 1 bytes of 0 or 1.
 
 
 def _check_bits(bits: Sequence[int], what: str) -> None:
@@ -102,8 +82,9 @@ def _check_bits(bits: Sequence[int], what: str) -> None:
         raise ValueError(f"{what} must consist of 0/1 bits")
 
 
-class Periodic(Term, BitStream, fields="preperiod period"):
+class Periodic(BitStream, fields="preperiod period"):
     __slots__ = ()
+    spec = "periodic:{}/{}"
 
     def __new__(cls, preperiod: tuple[int, ...], period: tuple[int, ...]):
         if not period:
@@ -122,8 +103,9 @@ class Periodic(Term, BitStream, fields="preperiod period"):
         return (bytes(self.preperiod) + bytes(self.period) * reps)[: n + 1]
 
 
-class SquaresIndicator(Term, BitStream):
+class SquaresIndicator(BitStream):
     __slots__ = ()
+    spec = "squares"
 
     def value_at(self, n: int) -> int:
         return 1 if math.isqrt(n) ** 2 == n else 0
@@ -135,8 +117,9 @@ class SquaresIndicator(Term, BitStream):
         return bytes(out)
 
 
-class PowersOfTwoIndicator(Term, BitStream):
+class PowersOfTwoIndicator(BitStream):
     __slots__ = ()
+    spec = "pow2"
 
     def value_at(self, n: int) -> int:
         return 1 if n > 0 and n & (n - 1) == 0 else 0
@@ -150,8 +133,9 @@ class PowersOfTwoIndicator(Term, BitStream):
         return bytes(out)
 
 
-class FiniteSupport(Term, BitStream, fields="bits"):
+class FiniteSupport(BitStream, fields="bits"):
     __slots__ = ()
+    spec = "finite:{}"
 
     def __new__(cls, bits: tuple[int, ...]):
         _check_bits(bits, "bits")
@@ -164,8 +148,9 @@ class FiniteSupport(Term, BitStream, fields="bits"):
         return bytes(self.bits[: n + 1]) + bytes(max(n + 1 - len(self.bits), 0))
 
 
-class XorOf(Term, BitStream, fields="left right"):
+class XorOf(BitStream, fields="left right"):
     __slots__ = ()
+    spec = "xor({},{})"
 
     def value_at(self, n: int) -> int:
         return self.left.value_at(n) ^ self.right.value_at(n)
@@ -176,10 +161,11 @@ class XorOf(Term, BitStream, fields="left right"):
         return (left ^ right).to_bytes(n + 1, "big")
 
 
-class ShiftOf(Term, BitStream, fields="base offset"):
+class ShiftOf(BitStream, fields="base offset"):
     """Left shift: value_at(n) = base.value_at(n + offset)."""
 
     __slots__ = ()
+    spec = "shift({},{})"
 
     def __new__(cls, base: BitStream, offset: int):
         if offset < 0:
@@ -193,8 +179,9 @@ class ShiftOf(Term, BitStream, fields="base offset"):
         return self.base.prefix(n + self.offset)[self.offset :]
 
 
-class FlipAt(Term, BitStream, fields="base index"):
+class FlipAt(BitStream, fields="base index"):
     __slots__ = ()
+    spec = "flip({},{})"
 
     def __new__(cls, base: BitStream, index: int):
         if index < 0:
@@ -210,88 +197,6 @@ class FlipAt(Term, BitStream, fields="base index"):
         if self.index <= n:
             out[self.index] ^= 1
         return bytes(out)
-
-
-# ---------------------------------------------------------------------------
-# CLI-addressable spec strings
-
-
-def parse_stream_spec(spec: str) -> BitStream:
-    """Parse a catalog name: ``periodic:<pre>/<per>``, ``squares``, ``pow2``,
-    ``finite:<bits>``, ``xor(a,b)``, ``shift(a,k)``, ``flip(a,i)``, with at
-    most MAX_COMBINATORS combinators and shift offsets of at most
-    MAX_HORIZON."""
-    combinators = sum(spec.count(head + "(") for head in ("xor", "shift", "flip"))
-    if combinators > MAX_COMBINATORS:
-        raise StreamSpecError(
-            f"stream spec has {combinators} combinators, above the maximum {MAX_COMBINATORS}"
-        )
-    return _parse_spec(spec)
-
-
-def _parse_spec(spec: str) -> BitStream:
-    s = spec.strip()
-    if s == "squares":
-        return SquaresIndicator()
-    if s == "pow2":
-        return PowersOfTwoIndicator()
-    if s.startswith("periodic:"):
-        body = s[len("periodic:") :]
-        if "/" not in body:
-            raise StreamSpecError(f"periodic spec needs <pre>/<per>: {spec!r}")
-        pre, per = body.split("/", 1)
-        try:
-            return Periodic(_parse_bits(pre), _parse_bits(per))
-        except ValueError as exc:
-            raise StreamSpecError(f"bad periodic spec {spec!r}: {exc}") from exc
-    if s.startswith("finite:"):
-        try:
-            return FiniteSupport(_parse_bits(s[len("finite:") :]))
-        except ValueError as exc:
-            raise StreamSpecError(f"bad finite spec {spec!r}: {exc}") from exc
-    for head, maker in (
-        ("xor", lambda args: XorOf(_parse_spec(args[0]), _parse_spec(args[1]))),
-        ("shift", lambda args: ShiftOf(_parse_spec(args[0]), _parse_offset(args[1]))),
-        ("flip", lambda args: FlipAt(_parse_spec(args[0]), _parse_int(args[1]))),
-    ):
-        if s.startswith(head + "(") and s.endswith(")"):
-            args = _split_args(s[len(head) + 1 : -1], spec)
-            if len(args) != 2:
-                raise StreamSpecError(f"{head}(...) takes two arguments: {spec!r}")
-            try:
-                return maker(args)
-            except (ValueError, IndexError) as exc:
-                if isinstance(exc, StreamSpecError):
-                    raise
-                raise StreamSpecError(f"bad spec {spec!r}: {exc}") from exc
-    raise StreamSpecError(f"unknown stream spec: {spec!r}")
-
-
-def _parse_bits(text: str) -> tuple[int, ...]:
-    if not all(c in "01" for c in text):
-        raise ValueError(f"expected a 0/1 string, got {text!r}")
-    return tuple(int(c) for c in text)
-
-
-def _parse_int(text: str) -> int:
-    try:
-        return int(text.strip())
-    except ValueError as exc:
-        raise StreamSpecError(f"expected an integer, got {text!r}") from exc
-
-
-def _parse_offset(text: str) -> int:
-    offset = _parse_int(text)
-    if offset > MAX_HORIZON:
-        raise StreamSpecError(f"shift offset {offset} above the maximum {MAX_HORIZON}")
-    return offset
-
-
-def _split_args(body: str, spec: str) -> list[str]:
-    try:
-        return [arg.strip() for arg in split_top_level(body)]
-    except ValueError as exc:
-        raise StreamSpecError(f"unbalanced parentheses in {spec!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -313,43 +218,20 @@ def is_coherent(stages: Sequence[bytes]) -> CoherenceResult:
 
 
 # ---------------------------------------------------------------------------
-# Family descriptors (shared with the kernel's coherent-limit rule)
+# Families (shared with the kernel's coherent-limit rule)
 
 
-def parse_family(descriptor: str) -> tuple[BitStream, tuple[int, int] | None]:
-    """The base stream of a family descriptor and, for ``corrupt``, its
-    (stage, index) pair."""
-    d = descriptor.strip()
-    if d.startswith("restrictions(") and d.endswith(")"):
-        return parse_stream_spec(d[len("restrictions(") : -1]), None
-    if d.startswith("corrupt(") and d.endswith(")"):
-        args = _split_args(d[len("corrupt(") : -1], descriptor)
-        if len(args) != 3:
-            raise StreamSpecError(f"corrupt(...) takes three arguments: {descriptor!r}")
-        stage, index = _parse_int(args[1]), _parse_int(args[2])
-        if stage < 0 or index < 0:
-            raise StreamSpecError(
-                f"corrupt(...) stage and index must be nonnegative: {descriptor!r}"
-            )
-        return parse_stream_spec(args[0]), (stage, index)
-    raise StreamSpecError(f"unknown family descriptor: {descriptor!r}")
-
-
-def resolve_family(descriptor: str) -> Callable[[int], bytes]:
-    """Resolve a family descriptor to its stages: stage n is the prefix of
-    a stream up to n.
-
-    ``restrictions(<spec>)``: stage n is the stream's prefix.
-    ``corrupt(<spec>,<stage>,<index>)``: like restrictions, but stages at or
-    beyond <stage> have the bit at <index> flipped (an incoherent family when
-    <index> < <stage>, used as a negative control).
+def resolve_family(family: Family) -> Callable[[int], bytes]:
+    """The stages of a family (see `terms.Family`): stage n is the prefix of
+    its stream up to n, with the bit at the corruption's index flipped from
+    its stage on (an incoherent family when index < stage, used as a negative
+    control).
 
     Every stage is a slice of one prefix of the base stream, which a stage
     past its end replaces by one at least twice as long, so reading stages
     0..n builds O(log n) prefixes.
     """
-    stream, corruption = parse_family(descriptor)
-    stage, index = corruption or (math.inf, math.inf)
+    stream, (stage, index) = family.base, family.corruption or (math.inf, math.inf)
     bits = flipped = b""
 
     def member_at(n: int) -> bytes:
@@ -363,9 +245,9 @@ def resolve_family(descriptor: str) -> Callable[[int], bytes]:
     return member_at
 
 
-def family_limit(descriptor: str) -> BitStream:
-    """The exact coherence decision for a family descriptor, and the union
-    of a coherent family: the stream each stage is a prefix of.
+def family_limit(family: Family) -> BitStream:
+    """The exact coherence decision for a family, and the union of a
+    coherent family: the stream each stage is a prefix of.
 
     ``restrictions(s)`` is always coherent, with union s.  ``corrupt(s,k,i)``
     first flips bit i at stage k; stage k - 1 has bit i in its domain exactly
@@ -374,13 +256,12 @@ def family_limit(descriptor: str) -> BitStream:
     before.  Otherwise no stage before k reaches index i, and the union is s
     with bit i flipped.
     """
-    stream, corruption = parse_family(descriptor)
-    if corruption is None:
-        return stream
-    stage, index = corruption
+    if family.corruption is None:
+        return family.base
+    stage, index = family.corruption
     if index < stage:
         raise CoherenceError(stage, index)
-    return FlipAt(stream, index)
+    return FlipAt(family.base, index)
 
 
 # ---------------------------------------------------------------------------
@@ -495,23 +376,22 @@ class GapReport(NamedTuple):
 
 
 def demonstrate_gap(
-    base: str = "squares",
+    base: BitStream = SquaresIndicator(),
     *,
     preperiod_bound: int = 64,
     period_bound: int = 64,
     horizon: int = 4096,
 ) -> GapReport:
-    """Run the four sub-checks on the stream that the spec `base` names and
-    draw (or withdraw) the conclusion.
+    """Run the four sub-checks on the stream `base` and draw (or withdraw)
+    the conclusion.
 
     With the default squares indicator the small model contains every finite
     stage of the restriction family but not its coherent limit.  Substituting
-    the spec of an eventually periodic base stream flips sub-result (d) and
+    an eventually periodic base stream flips sub-result (d) and
     the conclusion is withdrawn — the control experiment.  Only (d) searches:
     (a) and (b) check witnesses known in closed form.
     """
-    stream = parse_stream_spec(base)
-    bits = stream.prefix(_RESTRICTION_STAGES)
+    bits = base.prefix(_RESTRICTION_STAGES)
     total = _RESTRICTION_STAGES + 1
 
     # (a) restriction n, extended by zeros, is constant from n + 1 on: the
@@ -539,11 +419,11 @@ def demonstrate_gap(
     closures = sum(is_ep_witness(c, *w, _CLOSURE_HORIZON) for c, w in cases)
 
     # (c) stage m of the restriction family decides bit m of its union.
-    stage = resolve_family(f"restrictions({base})")
+    stage = resolve_family(Family(base, None))
     diagonal = bytes(stage(m)[m] for m in range(total))
 
     # (d) the base stream itself is outside the class, up to bounds.
-    base_verdict = ep_decide(stream, preperiod_bound, period_bound, horizon)
+    base_verdict = ep_decide(base, preperiod_bound, period_bound, horizon)
 
     sub_results = (
         (
@@ -577,4 +457,4 @@ def demonstrate_gap(
         )
     else:
         conclusion = "withdrawn: a sub-check failed; no gap demonstrated"
-    return GapReport(base, sub_results, base_verdict, conclusion, passed)
+    return GapReport(str(base), sub_results, base_verdict, conclusion, passed)

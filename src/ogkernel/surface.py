@@ -15,7 +15,11 @@ The grammar (`-- og-syntax 1`):
     bargs     := "[" (barg ("," barg)*)? "]" ;  barg := STRING | INT | genExpr ;
     rows      := row ("," row)* ;  row := objlit "->" objlit ;
     objlit    := genAtom "." (IDENT | KEYWORD | INT | STRING) | "(" objlit "," objlit ")" ;
-    tag       := ATOM | "(" tag "," tag ")" | "{" (tag ("," tag)*)? "}" ;
+    tag       := ATOM | "limit(" family ")" | "(" tag "," tag ")"
+               | "{" (tag ("," tag)*)? "}" ;
+    stream    := "squares" | "pow2" | "periodic:" BITS "/" BITS | "finite:" BITS
+               | ("xor(" stream "," stream | ("shift(" | "flip(") stream "," INT) ")" ;
+    family    := "restrictions(" stream ")" | "corrupt(" stream "," INT "," INT ")" ;
     assertDecl:= "assert" judgment "by" proofExpr ";" ;
     judgment  := ("Gen"|"Set"|"Domain"|"SupportsQuant"|"Mor"|"BinFn"|"Eq"
                |"Coherent"|"Obj") "(" (arg ("," arg)*)? ")" ;
@@ -30,10 +34,12 @@ The grammar (`-- og-syntax 1`):
 
 `*` binds tighter than `->`; `P[...]` is atomic.  A KEYWORD after `.` is the
 tag it spells.  An object tag written as a STRING holds one `tag`, whose value
-the parser builds (see `terms.ObjLit`): an ATOM is `limit(...)` with balanced
-brackets or nonempty text without brackets or commas (`terms.is_tag`), and a set
-lists distinct members in any order; any other STRING is E0002.  Comments run
-from `--` to end of line.
+the parser builds (see `terms.ObjLit`): an ATOM is nonempty text without
+brackets or commas (`terms.is_tag`), `limit(...)` the limit of a family, and a
+set lists distinct members in any order; any other STRING is E0002.  A STRING
+`barg` is a `stream` or a `family`, as the former's argument kind says, and a
+malformed one is E0002; elaboration parses the STRING of a `Coherent` judgment
+or a `limit member`.  Comments run from `--` to end of line.
 Statement terminator is `;`.  Each `(`, `P[`, `from` and `*` nests one
 level deeper; a generator expression, object literal or proof nested deeper
 than MAX_NESTING levels is E0002.
@@ -55,11 +61,17 @@ import re
 from operator import itemgetter
 from typing import NamedTuple
 
+from .streams import (
+    MAX_HORIZON, FiniteSupport, FlipAt, Periodic, PowersOfTwoIndicator, ShiftOf, SquaresIndicator,
+    XorOf,
+)
 from .terms import (
     BUILTIN_RULES,
     NAT,
     TWO,
+    BitStream,
     BuiltinRule,
+    Family,
     GenExpr,
     Ident,
     Named,
@@ -71,11 +83,14 @@ from .terms import (
     Term,
     is_tag,
     render,
-    split_top_level,
 )
 
 __all__ = [
     "MAX_NESTING",
+    "MAX_COMBINATORS",
+    "StreamSpecError",
+    "parse_stream_spec",
+    "parse_family",
     "Diagnostic",
     "parse_source",
     "read_source",
@@ -430,18 +445,25 @@ class _Parser:
         if self.keys[self.pos] == "[":
             opener = self.toks[self.pos]
             self.pos += 1
-            args = self.comma_list(self.parse_builtin_arg, "]")
+            kinds = iter(BUILTIN_RULES.get(name[1], ()))
+            args = self.comma_list(lambda: self.parse_builtin_arg(next(kinds, None)), "]")
             self.expect_closing("]", opener)
         try:
             return BuiltinRule(name[1], tuple(args))
         except ValueError as exc:
             raise self.error("E0002", str(exc), Span(*name[2:])) from None
 
-    def parse_builtin_arg(self):
+    def parse_builtin_arg(self, kind: str | None):
+        """One argument, a STRING read as the spec that `kind` names."""
         key = self.keys[self.pos]
         if key == "string":
+            text = self.toks[self.pos][1]
+            try:
+                arg = _SPEC_PARSERS[kind](text) if kind in _SPEC_PARSERS else text
+            except StreamSpecError as exc:
+                raise self.error("E0002", str(exc)) from None
             self.pos += 1
-            return self.toks[self.pos - 1][1]
+            return arg
         if key == "integer":
             self.pos += 1
             return int(self.toks[self.pos - 1][1])
@@ -634,6 +656,8 @@ def _tag_value(text: str) -> Tag:
         return text
     if text == "{}":
         return frozenset()
+    if text.startswith("limit(") and text.endswith(")"):
+        return parse_family(text[6:-1])
     brackets = text[:1] + text[-1:]
     if brackets not in ("()", "{}"):
         raise ValueError
@@ -643,6 +667,140 @@ def _tag_value(text: str) -> Tag:
     if brackets == "{}" and len(set(tags)) < len(tags):
         raise ValueError("a set tag repeats a member")
     return tuple(tags) if brackets == "()" else frozenset(tags)
+
+
+# ---------------------------------------------------------------------------
+# Stream specs and family descriptors (`stream` and `family` in the grammar)
+
+# At most MAX_COMBINATORS xor/shift/flip nodes and shift offsets of at most
+# MAX_HORIZON keep a spec's prefixes to megabytes and its parse shallow.
+MAX_COMBINATORS = 32
+
+
+class StreamSpecError(ValueError):
+    """Malformed stream or family spec string."""
+
+
+def parse_stream_spec(spec: str) -> BitStream:
+    """Parse a catalog name: ``periodic:<pre>/<per>``, ``squares``, ``pow2``,
+    ``finite:<bits>``, ``xor(a,b)``, ``shift(a,k)``, ``flip(a,i)``, with at
+    most MAX_COMBINATORS combinators and shift offsets of at most
+    MAX_HORIZON."""
+    combinators = sum(spec.count(head + "(") for head in _COMBINATORS)
+    if combinators > MAX_COMBINATORS:
+        raise StreamSpecError(
+            f"stream spec has {combinators} combinators, above the maximum {MAX_COMBINATORS}"
+        )
+    return _parse_spec(spec)
+
+
+def _parse_spec(spec: str) -> BitStream:
+    s = spec.strip()
+    if s in ("squares", "pow2"):
+        return SquaresIndicator() if s == "squares" else PowersOfTwoIndicator()
+    kind, colon, bits = s.partition(":")
+    if colon and kind in ("periodic", "finite"):
+        if kind == "periodic" and "/" not in bits:
+            raise StreamSpecError(f"periodic spec needs <pre>/<per>: {spec!r}")
+        try:
+            if kind == "periodic":
+                return Periodic(*map(_parse_bits, bits.split("/", 1)))
+            return FiniteSupport(_parse_bits(bits))
+        except ValueError as exc:
+            raise StreamSpecError(f"bad {kind} spec {spec!r}: {exc}") from exc
+    head, _, body = s.partition("(")
+    if head in _COMBINATORS and s.endswith(")"):
+        args = _split_args(body[:-1], spec)
+        if len(args) != 2:
+            raise StreamSpecError(f"{head}(...) takes two arguments: {spec!r}")
+        make, read = _COMBINATORS[head]
+        try:
+            return make(_parse_spec(args[0]), read(args[1]))
+        except ValueError as exc:
+            if isinstance(exc, StreamSpecError):
+                raise
+            raise StreamSpecError(f"bad spec {spec!r}: {exc}") from exc
+    raise StreamSpecError(f"unknown stream spec: {spec!r}")
+
+
+def _parse_bits(text: str) -> tuple[int, ...]:
+    if not all(c in "01" for c in text):
+        raise ValueError(f"expected a 0/1 string, got {text!r}")
+    return tuple(int(c) for c in text)
+
+
+def _parse_int(text: str) -> int:
+    try:
+        return int(text.strip())
+    except ValueError as exc:
+        raise StreamSpecError(f"expected an integer, got {text!r}") from exc
+
+
+def _parse_offset(text: str) -> int:
+    offset = _parse_int(text)
+    if offset > MAX_HORIZON:
+        raise StreamSpecError(f"shift offset {offset} above the maximum {MAX_HORIZON}")
+    return offset
+
+
+# Each combinator's stream and how it reads its second argument.
+_COMBINATORS = {
+    "xor": (XorOf, _parse_spec), "shift": (ShiftOf, _parse_offset), "flip": (FlipAt, _parse_int)
+}
+
+
+def _split_args(body: str, spec: str) -> list[str]:
+    try:
+        return [arg.strip() for arg in split_top_level(body)]
+    except ValueError as exc:
+        raise StreamSpecError(f"unbalanced parentheses in {spec!r}") from exc
+
+
+def parse_family(descriptor: str) -> Family:
+    """The family that a descriptor names: ``restrictions(<spec>)``, or
+    ``corrupt(<spec>,<stage>,<index>)`` with a nonnegative stage and index."""
+    d = descriptor.strip()
+    head, paren, body = d[:-1].partition("(")
+    if not (paren and d.endswith(")") and head in ("restrictions", "corrupt")):
+        raise StreamSpecError(f"unknown family descriptor: {descriptor!r}")
+    if head == "restrictions":
+        return Family(parse_stream_spec(body), None)
+    args = _split_args(body, descriptor)
+    if len(args) != 3:
+        raise StreamSpecError(f"corrupt(...) takes three arguments: {descriptor!r}")
+    stage, index = _parse_int(args[1]), _parse_int(args[2])
+    if stage < 0 or index < 0:
+        raise StreamSpecError(f"corrupt(...) stage and index must be nonnegative: {descriptor!r}")
+    return Family(parse_stream_spec(args[0]), (stage, index))
+
+
+# The spec parser of each builtin argument kind that a STRING gives.
+_SPEC_PARSERS = {"stream": parse_stream_spec, "family": parse_family}
+
+
+_BRACKETS = frozenset("(){}")
+_DELIMITER_RE = re.compile(r"[(){},]")
+
+
+def split_top_level(body: str) -> list[str]:
+    """Split `body` at the commas outside any parentheses or braces; a
+    closing bracket without its opener is a ValueError."""
+    if _BRACKETS.isdisjoint(body):
+        return body.split(",")
+    parts, depth, start = [], 0, 0
+    for m in _DELIMITER_RE.finditer(body):
+        ch = m[0]
+        if ch in "({":
+            depth += 1
+        elif ch in ")}":
+            depth -= 1
+            if depth < 0:
+                raise ValueError(f"unbalanced brackets in {body!r}")
+        elif depth == 0:
+            parts.append(body[start : m.start()])
+            start = m.end()
+    parts.append(body[start:])
+    return parts
 
 
 def read_source(path: str | os.PathLike) -> str:

@@ -9,15 +9,16 @@ subterms: `collect_names` finds the generator names and whether Nat occurs,
 which is all a finite model needs to know of a judgment (`free_names` and
 `mentions_nat` read one of the two).  `render` produces the surface syntax
 that `ogkernel.surface.parse_gen_expr` and friends read back.  An object tag
-is a value (see `ObjLit`) that only `tag_text` writes as text.  The one other
-piece of logic is the builtin catalog: each former's argument kinds (enforced
-when a `BuiltinRule` is built) and its signature (`fn_signature`).
+is a value (see `ObjLit`) that only `tag_text` writes as text, and a catalog
+stream or family descriptor a term (`BitStream`, `Family`) that only its `str`
+writes as spec text: nothing here parses text.  The one other piece of logic
+is the builtin catalog: each former's argument kinds (enforced when a
+`BuiltinRule` is built) and its signature (`fn_signature`).
 
 Records outside the term language follow the same rule: a record is a `Term`
-when its class must take part in equality (the stream catalog, a carrier, a
-verdict, a surface declaration) or no field may ever change (a kernel
-theorem, which compares by identity), and a `typing.NamedTuple`, like `Span`,
-otherwise.
+when its class must take part in equality (a carrier, a verdict, a surface
+declaration) or no field may ever change (a kernel theorem, which compares by
+identity), and a `typing.NamedTuple`, like `Span`, otherwise.
 """
 
 from __future__ import annotations
@@ -41,9 +42,7 @@ __all__ = [
     "NAT",
     "Tag",
     "ObjLit",
-    "limit_lit",
     "is_tag",
-    "limit_descriptor",
     "is_numeral",
     "tag_text",
     "FnExpr",
@@ -60,12 +59,13 @@ __all__ = [
     "SupportsQuant",
     "IsSet",
     "IsCoherentFamily",
+    "BitStream",
+    "Family",
     "FamilySpec",
     "render",
     "collect_names",
     "free_names",
     "mentions_nat",
-    "split_top_level",
 ]
 
 
@@ -173,9 +173,8 @@ NAT = Nat()
 
 _NUMERAL_RE = re.compile(r"(0|[1-9][0-9]*)\Z")
 _NOT_IN_ATOM = frozenset('(){},"\n')  # a pair or set, or the end of a string literal
-_LIMIT_RE = re.compile(r'limit\([^"\n]*\)\Z')
 
-Tag = Union[str, tuple, frozenset]  # an object tag: see `ObjLit`
+Tag = Union[str, tuple, frozenset, "Family"]  # an object tag: see `ObjLit`
 
 
 def is_numeral(tag: Tag) -> bool:
@@ -186,37 +185,36 @@ def is_numeral(tag: Tag) -> bool:
 
 def is_tag(tag: object) -> bool:
     """Whether `tag` is an object tag (see `ObjLit`) at every depth.  An atom
-    holds no quote or newline, and no bracket or comma unless it is
-    ``limit(...)`` with balanced brackets, so a pair or set splits back apart."""
+    is nonempty text with no bracket, comma, quote or newline, so a pair or
+    set splits back apart."""
+    if type(tag) is str:
+        return tag != "" and _NOT_IN_ATOM.isdisjoint(tag)
     if type(tag) is tuple:
         return len(tag) == 2 and is_tag(tag[0]) and is_tag(tag[1])
-    if type(tag) is not str:
-        return type(tag) is frozenset and all(map(is_tag, tag))
-    if _NOT_IN_ATOM.isdisjoint(tag):
-        return tag != ""
-    try:
-        return _LIMIT_RE.match(tag) is not None and len(split_top_level(tag + ",")) == 2
-    except ValueError:
-        return False
+    return type(tag) is Family or type(tag) is frozenset and all(map(is_tag, tag))
 
 
 def tag_text(tag: Tag) -> str:
-    """The one writing of an object tag as text: ``(a,b)`` for a pair and
-    ``{a,c}`` for a set, its members sorted as text."""
+    """The one writing of an object tag as text: ``(a,b)`` for a pair,
+    ``limit(<descriptor>)`` for a family and ``{a,c}`` for a set, its members
+    sorted as text."""
     if type(tag) is str:
         return tag
     if type(tag) is tuple:
         return f"({tag_text(tag[0])},{tag_text(tag[1])})"
+    if type(tag) is Family:
+        return f"limit({tag})"
     return "{" + ",".join(sorted(map(tag_text, tag))) + "}"
 
 
 class ObjLit(Term, fields="tag of"):
     """A tagged constant naming one object of a carrier.
 
-    Its tag is an atom, a nonempty string (``yes``, a numeral, a declared tag
-    or ``limit(...)``); a pair of tags, for a product object; or a frozenset of
-    tags, for a powerset object.  Any other tag (see `is_tag`) is a ValueError,
-    so `render` writes back every tag an `ObjLit` holds.
+    Its tag is an atom, a nonempty string (``yes``, a numeral or a declared
+    tag); a pair of tags, for a product object; a frozenset of tags, for a
+    powerset object; or a `Family`, for the object of P[Nat] that its coherent
+    limit names.  Any other tag (see `is_tag`) is a ValueError, so `render`
+    writes back every tag an `ObjLit` holds.
     """
 
     __slots__ = ()
@@ -225,18 +223,6 @@ class ObjLit(Term, fields="tag of"):
         if not (type(tag) is str and _NOT_IN_ATOM.isdisjoint(tag) and tag or is_tag(tag)):
             raise ValueError(f"not an object tag: {tag!r}")
         return tuple.__new__(cls, (cls.__name__, tag, of))
-
-
-def limit_lit(descriptor: str) -> ObjLit:
-    """The object of P[Nat] that the coherent limit of a family names."""
-    return ObjLit(f"limit({descriptor})", Powerset(NAT))
-
-
-def limit_descriptor(tag: Tag) -> str | None:
-    """The family descriptor of a `limit(...)` tag; None for other tags."""
-    if type(tag) is str and tag.startswith("limit(") and tag.endswith(")"):
-        return tag[6:-1]
-    return None
 
 
 class FnExpr(Term):
@@ -257,13 +243,13 @@ class Table(FnExpr, fields="domain codomain rows"):
         return tuple.__new__(cls, (cls.__name__, domain, codomain, rows))
 
 
-BuiltinArg = Union[GenExpr, str, int]
+BuiltinArg = Union[GenExpr, "BitStream", "Family", int]
 
-# What each argument kind admits.  A spec string is a stream or family
-# descriptor; it holds no quote or newline, so it renders as a string literal.
+# What each argument kind admits.
 _ARG_KINDS = {
     "generator expression": lambda a: isinstance(a, GenExpr),
-    "spec string": lambda a: isinstance(a, str) and '"' not in a and "\n" not in a,
+    "stream": lambda a: isinstance(a, BitStream),
+    "family": lambda a: type(a) is Family,
     "natural number": lambda a: type(a) is int and a >= 0,
 }
 
@@ -271,9 +257,9 @@ _ARG_KINDS = {
 BUILTIN_RULES: dict[str, tuple[str, ...]] = {
     "eq_of": ("generator expression",),
     "empty_detector_of": ("generator expression",),
-    "indicator_stream": ("spec string",),
-    "union_of_family": ("spec string",),
-    "restrict": ("spec string", "natural number"),
+    "indicator_stream": ("stream",),
+    "union_of_family": ("family",),
+    "restrict": ("stream", "natural number"),
 }
 
 
@@ -305,16 +291,39 @@ def fn_signature(fn: FnExpr) -> tuple[GenExpr, GenExpr]:
 
 
 # ---------------------------------------------------------------------------
-# Families (stage n: a stream's bits at 0..n) for the coherent-limit lab
+# Streams and families (stage n: a stream's bits at 0..n) for the coherent-limit lab
+
+
+class BitStream(Term):
+    """A catalog stream of `ogkernel.streams`: a bit at every natural number.
+    Its `str` is its spec, the one canonical text of it that the surface
+    reads back: the class's `spec` format filled with its fields, a tuple of
+    bits written as its digits."""
+
+    __slots__ = ()
+    spec = ""
+
+    def __str__(self) -> str:
+        fields = ("".join(map(str, f)) if type(f) is tuple else f for f in self[1:])
+        return self.spec.format(*fields)
+
+
+class Family(Term, fields="base corruption"):
+    """A family descriptor: the restrictions of the stream `base`, written
+    ``restrictions(<spec>)``, or with `corruption` (stage, index) the family
+    whose stages from `stage` on flip the bit at `index`, written
+    ``corrupt(<spec>,<stage>,<index>)``; `ogkernel.streams` resolves it."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        if self.corruption is None:
+            return f"restrictions({self.base})"
+        return "corrupt({},{},{})".format(self.base, *self.corruption)
 
 
 class FamilySpec(Term, fields="name descriptor"):
-    """A coherent-family description drawn from the stream catalog.
-
-    The descriptor grammar and its coherence decision are owned by
-    `ogkernel.streams` (`resolve_family` and `family_limit`):
-    ``restrictions(<stream spec>)`` or ``corrupt(<stream spec>,<stage>,<index>)``.
-    """
+    """A named family, its descriptor a `Family`."""
 
     __slots__ = ()
 
@@ -459,35 +468,10 @@ def _render_obj(tag: Tag, of: GenExpr) -> str:
     return f'{_render_gen_atom(of)}."{tag_text(tag)}"'
 
 
-_BRACKETS = frozenset("(){}")
-_DELIMITER_RE = re.compile(r"[(){},]")
-
-
-def split_top_level(body: str) -> list[str]:
-    """Split `body` at the commas outside any parentheses or braces; a
-    closing bracket without its opener is a ValueError."""
-    if _BRACKETS.isdisjoint(body):
-        return body.split(",")
-    parts, depth, start = [], 0, 0
-    for m in _DELIMITER_RE.finditer(body):
-        ch = m[0]
-        if ch in "({":
-            depth += 1
-        elif ch in ")}":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced brackets in {body!r}")
-        elif depth == 0:
-            parts.append(body[start : m.start()])
-            start = m.end()
-    parts.append(body[start:])
-    return parts
-
-
 def _render_builtin_arg(a: BuiltinArg) -> str:
     if isinstance(a, GenExpr):
         return _render_gen(a)
-    return f'"{a}"' if isinstance(a, str) else str(a)
+    return str(a) if type(a) is int else f'"{a}"'
 
 
 def _render_fn(f: FnExpr) -> str:

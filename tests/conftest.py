@@ -51,12 +51,12 @@ def rejudge():
     return _rejudge
 
 
-def _python_calls(run) -> int:
+def _python_calls(run, name: str | None = None) -> int:
     calls = 0
 
     def on_event(frame, event, arg):
         nonlocal calls
-        calls += event == "call"
+        calls += event == "call" and name in (None, frame.f_code.co_name)
 
     previous = sys.getprofile()
     sys.setprofile(on_event)
@@ -69,6 +69,7 @@ def _python_calls(run) -> int:
 
 @pytest.fixture
 def python_calls():
-    """`python_calls(run)`: the profiler's call events while `run()` runs,
-    a count of the Python functions it enters (generator resumes too)."""
+    """`python_calls(run, name=None)`: the profiler's call events while
+    `run()` runs, a count of the Python functions it enters (generator
+    resumes too), or of those named `name` alone."""
     return _python_calls

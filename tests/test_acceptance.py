@@ -24,7 +24,7 @@ from ogkernel.semantics import (
 )
 from ogkernel.stdlib import prelude_source
 from ogkernel.streams import demonstrate_gap
-from ogkernel.surface import parse_source, render_decl
+from ogkernel.surface import parse_source, parse_stream_spec, render_decl
 from ogkernel.terms import (
     BuiltinRule,
     Ident,
@@ -134,7 +134,7 @@ def test_criterion_5_coherent_limit_gap():
         assert by_name["limit-outside-model"].status == "pass"
         assert "(64, 64, 4096)" in by_name["limit-outside-model"].detail
         # control experiment: a periodic base stream flips sub-result (d)
-        control = demonstrate_gap("periodic:1/01")
+        control = demonstrate_gap(parse_stream_spec("periodic:1/01"))
         assert control.base_verdict.member
         assert not control.passed
         assert control.conclusion.startswith("withdrawn")

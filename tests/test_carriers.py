@@ -24,12 +24,30 @@ from ogkernel.semantics import (
     models_for_judgment,
     verify_judgment,
 )
-from ogkernel.surface import parse_gen_expr, parse_source
+from ogkernel.streams import (
+    MAX_HORIZON,
+    FiniteSupport,
+    FlipAt,
+    Periodic,
+    PowersOfTwoIndicator,
+    ShiftOf,
+    SquaresIndicator,
+    XorOf,
+)
+from ogkernel.surface import (
+    MAX_COMBINATORS,
+    parse_family,
+    parse_gen_expr,
+    parse_source,
+    parse_stream_spec,
+    split_top_level,
+)
 from ogkernel.terms import (
     NAT,
     TWO,
     BUILTIN_RULES,
     BuiltinRule,
+    Family,
     Ident,
     IsDomain,
     IsGen,
@@ -39,7 +57,6 @@ from ogkernel.terms import (
     Powerset,
     Product,
     render,
-    split_top_level,
 )
 
 A = Named(Ident("A"))
@@ -234,11 +251,35 @@ def test_codec_round_trip_property(expr, model, data):
         assert carrier.index(carrier.tag(k)) == k
 
 
+_bits = st.lists(st.integers(0, 1), max_size=8).map(tuple)
+_streams = st.recursive(
+    st.sampled_from([SquaresIndicator(), PowersOfTwoIndicator()])
+    | st.builds(Periodic, _bits, st.lists(st.integers(0, 1), min_size=1, max_size=6).map(tuple))
+    | st.builds(FiniteSupport, _bits),
+    lambda inner: st.builds(XorOf, inner, inner)
+    | st.builds(ShiftOf, inner, st.integers(0, MAX_HORIZON))
+    | st.builds(FlipAt, inner, st.integers(0, 10**9)),
+    max_leaves=6,
+).filter(lambda s: str(s).count("(") <= MAX_COMBINATORS)  # every "(" opens a combinator
+_families = st.builds(
+    Family, _streams, st.none() | st.tuples(st.integers(0, 10**9), st.integers(0, 10**9))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_streams, _families)
+def test_spec_text_round_trip_property(stream, family):
+    # `str` writes the one canonical spec, which the surface reads back
+    assert parse_stream_spec(str(stream)) == stream
+    assert parse_family(str(family)) == family
+
+
 def _builtins():
     """Well-formed catalog formers: each argument drawn from its kind."""
     by_kind = {
         "generator expression": _exprs(),
-        "spec string": st.text(st.characters(exclude_characters='"\n'), max_size=12),
+        "stream": _streams,
+        "family": _families,
         "natural number": st.integers(0, 10**6),
     }
     return st.sampled_from(sorted(BUILTIN_RULES)).flatmap(

@@ -73,6 +73,21 @@ def test_check_cross_domain_file_exits_1(capsys):
     assert "E0101" in out
 
 
+def test_a_limit_tag_names_its_family_in_any_spelling(tmp_path, capsys):
+    # A family is a term, so a descriptor spelled with blanks is the family
+    # that a quoted limit tag names.
+    path = tmp_path / "limit.og"
+    path.write_text(
+        'assert Coherent(F, "restrictions( squares )") by rule coherent;\n'
+        'assert Obj(P[Nat]."limit(restrictions(squares))", P[Nat]) by rule cla;\n'
+    )
+    assert main(["check", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        'PASS     Coherent(F, "restrictions(squares)") | no axioms',
+        'PASS     Obj(P[Nat]."limit(restrictions(squares))", P[Nat]) | axioms: CLA',
+    ]
+
+
 def test_check_refusals_exit_1(tmp_path, capsys):
     cases = {
         "corrupt.og": (
@@ -336,8 +351,11 @@ def test_deeply_nested_stream_spec_is_refused(tmp_path, capsys):
 
 
 # An argument of each catalogued kind, and one of another kind.
-_ARG_OF_KIND = {"generator expression": "Nat", "spec string": '"squares"', "natural number": "5"}
-_ARG_NOT_OF_KIND = {"generator expression": "5", "spec string": "Nat", "natural number": "Nat"}
+_ARG_OF_KIND = {
+    "generator expression": "Nat", "stream": '"squares"', "family": '"restrictions(squares)"',
+    "natural number": "5",
+}
+_ARG_NOT_OF_KIND = {"generator expression": "5", "stream": "Nat", "family": "Nat", "natural number": "Nat"}
 
 
 def _malformed_builtins():

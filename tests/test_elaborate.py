@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from ogkernel import elaborate, surface
 from ogkernel.elaborate import _RULE_ALIASES, elaborate_file, elaborate_files, elaborate_source
 from ogkernel.kernel import axioms_used, verify_trace
+from ogkernel.semantics import soundness_sweep
 from ogkernel.stdlib import prelude_source
-from ogkernel.surface import parse_source
+from ogkernel.surface import LimitDecl, parse_family, parse_source, parse_stream_spec
 from ogkernel.terms import render
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -241,6 +244,54 @@ def test_every_corpus_file_elaborates_cleanly():
         assert not [i for i in result.items if i.status == "fail"], path.name
         for thm in result.theorems:
             assert verify_trace(thm).passed, path.name
+
+
+def _layers(sources):
+    """Each parsed file's elaboration, the replay of its theorems and its
+    size-3 sweep."""
+    out = []
+    for path, decls in sources:
+        result = elaborate_files([(path, decls)])
+        replays = [verify_trace(thm) for thm in result.theorems]
+        out.append((result.items, result.diagnostics, replays, soundness_sweep(result.judgments, 3)))
+    return out
+
+
+def test_no_layer_reads_spec_text_again(monkeypatch, clear_caches):
+    # The surface builds the stream or family of every builtin and every
+    # quoted limit tag as it parses a file, and elaboration reads the text
+    # of each Coherent(...) descriptor and `limit member` spec once.  Past
+    # that no layer parses a spec: with the grammar refusing, elaboration,
+    # replay and the sweep give what they gave before.
+    paths = [*sorted(CORPUS.glob("[0-9]*.og")), None]
+    sources = [
+        (path or "prelude.og", parse_source(path.read_text("utf-8") if path else prelude_source())[0])
+        for path in paths
+    ]
+    families, specs = Counter(), Counter()
+    for _, decls in sources:
+        for decl in decls:
+            judgment = getattr(decl, "judgment", None)
+            if judgment is not None and judgment.head == "Coherent":
+                families[judgment.args[1]] += 1
+            elif isinstance(decl, LimitDecl) and decl.command == "member":
+                specs[decl.spec] += 1
+    assert families and specs
+    expected = _layers(sources)
+    terms = {text: parse_family(text) for text in families}
+    terms |= {text: parse_stream_spec(text) for text in specs}
+    read = Counter()
+    for name in ("parse_family", "parse_stream_spec"):
+        monkeypatch.setattr(elaborate, name, lambda text: read.update([text]) or terms[text])
+
+    def refuse(*args):
+        raise AssertionError(f"spec text parsed again: {args}")
+
+    for name in ("parse_stream_spec", "_parse_spec", "parse_family", "split_top_level"):
+        monkeypatch.setattr(surface, name, refuse)
+    clear_caches()
+    assert _layers(sources) == expected
+    assert read == families + specs
 
 
 def test_duplicate_primitive_tag_declares_nothing():

@@ -31,12 +31,13 @@ from ogkernel.kernel import (
 from ogkernel.elaborate import elaborate_file, elaborate_source
 from ogkernel.semantics import Carrier, Model, SweepItem, interpret, verify_judgment
 from ogkernel.stdlib import prelude_source
-from ogkernel.streams import CoherenceError
-from ogkernel.surface import _Parser, _scan, _tag_value
+from ogkernel.streams import CoherenceError, FiniteSupport, PowersOfTwoIndicator, SquaresIndicator
+from ogkernel.surface import _Parser, _scan, _tag_value, parse_family
 from ogkernel.terms import (
     NAT,
     TWO,
     BuiltinRule,
+    Family,
     FamilySpec,
     Ident,
     IsBinFn,
@@ -201,7 +202,7 @@ def test_builtin_premise_and_catalog_errors(kernel):
     with pytest.raises(KernelError, match="no identity"):
         kernel.mor_intro(BuiltinRule("eq_of", (g,)), Product(g, g), TWO)
     with pytest.raises(KernelError, match="partial"):
-        kernel.mor_intro(BuiltinRule("restrict", ("squares", 5)), NAT, TWO)
+        kernel.mor_intro(BuiltinRule("restrict", (SquaresIndicator(), 5)), NAT, TWO)
 
 
 # -- domains and sets
@@ -294,16 +295,16 @@ def test_squant_premise_error(kernel):
 
 
 def test_coherent_family_and_limit(kernel):
-    family = FamilySpec(Ident("F"), "restrictions(squares)")
+    squares = Family(SquaresIndicator(), None)
+    family = FamilySpec(Ident("F"), squares)
     fam_thm = kernel.coherent_family(family)
     assert fam_thm.judgment == IsCoherentFamily(family)
     limit = kernel.coherent_limit(fam_thm)
-    assert limit.judgment == IsObj(
-        ObjLit("limit(restrictions(squares))", Powerset(NAT)), Powerset(NAT)
-    )
+    assert limit.judgment == IsObj(ObjLit(squares, Powerset(NAT)), Powerset(NAT))
+    assert render(limit.judgment) == 'Obj(P[Nat]."limit(restrictions(squares))", P[Nat])'
     assert verify_trace(limit).passed
-    zero = kernel.coherent_family(FamilySpec(Ident("Z"), "restrictions(finite:)"))
-    assert kernel.coherent_limit(zero).judgment.obj.tag == "limit(restrictions(finite:))"
+    zero = kernel.coherent_family(FamilySpec(Ident("Z"), Family(FiniteSupport(()), None)))
+    assert tag_text(kernel.coherent_limit(zero).judgment.obj.tag) == "limit(restrictions(finite:))"
 
 
 def test_incoherent_family_is_refused_upstream(kernel):
@@ -311,7 +312,7 @@ def test_incoherent_family_is_refused_upstream(kernel):
         ("corrupt(squares,3,1)", 3, 1),
         ("corrupt(squares,100,3)", 100, 3),
     ):
-        family = FamilySpec(Ident("Bad"), descriptor)
+        family = FamilySpec(Ident("Bad"), parse_family(descriptor))
         with pytest.raises(CoherenceError) as exc:
             kernel.coherent_family(family)
         assert (exc.value.stage, exc.value.index) == (stage, index)
@@ -322,17 +323,17 @@ def test_incoherent_family_is_refused_upstream(kernel):
 
 
 def test_union_of_incoherent_family_is_refused(kernel):
-    union = BuiltinRule("union_of_family", ("restrictions(pow2)",))
+    union = BuiltinRule("union_of_family", (Family(PowersOfTwoIndicator(), None),))
     assert kernel.mor_intro(union, NAT, TWO).judgment == IsMor(union, NAT, TWO)
-    corrupt = BuiltinRule("union_of_family", ("corrupt(squares,5,3)",))
+    corrupt = BuiltinRule("union_of_family", (Family(SquaresIndicator(), (5, 3)),))
     with pytest.raises(KernelError, match="stage 5 disagrees at index 3"):
         kernel.mor_intro(corrupt, NAT, TWO)
 
 
 def test_union_of_family_counts_cla(kernel):
-    union = BuiltinRule("union_of_family", ("restrictions(pow2)",))
+    union = BuiltinRule("union_of_family", (Family(PowersOfTwoIndicator(), None),))
     assert axioms_used(kernel.mor_intro(union, NAT, TWO)) == {AxiomId.CLA_COHERENT_LIMIT: 1}
-    indicator = BuiltinRule("indicator_stream", ("squares",))
+    indicator = BuiltinRule("indicator_stream", (SquaresIndicator(),))
     assert not axioms_used(kernel.mor_intro(indicator, NAT, TWO))
 
 
@@ -592,9 +593,27 @@ def test_importing_the_kernel_loads_only_the_trusted_base():
     assert kernel == ["ogkernel", "ogkernel.kernel", "ogkernel.streams", "ogkernel.terms"]
 
 
+def test_the_trusted_base_and_the_oracle_name_no_spec_parser():
+    # The spec grammar is the surface's: the kernel, the terms, the stream
+    # catalog and the oracle read streams and families as terms, so none of
+    # them defines, imports, calls or lists a spec parser.
+    package = Path(kernel_module.__file__).parent
+    parsers = {"parse_stream_spec", "parse_family", "split_top_level"}
+    for module in ("kernel.py", "terms.py", "streams.py", "semantics.py"):
+        named = set()
+        for node in ast.walk(ast.parse((package / module).read_text("utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.alias, ast.Attribute)):
+                named.add(getattr(node, "name", None) or getattr(node, "attr", None))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)  # an `__all__` entry
+        assert named.isdisjoint(parsers), module
+
+
 def test_the_kernel_and_the_oracle_read_no_tag_or_spec_text():
-    # Only the surface and the stream catalog split text: the kernel and the
-    # oracle read object tags as values and hand spec strings to `streams`.
+    # Only the surface splits text: the kernel and the oracle read object
+    # tags, streams and families as values.
     package = Path(kernel_module.__file__).parent
     for module in ("kernel.py", "semantics.py"):
         imported = set()
@@ -748,9 +767,10 @@ _CARRIERS = [_G, TWO, Product(_G, TWO), Product(TWO, _G), Product(TWO, TWO), Pro
 
 
 # Tags of every shape that name no object of some carrier: atoms no carrier
-# lists, and a set on a product is the wrong shape.
+# lists, a family, and a set on a product is the wrong shape.
+_LIMIT = Family(SquaresIndicator(), None)
 _STRAY = (
-    "z", "limit(x)", "a ", "b", "no", ("a", "z"), ("c", "no"), ("yes", "yes"),
+    "z", _LIMIT, "a ", "b", "no", ("a", "z"), ("c", "no"), ("yes", "yes"),
     (("a", "b"), "no"), frozenset(), frozenset({"a"}), frozenset({"a", "yes"}),
 )
 
@@ -793,7 +813,7 @@ _TAG_MODEL = Model.make({"G": Carrier("G", _G_TAGS)}, nat_bound=1)
 # The numerals stop at the model's bound: the kernel reads Nat whole.
 _ATOMS_ON = {TWO: ("yes", "no"), NAT: ("0", "1"), _G: _G_TAGS}
 _ANY_TAGS = st.recursive(
-    st.sampled_from(("yes", "no", "a", "c", "z", "0", "1", "01", "limit(x)")),
+    st.sampled_from(("yes", "no", "a", "c", "z", "0", "1", "01", _LIMIT)),
     lambda inner: st.tuples(inner, inner)
     | st.tuples(inner, inner, inner)
     | st.frozensets(inner, max_size=3),

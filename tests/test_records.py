@@ -50,7 +50,9 @@ from ogkernel.surface import (
 from ogkernel.terms import (
     NAT,
     TWO,
+    BitStream,
     BuiltinRule,
+    Family,
     FamilySpec,
     FnExpr,
     GenExpr,
@@ -78,15 +80,16 @@ from ogkernel.terms import (
 TERM_CLASSES = (
     Ident, ObjLit, FamilySpec, Two, Nat, Named, Product, Powerset, Table, BuiltinRule,
     IsGen, IsObj, IsMor, IsBinFn, IsDomain, SupportsQuant, IsSet, IsCoherentFamily,
+    Periodic, SquaresIndicator, PowersOfTwoIndicator, FiniteSupport, XorOf, ShiftOf, FlipAt,
+    Family,
 )
 # Records outside the term language whose class takes part in equality, or
 # whose fields must not be replaced (a theorem, a report and its summary).
 RECORD_CLASSES = (
-    Periodic, SquaresIndicator, PowersOfTwoIndicator, FiniteSupport, XorOf, ShiftOf, FlipAt,
     Theorem, Carrier, Verdict, LimitRef, SurfaceJudgment, AxiomRef, RuleApp,
     GeneratorDecl, MorphismDecl, AssertDecl, ModelCheckDecl, IncludeDecl, LimitDecl, cli.Report,
 )
-BASES = (Term, GenExpr, FnExpr, Judgment)
+BASES = (Term, GenExpr, FnExpr, Judgment, BitStream)
 CORPUS = Path(__file__).parent / "corpus"
 
 
@@ -392,14 +395,14 @@ def _one_record_of_each_class() -> list[Term]:
     g, span = Named(Ident("G")), Span(1, 1, 0, 6)
     yes = ObjLit("yes", TWO)
     eq = BuiltinRule("eq_of", (TWO,))
-    family = FamilySpec(Ident("F"), "restrictions(squares)")
-    judgment, proof = SurfaceJudgment("Set", (TWO,)), AxiomRef("H1")
     squares = SquaresIndicator()
+    family = FamilySpec(Ident("F"), Family(squares, None))
+    judgment, proof = SurfaceJudgment("Set", (TWO,)), AxiomRef("H1")
     return [
         Ident("G"), yes, family, TWO, NAT, g, Product(g, TWO), Powerset(g),
         Table(TWO, TWO, ((yes, yes),)), eq, IsGen(g), IsObj(yes, TWO), IsMor(eq, TWO, TWO),
         IsBinFn(eq, TWO), IsDomain(TWO, eq), SupportsQuant(NAT), IsSet(TWO),
-        IsCoherentFamily(family),
+        IsCoherentFamily(family), family.descriptor,
         Periodic((0,), (1,)), squares, PowersOfTwoIndicator(), FiniteSupport((1, 0)),
         XorOf(squares, squares), ShiftOf(squares, 1), FlipAt(squares, 2),
         Kernel().axiom(AxiomId.H3_NAT_SUPPORTS_QUANT), Carrier("G", ("a",)), Verdict(HOLDS),

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from ogkernel import elaborate, semantics
+from ogkernel import elaborate, semantics, streams
+from ogkernel.cli import main
 from ogkernel.elaborate import Item, elaborate_source, sweep_item
 from ogkernel.stdlib import prelude_source
 from ogkernel.semantics import (
@@ -31,6 +32,7 @@ from ogkernel.semantics import (
 )
 from ogkernel.semantics import _member_counts
 from ogkernel.streams import CoherenceError
+from ogkernel.surface import parse_family, parse_stream_spec
 from ogkernel.terms import (
     NAT,
     TWO,
@@ -91,17 +93,17 @@ def test_detector_flags_exactly_the_empty_table_up_to_8():
 
 def test_stream_formers_flag_their_members():
     model = default_model(nat_bound=5)
-    squares = interpret_fn(BuiltinRule("indicator_stream", ("squares",)), model)
+    squares = interpret_fn(BuiltinRule("indicator_stream", (parse_stream_spec("squares"),)), model)
     assert squares == {"0": "yes", "1": "yes", "2": "no", "3": "no", "4": "yes", "5": "no"}
-    stage = interpret_fn(BuiltinRule("restrict", ("squares", 2)), model)
+    stage = interpret_fn(BuiltinRule("restrict", (parse_stream_spec("squares"), 2)), model)
     assert stage == {"0": "yes", "1": "yes", "2": "no"}  # no value past index 2
-    union = interpret_fn(BuiltinRule("union_of_family", ("restrictions(pow2)",)), model)
+    union = interpret_fn(BuiltinRule("union_of_family", (parse_family("restrictions(pow2)"),)), model)
     assert union == {"0": "no", "1": "yes", "2": "yes", "3": "no", "4": "yes", "5": "no"}
 
 
 def test_union_of_an_incoherent_family_has_no_values():
     # refused at every Nat bound, also where no numeral reaches the bad stage
-    union = BuiltinRule("union_of_family", ("corrupt(squares,3,1)",))
+    union = BuiltinRule("union_of_family", (parse_family("corrupt(squares,3,1)"),))
     for bound in (1, 5):
         model = default_model(nat_bound=bound)
         with pytest.raises(CoherenceError, match="family stage 3 disagrees at index 1"):
@@ -351,14 +353,14 @@ def test_partial_functions_fail_totality_as_before():
     assert verdict.witness == (("at", "y"), ("got", "up"))
     # of the formers only `restrict` has holes, past its bound
     for bound, holes in ((1, 2), (3, 0), (9, 0)):
-        fn = BuiltinRule("restrict", ("squares", bound))
+        fn = BuiltinRule("restrict", (parse_stream_spec("squares"), bound))
         assert _holes_and_outside(fn, model) == (holes, 0)
-    verdict = verify_judgment(IsMor(BuiltinRule("restrict", ("squares", 1)), NAT, TWO), model)
+    verdict = verify_judgment(IsMor(BuiltinRule("restrict", (parse_stream_spec("squares"), 1)), NAT, TWO), model)
     assert verdict.status == FAILS and verdict.witness == (("missing", "2"),)
     assert verdict.detail == "not total: no value at '2'"
     # `_verify_mor` does not scan the formers built whole: they have no holes
     whole = [BuiltinRule(rule, (Powerset(expr),)) for rule in semantics._WHOLE_FORMERS]
-    for fn in (*whole, BuiltinRule("indicator_stream", ("pow2",))):
+    for fn in (*whole, BuiltinRule("indicator_stream", (parse_stream_spec("pow2"),))):
         assert _holes_and_outside(fn, model) == (0, 0)
         assert verify_judgment(IsMor(fn, *fn_signature(fn)), model).holds
 
@@ -369,10 +371,13 @@ def test_is_obj_examples():
     assert verify_judgment(IsObj(ObjLit("7", NAT), NAT), model).holds
     verdict = verify_judgment(IsObj(ObjLit("maybe", TWO), TWO), model)
     assert verdict.status == FAILS
-    limit = ObjLit("limit(restrictions(squares))", Powerset(NAT))
+    limit = ObjLit(parse_family("restrictions(squares)"), Powerset(NAT))
     assert verify_judgment(IsObj(limit, Powerset(NAT)), model).holds
+    # a family's limit is an object of P[Nat] alone
+    verdict = verify_judgment(IsObj(ObjLit(limit.tag, TWO), TWO), model)
+    assert verdict.detail == "'limit(restrictions(squares))' is not an object of Two"
     for descriptor, stage in (("corrupt(squares,3,1)", "3"), ("corrupt(squares,100,3)", "100")):
-        broken = ObjLit(f"limit({descriptor})", Powerset(NAT))
+        broken = ObjLit(parse_family(descriptor), Powerset(NAT))
         verdict = verify_judgment(IsObj(broken, Powerset(NAT)), model)
         assert verdict.status == FAILS and dict(verdict.witness) == {"stage": stage}
 
@@ -381,7 +386,7 @@ def test_family_coherence_is_scanned_past_the_descriptor():
     model = default_model(nat_bound=3)
 
     def coherent(descriptor):
-        return verify_judgment(IsCoherentFamily(FamilySpec(Ident("F"), descriptor)), model)
+        return verify_judgment(IsCoherentFamily(FamilySpec(Ident("F"), parse_family(descriptor))), model)
 
     assert coherent("restrictions(squares)").holds
     assert coherent("corrupt(squares,3,100)").holds
@@ -393,9 +398,9 @@ def test_family_coherence_is_scanned_past_the_descriptor():
     # the union of an incoherent family is no binary function, though each
     # stage alone has a value at every numeral
     for descriptor in ("corrupt(squares,5,3)", "corrupt(squares,2,1)"):
-        union = BuiltinRule("union_of_family", (descriptor,))
+        union = BuiltinRule("union_of_family", (parse_family(descriptor),))
         assert verify_judgment(IsMor(union, NAT, TWO), model).status == FAILS
-    union = BuiltinRule("union_of_family", ("restrictions(pow2)",))
+    union = BuiltinRule("union_of_family", (parse_family("restrictions(pow2)"),))
     assert verify_judgment(IsMor(union, NAT, TWO), model).holds
 
 
@@ -618,6 +623,26 @@ def test_the_sweep_is_the_same_with_every_cache_cleared_between_judgments(
             clear_caches()
             alone += soundness_sweep([judgment] * times, size).items
         assert items == tuple(alone), size
+
+
+def test_a_model_run_scans_each_family_once(monkeypatch, capsys):
+    # Corpus 08 names two families, in Coherent(...) and in the three models
+    # of each limit's Obj(..., P[Nat]): the oracle's verdict on a family is
+    # cached, where it scanned the stages 8 times.
+    scans, scan = [], streams.is_coherent
+    monkeypatch.setattr(streams, "is_coherent", lambda stages: scans.append(stages) or scan(stages))
+    assert main(["model", str(CORPUS / "08_coherent_squares.og"), "--max-size", "3"]) == 0
+    assert "summary: 17 pass, 0 fail, 1 assumed" in capsys.readouterr().out
+    assert len(scans) == 2
+
+
+def test_the_axiom_instances_run_each_detector_law_once(python_calls):
+    # H1 and H4 both read the detector law on Two; a call computes it once.
+    model = Model.make({"A": Carrier("A", ("a", "b"))}, nat_bound=1)
+    checks = verify_axiom_instances(model)
+    assert [c.status for c in checks] == [HOLDS, HOLDS, "assumed", HOLDS]
+    # Two, Nat and A, each with its powerset
+    assert python_calls(lambda: verify_axiom_instances(model), "_detector_law") == 6
 
 
 def test_soundness_sweep_empty():

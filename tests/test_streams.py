@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from ogkernel import streams
 from ogkernel.semantics import default_model, verify_judgment
 from ogkernel.streams import (
-    MAX_COMBINATORS,
     MAX_HORIZON,
     MAX_PERIOD_BOUND,
     BoundError,
@@ -28,7 +27,6 @@ from ogkernel.streams import (
     PowersOfTwoIndicator,
     ShiftOf,
     SquaresIndicator,
-    StreamSpecError,
     XorOf,
     demonstrate_gap,
     ep_decide,
@@ -36,21 +34,21 @@ from ogkernel.streams import (
     flip_witness,
     is_coherent,
     is_ep_witness,
-    parse_stream_spec,
     resolve_family,
     shift_witness,
     xor_witness,
 )
-from ogkernel.terms import FamilySpec, Ident, IsCoherentFamily
+from ogkernel.surface import MAX_COMBINATORS, StreamSpecError, parse_family, parse_stream_spec
+from ogkernel.terms import Family, FamilySpec, Ident, IsCoherentFamily
 
 
 def test_restriction_stages_are_prefixes():
-    assert resolve_family("restrictions(squares)")(5) == bytes((1, 1, 0, 0, 1, 0))
-    assert resolve_family("restrictions(periodic:/10)")(3) == bytes((1, 0, 1, 0))
-    assert resolve_family("restrictions(pow2)")(0) == bytes((0,))
+    assert resolve_family(Family(SquaresIndicator(), None))(5) == bytes((1, 1, 0, 0, 1, 0))
+    assert resolve_family(Family(Periodic((), (1, 0)), None))(3) == bytes((1, 0, 1, 0))
+    assert resolve_family(Family(PowersOfTwoIndicator(), None))(0) == bytes((0,))
     for spec in ("squares", "finite:11", "periodic:0/1"):
         stream = parse_stream_spec(spec)
-        assert resolve_family(f"restrictions({spec})")(0) == bytes((stream.value_at(0),))
+        assert resolve_family(Family(stream, None))(0) == bytes((stream.value_at(0),))
 
 
 def test_prefix_matches_value_at():
@@ -97,15 +95,15 @@ def test_monotone_coherence():
 def test_family_limit_round_trip():
     for spec in ("pow2", "finite:", "squares"):
         stream = parse_stream_spec(spec)
-        assert family_limit(f"restrictions({spec})") == stream
-        assert family_limit(f"restrictions({spec})").prefix(4096) == stream.prefix(4096)
-    assert family_limit("corrupt(squares,3,7)") == FlipAt(SquaresIndicator(), 7)
+        assert family_limit(Family(stream, None)) == stream
+        assert family_limit(Family(stream, None)).prefix(4096) == stream.prefix(4096)
+    assert family_limit(Family(SquaresIndicator(), (3, 7))) == FlipAt(SquaresIndicator(), 7)
 
 
 def test_family_limit_coherence_error():
     for descriptor, violation in (("corrupt(squares,3,1)", (3, 1)), ("corrupt(pow2,1,0)", (1, 0))):
         with pytest.raises(CoherenceError) as exc:
-            family_limit(descriptor)
+            family_limit(parse_family(descriptor))
         assert (exc.value.stage, exc.value.index) == violation
 
 
@@ -127,7 +125,7 @@ def test_family_limit_is_the_diagonal_union():
         descriptors = [f"restrictions({spec})"] + [
             f"corrupt({spec},{k},{i})" for k in range(8) for i in range(10) if i >= k
         ]
-        for descriptor in descriptors:
+        for descriptor in map(parse_family, descriptors):
             stage = resolve_family(descriptor)
             diagonal = bytes(stage(m)[m] for m in range(60))
             assert family_limit(descriptor).prefix(59) == diagonal, descriptor
@@ -227,8 +225,8 @@ def test_prefix_bytes_and_ep_decide_property(spec, n, pb, qb, extra):
     stream = parse_stream_spec(spec)
     expected = bytes(stream.value_at(i) for i in range(n + 1))
     assert stream.prefix(n) == expected
-    assert resolve_family(f"restrictions({spec})")(n) == expected
-    assert family_limit(f"restrictions({spec})").prefix(n) == expected
+    assert resolve_family(Family(stream, None))(n) == expected
+    assert family_limit(Family(stream, None)).prefix(n) == expected
     horizon = pb + 2 * qb + extra
     assert ep_decide(stream, pb, qb, horizon).witness == _naive_ep(stream, pb, qb, horizon)
 
@@ -287,7 +285,7 @@ def test_stream_spec_refuses_a_shift_past_the_horizon():
         with pytest.raises(StreamSpecError, match="shift offset .* above the maximum 65536"):
             parse_stream_spec(spec)
         with pytest.raises(StreamSpecError):
-            resolve_family(f"restrictions({spec})")
+            parse_family(f"restrictions({spec})")
 
 
 def test_stream_spec_refuses_too_many_combinators():
@@ -301,25 +299,23 @@ def test_stream_spec_refuses_too_many_combinators():
 
 
 def test_resolve_family_descriptors():
-    member = resolve_family("restrictions(squares)")
+    member = resolve_family(parse_family("restrictions(squares)"))
     assert member(5) == bytes((1, 1, 0, 0, 1, 0))
-    corrupt = resolve_family("corrupt(squares,3,1)")
+    corrupt = resolve_family(parse_family("corrupt(squares,3,1)"))
     assert corrupt(2) == SquaresIndicator().prefix(2)
     assert corrupt(4)[1] != SquaresIndicator().prefix(4)[1]
     for bad in ("nonsense(squares)", "corrupt(squares,3,-1)", "corrupt(squares,-3,1)"):
         with pytest.raises(StreamSpecError):
-            resolve_family(bad)
-        with pytest.raises(StreamSpecError):
-            family_limit(bad)
+            parse_family(bad)
 
 
-def _resolve_per_stage(descriptor: str):
+def _resolve_per_stage(family: Family):
     """The reference stages: each stage its own prefix of the stream, or for
     ``corrupt(s,k,i)`` from stage k on of the stream with bit i flipped."""
-    stream, corruption = streams.parse_family(descriptor)
-    if corruption is None:
+    stream = family.base
+    if family.corruption is None:
         return stream.prefix
-    stage, index = corruption
+    stage, index = family.corruption
     flipped = FlipAt(stream, index)
     return lambda n: (flipped if n >= stage else stream).prefix(n)
 
@@ -335,7 +331,7 @@ _CORRUPTIONS = ((0, 0), (5, 7), (7, 5), (2, 600), (300, 2), (1100, 1099), (3, 50
 @pytest.mark.parametrize("spec", _CATALOG_BASES)
 def test_family_stages_slice_one_prefix_like_the_per_stage_definition(spec):
     descriptors = [f"restrictions({spec})", *(f"corrupt({spec},{k},{i})" for k, i in _CORRUPTIONS)]
-    for descriptor in descriptors:
+    for descriptor in map(parse_family, descriptors):
         reference = _resolve_per_stage(descriptor)
         expected = [reference(n) for n in range(1101)]
         stage = resolve_family(descriptor)
@@ -364,15 +360,18 @@ def test_demonstrate_gap_builds_the_base_prefix_a_few_times(monkeypatch):
         "corrupt(shift(squares,3),1024,1023)", "corrupt(squares,1000000000,3)",
     ],
 )
-def test_the_oracle_coherence_verdicts_match_the_per_stage_definition(descriptor, monkeypatch):
+def test_the_oracle_coherence_verdicts_match_the_per_stage_definition(
+    descriptor, monkeypatch, clear_caches
+):
     model = default_model(nat_bound=3)
-    judgment = IsCoherentFamily(FamilySpec(Ident("F"), descriptor))
+    judgment = IsCoherentFamily(FamilySpec(Ident("F"), parse_family(descriptor)))
     verdict = verify_judgment(judgment, model)
     monkeypatch.setattr(streams, "resolve_family", _resolve_per_stage)
+    clear_caches()  # the oracle's coherence verdict is cached per family
     assert verify_judgment(judgment, model) == verdict
 
 
-def _violation(descriptor: str) -> tuple[int, int] | None:
+def _violation(descriptor: Family) -> tuple[int, int] | None:
     """The (stage, index) that `family_limit` refuses a family at, or None."""
     try:
         family_limit(descriptor)
@@ -385,10 +384,11 @@ def test_family_violation_matches_stage_scan():
     # the exact rule against a brute scan of 40 stages, which reaches past
     # every corruption stage in the grid
     for spec in ("squares", "pow2", "periodic:1/01", "finite:1101"):
-        assert _violation(f"restrictions({spec})") is None
+        stream = parse_stream_spec(spec)
+        assert _violation(Family(stream, None)) is None
         for stage in range(14):
             for index in range(14):
-                descriptor = f"corrupt({spec},{stage},{index})"
+                descriptor = Family(stream, (stage, index))
                 member = resolve_family(descriptor)
                 scan = is_coherent([member(n) for n in range(40)])
                 violation = _violation(descriptor)
@@ -438,20 +438,21 @@ def test_the_closure_spot_checks_catch_a_wrong_witness(name, wrong, monkeypatch)
     assert not report.passed and report.conclusion.startswith("withdrawn")
 
 
-def _stray_one_past_the_bits(monkeypatch) -> str:
+def _stray_one_past_the_bits(monkeypatch) -> SquaresIndicator:
     prefix = FiniteSupport.prefix
     monkeypatch.setattr(
         FiniteSupport,
         "prefix",
         lambda self, n: prefix(self, n)[:-1] + b"\1" if n >= len(self.bits) else prefix(self, n),
     )
-    return "squares"
+    return SquaresIndicator()
 
 
-def _corrupt_stages(monkeypatch) -> str:
+def _corrupt_stages(monkeypatch) -> SquaresIndicator:
     resolve = streams.resolve_family
-    monkeypatch.setattr(streams, "resolve_family", lambda _: resolve("corrupt(squares,5,7)"))
-    return "squares"
+    corrupt = Family(SquaresIndicator(), (5, 7))
+    monkeypatch.setattr(streams, "resolve_family", lambda _: resolve(corrupt))
+    return SquaresIndicator()
 
 
 @pytest.mark.parametrize(
@@ -487,7 +488,7 @@ def test_importing_the_cli_loads_no_random():
 
 
 def test_demonstrate_gap_control_flips():
-    report = demonstrate_gap("periodic:1/01")
+    report = demonstrate_gap(Periodic((1,), (0, 1)))
     assert report.base_spec == "periodic:1/01" and report.base_verdict.member
     assert _oks(report) == {**_oks(demonstrate_gap()), "limit-outside-model": False}
     assert not report.passed

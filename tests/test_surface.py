@@ -29,10 +29,13 @@ from ogkernel.surface import (
     ModelCheckDecl,
     MorphismDecl,
     RuleApp,
+    StreamSpecError,
     SurfaceJudgment,
     _scan,
     _tag_value,
+    parse_family,
     parse_source,
+    parse_stream_spec,
     render_decl,
 )
 from ogkernel.terms import (
@@ -171,6 +174,33 @@ def test_parse_error_codes():
         "expected a judgment head, found '#1101'",
         "expected a judgment head, found '1101'",
     ]
+    # a malformed spec is E0002 at its string: a former's stream or family
+    # argument, or the family of a quoted `limit(...)` tag
+    for source, message, note in (
+        ('morphism m : Nat -> Two := rule indicator_stream["sq"];',
+         "unknown stream spec: 'sq'", None),
+        ('assert Mor(restrict["xor(squares)", 3], Nat, Two) by rule mor;',
+         "xor(...) takes two arguments: 'xor(squares)'", None),
+        ('assert Mor(union_of_family["corrupt(squares,-1,2)"], Nat, Two) by rule mor;',
+         "corrupt(...) stage and index must be nonnegative: 'corrupt(squares,-1,2)'", None),
+        ('assert Obj(P[Nat]."limit(restrictions(sq))", P[Nat]) by rule cla;',
+         "malformed object tag 'limit(restrictions(sq))'", "unknown stream spec: 'sq'"),
+    ):
+        _, diags = parse_source(source)
+        assert [(d.code, d.message, d.note, d.span.col) for d in diags] == [
+            ("E0002", message, note, source.index('"') + 1)
+        ], source
+
+
+def test_a_spec_in_any_spelling_is_one_term():
+    judgments = [
+        parse_source(f'model check Mor(indicator_stream["{spec}"], Nat, Two) upto 1;')[0][0]
+        for spec in ("xor(squares, pow2)", "xor(squares,pow2)")
+    ]
+    assert judgments[0] == judgments[1]
+    assert render_decl(judgments[0]) == (
+        'model check Mor(indicator_stream["xor(squares,pow2)"], Nat, Two) upto 1;'
+    )
 
 
 def test_a_malformed_quoted_tag_is_a_syntax_error_at_the_tag():
@@ -658,16 +688,27 @@ class _ReferenceParser:
         args: list = []
         if self.at("symbol", "["):
             opener = self.advance()
-            args = self.comma_list(self.parse_builtin_arg, "]")
+            kinds = list(BUILTIN_RULES.get(name.text, ()))
+            args = self.comma_list(
+                lambda: self.parse_builtin_arg(kinds.pop(0) if kinds else None), "]"
+            )
             self.expect_closing("]", opener.span)
         try:
             return BuiltinRule(name.text, tuple(args))
         except ValueError as exc:
             raise self.error("E0002", str(exc), name.span) from None
 
-    def parse_builtin_arg(self):
+    def parse_builtin_arg(self, kind: str | None):
         if self.at("string"):
-            return self.advance().text
+            text = self.peek().text
+            if kind == "stream" or kind == "family":
+                parse = parse_stream_spec if kind == "stream" else parse_family
+                try:
+                    text = parse(text)
+                except StreamSpecError as exc:
+                    raise self.error("E0002", str(exc)) from None
+            self.advance()
+            return text
         if self.at("integer"):
             return int(self.advance().text)
         return self.parse_gen_expr()
@@ -868,7 +909,8 @@ def test_parser_agrees_with_reference_parser_on_every_prefix():
 _SOUP = [
     *_FRAGMENTS, *_SYMBOLS, *sorted(JUDGMENT_HEADS), *sorted(_AXIOM_NAMES), *sorted(_KIND_KEYS),
     "P", "P[", "eq_of", "restrict", '""', '"squares"', "Two.yes", 'Two.""', "Nat.3", "(Two.yes, Nat.0)",
-    'P[Two]."{no,yes}"', '"{a,a}"', '"(a,b"', '"(a,{b})"',
+    'P[Two]."{no,yes}"', '"{a,a}"', '"(a,b"', '"(a,{b})"', "union_of_family",
+    '"restrictions(pow2)"', '"sq"', 'P[Nat]."limit(restrictions(squares))"', '"limit(a)"',
     "assert Gen(", "by rule gen;", "rule H4 from", "morphism f : Two -> Two := table {",
     "generator G primitive", "limit member #01 upto 1 2 3;", "limit(F)",
 ]

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ogkernel.surface import KEYWORDS, _Parser, _scan, _tag_value, parse_gen_expr
+from ogkernel.streams import SquaresIndicator
+from ogkernel.surface import KEYWORDS, _Parser, _scan, _tag_value, parse_gen_expr, split_top_level
 from ogkernel.terms import (
     NAT,
     TWO,
     BuiltinRule,
+    Family,
     Ident,
     FamilySpec,
     IsBinFn,
@@ -34,12 +36,12 @@ from ogkernel.terms import (
     free_names,
     is_tag,
     is_numeral,
-    limit_lit,
     mentions_nat,
     render,
-    split_top_level,
     tag_text,
 )
+
+SQUARES = SquaresIndicator()
 
 
 def test_structural_equality_examples():
@@ -80,17 +82,17 @@ def test_free_names_examples():
     assert not mentions_nat(table)
     # judgments: every name and Nat they mention, rows and former arguments too
     f = Ident("F")
-    limit = IsObj(limit_lit("restrictions(squares)"), Powerset(NAT))
-    family = IsCoherentFamily(FamilySpec(f, "restrictions(squares)"))
+    limit = IsObj(ObjLit(Family(SQUARES, None), Powerset(NAT)), Powerset(NAT))
+    family = IsCoherentFamily(FamilySpec(f, Family(SQUARES, (3, 7))))
     builtin = IsMor(BuiltinRule("eq_of", (Product(Named(a), NAT),)), TWO, TWO)
-    stream = IsBinFn(BuiltinRule("restrict", ("squares", 3)), TWO)
+    stream = IsBinFn(BuiltinRule("restrict", (SQUARES, 3)), TWO)
     nat_row = IsMor(Table(TWO, TWO, ((ObjLit("no", TWO), ObjLit("0", NAT)),)), TWO, TWO)
     cases = (
         (IsGen(Powerset(Named(a))), {a}, False),
         (limit, set(), True),  # a limit object is an object of P[Nat]
         (family, set(), False),  # a family's name is no generator
         (builtin, {a}, True),  # a former's generator argument
-        (stream, set(), False),  # spec strings and bounds name nothing
+        (stream, set(), False),  # streams and bounds name nothing
         (nat_row, set(), True),  # the row's value is an object of Nat
         (IsDomain(Named(a), Table(Product(Named(a), Named(a)), TWO, ())), {a}, False),
     )
@@ -122,16 +124,20 @@ def test_builtin_rule_catalog_is_fixed():
 
 
 def test_builtin_rule_arguments_follow_the_catalog():
-    assert BuiltinRule("restrict", ("squares", 5)).args == ("squares", 5)
+    assert BuiltinRule("restrict", (SQUARES, 5)).args == (SQUARES, 5)
+    family = Family(SQUARES, None)
     malformed = [
         ("eq_of", ()),
         ("eq_of", (NAT, TWO)),
-        ("eq_of", ("squares",)),
+        ("eq_of", (SQUARES,)),
         ("indicator_stream", (NAT,)),
-        ("indicator_stream", ('say "hi"',)),
-        ("union_of_family", ("restrictions(squares)", 4)),
-        ("restrict", ("squares", -1)),
-        ("restrict", ("squares", True)),
+        ("indicator_stream", ("squares",)),  # spec text is parsed before a term is built
+        ("indicator_stream", (family,)),
+        ("union_of_family", (family, 4)),
+        ("union_of_family", (SQUARES,)),
+        ("union_of_family", ("restrictions(squares)",)),
+        ("restrict", (SQUARES, -1)),
+        ("restrict", (SQUARES, True)),
     ]
     for rule, args in malformed:
         with pytest.raises(ValueError, match=f"builtin {rule} takes"):
@@ -175,7 +181,8 @@ def test_quoted_tags_parse_once_into_values():
     assert _tag_value("({y,x},z)") == (frozenset("xy"), "z")
     assert _tag_value("{}") == frozenset()
     assert _tag_value("ab") == "ab"
-    assert _tag_value("limit(corrupt(squares,3,7))") == "limit(corrupt(squares,3,7))"
+    assert _tag_value("limit(corrupt(squares,3,7))") == Family(SQUARES, (3, 7))
+    assert _tag_value("(limit(restrictions( squares )),a)") == (Family(SQUARES, None), "a")
     for text in ("", "(a,b", "(a)", "(a,b,c)", "{a,}", "{a,a}", "a,b", "a)", "(a),(b)"):
         with pytest.raises(ValueError):
             _tag_value(text)
@@ -259,11 +266,11 @@ def test_obj_lit_round_trip():
 
 
 # Atoms that would not read back as themselves: brackets or a comma split
-# into a pair or set, a quote or newline ends the string literal, and a
-# `limit(...)` with unbalanced brackets splits a pair that holds it wrongly.
+# into a pair or set, a quote or newline ends the string literal, and
+# `limit(...)` reads as a family or not at all.
 _NOT_ATOMS = (
     "", "(a,b)", "{}", "{a}", "a,b", "a)", "(a", 'a"b', "a\nb",
-    "limit(a(b)", "limit(a))", "limit(a),(b)", 'limit("a")',
+    "limit(a(b)", "limit(a))", "limit(a),(b)", 'limit("a")', "limit(restrictions(squares))",
 )
 
 
@@ -274,7 +281,7 @@ def test_obj_lit_refuses_an_atom_that_would_not_read_back():
             with pytest.raises(ValueError, match="not an object tag"):
                 ObjLit(tag, Powerset(Product(TWO, TWO)))
         assert _read_tag(atom) != atom  # a pair, a set or E0002, never the atom
-    for atom in ("a b", "a--b", "limit(corrupt(squares,5,7))", "limit({})", "\ufeff"):
+    for atom in ("a b", "a--b", "limit", "\ufeff"):
         assert is_tag(atom) and _read_tag(atom) == atom
 
 
@@ -287,7 +294,7 @@ def _read_tag(text: str):
 
 
 _ATOMS = st.text(max_size=4).filter(is_tag) | st.sampled_from(
-    (*sorted(KEYWORDS), "yes", "0", "007", "limit(restrictions(squares))", "limit(corrupt(s,5,7))")
+    (*sorted(KEYWORDS), "yes", "0", "007", Family(SQUARES, None), Family(SQUARES, (5, 7)))
 )
 _TAGS = st.recursive(
     _ATOMS, lambda inner: st.tuples(inner, inner) | st.frozensets(inner, max_size=3), max_leaves=6
