@@ -1,4 +1,5 @@
-"""Golden reports: `check` and `model` JSON and exit codes, byte for byte.
+"""Golden reports: `check` and `model` JSON and exit codes, byte for byte,
+and the elaboration grid.
 
 The expected files are produced by `tests/golden/regen.py`; a refactor that
 claims to keep behaviour must leave every one of them unchanged.
@@ -32,3 +33,10 @@ def test_golden_report(case):
     expected = (regen.GOLDEN / f"{case}.json").read_text("utf-8")
     assert stdout == expected
     assert code == EXIT_CODES[case]
+
+
+def test_elaboration_grid():
+    """Every cell of the elaboration grid gives its recorded diagnostic or
+    theorem: a refactor of the surface or of elaboration changes none."""
+    expected = json.loads(regen.GRID.read_text("utf-8"))
+    assert regen.grid() == expected
