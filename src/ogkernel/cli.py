@@ -253,8 +253,8 @@ def _run_limits(config: RunConfig, timings: dict[str, float]) -> Report:
     try:
         if config.demo:
             items = gap_items(demonstrate_gap(preperiod_bound=p, period_bound=q, horizon=h))
-        for spec in config.inputs:
-            items.append(membership_item(spec, ep_decide(parse_stream_spec(spec), p, q, h)))
+        for stream in map(parse_stream_spec, config.inputs):
+            items.append(membership_item(stream, ep_decide(stream, p, q, h)))
     except (StreamSpecError, BoundError) as exc:
         raise UsageError(str(exc))
     timings["streams"] = time.perf_counter() - started

@@ -44,24 +44,20 @@ from .surface import (
     GeneratorDecl,
     IncludeDecl,
     LimitDecl,
-    LimitRef,
+    Malformed,
     ModelCheckDecl,
     MorphismDecl,
     RuleApp,
-    StreamSpecError,
-    SurfaceJudgment,
-    parse_family,
     parse_source,
-    parse_stream_spec,
     read_source,
-    render_arg,
 )
 from .terms import (
     NAT,
     TWO,
+    BitStream,
     BuiltinRule,
+    EqQuery,
     Family,
-    FamilySpec,
     FnExpr,
     GenExpr,
     Ident,
@@ -73,12 +69,15 @@ from .terms import (
     IsObj,
     IsSet,
     Judgment,
+    LimitRef,
+    MorphismRef,
     Named,
     ObjLit,
     Powerset,
     Product,
     SupportsQuant,
     Table,
+    _gen_names,
     render,
 )
 
@@ -143,9 +142,10 @@ class _Session:
         self.theorems: list[Theorem] = []
         self.items: list[Item] = []
         self.diagnostics: list[Diagnostic] = []
-        self.generators: dict[str, GenExpr] = {}  # a primitive's Named, an alias's body
-        self.morphisms: dict[str, tuple[FnExpr, GenExpr, GenExpr]] = {}
-        self.families: dict[str, FamilySpec] = {}
+        self.generators: dict[Ident, GenExpr] = {}  # a primitive's Named, an alias's body
+        self.primitives: set[Ident] = set()  # the generators that name themselves
+        self.morphisms: dict[Ident, FnExpr] = {}
+        self.families: dict[Ident, Family] = {}  # each coherent family's descriptor
         self.including: list[str] = []  # resolved paths, as `os.path.realpath` gives them
         self.included: set[str] = set()
         self.roots: list[str | os.PathLike] = []  # root files run so far, not yet resolved
@@ -171,110 +171,46 @@ class _Session:
     def require_judgment(self, target: Judgment) -> Theorem:
         return self.require(lambda j: j == target, lambda: render(target))
 
-    # -- name resolution
+    # -- scope
 
-    def resolve_expr(self, expr: GenExpr) -> GenExpr:
-        if isinstance(expr, Named):
-            name = expr.name.text
-            if name not in self.generators:
-                raise _ElabError("E0004", f"unknown generator {name!r}")
-            return self.generators[name]
-        if isinstance(expr, Product):
-            return Product(self.resolve_expr(expr.left), self.resolve_expr(expr.right))
-        if isinstance(expr, Powerset):
-            return Powerset(self.resolve_expr(expr.arg))
-        return expr
+    def scope(self, x):
+        """`x` with each name replaced by what it names in the session: an alias
+        by its body, a morphism's name by its function, `limit(F)` by the object
+        of F's limit.  A term that names no alias comes back as it is; a name
+        not in scope is E0004, and a Malformed E0102."""
+        if isinstance(x, GenExpr):
+            if _gen_names(x)[0] <= self.primitives:
+                return x
+            if type(x) is Named:
+                return self.lookup(self.generators, x, "generator")
+            return type(x)(*map(self.scope, x[1:]))  # a Product or Powerset
+        kind = type(x)
+        if isinstance(x, (Judgment, EqQuery)) and kind is not IsCoherentFamily:
+            fields = tuple(map(self.scope, x[1:]))
+            return x if fields == x[1:] else kind(*fields)
+        if kind is ObjLit:
+            return x if _gen_names(x.of)[0] <= self.primitives else ObjLit(x.tag, self.scope(x.of))
+        if kind is MorphismRef:
+            return self.lookup(self.morphisms, x, "morphism")
+        if kind is Table:
+            rows, exprs = x.rows, {lit.of for row in x.rows for lit in row}
+            if any(_gen_names(expr)[0] - self.primitives for expr in exprs):
+                rows = tuple((self.scope(k), self.scope(v)) for k, v in rows)
+            fields = (self.scope(x.domain), self.scope(x.codomain), rows)
+            return x if fields == x[1:] else Table(*fields)
+        if kind is BuiltinRule:
+            return BuiltinRule(x.rule, tuple(map(self.scope, x.args)))
+        if kind is LimitRef:
+            return ObjLit(self.lookup(self.families, x, "coherent family"), Powerset(NAT))
+        if kind is Malformed:
+            raise _ElabError("E0102", x.message)
+        return x  # a family, a stream or a bound
 
-    def resolve_objlit(self, lit: ObjLit) -> ObjLit:
-        return ObjLit(lit.tag, self.resolve_expr(lit.of))
-
-    def resolve_fn(self, arg, dom: GenExpr, cod: GenExpr) -> FnExpr:
-        if isinstance(arg, BuiltinRule):
-            resolved = tuple(
-                self.resolve_expr(a) if isinstance(a, GenExpr) else a for a in arg.args
-            )
-            return BuiltinRule(arg.rule, resolved)
-        if type(arg) is tuple:  # a table literal's rows (a term is a tuple subclass)
-            rows = tuple((self.resolve_objlit(k), self.resolve_objlit(v)) for k, v in arg)
-            try:
-                return Table(dom, cod, rows)
-            except ValueError as exc:  # a key given two rows
-                raise _ElabError("E0102", str(exc)) from None
-        if isinstance(arg, Named):
-            name = arg.name.text
-            if name not in self.morphisms:
-                raise _ElabError("E0004", f"unknown morphism {name!r}")
-            return self.morphisms[name][0]
-        raise _ElabError("E0102", f"expected a function argument, got {render_arg(arg)}")
-
-
-class _EqGoal(NamedTuple):
-    left: ObjLit
-    right: ObjLit
-
-
-_UNARY_HEADS = {"Gen": IsGen, "Set": IsSet, "SupportsQuant": SupportsQuant}
-
-
-def _translate(session: _Session, j: SurfaceJudgment):
-    """Surface judgment -> kernel judgment (or an equality-query goal)."""
-    head, args = j.head, j.args
-
-    def want(n: int) -> None:
-        if len(args) != n:
-            raise _ElabError("E0102", f"{head} takes {n} argument(s), got {len(args)}")
-
-    def expr_arg(a) -> GenExpr:
-        if not isinstance(a, GenExpr):
-            raise _ElabError("E0102", f"{head}: expected a generator expression")
-        return session.resolve_expr(a)
-
-    if head in _UNARY_HEADS:
-        want(1)
-        return _UNARY_HEADS[head](expr_arg(args[0]))
-    if head == "Domain":
-        want(2)
-        expr = expr_arg(args[0])
-        fn = session.resolve_fn(args[1], Product(expr, expr), TWO)
-        return IsDomain(expr, fn)
-    if head == "Mor":
-        want(3)
-        dom = expr_arg(args[1])
-        cod = expr_arg(args[2])
-        return IsMor(session.resolve_fn(args[0], dom, cod), dom, cod)
-    if head == "BinFn":
-        want(2)
-        dom = expr_arg(args[1])
-        return IsBinFn(session.resolve_fn(args[0], dom, TWO), dom)
-    if head == "Eq":
-        want(2)
-        lits = []
-        for a in args:
-            if not isinstance(a, ObjLit):
-                raise _ElabError("E0102", "Eq takes two object literals")
-            lits.append(session.resolve_objlit(a))
-        return _EqGoal(lits[0], lits[1])
-    if head == "Obj":
-        want(2)
-        expr = expr_arg(args[1])
-        first = args[0]
-        if isinstance(first, LimitRef):
-            family = session.families.get(first.name)
-            if family is None:
-                raise _ElabError("E0004", f"unknown coherent family {first.name!r}")
-            lit = ObjLit(family.descriptor, Powerset(NAT))
-        elif isinstance(first, ObjLit):
-            lit = session.resolve_objlit(first)
-        else:
-            raise _ElabError("E0102", "Obj takes an object literal")
-        return IsObj(lit, expr)
-    if head == "Coherent":
-        want(2)
-        name_arg, desc_arg = args
-        if not isinstance(name_arg, Named) or not isinstance(desc_arg, str):
-            raise _ElabError("E0102", 'Coherent takes a family name and a "descriptor"')
-        return IsCoherentFamily(FamilySpec(Ident(name_arg.name.text), parse_family(desc_arg)))
-    raise _ElabError("E0102", f"unknown judgment head {head!r}")
+    def lookup(self, names: dict, ref, kind: str):
+        """What `names` maps the name of `ref` to, or E0004 naming it a `kind`."""
+        if ref.name not in names:
+            raise _ElabError("E0004", f"unknown {kind} {ref.name.text!r}")
+        return names[ref.name]
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +366,7 @@ def _run_decls(session: _Session, decls: list[Decl], base_dir: str | None) -> No
             session.diagnostics.append(Diagnostic(err.code, str(err), decl.span, err.note))
         except CrossDomainEqualityError as err:
             session.diagnostics.append(Diagnostic("E0101", str(err), decl.span))
-        except (KernelError, StreamSpecError, streams.BoundError) as err:
+        except (KernelError, streams.BoundError) as err:
             session.diagnostics.append(Diagnostic("E0102", str(err), decl.span))
 
 
@@ -452,26 +388,29 @@ def _run_decl(session: _Session, decl: Decl, base_dir: str | None) -> None:
 
 
 def _run_generator(session: _Session, decl: GeneratorDecl) -> None:
-    if decl.name in session.generators:
+    name = Ident(decl.name)
+    if name in session.generators:
         raise _ElabError("E0102", f"generator {decl.name!r} is already declared")
     if decl.body is None:
-        expr = Named(Ident(decl.name))
-        thm = session.kernel.gen_intro(expr.name, decl.tags or ())
+        expr = Named(name)
+        thm = session.kernel.gen_intro(name, decl.tags or ())
+        session.primitives.add(name)
     else:
-        expr = session.resolve_expr(decl.body)
+        expr = session.scope(decl.body)
         thm = session.kernel.gen_intro(expr)
-    session.generators[decl.name] = expr
+    session.generators[name] = expr
     session.theorems.append(thm)
 
 
 def _run_morphism(session: _Session, decl: MorphismDecl) -> None:
-    if decl.name in session.morphisms:
+    name = Ident(decl.name)
+    if name in session.morphisms:
         raise _ElabError("E0102", f"morphism {decl.name!r} is already declared")
-    dom = session.resolve_expr(decl.dom)
-    cod = session.resolve_expr(decl.cod)
-    fn = session.resolve_fn(decl.body, dom, cod)
+    dom = session.scope(decl.dom)
+    cod = session.scope(decl.cod)
+    fn = session.scope(decl.body)
     thm = _mor_intro(session, fn, dom, cod, [])
-    session.morphisms[decl.name] = (fn, dom, cod)
+    session.morphisms[name] = fn
     session.theorems.append(thm)
 
 
@@ -483,8 +422,8 @@ def _axiom_summary(thm: Theorem) -> str:
 
 
 def _run_assert(session: _Session, decl: AssertDecl) -> None:
-    goal = _translate(session, decl.judgment)
-    if isinstance(goal, _EqGoal):
+    goal = session.scope(decl.judgment)
+    if type(goal) is EqQuery:
         _run_eq_assert(session, decl, goal)
         return
     thm = _execute_proof(session, decl.proof, goal)
@@ -494,14 +433,12 @@ def _run_assert(session: _Session, decl: AssertDecl) -> None:
             f"proof derives {render(thm.judgment)}, assertion claims {render(goal)}",
         )
     if isinstance(goal, IsCoherentFamily):
-        session.families[goal.family.name.text] = goal.family
+        session.families[goal.family.name] = goal.family.descriptor
     session.theorems.append(thm)
-    session.items.append(
-        Item(render(thm.judgment), "pass", _axiom_summary(thm))
-    )
+    session.items.append(Item(render(thm.judgment), "pass", _axiom_summary(thm)))
 
 
-def _run_eq_assert(session: _Session, decl: AssertDecl, goal: _EqGoal) -> None:
+def _run_eq_assert(session: _Session, decl: AssertDecl, goal: EqQuery) -> None:
     proof = decl.proof
     if not (
         isinstance(proof, RuleApp)
@@ -522,13 +459,12 @@ def _run_eq_assert(session: _Session, decl: AssertDecl, goal: _EqGoal) -> None:
         lambda: f"Domain({render(expr)}, ...)",
     )
     answer = session.kernel.eq_within_domain(domain, goal.left, goal.right)
-    name = f"Eq({render(goal.left)}, {render(goal.right)})"
-    session.items.append(Item(name, "pass", f"evaluates to {answer}"))
+    session.items.append(Item(render(goal), "pass", f"evaluates to {answer}"))
 
 
 def _run_model_check(session: _Session, decl: ModelCheckDecl) -> None:
-    goal = _translate(session, decl.judgment)
-    if isinstance(goal, _EqGoal):
+    goal = session.scope(decl.judgment)
+    if type(goal) is EqQuery:
         raise _ElabError("E0102", "model check takes a judgment, not an equality query")
     if decl.bound not in SWEEP_SIZES:
         sizes = f"{SWEEP_SIZES[0]}..{SWEEP_SIZES[-1]}"
@@ -598,16 +534,14 @@ def gap_items(report: streams.GapReport) -> list[Item]:
     return [Item(name, "pass" if ok else "fail", detail) for name, ok, detail in results]
 
 
-def membership_item(spec: str, verdict: streams.EpVerdict) -> Item:
-    """The report item of an eventual-periodicity query on `spec`."""
-    return Item(f"ep-membership {spec}", "pass", verdict.describe())
+def membership_item(stream: BitStream, verdict: streams.EpVerdict) -> Item:
+    """The report item of an eventual-periodicity query on `stream`, named by its spec."""
+    return Item(f"ep-membership {stream}", "pass", verdict.describe())
 
 
 def _run_limit(session: _Session, decl: LimitDecl) -> None:
     if decl.command == "demo":
         session.items += gap_items(streams.demonstrate_gap())
         return
-    assert decl.command == "member"
-    stream = parse_stream_spec(decl.spec or "")
-    p, q, h = decl.bounds  # type: ignore[misc]
-    session.items.append(membership_item(decl.spec, streams.ep_decide(stream, p, q, h)))
+    stream = session.scope(decl.spec)  # a "member" query
+    session.items.append(membership_item(stream, streams.ep_decide(stream, *decl.bounds)))

@@ -21,8 +21,7 @@ The grammar (`-- og-syntax 1`):
                | ("xor(" stream "," stream | ("shift(" | "flip(") stream "," INT) ")" ;
     family    := "restrictions(" stream ")" | "corrupt(" stream "," INT "," INT ")" ;
     assertDecl:= "assert" judgment "by" proofExpr ";" ;
-    judgment  := ("Gen"|"Set"|"Domain"|"SupportsQuant"|"Mor"|"BinFn"|"Eq"
-               |"Coherent"|"Obj") "(" (arg ("," arg)*)? ")" ;
+    judgment  := HEAD "(" (arg ("," arg)*)? ")" ;  -- see terms.SIGNATURES
     arg       := genExpr | objlit | STRING | "limit" "(" IDENT ")"
                | "table" "{" rows? "}" | IDENT bargs ;
     proofExpr := "axiom" IDENT | "rule" IDENT ("from" proofExpr
@@ -38,13 +37,16 @@ the parser builds (see `terms.ObjLit`): an ATOM is nonempty text without
 brackets or commas (`terms.is_tag`), `limit(...)` the limit of a family, and a
 set lists distinct members in any order; any other STRING is E0002.  A STRING
 `barg` is a `stream` or a `family`, as the former's argument kind says, and a
-malformed one is E0002; elaboration parses the STRING of a `Coherent` judgment
-or a `limit member`.  Comments run from `--` to end of line.
+malformed one is E0002.  A judgment is built as a `terms` term by its head's
+signature, and the spec of a `limit member` as a stream; an argument of the
+wrong number or sort, a table row given twice or a malformed spec there makes
+a `Malformed`, which elaboration refuses with E0102 (no later layer parses
+text).  Comments run from `--` to end of line.
 Statement terminator is `;`.  Each `(`, `P[`, `from` and `*` nests one
 level deeper; a generator expression, object literal or proof nested deeper
 than MAX_NESTING levels is E0002.
 
-Lexing is line-at-a-time: no token, comment or lexical error spans a newline.
+No token, comment or lexical error spans a newline.
 `read_source` drops a byte-order mark that starts a file; any other U+FEFF is E0001.
 
 A token is a plain tuple `(key, text, line, col, start, end)`.  Its key is
@@ -58,7 +60,10 @@ from __future__ import annotations
 
 import os
 import re
-from operator import itemgetter
+from bisect import bisect
+from functools import lru_cache
+from itertools import repeat
+from operator import itemgetter, methodcaller
 from typing import NamedTuple
 
 from .streams import (
@@ -70,15 +75,22 @@ from .terms import (
     NAT,
     TWO,
     BitStream,
+    SIGNATURES,
     BuiltinRule,
     Family,
+    FamilySpec,
+    FnExpr,
     GenExpr,
     Ident,
+    IsCoherentFamily,
+    LimitRef,
+    MorphismRef,
     Named,
     ObjLit,
     Powerset,
     Product,
     Span,
+    Table,
     Tag,
     Term,
     is_tag,
@@ -101,12 +113,10 @@ __all__ = [
     "ModelCheckDecl",
     "IncludeDecl",
     "LimitDecl",
-    "SurfaceJudgment",
-    "LimitRef",
+    "Malformed",
     "AxiomRef",
     "RuleApp",
     "render_decl",
-    "render_judgment",
     "render_proof",
 ]
 
@@ -115,9 +125,19 @@ KEYWORDS = frozenset(
     "table limit demo member Two Nat".split()
 )
 
-JUDGMENT_HEADS = frozenset(
-    {"Gen", "Set", "Domain", "SupportsQuant", "Mor", "BinFn", "Eq", "Coherent", "Obj"}
-)
+# Each judgment head's term class, its argument sorts (`terms.SIGNATURES`) and
+# each argument's class: GenExpr for a generator expression, else `object`.
+JUDGMENT_HEADS = {
+    head: (cls, sorts, tuple(GenExpr if sort == "gen" else object for sort in sorts))
+    for cls, (head, sorts) in SIGNATURES.items()
+}
+# The signature a `table` argument takes from the head's other arguments.
+_TABLE_SIGNATURES = {
+    "Mor": lambda fn, dom, cod: (dom, cod),
+    "BinFn": lambda fn, dom: (dom, TWO),
+    "Domain": lambda expr, eq: (Product(expr, expr), TWO),
+}
+_SORT_ERRORS = {"obj": "Obj takes an object literal", "lit": "Eq takes two object literals"}
 
 
 class Diagnostic(NamedTuple):
@@ -135,23 +155,26 @@ class Diagnostic(NamedTuple):
         return base + (f"\n  note: {self.note}" if self.note else "")
 
 
-# One alternative per token kind, tried in order; each is maximal munch.  A match
-# of a named group is a token with text `m[kind]`, or a lexical error that
-# `_LEX_ERRORS` names; the unnamed one is a run of blanks and a `--` comment.
-# `spelled` is a keyword or a symbol (no symbol starts with a letter, so the two
-# can share a group ahead of `ident`): its key is its text.
+# A match is the blanks and comments before a token (group `blank`), then one
+# alternative per token kind, tried in order; each is maximal munch.  The last
+# group a match closes, but for the end of the source, is the token's kind: its
+# text is `m[kind]`, or a lexical error that `_LEX_ERRORS` names.  `spelled` is
+# a keyword or a symbol (no symbol starts with a letter, so the two can share a
+# group ahead of `ident`): its key is its text.
 _TOKEN_RE = re.compile(
-    r"""(?:[ \t\r]|--.*)+
-      | "(?P<string>[^"]*)"
-      | (?P<unterminated>"[^"]*)
+    r"""(?P<blank>(?:[ \t\r\n]|--.*)*)
+      (?: "(?P<string>[^"\n]*)"
+      | (?P<unterminated>"[^"\n]*)
       | \#(?P<bitlist>[01]+)
       | (?P<hash>\#)
       | (?P<integer>[0-9]+)
       | (?P<spelled>(?:KEYWORDS)(?![A-Za-z0-9_])|->|:=|[()\[\]{}*;,.:])
       | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-      | (?P<illegal>.)""".replace("KEYWORDS", "|".join(sorted(KEYWORDS))),
+      | (?P<illegal>.)
+      | \Z)""".replace("KEYWORDS", "|".join(sorted(KEYWORDS))),
     re.VERBOSE,
 )
+_NEWLINE_RE = re.compile("\n")
 _LEX_ERRORS = {
     "unterminated": "unterminated string literal",
     "hash": "'#' must be followed by a 0/1 bit list",
@@ -162,12 +185,9 @@ _Tok = tuple[str, str, int, int, int, int]  # key, text, line, col, start, end
 
 def _scan(source: str) -> tuple[list[_Tok], list[Diagnostic]]:
     """Maximal-munch tokenization into keyed tuples; `--` comments are skipped."""
-    toks: list[_Tok] = []
-    at = 0  # the offset of the line's first character
-    for n, text in enumerate(source.split("\n"), 1):
-        # One line: a line tracer charges each line of a comprehension per token.
-        toks += [(m[k] if k == "spelled" else k, m[k], n, m.start() + 1, at + m.start(), at + m.end()) for m in _TOKEN_RE.finditer(text) if (k := m.lastgroup)]
-        at += len(text) + 1
+    starts = [0, *map(methodcaller("end"), _NEWLINE_RE.finditer(source))]
+    # One line: a line tracer charges each line of a comprehension per token.
+    toks = [(m[k] if k == "spelled" else k, m[k], (n := bisect(starts, at := m.end(1))), at - starts[n - 1] + 1, at, m.end()) for m in _TOKEN_RE.finditer(source) if (k := m.lastgroup) != "blank"]
     diagnostics: list[Diagnostic] = []
     if not _LEX_ERRORS.keys().isdisjoint(map(itemgetter(0), toks)):
         diagnostics = [
@@ -177,7 +197,7 @@ def _scan(source: str) -> tuple[list[_Tok], list[Diagnostic]]:
         ]
         toks = [t for t in toks if t[0] not in _LEX_ERRORS]
     end = len(source)
-    toks.append(("eof", "", n, len(text) + 1, end, end))
+    toks.append(("eof", "", len(starts), end - starts[-1] + 1, end, end))
     return toks, diagnostics
 
 
@@ -185,23 +205,14 @@ def _scan(source: str) -> tuple[list[_Tok], list[Diagnostic]]:
 # Declarations and proof expressions
 #
 # A declaration's last field is its span, the place of its first token;
-# judgments and proofs carry none.  In argument position a string literal is
-# a `str` and a table literal is its tuple of (key, value) rows; its
-# signature comes from context.
+# judgments and proofs carry none.  A judgment is a `terms` judgment or
+# `EqQuery` whose scope references (`Named`, `MorphismRef`, `LimitRef`)
+# elaboration resolves, or a `Malformed`.
 
 
-class LimitRef(Term, fields="name"):
-    """`limit(name)`: the object a coherent family's limit names."""
-
-    __slots__ = ()
-
-
-Rows = tuple[tuple[ObjLit, ObjLit], ...]
-SurfaceArg = object  # GenExpr | ObjLit | BuiltinRule | Rows | LimitRef | str
-
-
-class SurfaceJudgment(Term, fields="head args"):
-    """`head(args)`, each argument a SurfaceArg."""
+class Malformed(Term, fields="message"):
+    """A judgment, table or stream spec that parses but does not form a term:
+    elaboration refuses its declaration with E0102, and the file goes on."""
 
     __slots__ = ()
 
@@ -228,7 +239,7 @@ class GeneratorDecl(Term, fields="name body tags span"):
 
 
 class MorphismDecl(Term, fields="name dom cod body span"):
-    """`morphism name : dom -> cod := body;`, body a Rows table or a BuiltinRule."""
+    """`morphism name : dom -> cod := body;`, body a Table, a BuiltinRule or a Malformed."""
 
     __slots__ = ()
 
@@ -252,7 +263,7 @@ class IncludeDecl(Term, fields="path span"):
 
 
 class LimitDecl(Term, fields="command spec bounds span"):
-    """`limit demo;` or `limit member spec upto bounds;` (command "demo" or "member")."""
+    """`limit demo;` or `limit member spec upto bounds;`, spec a BitStream or a Malformed."""
 
     __slots__ = ()
 
@@ -292,7 +303,13 @@ class _Parser:
             Diagnostic(code, message, span or Span(*self.toks[self.pos][2:]), note)
         )
 
-    def expect(self, key: str) -> _Tok:
+    def expect(self, key: str) -> None:
+        if self.keys[self.pos] != key:
+            raise self.error("E0002", f"expected {key!r}, found {self.shown()}")
+        self.pos += 1
+
+    def take(self, key: str) -> _Tok:
+        """`expect(key)`, and return the token it consumes."""
         if self.keys[self.pos] != key:
             raise self.error("E0002", f"expected {key!r}, found {self.shown()}")
         self.pos += 1
@@ -348,14 +365,15 @@ class _Parser:
 
     def parse_file(self) -> list[Decl]:
         decls: list[Decl] = []
-        while self.keys[self.pos] != "eof":
+        while True:  # the `try` is entered at the start and after each error
             try:
-                decls.append(self.parse_decl())
+                while self.keys[self.pos] != "eof":
+                    decls.append(self.parse_decl())
+                return decls
             except _ParseError as err:
                 self.diagnostics.append(err.diagnostic)
                 self.depth = 0
                 self.sync()
-        return decls
 
     def parse_decl(self) -> Decl:
         parse = self.DECLS.get(self.keys[self.pos])
@@ -366,15 +384,14 @@ class _Parser:
         return parse(self, start)
 
     def parse_gen_decl(self, start: Span) -> GeneratorDecl:
-        name = self.expect("ident")[1]
+        name = self.take("ident")[1]
         body: GenExpr | None = None
         tags: tuple[str, ...] | None = None
         key = self.keys[self.pos]
         if key == "primitive":
             self.pos += 1
             if self.keys[self.pos] == "{":
-                opener = self.toks[self.pos]
-                self.pos += 1
+                opener = self.take("{")
                 tags = tuple(self.comma_list(self.parse_tag))
                 self.expect_closing("}", opener)
         elif key == ":=":
@@ -392,27 +409,30 @@ class _Parser:
         raise self.error("E0002", "expected an object tag")
 
     def parse_mor_decl(self, start: Span) -> MorphismDecl:
-        name = self.expect("ident")[1]
+        name = self.take("ident")[1]
         self.expect(":")
         dom = self.parse_gen_expr()
         self.expect("->")
         cod = self.parse_gen_expr()
         self.expect(":=")
-        body: Rows | BuiltinRule
+        body: FnExpr | Malformed
         key = self.keys[self.pos]
         if key == "table":
             self.pos += 1
-            body = self.parse_table_body()
+            try:
+                body = Table(dom, cod, self.parse_table_body())
+            except ValueError as exc:  # a key given two rows
+                body = Malformed(str(exc))
         elif key == "rule":
             self.pos += 1
-            body = self.parse_builtin(self.expect("ident"))
+            body = self.parse_builtin(self.take("ident"))
         else:
             raise self.error("E0002", "expected 'table' or 'rule' after ':='")
         self.expect(";")
         return MorphismDecl(name, dom, cod, body, start)
 
-    def parse_table_body(self) -> Rows:
-        opener = self.expect("{")
+    def parse_table_body(self) -> tuple[tuple[ObjLit, ObjLit], ...]:
+        opener = self.take("{")
         rows = self.comma_list(self.parse_row, "}")
         self.expect_closing("}", opener)
         return tuple(rows)
@@ -420,18 +440,21 @@ class _Parser:
     def parse_row(self) -> tuple[ObjLit, ObjLit]:
         start = self.toks[self.pos]
         key, _, value = self.parse_arg(), self.expect("->"), self.parse_arg()
-        if not isinstance(key, ObjLit) or not isinstance(value, ObjLit):
+        if type(key) is not ObjLit or type(value) is not ObjLit:
             raise self.error("E0002", "table rows take object literals", Span(*start[2:]))
         return key, value
 
     def parse_obj_tag(self) -> Tag:
-        key, text, *_ = self.toks[self.pos]
-        if key not in ("ident", "integer", "string") and key not in KEYWORDS:
+        key, text = self.toks[self.pos][:2]
+        if key in ("ident", "integer") or key in KEYWORDS:
+            self.pos += 1
+            return text
+        if key != "string":
             raise self.error("E0002", "expected an object tag after '.'")
         if not text:
             raise self.error("E0002", "an object tag must be nonempty")
         try:
-            tag = _tag_value(text) if key == "string" else text
+            tag = _tag_value(text)
         except ValueError as exc:
             message = f"malformed object tag {text!r}"
             raise self.error("E0002", message, note=str(exc) or None) from None
@@ -443,8 +466,7 @@ class _Parser:
         are no arguments; one the catalog does not admit is E0002."""
         args: list = []
         if self.keys[self.pos] == "[":
-            opener = self.toks[self.pos]
-            self.pos += 1
+            opener = self.take("[")
             kinds = iter(BUILTIN_RULES.get(name[1], ()))
             args = self.comma_list(lambda: self.parse_builtin_arg(next(kinds, None)), "]")
             self.expect_closing("]", opener)
@@ -476,6 +498,8 @@ class _Parser:
 
     def parse_factors(self, expr: GenExpr) -> GenExpr:
         """`expr` times the `*` factors that follow it."""
+        if self.keys[self.pos] != "*":
+            return expr
         depth = self.depth
         while self.keys[self.pos] == "*":
             self.enter()
@@ -484,23 +508,16 @@ class _Parser:
         return expr
 
     def parse_gen_atom(self) -> GenExpr:
-        tok = self.toks[self.pos]
-        key = tok[0]
-        if key == "Two":
+        key, text = self.toks[self.pos][:2]
+        if key in _ATOM_KEYS and (text != "P" or self.keys[self.pos + 1] != "["):
             self.pos += 1
-            return TWO
-        if key == "Nat":
-            self.pos += 1
-            return NAT
+            return _atom(key, text)
         if key == "ident":
-            if tok[1] == "P" and self.keys[self.pos + 1] == "[":
-                self.pos += 1
-                opener = self.enter()
-                inner = self.parse_gen_expr()
-                self.leave("]", opener)
-                return Powerset(inner)
             self.pos += 1
-            return Named(Ident(tok[1]))
+            opener = self.enter()
+            inner = self.parse_gen_expr()
+            self.leave("]", opener)
+            return Powerset(inner)
         if key == "(":
             opener = self.enter()
             expr = self.parse_gen_expr()
@@ -510,32 +527,45 @@ class _Parser:
 
     # -- judgments
 
-    def parse_judgment(self) -> SurfaceJudgment:
-        head = self.toks[self.pos]
-        if head[0] != "ident" or head[1] not in JUDGMENT_HEADS:
+    def parse_judgment(self):
+        key, head = self.toks[self.pos][:2]
+        if key != "ident" or head not in JUDGMENT_HEADS:
             raise self.error(
                 "E0002",
                 f"expected a judgment head, found {self.shown()}",
                 note="heads: " + ", ".join(sorted(JUDGMENT_HEADS)),
             )
         self.pos += 1
-        opener = self.expect("(")
+        opener = self.take("(")
         args = self.comma_list(self.parse_arg, ")")
         self.expect_closing(")", opener)
-        return SurfaceJudgment(head[1], tuple(args))
+        # The term `head(args)` writes, or a Malformed naming its first bad argument.
+        cls, sorts, classes = JUDGMENT_HEADS[head]
+        if len(args) != len(sorts):
+            return Malformed(f"{head} takes {len(sorts)} argument(s), got {len(args)}")
+        if not all(map(isinstance, args, classes)):  # generator expressions first
+            return Malformed(f"{head}: expected a generator expression")
+        try:
+            fields = tuple(map(_argument, sorts, args, repeat(head), repeat(args)))
+        except ValueError as exc:  # a sort error, a row given twice or a bad descriptor
+            return Malformed(str(exc))
+        return cls(FamilySpec(*fields)) if cls is IsCoherentFamily else cls(*fields)
 
     def parse_arg(self):
-        tok = self.toks[self.pos]
-        key = tok[0]
+        """One argument of a judgment, or one side of a table row, of any sort."""
+        key, text = self.toks[self.pos][:2]
+        if key in _ATOM_KEYS and (text not in _BRACKETED or self.keys[self.pos + 1] != "["):
+            self.pos += 1
+            return self.finish_arg_expr(_atom(key, text))
         if key == "string":
             self.pos += 1
-            return tok[1]
+            return text
         if key == "limit":
             self.pos += 1
-            opener = self.expect("(")
-            name = self.expect("ident")[1]
+            opener = self.take("(")
+            name = self.take("ident")[1]
             self.expect_closing(")", opener)
-            return LimitRef(name)
+            return LimitRef(Ident(name))
         if key == "table":
             self.pos += 1
             return self.parse_table_body()
@@ -547,17 +577,17 @@ class _Parser:
                 self.pos += 1
                 second = self.parse_arg()
                 self.leave(")", opener)
-                if not isinstance(first, ObjLit) or not isinstance(second, ObjLit):
+                if type(first) is not ObjLit or type(second) is not ObjLit:
                     raise self.error("E0002", "pair literals take object literals")
                 return ObjLit((first.tag, second.tag), Product(first.of, second.of))
             self.leave(")", opener)
             if not isinstance(first, GenExpr):
                 raise self.error("E0002", "expected a generator expression in parentheses")
             return self.finish_arg_expr(first)
-        if key == "ident" and tok[1] in BUILTIN_RULES and self.keys[self.pos + 1] == "[":
+        if key == "ident" and text in BUILTIN_RULES:  # and a `[` follows
             self.pos += 1
-            return self.parse_builtin(tok)
-        return self.finish_arg_expr(self.parse_gen_atom())
+            return self.parse_builtin(self.toks[self.pos - 1])
+        return self.finish_arg_expr(self.parse_gen_atom())  # P[...], or no argument
 
     def finish_arg_expr(self, atom: GenExpr):
         if self.keys[self.pos] == ".":
@@ -568,30 +598,25 @@ class _Parser:
     # -- proof expressions
 
     def parse_proof(self) -> ProofExpr:
-        tok = self.toks[self.pos]
-        key = tok[0]
+        key, text = self.toks[self.pos][:2]
+        if key == "rule":
+            self.pos += 1
+            name = self.take("ident")[1]
+            if self.keys[self.pos] != "from":
+                return RuleApp(name, ())
+            self.enter()
+            subproofs = self.comma_list(self.parse_proof)
+            self.depth -= 1
+            return RuleApp(name, tuple(subproofs))
+        if key == "axiom" or key == "ident" and text in _AXIOM_NAMES:
+            # Shorthand: a bare axiom name stands for `axiom <name>`.
+            self.pos += 1
+            return AxiomRef(self.take("ident")[1] if key == "axiom" else text)
         if key == "(":
             opener = self.enter()
             inner = self.parse_proof()
             self.leave(")", opener)
             return inner
-        if key == "axiom":
-            self.pos += 1
-            name = self.expect("ident")[1]
-            return AxiomRef(name)
-        if key == "rule":
-            self.pos += 1
-            name = self.expect("ident")[1]
-            subproofs: list[ProofExpr] = []
-            if self.keys[self.pos] == "from":
-                self.enter()
-                subproofs = self.comma_list(self.parse_proof)
-                self.depth -= 1
-            return RuleApp(name, tuple(subproofs))
-        if key == "ident" and tok[1] in _AXIOM_NAMES:
-            # Shorthand: a bare axiom name stands for `axiom <name>`.
-            self.pos += 1
-            return AxiomRef(tok[1])
         raise self.error("E0002", f"expected a proof expression, found {self.shown()}")
 
     # -- remaining declarations
@@ -607,12 +632,12 @@ class _Parser:
         self.expect("check")
         judgment = self.parse_judgment()
         self.expect("upto")
-        bound = int(self.expect("integer")[1])
+        bound = int(self.take("integer")[1])
         self.expect(";")
         return ModelCheckDecl(judgment, bound, start)
 
     def parse_include_decl(self, start: Span) -> IncludeDecl:
-        path = self.expect("string")[1]
+        path = self.take("string")[1]
         self.expect(";")
         return IncludeDecl(path, start)
 
@@ -624,18 +649,17 @@ class _Parser:
             return LimitDecl("demo", None, None, start)
         if key == "member":
             self.pos += 1
-            if self.keys[self.pos] == "bitlist":
-                # `#1101` is sugar for the finite-support spec string.
-                self.pos += 1
-                spec = "finite:" + self.toks[self.pos - 1][1]
-            else:
-                spec = self.expect("string")[1]
+            # `#1101` is sugar for the finite-support spec string.
+            bits = self.keys[self.pos] == "bitlist"
+            spec = ("finite:" if bits else "") + self.take("bitlist" if bits else "string")[1]
             self.expect("upto")
-            p = int(self.expect("integer")[1])
-            q = int(self.expect("integer")[1])
-            h = int(self.expect("integer")[1])
+            p, q, h = (int(self.take("integer")[1]) for _ in range(3))
             self.expect(";")
-            return LimitDecl("member", spec, (p, q, h), start)
+            try:
+                stream = parse_stream_spec(spec)
+            except StreamSpecError as exc:
+                stream = Malformed(str(exc))
+            return LimitDecl("member", stream, (p, q, h), start)
         raise self.error("E0002", "expected 'demo' or 'member' after 'limit'")
 
     # The parser of each declaration, by its keyword.
@@ -647,6 +671,39 @@ class _Parser:
         "include": parse_include_decl,
         "limit": parse_limit_decl,
     }
+
+
+_CONSTANTS = {"Two": TWO, "Nat": NAT}
+_ATOM_KEYS = frozenset({*_CONSTANTS, "ident"})
+_BRACKETED = frozenset({"P", *BUILTIN_RULES})  # the names that a `[` can follow
+
+
+@lru_cache(maxsize=4096)
+def _atom(key: str, text: str) -> GenExpr:
+    """The generator expression that one token writes: Two, Nat or a name."""
+    return _CONSTANTS.get(key) or Named(Ident(text))
+
+
+def _argument(sort: str, arg, head: str, args: list):
+    """`arg` as a `sort` argument of `head(args)`, or a ValueError saying why not."""
+    if sort == "gen":
+        return arg
+    if sort == "fn":
+        if type(arg) is Named:
+            return MorphismRef(arg.name)
+        if type(arg) is tuple:  # a table's rows
+            return Table(*_TABLE_SIGNATURES[head](*args), arg)
+        if type(arg) is BuiltinRule:
+            return arg
+        shown = f'"{arg}"' if type(arg) is str else render(arg)
+        raise ValueError(f"expected a function argument, got {shown}")
+    if sort == "obj" and type(arg) in (ObjLit, LimitRef) or sort == "lit" and type(arg) is ObjLit:
+        return arg
+    if sort == "name" and type(arg) is Named:
+        return arg.name
+    if sort == "family" and type(arg) is str:
+        return parse_family(arg)
+    raise ValueError(_SORT_ERRORS.get(sort, 'Coherent takes a family name and a "descriptor"'))
 
 
 def _tag_value(text: str) -> Tag:
@@ -832,34 +889,12 @@ def parse_gen_expr(text: str) -> GenExpr:
 # Rendering (deterministic; parse_source(render_decl(d)) == d but for its span)
 
 
-def render_arg(arg) -> str:
-    if isinstance(arg, str):
-        return f'"{arg}"'
-    if isinstance(arg, LimitRef):
-        return f"limit({arg.name})"
-    if type(arg) is tuple:  # a table literal's rows, not a term
-        rows = ", ".join(f"{render(k)} -> {render(v)}" for k, v in arg)
-        return f"table {{ {rows} }}" if rows else "table { }"
-    return render(arg)
-
-
-def render_judgment(j: SurfaceJudgment) -> str:
-    return f"{j.head}({', '.join(render_arg(a) for a in j.args)})"
-
-
 def render_proof(p: ProofExpr) -> str:
     if isinstance(p, AxiomRef):
         return f"axiom {p.name}"
-    parts = f"rule {p.name}"
-    if p.subproofs:
-        rendered = []
-        for sub in p.subproofs:
-            text = render_proof(sub)
-            if isinstance(sub, RuleApp) and sub.subproofs:
-                text = f"({text})"
-            rendered.append(text)
-        parts += " from " + ", ".join(rendered)
-    return parts
+    # A subproof with its own `from` is parenthesized.
+    subs = ", ".join(f"({t})" if " from " in t else t for t in map(render_proof, p.subproofs))
+    return f"rule {p.name} from {subs}" if subs else f"rule {p.name}"
 
 
 def render_decl(d: Decl) -> str:
@@ -870,14 +905,12 @@ def render_decl(d: Decl) -> str:
             return f"generator {d.name} primitive {{{', '.join(d.tags)}}};"
         return f"generator {d.name} primitive;"
     if isinstance(d, MorphismDecl):
-        body = render_arg(d.body) if type(d.body) is tuple else f"rule {render(d.body)}"
-        return (
-            f"morphism {d.name} : {render(d.dom)} -> {render(d.cod)} := {body};"
-        )
+        body = render(d.body) if isinstance(d.body, Table) else f"rule {render(d.body)}"
+        return f"morphism {d.name} : {render(d.dom)} -> {render(d.cod)} := {body};"
     if isinstance(d, AssertDecl):
-        return f"assert {render_judgment(d.judgment)} by {render_proof(d.proof)};"
+        return f"assert {render(d.judgment)} by {render_proof(d.proof)};"
     if isinstance(d, ModelCheckDecl):
-        return f"model check {render_judgment(d.judgment)} upto {d.bound};"
+        return f"model check {render(d.judgment)} upto {d.bound};"
     if isinstance(d, IncludeDecl):
         return f'include "{d.path}";'
     if isinstance(d, LimitDecl):

@@ -7,8 +7,10 @@ carries no source span: only a surface declaration keeps one, as its last
 field.  The same layout gives the one walk over a term's
 subterms: `collect_names` finds the generator names and whether Nat occurs,
 which is all a finite model needs to know of a judgment (`free_names` and
-`mentions_nat` read one of the two).  `render` produces the surface syntax
-that `ogkernel.surface.parse_gen_expr` and friends read back.  An object tag
+`mentions_nat` read one of the two).  `render` is the one printer of the
+surface syntax: `ogkernel.surface.parse_source` reads back each term and
+judgment it writes, with the scope references that the parser leaves to
+elaboration (`LimitRef`, `MorphismRef`, `EqQuery`).  An object tag
 is a value (see `ObjLit`) that only `tag_text` writes as text, and a catalog
 stream or family descriptor a term (`BitStream`, `Family`) that only its `str`
 writes as spec text: nothing here parses text.  The one other piece of logic
@@ -45,7 +47,9 @@ __all__ = [
     "is_tag",
     "is_numeral",
     "tag_text",
+    "LimitRef",
     "FnExpr",
+    "MorphismRef",
     "Table",
     "BuiltinRule",
     "BUILTIN_RULES",
@@ -59,6 +63,8 @@ __all__ = [
     "SupportsQuant",
     "IsSet",
     "IsCoherentFamily",
+    "EqQuery",
+    "SIGNATURES",
     "BitStream",
     "Family",
     "FamilySpec",
@@ -78,11 +84,22 @@ class Span(NamedTuple):
     end: int
 
 
+# Each judgment form, and the Eq query, as the surface writes it: its head, then
+# the sort of each argument, as its class statement declares them.
+# `ogkernel.surface` parses a judgment by this table and `render` prints one.
+# A "gen" argument is a generator expression, "fn" a function (a `table` takes
+# its signature from the other arguments), "obj" an object literal or
+# `limit(F)`, "lit" an object literal, and "name" and "family" a family's name
+# and its quoted descriptor.
+SIGNATURES: dict[type, tuple[str, tuple[str, ...]]] = {}
+
+
 class Term(tuple):
     """A record that takes part in equality: the tuple of its class name and
     its fields.  A subclass names its fields in its class statement, as
     `Product(GenExpr, fields="left right")` does; each field is a read-only
-    item getter.  A subclass sets `__slots__ = ()` and holds nothing else,
+    item getter.  A judgment form also names its head and sorts there (see
+    SIGNATURES).  A subclass sets `__slots__ = ()` and holds nothing else,
     but for `semantics.Carrier`, which keeps its tag codes in its `__dict__`.
     No attribute can be assigned, and copying or pickling is refused: the
     tuple's own `__reduce_ex__` would rebuild another record."""
@@ -90,10 +107,12 @@ class Term(tuple):
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, fields: str = "") -> None:
+    def __init_subclass__(cls, fields: str = "", head: str = "", sorts: str = "") -> None:
         cls._fields = tuple(fields.split())
         for i, name in enumerate(cls._fields, 1):
             setattr(cls, name, property(itemgetter(i)))
+        if head:
+            SIGNATURES[cls] = (head, tuple(sorts.split()))
 
     def __new__(cls, *fields: object):
         if len(fields) != len(cls._fields):
@@ -225,8 +244,20 @@ class ObjLit(Term, fields="tag of"):
         return tuple.__new__(cls, (cls.__name__, tag, of))
 
 
+class LimitRef(Term, fields="name"):
+    """`limit(name)`, the limit of a coherent family, before elaboration looks it up."""
+
+    __slots__ = ()
+
+
 class FnExpr(Term):
     """Base class for function expressions (finite tables or builtin rules)."""
+
+    __slots__ = ()
+
+
+class MorphismRef(FnExpr, fields="name"):
+    """A morphism's name as a function, before elaboration looks it up."""
 
     __slots__ = ()
 
@@ -323,9 +354,14 @@ class Family(Term, fields="base corruption"):
 
 
 class FamilySpec(Term, fields="name descriptor"):
-    """A named family, its descriptor a `Family`."""
+    """A named family, its descriptor a `Family`: any other is a ValueError."""
 
     __slots__ = ()
+
+    def __new__(cls, name: Ident, descriptor: Family):
+        if type(descriptor) is not Family:
+            raise ValueError(f"not a family descriptor: {descriptor!r}")
+        return tuple.__new__(cls, (cls.__name__, name, descriptor))
 
 
 # ---------------------------------------------------------------------------
@@ -338,44 +374,49 @@ class Judgment(Term):
     __slots__ = ()
 
 
-class IsGen(Judgment, fields="expr"):
+class IsGen(Judgment, fields="expr", head="Gen", sorts="gen"):
     __slots__ = ()
 
 
-class IsObj(Judgment, fields="obj expr"):
+class IsObj(Judgment, fields="obj expr", head="Obj", sorts="obj gen"):
     __slots__ = ()
 
 
-class IsMor(Judgment, fields="fn dom cod"):
+class IsMor(Judgment, fields="fn dom cod", head="Mor", sorts="fn gen gen"):
     __slots__ = ()
 
 
-class IsBinFn(Judgment, fields="fn dom"):
+class IsBinFn(Judgment, fields="fn dom", head="BinFn", sorts="fn gen"):
     """Definitionally IsMor(fn, dom, Two); see kernel rule bin_fn_from_mor."""
 
     __slots__ = ()
 
 
-class IsDomain(Judgment, fields="expr eq"):
+class IsDomain(Judgment, fields="expr eq", head="Domain", sorts="gen fn"):
     __slots__ = ()
 
 
-class SupportsQuant(Judgment, fields="expr"):
+class SupportsQuant(Judgment, fields="expr", head="SupportsQuant", sorts="gen"):
     __slots__ = ()
 
 
-class IsSet(Judgment, fields="expr"):
+class IsSet(Judgment, fields="expr", head="Set", sorts="gen"):
     __slots__ = ()
 
 
-class IsCoherentFamily(Judgment, fields="family"):
+class IsCoherentFamily(Judgment, fields="family", head="Coherent", sorts="name family"):
+    __slots__ = ()
+
+
+class EqQuery(Term, fields="left right", head="Eq", sorts="lit lit"):
+    """`Eq(left, right)`: whether two objects of one domain are equal, a
+    query that elaboration evaluates, not a judgment the kernel asserts."""
+
     __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
 # Operations
-
-_TermLike = Union[GenExpr, FnExpr, Judgment, ObjLit]
 
 
 def collect_names(x: tuple, names: set[Ident]) -> bool:
@@ -421,7 +462,7 @@ def mentions_nat(x: tuple) -> bool:
 
 
 @lru_cache(maxsize=4096)
-def render(x: _TermLike) -> str:
+def render(x: Term) -> str:
     """The surface syntax of `x`; memoised, as a report names one judgment in
     several items (its assertion, its trace, its sweep)."""
     if isinstance(x, GenExpr):
@@ -430,8 +471,12 @@ def render(x: _TermLike) -> str:
         return _render_fn(x)
     if isinstance(x, ObjLit):
         return _render_obj(x.tag, x.of)
-    if isinstance(x, Judgment):
-        return _render_judgment(x)
+    if isinstance(x, LimitRef):
+        return f"limit({x.name})"
+    if isinstance(x, IsCoherentFamily):
+        return f'Coherent({x.family.name}, "{x.family.descriptor}")'
+    if type(x) in SIGNATURES:
+        return f"{SIGNATURES[type(x)][0]}({', '.join(map(render, x[1:]))})"
     raise TypeError(f"cannot render {type(x).__name__}")
 
 
@@ -484,24 +529,6 @@ def _render_fn(f: FnExpr) -> str:
         )
         body = f"{{ {rows} }}" if rows else "{ }"
         return f"table {body}"
+    if isinstance(f, MorphismRef):
+        return f.name.text
     raise TypeError(f"unknown FnExpr: {f!r}")
-
-
-def _render_judgment(j: Judgment) -> str:
-    if isinstance(j, IsGen):
-        return f"Gen({_render_gen(j.expr)})"
-    if isinstance(j, IsObj):
-        return f"Obj({_render_obj(j.obj.tag, j.obj.of)}, {_render_gen(j.expr)})"
-    if isinstance(j, IsMor):
-        return f"Mor({_render_fn(j.fn)}, {_render_gen(j.dom)}, {_render_gen(j.cod)})"
-    if isinstance(j, IsBinFn):
-        return f"BinFn({_render_fn(j.fn)}, {_render_gen(j.dom)})"
-    if isinstance(j, IsDomain):
-        return f"Domain({_render_gen(j.expr)}, {_render_fn(j.eq)})"
-    if isinstance(j, SupportsQuant):
-        return f"SupportsQuant({_render_gen(j.expr)})"
-    if isinstance(j, IsSet):
-        return f"Set({_render_gen(j.expr)})"
-    if isinstance(j, IsCoherentFamily):
-        return f'Coherent({j.family.name.text}, "{j.family.descriptor}")'
-    raise TypeError(f"unknown Judgment: {j!r}")

@@ -299,7 +299,7 @@ def test_render_parse_round_trip_property(expr, former):
     )
     assert not diags
     assert decls[0].body == former
-    assert decls[1].judgment.args[0] == former
+    assert decls[1].judgment.fn == former
 
 
 def test_named_carrier_enumeration_is_canonical():

@@ -553,6 +553,13 @@ def test_limits_stream_specs():
     assert "non-member" in report.items[1].detail
 
 
+def test_a_membership_item_is_named_by_its_stream():
+    # Two spellings of one stream are one stream, and one item name: its spec.
+    code, report = run(RunConfig("limits", ("xor(squares, pow2)", "xor(squares,pow2)")))
+    assert code == EXIT_OK
+    assert [item.name for item in report.items] == ["ep-membership xor(squares,pow2)"] * 2
+
+
 def test_limits_usage_errors():
     with pytest.raises(UsageError):
         run(RunConfig("limits", ()))

@@ -40,11 +40,10 @@ from ogkernel.surface import (
     GeneratorDecl,
     IncludeDecl,
     LimitDecl,
-    LimitRef,
+    Malformed,
     ModelCheckDecl,
     MorphismDecl,
     RuleApp,
-    SurfaceJudgment,
     parse_source,
 )
 from ogkernel.terms import (
@@ -52,6 +51,7 @@ from ogkernel.terms import (
     TWO,
     BitStream,
     BuiltinRule,
+    EqQuery,
     Family,
     FamilySpec,
     FnExpr,
@@ -65,6 +65,8 @@ from ogkernel.terms import (
     IsObj,
     IsSet,
     Judgment,
+    LimitRef,
+    MorphismRef,
     Named,
     Nat,
     ObjLit,
@@ -80,13 +82,13 @@ from ogkernel.terms import (
 TERM_CLASSES = (
     Ident, ObjLit, FamilySpec, Two, Nat, Named, Product, Powerset, Table, BuiltinRule,
     IsGen, IsObj, IsMor, IsBinFn, IsDomain, SupportsQuant, IsSet, IsCoherentFamily,
-    Periodic, SquaresIndicator, PowersOfTwoIndicator, FiniteSupport, XorOf, ShiftOf, FlipAt,
+    LimitRef, MorphismRef, EqQuery, Periodic, SquaresIndicator, PowersOfTwoIndicator, FiniteSupport, XorOf, ShiftOf, FlipAt,
     Family,
 )
 # Records outside the term language whose class takes part in equality, or
 # whose fields must not be replaced (a theorem, a report and its summary).
 RECORD_CLASSES = (
-    Theorem, Carrier, Verdict, LimitRef, SurfaceJudgment, AxiomRef, RuleApp,
+    Theorem, Carrier, Verdict, Malformed, AxiomRef, RuleApp,
     GeneratorDecl, MorphismDecl, AssertDecl, ModelCheckDecl, IncludeDecl, LimitDecl, cli.Report,
 )
 BASES = (Term, GenExpr, FnExpr, Judgment, BitStream)
@@ -217,7 +219,9 @@ _ROWS = st.lists(st.tuples(_OBJ_LITS, _OBJ_LITS), max_size=2, unique_by=lambda r
 _FN_EXPRS = st.builds(BuiltinRule, st.just("eq_of"), st.tuples(_GEN_EXPRS)) | st.builds(
     Table, _GEN_EXPRS, _GEN_EXPRS, _ROWS.map(tuple)
 )
-_FAMILIES = st.builds(FamilySpec, _IDENTS, st.sampled_from(["restrictions(squares)", "x"]))
+_FAMILIES = st.builds(
+    FamilySpec, _IDENTS, st.sampled_from([Family(SquaresIndicator(), None), Family(SquaresIndicator(), (1, 0))])
+)
 _JUDGMENTS = st.one_of(
     *(st.builds(form, _GEN_EXPRS) for form in (IsGen, SupportsQuant, IsSet)),
     st.builds(IsObj, _OBJ_LITS, _GEN_EXPRS),
@@ -279,9 +283,9 @@ def test_tokens_and_declarations_compare_without_spans():
     (decl,), _ = parse_source(source)
     (moved,), _ = parse_source("\n  " + source)
     assert decl != moved and decl[:-1] == moved[:-1]
-    assert decl != LimitDecl("member", "squares", (1, 2, 9), decl.span)
+    assert decl != LimitDecl("member", SquaresIndicator(), (1, 2, 9), decl.span)
     assert decl != IncludeDecl("limit", decl.span)
-    assert repr(decl).startswith("LimitDecl(command='member', spec='squares'")
+    assert repr(decl).startswith("LimitDecl(command='member', spec=SquaresIndicator()")
 
 
 def test_string_and_table_arguments_round_trip():
@@ -292,8 +296,8 @@ def test_string_and_table_arguments_round_trip():
     )
     decls, diagnostics = parse_source(source)
     assert not diagnostics
-    assert decls[0].judgment.args[1] == "restrictions(squares)"
-    rows = decls[1].judgment.args[0]
+    assert decls[0].judgment.family.descriptor == Family(SquaresIndicator(), None)
+    rows = decls[1].judgment.fn.rows
     assert isinstance(rows, tuple) and [k.tag for k, _ in rows] == ["yes", "no"]
     assert elaborate_source(source).items[-1].status == "pass"
 
@@ -397,16 +401,17 @@ def _one_record_of_each_class() -> list[Term]:
     eq = BuiltinRule("eq_of", (TWO,))
     squares = SquaresIndicator()
     family = FamilySpec(Ident("F"), Family(squares, None))
-    judgment, proof = SurfaceJudgment("Set", (TWO,)), AxiomRef("H1")
+    judgment, proof = IsSet(TWO), AxiomRef("H1")
     return [
         Ident("G"), yes, family, TWO, NAT, g, Product(g, TWO), Powerset(g),
         Table(TWO, TWO, ((yes, yes),)), eq, IsGen(g), IsObj(yes, TWO), IsMor(eq, TWO, TWO),
         IsBinFn(eq, TWO), IsDomain(TWO, eq), SupportsQuant(NAT), IsSet(TWO),
-        IsCoherentFamily(family), family.descriptor,
+        IsCoherentFamily(family), LimitRef(Ident("F")), MorphismRef(Ident("f")), EqQuery(yes, yes),
+        family.descriptor,
         Periodic((0,), (1,)), squares, PowersOfTwoIndicator(), FiniteSupport((1, 0)),
         XorOf(squares, squares), ShiftOf(squares, 1), FlipAt(squares, 2),
         Kernel().axiom(AxiomId.H3_NAT_SUPPORTS_QUANT), Carrier("G", ("a",)), Verdict(HOLDS),
-        LimitRef("F"), judgment, proof, RuleApp("H4", (proof,)),
+        Malformed("Set takes 1 argument(s), got 2"), proof, RuleApp("H4", (proof,)),
         GeneratorDecl("G", None, ("a",), span), MorphismDecl("f", TWO, TWO, eq, span),
         AssertDecl(judgment, proof, span), ModelCheckDecl(judgment, 2, span),
         IncludeDecl("lib.og", span), LimitDecl("demo", None, None, span),

@@ -25,12 +25,11 @@ from ogkernel.surface import (
     GeneratorDecl,
     IncludeDecl,
     LimitDecl,
-    LimitRef,
+    Malformed,
     ModelCheckDecl,
     MorphismDecl,
     RuleApp,
     StreamSpecError,
-    SurfaceJudgment,
     _scan,
     _tag_value,
     parse_family,
@@ -41,15 +40,29 @@ from ogkernel.surface import (
 from ogkernel.terms import (
     BUILTIN_RULES,
     BuiltinRule,
+    EqQuery,
+    FamilySpec,
     GenExpr,
     Ident,
+    IsBinFn,
+    IsCoherentFamily,
+    IsDomain,
+    IsGen,
+    IsMor,
+    IsObj,
+    IsSet,
+    LimitRef,
+    MorphismRef,
     Named,
     Nat,
     ObjLit,
     Powerset,
     Product,
     Span,
+    SupportsQuant,
+    Table,
     Two,
+    render,
 )
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -132,7 +145,7 @@ def test_parse_examples():
     decls, diags = parse_source("assert Set(Two) by axiom H1;")
     assert not diags
     assert isinstance(decls[0], AssertDecl)
-    assert decls[0].judgment.head == "Set"
+    assert decls[0].judgment == IsSet(Two())
     assert decls[0].proof == AxiomRef("H1")
 
     decls, diags = parse_source("generator G primitive;")
@@ -230,7 +243,7 @@ def test_a_set_tag_names_one_object_in_any_member_order():
     assert [(i.status, i.detail) for i in items[:2]] == [("pass", "holds in 1/1 models")] * 2
     assert items[2].status == "pass"
     decls, _ = parse_source(source)
-    assert decls[0].judgment.args[0] == decls[1].judgment.args[0]
+    assert decls[0].judgment.obj == decls[1].judgment.obj
 
 
 def test_integers_are_ascii_digits():
@@ -306,7 +319,7 @@ def test_decl_forms_round_trip_individually():
 def test_bitlist_sugar_normalizes():
     decls, diags = parse_source('limit member #1101 upto 8 8 64;')
     assert not diags
-    assert decls[0].spec == "finite:1101"
+    assert str(decls[0].spec) == "finite:1101"
     reparsed, _ = parse_source(render_decl(decls[0]))
     assert reparsed == decls
 
@@ -316,7 +329,7 @@ def test_pair_literals_and_parenthesized_products():
         "morphism f : Two * Two -> Two := table { (Two.yes, Two.no) -> Two.yes };"
     )
     assert not diags
-    key = decls[0].body[0][0]  # a table literal is its tuple of rows
+    key = decls[0].body.rows[0][0]
     assert key.tag == ("yes", "no")
     decls, diags = parse_source("assert Gen((Two * Two) * Nat) by rule gen;")
     assert not diags
@@ -481,9 +494,70 @@ def test_lex_agrees_with_reference_lexer(pieces):
 
 # ---------------------------------------------------------------------------
 # The parser on `Token` records that the key-dispatching `_Parser` replaced,
-# kept verbatim but for its three names, the two constants it imports and the
-# spans its idents, judgments and proofs dropped, as the reference of the
-# differential tests below.
+# kept verbatim but for its three names, the two constants it imports, the
+# spans its idents, judgments and proofs dropped, and the terms it now builds:
+# `_reference_judgment` checks each judgment head by head, as elaboration did
+# before the parser built terms, a morphism's table is a `Table` and a `limit
+# member` spec a stream.  It is the reference of the differential tests below.
+
+
+def _reference_judgment(head: str, args: tuple):
+    """The term that `head(args)` writes, or a Malformed naming the argument
+    of the wrong number or sort that elaboration once refused first."""
+
+    def want(n: int) -> None:
+        if len(args) != n:
+            raise ValueError(f"{head} takes {n} argument(s), got {len(args)}")
+
+    def expr_arg(a) -> GenExpr:
+        if not isinstance(a, GenExpr):
+            raise ValueError(f"{head}: expected a generator expression")
+        return a
+
+    def fn_arg(a, dom, cod):
+        if isinstance(a, BuiltinRule):
+            return a
+        if type(a) is tuple:
+            return Table(dom, cod, a)
+        if isinstance(a, Named):
+            return MorphismRef(a.name)
+        shown = f'"{a}"' if isinstance(a, str) else render(a)
+        raise ValueError(f"expected a function argument, got {shown}")
+
+    try:
+        if head in ("Gen", "Set", "SupportsQuant"):
+            want(1)
+            return {"Gen": IsGen, "Set": IsSet, "SupportsQuant": SupportsQuant}[head](expr_arg(args[0]))
+        if head == "Domain":
+            want(2)
+            expr = expr_arg(args[0])
+            return IsDomain(expr, fn_arg(args[1], Product(expr, expr), Two()))
+        if head == "Mor":
+            want(3)
+            dom, cod = expr_arg(args[1]), expr_arg(args[2])
+            return IsMor(fn_arg(args[0], dom, cod), dom, cod)
+        if head == "BinFn":
+            want(2)
+            dom = expr_arg(args[1])
+            return IsBinFn(fn_arg(args[0], dom, Two()), dom)
+        if head == "Eq":
+            want(2)
+            if not all(isinstance(a, ObjLit) for a in args):
+                raise ValueError("Eq takes two object literals")
+            return EqQuery(*args)
+        if head == "Obj":
+            want(2)
+            expr = expr_arg(args[1])
+            if not isinstance(args[0], (ObjLit, LimitRef)):
+                raise ValueError("Obj takes an object literal")
+            return IsObj(args[0], expr)
+        want(2)
+        name, descriptor = args
+        if not isinstance(name, Named) or not isinstance(descriptor, str):
+            raise ValueError('Coherent takes a family name and a "descriptor"')
+        return IsCoherentFamily(FamilySpec(name.name, parse_family(descriptor)))
+    except ValueError as exc:
+        return Malformed(str(exc))
 
 
 class _ReferenceParseError(Exception):
@@ -638,10 +712,12 @@ class _ReferenceParser:
         self.expect("symbol", "->")
         cod = self.parse_gen_expr()
         self.expect("symbol", ":=")
-        body: Rows | BuiltinRule
         if self.at("keyword", "table"):
             self.advance()
-            body = self.parse_table_body()
+            try:
+                body = Table(dom, cod, self.parse_table_body())
+            except ValueError as exc:
+                body = Malformed(str(exc))
         elif self.at("keyword", "rule"):
             self.advance()
             body = self.parse_builtin(self.expect("ident"))
@@ -650,7 +726,7 @@ class _ReferenceParser:
         self.expect("symbol", ";")
         return MorphismDecl(name, dom, cod, body, start.span)
 
-    def parse_table_body(self) -> Rows:
+    def parse_table_body(self):
         opener = self.expect("symbol", "{")
         rows = self.comma_list(self.parse_row, "}")
         self.expect_closing("}", opener.span)
@@ -753,7 +829,7 @@ class _ReferenceParser:
 
     # -- judgments
 
-    def parse_judgment(self) -> SurfaceJudgment:
+    def parse_judgment(self):
         tok = self.peek()
         if tok.kind != "ident" or tok.text not in JUDGMENT_HEADS:
             raise self.error(
@@ -765,7 +841,7 @@ class _ReferenceParser:
         opener = self.expect("symbol", "(")
         args = self.comma_list(self.parse_arg, ")")
         self.expect_closing(")", opener.span)
-        return SurfaceJudgment(tok.text, tuple(args))
+        return _reference_judgment(tok.text, tuple(args))
 
     def parse_arg(self):
         if self.at("string"):
@@ -775,7 +851,7 @@ class _ReferenceParser:
             opener = self.expect("symbol", "(")
             name = self.expect("ident").text
             self.expect_closing(")", opener.span)
-            return LimitRef(name)
+            return LimitRef(Ident(name))
         if self.at("keyword", "table"):
             self.advance()
             return self.parse_table_body()
@@ -877,6 +953,10 @@ class _ReferenceParser:
             q = int(self.expect("integer").text)
             h = int(self.expect("integer").text)
             self.expect("symbol", ";")
+            try:
+                spec = parse_stream_spec(spec)
+            except StreamSpecError as exc:
+                spec = Malformed(str(exc))
             return LimitDecl("member", spec, (p, q, h), start.span)
         raise self.error("E0002", "expected 'demo' or 'member' after 'limit'")
 
