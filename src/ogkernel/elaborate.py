@@ -20,6 +20,7 @@ wrapped with the offending declaration's span.
 from __future__ import annotations
 
 import os
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from . import streams
@@ -29,14 +30,15 @@ from .kernel import (
     Kernel,
     KernelError,
     Theorem,
-    axioms_used,
     builtin_premises,
-    trace_nodes,
+    trace_set,
+    trace_uses,
 )
 from .semantics import FAILS, HOLDS, SWEEP_SIZES, SweepItem, soundness_sweep
 from .semantics import verify_judgment  # unused here, but bench/probes.py patches this name
 from .stdlib import evidence_models  # unused here, but bench/probes.py patches this name
 from .surface import (
+    MAX_NESTING,
     AssertDecl,
     AxiomRef,
     Decl,
@@ -77,17 +79,23 @@ from .terms import (
     Product,
     SupportsQuant,
     Table,
-    _gen_names,
     render,
+    term_names,
 )
 
 __all__ = [
+    "MAX_ALIAS_NODES",
     "Item",
     "ElabResult",
     "elaborate_source",
     "elaborate_file",
     "elaborate_files",
 ]
+
+
+# The most nodes an alias's body may have with each alias in it expanded, as
+# its expansion is hashed and compared whole; it nests at most MAX_NESTING deep.
+MAX_ALIAS_NODES = 4096
 
 
 class Item(NamedTuple):
@@ -140,10 +148,12 @@ class _Session:
     def __init__(self) -> None:
         self.kernel = Kernel()
         self.theorems: list[Theorem] = []
+        self.latest: dict[object, Theorem] = {}  # lookup key -> latest theorem in scope
         self.items: list[Item] = []
         self.diagnostics: list[Diagnostic] = []
         self.generators: dict[Ident, GenExpr] = {}  # a primitive's Named, an alias's body
         self.primitives: set[Ident] = set()  # the generators that name themselves
+        self.shapes: dict[Ident, tuple[int, int]] = {}  # each alias's expanded depth and nodes
         self.morphisms: dict[Ident, FnExpr] = {}
         self.families: dict[Ident, Family] = {}  # each coherent family's descriptor
         self.including: list[str] = []  # resolved paths, as `os.path.realpath` gives them
@@ -155,21 +165,26 @@ class _Session:
     def result(self) -> ElabResult:
         return ElabResult(tuple(self.theorems), tuple(self.items), tuple(self.diagnostics))
 
-    def require(self, predicate, what: Callable[[], str]) -> Theorem:
-        """The latest proof in scope whose judgment satisfies `predicate`, or
-        E0102 naming `what()`, which runs only then."""
-        for thm in reversed(self.theorems):
-            if predicate(thm.judgment):
-                return thm
-            # Set-hood theorems carry their domain/quantification
-            # constituents; lookups see through the packaging.
-            for part in thm.parts:
-                if predicate(part.judgment):
-                    return part
-        raise _ElabError("E0102", f"no proof of {what()} in scope")
+    def enter(self, thm: Theorem) -> None:
+        """Bring `thm` into scope with its parts: each is filed under its
+        judgment, a domain also under (IsDomain, expr) and a coherent family
+        under (IsCoherentFamily, descriptor), shadowing what was filed there."""
+        self.theorems.append(thm)
+        for node in (thm, *thm.parts):
+            j = node.judgment
+            self.latest[j] = node
+            if type(j) is IsDomain:
+                self.latest[IsDomain, j.expr] = node
+            elif type(j) is IsCoherentFamily:
+                self.latest[IsCoherentFamily, j.family.descriptor] = node
 
-    def require_judgment(self, target: Judgment) -> Theorem:
-        return self.require(lambda j: j == target, lambda: render(target))
+    def require(self, key, what: Callable[[], str] | None = None) -> Theorem:
+        """The latest proof in scope filed under `key` (see `enter`), or E0102
+        naming `what()`, which runs only then, or by default the judgment `key`."""
+        thm = self.latest.get(key)
+        if thm is None:
+            raise _ElabError("E0102", f"no proof of {what() if what else render(key)} in scope")
+        return thm
 
     # -- scope
 
@@ -179,7 +194,7 @@ class _Session:
         of F's limit.  A term that names no alias comes back as it is; a name
         not in scope is E0004, and a Malformed E0102."""
         if isinstance(x, GenExpr):
-            if _gen_names(x)[0] <= self.primitives:
+            if term_names(x)[0] <= self.primitives:
                 return x
             if type(x) is Named:
                 return self.lookup(self.generators, x, "generator")
@@ -189,15 +204,14 @@ class _Session:
             fields = tuple(map(self.scope, x[1:]))
             return x if fields == x[1:] else kind(*fields)
         if kind is ObjLit:
-            return x if _gen_names(x.of)[0] <= self.primitives else ObjLit(x.tag, self.scope(x.of))
+            return x if term_names(x.of)[0] <= self.primitives else ObjLit(x.tag, self.scope(x.of))
         if kind is MorphismRef:
             return self.lookup(self.morphisms, x, "morphism")
         if kind is Table:
-            rows, exprs = x.rows, {lit.of for row in x.rows for lit in row}
-            if any(_gen_names(expr)[0] - self.primitives for expr in exprs):
-                rows = tuple((self.scope(k), self.scope(v)) for k, v in rows)
-            fields = (self.scope(x.domain), self.scope(x.codomain), rows)
-            return x if fields == x[1:] else Table(*fields)
+            if term_names(x)[0] <= self.primitives:
+                return x
+            rows = tuple((self.scope(k), self.scope(v)) for k, v in x.rows)
+            return Table(self.scope(x.domain), self.scope(x.codomain), rows)
         if kind is BuiltinRule:
             return BuiltinRule(x.rule, tuple(map(self.scope, x.args)))
         if kind is LimitRef:
@@ -205,6 +219,14 @@ class _Session:
         if kind is Malformed:
             raise _ElabError("E0102", x.message)
         return x  # a family, a stream or a bound
+
+    def shape(self, x: GenExpr) -> tuple[int, int]:
+        """The nesting depth and the node count of `x` with each alias in it
+        expanded, read from each alias's own: the expansion is never walked."""
+        if type(x) is Named:
+            return self.shapes.get(x.name, (0, 1))
+        depths, sizes = zip((-1, 0), *map(self.shape, x[1:]))  # (-1, 0): Two and Nat
+        return 1 + max(depths), 1 + sum(sizes)
 
     def lookup(self, names: dict, ref, kind: str):
         """What `names` maps the name of `ref` to, or E0004 naming it a `kind`."""
@@ -230,7 +252,7 @@ def _execute_proof(session: _Session, proof, goal: Judgment | None) -> Theorem:
     premises = [_execute_proof(session, sub, None) for sub in proof.subproofs]
     thm = _apply_rule(session, proof.name, premises, goal)
     if premises:  # a `from` premise must be a node of the derivation
-        used = set(trace_nodes(thm))
+        used = trace_set(thm)
         unused = next((p for p in premises if p not in used), None)
         if unused is not None:
             raise _ElabError(
@@ -268,7 +290,7 @@ def _apply_rule(
             raise _ElabError(
                 "E0102", f"rule {rule} needs its premises given with 'from' when it has no goal"
             )
-        return session.require_judgment(SupportsQuant(expr))
+        return session.require(SupportsQuant(expr))
 
     match _RULE_ALIASES[rule], goal:
         case "gen", IsGen():
@@ -285,26 +307,17 @@ def _apply_rule(
         case "squant", None | SupportsQuant(expr=Powerset()):
             return kernel.squant_from_powerset(premise(None if goal is None else goal.expr.arg))
         case "binfn", IsBinFn():
-            return kernel.bin_fn_from_mor(session.require_judgment(IsMor(goal.fn, goal.dom, TWO)))
+            return kernel.bin_fn_from_mor(session.require(IsMor(goal.fn, goal.dom, TWO)))
         case "cla", IsObj() if type(family := goal.obj.tag) is Family:
-            fam = session.require(
-                lambda j: isinstance(j, IsCoherentFamily) and j.family.descriptor == family,
-                lambda: f'Coherent(..., "{family}")',
-            )
+            fam = session.require((IsCoherentFamily, family), lambda: f'Coherent(..., "{family}")')
             return kernel.coherent_limit(fam)
-        case "set_intro", IsSet():
-            dom = session.require(
-                lambda j: isinstance(j, IsDomain) and j.expr == goal.expr,
-                lambda: f"Domain({render(goal.expr)}, ...)",
-            )
-            return kernel.set_intro(dom, premise(goal.expr))
+        case "set_intro", IsSet(expr=expr):
+            dom = session.require((IsDomain, expr), lambda: f"Domain({render(expr)}, ...)")
+            return kernel.set_intro(dom, premise(expr))
         case "domain_intro", IsDomain():
             # Gen(A) is formed, as formation takes no premise.
             square = Product(goal.expr, goal.expr)
-            eq = session.require(
-                lambda j: isinstance(j, IsBinFn) and j.dom == square and j.fn == goal.eq,
-                lambda: f"BinFn(..., {render(square)})",
-            )
+            eq = session.require(IsBinFn(goal.eq, square), lambda: f"BinFn(..., {render(square)})")
             return kernel.domain_intro(kernel.gen_intro(goal.expr), eq)
     if goal is None:
         raise _ElabError("E0102", f"rule {rule} needs a goal, so it cannot be a 'from' subproof")
@@ -322,7 +335,7 @@ def _mor_intro(
     if isinstance(fn, Table):
         return kernel.mor_intro(fn, dom, cod)  # a row scan needs no premises
     if not premises:
-        premises = [session.require_judgment(SupportsQuant(b)) for b in builtin_premises(fn)]
+        premises = [session.require(SupportsQuant(b)) for b in builtin_premises(fn)]
     return kernel.mor_intro(fn, dom, cod, premises=premises)
 
 
@@ -397,9 +410,15 @@ def _run_generator(session: _Session, decl: GeneratorDecl) -> None:
         session.primitives.add(name)
     else:
         expr = session.scope(decl.body)
+        depth, size = session.shape(decl.body)
+        if depth > MAX_NESTING or size > MAX_ALIAS_NODES:
+            raise _ElabError("E0102", f"alias {decl.name!r} expands to {size} nodes {depth} "
+                             f"levels deep, past MAX_ALIAS_NODES = {MAX_ALIAS_NODES} or "
+                             f"MAX_NESTING = {MAX_NESTING}")
         thm = session.kernel.gen_intro(expr)
+        session.shapes[name] = depth, size
     session.generators[name] = expr
-    session.theorems.append(thm)
+    session.enter(thm)
 
 
 def _run_morphism(session: _Session, decl: MorphismDecl) -> None:
@@ -411,14 +430,14 @@ def _run_morphism(session: _Session, decl: MorphismDecl) -> None:
     fn = session.scope(decl.body)
     thm = _mor_intro(session, fn, dom, cod, [])
     session.morphisms[name] = fn
-    session.theorems.append(thm)
+    session.enter(thm)
 
 
 def _axiom_summary(thm: Theorem) -> str:
-    uses = axioms_used(thm)
+    uses = trace_uses(thm)
     if not uses:
         return "no axioms"
-    return "axioms: " + ", ".join(sorted(uses.elements()))  # members are their names
+    return "axioms: " + ", ".join(sorted(map(itemgetter(0), uses)))  # members are their names
 
 
 def _run_assert(session: _Session, decl: AssertDecl) -> None:
@@ -434,7 +453,7 @@ def _run_assert(session: _Session, decl: AssertDecl) -> None:
         )
     if isinstance(goal, IsCoherentFamily):
         session.families[goal.family.name] = goal.family.descriptor
-    session.theorems.append(thm)
+    session.enter(thm)
     session.items.append(Item(render(thm.judgment), "pass", _axiom_summary(thm)))
 
 
@@ -454,10 +473,7 @@ def _run_eq_assert(session: _Session, decl: AssertDecl, goal: EqQuery) -> None:
             f"'=' is only defined within a single set: "
             f"{render(expr)} object vs {render(goal.right.of)} object"
         )
-    domain = session.require(
-        lambda j: isinstance(j, IsDomain) and j.expr == expr,
-        lambda: f"Domain({render(expr)}, ...)",
-    )
+    domain = session.require((IsDomain, expr), lambda: f"Domain({render(expr)}, ...)")
     answer = session.kernel.eq_within_domain(domain, goal.left, goal.right)
     session.items.append(Item(render(goal), "pass", f"evaluates to {answer}"))
 

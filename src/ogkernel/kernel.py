@@ -7,7 +7,9 @@ of inference rules.  A theorem is the immutable root node of its own trace:
 its rule, its judgment, its premises' theorems and its payload.  `_judge` is
 the one place that says what a node concludes: every theorem is built through
 it, and `verify_trace` replays each node of a theorem's trace through it and
-reports the first node that fails.
+reports the first node that fails.  Each node's facts are derived once:
+`trace_set` and `trace_uses` memoise its trace and axiom uses from its
+children's, and a replay record shared by a file's theorems judges it once.
 
 The kernel owns its carriers: a table is checked by a scan of its rows on
 carriers it knows whole, with the tags its own declarations record, and no
@@ -19,6 +21,8 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from . import streams
@@ -67,6 +71,8 @@ __all__ = [
     "TraceReport",
     "axioms_used",
     "trace_nodes",
+    "trace_set",
+    "trace_uses",
     "leaf_kinds",
     "builtin_premises",
 ]
@@ -640,33 +646,42 @@ class Kernel:
 
 def trace_nodes(thm: Theorem) -> list[Theorem]:
     """All nodes of a theorem's trace in postorder, shared subtrees visited once."""
-    seen: set[int] = set()
-    out: list[Theorem] = []
+    out: dict[Theorem, None] = {}  # a theorem hashes by identity
 
     def walk(node: Theorem) -> None:
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        for child in node.children:
-            walk(child)
-        out.append(node)
+        if node not in out:
+            for child in node.children:
+                walk(child)
+            out[node] = None
 
     walk(thm)
-    return out
+    return list(out)
+
+
+@lru_cache(maxsize=4096)
+def trace_set(node: Theorem) -> frozenset[Theorem]:
+    """The nodes of a theorem's trace, each node's set made once from its children's."""
+    return frozenset((node,)).union(*map(trace_set, node.children))
+
+
+@lru_cache(maxsize=4096)
+def trace_uses(node: Theorem) -> frozenset[tuple[AxiomId, Theorem]]:
+    """The axiom uses of a theorem's trace as (axiom, node) pairs, so that a
+    shared node counts once, each node's made once from its children's: an
+    axiom leaf uses its axiom, a closure rule its axiom, and the introduction
+    of a family's union CLA."""
+    if node.kind == "axiom":
+        use = AxiomId.from_name(node.label)
+    elif node.kind == "rule" and node.label == RuleId.MOR_INTRO:
+        use = _is_union(node.payload[0]) and AxiomId.CLA_COHERENT_LIMIT
+    else:
+        use = node.kind == "rule" and _RULE_AXIOMS.get(node.label)
+    return frozenset(((use, node),) if use else ()).union(*map(trace_uses, node.children))
 
 
 def axioms_used(thm: Theorem) -> Counter:
     """Multiset of axiom uses: axiom leaves plus closure-rule applications."""
-    uses: Counter = Counter()
-    for node in trace_nodes(thm):
-        if node.kind == "axiom":
-            uses[AxiomId.from_name(node.label)] += 1
-        elif node.kind == "rule":
-            if node.label in _RULE_AXIOMS:
-                uses[_RULE_AXIOMS[node.label]] += 1
-            elif node.label == RuleId.MOR_INTRO and _is_union(node.payload[0]):
-                uses[AxiomId.CLA_COHERENT_LIMIT] += 1
-    return uses
+    return Counter(map(itemgetter(0), trace_uses(thm)))
 
 
 def leaf_kinds(thm: Theorem) -> set[str]:
@@ -693,19 +708,26 @@ def verify_trace(thm: Theorem, judged: dict | None = None) -> TraceReport:
     re-derive its judgment from its payload and its children's judgments.
     The report names the first node that does not; it does not raise.
 
-    `judged` maps each node replayed so far to its failure, or None, and a
-    node found there is not judged again: a theorem hashes by identity and
-    never changes, so one record shared by a file's theorems judges each
-    node of their DAG once, and a failing node fails every theorem with it.
+    `judged` maps each node replayed so far to its failure, or None, and the
+    replay does not descend into a node found there: a theorem hashes by
+    identity, and a node is judged only once its whole trace passed, so one
+    record shared by a file's theorems judges each node of their DAG once,
+    and a failing node fails every theorem with it.
     """
-    nodes = trace_nodes(thm)
-    judged = {} if judged is None else judged
-    for node in nodes:
-        if node not in judged:
-            judged[node] = _replay_failure(node)
-        if judged[node] is not None:
-            return TraceReport(len(nodes), judged[node])
-    return TraceReport(len(nodes))
+    failure = _first_failure(thm, {} if judged is None else judged)
+    return TraceReport(len(trace_set(thm)), failure)
+
+
+def _first_failure(node: Theorem, judged: dict) -> str | None:
+    """The first failure of `node`'s trace in postorder; a node `judged`
+    holds is not descended into, and each node judged is entered there."""
+    if node not in judged:
+        for child in node.children:
+            failure = _first_failure(child, judged)
+            if failure is not None:
+                return failure
+        judged[node] = _replay_failure(node)
+    return judged[node]
 
 
 def _replay_failure(node: Theorem) -> str | None:

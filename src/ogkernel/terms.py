@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple, Union
 
@@ -70,6 +71,7 @@ __all__ = [
     "FamilySpec",
     "render",
     "collect_names",
+    "term_names",
     "free_names",
     "mentions_nat",
 ]
@@ -426,23 +428,29 @@ def collect_names(x: tuple, names: set[Ident]) -> bool:
     rows.  The walk follows the tuple layout: the fields of a `Term` are its
     items after the class name, and every item of a plain tuple is walked.
     """
-    if isinstance(x, GenExpr):
-        found, nat = _gen_names(x)
-        names.update(found)
-        return nat
-    nat = False
-    for item in x[1:] if isinstance(x, Term) else x:
-        if isinstance(item, tuple) and collect_names(item, names):
-            nat = True
+    found, nat = term_names(x) if isinstance(x, Term) else _items_names(x)
+    names.update(found)
     return nat
 
 
 @lru_cache(maxsize=4096)
-def _gen_names(e: GenExpr) -> tuple[frozenset[Ident], bool]:
-    """`collect_names` of a generator expression, walked once."""
-    names: set[Ident] = {e.name} if isinstance(e, Named) else set()
-    nat = collect_names(e[1:], names) or isinstance(e, Nat)  # a Named's Ident adds nothing
-    return frozenset(names), nat
+def term_names(x: Term) -> tuple[frozenset[Ident], bool]:
+    """`collect_names` of a term, walked once per term.  A table's names are
+    those of its signature and of the distinct carriers its literals name: a
+    tag names no generator."""
+    if type(x) is Named:
+        return frozenset((x.name,)), False
+    if type(x) is Table:
+        return _items_names({x.domain, x.codomain, *map(itemgetter(2), chain(*x.rows))})
+    found, nat = _items_names(x[1:])
+    return found, nat or type(x) is Nat
+
+
+def _items_names(items) -> tuple[frozenset[Ident], bool]:
+    """The names and Nat of the tuples among `items`, each term's read from `term_names`."""
+    parts = [term_names(i) if isinstance(i, Term) else _items_names(i)
+             for i in items if isinstance(i, tuple)]
+    return frozenset().union(*map(itemgetter(0), parts)), any(map(itemgetter(1), parts))
 
 
 def free_names(x: tuple) -> set[Ident]:

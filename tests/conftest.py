@@ -73,3 +73,27 @@ def python_calls():
     `run()` runs, a count of the Python functions it enters (generator
     resumes too), or of those named `name` alone."""
     return _python_calls
+
+
+def _line_events(run) -> int:
+    events = 0
+
+    def on_line(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return events
+
+
+@pytest.fixture
+def line_events():
+    """`line_events(run)`: the tracer's line events while `run()` runs, an
+    exact count of the Python lines it executes, as the benchmark counts them."""
+    return _line_events

@@ -62,7 +62,7 @@ def run_case(argv: list[str]) -> tuple[int, str]:
 # The elaboration grid: each of GRID_GOALS asserted by each of GRID_PROOFS,
 # every cell in its own session after the same GRID_CONTEXT.  The proofs are
 # every rule spelling, and one unknown rule, with each `from` form, then the
-# five axioms: 17 x 16 + 5 = 277 proofs, 4,986 cells.
+# five axioms: 17 x 16 + 5 = 277 proofs, 5,540 cells.
 GRID_CONTEXT = """\
 generator G primitive {a, b};
 generator A := G * Two;
@@ -91,7 +91,10 @@ GRID_GOALS = [
     "Mor(eq_of[P[Nat]], P[Nat] * P[Nat], Two)",
     "BinFn(f, G)",
     "BinFn(eq_of[P[Nat]], P[Nat] * P[Nat])",
+    "BinFn(table { G.a -> Two.yes, G.b -> Two.no }, G)",
     "Domain(G, eqg)",
+    "Domain(G, table { (G.a, G.a) -> Two.yes, (G.a, G.b) -> Two.no, (G.b, G.a) -> Two.no, \
+(G.b, G.b) -> Two.yes })",
     "Domain(Two, eq_of[Two])",
     "Obj(limit(F), P[Nat])",
     "Obj(G.a, G)",

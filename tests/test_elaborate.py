@@ -13,7 +13,16 @@ from ogkernel.kernel import axioms_used, verify_trace
 from ogkernel.semantics import soundness_sweep
 from ogkernel.stdlib import prelude_source
 from ogkernel.surface import LimitDecl, parse_source
-from ogkernel.terms import BitStream, IsCoherentFamily, render
+from ogkernel.terms import (
+    TWO,
+    BitStream,
+    IsCoherentFamily,
+    ObjLit,
+    Powerset,
+    Product,
+    Table,
+    render,
+)
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -433,3 +442,61 @@ def test_an_include_runs_once_per_session(tmp_path):
     result = elaborate_file(main)
     assert not result.diagnostics
     assert [i.name for i in result.items] == ["Set(Two)"]
+
+
+
+def _two_domains(first: str, second: str) -> str:
+    """Two Domain(P[Two], ...) theorems, with the equalities `first` then
+    `second` ("builtin" or "table"), then Set(P[Two]) by set_intro."""
+    pt = Powerset(TWO)
+    subsets = [frozenset(), frozenset({"yes"}), frozenset({"no"}), frozenset({"yes", "no"})]
+    rows = tuple(
+        (ObjLit((a, b), Product(pt, pt)), ObjLit("yes" if a == b else "no", TWO))
+        for a in subsets
+        for b in subsets
+    )
+    eqs = {"builtin": "eq_of[P[Two]]", "table": render(Table(Product(pt, pt), TWO, rows))}
+    return (
+        "assert Set(Two) by axiom H1;\n"
+        + "".join(f"assert BinFn({eq}, P[Two] * P[Two]) by rule mor;\n" for eq in eqs.values())
+        + f"assert Domain(P[Two], {eqs[first]}) by rule domain_intro;\n"
+        + f"assert Domain(P[Two], {eqs[second]}) by rule domain_intro;\n"
+        + "assert Set(Two) by axiom H1;\n"
+        + "assert SupportsQuant(P[Two]) by rule H4;\n"
+        + "assert Set(P[Two]) by rule set_intro;\n"
+    )
+
+
+# Each case: a file, and the axioms and trace size of its last theorem when
+# every lookup finds the latest theorem in scope.  In the first two, set_intro
+# takes the second domain: the builtin's trace holds a use of H1 that the
+# fresh H1 before the H4 line does not share, and the table's holds none.  In
+# the last, the parts of Set(Nat) shadow the older SupportsQuant(Nat), which
+# the domain of P[Nat] holds, so the H4 premise is another H3 leaf.
+_SHADOWING = {
+    "domains builtin then table": (_two_domains("builtin", "table"), "axioms: H1, H4", 8),
+    "domains table then builtin": (_two_domains("table", "builtin"), "axioms: H1, H1, H4", 9),
+    "a set's parts shadow an older SupportsQuant": (
+        "assert SupportsQuant(Nat) by axiom H3;\n"
+        "morphism eq_pn : P[Nat] * P[Nat] -> Two := rule eq_of[P[Nat]];\n"
+        "assert BinFn(eq_pn, P[Nat] * P[Nat]) by rule binfn;\n"
+        "assert Domain(P[Nat], eq_pn) by rule domain_intro;\n"
+        "morphism eq_nat : Nat * Nat -> Two := rule eq_of[Nat];\n"
+        "assert BinFn(eq_nat, Nat * Nat) by rule binfn;\n"
+        "assert Domain(Nat, eq_nat) by rule domain_intro;\n"
+        "assert Set(Nat) by rule set_intro from axiom H3;\n"
+        "assert SupportsQuant(P[Nat]) by rule H4;\n"
+        "assert Set(P[Nat]) by rule set_intro;\n",
+        "axioms: H3, H3, H4",
+        9,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _SHADOWING)
+def test_a_lookup_finds_the_latest_theorem_in_scope(case):
+    source, axioms, nodes = _SHADOWING[case]
+    result = elaborate_source(source)
+    assert result.diagnostics == ()
+    assert result.items[-1].detail == axioms
+    assert verify_trace(result.theorems[-1]).node_count == nodes
