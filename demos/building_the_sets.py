@@ -5,12 +5,13 @@ kernel operations, so every Theorem below carries a replayable trace and
 nothing in this script is trusted.
 """
 
-from ogkernel.elaborate import elaborate_source
+from ogkernel.elaborate import elaborate_files
 from ogkernel.kernel import Kernel, axioms_used, leaf_kinds, verify_trace
 from ogkernel.stdlib import prelude_source
+from ogkernel.surface import parse_source
 from ogkernel.terms import NAT, TWO, IsDomain, IsGen, IsSet, Powerset, render
 
-tower = elaborate_source(prelude_source())
+tower = elaborate_files([("prelude.og", parse_source(prelude_source())[0])])
 assert not tower.diagnostics
 sets = {t.judgment.expr: t for t in tower.theorems if isinstance(t.judgment, IsSet)}
 domains = {t.judgment.expr: t for t in tower.theorems if isinstance(t.judgment, IsDomain)}

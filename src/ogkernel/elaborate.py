@@ -87,8 +87,6 @@ __all__ = [
     "MAX_ALIAS_NODES",
     "Item",
     "ElabResult",
-    "elaborate_source",
-    "elaborate_file",
     "elaborate_files",
 ]
 
@@ -341,22 +339,6 @@ def _mor_intro(
 
 # ---------------------------------------------------------------------------
 # Declaration execution
-
-
-def elaborate_source(source: str, *, base_dir: str | None = None) -> ElabResult:
-    decls, diagnostics = parse_source(source)
-    if diagnostics:
-        return ElabResult((), (), tuple(diagnostics))
-    session = _Session()
-    _run_decls(session, decls, base_dir)
-    return session.result()
-
-
-def elaborate_file(path: str | os.PathLike) -> ElabResult:
-    decls, diagnostics = parse_source(read_source(path))
-    if diagnostics:
-        return ElabResult((), (), tuple(diagnostics))
-    return elaborate_files([(path, decls)])
 
 
 def elaborate_files(sources: list[tuple[str | os.PathLike, list[Decl]]]) -> ElabResult:

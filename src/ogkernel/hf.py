@@ -84,14 +84,6 @@ class Zfc1Report(NamedTuple):
     def total_instances(self) -> int:
         return sum(f.instances for f in self.families)
 
-    @property
-    def total_failures(self) -> int:
-        return sum(len(f.failures) for f in self.families)
-
-    @property
-    def ok(self) -> bool:
-        return self.total_failures == 0
-
 
 def _pair(x: int, y: int) -> int:
     return 1 << x | 1 << y

@@ -8,8 +8,9 @@ its rule, its judgment, its premises' theorems and its payload.  `_judge` is
 the one place that says what a node concludes: every theorem is built through
 it, and `verify_trace` replays each node of a theorem's trace through it and
 reports the first node that fails.  Each node's facts are derived once:
-`trace_set` and `trace_uses` memoise its trace and axiom uses from its
-children's, and a replay record shared by a file's theorems judges it once.
+`trace_set`, `trace_uses` and `_first_failure` memoise its trace, its axiom
+uses and its replay from its children's, so theorems that share a node judge
+it once.
 
 The kernel owns its carriers: a table is checked by a scan of its rows on
 carriers it knows whole, with the tags its own declarations record, and no
@@ -70,7 +71,6 @@ __all__ = [
     "verify_trace",
     "TraceReport",
     "axioms_used",
-    "trace_nodes",
     "trace_set",
     "trace_uses",
     "leaf_kinds",
@@ -644,20 +644,6 @@ class Kernel:
 # Trace replay and inspection
 
 
-def trace_nodes(thm: Theorem) -> list[Theorem]:
-    """All nodes of a theorem's trace in postorder, shared subtrees visited once."""
-    out: dict[Theorem, None] = {}  # a theorem hashes by identity
-
-    def walk(node: Theorem) -> None:
-        if node not in out:
-            for child in node.children:
-                walk(child)
-            out[node] = None
-
-    walk(thm)
-    return list(out)
-
-
 @lru_cache(maxsize=4096)
 def trace_set(node: Theorem) -> frozenset[Theorem]:
     """The nodes of a theorem's trace, each node's set made once from its children's."""
@@ -686,12 +672,11 @@ def axioms_used(thm: Theorem) -> Counter:
 
 def leaf_kinds(thm: Theorem) -> set[str]:
     """Leaf classification: axiom names, plus 'declaration' for the rest."""
-    kinds = set()
-    for node in trace_nodes(thm):
-        if node.children:
-            continue
-        kinds.add(node.label if node.kind == "axiom" else "declaration")
-    return kinds
+    return {
+        node.label if node.kind == "axiom" else "declaration"
+        for node in trace_set(thm)
+        if not node.children
+    }
 
 
 class TraceReport(NamedTuple):
@@ -703,31 +688,19 @@ class TraceReport(NamedTuple):
         return self.failure is None
 
 
-def verify_trace(thm: Theorem, judged: dict | None = None) -> TraceReport:
+def verify_trace(thm: Theorem) -> TraceReport:
     """Replay the trace, premises first: through `_judge`, each node must
     re-derive its judgment from its payload and its children's judgments.
-    The report names the first node that does not; it does not raise.
-
-    `judged` maps each node replayed so far to its failure, or None, and the
-    replay does not descend into a node found there: a theorem hashes by
-    identity, and a node is judged only once its whole trace passed, so one
-    record shared by a file's theorems judges each node of their DAG once,
-    and a failing node fails every theorem with it.
-    """
-    failure = _first_failure(thm, {} if judged is None else judged)
-    return TraceReport(len(trace_set(thm)), failure)
+    The report names the first node that does not; it does not raise."""
+    return TraceReport(len(trace_set(thm)), _first_failure(thm))
 
 
-def _first_failure(node: Theorem, judged: dict) -> str | None:
-    """The first failure of `node`'s trace in postorder; a node `judged`
-    holds is not descended into, and each node judged is entered there."""
-    if node not in judged:
-        for child in node.children:
-            failure = _first_failure(child, judged)
-            if failure is not None:
-                return failure
-        judged[node] = _replay_failure(node)
-    return judged[node]
+@lru_cache(maxsize=4096)
+def _first_failure(node: Theorem) -> str | None:
+    """The first failure of `node`'s trace in postorder, each node's made
+    once from its children's: a failing node fails every theorem above it."""
+    failures = filter(None, map(_first_failure, node.children))
+    return next(failures, None) or _replay_failure(node)
 
 
 def _replay_failure(node: Theorem) -> str | None:

@@ -135,9 +135,8 @@ class Carrier(Term, fields="name tags parts size"):
     ``i*|B| + j`` is the pair (i, j); a powerset carrier has ``parts == (A,)``
     and object k is the subset of A whose bitmask is k, so index 0 is the
     empty (all-no) function.  `tag` gives the tag of one object and `index`
-    the object of one tag; `objects` lists every tag and is a view for tests.
-    An explicit carrier keeps its tag-to-index table in its `__dict__`, out
-    of equality.
+    the object of one tag.  An explicit carrier keeps its tag-to-index table
+    in its `__dict__`, out of equality.
     """
 
     def __new__(cls, name: str, tags: tuple[str, ...] = (), parts: tuple[Carrier, ...] = ()):
@@ -181,10 +180,6 @@ class Carrier(Term, fields="name tags parts size"):
             members = [self.parts[0].index(t) for t in tag]
             return None if None in members else sum(1 << j for j in members)
         return None
-
-    @property
-    def objects(self) -> tuple[Tag, ...]:
-        return tuple(map(self.tag, range(self.size)))
 
 
 TWO_CARRIER = Carrier("Two", ("yes", "no"))
@@ -510,16 +505,15 @@ def _verify_coherence(family: Family) -> Verdict:
     """Scan a family's stages for one that does not restrict to its
     predecessor.  Independent of the kernel's rule on families: it only
     resolves the stages and compares them."""
-    member_at = streams.resolve_family(family)
     last = max([COHERENCE_SCAN_MIN, *(m + 1 for m in family.corruption or ())])
     if last > COHERENCE_SCAN_CAP:
         raise NotFinitelyCheckable(
             f"coherence of '{family}' needs stages 0..{last}, beyond the "
             f"scan cap of {COHERENCE_SCAN_CAP}"
         )
-    result = streams.is_coherent([member_at(n) for n in range(last + 1)])
-    if not result.ok:
-        stage = str(result.violation)
+    violation = streams.is_coherent(streams.family_stages(family, last))
+    if violation is not None:
+        stage = str(violation)
         return _fails(f"stage {stage} disagrees with its predecessor", stage=stage)
     return Verdict(HOLDS, detail=f"coherent on stages 0..{last}")
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations_with_replacement
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .terms import BitStream, Family
 
@@ -37,10 +37,9 @@ __all__ = [
     "BoundError",
     "MAX_HORIZON",
     "MAX_PERIOD_BOUND",
-    "resolve_family",
+    "family_stages",
     "family_limit",
     "is_coherent",
-    "CoherenceResult",
     "ep_decide",
     "EpVerdict",
     "is_ep_witness",
@@ -203,46 +202,29 @@ class FlipAt(BitStream, fields="base index"):
 # Coherence of stages
 
 
-class CoherenceResult(NamedTuple):
-    ok: bool
-    violation: int | None = None  # the first stage that disagrees with its predecessor
-
-
-def is_coherent(stages: Sequence[bytes]) -> CoherenceResult:
-    """Whether each stage is a prefix of the next; `stages[n]` holds the
-    bits at 0..n."""
+def is_coherent(stages: Sequence[bytes]) -> int | None:
+    """The first stage that is not a prefix of the next one's, or None when
+    each is; `stages[n]` holds the bits at 0..n."""
     for n in range(len(stages) - 1):
         if stages[n + 1][: n + 1] != stages[n]:
-            return CoherenceResult(False, violation=n + 1)
-    return CoherenceResult(True)
+            return n + 1
+    return None
 
 
 # ---------------------------------------------------------------------------
 # Families (shared with the kernel's coherent-limit rule)
 
 
-def resolve_family(family: Family) -> Callable[[int], bytes]:
-    """The stages of a family (see `terms.Family`): stage n is the prefix of
-    its stream up to n, with the bit at the corruption's index flipped from
+def family_stages(family: Family, last: int) -> list[bytes]:
+    """Stages 0..last of a family (see `terms.Family`): stage n is the prefix
+    of its stream up to n, with the bit at the corruption's index flipped from
     its stage on (an incoherent family when index < stage, used as a negative
-    control).
-
-    Every stage is a slice of one prefix of the base stream, which a stage
-    past its end replaces by one at least twice as long, so reading stages
-    0..n builds O(log n) prefixes.
-    """
-    stream, (stage, index) = family.base, family.corruption or (math.inf, math.inf)
-    bits = flipped = b""
-
-    def member_at(n: int) -> bytes:
-        nonlocal bits, flipped
-        if n >= len(bits):
-            bits = flipped = stream.prefix(max(n, 2 * len(bits) - 1))
-            if index < len(bits):
-                flipped = bits[:index] + bytes((bits[index] ^ 1,)) + bits[index + 1 :]
-        return (flipped if n >= stage else bits)[: n + 1]
-
-    return member_at
+    control).  Every stage is a slice of one prefix of the stream."""
+    bits = flipped = family.base.prefix(last)
+    stage, index = family.corruption or (last + 1, last + 1)
+    if index <= last:
+        flipped = bits[:index] + bytes((bits[index] ^ 1,)) + bits[index + 1 :]
+    return [(flipped if n >= stage else bits)[: n + 1] for n in range(last + 1)]
 
 
 def family_limit(family: Family) -> BitStream:
@@ -419,8 +401,8 @@ def demonstrate_gap(
     closures = sum(is_ep_witness(c, *w, _CLOSURE_HORIZON) for c, w in cases)
 
     # (c) stage m of the restriction family decides bit m of its union.
-    stage = resolve_family(Family(base, None))
-    diagonal = bytes(stage(m)[m] for m in range(total))
+    stages = family_stages(Family(base, None), _RESTRICTION_STAGES)
+    diagonal = bytes(stage[m] for m, stage in enumerate(stages))
 
     # (d) the base stream itself is outside the class, up to bounds.
     base_verdict = ep_decide(base, preperiod_bound, period_bound, horizon)

@@ -106,7 +106,6 @@ __all__ = [
     "Diagnostic",
     "parse_source",
     "read_source",
-    "parse_gen_expr",
     "GeneratorDecl",
     "MorphismDecl",
     "AssertDecl",
@@ -116,8 +115,6 @@ __all__ = [
     "Malformed",
     "AxiomRef",
     "RuleApp",
-    "render_decl",
-    "render_proof",
 ]
 
 KEYWORDS = frozenset(
@@ -873,49 +870,3 @@ def parse_source(source: str) -> tuple[list[Decl], list[Diagnostic]]:
     parser = _Parser(toks)
     decls = parser.parse_file()
     return decls, lex_diags + parser.diagnostics
-
-
-def parse_gen_expr(text: str) -> GenExpr:
-    """Parse a standalone generator expression (testing convenience)."""
-    toks, lex_diags = _scan(text)
-    parser = _Parser(toks)
-    expr = parser.parse_gen_expr()
-    if lex_diags or parser.diagnostics or parser.keys[parser.pos] != "eof":
-        raise ValueError(f"not a generator expression: {text!r}")
-    return expr
-
-
-# ---------------------------------------------------------------------------
-# Rendering (deterministic; parse_source(render_decl(d)) == d but for its span)
-
-
-def render_proof(p: ProofExpr) -> str:
-    if isinstance(p, AxiomRef):
-        return f"axiom {p.name}"
-    # A subproof with its own `from` is parenthesized.
-    subs = ", ".join(f"({t})" if " from " in t else t for t in map(render_proof, p.subproofs))
-    return f"rule {p.name} from {subs}" if subs else f"rule {p.name}"
-
-
-def render_decl(d: Decl) -> str:
-    if isinstance(d, GeneratorDecl):
-        if d.body is not None:
-            return f"generator {d.name} := {render(d.body)};"
-        if d.tags:
-            return f"generator {d.name} primitive {{{', '.join(d.tags)}}};"
-        return f"generator {d.name} primitive;"
-    if isinstance(d, MorphismDecl):
-        body = render(d.body) if isinstance(d.body, Table) else f"rule {render(d.body)}"
-        return f"morphism {d.name} : {render(d.dom)} -> {render(d.cod)} := {body};"
-    if isinstance(d, AssertDecl):
-        return f"assert {render(d.judgment)} by {render_proof(d.proof)};"
-    if isinstance(d, ModelCheckDecl):
-        return f"model check {render(d.judgment)} upto {d.bound};"
-    if isinstance(d, IncludeDecl):
-        return f'include "{d.path}";'
-    if isinstance(d, LimitDecl):
-        if d.command == "demo":
-            return "limit demo;"
-        p, q, h = d.bounds  # type: ignore[misc]
-        return f'limit member "{d.spec}" upto {p} {q} {h};'
-    raise TypeError(f"cannot render {d!r}")

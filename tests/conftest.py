@@ -2,11 +2,89 @@
 
 from __future__ import annotations
 
+import os
 import sys
 
 import pytest
 
+from ogkernel.elaborate import ElabResult, elaborate_files
 from ogkernel.kernel import _SEAL, Theorem
+from ogkernel.semantics import Carrier
+from ogkernel.surface import (
+    AssertDecl,
+    AxiomRef,
+    Decl,
+    GeneratorDecl,
+    IncludeDecl,
+    LimitDecl,
+    ModelCheckDecl,
+    MorphismDecl,
+    ProofExpr,
+    parse_source,
+    read_source,
+)
+from ogkernel.terms import GenExpr, Table, Tag, render
+
+
+def elaborate_text(source: str, path: str | os.PathLike = "input.og") -> ElabResult:
+    """`source` parsed and elaborated in a session of its own, as `ogk check`
+    runs the file `path` (its includes are read from that file's directory),
+    or only its syntax errors when it has any."""
+    decls, diagnostics = parse_source(source)
+    if diagnostics:
+        return ElabResult((), (), tuple(diagnostics))
+    return elaborate_files([(path, decls)])
+
+
+def elaborate_path(path: str | os.PathLike) -> ElabResult:
+    """The file at `path`, parsed and elaborated as `elaborate_text` does."""
+    return elaborate_text(read_source(path), path)
+
+
+def render_proof(p: ProofExpr) -> str:
+    if isinstance(p, AxiomRef):
+        return f"axiom {p.name}"
+    # A subproof with its own `from` is parenthesized.
+    subs = ", ".join(f"({t})" if " from " in t else t for t in map(render_proof, p.subproofs))
+    return f"rule {p.name} from {subs}" if subs else f"rule {p.name}"
+
+
+def render_decl(d: Decl) -> str:
+    """A declaration as `.og` text: `parse_source(render_decl(d))` gives `d`
+    back but for its span."""
+    if isinstance(d, GeneratorDecl):
+        if d.body is not None:
+            return f"generator {d.name} := {render(d.body)};"
+        if d.tags:
+            return f"generator {d.name} primitive {{{', '.join(d.tags)}}};"
+        return f"generator {d.name} primitive;"
+    if isinstance(d, MorphismDecl):
+        body = render(d.body) if isinstance(d.body, Table) else f"rule {render(d.body)}"
+        return f"morphism {d.name} : {render(d.dom)} -> {render(d.cod)} := {body};"
+    if isinstance(d, AssertDecl):
+        return f"assert {render(d.judgment)} by {render_proof(d.proof)};"
+    if isinstance(d, ModelCheckDecl):
+        return f"model check {render(d.judgment)} upto {d.bound};"
+    if isinstance(d, IncludeDecl):
+        return f'include "{d.path}";'
+    if isinstance(d, LimitDecl):
+        if d.command == "demo":
+            return "limit demo;"
+        p, q, h = d.bounds  # type: ignore[misc]
+        return f'limit member "{d.spec}" upto {p} {q} {h};'
+    raise TypeError(f"cannot render {d!r}")
+
+
+def parse_gen_expr(text: str) -> GenExpr:
+    """A generator expression parsed from `text`, as an alias's body."""
+    (decl,), diagnostics = parse_source(f"generator X := {text};")
+    assert not diagnostics, diagnostics
+    return decl.body
+
+
+def carrier_objects(carrier: Carrier) -> tuple[Tag, ...]:
+    """Every object tag of a carrier, in index order."""
+    return tuple(map(carrier.tag, range(len(carrier))))
 
 
 def _clear_caches() -> None:

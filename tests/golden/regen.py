@@ -29,7 +29,7 @@ _CHECKED = sorted(p.name for p in (ROOT / "tests" / "corpus").glob("[0-2][0-9]_*
 CASES: dict[str, list[str]] = {
     **{
         f"check_{name[:-3]}": ["check", "--format", "json", f"tests/corpus/{name}"]
-        for name in [*_CHECKED, "crossdomain.og"]
+        for name in [*_CHECKED, "crossdomain.og", "elab_errors.og"]
     },
     "model_prelude_2": ["model", "--format", "json", "--max-size", "2"],
     "model_prelude_3": ["model", "--format", "json", "--max-size", "3"],
@@ -121,7 +121,7 @@ def grid() -> dict:
     that give each record: the diagnostic's code, line and message, or the
     derived judgment with its axiom multiset and trace size."""
     from ogkernel.elaborate import elaborate_files
-    from ogkernel.kernel import axioms_used, trace_nodes
+    from ogkernel.kernel import axioms_used, trace_set
     from ogkernel.surface import parse_source
     from ogkernel.terms import render
 
@@ -142,7 +142,7 @@ def grid() -> dict:
             else:
                 thm = result.theorems[-1]
                 axioms = ",".join(sorted(axioms_used(thm).elements()))
-                record = f"{render(thm.judgment)} | {axioms} | {len(trace_nodes(thm))}"
+                record = f"{render(thm.judgment)} | {axioms} | {len(trace_set(thm))}"
             records.setdefault(record, []).append(i)
     return {"proofs": GRID_PROOFS, "cells": cells}
 

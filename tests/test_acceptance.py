@@ -11,8 +11,8 @@ import json
 import time
 from pathlib import Path
 
+from conftest import elaborate_text, render_decl
 from ogkernel.cli import EXIT_CHECK_FAILED, EXIT_OK, RunConfig, main, run
-from ogkernel.elaborate import elaborate_source
 from ogkernel.hf import HFUniverse, check_zfc1_instances
 from ogkernel.kernel import AxiomId, Kernel, axioms_used
 from ogkernel.semantics import (
@@ -24,7 +24,7 @@ from ogkernel.semantics import (
 )
 from ogkernel.stdlib import prelude_source
 from ogkernel.streams import demonstrate_gap
-from ogkernel.surface import parse_source, parse_stream_spec, render_decl
+from ogkernel.surface import parse_source, parse_stream_spec
 from ogkernel.terms import (
     BuiltinRule,
     Ident,
@@ -57,7 +57,7 @@ def _timed(name: str, budget: float):
 
 def test_criterion_1_derivation_reproduction():
     with _timed("1 derivation-reproduction", 1.0):
-        result = elaborate_source(prelude_source())
+        result = elaborate_text(prelude_source())
         assert not result.diagnostics
         judgments = [render(j) for j in result.judgments]
         for expected in ("Set(Two)", "Set(Nat)", "Set(P[Nat])", "Set(P[P[Nat]])"):
@@ -70,7 +70,7 @@ def test_criterion_1_derivation_reproduction():
 
 def test_criterion_2_kernel_oracle_agreement():
     with _timed("2 kernel-oracle-agreement", 10.0):
-        judgments = elaborate_source(prelude_source()).judgments
+        judgments = elaborate_text(prelude_source()).judgments
         report = soundness_sweep(judgments, max_size=3)
         assert report.fails == 0
         assert report.holds > 0
@@ -153,7 +153,7 @@ def test_criterion_6_zfc1_instances():
             "separation",
         }
         assert families["pairing"].instances == 136
-        assert report.total_failures == 0
+        assert not any(f.failures for f in report.families)
 
 
 def test_criterion_7_cross_domain_equality(capsys):

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import elaborate_text
 from ogkernel.cli import EXIT_CHECK_FAILED, EXIT_OK, main
-from ogkernel.elaborate import MAX_ALIAS_NODES, elaborate_source
+from ogkernel.elaborate import MAX_ALIAS_NODES
 from ogkernel.kernel import verify_trace
 from ogkernel.surface import MAX_NESTING
 
@@ -99,7 +100,7 @@ def test_the_doubling_bound_is_one_step_past_a11():
 
 @pytest.mark.parametrize("shape", _WITHIN)
 def test_an_alias_at_the_bounds_elaborates_and_replays(shape):
-    result = elaborate_source(_WITHIN[shape])
+    result = elaborate_text(_WITHIN[shape])
     assert result.diagnostics == ()
     assert all(verify_trace(thm).passed for thm in result.theorems)
 
@@ -107,7 +108,7 @@ def test_an_alias_at_the_bounds_elaborates_and_replays(shape):
 @pytest.mark.parametrize("shape", _PAST)
 def test_an_alias_past_a_bound_is_e0102(shape, tmp_path, capsys):
     source, line, message = _PAST[shape]
-    first, *rest = elaborate_source(source).diagnostics
+    first, *rest = elaborate_text(source).diagnostics
     assert (first.code, first.span.line, first.message) == ("E0102", line, message)
     assert {diag.code for diag in rest} <= {"E0004"}  # later lines name the refused alias
     path = tmp_path / "alias.og"

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import carrier_objects, parse_gen_expr
 from ogkernel.cli import main
 from ogkernel.kernel import AxiomId, Kernel, KernelError, verify_trace
 from ogkernel.semantics import (
@@ -37,7 +38,6 @@ from ogkernel.streams import (
 from ogkernel.surface import (
     MAX_COMBINATORS,
     parse_family,
-    parse_gen_expr,
     parse_source,
     parse_stream_spec,
     split_top_level,
@@ -108,7 +108,7 @@ def _small_exprs():
 def _assert_codec(carrier: Carrier, expected: list) -> None:
     assert len(carrier) == len(expected)
     assert [carrier.tag(k) for k in range(len(carrier))] == expected
-    assert carrier.objects == tuple(expected)
+    assert carrier_objects(carrier) == tuple(expected)
     assert [carrier.index(tag) for tag in expected] == list(range(len(expected)))
 
 
@@ -306,8 +306,8 @@ def test_named_carrier_enumeration_is_canonical():
     # the sweep's named carriers: one tag per letter, in order
     for size in range(1, 4):
         model = models_for_judgment(IsGen(A), 3)[size - 1]
-        assert interpret(A, model).objects == tuple("abc"[:size])
-    subsets = interpret(Powerset(A), model).objects
+        assert carrier_objects(interpret(A, model)) == tuple("abc"[:size])
+    subsets = carrier_objects(interpret(Powerset(A), model))
     assert list(itertools.islice(subsets, 3)) == [frozenset(), frozenset("a"), frozenset("b")]
 
 

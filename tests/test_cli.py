@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import elaborate_text
 from ogkernel import __version__, cli, kernel
 from ogkernel.cli import (
     EXIT_CHECK_FAILED,
@@ -31,8 +32,8 @@ from ogkernel.cli import (
     main,
     run,
 )
-from ogkernel.elaborate import ElabResult, Item, elaborate_files, elaborate_source
-from ogkernel.kernel import trace_nodes
+from ogkernel.elaborate import ElabResult, Item, elaborate_files
+from ogkernel.kernel import trace_set
 from ogkernel.surface import MAX_NESTING, parse_source
 from ogkernel.terms import (
     BUILTIN_RULES,
@@ -517,7 +518,7 @@ def test_model_check_and_the_model_sweep_word_a_judgment_alike(
 ):
     # `model check J upto n` in a file, and the `soundness J` item that
     # `ogk model --max-size n` gives a session that proved J.
-    (checked,) = elaborate_source(f"model check {render(judgment)} upto {bound};").items
+    (checked,) = elaborate_text(f"model check {render(judgment)} upto {bound};").items
     assert checked.name == f"model check {render(judgment)} upto {bound}"
     proved = ElabResult((SimpleNamespace(judgment=judgment),), (), ())
     monkeypatch.setattr(cli, "elaborate_files", lambda sources: proved)
@@ -879,8 +880,8 @@ def test_a_replay_failure_fails_its_trace_item_and_names_the_node(
     path.write_text("assert SupportsQuant(P[Nat]) by rule H4 from axiom H3;\n")
     replay = cli.verify_trace
 
-    def tampering_replay(thm, judged=None):
-        return replay(rejudge(thm, (0,), SupportsQuant(TWO)), judged)  # a forged H3 node
+    def tampering_replay(thm):
+        return replay(rejudge(thm, (0,), SupportsQuant(TWO)))  # a forged H3 node
 
     monkeypatch.setattr(cli, "verify_trace", tampering_replay)
     assert main(["check", "--format", "json", str(path)]) == EXIT_CHECK_FAILED
@@ -897,11 +898,11 @@ def test_a_payload_that_replay_refuses_fails_its_trace_item(tmp_path, monkeypatc
     path.write_text("generator G primitive {a, b};\n")
     replay = cli.verify_trace
 
-    def tampering_replay(thm, judged=None):  # the same node, listing the tag a twice
+    def tampering_replay(thm):  # the same node, listing the tag a twice
         forged = kernel.Theorem(
             kernel._SEAL, thm.kind, thm.label, thm.judgment, thm.children, ("G", ("a", "a"))
         )
-        return replay(forged, judged)
+        return replay(forged)
 
     monkeypatch.setattr(cli, "verify_trace", tampering_replay)
     assert main(["check", "--format", "json", str(path)]) == EXIT_CHECK_FAILED
@@ -921,7 +922,7 @@ def test_a_file_replay_judges_each_node_of_its_dag_once(monkeypatch):
     monkeypatch.setattr(kernel, "_judge", lambda *args: calls.append(args) or judge(*args))
     items = cli._replay_items(result)
     assert [item.status for item in items] == ["pass"] * len(result.theorems) == ["pass"] * 23
-    assert len(calls) == len({id(n) for t in result.theorems for n in trace_nodes(t)}) == 25
+    assert len(calls) == len(frozenset().union(*map(trace_set, result.theorems))) == 25
 
 
 @pytest.mark.parametrize("command", ["check", "model"])

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import elaborate_path, elaborate_text
 from ogkernel import elaborate, surface
-from ogkernel.elaborate import _RULE_ALIASES, elaborate_file, elaborate_files, elaborate_source
+from ogkernel.elaborate import _RULE_ALIASES, elaborate_files
 from ogkernel.kernel import axioms_used, verify_trace
 from ogkernel.semantics import soundness_sweep
 from ogkernel.stdlib import prelude_source
@@ -28,14 +29,14 @@ CORPUS = Path(__file__).parent / "corpus"
 
 
 def test_prelude_headline_axiom_multiset():
-    result = elaborate_source(prelude_source())
+    result = elaborate_text(prelude_source())
     final = result.theorems[-1]
     assert render(final.judgment) == "Set(P[P[Nat]])"
     assert sorted(a.value for a in axioms_used(final).elements()) == ["H3", "H4", "H4"]
 
 
 def test_h4_shorthand_gives_two_node_trace():
-    result = elaborate_source(
+    result = elaborate_text(
         "assert SupportsQuant(P[Nat]) by rule H4 from H3;"
     )
     assert not result.diagnostics
@@ -44,17 +45,17 @@ def test_h4_shorthand_gives_two_node_trace():
 
 
 def test_unknown_generator_is_e0004():
-    result = elaborate_source("assert Gen(Ghost) by rule gen;")
+    result = elaborate_text("assert Gen(Ghost) by rule gen;")
     assert [d.code for d in result.diagnostics] == ["E0004"]
 
 
 def test_unknown_morphism_is_e0004():
-    result = elaborate_source("assert BinFn(ghost_eq, Two * Two) by rule binfn;")
+    result = elaborate_text("assert BinFn(ghost_eq, Two * Two) by rule binfn;")
     assert [d.code for d in result.diagnostics] == ["E0004"]
 
 
 def test_kernel_errors_become_e0102_with_span():
-    result = elaborate_source(
+    result = elaborate_text(
         "generator G primitive;\ngenerator G primitive;"
     )
     assert [d.code for d in result.diagnostics] == ["E0102"]
@@ -62,25 +63,25 @@ def test_kernel_errors_become_e0102_with_span():
 
 
 def test_cross_domain_equality_is_e0101_not_a_crash():
-    result = elaborate_file(CORPUS / "crossdomain.og")
+    result = elaborate_path(CORPUS / "crossdomain.og")
     assert [d.code for d in result.diagnostics] == ["E0101"]
     # earlier declarations elaborated normally
     assert len(result.theorems) == 4
 
 
 def test_mismatched_proof_is_rejected():
-    result = elaborate_source("assert Set(Two) by axiom H3;")
+    result = elaborate_text("assert Set(Two) by axiom H3;")
     assert [d.code for d in result.diagnostics] == ["E0102"]
     assert "claims" in result.diagnostics[0].message
 
 
 def test_h2_is_not_a_script_axiom():
-    result = elaborate_source("assert Set(Two) by axiom H2;")
+    result = elaborate_text("assert Set(Two) by axiom H2;")
     assert [d.code for d in result.diagnostics] == ["E0102"]
 
 
 def test_eq_items_evaluate():
-    result = elaborate_file(CORPUS / "18_eq_queries.og")
+    result = elaborate_path(CORPUS / "18_eq_queries.og")
     assert not result.diagnostics
     eq_items = [i for i in result.items if i.name.startswith("Eq(")]
     assert [i.detail for i in eq_items] == [
@@ -91,7 +92,7 @@ def test_eq_items_evaluate():
 
 
 def test_generator_tags_feed_table_evidence():
-    result = elaborate_source(
+    result = elaborate_text(
         "generator G primitive {a, b};\n"
         "morphism f : G -> Two := table { G.a -> Two.yes, G.b -> Two.no };\n"
         "assert BinFn(f, G) by rule binfn;\n"
@@ -101,7 +102,7 @@ def test_generator_tags_feed_table_evidence():
 
 
 def test_partial_table_is_rejected():
-    result = elaborate_source(
+    result = elaborate_text(
         "generator G primitive {a, b};\n"
         "morphism f : G -> Two := table { G.a -> Two.yes };\n"
     )
@@ -110,13 +111,13 @@ def test_partial_table_is_rejected():
 
 
 def test_aliases_resolve():
-    result = elaborate_file(CORPUS / "13_aliases.og")
+    result = elaborate_path(CORPUS / "13_aliases.og")
     assert not result.diagnostics
     assert "SupportsQuant(P[Nat])" in [render(j) for j in result.judgments]
 
 
 def test_include_resolves_relative_paths():
-    result = elaborate_file(CORPUS / "11_include_main.og")
+    result = elaborate_path(CORPUS / "11_include_main.og")
     assert not result.diagnostics
     assert [i.status for i in result.items] == ["pass"] * len(result.items)
 
@@ -124,7 +125,7 @@ def test_include_resolves_relative_paths():
 def test_include_missing_file_is_e0005(tmp_path):
     main = tmp_path / "main.og"
     main.write_text('include "nowhere.og";\n')
-    result = elaborate_file(main)
+    result = elaborate_path(main)
     assert [d.code for d in result.diagnostics] == ["E0005"]
 
 
@@ -132,7 +133,7 @@ def test_include_of_a_file_that_is_not_utf8_is_e0005(tmp_path):
     (tmp_path / "latin1.og").write_bytes(b"-- caf\xe9\n")
     main = tmp_path / "main.og"
     main.write_text('include "latin1.og";\n')
-    (diagnostic,) = elaborate_file(main).diagnostics
+    (diagnostic,) = elaborate_path(main).diagnostics
     assert diagnostic.code == "E0005"
     assert diagnostic.message.startswith("cannot include 'latin1.og': 'utf-8' codec")
 
@@ -143,7 +144,7 @@ def test_a_byte_order_mark_at_the_start_of_a_file_is_skipped(tmp_path):
     main = tmp_path / "main.og"
     main.write_text('include "lib.og";\nassert SupportsQuant(Nat) by axiom H3;\n', "utf-8-sig")
     for path, count in ((lib, 1), (main, 2)):
-        result = elaborate_file(path)
+        result = elaborate_path(path)
         assert not result.diagnostics
         assert [i.status for i in result.items] == ["pass"] * len(result.items)
         assert len(result.theorems) == count
@@ -154,35 +155,29 @@ def test_include_cycle_is_detected(tmp_path):
     b = tmp_path / "b.og"
     a.write_text('include "b.og";\n')
     b.write_text('include "a.og";\n')
-    result = elaborate_file(a)
+    result = elaborate_path(a)
     assert any(d.code == "E0005" and "circular" in d.message for d in result.diagnostics)
-
-
-def _both_entry_points(path: Path):
-    """The elaboration of a file through `elaborate_file` and `elaborate_files`."""
-    yield elaborate_file(path)
-    yield elaborate_files([(path, parse_source(path.read_text())[0])])
 
 
 def test_a_file_that_includes_itself_runs_once(tmp_path, monkeypatch):
     (tmp_path / "self.og").write_text('include "self.og";\nassert Set(Two) by axiom H1;\n')
     monkeypatch.chdir(tmp_path)
-    for result in _both_entry_points(Path("self.og")):
-        assert [i.name for i in result.items] == ["Set(Two)"]
-        assert [(d.code, d.message) for d in result.diagnostics] == [
-            ("E0005", "circular include of 'self.og'")
-        ]
+    result = elaborate_path(Path("self.og"))
+    assert [i.name for i in result.items] == ["Set(Two)"]
+    assert [(d.code, d.message) for d in result.diagnostics] == [
+        ("E0005", "circular include of 'self.og'")
+    ]
 
 
 def test_an_include_cycle_runs_each_file_once(tmp_path):
     a = tmp_path / "a.og"
     a.write_text('include "b.og";\nassert Set(Two) by axiom H1;\n')
     (tmp_path / "b.og").write_text('include "a.og";\nassert SupportsQuant(Nat) by axiom H3;\n')
-    for result in _both_entry_points(a):
-        assert [i.name for i in result.items] == ["SupportsQuant(Nat)", "Set(Two)"]
-        assert [(d.code, d.message) for d in result.diagnostics] == [
-            ("E0005", "circular include of 'a.og'")
-        ]
+    result = elaborate_path(a)
+    assert [i.name for i in result.items] == ["SupportsQuant(Nat)", "Set(Two)"]
+    assert [(d.code, d.message) for d in result.diagnostics] == [
+        ("E0005", "circular include of 'a.og'")
+    ]
 
 
 def test_an_include_of_an_earlier_root_file_does_nothing(tmp_path, monkeypatch):
@@ -200,10 +195,10 @@ def test_an_include_of_an_earlier_root_file_does_nothing(tmp_path, monkeypatch):
 
 
 def test_model_check_items():
-    result = elaborate_source("model check Set(Two) upto 3;")
+    result = elaborate_text("model check Set(Two) upto 3;")
     assert not result.diagnostics
     assert result.items[0].status == "pass"
-    result = elaborate_source("model check SupportsQuant(P[P[Nat]]) upto 4;")
+    result = elaborate_text("model check SupportsQuant(P[P[Nat]]) upto 4;")
     assert result.items[0].status in ("pass", "skipped")
 
 
@@ -224,22 +219,22 @@ def test_model_check_items():
     ],
 )
 def test_model_check_failing_judgment(source, detail, witness):
-    result = elaborate_source(source)
+    result = elaborate_text(source)
     items = [i for i in result.items if i.name.startswith("model check")]
     assert (items[0].status, items[0].detail) == ("fail", detail)
     assert witness.items() <= items[0].witness.items()
 
 
 def test_limit_decls_produce_items():
-    result = elaborate_source('limit member "periodic:1/01" upto 8 8 64;')
+    result = elaborate_text('limit member "periodic:1/01" upto 8 8 64;')
     assert result.items[0].status == "pass"
     assert "member" in result.items[0].detail
-    result = elaborate_source('limit member "squares" upto 4 4 64;')
+    result = elaborate_text('limit member "squares" upto 4 4 64;')
     assert "non-member" in result.items[0].detail
 
 
 def test_coherent_and_limit_rules():
-    result = elaborate_file(CORPUS / "08_coherent_squares.og")
+    result = elaborate_path(CORPUS / "08_coherent_squares.og")
     assert not result.diagnostics
     judgments = [render(j) for j in result.judgments]
     assert 'Obj(P[Nat]."limit(restrictions(squares))", P[Nat])' in judgments
@@ -247,7 +242,7 @@ def test_coherent_and_limit_rules():
 
 def test_every_corpus_file_elaborates_cleanly():
     for path in sorted(CORPUS.glob("[0-9]*.og")):
-        result = elaborate_file(path)
+        result = elaborate_path(path)
         assert not result.diagnostics, (path.name, result.diagnostics)
         assert not [i for i in result.items if i.status == "fail"], path.name
         for thm in result.theorems:
@@ -290,7 +285,7 @@ def test_no_layer_reads_spec_text_again(monkeypatch, clear_caches):
 
 
 def test_duplicate_primitive_tag_declares_nothing():
-    result = elaborate_source(
+    result = elaborate_text(
         "generator G primitive {a, b, a};\ngenerator G primitive {a, b};\n"
     )
     assert [(d.code, d.message) for d in result.diagnostics] == [
@@ -301,7 +296,7 @@ def test_duplicate_primitive_tag_declares_nothing():
 
 def test_each_missing_premise_is_named():
     # `require` renders what it looked for only when the lookup fails.
-    result = elaborate_source(
+    result = elaborate_text(
         "generator G primitive {a, b};\n"
         "morphism f : G -> Two := table { G.a -> Two.yes, G.b -> Two.no };\n"
         "assert SupportsQuant(P[G]) by rule H4;\n"
@@ -413,7 +408,7 @@ _EQ_PROOF = "an Eq(...) assertion is proved by rule eq_within alone"
     ],
 )
 def test_each_refusal_names_its_rule_and_goal(source, line, code, message):
-    result = elaborate_source(source + "\n")
+    result = elaborate_text(source + "\n")
     assert [(d.span.line, d.code, d.message) for d in result.diagnostics] == [
         (line, code, message)
     ]
@@ -422,14 +417,14 @@ def test_each_refusal_names_its_rule_and_goal(source, line, code, message):
 @pytest.mark.parametrize("rule", sorted(_RULE_ALIASES))
 def test_only_h4_can_be_a_subproof(rule):
     # H4 gets past "needs a goal", to ask for its own `from`.
-    result = elaborate_source(f"assert SupportsQuant(P[Nat]) by rule H4 from rule {rule};\n")
+    result = elaborate_text(f"assert SupportsQuant(P[Nat]) by rule H4 from rule {rule};\n")
     refusal = _NO_GOAL if _RULE_ALIASES[rule] == "squant" else _SUBPROOF
     assert [(d.code, d.message) for d in result.diagnostics] == [("E0102", f"rule {rule} {refusal}")]
 
 
 def test_a_right_eq_proof_still_evaluates():
     for rule in ("eq_within", "eq_within_domain"):
-        result = elaborate_source(_TWO_DOMAIN + f"assert Eq(Two.yes, Two.no) by rule {rule};\n")
+        result = elaborate_text(_TWO_DOMAIN + f"assert Eq(Two.yes, Two.no) by rule {rule};\n")
         assert not result.diagnostics
         assert result.items[-1] == ("Eq(Two.yes, Two.no)", "pass", "evaluates to no", None)
 
@@ -439,7 +434,7 @@ def test_an_include_runs_once_per_session(tmp_path):
     (tmp_path / "mid.og").write_text('include "lib.og";\n')
     main = tmp_path / "main.og"
     main.write_text('include "lib.og";\ninclude "mid.og";\ninclude "./lib.og";\n')
-    result = elaborate_file(main)
+    result = elaborate_path(main)
     assert not result.diagnostics
     assert [i.name for i in result.items] == ["Set(Two)"]
 
@@ -496,7 +491,7 @@ _SHADOWING = {
 @pytest.mark.parametrize("case", _SHADOWING)
 def test_a_lookup_finds_the_latest_theorem_in_scope(case):
     source, axioms, nodes = _SHADOWING[case]
-    result = elaborate_source(source)
+    result = elaborate_text(source)
     assert result.diagnostics == ()
     assert result.items[-1].detail == axioms
     assert verify_trace(result.theorems[-1]).node_count == nodes

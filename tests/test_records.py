@@ -20,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ogkernel
+from conftest import elaborate_text
 from ogkernel import cli, terms
-from ogkernel.elaborate import Item, elaborate_source
+from ogkernel.elaborate import Item
 from ogkernel.kernel import AxiomId, Kernel, Theorem
 from ogkernel.semantics import FAILS, HOLDS, Carrier, Model, Verdict, models_for_judgment
 from ogkernel.stdlib import prelude_source
@@ -160,7 +161,7 @@ def test_a_fields_walk_reaches_every_subterm_of_a_judgment():
 
 def _elaborated_judgments():
     sources = [prelude_source(), *(path.read_text("utf-8") for path in CORPUS.glob("*.og"))]
-    results = [elaborate_source(source, base_dir=CORPUS) for source in sources]
+    results = [elaborate_text(source, CORPUS / "input.og") for source in sources]
     return {thm.judgment for result in results for thm in result.theorems}
 
 
@@ -299,7 +300,7 @@ def test_string_and_table_arguments_round_trip():
     assert decls[0].judgment.family.descriptor == Family(SquaresIndicator(), None)
     rows = decls[1].judgment.fn.rows
     assert isinstance(rows, tuple) and [k.tag for k, _ in rows] == ["yes", "no"]
-    assert elaborate_source(source).items[-1].status == "pass"
+    assert elaborate_text(source).items[-1].status == "pass"
 
 
 # -- records read by the CLI

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import carrier_objects, elaborate_path, elaborate_text
 from ogkernel import elaborate, semantics, streams
 from ogkernel.cli import main
-from ogkernel.elaborate import Item, elaborate_source, sweep_item
+from ogkernel.elaborate import Item, sweep_item
 from ogkernel.stdlib import prelude_source
 from ogkernel.semantics import (
     FAILS,
@@ -79,8 +80,8 @@ def test_powerset_cardinality_law_up_to_8():
         carrier = interpret(Powerset(expr), model)
         assert len(carrier) == 2**n
         # index 0 is the empty (always-no) table
-        assert carrier.objects[0] == frozenset()
-        assert len(set(carrier.objects)) == 2**n
+        assert carrier_objects(carrier)[0] == frozenset()
+        assert len(set(carrier_objects(carrier))) == 2**n
 
 
 def test_detector_flags_exactly_the_empty_table_up_to_8():
@@ -248,7 +249,7 @@ def test_a_numeral_value_past_the_bound_is_not_checkable_rather_than_false():
     bad = IsMor(_table(TWO, NAT, (("yes", "one"), ("no", "0"))), TWO, NAT)
     assert verify_judgment(bad, default_model(3)).status == FAILS
     source = "model check Mor(table { Two.yes -> Nat.1, Two.no -> Nat.0 }, Two, Nat) upto 3;"
-    (item,) = elaborate_source(source).items
+    (item,) = elaborate_text(source).items
     assert (item.status, item.detail) == ("pass", "holds in 2/3 models (rest not finitely checkable)")
 
 
@@ -282,8 +283,8 @@ def test_extensional_equality_on_powerset_up_to_5():
         expr, model = _named("A", *(f"x{i}" for i in range(n)))
         eq = interpret_fn(BuiltinRule("eq_of", (Powerset(expr),)), model)
         carrier = interpret(Powerset(expr), model)
-        for f in carrier.objects:
-            for g in carrier.objects:
+        for f in carrier_objects(carrier):
+            for g in carrier_objects(carrier):
                 # oracle: pointwise agreement of the member sets
                 agree = set(f) == set(g)
                 assert eq[tag_text((f, g))] == ("yes" if agree else "no")
@@ -325,7 +326,7 @@ def test_a_row_on_nat_makes_the_judgment_sweep_nat_bounds():
     # The judgment mentions Nat through a row's carrier, so its models sweep
     # the truncation bound; the row fails it in every one of them.
     source = "model check Mor(table { Two.yes -> Two.yes, Two.no -> Nat.0 }, Two, Two) upto 2;"
-    (item,) = elaborate_source(source).items
+    (item,) = elaborate_text(source).items
     assert (item.status, item.detail) == ("fail", "fails in 2/2 models")
     assert item.witness == {"model": "model(nat<=:0)", "row": "Two.no -> Nat.0"}
 
@@ -430,7 +431,7 @@ def test_axiom_instances_detect_corruption():
     def corrupted(expr, model):
         carrier = interpret(expr, model)
         if isinstance(expr, Powerset):
-            return Carrier(carrier.name, carrier.objects[:-1])
+            return Carrier(carrier.name, carrier_objects(carrier)[:-1])
         return carrier
 
     checks = {
@@ -566,7 +567,7 @@ CORPUS = Path(__file__).parent / "corpus"
 
 
 def _prelude_judgments():
-    return elaborate_source(prelude_source()).judgments
+    return elaborate_text(prelude_source()).judgments
 
 
 def test_the_sweep_runs_each_morphism_check_once(clear_caches):
@@ -609,10 +610,10 @@ def test_the_sweep_is_the_same_with_every_cache_cleared_between_judgments(
     checked, sweep = [], semantics.soundness_sweep
     monkeypatch.setattr(elaborate, "soundness_sweep", lambda js, n: checked.extend(js) or sweep(js, n))
     if name == "prelude":
-        result = elaborate_source(prelude_source())
+        result = elaborate_text(prelude_source())
     else:
         (path,) = CORPUS.glob(f"{name}_*.og")
-        result = elaborate_source(path.read_text("utf-8"), base_dir=str(CORPUS))
+        result = elaborate_path(path)
     judgments = [*result.judgments, *checked]
     assert judgments
     for size in semantics.SWEEP_SIZES:

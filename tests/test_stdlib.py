@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from ogkernel.elaborate import ElabResult, elaborate_source
+from conftest import elaborate_text
+from ogkernel.elaborate import ElabResult
 from ogkernel.kernel import (
     AxiomId,
     Kernel,
@@ -77,7 +78,7 @@ def _powerset_src(name: str, base: str) -> str:
 
 
 def _elaborated(source: str) -> ElabResult:
-    result = elaborate_source(source)
+    result = elaborate_text(source)
     assert not result.diagnostics, [d.message for d in result.diagnostics]
     for thm in result.theorems:
         assert verify_trace(thm).passed
@@ -164,7 +165,7 @@ def test_powerset_requires_quantification_support():
         + _domain_src("eq_nt", "Nat * Two")
         + "assert SupportsQuant(P[Nat * Two]) by rule H4;\n"
     )
-    result = elaborate_source(source)
+    result = elaborate_text(source)
     assert [(d.code, d.message) for d in result.diagnostics] == [
         ("E0102", "no proof of SupportsQuant(Nat * Two) in scope")
     ]

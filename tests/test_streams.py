@@ -31,10 +31,10 @@ from ogkernel.streams import (
     demonstrate_gap,
     ep_decide,
     family_limit,
+    family_stages,
     flip_witness,
     is_coherent,
     is_ep_witness,
-    resolve_family,
     shift_witness,
     xor_witness,
 )
@@ -43,12 +43,12 @@ from ogkernel.terms import Family, FamilySpec, Ident, IsCoherentFamily
 
 
 def test_restriction_stages_are_prefixes():
-    assert resolve_family(Family(SquaresIndicator(), None))(5) == bytes((1, 1, 0, 0, 1, 0))
-    assert resolve_family(Family(Periodic((), (1, 0)), None))(3) == bytes((1, 0, 1, 0))
-    assert resolve_family(Family(PowersOfTwoIndicator(), None))(0) == bytes((0,))
+    assert family_stages(Family(SquaresIndicator(), None), 5)[5] == bytes((1, 1, 0, 0, 1, 0))
+    assert family_stages(Family(Periodic((), (1, 0)), None), 3)[3] == bytes((1, 0, 1, 0))
+    assert family_stages(Family(PowersOfTwoIndicator(), None), 0) == [bytes((0,))]
     for spec in ("squares", "finite:11", "periodic:0/1"):
         stream = parse_stream_spec(spec)
-        assert resolve_family(Family(stream, None))(0) == bytes((stream.value_at(0),))
+        assert family_stages(Family(stream, None), 0) == [bytes((stream.value_at(0),))]
 
 
 def test_prefix_matches_value_at():
@@ -68,14 +68,13 @@ def test_prefix_matches_value_at():
 
 def test_is_coherent_examples():
     fam = [SquaresIndicator().prefix(n) for n in range(17)]
-    assert is_coherent(fam).ok
+    assert is_coherent(fam) is None
     # flip bit 3 of stage 7: violated at the 6 -> 7 transition
     bits = bytearray(fam[7])
     bits[3] ^= 1
     fam[7] = bytes(bits)
-    result = is_coherent(fam)
-    assert not result.ok and result.violation == 7
-    assert is_coherent([SquaresIndicator().prefix(0)]).ok  # singleton, vacuous
+    assert is_coherent(fam) == 7
+    assert is_coherent([SquaresIndicator().prefix(0)]) is None  # singleton, vacuous
 
 
 def test_monotone_coherence():
@@ -87,9 +86,9 @@ def test_monotone_coherence():
             tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 4))),
         )
         fam = [stream.prefix(n) for n in range(24)]
-        assert is_coherent(fam).ok
+        assert is_coherent(fam) is None
         for cut in range(1, 24):
-            assert is_coherent(fam[:cut]).ok
+            assert is_coherent(fam[:cut]) is None
 
 
 def test_family_limit_round_trip():
@@ -126,8 +125,8 @@ def test_family_limit_is_the_diagonal_union():
             f"corrupt({spec},{k},{i})" for k in range(8) for i in range(10) if i >= k
         ]
         for descriptor in map(parse_family, descriptors):
-            stage = resolve_family(descriptor)
-            diagonal = bytes(stage(m)[m] for m in range(60))
+            stages = family_stages(descriptor, 59)
+            diagonal = bytes(stage[m] for m, stage in enumerate(stages))
             assert family_limit(descriptor).prefix(59) == diagonal, descriptor
 
 
@@ -225,7 +224,7 @@ def test_prefix_bytes_and_ep_decide_property(spec, n, pb, qb, extra):
     stream = parse_stream_spec(spec)
     expected = bytes(stream.value_at(i) for i in range(n + 1))
     assert stream.prefix(n) == expected
-    assert resolve_family(Family(stream, None))(n) == expected
+    assert family_stages(Family(stream, None), n)[n] == expected
     assert family_limit(Family(stream, None)).prefix(n) == expected
     horizon = pb + 2 * qb + extra
     assert ep_decide(stream, pb, qb, horizon).witness == _naive_ep(stream, pb, qb, horizon)
@@ -298,26 +297,26 @@ def test_stream_spec_refuses_too_many_combinators():
             parse_stream_spec(spec)
 
 
-def test_resolve_family_descriptors():
-    member = resolve_family(parse_family("restrictions(squares)"))
-    assert member(5) == bytes((1, 1, 0, 0, 1, 0))
-    corrupt = resolve_family(parse_family("corrupt(squares,3,1)"))
-    assert corrupt(2) == SquaresIndicator().prefix(2)
-    assert corrupt(4)[1] != SquaresIndicator().prefix(4)[1]
+def test_family_stages_of_descriptors():
+    member = family_stages(parse_family("restrictions(squares)"), 5)
+    assert member[5] == bytes((1, 1, 0, 0, 1, 0))
+    corrupt = family_stages(parse_family("corrupt(squares,3,1)"), 4)
+    assert corrupt[2] == SquaresIndicator().prefix(2)
+    assert corrupt[4][1] != SquaresIndicator().prefix(4)[1]
     for bad in ("nonsense(squares)", "corrupt(squares,3,-1)", "corrupt(squares,-3,1)"):
         with pytest.raises(StreamSpecError):
             parse_family(bad)
 
 
-def _resolve_per_stage(family: Family):
-    """The reference stages: each stage its own prefix of the stream, or for
-    ``corrupt(s,k,i)`` from stage k on of the stream with bit i flipped."""
-    stream = family.base
-    if family.corruption is None:
-        return stream.prefix
-    stage, index = family.corruption
-    flipped = FlipAt(stream, index)
-    return lambda n: (flipped if n >= stage else stream).prefix(n)
+def _stages_per_stage(family: Family, last: int) -> list[bytes]:
+    """The reference stages 0..last: each stage its own prefix of the stream,
+    or for ``corrupt(s,k,i)`` from stage k on of the stream with bit i flipped."""
+    stream = flipped = family.base
+    stage = math.inf
+    if family.corruption is not None:
+        stage, index = family.corruption
+        flipped = FlipAt(stream, index)
+    return [(flipped if n >= stage else stream).prefix(n) for n in range(last + 1)]
 
 
 # One spec of each catalog stream class.
@@ -332,13 +331,9 @@ _CORRUPTIONS = ((0, 0), (5, 7), (7, 5), (2, 600), (300, 2), (1100, 1099), (3, 50
 def test_family_stages_slice_one_prefix_like_the_per_stage_definition(spec):
     descriptors = [f"restrictions({spec})", *(f"corrupt({spec},{k},{i})" for k, i in _CORRUPTIONS)]
     for descriptor in map(parse_family, descriptors):
-        reference = _resolve_per_stage(descriptor)
-        expected = [reference(n) for n in range(1101)]
-        stage = resolve_family(descriptor)
-        assert [stage(n) for n in range(1101)] == expected, descriptor
-        stage = resolve_family(descriptor)  # a fresh prefix, read out of order
-        order = (1100, 3, 700, 0, 1024, 1100, 2)
-        assert [stage(n) for n in order] == [expected[n] for n in order], descriptor
+        expected = _stages_per_stage(descriptor, 1100)
+        for last in (1100, 0, 3, 700, 1024):
+            assert family_stages(descriptor, last) == expected[: last + 1], descriptor
 
 
 def test_demonstrate_gap_builds_the_base_prefix_a_few_times(monkeypatch):
@@ -348,8 +343,8 @@ def test_demonstrate_gap_builds_the_base_prefix_a_few_times(monkeypatch):
         SquaresIndicator, "prefix", lambda self, n: calls.append(n) or prefix(self, n)
     )
     assert demonstrate_gap().passed
-    # the base bits and (d) build one each, and (c) one per doubling of its prefix
-    assert len(calls) <= 12
+    # the base bits, (c) and (d) build one each
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize(
@@ -366,7 +361,7 @@ def test_the_oracle_coherence_verdicts_match_the_per_stage_definition(
     model = default_model(nat_bound=3)
     judgment = IsCoherentFamily(FamilySpec(Ident("F"), parse_family(descriptor)))
     verdict = verify_judgment(judgment, model)
-    monkeypatch.setattr(streams, "resolve_family", _resolve_per_stage)
+    monkeypatch.setattr(streams, "family_stages", _stages_per_stage)
     clear_caches()  # the oracle's coherence verdict is cached per family
     assert verify_judgment(judgment, model) == verdict
 
@@ -389,15 +384,15 @@ def test_family_violation_matches_stage_scan():
         for stage in range(14):
             for index in range(14):
                 descriptor = Family(stream, (stage, index))
-                member = resolve_family(descriptor)
-                scan = is_coherent([member(n) for n in range(40)])
+                member = family_stages(descriptor, 39)
+                scan = is_coherent(member)
                 violation = _violation(descriptor)
-                if scan.ok:
+                if scan is None:
                     assert violation is None, descriptor
                     continue
-                bad, before = member(scan.violation), member(scan.violation - 1)
+                bad, before = member[scan], member[scan - 1]
                 first = next(i for i, (a, b) in enumerate(zip(bad, before)) if a != b)
-                assert violation == (scan.violation, first), descriptor
+                assert violation == (scan, first), descriptor
 
 
 def _oks(report) -> dict[str, bool]:
@@ -449,9 +444,9 @@ def _stray_one_past_the_bits(monkeypatch) -> SquaresIndicator:
 
 
 def _corrupt_stages(monkeypatch) -> SquaresIndicator:
-    resolve = streams.resolve_family
+    stages = streams.family_stages
     corrupt = Family(SquaresIndicator(), (5, 7))
-    monkeypatch.setattr(streams, "resolve_family", lambda _: resolve(corrupt))
+    monkeypatch.setattr(streams, "family_stages", lambda _, last: stages(corrupt, last))
     return SquaresIndicator()
 
 

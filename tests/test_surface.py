@@ -10,8 +10,8 @@ from typing import NamedTuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import elaborate_text, render_decl
 from ogkernel.cli import EXIT_OK, main
-from ogkernel.elaborate import elaborate_source
 from ogkernel.stdlib import prelude_source
 from ogkernel.surface import (
     _AXIOM_NAMES,
@@ -35,7 +35,6 @@ from ogkernel.surface import (
     parse_family,
     parse_source,
     parse_stream_spec,
-    render_decl,
 )
 from ogkernel.terms import (
     BUILTIN_RULES,
@@ -239,7 +238,7 @@ def test_a_set_tag_names_one_object_in_any_member_order():
         'P[Two]."{yes}" -> Two.no, P[Two]."{no}" -> Two.no, P[Two]."{yes,no}" -> Two.no };\n'
         "assert Mor(f, P[Two], Two) by rule mor;\n"
     )
-    items = elaborate_source(source).items
+    items = elaborate_text(source).items
     assert [(i.status, i.detail) for i in items[:2]] == [("pass", "holds in 1/1 models")] * 2
     assert items[2].status == "pass"
     decls, _ = parse_source(source)
@@ -333,7 +332,7 @@ def test_pair_literals_and_parenthesized_products():
     assert key.tag == ("yes", "no")
     decls, diags = parse_source("assert Gen((Two * Two) * Nat) by rule gen;")
     assert not diags
-    (item,) = elaborate_source("model check Obj((Two.yes, Two.no), Two * Two) upto 1;").items
+    (item,) = elaborate_text("model check Obj((Two.yes, Two.no), Two * Two) upto 1;").items
     assert (item.status, item.detail) == ("pass", "holds in 1/1 models")
     _, diags = parse_source("assert Obj((Two, Nat), Two * Two) by rule gen;")
     assert [(d.code, d.message) for d in diags] == [("E0002", "pair literals take object literals")]

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import parse_gen_expr
 from ogkernel.streams import SquaresIndicator
 from ogkernel.surface import (
-    KEYWORDS, _Parser, _scan, _tag_value, parse_gen_expr, parse_source, split_top_level,
+    KEYWORDS, _Parser, _scan, _tag_value, parse_source, split_top_level,
 )
 from ogkernel.terms import (
     NAT,
