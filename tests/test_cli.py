@@ -509,7 +509,8 @@ def _nat_table(cod, *rows):
         (_nat_table(NAT, ("1", NAT), ("0", NAT)), 3, "pass",
          "holds in 2/3 models (rest not finitely checkable)"),
         (_nat_table(NAT, ("5", NAT), ("0", NAT)), 3, "skipped",
-         "not finitely checkable at this bound"),
+         "not finitely checkable at this bound: value '5' mentions a numeral past the "
+         "truncation bound 0"),
         (_nat_table(TWO, ("yes", TWO), ("0", NAT)), 2, "fail", "fails in 2/2 models"),
     ],
 )

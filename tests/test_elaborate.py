@@ -202,6 +202,15 @@ def test_model_check_items():
     assert result.items[0].status in ("pass", "skipped")
 
 
+def test_a_skipped_model_check_says_why_when_its_judgment_has_models():
+    (item,) = elaborate_text('model check Coherent(F3, "corrupt(squares,2000,5000)") upto 1;').items
+    assert (item.status, item.detail) == (
+        "skipped",
+        "not finitely checkable at this bound: coherence of 'corrupt(squares,2000,5000)' "
+        "needs stages 0..5001, beyond the scan cap of 1024",
+    )
+
+
 @pytest.mark.parametrize(
     "source, detail, witness",
     [
