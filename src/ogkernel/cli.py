@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import NamedTuple
 
 from . import __version__
@@ -59,7 +60,7 @@ class Report(Term, fields="version command items summary"):
     __slots__ = ()
 
     def __new__(cls, version: str, command: str, items: tuple[Item, ...]):
-        statuses = [item.status for item in items]
+        statuses = list(map(attrgetter("status"), items))
         summary = {status: statuses.count(status) for status in ("pass", "fail", "assumed")}
         return tuple.__new__(cls, (cls.__name__, version, command, items, summary))
 

@@ -20,7 +20,7 @@ wrapped with the offending declaration's span.
 from __future__ import annotations
 
 import os
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple
 
 from . import streams
@@ -55,6 +55,7 @@ from .surface import (
 )
 from .terms import (
     NAT,
+    SIGNATURES,
     TWO,
     BitStream,
     BuiltinRule,
@@ -142,6 +143,13 @@ _RULE_ALIASES = {
 }
 
 
+# The second key that `_Session.enter` files a judgment of each class under.
+_ALSO_FILED = {
+    IsDomain: lambda j: (IsDomain, j.expr),
+    IsCoherentFamily: lambda j: (IsCoherentFamily, j.family.descriptor),
+}
+
+
 class _Session:
     def __init__(self) -> None:
         self.kernel = Kernel()
@@ -171,10 +179,8 @@ class _Session:
         for node in (thm, *thm.parts):
             j = node.judgment
             self.latest[j] = node
-            if type(j) is IsDomain:
-                self.latest[IsDomain, j.expr] = node
-            elif type(j) is IsCoherentFamily:
-                self.latest[IsCoherentFamily, j.family.descriptor] = node
+            if type(j) in _ALSO_FILED:
+                self.latest[_ALSO_FILED[type(j)](j)] = node
 
     def require(self, key, what: Callable[[], str] | None = None) -> Theorem:
         """The latest proof in scope filed under `key` (see `enter`), or E0102
@@ -190,33 +196,10 @@ class _Session:
         """`x` with each name replaced by what it names in the session: an alias
         by its body, a morphism's name by its function, `limit(F)` by the object
         of F's limit.  A term that names no alias comes back as it is; a name
-        not in scope is E0004, and a Malformed E0102."""
-        if isinstance(x, GenExpr):
-            if term_names(x)[0] <= self.primitives:
-                return x
-            if type(x) is Named:
-                return self.lookup(self.generators, x, "generator")
-            return type(x)(*map(self.scope, x[1:]))  # a Product or Powerset
-        kind = type(x)
-        if isinstance(x, (Judgment, EqQuery)) and kind is not IsCoherentFamily:
-            fields = tuple(map(self.scope, x[1:]))
-            return x if fields == x[1:] else kind(*fields)
-        if kind is ObjLit:
-            return x if term_names(x.of)[0] <= self.primitives else ObjLit(x.tag, self.scope(x.of))
-        if kind is MorphismRef:
-            return self.lookup(self.morphisms, x, "morphism")
-        if kind is Table:
-            if term_names(x)[0] <= self.primitives:
-                return x
-            rows = tuple((self.scope(k), self.scope(v)) for k, v in x.rows)
-            return Table(self.scope(x.domain), self.scope(x.codomain), rows)
-        if kind is BuiltinRule:
-            return BuiltinRule(x.rule, tuple(map(self.scope, x.args)))
-        if kind is LimitRef:
-            return ObjLit(self.lookup(self.families, x, "coherent family"), Powerset(NAT))
-        if kind is Malformed:
-            raise _ElabError("E0102", x.message)
-        return x  # a family, a stream or a bound
+        not in scope is E0004, and a Malformed E0102.  A class with no row in
+        `_SCOPERS` names nothing: Two, Nat, a family, a stream, a bound."""
+        scoper = _SCOPERS.get(type(x))
+        return x if scoper is None else scoper(self, x)
 
     def shape(self, x: GenExpr) -> tuple[int, int]:
         """The nesting depth and the node count of `x` with each alias in it
@@ -231,6 +214,36 @@ class _Session:
         if ref.name not in names:
             raise _ElabError("E0004", f"unknown {kind} {ref.name.text!r}")
         return names[ref.name]
+
+
+def _scope_fields(session: _Session, x):
+    fields = tuple(map(session.scope, x[1:]))
+    return x if fields == x[1:] else type(x)(*fields)
+
+
+def _scope_unless_primitive(session: _Session, x):
+    return x if term_names(x)[0] <= session.primitives else _scope_fields(session, x)
+
+
+def _refuse(session: _Session, x: Malformed):
+    raise _ElabError("E0102", x.message)
+
+
+# `_Session.scope` of each class of term that can name something in scope.
+# A term whose names are all primitives is its own scope; a plain tuple is a
+# table's rows, one of its rows or a builtin's arguments.
+_SCOPERS = dict.fromkeys((*SIGNATURES, BuiltinRule), _scope_fields) | {
+    Named: lambda session, x: (
+        x if x.name in session.primitives else session.lookup(session.generators, x, "generator")
+    ),
+    **dict.fromkeys((Product, Powerset, Table, ObjLit), _scope_unless_primitive),
+    tuple: lambda session, x: tuple(map(session.scope, x)),
+    MorphismRef: lambda session, x: session.lookup(session.morphisms, x, "morphism"),
+    LimitRef: lambda session, x: ObjLit(
+        session.lookup(session.families, x, "coherent family"), Powerset(NAT)
+    ),
+    Malformed: _refuse,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +367,11 @@ def elaborate_files(sources: list[tuple[str | os.PathLike, list[Decl]]]) -> Elab
 
 
 def _run_decls(session: _Session, decls: list[Decl], base_dir: str | None) -> None:
+    """Run each declaration by its class's runner (see `_RUNNERS`); each takes the
+    directory that the file's includes are read from."""
     for decl in decls:
         try:
-            _run_decl(session, decl, base_dir)
+            _RUNNERS[type(decl)](session, decl, base_dir)
         except _ElabError as err:
             session.diagnostics.append(Diagnostic(err.code, str(err), decl.span, err.note))
         except CrossDomainEqualityError as err:
@@ -365,24 +380,7 @@ def _run_decls(session: _Session, decls: list[Decl], base_dir: str | None) -> No
             session.diagnostics.append(Diagnostic("E0102", str(err), decl.span))
 
 
-def _run_decl(session: _Session, decl: Decl, base_dir: str | None) -> None:
-    if isinstance(decl, GeneratorDecl):
-        _run_generator(session, decl)
-    elif isinstance(decl, MorphismDecl):
-        _run_morphism(session, decl)
-    elif isinstance(decl, AssertDecl):
-        _run_assert(session, decl)
-    elif isinstance(decl, ModelCheckDecl):
-        _run_model_check(session, decl)
-    elif isinstance(decl, IncludeDecl):
-        _run_include(session, decl, base_dir)
-    elif isinstance(decl, LimitDecl):
-        _run_limit(session, decl)
-    else:
-        raise _ElabError("E0102", f"cannot execute {decl!r}")
-
-
-def _run_generator(session: _Session, decl: GeneratorDecl) -> None:
+def _run_generator(session: _Session, decl: GeneratorDecl, base_dir: str | None) -> None:
     name = Ident(decl.name)
     if name in session.generators:
         raise _ElabError("E0102", f"generator {decl.name!r} is already declared")
@@ -403,7 +401,7 @@ def _run_generator(session: _Session, decl: GeneratorDecl) -> None:
     session.enter(thm)
 
 
-def _run_morphism(session: _Session, decl: MorphismDecl) -> None:
+def _run_morphism(session: _Session, decl: MorphismDecl, base_dir: str | None) -> None:
     name = Ident(decl.name)
     if name in session.morphisms:
         raise _ElabError("E0102", f"morphism {decl.name!r} is already declared")
@@ -422,7 +420,7 @@ def _axiom_summary(thm: Theorem) -> str:
     return "axioms: " + ", ".join(sorted(map(itemgetter(0), uses)))  # members are their names
 
 
-def _run_assert(session: _Session, decl: AssertDecl) -> None:
+def _run_assert(session: _Session, decl: AssertDecl, base_dir: str | None) -> None:
     goal = session.scope(decl.judgment)
     if type(goal) is EqQuery:
         _run_eq_assert(session, decl, goal)
@@ -460,7 +458,7 @@ def _run_eq_assert(session: _Session, decl: AssertDecl, goal: EqQuery) -> None:
     session.items.append(Item(render(goal), "pass", f"evaluates to {answer}"))
 
 
-def _run_model_check(session: _Session, decl: ModelCheckDecl) -> None:
+def _run_model_check(session: _Session, decl: ModelCheckDecl, base_dir: str | None) -> None:
     goal = session.scope(decl.judgment)
     if type(goal) is EqQuery:
         raise _ElabError("E0102", "model check takes a judgment, not an equality query")
@@ -476,7 +474,7 @@ def sweep_item(name: str, item: SweepItem) -> Item:
     that refutes it, is skipped when no model settles it (with the first
     verdict's reason, which past MODEL_BUDGET names the model count), and
     passes otherwise."""
-    statuses = [verdict.status for verdict in item.verdicts]
+    statuses = list(map(attrgetter("status"), item.verdicts))
     fails, holds, total = statuses.count(FAILS), statuses.count(HOLDS), len(statuses)
     if fails:
         k = statuses.index(FAILS)
@@ -536,9 +534,19 @@ def membership_item(stream: BitStream, verdict: streams.EpVerdict) -> Item:
     return Item(f"ep-membership {stream}", "pass", verdict.describe())
 
 
-def _run_limit(session: _Session, decl: LimitDecl) -> None:
+def _run_limit(session: _Session, decl: LimitDecl, base_dir: str | None) -> None:
     if decl.command == "demo":
         session.items += gap_items(streams.demonstrate_gap())
         return
     stream = session.scope(decl.spec)  # a "member" query
     session.items.append(membership_item(stream, streams.ep_decide(stream, *decl.bounds)))
+
+
+_RUNNERS = {
+    GeneratorDecl: _run_generator,
+    MorphismDecl: _run_morphism,
+    AssertDecl: _run_assert,
+    ModelCheckDecl: _run_model_check,
+    IncludeDecl: _run_include,
+    LimitDecl: _run_limit,
+}

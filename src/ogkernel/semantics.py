@@ -16,7 +16,7 @@ check: `interpret` refuses a carrier or function domain of more than
 CARRIER_BUDGET objects, and `models_for_judgment` a judgment of more than
 MODEL_BUDGET models, as not finitely checkable.  A carrier records its parts
 and no objects, so it is sized before anything is enumerated.  A judgment's
-models come from the names and Nat that `terms.collect_names` finds, and
+models come from the names and Nat that `terms.term_names` finds, and
 `soundness_sweep` is the one place that judges a judgment in its models.
 
 Each pure fact is computed once per process, in an `lru_cache` of fixed size:
@@ -29,8 +29,8 @@ an exception: NotFinitelyCheckable is raised afresh at every call.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from functools import lru_cache
+from operator import attrgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from . import streams
@@ -59,12 +59,12 @@ from .terms import (
     Tag,
     Term,
     Two,
-    collect_names,
     fn_signature,
     is_numeral,
     mentions_nat,
     render,
     tag_text,
+    term_names,
 )
 
 __all__ = [
@@ -127,7 +127,7 @@ class NotFinitelyCheckable(Exception):
 
 
 class Carrier(Term, fields="name tags parts size"):
-    """A finite carrier whose objects are the indices 0 .. len-1.
+    """A finite carrier whose objects are the indices 0 .. size-1.
 
     An explicit carrier lists pairwise distinct object tags, object k being
     ``tags[k]``: Two, the truncated naturals and the carriers a model assigns
@@ -142,9 +142,9 @@ class Carrier(Term, fields="name tags parts size"):
     def __new__(cls, name: str, tags: tuple[str, ...] = (), parts: tuple[Carrier, ...] = ()):
         codes = None
         if len(parts) == 2:
-            size = len(parts[0]) * len(parts[1])
+            size = parts[0].size * parts[1].size
         elif parts:
-            size = 1 << len(parts[0])
+            size = 1 << parts[0].size
         else:
             codes = {tag: k for k, tag in enumerate(tags)}
             if len(codes) != len(tags):
@@ -164,10 +164,10 @@ class Carrier(Term, fields="name tags parts size"):
             return self.tags[k]
         if len(self.parts) == 2:
             left, right = self.parts
-            i, j = divmod(k, len(right))
+            i, j = divmod(k, right.size)
             return left.tag(i), right.tag(j)
         (base,) = self.parts
-        return frozenset(base.tag(j) for j in range(len(base)) if k >> j & 1)
+        return frozenset(base.tag(j) for j in range(base.size) if k >> j & 1)
 
     def index(self, tag: Tag) -> int | None:
         """The object that `tag` names, or None when it names none."""
@@ -175,7 +175,7 @@ class Carrier(Term, fields="name tags parts size"):
             return self._codes.get(tag)
         if len(self.parts) == 2 and type(tag) is tuple and len(tag) == 2:
             i, j = (part.index(t) for part, t in zip(self.parts, tag))
-            return None if i is None or j is None else i * len(self.parts[1]) + j
+            return None if i is None or j is None else i * self.parts[1].size + j
         if len(self.parts) == 1 and type(tag) is frozenset:
             members = [self.parts[0].index(t) for t in tag]
             return None if None in members else sum(1 << j for j in members)
@@ -202,11 +202,15 @@ class Model(NamedTuple):
         items = tuple(sorted((assignments or {}).items()))
         return cls(items, nat_bound)
 
-    def carrier_for(self, name: str) -> Carrier | None:
-        return dict(self.assignments).get(name)
+    def carrier_for(self, name: str) -> Carrier:
+        """The carrier assigned to `name`; a ValueError when none is."""
+        carrier = dict(self.assignments).get(name)
+        if carrier is None:
+            raise ValueError(f"no carrier assigned to {name!r}")
+        return carrier
 
     def describe(self) -> str:
-        parts = [f"{name}:{len(carrier)}" for name, carrier in self.assignments]
+        parts = [f"{name}:{carrier.size}" for name, carrier in self.assignments]
         if self.nat_bound is not None:
             parts.append(f"nat<=:{self.nat_bound}")
         return "model(" + ", ".join(parts) + ")" if parts else "model()"
@@ -228,29 +232,38 @@ def interpret(expr: GenExpr, model: Model) -> Carrier:
     records its parts, which are within the budget, and Nat lists at most
     CARRIER_BUDGET + 1 numerals.  Its objects are indices (see `Carrier`).
     """
-    if isinstance(expr, Two):
-        carrier = TWO_CARRIER
-    elif isinstance(expr, Nat):
-        if model.nat_bound is None:
-            raise NotFinitelyCheckable("Nat has no truncation bound in this model")
-        carrier = Carrier("Nat", tuple(map(str, range(min(model.nat_bound, CARRIER_BUDGET) + 1))))
-    elif isinstance(expr, Named):
-        carrier = model.carrier_for(expr.name.text)
-        if carrier is None:
-            raise ValueError(f"no carrier assigned to {expr.name.text!r}")
-    elif isinstance(expr, Product):
-        left, right = interpret(expr.left, model), interpret(expr.right, model)
-        carrier = Carrier(f"({left.name} x {right.name})", parts=(left, right))
-    elif isinstance(expr, Powerset):
-        base = interpret(expr.arg, model)
-        carrier = Carrier(f"P[{base.name}]", parts=(base,))
-    else:
-        raise TypeError(f"cannot interpret {expr!r}")
+    carrier = _CARRIERS[type(expr)](expr, model)
     if carrier.size > CARRIER_BUDGET:  # not len(): it overflows past sys.maxsize
         raise NotFinitelyCheckable(
             f"{render(expr)} has more than {CARRIER_BUDGET} objects in {model.describe()}"
         )
     return carrier
+
+
+def _nat_carrier(expr: Nat, model: Model) -> Carrier:
+    if model.nat_bound is None:
+        raise NotFinitelyCheckable("Nat has no truncation bound in this model")
+    return Carrier("Nat", tuple(map(str, range(min(model.nat_bound, CARRIER_BUDGET) + 1))))
+
+
+def _product_carrier(expr: Product, model: Model) -> Carrier:
+    left, right = interpret(expr.left, model), interpret(expr.right, model)
+    return Carrier(f"({left.name} x {right.name})", parts=(left, right))
+
+
+def _powerset_carrier(expr: Powerset, model: Model) -> Carrier:
+    base = interpret(expr.arg, model)
+    return Carrier(f"P[{base.name}]", parts=(base,))
+
+
+# The carrier of each generator expression class in a model, before the budget.
+_CARRIERS = {
+    Two: lambda expr, model: TWO_CARRIER,
+    Nat: _nat_carrier,
+    Named: lambda expr, model: model.carrier_for(expr.name.text),
+    Product: _product_carrier,
+    Powerset: _powerset_carrier,
+}
 
 
 @lru_cache(maxsize=1024)
@@ -261,7 +274,7 @@ def _table_values(table: Table, model: Model) -> tuple[int, ...]:
     literal names an object only of its own carrier."""
     dom = interpret(table.domain, model)
     cod = interpret(table.codomain, model)
-    values = [NO_VALUE] * len(dom)
+    values = [NO_VALUE] * dom.size
     for key, val in table.rows:
         k = dom.index(key.tag) if key.of == table.domain else None
         if k is not None:
@@ -275,11 +288,11 @@ def fn_values(fn: FnExpr, model: Model) -> Sequence[int]:
     where `fn` has no value.  Only a table can send an object OUTSIDE its
     codomain.  `eq_of` and `empty_detector_of` have a value everywhere and
     come back as bytes, one per object; the others as a list."""
-    n = len(interpret(fn_signature(fn)[0], model))
+    n = interpret(fn_signature(fn)[0], model).size
     if isinstance(fn, Table):
         return list(_table_values(fn, model))
     if fn.rule == "eq_of":
-        side = len(interpret(fn.args[0], model))
+        side = interpret(fn.args[0], model).size
         values = bytearray((NO,)) * n
         values[:: side + 1] = bytes((YES,)) * side  # the pairs (i, i)
         return values
@@ -329,37 +342,20 @@ def _fails(detail: str, **witness: str) -> Verdict:
 
 
 def verify_judgment(j: Judgment, model: Model) -> Verdict:
-    """Exhaustively evaluate one judgment in one model."""
+    """Exhaustively evaluate one judgment in one model, by its form's verifier."""
     try:
-        return _verify(j, model)
+        return _VERIFIERS[type(j)](j, model)
     except NotFinitelyCheckable as exc:
         return Verdict(NOT_FINITELY_CHECKABLE, detail=str(exc))
 
 
-def _verify(j: Judgment, model: Model) -> Verdict:
-    if isinstance(j, IsGen):
-        carrier = interpret(j.expr, model)
-        return Verdict(HOLDS, detail=f"{len(carrier)} objects")
-    if isinstance(j, IsObj):
-        return _verify_obj(j, model)
-    if isinstance(j, IsMor):
-        return _verify_mor(j.fn, j.dom, j.cod, model)
-    if isinstance(j, IsBinFn):
-        return _verify_mor(j.fn, j.dom, TWO, model)
-    if isinstance(j, IsDomain):
-        return _verify_domain(j, model)
-    if isinstance(j, SupportsQuant):
-        return _verify_squant(j.expr, model)
-    if isinstance(j, IsSet):
-        sq = _verify_squant(j.expr, model)
-        if sq.status != HOLDS:
-            return sq
-        # A finite carrier always admits the diagonal equality pairing, so
-        # set-hood reduces to supporting quantification.
-        return Verdict(HOLDS, detail=f"diagonal equality exists; {sq.detail}")
-    if isinstance(j, IsCoherentFamily):
-        return _verify_coherence(j.family.descriptor)
-    raise TypeError(f"cannot verify {j!r}")
+def _verify_set(j: IsSet, model: Model) -> Verdict:
+    sq = _verify_squant(j.expr, model)
+    if sq.status != HOLDS:
+        return sq
+    # A finite carrier always admits the diagonal equality pairing, so
+    # set-hood reduces to supporting quantification.
+    return Verdict(HOLDS, detail=f"diagonal equality exists; {sq.detail}")
 
 
 def _verify_obj(j: IsObj, model: Model) -> Verdict:
@@ -405,16 +401,16 @@ def _verify_mor(fn: FnExpr, dom: GenExpr, cod: GenExpr, model: Model) -> Verdict
         return _fails(f"not total: Nat is infinite and no row mentions {n}", missing=n)
     dom_carrier = interpret(dom, model)
     if isinstance(fn, BuiltinRule) and fn.rule in _WHOLE_FORMERS:
-        return Verdict(HOLDS, detail=f"total on {len(dom_carrier)} objects")
+        return Verdict(HOLDS, detail=f"total on {dom_carrier.size} objects")
     values = fn_values(fn, model)
     holes, outside = values.count(NO_VALUE), values.count(OUTSIDE)
-    if isinstance(fn, Table) and (len(fn.rows) != len(dom_carrier) or holes or outside):
+    if isinstance(fn, Table) and (len(fn.rows) != dom_carrier.size or holes or outside):
         # `_table_values` skips a literal written on another carrier, so a
         # table with one matches no model, and it fails in every model.
         row = next((r for r in fn.rows if r[0].of != dom or r[1].of != cod), None)
         if row is not None:
             return _fails("a row is written on another carrier", row=" -> ".join(map(render, row)))
-    if isinstance(fn, Table) and (len(fn.rows) != len(dom_carrier) or holes):
+    if isinstance(fn, Table) and (len(fn.rows) != dom_carrier.size or holes):
         # A table names its objects; in a model whose carrier differs the
         # judgment is not interpretable rather than false.
         raise NotFinitelyCheckable(
@@ -435,7 +431,7 @@ def _verify_mor(fn: FnExpr, dom: GenExpr, cod: GenExpr, model: Model) -> Verdict
                 f"value {tag_text(got)!r} mentions a numeral past the truncation bound {bound}"
             )
         return _fails(f"value at {at!r} is outside the codomain", at=at, got=tag_text(got))
-    return Verdict(HOLDS, detail=f"total on {len(dom_carrier)} objects")
+    return Verdict(HOLDS, detail=f"total on {dom_carrier.size} objects")
 
 
 def _verify_domain(j: IsDomain, model: Model) -> Verdict:
@@ -444,7 +440,7 @@ def _verify_domain(j: IsDomain, model: Model) -> Verdict:
         return mor
     # The diagonal law at all |A|^2 pairs: yes exactly at the pairs (i, i).
     carrier = interpret(j.expr, model)
-    n = len(carrier)
+    n = carrier.size
     got = fn_values(j.eq, model)  # total and Two-valued: the Mor check held
     if got[:: n + 1].count(YES) != n or got.count(YES) != n:
         x, y = divmod(next(k for k, g in enumerate(got) if (g == YES) != (k % (n + 1) == 0)), n)
@@ -460,7 +456,7 @@ def _verify_squant(expr: GenExpr, model: Model) -> Verdict:
     witness = _detector_law(expr, model)
     if witness is not None:
         return Verdict(FAILS, "canonical detector law violated", witness)
-    tables = len(interpret(Powerset(expr), model))
+    tables = interpret(Powerset(expr), model).size
     return Verdict(HOLDS, f"canonical detector verified on {tables} tables")
 
 
@@ -470,10 +466,10 @@ def _detector_law(
     """None when the canonical detector law holds on the powerset of `expr`,
     else a witness: it has 2^|A| tables, and `empty_detector_of` flags exactly
     the tables whose masks count no members."""
-    power, base_size = _interpret(Powerset(expr), model), len(_interpret(expr, model))
-    if len(power) != 1 << base_size:
+    power, base_size = _interpret(Powerset(expr), model), _interpret(expr, model).size
+    if power.size != 1 << base_size:
         return _witness(
-            expected=str(1 << base_size), got=str(len(power)), carrier=power.name
+            expected=str(1 << base_size), got=str(power.size), carrier=power.name
         )
     flags = fn_values(BuiltinRule("empty_detector_of", (expr,)), model)
     expected = _empty_flags(base_size)
@@ -518,6 +514,19 @@ def _verify_coherence(family: Family) -> Verdict:
     return Verdict(HOLDS, detail=f"coherent on stages 0..{last}")
 
 
+# The verifier of each judgment form.
+_VERIFIERS = {
+    IsGen: lambda j, model: Verdict(HOLDS, detail=f"{interpret(j.expr, model).size} objects"),
+    IsObj: _verify_obj,
+    IsMor: lambda j, model: _verify_mor(j.fn, j.dom, j.cod, model),
+    IsBinFn: lambda j, model: _verify_mor(j.fn, j.dom, TWO, model),
+    IsDomain: _verify_domain,
+    SupportsQuant: lambda j, model: _verify_squant(j.expr, model),
+    IsSet: _verify_set,
+    IsCoherentFamily: lambda j, model: _verify_coherence(j.family.descriptor),
+}
+
+
 # ---------------------------------------------------------------------------
 # Model enumeration and the soundness sweep
 
@@ -532,12 +541,11 @@ def models_for_judgment(j: Judgment, max_size: int) -> tuple[Model, ...]:
     1..max_size as well.  Not finitely checkable past MODEL_BUDGET models,
     which are counted before any is built.
     """
-    idents: set[Ident] = set()
-    nat = collect_names(j, idents)
+    idents, nat = term_names(j)
     count = max_size ** len(idents) * (max_size if nat else 1)
     if count > MODEL_BUDGET:
         raise NotFinitelyCheckable(f"{count} models at size {max_size}, more than {MODEL_BUDGET}")
-    return _models(tuple(sorted(ident.text for ident in idents)), nat, max_size)
+    return _models(tuple(sorted(map(attrgetter("text"), idents))), nat, max_size)
 
 
 @lru_cache(maxsize=32)
@@ -579,18 +587,22 @@ def soundness_sweep(judgments: Sequence[Judgment], max_size: int = 3) -> SweepRe
     """
     if max_size not in SWEEP_SIZES:
         raise ValueError(f"soundness sweep sizes range over {SWEEP_SIZES[0]}..{SWEEP_SIZES[-1]}")
-    items = []
-    for j, times in Counter(judgments).items():
+    given: dict[Judgment, int] = {}  # each judgment's count, in first-seen order
+    for j in judgments:
+        given[j] = given.get(j, 0) + 1
+    items, statuses = [], []
+    for j, times in given.items():
         try:
             models = models_for_judgment(j, max_size)
         except NotFinitelyCheckable as exc:
             models, verdicts = (), (Verdict(NOT_FINITELY_CHECKABLE, str(exc)),)
         else:
-            verdicts = tuple(verify_judgment(j, model) for model in models)
+            # `verify_judgment` is read from the module, where bench/probes.py patches it
+            verdicts = tuple(map(verify_judgment, itertools.repeat(j), models))
         items.append(SweepItem(j, models * times, verdicts * times))
-    counts = Counter(v.status for item in items for v in item.verdicts)
+        statuses += map(attrgetter("status"), items[-1].verdicts)
     return SweepReport(
-        tuple(items), counts.total(), counts[HOLDS], counts[FAILS], counts[NOT_FINITELY_CHECKABLE]
+        tuple(items), len(statuses), *map(statuses.count, (HOLDS, FAILS, NOT_FINITELY_CHECKABLE))
     )
 
 
@@ -624,8 +636,8 @@ def verify_axiom_instances(model: Model, _interpret=interpret) -> list[AxiomChec
     # H1: there is a 2-element set.
     two = carriers[0][1]
     laws = {}  # each expression's detector law, run once: H1 and H4 both read Two's
-    if len(two) != 2:
-        witness = _witness(carrier=two.name, size=str(len(two)))
+    if two.size != 2:
+        witness = _witness(carrier=two.name, size=str(two.size))
     else:
         witness = laws[TWO] = _detector_law(TWO, model, _interpret)
     check(
@@ -639,7 +651,7 @@ def verify_axiom_instances(model: Model, _interpret=interpret) -> list[AxiomChec
     # is the tuple of its values at the domain indices.
     surjections = 0
     h2_witness = None
-    sized = [(carrier, len(carrier)) for _, carrier in carriers]
+    sized = [(carrier, carrier.size) for _, carrier in carriers]
     for (dom, n), (cod, m) in itertools.product(sized, repeat=2):
         targets = list(range(m))
         maps = itertools.product(targets, repeat=n) if n <= 4 else ()
@@ -668,7 +680,7 @@ def verify_axiom_instances(model: Model, _interpret=interpret) -> list[AxiomChec
 
     # H4: supports-quantification is preserved by powersets.
     h4_witness = None
-    small = [(expr, carrier) for expr, carrier in carriers if len(carrier) <= 4]
+    small = [(expr, carrier) for expr, carrier in carriers if carrier.size <= 4]
     for expr, _ in small:
         law = laws[expr] if expr in laws else _detector_law(expr, model, _interpret)
         h4_witness = law or _detector_law(Powerset(expr), model, _interpret)

@@ -320,12 +320,8 @@ class _Parser:
         self.pos += 1
         return self.toks[self.pos - 1]
 
-    def leave(self, closer: str, opener: _Tok) -> None:
-        """Consume the bracket that closes the level `opener` entered."""
-        self.depth -= 1
-        self.expect_closing(closer, opener)
-
     def expect_closing(self, closer: str, opener: _Tok) -> None:
+        """Consume the bracket that closes `opener` (leaving its level is the caller's)."""
         if self.keys[self.pos] != closer:
             raise self.error(
                 "E0003",
@@ -388,7 +384,8 @@ class _Parser:
         if key == "primitive":
             self.pos += 1
             if self.keys[self.pos] == "{":
-                opener = self.take("{")
+                opener = self.toks[self.pos]
+                self.pos += 1
                 tags = tuple(self.comma_list(self.parse_tag))
                 self.expect_closing("}", opener)
         elif key == ":=":
@@ -463,7 +460,8 @@ class _Parser:
         are no arguments; one the catalog does not admit is E0002."""
         args: list = []
         if self.keys[self.pos] == "[":
-            opener = self.take("[")
+            opener = self.toks[self.pos]
+            self.pos += 1
             kinds = iter(BUILTIN_RULES.get(name[1], ()))
             args = self.comma_list(lambda: self.parse_builtin_arg(next(kinds, None)), "]")
             self.expect_closing("]", opener)
@@ -491,12 +489,11 @@ class _Parser:
     # -- generator expressions
 
     def parse_gen_expr(self) -> GenExpr:
-        return self.parse_factors(self.parse_gen_atom())
+        atom = self.parse_gen_atom()
+        return self.parse_factors(atom) if self.keys[self.pos] == "*" else atom
 
     def parse_factors(self, expr: GenExpr) -> GenExpr:
-        """`expr` times the `*` factors that follow it."""
-        if self.keys[self.pos] != "*":
-            return expr
+        """`expr` times the `*` factors that follow it, the first at hand."""
         depth = self.depth
         while self.keys[self.pos] == "*":
             self.enter()
@@ -513,12 +510,14 @@ class _Parser:
             self.pos += 1
             opener = self.enter()
             inner = self.parse_gen_expr()
-            self.leave("]", opener)
+            self.depth -= 1
+            self.expect_closing("]", opener)
             return Powerset(inner)
         if key == "(":
             opener = self.enter()
             expr = self.parse_gen_expr()
-            self.leave(")", opener)
+            self.depth -= 1
+            self.expect_closing(")", opener)
             return expr
         raise self.error("E0002", f"expected a generator expression, found {self.shown()}")
 
@@ -573,11 +572,13 @@ class _Parser:
             if self.keys[self.pos] == ",":
                 self.pos += 1
                 second = self.parse_arg()
-                self.leave(")", opener)
+                self.depth -= 1
+                self.expect_closing(")", opener)
                 if type(first) is not ObjLit or type(second) is not ObjLit:
                     raise self.error("E0002", "pair literals take object literals")
                 return ObjLit((first.tag, second.tag), Product(first.of, second.of))
-            self.leave(")", opener)
+            self.depth -= 1
+            self.expect_closing(")", opener)
             if not isinstance(first, GenExpr):
                 raise self.error("E0002", "expected a generator expression in parentheses")
             return self.finish_arg_expr(first)
@@ -587,10 +588,11 @@ class _Parser:
         return self.finish_arg_expr(self.parse_gen_atom())  # P[...], or no argument
 
     def finish_arg_expr(self, atom: GenExpr):
-        if self.keys[self.pos] == ".":
+        key = self.keys[self.pos]
+        if key == ".":
             self.pos += 1
             return ObjLit(self.parse_obj_tag(), atom)
-        return self.parse_factors(atom)
+        return self.parse_factors(atom) if key == "*" else atom
 
     # -- proof expressions
 
@@ -612,7 +614,8 @@ class _Parser:
         if key == "(":
             opener = self.enter()
             inner = self.parse_proof()
-            self.leave(")", opener)
+            self.depth -= 1
+            self.expect_closing(")", opener)
             return inner
         raise self.error("E0002", f"expected a proof expression, found {self.shown()}")
 

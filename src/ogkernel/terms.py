@@ -29,6 +29,7 @@ import re
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
+from types import FunctionType
 from typing import NamedTuple, Union
 
 __all__ = [
@@ -100,9 +101,11 @@ class Term(tuple):
     """A record that takes part in equality: the tuple of its class name and
     its fields.  A subclass names its fields in its class statement, as
     `Product(GenExpr, fields="left right")` does; each field is a read-only
-    item getter.  A judgment form also names its head and sorts there (see
-    SIGNATURES).  A subclass sets `__slots__ = ()` and holds nothing else,
-    but for `semantics.Carrier`, which keeps its tag codes in its `__dict__`.
+    item getter, and a subclass with no `__new__` of its own is built by one
+    that takes exactly its fields (see `_constructor`).  A judgment form also
+    names its head and sorts there (see SIGNATURES).  A subclass sets
+    `__slots__ = ()` and holds nothing else, but for `semantics.Carrier`,
+    which keeps its tag codes in its `__dict__`.
     No attribute can be assigned, and copying or pickling is refused: the
     tuple's own `__reduce_ex__` would rebuild another record."""
 
@@ -115,11 +118,8 @@ class Term(tuple):
             setattr(cls, name, property(itemgetter(i)))
         if head:
             SIGNATURES[cls] = (head, tuple(sorts.split()))
-
-    def __new__(cls, *fields: object):
-        if len(fields) != len(cls._fields):
-            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(fields)}")
-        return tuple.__new__(cls, (cls.__name__, *fields))
+        if "__new__" not in cls.__dict__:
+            cls.__new__ = staticmethod(_constructor(cls))
 
     def __setattr__(self, name: str, *_: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -132,6 +132,26 @@ class Term(tuple):
     def __repr__(self) -> str:
         shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self[1:]))
         return f"{type(self).__name__}({shown})"
+
+
+_CONSTRUCTORS: dict[int, FunctionType] = {}  # a `__new__` of each arity, fields unnamed
+
+
+def _constructor(cls: type[Term]) -> FunctionType:
+    """A `__new__` that takes exactly the fields of `cls`, as `collections.namedtuple`
+    builds one: the call checks the arity, and its TypeError names the class and
+    the field.  One template per arity is compiled; each class renames its parameters."""
+    arity = len(cls._fields)
+    if arity not in _CONSTRUCTORS:
+        params, namespace = "".join(f", f{i}" for i in range(arity)), {"new": tuple.__new__}
+        exec(f"def __new__(cls{params}):\n return new(cls, (cls.__name__{params},))", namespace)
+        _CONSTRUCTORS[arity] = namespace["__new__"]
+    template = _CONSTRUCTORS[arity]
+    name = f"{cls.__name__}.__new__"
+    code = template.__code__.replace(co_varnames=("cls", *cls._fields), co_qualname=name)
+    constructor = FunctionType(code, template.__globals__, "__new__")
+    constructor.__qualname__ = name
+    return constructor
 
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -435,15 +455,10 @@ def collect_names(x: tuple, names: set[Ident]) -> bool:
 
 @lru_cache(maxsize=4096)
 def term_names(x: Term) -> tuple[frozenset[Ident], bool]:
-    """`collect_names` of a term, walked once per term.  A table's names are
-    those of its signature and of the distinct carriers its literals name: a
-    tag names no generator."""
-    if type(x) is Named:
-        return frozenset((x.name,)), False
-    if type(x) is Table:
-        return _items_names({x.domain, x.codomain, *map(itemgetter(2), chain(*x.rows))})
-    found, nat = _items_names(x[1:])
-    return found, nat or type(x) is Nat
+    """`collect_names` of a term, walked once per term: by its class's row of
+    `_NAMES`, else through its fields."""
+    names = _NAMES.get(type(x))
+    return _items_names(x[1:]) if names is None else names(x)
 
 
 def _items_names(items) -> tuple[frozenset[Ident], bool]:
@@ -451,6 +466,19 @@ def _items_names(items) -> tuple[frozenset[Ident], bool]:
     parts = [term_names(i) if isinstance(i, Term) else _items_names(i)
              for i in items if isinstance(i, tuple)]
     return frozenset().union(*map(itemgetter(0), parts)), any(map(itemgetter(1), parts))
+
+
+# The names and Nat of the terms that `term_names` does not walk field by field.
+# A table's are those of its signature and of the distinct carriers its
+# literals name: a tag names no generator.
+_NAMES = {
+    Two: lambda x: (frozenset(), False),
+    Nat: lambda x: (frozenset(), True),
+    Named: lambda x: (frozenset((x.name,)), False),
+    Powerset: lambda x: term_names(x.arg),
+    ObjLit: lambda x: term_names(x.of),
+    Table: lambda x: _items_names({x.domain, x.codomain, *map(itemgetter(2), chain(*x.rows))}),
+}
 
 
 def free_names(x: tuple) -> set[Ident]:
@@ -472,71 +500,57 @@ def mentions_nat(x: tuple) -> bool:
 @lru_cache(maxsize=4096)
 def render(x: Term) -> str:
     """The surface syntax of `x`; memoised, as a report names one judgment in
-    several items (its assertion, its trace, its sweep)."""
-    if isinstance(x, GenExpr):
-        return _render_gen(x)
-    if isinstance(x, FnExpr):
-        return _render_fn(x)
-    if isinstance(x, ObjLit):
-        return _render_obj(x.tag, x.of)
-    if isinstance(x, LimitRef):
-        return f"limit({x.name})"
-    if isinstance(x, IsCoherentFamily):
-        return f'Coherent({x.family.name}, "{x.family.descriptor}")'
-    if type(x) in SIGNATURES:
-        return f"{SIGNATURES[type(x)][0]}({', '.join(map(render, x[1:]))})"
-    raise TypeError(f"cannot render {type(x).__name__}")
+    several items (its assertion, its trace, its sweep) and a term its subterms."""
+    return _RENDERERS[type(x)](x)
 
 
-@lru_cache(maxsize=4096)  # a judgment's `render` prints its subexpressions
-def _render_gen(e: GenExpr) -> str:
-    if isinstance(e, Two):
-        return "Two"
-    if isinstance(e, Nat):
-        return "Nat"
-    if isinstance(e, Named):
-        return e.name.text
-    if isinstance(e, Powerset):
-        return f"P[{_render_gen(e.arg)}]"
-    if isinstance(e, Product):
-        # `*` is left-associative: parenthesize a product in right position.
-        left = _render_gen(e.left)
-        right = _render_gen(e.right)
-        if isinstance(e.right, Product):
-            right = f"({right})"
-        return f"{left} * {right}"
-    raise TypeError(f"unknown GenExpr: {e!r}")
+def _render_product(e: Product) -> str:
+    # `*` is left-associative: parenthesize a product in right position.
+    right = render(e.right)
+    if type(e.right) is Product:
+        right = f"({right})"
+    return f"{render(e.left)} * {right}"
 
 
-def _render_gen_atom(e: GenExpr) -> str:
-    text = _render_gen(e)
-    return f"({text})" if isinstance(e, Product) else text
+_PLAIN_TAG_RE = re.compile(f"{_IDENT_RE.pattern}|{_NUMERAL_RE.pattern}")  # written unquoted
 
 
 def _render_obj(tag: Tag, of: GenExpr) -> str:
-    if type(tag) is tuple and isinstance(of, Product):
+    if type(tag) is tuple and type(of) is Product:
         return f"({_render_obj(tag[0], of.left)}, {_render_obj(tag[1], of.right)})"
-    if type(tag) is str and (_IDENT_RE.match(tag) or is_numeral(tag)):
-        return f"{_render_gen_atom(of)}.{tag}"
-    return f'{_render_gen_atom(of)}."{tag_text(tag)}"'
+    carrier = f"({render(of)})" if type(of) is Product else render(of)
+    if type(tag) is str and _PLAIN_TAG_RE.match(tag):
+        return f"{carrier}.{tag}"
+    return f'{carrier}."{tag_text(tag)}"'
 
 
 def _render_builtin_arg(a: BuiltinArg) -> str:
     if isinstance(a, GenExpr):
-        return _render_gen(a)
+        return render(a)
     return str(a) if type(a) is int else f'"{a}"'
 
 
-def _render_fn(f: FnExpr) -> str:
-    if isinstance(f, BuiltinRule):
-        args = ", ".join(_render_builtin_arg(a) for a in f.args)
-        return f"{f.rule}[{args}]"
-    if isinstance(f, Table):
-        rows = ", ".join(
-            f"{_render_obj(k.tag, k.of)} -> {_render_obj(v.tag, v.of)}" for k, v in f.rows
-        )
-        body = f"{{ {rows} }}" if rows else "{ }"
-        return f"table {body}"
-    if isinstance(f, MorphismRef):
-        return f.name.text
-    raise TypeError(f"unknown FnExpr: {f!r}")
+def _render_table(f: Table) -> str:
+    rows = ", ".join(
+        f"{_render_obj(k.tag, k.of)} -> {_render_obj(v.tag, v.of)}" for k, v in f.rows
+    )
+    return f"table {{ {rows} }}" if rows else "table { }"
+
+
+# The printer of each term class; a judgment form's is its head and its fields.
+_RENDERERS = {
+    cls: lambda j, head=head: f"{head}({', '.join(map(render, j[1:]))})"
+    for cls, (head, _) in SIGNATURES.items()
+} | {
+    Two: lambda e: "Two",
+    Nat: lambda e: "Nat",
+    Named: lambda e: e.name.text,
+    Powerset: lambda e: f"P[{render(e.arg)}]",
+    Product: _render_product,
+    ObjLit: lambda o: _render_obj(o.tag, o.of),
+    LimitRef: lambda r: f"limit({r.name})",
+    IsCoherentFamily: lambda j: f'Coherent({j.family.name}, "{j.family.descriptor}")',
+    BuiltinRule: lambda f: f"{f.rule}[{', '.join(map(_render_builtin_arg, f.args))}]",
+    Table: _render_table,
+    MorphismRef: lambda f: f.name.text,
+}

@@ -153,6 +153,35 @@ def python_calls():
     return _python_calls
 
 
+def _python_opcodes(run) -> int:
+    opcodes = 0
+
+    def on_call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return on_opcode
+
+    def on_opcode(frame, event, arg):
+        nonlocal opcodes
+        opcodes += event == "opcode"
+        return on_opcode
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return opcodes
+
+
+@pytest.fixture
+def python_opcodes():
+    """`python_opcodes(run)`: the bytecode instructions that the Python
+    functions entered while `run()` runs execute, an exact count of work that
+    no layout of the source changes (work done in C is not seen)."""
+    return _python_opcodes
+
+
 def _line_events(run) -> int:
     events = 0
 

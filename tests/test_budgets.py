@@ -1,7 +1,11 @@
 """The README's budgets as tested contracts: a file's cost is linear in its
-number of declarations, and an alias's expansion is bounded."""
+number of declarations, an alias's expansion is bounded, and two runs do no
+more Python work than pinned."""
 
 from __future__ import annotations
+
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from ogkernel.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 from ogkernel.elaborate import MAX_ALIAS_NODES
 from ogkernel.kernel import verify_trace
 from ogkernel.surface import MAX_NESTING
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # -- linearity
 
@@ -116,3 +122,27 @@ def test_an_alias_past_a_bound_is_e0102(shape, tmp_path, capsys):
     assert main(["check", "--format", "json", str(path)]) == EXIT_CHECK_FAILED
     out, err = capsys.readouterr()
     assert err == "" and len(out) < 100 * len(source) + 50_000  # A20 wrote 29 MB
+
+
+# Exact counts of two `ogk` runs, from the repository root with every package
+# cache empty, as a fresh process makes them: (opcodes, Python calls).  Each
+# bound is about 2% above its count when it was set, so a change that adds
+# Python work fails here before the benchmark runs; a change that cuts the work
+# lowers the bound.  Bytecode differs between CPython versions.
+_PINNED_WORK = {
+    ("model", "--max-size", "3"): (91_300, 2_680),  # 89,476 and 2,631
+    ("check", "tests/corpus/20_full_tower.og"): (72_300, 2_040),  # 70,848 and 2,000
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="counts pinned on CPython 3.11")
+@pytest.mark.parametrize("argv", _PINNED_WORK)
+def test_a_run_does_no_more_python_work_than_pinned(
+    argv, python_opcodes, python_calls, clear_caches, monkeypatch, capsys
+):
+    monkeypatch.chdir(ROOT)
+    opcodes = python_opcodes(lambda: main(list(argv)))
+    clear_caches()
+    calls = python_calls(lambda: main(list(argv)))
+    most_opcodes, most_calls = _PINNED_WORK[argv]
+    assert opcodes <= most_opcodes and calls <= most_calls, (opcodes, calls)

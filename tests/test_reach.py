@@ -37,6 +37,9 @@ CORPUS = ROOT / "tests" / "corpus"
 # - ("test", "file::test"): a reference or failure path that this test drives.
 ALLOWED: dict[str, tuple[str, str]] = {
     "cli.Report.to_dict": ("readme", "the layout that Report.to_json writes"),
+    "elaborate._refuse": (
+        "test", "tests/test_elaborate.py::test_each_refusal_names_its_rule_and_goal"
+    ),
     "hf.Zfc1Report.total_instances": ("bench", "item 0"),
     "hf.render_hf": ("test", "tests/test_hf.py::test_repeated_code_fails_extensionality"),
     "kernel.Theorem.__repr__": ("demo", "building_the_sets prints a theorem"),
@@ -44,6 +47,11 @@ ALLOWED: dict[str, tuple[str, str]] = {
     "kernel._choice_judgment": ("demo", "building_the_sets applies H2, which item 5 brings to .og"),
     "kernel.axioms_used": ("readme", "the axiom multiset of a theorem"),
     "kernel.leaf_kinds": ("demo", "building_the_sets lists the leaves of Set(Nat)"),
+    # The package reads `Carrier.size`; bench/probes.py's span mode still counts
+    # carrier objects with `len(carrier)`.
+    "semantics.Carrier.__len__": (
+        "test", "tests/test_records.py::test_hashed_records_are_immutable_values"
+    ),
     "semantics.Carrier.tag": ("demo", "model_checking writes a detector out through interpret_fn"),
     "semantics.interpret_fn": ("demo", "model_checking writes a detector out"),
     "streams.FiniteSupport.value_at": ("test", "tests/test_streams.py::test_prefix_matches_value_at"),
