@@ -143,13 +143,6 @@ _RULE_ALIASES = {
 }
 
 
-# The second key that `_Session.enter` files a judgment of each class under.
-_ALSO_FILED = {
-    IsDomain: lambda j: (IsDomain, j.expr),
-    IsCoherentFamily: lambda j: (IsCoherentFamily, j.family.descriptor),
-}
-
-
 class _Session:
     def __init__(self) -> None:
         self.kernel = Kernel()
@@ -179,8 +172,10 @@ class _Session:
         for node in (thm, *thm.parts):
             j = node.judgment
             self.latest[j] = node
-            if type(j) in _ALSO_FILED:
-                self.latest[_ALSO_FILED[type(j)](j)] = node
+            if type(j) is IsDomain:
+                self.latest[IsDomain, j.expr] = node
+            elif type(j) is IsCoherentFamily:
+                self.latest[IsCoherentFamily, j.family.descriptor] = node
 
     def require(self, key, what: Callable[[], str] | None = None) -> Theorem:
         """The latest proof in scope filed under `key` (see `enter`), or E0102

@@ -590,7 +590,8 @@ def soundness_sweep(judgments: Sequence[Judgment], max_size: int = 3) -> SweepRe
     given: dict[Judgment, int] = {}  # each judgment's count, in first-seen order
     for j in judgments:
         given[j] = given.get(j, 0) + 1
-    items, statuses = [], []
+    items = []
+    statuses = []
     for j, times in given.items():
         try:
             models = models_for_judgment(j, max_size)

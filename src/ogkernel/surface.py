@@ -320,8 +320,10 @@ class _Parser:
         self.pos += 1
         return self.toks[self.pos - 1]
 
-    def expect_closing(self, closer: str, opener: _Tok) -> None:
-        """Consume the bracket that closes `opener` (leaving its level is the caller's)."""
+    def expect_closing(self, closer: str, opener: _Tok, levels: int = 0) -> None:
+        """Consume the bracket that closes `opener`, leaving the `levels` nesting
+        levels it entered."""
+        self.depth -= levels
         if self.keys[self.pos] != closer:
             raise self.error(
                 "E0003",
@@ -510,14 +512,12 @@ class _Parser:
             self.pos += 1
             opener = self.enter()
             inner = self.parse_gen_expr()
-            self.depth -= 1
-            self.expect_closing("]", opener)
+            self.expect_closing("]", opener, levels=1)
             return Powerset(inner)
         if key == "(":
             opener = self.enter()
             expr = self.parse_gen_expr()
-            self.depth -= 1
-            self.expect_closing(")", opener)
+            self.expect_closing(")", opener, levels=1)
             return expr
         raise self.error("E0002", f"expected a generator expression, found {self.shown()}")
 
@@ -572,13 +572,11 @@ class _Parser:
             if self.keys[self.pos] == ",":
                 self.pos += 1
                 second = self.parse_arg()
-                self.depth -= 1
-                self.expect_closing(")", opener)
+                self.expect_closing(")", opener, levels=1)
                 if type(first) is not ObjLit or type(second) is not ObjLit:
                     raise self.error("E0002", "pair literals take object literals")
                 return ObjLit((first.tag, second.tag), Product(first.of, second.of))
-            self.depth -= 1
-            self.expect_closing(")", opener)
+            self.expect_closing(")", opener, levels=1)
             if not isinstance(first, GenExpr):
                 raise self.error("E0002", "expected a generator expression in parentheses")
             return self.finish_arg_expr(first)
@@ -614,8 +612,7 @@ class _Parser:
         if key == "(":
             opener = self.enter()
             inner = self.parse_proof()
-            self.depth -= 1
-            self.expect_closing(")", opener)
+            self.expect_closing(")", opener, levels=1)
             return inner
         raise self.error("E0002", f"expected a proof expression, found {self.shown()}")
 

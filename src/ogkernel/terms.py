@@ -143,14 +143,14 @@ def _constructor(cls: type[Term]) -> FunctionType:
     the field.  One template per arity is compiled; each class renames its parameters."""
     arity = len(cls._fields)
     if arity not in _CONSTRUCTORS:
-        params, namespace = "".join(f", f{i}" for i in range(arity)), {"new": tuple.__new__}
+        params = "".join(f", f{i}" for i in range(arity))
+        namespace = {"new": tuple.__new__}
         exec(f"def __new__(cls{params}):\n return new(cls, (cls.__name__{params},))", namespace)
         _CONSTRUCTORS[arity] = namespace["__new__"]
     template = _CONSTRUCTORS[arity]
-    name = f"{cls.__name__}.__new__"
-    code = template.__code__.replace(co_varnames=("cls", *cls._fields), co_qualname=name)
+    code = template.__code__.replace(co_varnames=("cls", *cls._fields))
     constructor = FunctionType(code, template.__globals__, "__new__")
-    constructor.__qualname__ = name
+    constructor.__qualname__ = f"{cls.__name__}.__new__"
     return constructor
 
 

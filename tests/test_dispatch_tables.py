@@ -12,8 +12,6 @@ from ogkernel.terms import (
     EqQuery,
     FnExpr,
     GenExpr,
-    IsCoherentFamily,
-    IsDomain,
     Judgment,
     LimitRef,
     Nat,
@@ -74,12 +72,8 @@ def test_elaboration_has_a_runner_for_every_declaration():
     assert elaborate._RUNNERS.keys() == set(Decl.__args__)
 
 
-def test_scope_files_a_second_key_for_each_form_a_rule_looks_up_by_a_part():
-    assert elaborate._ALSO_FILED.keys() == {IsDomain, IsCoherentFamily}
-
-
 def test_every_table_key_is_a_term_class_or_a_plain_tuple():
     tables = (terms._RENDERERS, terms._NAMES, semantics._CARRIERS, semantics._VERIFIERS,
-              elaborate._SCOPERS, elaborate._RUNNERS, elaborate._ALSO_FILED)
+              elaborate._SCOPERS, elaborate._RUNNERS)
     for table in tables:
         assert all(key is tuple or issubclass(key, Term) for key in table)
