@@ -74,22 +74,14 @@ class Report(Term, fields="version command items summary"):
 
     def to_json(self) -> str:
         """`json.dumps(self.to_dict(), indent=2)` and a newline, byte for byte,
-        without the pure-Python encoder that an indent selects: each string
-        (every field and witness entry is one) is encoded as `json.dumps` does."""
+        without the pure-Python encoder that an indent selects: one template
+        per item, each string (every field and witness entry is one) encoded
+        as `json.dumps` does."""
         q = encode_basestring_ascii
-        items = []
-        for item in self.items:
-            fields = [f'"name": {q(item.name)}', f'"status": {q(item.status)}']
-            fields.append(f'"detail": {q(item.detail)}')
-            if item.witness is not None:
-                witness = [f"{q(key)}: {q(value)}" for key, value in item.witness.items()]
-                fields.append('"witness": ' + _json_block("{}", witness, 3))
-            items.append(_json_block("{}", fields, 2))
-        summary = [f'"{key}": {count}' for key, count in self.summary.items()]
-        fields = [f'"version": {q(self.version)}', f'"command": {q(self.command)}']
-        fields.append('"items": ' + _json_block("[]", items, 1))
-        fields.append('"summary": ' + _json_block("{}", summary, 1))
-        return _json_block("{}", fields, 0) + "\n"
+        # one line, so that each item costs one line event
+        items = [_ITEM % (q(n), q(s), q(d), "" if w is None else _witness(w)) for n, s, d, w in self.items]
+        listed = "[%s\n  ]" % ",".join(items) if items else "[]"
+        return _REPORT % (q(self.version), q(self.command), listed, *self.summary.values())
 
     def to_text(self) -> str:
         lines = []
@@ -104,12 +96,20 @@ class Report(Term, fields="version command items summary"):
         return "\n".join(lines) + "\n"
 
 
-def _json_block(brackets: str, entries: list[str], depth: int) -> str:
-    """Encoded `entries` in `brackets`, as `json.dumps(indent=2)` lays them out at `depth`."""
-    if not entries:
-        return brackets
-    pad = "\n" + "  " * (depth + 1)
-    return brackets[0] + pad + ("," + pad).join(entries) + pad[:-2] + brackets[1]
+# The layout of `json.dumps(indent=2)`: a report, and each item in its list.
+_REPORT = (
+    '{\n  "version": %s,\n  "command": %s,\n  "items": %s,\n  "summary": '
+    '{\n    "pass": %d,\n    "fail": %d,\n    "assumed": %d\n  }\n}\n'
+)
+_ITEM = '\n    {\n      "name": %s,\n      "status": %s,\n      "detail": %s%s\n    }'
+
+
+def _witness(witness: dict) -> str:
+    """An item's witness field, led by its comma."""
+    q = encode_basestring_ascii
+    pairs = zip(map(q, witness), map(q, witness.values()))
+    entries = ",".join(map("\n        %s: %s".__mod__, pairs))
+    return ',\n      "witness": ' + ("{%s\n      }" % entries if entries else "{}")
 
 
 class UsageError(Exception):
@@ -278,11 +278,10 @@ def run(config: RunConfig) -> tuple[int, Report | None]:
     if config.command not in runners:
         raise UsageError(f"unknown command {config.command!r}")
     report = runners[config.command](config, timings)
-    if config.timings:
-        sidecar = {"command": config.command, "seconds": timings}
-        with open(config.timings, "w", encoding="utf-8") as file:
-            file.write(json.dumps(sidecar, indent=2) + "\n")
     exit_code = EXIT_OK if report.summary["fail"] == 0 else EXIT_CHECK_FAILED
+    if config.timings:
+        sidecar = json.dumps({"command": config.command, "seconds": timings}, indent=2) + "\n"
+        exit_code = _write(config.timings, sidecar, "timings") or exit_code
     return exit_code, report
 
 
@@ -292,11 +291,16 @@ def emit_report(report: Report, format: str, out: str | None) -> int:
     if out is None:
         sys.stdout.write(payload)
         return EXIT_OK
+    return _write(out, payload, "report")
+
+
+def _write(path: str, payload: str, what: str) -> int:
+    """Write `payload` to `path`; returns an exit code (3 when it cannot)."""
     try:
-        with open(out, "w", encoding="utf-8") as file:
+        with open(path, "w", encoding="utf-8") as file:
             file.write(payload)
     except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        print(f"error: cannot write {what}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_OK
 

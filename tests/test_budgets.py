@@ -1,6 +1,7 @@
 """The README's budgets as tested contracts: a file's cost is linear in its
-number of declarations, an alias's expansion is bounded, and two runs do no
-more Python work than pinned."""
+number of declarations, an alias's expansion is bounded, and two runs and
+the fixed work of `ogk model` and `ogk check` cost no more Python work than
+pinned."""
 
 from __future__ import annotations
 
@@ -124,15 +125,32 @@ def test_an_alias_past_a_bound_is_e0102(shape, tmp_path, capsys):
     assert err == "" and len(out) < 100 * len(source) + 50_000  # A20 wrote 29 MB
 
 
-# Exact counts of two `ogk` runs, from the repository root with every package
+# Exact counts of `ogk` runs, from the repository root with every package
 # cache empty, as a fresh process makes them: (opcodes, Python calls).  Each
 # bound is about 2% above its count when it was set, so a change that adds
 # Python work fails here before the benchmark runs; a change that cuts the work
 # lowers the bound.  Bytecode differs between CPython versions.
 _PINNED_WORK = {
-    ("model", "--max-size", "3"): (91_300, 2_680),  # 89,767 and 2,621
+    ("model", "--max-size", "3"): (89_600, 2_660),  # 87,877 and 2,606
     ("check", "tests/corpus/20_full_tower.og"): (72_300, 2_040),  # 71,139 and 1,990
 }
+
+# The fixed work of a run, counted the same way on a file of one line, read
+# from its own directory: the README's budget of `ogk model` (the axiom
+# instances and ZFC-1 over the 16 HF sets of rank 3) and `ogk check`'s.
+_ONE_LINE = "assert Set(Two) by axiom H1;\n"
+_PINNED_ONE_LINE_WORK = {
+    ("model", "one_line.og", "--max-size", "3", "--format", "json"): (11_640, 462),  # 11,419, 454
+    ("check", "one_line.og", "--format", "json"): (4_190, 133),  # 4,106 and 130
+}
+
+
+def _assert_pinned(argv, bounds, python_opcodes, python_calls, clear_caches):
+    opcodes = python_opcodes(lambda: main(list(argv)))
+    clear_caches()
+    calls = python_calls(lambda: main(list(argv)))
+    most_opcodes, most_calls = bounds
+    assert opcodes <= most_opcodes and calls <= most_calls, (opcodes, calls)
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="counts pinned on CPython 3.11")
@@ -141,8 +159,15 @@ def test_a_run_does_no_more_python_work_than_pinned(
     argv, python_opcodes, python_calls, clear_caches, monkeypatch, capsys
 ):
     monkeypatch.chdir(ROOT)
-    opcodes = python_opcodes(lambda: main(list(argv)))
-    clear_caches()
-    calls = python_calls(lambda: main(list(argv)))
-    most_opcodes, most_calls = _PINNED_WORK[argv]
-    assert opcodes <= most_opcodes and calls <= most_calls, (opcodes, calls)
+    _assert_pinned(argv, _PINNED_WORK[argv], python_opcodes, python_calls, clear_caches)
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="counts pinned on CPython 3.11")
+@pytest.mark.parametrize("argv", _PINNED_ONE_LINE_WORK)
+def test_the_fixed_work_of_a_run_is_no_more_than_pinned(
+    argv, python_opcodes, python_calls, clear_caches, monkeypatch, tmp_path, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "one_line.og").write_text(_ONE_LINE)
+    bounds = _PINNED_ONE_LINE_WORK[argv]
+    _assert_pinned(argv, bounds, python_opcodes, python_calls, clear_caches)

@@ -591,6 +591,16 @@ def test_an_unwritable_report_path_exits_3(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+def test_an_unwritable_timings_path_exits_3_and_still_reports(tmp_path, capsys):
+    sidecar = tmp_path / "nonexistent" / "t.json"
+    argv = ["check", "--timings", str(sidecar), str(CORPUS / "01_two_basics.og")]
+    assert main(argv) == EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert err.startswith("error: cannot write timings: ") and "internal error" not in err
+    assert out.endswith("summary: 11 pass, 0 fail, 0 assumed\n")  # the report is still written
+    assert not sidecar.parent.exists()
+
+
 @pytest.mark.parametrize(
     "config, keys",
     [
