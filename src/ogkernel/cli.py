@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from itertools import filterfalse
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import NamedTuple
@@ -145,7 +146,7 @@ def _normal_path(name: str) -> str:
     no empty or `.` segment, and one leading slash, or two where it has two."""
     stripped = name.lstrip("/")
     root = "//" if len(name) - len(stripped) == 2 else "/" if stripped != name else ""
-    return root + "/".join(part for part in stripped.split("/") if part not in ("", ".")) or "."
+    return root + "/".join(filterfalse({"", "."}.__contains__, stripped.split("/"))) or "."
 
 
 def _default_prelude() -> list[tuple[str, list]]:
@@ -365,28 +366,29 @@ def _parse_argv(argv: list[str]) -> RunConfig | str:
     if not argv:
         raise UsageError(f"missing command (choose from {', '.join(_COMMANDS)})")
     command, rest = argv[0], iter(argv[1:])
-    if command in ("-h", "--help"):
-        return _help(None)
-    if command == "--version":
-        return __version__ + "\n"
     if command not in _COMMANDS:
+        if command in ("-h", "--help"):
+            return _help(None)
+        if command == "--version":
+            return __version__ + "\n"
         raise UsageError(f"unknown command {command!r} (choose from {', '.join(_COMMANDS)})")
     _, positional, minimum, flags = _COMMANDS[command]
     flags = {**flags, **_COMMON_FLAGS}
     fields: dict = {}
     inputs: list[str] = []
     for arg in rest:
-        if arg == "--":
-            inputs.extend(rest)
-            break
         if not _is_flag(arg):
             inputs.append(arg)
             continue
-        if arg in ("-h", "--help"):
-            return _help(command)
         flag, has_value, value = arg.partition("=")
         if flag not in flags:
-            raise UsageError(f"unrecognized flag {flag} for {command}")
+            if arg == "--":
+                inputs += rest
+            elif arg in ("-h", "--help"):
+                return _help(command)
+            else:
+                raise UsageError(f"unrecognized flag {flag} for {command}")
+            continue
         field, kind = flags[flag]
         if kind is bool:
             if has_value:

@@ -80,6 +80,7 @@ from .terms import (
     Product,
     SupportsQuant,
     Table,
+    Term,
     render,
     term_names,
 )
@@ -92,8 +93,9 @@ __all__ = [
 ]
 
 
-# The most nodes an alias's body may have with each alias in it expanded, as
-# its expansion is hashed and compared whole; it nests at most MAX_NESTING deep.
+# The most nodes an alias's body, or a declaration's judgment, may have with
+# each alias in it expanded: an alias's expansion is hashed and compared whole,
+# and a report writes a judgment whole.  An alias nests at most MAX_NESTING deep.
 MAX_ALIAS_NODES = 4096
 
 
@@ -153,6 +155,7 @@ class _Session:
         self.generators: dict[Ident, GenExpr] = {}  # a primitive's Named, an alias's body
         self.primitives: set[Ident] = set()  # the generators that name themselves
         self.shapes: dict[Ident, tuple[int, int]] = {}  # each alias's expanded depth and nodes
+        self.aliased = False  # whether `scope` expanded an alias since `scope_judgment` began
         self.morphisms: dict[Ident, FnExpr] = {}
         self.families: dict[Ident, Family] = {}  # each coherent family's descriptor
         self.including: list[str] = []  # resolved paths, as `os.path.realpath` gives them
@@ -196,13 +199,29 @@ class _Session:
         scoper = _SCOPERS.get(type(x))
         return x if scoper is None else scoper(self, x)
 
-    def shape(self, x: GenExpr) -> tuple[int, int]:
-        """The nesting depth and the node count of `x` with each alias in it
-        expanded, read from each alias's own: the expansion is never walked."""
+    def shape(self, x) -> tuple[int, int]:
+        """The nesting depth and the node count of `x`, a parsed term, judgment
+        or plain tuple of them (a table's rows), with each alias in it expanded,
+        read from each alias's own: the expansion is never walked.  Its nodes
+        are the tuples of its layout, a `Term`'s fields being its items after
+        the class name."""
         if type(x) is Named:
             return self.shapes.get(x.name, (0, 1))
-        depths, sizes = zip((-1, 0), *map(self.shape, x[1:]))  # (-1, 0): Two and Nat
+        if not isinstance(x, tuple):
+            return -1, 0  # a tag's text, a name's, a number: no node
+        items = x[1:] if isinstance(x, Term) else x
+        depths, sizes = zip((-1, 0), *map(self.shape, items))  # (-1, 0): Two and Nat
         return 1 + max(depths), 1 + sum(sizes)
+
+    def scope_judgment(self, judgment):
+        """`scope(judgment)`, or E0102 when the judgment names an alias and,
+        each alias in it expanded, has more than MAX_ALIAS_NODES nodes."""
+        self.aliased = False
+        goal = self.scope(judgment)
+        if self.aliased and (size := self.shape(judgment)[1]) > MAX_ALIAS_NODES:
+            raise _ElabError("E0102", f"judgment expands to {size} nodes, past "
+                             f"MAX_ALIAS_NODES = {MAX_ALIAS_NODES}")
+        return goal
 
     def lookup(self, names: dict, ref, kind: str):
         """What `names` maps the name of `ref` to, or E0004 naming it a `kind`."""
@@ -220,6 +239,14 @@ def _scope_unless_primitive(session: _Session, x):
     return x if term_names(x)[0] <= session.primitives else _scope_fields(session, x)
 
 
+def _scope_named(session: _Session, x: Named):
+    """A primitive's name as it is, and an alias's body, noting that an alias was expanded."""
+    if x.name in session.primitives:
+        return x
+    session.aliased = True
+    return session.lookup(session.generators, x, "generator")
+
+
 def _refuse(session: _Session, x: Malformed):
     raise _ElabError("E0102", x.message)
 
@@ -228,9 +255,7 @@ def _refuse(session: _Session, x: Malformed):
 # A term whose names are all primitives is its own scope; a plain tuple is a
 # table's rows, one of its rows or a builtin's arguments.
 _SCOPERS = dict.fromkeys((*SIGNATURES, BuiltinRule), _scope_fields) | {
-    Named: lambda session, x: (
-        x if x.name in session.primitives else session.lookup(session.generators, x, "generator")
-    ),
+    Named: _scope_named,
     **dict.fromkeys((Product, Powerset, Table, ObjLit), _scope_unless_primitive),
     tuple: lambda session, x: tuple(map(session.scope, x)),
     MorphismRef: lambda session, x: session.lookup(session.morphisms, x, "morphism"),
@@ -416,7 +441,7 @@ def _axiom_summary(thm: Theorem) -> str:
 
 
 def _run_assert(session: _Session, decl: AssertDecl, base_dir: str | None) -> None:
-    goal = session.scope(decl.judgment)
+    goal = session.scope_judgment(decl.judgment)
     if type(goal) is EqQuery:
         _run_eq_assert(session, decl, goal)
         return
@@ -454,7 +479,7 @@ def _run_eq_assert(session: _Session, decl: AssertDecl, goal: EqQuery) -> None:
 
 
 def _run_model_check(session: _Session, decl: ModelCheckDecl, base_dir: str | None) -> None:
-    goal = session.scope(decl.judgment)
+    goal = session.scope_judgment(decl.judgment)
     if type(goal) is EqQuery:
         raise _ElabError("E0102", "model check takes a judgment, not an equality query")
     if decl.bound not in SWEEP_SIZES:

@@ -28,7 +28,9 @@ and reads them from the same lists as powerset.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain, compress, combinations_with_replacement, filterfalse, repeat, starmap
+from itertools import (
+    chain, combinations_with_replacement, compress, cycle, filterfalse, product, repeat, starmap,
+)
 from operator import add, and_, attrgetter, invert, lshift, mul, or_, rshift, xor
 from typing import NamedTuple
 
@@ -155,11 +157,11 @@ def _check_pairing(elems: tuple[int, ...]) -> Zfc1Family:
 def _check_union(elems: tuple[int, ...], whole: int) -> Zfc1Family:
     unions = list(map(_union, elems))
     # The reference reads membership in x from its code, not from `members`:
-    # each element y joins the reference of every x with `x >> y & 1`.
-    reference = [0] * len(elems)
-    for y in elems:
-        member = map(and_, map(rshift, elems, repeat(y)), repeat(1))
-        reference = list(map(or_, reference, map(mul, member, repeat(y))))
+    # each element y joins the reference of every x with `x >> y & 1`.  Row x
+    # of the grid holds y or 0 for each y, and `zip` cuts the grid into rows.
+    member = map(and_, starmap(rshift, product(elems, repeat=2)), repeat(1))
+    grid = map(mul, member, cycle(elems))
+    reference = list(map(reduce, repeat(or_), zip(*[grid] * len(elems))))
     # Union lowers rank, so it must land back inside the universe.
     agree = list(map(and_, unions, repeat(whole))) == list(map(and_, reference, repeat(whole)))
     failures = () if agree and set(elems).issuperset(unions) else [

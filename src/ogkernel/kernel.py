@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from functools import lru_cache
-from operator import itemgetter
+from functools import lru_cache, partial
+from itertools import compress, filterfalse, product, repeat
+from operator import attrgetter, itemgetter, ne, or_
 from typing import NamedTuple, Sequence
 
 from . import streams
@@ -182,9 +183,9 @@ def _theorem(kind, label, payload=(), premises=()) -> Theorem:
     """Judge a node from its premises and seal it: the one place where a
     theorem is made."""
     premises = tuple(premises)
-    if not all(type(p) is Theorem for p in premises):
+    if not {*map(type, premises)} <= {Theorem}:
         raise KernelError("every premise must be a theorem")
-    judgment = _judge(kind, label, payload, tuple(p.judgment for p in premises))
+    judgment = _judge(kind, label, payload, tuple(map(_JUDGMENT, premises)))
     return Theorem(_SEAL, kind, label, judgment, premises, payload)
 
 
@@ -198,6 +199,7 @@ def _theorem(kind, label, payload=(), premises=()) -> Theorem:
 Tags = dict[str, tuple[str, ...]]  # a generator's name -> its declared tags
 
 _TWO_TAGS = ("yes", "no")
+_JUDGMENT, _OF, _TAG = attrgetter("judgment"), attrgetter("of"), attrgetter("tag")  # for `map`
 
 
 def _unknown_part(expr: GenExpr, tags: Tags) -> str | None:
@@ -228,7 +230,7 @@ def _is_object(expr: GenExpr, tag: Tag, tags: Tags) -> bool:
             type(tag) is tuple and len(tag) == 2
             and _is_object(expr.left, tag[0], tags) and _is_object(expr.right, tag[1], tags)
         )
-    return type(tag) is frozenset and all(_is_object(expr.arg, m, tags) for m in tag)
+    return type(tag) is frozenset and all(map(_is_object, repeat(expr.arg), tag, repeat(tags)))
 
 
 def _first_objects(expr: GenExpr, tags: Tags, count: int) -> list[Tag]:
@@ -240,7 +242,7 @@ def _first_objects(expr: GenExpr, tags: Tags, count: int) -> list[Tag]:
     elif isinstance(expr, Product):
         right = _first_objects(expr.right, tags, count)
         left = _first_objects(expr.left, tags, -(-count // len(right)))
-        objects = [(a, b) for a in left for b in right]
+        objects = list(product(left, right))
     else:
         # A mask below `count` has its members among count.bit_length() objects.
         base = _first_objects(expr.arg, tags, count.bit_length())
@@ -404,7 +406,7 @@ def _check_mor(
                 streams.family_limit(fn.args[0])
             except streams.CoherenceError as exc:
                 raise KernelError(f"union_of_family needs a coherent family: {exc}") from None
-        required = tuple(SupportsQuant(b) for b in builtin_premises(fn))
+        required = tuple(map(SupportsQuant, builtin_premises(fn)))
         if premises != required:
             raise KernelError(
                 f"builtin {fn.rule} on {render(dom)} requires premises "
@@ -428,19 +430,22 @@ def _check_rows(table: Table, tags: Tags) -> None:
                 f"a table's {side} must be a finite carrier known whole, and "
                 f"{render(expr)} is not: {unknown}"
             )
-    elsewhere = next((row for row in rows if row[0].of != dom or row[1].of != cod), None)
+    keys, values = list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows))
+    off_dom, off_cod = map(ne, map(_OF, keys), repeat(dom)), map(ne, map(_OF, values), repeat(cod))
+    elsewhere = next(compress(rows, map(or_, off_dom, off_cod)), None)
     if elsewhere is not None:
         row = " -> ".join(map(render, elsewhere))
         raise KernelError(f"row {row} is not written on {render(dom)} -> {render(cod)}")
-    stray = next((key.tag for key, _ in rows if not _is_object(dom, key.tag, tags)), None)
+    key_tags = list(map(_TAG, keys))
+    stray = next(filterfalse(partial(_is_object, dom, tags=tags), key_tags), None)
     if stray is not None:
         raise KernelError(f"row key {tag_text(stray)!r} is not an object of the domain")
-    outside = next((value.tag for _, value in rows if not _is_object(cod, value.tag, tags)), None)
+    outside = next(filterfalse(partial(_is_object, cod, tags=tags), map(_TAG, values)), None)
     if outside is not None:
         raise KernelError(f"row value {tag_text(outside)!r} is not an object of the codomain")
     # The keys name distinct objects: one is missing iff |dom| > len(rows).
-    keys = {key.tag for key, _ in rows}
-    missing = next((t for t in _first_objects(dom, tags, len(rows) + 1) if t not in keys), None)
+    first = _first_objects(dom, tags, len(rows) + 1)
+    missing = next(filterfalse(set(key_tags).__contains__, first), None)
     if missing is not None:
         raise KernelError(f"table has no row for {tag_text(missing)!r}")
 
@@ -705,7 +710,7 @@ def _first_failure(node: Theorem) -> str | None:
 
 def _replay_failure(node: Theorem) -> str | None:
     """Why a node does not re-derive its judgment through `_judge`, or None."""
-    premises = tuple(child.judgment for child in node.children)
+    premises = tuple(map(_JUDGMENT, node.children))
     try:
         derived = _judge(node.kind, node.label, node.payload, premises)
     except (KernelError, ValueError) as exc:  # a bad arity is a ValueError

@@ -20,7 +20,8 @@ searches only to show that the limit is outside the class.
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice, product, repeat, starmap
+from operator import getitem
 from typing import NamedTuple, Sequence
 
 from .terms import BitStream, Family
@@ -156,7 +157,8 @@ class XorOf(BitStream, fields="left right"):
 
     def prefix(self, n: int) -> bytes:
         # Every byte is 0 or 1, so xor of the big-endian integers is bytewise.
-        left, right = (int.from_bytes(s.prefix(n), "big") for s in (self.left, self.right))
+        left = int.from_bytes(self.left.prefix(n), "big")
+        right = int.from_bytes(self.right.prefix(n), "big")
         return (left ^ right).to_bytes(n + 1, "big")
 
 
@@ -224,7 +226,9 @@ def family_stages(family: Family, last: int) -> list[bytes]:
     stage, index = family.corruption or (last + 1, last + 1)
     if index <= last:
         flipped = bits[:index] + bytes((bits[index] ^ 1,)) + bits[index + 1 :]
-    return [(flipped if n >= stage else bits)[: n + 1] for n in range(last + 1)]
+    # Stage n is the slice [: n + 1], of `bits` before `stage` and of `flipped` from it on.
+    ends = map(slice, range(1, last + 2))
+    return [*map(bits.__getitem__, islice(ends, stage)), *map(flipped.__getitem__, ends)]
 
 
 def family_limit(family: Family) -> BitStream:
@@ -378,31 +382,34 @@ def demonstrate_gap(
 
     # (a) restriction n, extended by zeros, is constant from n + 1 on: the
     # witness (n + 1, 1) holds when bits n + 1..n + 3 of its prefix agree.
-    restrictions = sum(
-        is_ep_witness(FiniteSupport(tuple(bits[: n + 1])), n + 1, 1, n + 3)
-        for n in range(total)
-    )
+    ends = range(1, total + 1)  # restriction n holds bits[: n + 1]
+    restricted = map(FiniteSupport, map(tuple, map(bits.__getitem__, map(slice, ends))))
+    restrictions = sum(map(is_ep_witness, restricted, ends, repeat(1), range(3, total + 3)))
 
     # (b) the family: every Periodic with preperiod (), 0 or 1 and period 0, 1,
     # 01 or 10, and every FiniteSupport of at most one bit, each with its
     # constructed witness.  Every xor pair, shift by 0, 1, 3 and flip at 0, 1, 4
     # of it holds the witness the transforms predict.
-    members = [
-        *((Periodic(pre, per), (len(pre), len(per)))
-          for pre in ((), (0,), (1,)) for per in ((0,), (1,), (0, 1), (1, 0))),
-        *((FiniteSupport(one), (len(one), 1)) for one in ((), (0,), (1,))),
-    ]
+    periodic = list(product(((), (0,), (1,)), ((0,), (1,), (0, 1), (1, 0))))  # (pre, per)
+    finite = ((), (0,), (1,))
+    members = [*starmap(Periodic, periodic), *map(FiniteSupport, finite)]
+    witnesses = [(len(pre), len(per)) for pre, per in periodic] + [(len(b), 1) for b in finite]
     cases = [
-        *((XorOf(s1, s2), xor_witness(w1, w2))
-          for (s1, w1), (s2, w2) in combinations_with_replacement(members, 2)),
-        *((ShiftOf(s, k), shift_witness(w, k)) for s, w in members for k in (0, 1, 3)),
-        *((FlipAt(s, i), flip_witness(w, i)) for s, w in members for i in (0, 1, 4)),
+        *starmap(XorOf, combinations_with_replacement(members, 2)),
+        *starmap(ShiftOf, product(members, (0, 1, 3))),
+        *starmap(FlipAt, product(members, (0, 1, 4))),
     ]
-    closures = sum(is_ep_witness(c, *w, _CLOSURE_HORIZON) for c, w in cases)
+    predicted = [
+        *starmap(xor_witness, combinations_with_replacement(witnesses, 2)),
+        *starmap(shift_witness, product(witnesses, (0, 1, 3))),
+        *starmap(flip_witness, product(witnesses, (0, 1, 4))),
+    ]
+    preperiods, periods = zip(*predicted)
+    closures = sum(map(is_ep_witness, cases, preperiods, periods, repeat(_CLOSURE_HORIZON)))
 
     # (c) stage m of the restriction family decides bit m of its union.
     stages = family_stages(Family(base, None), _RESTRICTION_STAGES)
-    diagonal = bytes(stage[m] for m, stage in enumerate(stages))
+    diagonal = bytes(map(getitem, stages, range(len(stages))))
 
     # (d) the base stream itself is outside the class, up to bounds.
     base_verdict = ep_decide(base, preperiod_bound, period_bound, horizon)

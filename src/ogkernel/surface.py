@@ -49,10 +49,12 @@ than MAX_NESTING levels is E0002.
 No token, comment or lexical error spans a newline.
 `read_source` drops a byte-order mark that starts a file; any other U+FEFF is E0001.
 
-A token is a plain tuple `(key, text, line, col, start, end)`.  Its key is
-its text for a keyword or symbol and its kind for any other token (`ident`,
-`integer`, `string`, `bitlist`, `eof`); no keyword is spelled like a kind.
-The parser compares keys and builds a `Span` only for the start of a
+A token is a plain tuple `(key, text, start, end)` of its key, its text and
+its offsets in the source.  Its key is its text for a keyword or symbol and
+its kind for any other token (`ident`, `integer`, `string`, `bitlist`,
+`eof`); no keyword is spelled like a kind.  The parser compares keys, and
+reads a token's line and column, by one `bisect` over the offsets at which
+the lines start, only where it builds a `Span`: for the start of a
 declaration and for a diagnostic.
 """
 
@@ -177,25 +179,15 @@ _LEX_ERRORS = {
     "hash": "'#' must be followed by a 0/1 bit list",
     "illegal": "illegal character {!r}",
 }
-_Tok = tuple[str, str, int, int, int, int]  # key, text, line, col, start, end
+_Tok = tuple[str, str, int, int]  # key, text, start, end
 
 
-def _scan(source: str) -> tuple[list[_Tok], list[Diagnostic]]:
-    """Maximal-munch tokenization into keyed tuples; `--` comments are skipped."""
-    starts = [0, *map(methodcaller("end"), _NEWLINE_RE.finditer(source))]
-    # One line: a line tracer charges each line of a comprehension per token.
-    toks = [(m[k] if k == "spelled" else k, m[k], (n := bisect(starts, at := m.end(1))), at - starts[n - 1] + 1, at, m.end()) for m in _TOKEN_RE.finditer(source) if (k := m.lastgroup) != "blank"]
-    diagnostics: list[Diagnostic] = []
-    if not _LEX_ERRORS.keys().isdisjoint(map(itemgetter(0), toks)):
-        diagnostics = [
-            Diagnostic("E0001", _LEX_ERRORS[t[0]].format(t[1]), Span(*t[2:]))
-            for t in toks
-            if t[0] in _LEX_ERRORS
-        ]
-        toks = [t for t in toks if t[0] not in _LEX_ERRORS]
-    end = len(source)
-    toks.append(("eof", "", len(starts), end - starts[-1] + 1, end, end))
-    return toks, diagnostics
+def _scan(source: str) -> list[_Tok]:
+    """Maximal-munch tokenization into keyed tuples, lexical errors among them
+    and the end of the source last; `--` comments are skipped."""
+    toks = [(m[k] if k == "spelled" else k, m[k], m.end(1), m.end()) for m in _TOKEN_RE.finditer(source) if (k := m.lastgroup) != "blank"]
+    toks.append(("eof", "", len(source), len(source)))
+    return toks
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +278,33 @@ class _Parser:
     each `pos += 1` follows a test that excludes "eof", so `pos` stops at the last
     token (the prefix tests of `tests/test_surface.py` cut every construct short)."""
 
-    def __init__(self, toks: list[_Tok]):
-        self.toks = toks
-        self.keys = list(map(itemgetter(0), toks))
+    def __init__(self, source: str):
+        # The offset at which each line starts, for `span`.
+        self.starts = [0, *map(methodcaller("end"), _NEWLINE_RE.finditer(source))]
+        self.toks = _scan(source)
+        self.diagnostics: list[Diagnostic] = []  # the lexical errors first
+        if not _LEX_ERRORS.keys().isdisjoint(map(itemgetter(0), self.toks)):
+            self.diagnostics = [
+                Diagnostic("E0001", _LEX_ERRORS[tok[0]].format(tok[1]), self.span(tok))
+                for tok in self.toks
+                if tok[0] in _LEX_ERRORS
+            ]
+            self.toks = [tok for tok in self.toks if tok[0] not in _LEX_ERRORS]
+        self.keys = list(map(itemgetter(0), self.toks))
         self.pos = 0
         self.depth = 0  # open `(`, `P[`, `from` and `*` levels
-        self.diagnostics: list[Diagnostic] = []
 
     # -- token plumbing
 
+    def span(self, tok: _Tok) -> Span:
+        """Where a token is: its line is found by one `bisect` of its start
+        (`tok[2]`) among the offsets at which the lines start."""
+        line = bisect(self.starts, tok[2])
+        return Span(line, tok[2] - self.starts[line - 1] + 1, *tok[2:])
+
     def error(self, code: str, message: str, span: Span | None = None, note: str | None = None):
         return _ParseError(
-            Diagnostic(code, message, span or Span(*self.toks[self.pos][2:]), note)
+            Diagnostic(code, message, span or self.span(self.toks[self.pos]), note)
         )
 
     def expect(self, key: str) -> None:
@@ -325,10 +332,11 @@ class _Parser:
         levels it entered."""
         self.depth -= levels
         if self.keys[self.pos] != closer:
+            opened = self.span(opener)
             raise self.error(
                 "E0003",
                 f"unclosed bracket: expected {closer!r}, found {self.shown()}",
-                note=f"opened at line {opener[2]}, column {opener[3]}",
+                note=f"opened at line {opened.line}, column {opened.col}",
             )
         self.pos += 1
 
@@ -374,7 +382,7 @@ class _Parser:
         parse = self.DECLS.get(self.keys[self.pos])
         if parse is None:
             raise self.error("E0002", f"expected a declaration, found {self.shown()}")
-        start = Span(*self.toks[self.pos][2:])
+        start = self.span(self.toks[self.pos])
         self.pos += 1
         return parse(self, start)
 
@@ -437,7 +445,7 @@ class _Parser:
         start = self.toks[self.pos]
         key, _, value = self.parse_arg(), self.expect("->"), self.parse_arg()
         if type(key) is not ObjLit or type(value) is not ObjLit:
-            raise self.error("E0002", "table rows take object literals", Span(*start[2:]))
+            raise self.error("E0002", "table rows take object literals", self.span(start))
         return key, value
 
     def parse_obj_tag(self) -> Tag:
@@ -470,7 +478,7 @@ class _Parser:
         try:
             return BuiltinRule(name[1], tuple(args))
         except ValueError as exc:
-            raise self.error("E0002", str(exc), Span(*name[2:])) from None
+            raise self.error("E0002", str(exc), self.span(name)) from None
 
     def parse_builtin_arg(self, kind: str | None):
         """One argument, a STRING read as the spec that `kind` names."""
@@ -866,7 +874,6 @@ def read_source(path: str | os.PathLike) -> str:
 
 def parse_source(source: str) -> tuple[list[Decl], list[Diagnostic]]:
     """Recursive-descent parse with recovery at `;`."""
-    toks, lex_diags = _scan(source)
-    parser = _Parser(toks)
+    parser = _Parser(source)
     decls = parser.parse_file()
-    return decls, lex_diags + parser.diagnostics
+    return decls, parser.diagnostics

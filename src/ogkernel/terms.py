@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from types import FunctionType
 from typing import NamedTuple, Union
 
@@ -288,11 +288,13 @@ class Table(FnExpr, fields="domain codomain rows"):
     __slots__ = ()
 
     def __new__(cls, domain: GenExpr, codomain: GenExpr, rows: tuple[tuple[ObjLit, ObjLit], ...]):
-        seen = set()
-        for key, _ in rows:
-            if key.tag in seen:
-                raise ValueError(f"duplicate table row for {tag_text(key.tag)!r}")
-            seen.add(key.tag)
+        tags = list(map(attrgetter("tag"), map(itemgetter(0), rows)))  # the keys' tags
+        if len(set(tags)) < len(tags):  # name the first key given a second row
+            seen = set()
+            for tag in tags:
+                if tag in seen:
+                    raise ValueError(f"duplicate table row for {tag_text(tag)!r}")
+                seen.add(tag)
         return tuple.__new__(cls, (cls.__name__, domain, codomain, rows))
 
 

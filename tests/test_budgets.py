@@ -1,10 +1,11 @@
 """The README's budgets as tested contracts: a file's cost is linear in its
-number of declarations, an alias's expansion is bounded, and two runs and
-the fixed work of `ogk model` and `ogk check` cost no more Python work than
-pinned."""
+number of declarations, an alias's expansion and a judgment's are bounded, a
+report stays within a bound of its source, and three runs and the fixed work
+of `ogk model` and `ogk check` cost no more Python work than pinned."""
 
 from __future__ import annotations
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -112,6 +113,15 @@ def test_an_alias_at_the_bounds_elaborates_and_replays(shape):
     assert all(verify_trace(thm).passed for thm in result.theorems)
 
 
+@pytest.mark.parametrize("shape", _WITHIN)
+def test_an_alias_at_the_bounds_reports_within_its_bound(shape, tmp_path, capsys):
+    path = tmp_path / "alias.og"
+    path.write_text(_WITHIN[shape])
+    assert main(["check", "--format", "json", str(path)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "" and len(out) < 100 * len(_WITHIN[shape]) + 50_000  # doubling: 58,805 bytes
+
+
 @pytest.mark.parametrize("shape", _PAST)
 def test_an_alias_past_a_bound_is_e0102(shape, tmp_path, capsys):
     source, line, message = _PAST[shape]
@@ -125,14 +135,54 @@ def test_an_alias_past_a_bound_is_e0102(shape, tmp_path, capsys):
     assert err == "" and len(out) < 100 * len(source) + 50_000  # A20 wrote 29 MB
 
 
+def _alias_products(n: int) -> str:
+    """`_doubling(11)`'s aliases, then n assertions about a product of 60 to 62
+    factors A11, each nested under MAX_NESTING: a judgment of about 250,000
+    nodes once expanded, which a report would write whole."""
+    aliases = _doubling(11).rpartition("\n")[0]
+    products = (" * ".join(["A11"] * (60 + i % 3)) for i in range(n))
+    return "\n".join([aliases, *(f"assert Gen({p}) by rule gen;" for p in products)]) + "\n"
+
+
+def test_a_judgment_past_the_node_bound_is_e0102():
+    first, *rest = elaborate_text(_alias_products(3)).diagnostics
+    assert [diag.span.line for diag in (first, *rest)] == [13, 14, 15]  # each assertion
+    nodes = 60 * 4095 + 59 + 1  # the factors, the products and Gen
+    assert (first.code, first.message) == (
+        "E0102", f"judgment expands to {nodes} nodes, past MAX_ALIAS_NODES = {MAX_ALIAS_NODES}"
+    )
+
+
+def test_alias_products_stay_within_the_report_and_memory_bounds(tmp_path):
+    # At 64 assertions the report was 112 MB and the peak RSS 420 MB.
+    source = _alias_products(64)
+    path, report = tmp_path / "products.og", tmp_path / "report.json"
+    path.write_text(source)
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "import ogkernel.cli as cli\n"
+        f"code = cli.main(['check', '--format', 'json', '--out', {str(report)!r}, {str(path)!r}])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    code, peak_kib = map(int, result.stdout.split())
+    assert code == EXIT_CHECK_FAILED, result.stderr
+    assert report.stat().st_size < 100 * len(source) + 50_000
+    assert peak_kib < 64 * 1024
+
+
 # Exact counts of `ogk` runs, from the repository root with every package
 # cache empty, as a fresh process makes them: (opcodes, Python calls).  Each
 # bound is about 2% above its count when it was set, so a change that adds
 # Python work fails here before the benchmark runs; a change that cuts the work
 # lowers the bound.  Bytecode differs between CPython versions.
 _PINNED_WORK = {
-    ("model", "--max-size", "3"): (89_600, 2_660),  # 87,877 and 2,606
-    ("check", "tests/corpus/20_full_tower.og"): (72_300, 2_040),  # 71,139 and 1,990
+    ("model", "--max-size", "3"): (81_900, 2_590),  # 80,290 and 2,537
+    ("check", "tests/corpus/20_full_tower.og"): (64_800, 1_890),  # 63,554 and 1,855
+    ("check", "tests/corpus/10_limit_lab.og"): (73_000, 2_655),  # 71,563 and 2,603
 }
 
 # The fixed work of a run, counted the same way on a file of one line, read
@@ -140,8 +190,8 @@ _PINNED_WORK = {
 # instances and ZFC-1 over the 16 HF sets of rank 3) and `ogk check`'s.
 _ONE_LINE = "assert Set(Two) by axiom H1;\n"
 _PINNED_ONE_LINE_WORK = {
-    ("model", "one_line.og", "--max-size", "3", "--format", "json"): (11_640, 462),  # 11,419, 454
-    ("check", "one_line.og", "--format", "json"): (4_190, 133),  # 4,106 and 130
+    ("model", "one_line.og", "--max-size", "3", "--format", "json"): (10_830, 455),  # 10,613, 446
+    ("check", "one_line.og", "--format", "json"): (3_940, 120),  # 3,864 and 117
 }
 
 

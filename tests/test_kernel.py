@@ -33,7 +33,7 @@ from ogkernel.kernel import (
 from ogkernel.semantics import Carrier, Model, SweepItem, interpret, verify_judgment
 from ogkernel.stdlib import prelude_source
 from ogkernel.streams import CoherenceError, FiniteSupport, PowersOfTwoIndicator, SquaresIndicator
-from ogkernel.surface import _Parser, _scan, _tag_value, parse_family
+from ogkernel.surface import _Parser, _tag_value, parse_family
 from ogkernel.terms import (
     NAT,
     TWO,
@@ -874,7 +874,7 @@ def test_kernel_oracle_and_surface_read_a_tag_alike(data):
     except ValueError:
         assert not names_object  # a 3-tuple is no tag
         return
-    parser = _Parser(_scan(render(lit))[0])
+    parser = _Parser(render(lit))
     assert parser.parse_arg() == lit and parser.keys[parser.pos] == "eof"
     if isinstance(tag, frozenset):  # a set written in any member order is one tag
         members = data.draw(st.permutations(sorted(map(tag_text, tag))))

@@ -30,7 +30,7 @@ from ogkernel.surface import (
     MorphismDecl,
     RuleApp,
     StreamSpecError,
-    _scan,
+    _Parser,
     _tag_value,
     parse_family,
     parse_source,
@@ -76,11 +76,12 @@ class Token(NamedTuple):
 
 
 def lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
-    """The parser's keyed token tuples as `Token` records."""
-    toks, diagnostics = _scan(source)
+    """The parser's keyed token tuples as `Token` records, each with the span
+    the parser builds for it on demand, and the lexical errors."""
+    parser = _Parser(source)
     kinds = dict.fromkeys(KEYWORDS, "keyword") | {kind: kind for kind in _KIND_KEYS}
-    tokens = [Token(kinds.get(key, "symbol"), text, Span(*where)) for key, text, *where in toks]
-    return tokens, diagnostics
+    tokens = [Token(kinds.get(tok[0], "symbol"), tok[1], parser.span(tok)) for tok in parser.toks]
+    return tokens, parser.diagnostics
 
 
 def _tokens(source: str):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import parse_gen_expr
 from ogkernel.streams import SquaresIndicator
 from ogkernel.surface import (
-    KEYWORDS, _Parser, _scan, _tag_value, parse_source, split_top_level,
+    KEYWORDS, _Parser, _tag_value, parse_source, split_top_level,
 )
 from ogkernel.terms import (
     NAT,
@@ -256,9 +256,8 @@ def test_render_parse_round_trip_on_corpus():
 
 
 def _parse_obj_lit(text: str) -> ObjLit:
-    toks, diags = _scan(text)
-    assert not diags
-    parser = _Parser(toks)
+    parser = _Parser(text)
+    assert not parser.diagnostics
     lit = parser.parse_arg()
     assert parser.keys[parser.pos] == "eof" and not parser.diagnostics
     return lit
