@@ -14,6 +14,7 @@ the `--timings` sidecar.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from itertools import filterfalse
@@ -296,10 +297,16 @@ def emit_report(report: Report, format: str, out: str | None) -> int:
 
 
 def _write(path: str, payload: str, what: str) -> int:
-    """Write `payload` to `path`; returns an exit code (3 when it cannot)."""
+    """Write `payload` to `path` as UTF-8, through the file descriptor and no
+    text layer; returns an exit code (3 when it cannot)."""
+    data = memoryview(payload.encode("utf-8"))
     try:
-        with open(path, "w", encoding="utf-8") as file:
-            file.write(payload)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
     except OSError as exc:
         print(f"error: cannot write {what}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -87,6 +87,7 @@ from .terms import (
 
 __all__ = [
     "MAX_ALIAS_NODES",
+    "ALIAS_NODES_PER_CHAR",
     "Item",
     "ElabResult",
     "elaborate_files",
@@ -97,6 +98,10 @@ __all__ = [
 # each alias in it expanded: an alias's expansion is hashed and compared whole,
 # and a report writes a judgment whole.  An alias nests at most MAX_NESTING deep.
 MAX_ALIAS_NODES = 4096
+# The judgments of one file that name an alias have, all together, at most
+# MAX_ALIAS_NODES nodes plus this many per character of the file before the
+# declaration at hand, so that its report stays within a bound of its size.
+ALIAS_NODES_PER_CHAR = 8
 
 
 class Item(NamedTuple):
@@ -156,6 +161,7 @@ class _Session:
         self.primitives: set[Ident] = set()  # the generators that name themselves
         self.shapes: dict[Ident, tuple[int, int]] = {}  # each alias's expanded depth and nodes
         self.aliased = False  # whether `scope` expanded an alias since `scope_judgment` began
+        self.expanded = 0  # the nodes of the file's judgments that name an alias, so far
         self.morphisms: dict[Ident, FnExpr] = {}
         self.families: dict[Ident, Family] = {}  # each coherent family's descriptor
         self.including: list[str] = []  # resolved paths, as `os.path.realpath` gives them
@@ -213,14 +219,26 @@ class _Session:
         depths, sizes = zip((-1, 0), *map(self.shape, items))  # (-1, 0): Two and Nat
         return 1 + max(depths), 1 + sum(sizes)
 
-    def scope_judgment(self, judgment):
+    def scope_judgment(self, judgment, offset: int):
         """`scope(judgment)`, or E0102 when the judgment names an alias and,
-        each alias in it expanded, has more than MAX_ALIAS_NODES nodes."""
+        each alias in it expanded, has more than MAX_ALIAS_NODES nodes, or
+        takes the file's judgments that name an alias past MAX_ALIAS_NODES
+        plus ALIAS_NODES_PER_CHAR per character before `offset`, where its
+        declaration starts.  A refused judgment counts for nothing."""
         self.aliased = False
         goal = self.scope(judgment)
-        if self.aliased and (size := self.shape(judgment)[1]) > MAX_ALIAS_NODES:
-            raise _ElabError("E0102", f"judgment expands to {size} nodes, past "
-                             f"MAX_ALIAS_NODES = {MAX_ALIAS_NODES}")
+        if self.aliased:
+            size = self.shape(judgment)[1]
+            if size > MAX_ALIAS_NODES:
+                raise _ElabError("E0102", f"judgment expands to {size} nodes, past "
+                                 f"MAX_ALIAS_NODES = {MAX_ALIAS_NODES}")
+            budget = MAX_ALIAS_NODES + ALIAS_NODES_PER_CHAR * offset
+            if self.expanded + size > budget:
+                raise _ElabError("E0102", f"the file's judgments that name an alias expand "
+                                 f"to {self.expanded + size} nodes with this one, past "
+                                 f"{budget}: MAX_ALIAS_NODES + {ALIAS_NODES_PER_CHAR} per "
+                                 f"character before it")
+            self.expanded += size
         return goal
 
     def lookup(self, names: dict, ref, kind: str):
@@ -381,6 +399,7 @@ def elaborate_files(sources: list[tuple[str | os.PathLike, list[Decl]]]) -> Elab
     session = _Session()
     for path, decls in sources:
         session.roots.append(path)
+        session.expanded = 0
         _run_decls(session, decls, os.path.dirname(path))
         session.including.clear()
     return session.result()
@@ -441,7 +460,7 @@ def _axiom_summary(thm: Theorem) -> str:
 
 
 def _run_assert(session: _Session, decl: AssertDecl, base_dir: str | None) -> None:
-    goal = session.scope_judgment(decl.judgment)
+    goal = session.scope_judgment(decl.judgment, decl.span.start)
     if type(goal) is EqQuery:
         _run_eq_assert(session, decl, goal)
         return
@@ -479,7 +498,7 @@ def _run_eq_assert(session: _Session, decl: AssertDecl, goal: EqQuery) -> None:
 
 
 def _run_model_check(session: _Session, decl: ModelCheckDecl, base_dir: str | None) -> None:
-    goal = session.scope_judgment(decl.judgment)
+    goal = session.scope_judgment(decl.judgment, decl.span.start)
     if type(goal) is EqQuery:
         raise _ElabError("E0102", "model check takes a judgment, not an equality query")
     if decl.bound not in SWEEP_SIZES:
@@ -533,10 +552,12 @@ def _run_include(session: _Session, decl: IncludeDecl, base_dir: str | None) -> 
         raise _ElabError("E0005", f"included file {decl.path!r} has syntax errors")
     start = len(session.diagnostics)
     session.including.append(path)
+    outer, session.expanded = session.expanded, 0  # the included file counts its own
     try:
         _run_decls(session, decls, os.path.dirname(path))
     finally:
         session.including.pop()
+        session.expanded = outer
     session.diagnostics[start:] = [  # each diagnostic names the included file it is in
         diag._replace(within=(decl.path, *diag.within)) for diag in session.diagnostics[start:]
     ]

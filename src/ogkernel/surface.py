@@ -52,10 +52,16 @@ No token, comment or lexical error spans a newline.
 A token is a plain tuple `(key, text, start, end)` of its key, its text and
 its offsets in the source.  Its key is its text for a keyword or symbol and
 its kind for any other token (`ident`, `integer`, `string`, `bitlist`,
-`eof`); no keyword is spelled like a kind.  The parser compares keys, and
-reads a token's line and column, by one `bisect` over the offsets at which
-the lines start, only where it builds a `Span`: for the start of a
-declaration and for a diagnostic.
+`eof`); no keyword is spelled like a kind.  The lexer is one `findall` of a
+pattern of two groups, the blanks and comments before a token and the token's
+text, and makes its tuples in C: a key is looked up in one table by the text,
+for a keyword or symbol, or else in another by the text's first character,
+and the offsets are one running sum of the lengths of both groups.  Only a
+string literal or a bit list costs Python, which strips its quotes or `#`
+(and keys a string without its closing quote as unterminated).  The parser
+compares keys, and reads a token's line and column, by one `bisect` over the
+offsets at which the lines start, only where it builds a `Span`: for the
+start of a declaration and for a diagnostic.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ import os
 import re
 from bisect import bisect
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import itemgetter, methodcaller
 from typing import NamedTuple
 
@@ -130,6 +136,10 @@ JUDGMENT_HEADS = {
     head: (cls, sorts, tuple(GenExpr if sort == "gen" else object for sort in sorts))
     for cls, (head, sorts) in SIGNATURES.items()
 }
+# The heads whose every argument is a generator expression: Gen, SupportsQuant, Set.
+_GEN_HEADS = frozenset(
+    head for head, (_, sorts, _) in JUDGMENT_HEADS.items() if set(sorts) == {"gen"}
+)
 # The signature a `table` argument takes from the head's other arguments.
 _TABLE_SIGNATURES = {
     "Mor": lambda fn, dom, cod: (dom, cod),
@@ -154,26 +164,31 @@ class Diagnostic(NamedTuple):
         return base + (f"\n  note: {self.note}" if self.note else "")
 
 
-# A match is the blanks and comments before a token (group `blank`), then one
-# alternative per token kind, tried in order; each is maximal munch.  The last
-# group a match closes, but for the end of the source, is the token's kind: its
-# text is `m[kind]`, or a lexical error that `_LEX_ERRORS` names.  `spelled` is
-# a keyword or a symbol (no symbol starts with a letter, so the two can share a
-# group ahead of `ident`): its key is its text.
+# A match is the blanks and comments before a token (group 1), then the
+# token's text (group 2), each alternative maximal munch: a string literal with
+# its quotes (or an unterminated one, to the end of the line), `#` and its bits,
+# an integer, a word, a two-character symbol, or any other character, which is
+# a one-character symbol or an illegal one.  Group 2 is empty only at the end of
+# the source, so the matches run on from each other and skip nothing.
 _TOKEN_RE = re.compile(
-    r"""(?P<blank>(?:[ \t\r\n]|--.*)*)
-      (?: "(?P<string>[^"\n]*)"
-      | (?P<unterminated>"[^"\n]*)
-      | \#(?P<bitlist>[01]+)
-      | (?P<hash>\#)
-      | (?P<integer>[0-9]+)
-      | (?P<spelled>(?:KEYWORDS)(?![A-Za-z0-9_])|->|:=|[()\[\]{}*;,.:])
-      | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-      | (?P<illegal>.)
-      | \Z)""".replace("KEYWORDS", "|".join(sorted(KEYWORDS))),
-    re.VERBOSE,
+    r'((?:[ \t\r\n]|--.*)*)'
+    r'("[^"\n]*"?|#[01]*|[0-9]+|[A-Za-z][A-Za-z0-9_]*|->|:=|.|)'
 )
 _NEWLINE_RE = re.compile("\n")
+# A token's key: the text itself for a keyword or symbol (`#` and `"` alone
+# are lexical errors), otherwise the kind of its first character.
+_SPELLED = {
+    **{text: text for text in (*KEYWORDS, "->", ":=", *"()[]{}*;,.:")},
+    "#": "hash",
+    '"': "unterminated",
+}
+_FIRST_KINDS = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz", "ident"),
+    **dict.fromkeys("0123456789", "integer"),
+    '"': "string",
+    "#": "bitlist",
+}
+_QUOTED = frozenset({"string", "bitlist"})  # the keys whose text keeps a quote or `#`
 _LEX_ERRORS = {
     "unterminated": "unterminated string literal",
     "hash": "'#' must be followed by a 0/1 bit list",
@@ -184,8 +199,24 @@ _Tok = tuple[str, str, int, int]  # key, text, start, end
 
 def _scan(source: str) -> list[_Tok]:
     """Maximal-munch tokenization into keyed tuples, lexical errors among them
-    and the end of the source last; `--` comments are skipped."""
-    toks = [(m[k] if k == "spelled" else k, m[k], m.end(1), m.end()) for m in _TOKEN_RE.finditer(source) if (k := m.lastgroup) != "blank"]
+    and the end of the source last; `--` comments are skipped.  The keys come
+    from the two tables, and each token's start and end from one running sum of
+    the lengths of the blanks and texts before it, all in C: Python runs only
+    for the string literals and bit lists, to strip their quotes or `#`."""
+    pairs = _TOKEN_RE.findall(source)
+    texts = list(filter(None, map(itemgetter(1), pairs)))  # the end of the source dropped
+    kinds = map(_FIRST_KINDS.get, map(itemgetter(0), texts), repeat("illegal"))
+    keys = list(map(_SPELLED.get, texts, kinds))
+    offsets = accumulate(map(len, chain.from_iterable(pairs)))
+    toks = list(zip(keys, texts, offsets, offsets))  # (start, end): two running sums in turn
+    for i in compress(count(), map(_QUOTED.__contains__, keys)):
+        key, text, start, end = toks[i]
+        if key == "bitlist":
+            toks[i] = (key, text[1:], start, end)
+        elif text[-1] == '"':  # two quotes at least: `"` alone is keyed unterminated
+            toks[i] = (key, text[1:-1], start, end)
+        else:
+            toks[i] = ("unterminated", text, start, end)
     toks.append(("eof", "", len(source), len(source)))
     return toks
 
@@ -549,6 +580,8 @@ class _Parser:
             return Malformed(f"{head} takes {len(sorts)} argument(s), got {len(args)}")
         if not all(map(isinstance, args, classes)):  # generator expressions first
             return Malformed(f"{head}: expected a generator expression")
+        if head in _GEN_HEADS:  # every argument is a generator expression, as written
+            return cls(*args)
         try:
             fields = tuple(map(_argument, sorts, args, repeat(head), repeat(args)))
         except ValueError as exc:  # a sort error, a row given twice or a bad descriptor

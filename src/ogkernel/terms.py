@@ -334,6 +334,7 @@ class BuiltinRule(FnExpr, fields="rule args"):
         return tuple.__new__(cls, (cls.__name__, rule, args))
 
 
+@lru_cache(maxsize=4096)
 def fn_signature(fn: FnExpr) -> tuple[GenExpr, GenExpr]:
     """The declared (domain, codomain) of a function expression."""
     if isinstance(fn, Table):

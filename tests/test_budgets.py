@@ -1,10 +1,13 @@
 """The README's budgets as tested contracts: a file's cost is linear in its
-number of declarations, an alias's expansion and a judgment's are bounded, a
-report stays within a bound of its source, and three runs and the fixed work
-of `ogk model` and `ogk check` cost no more Python work than pinned."""
+number of declarations, an alias's expansion, a judgment's and a file's
+judgments' are bounded, a report stays within a bound of its source, and three
+runs, the fixed work of `ogk model` and `ogk check` and the benchmark's
+model-sweep operations cost no more Python work than pinned."""
 
 from __future__ import annotations
 
+import importlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +16,7 @@ import pytest
 
 from conftest import elaborate_text
 from ogkernel.cli import EXIT_CHECK_FAILED, EXIT_OK, main
-from ogkernel.elaborate import MAX_ALIAS_NODES
+from ogkernel.elaborate import ALIAS_NODES_PER_CHAR, MAX_ALIAS_NODES
 from ogkernel.kernel import verify_trace
 from ogkernel.surface import MAX_NESTING
 
@@ -153,10 +156,33 @@ def test_a_judgment_past_the_node_bound_is_e0102():
     )
 
 
-def test_alias_products_stay_within_the_report_and_memory_bounds(tmp_path):
-    # At 64 assertions the report was 112 MB and the peak RSS 420 MB.
-    source = _alias_products(64)
-    path, report = tmp_path / "products.og", tmp_path / "report.json"
+def _alias_repeats(n: int) -> str:
+    """`_doubling(11)`'s aliases, then n assertions that the last, 4,095 nodes
+    once expanded, is a generator: each within MAX_ALIAS_NODES alone."""
+    aliases = _doubling(11).rpartition("\n")[0]
+    return aliases + "\n" + "assert Gen(A11) by rule gen;\n" * n
+
+
+def test_a_file_past_its_alias_node_budget_is_e0102():
+    source = _alias_repeats(64)
+    result = elaborate_text(source)
+    lines = [diag.span.line for diag in result.diagnostics]
+    assert {diag.code for diag in result.diagnostics} == {"E0102"}
+    # Lines 13..76 assert.  The first is admitted on MAX_ALIAS_NODES, and each
+    # next one once the file before it has grown by 512 characters (4,096 / 8).
+    assert sorted(set(range(13, 77)) - set(lines)) == [13, 21, 38, 56, 74]
+    second = source.index("assert", source.index("assert") + 1)  # the first refused
+    budget = MAX_ALIAS_NODES + ALIAS_NODES_PER_CHAR * second
+    assert result.diagnostics[0].message == (
+        f"the file's judgments that name an alias expand to 8192 nodes with this one, "
+        f"past {budget}: MAX_ALIAS_NODES + {ALIAS_NODES_PER_CHAR} per character before it"
+    )
+
+
+def _check_in_child(source: str, tmp_path) -> tuple[int, int, int]:
+    """`ogk check --format json` of `source` in a child process under a 1 GiB
+    address-space limit: its exit code, its peak RSS in KiB and its report's size."""
+    path, report = tmp_path / "source.og", tmp_path / "report.json"
     path.write_text(source)
     script = (
         "import resource, sys\n"
@@ -168,9 +194,27 @@ def test_alias_products_stay_within_the_report_and_memory_bounds(tmp_path):
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
     )
+    assert result.returncode == 0, result.stderr
     code, peak_kib = map(int, result.stdout.split())
-    assert code == EXIT_CHECK_FAILED, result.stderr
-    assert report.stat().st_size < 100 * len(source) + 50_000
+    return code, peak_kib, report.stat().st_size
+
+
+def test_alias_products_stay_within_the_report_and_memory_bounds(tmp_path):
+    # At 64 assertions the report was 112 MB and the peak RSS 420 MB.
+    source = _alias_products(64)
+    code, peak_kib, size = _check_in_child(source, tmp_path)
+    assert code == EXIT_CHECK_FAILED
+    assert size < 100 * len(source) + 50_000
+    assert peak_kib < 64 * 1024
+
+
+def test_alias_repeats_stay_within_the_report_and_memory_bounds(tmp_path):
+    # Each assertion admitted alone, this 2,156-byte file wrote 1,876,482 bytes
+    # before the file's alias nodes were bounded.
+    source = _alias_repeats(64)
+    code, peak_kib, size = _check_in_child(source, tmp_path)
+    assert code == EXIT_CHECK_FAILED
+    assert size < 100 * len(source) + 50_000  # 187,409 bytes
     assert peak_kib < 64 * 1024
 
 
@@ -180,9 +224,9 @@ def test_alias_products_stay_within_the_report_and_memory_bounds(tmp_path):
 # Python work fails here before the benchmark runs; a change that cuts the work
 # lowers the bound.  Bytecode differs between CPython versions.
 _PINNED_WORK = {
-    ("model", "--max-size", "3"): (81_900, 2_590),  # 80,290 and 2,537
-    ("check", "tests/corpus/20_full_tower.og"): (64_800, 1_890),  # 63,554 and 1,855
-    ("check", "tests/corpus/10_limit_lab.og"): (73_000, 2_655),  # 71,563 and 2,603
+    ("model", "--max-size", "3"): (68_400, 2_520),  # 67,047 and 2,471
+    ("check", "tests/corpus/20_full_tower.og"): (52_200, 1_875),  # 51,140 and 1,837
+    ("check", "tests/corpus/10_limit_lab.og"): (71_650, 2_655),  # 70,255 and 2,602
 }
 
 # The fixed work of a run, counted the same way on a file of one line, read
@@ -190,8 +234,8 @@ _PINNED_WORK = {
 # instances and ZFC-1 over the 16 HF sets of rank 3) and `ogk check`'s.
 _ONE_LINE = "assert Set(Two) by axiom H1;\n"
 _PINNED_ONE_LINE_WORK = {
-    ("model", "one_line.og", "--max-size", "3", "--format", "json"): (10_830, 455),  # 10,613, 446
-    ("check", "one_line.og", "--format", "json"): (3_940, 120),  # 3,864 and 117
+    ("model", "one_line.og", "--max-size", "3", "--format", "json"): (10_540, 451),  # 10,333, 442
+    ("check", "one_line.og", "--format", "json"): (3_690, 118),  # 3,619 and 115
 }
 
 
@@ -221,3 +265,44 @@ def test_the_fixed_work_of_a_run_is_no_more_than_pinned(
     (tmp_path / "one_line.og").write_text(_ONE_LINE)
     bounds = _PINNED_ONE_LINE_WORK[argv]
     _assert_pinned(argv, bounds, python_opcodes, python_calls, clear_caches)
+
+
+# One operation of the benchmark's model-sweep workload, counted as its
+# counting pass counts it: in a fresh process after `import ogkernel.cli`, with
+# PYTHONHASHSEED=0, every line event of the Python frames that `cli.main` enters.
+_COUNT_LINES = """
+import io, sys
+import ogkernel.cli as cli
+
+def on_line(frame, event, arg):
+    global events
+    events += event == "line"
+    return on_line
+
+events = 0
+out, sys.stdout, sys.stderr = sys.stdout, io.StringIO(), io.StringIO()
+sys.settrace(lambda frame, event, arg: on_line)
+code = cli.main(sys.argv[1:])
+sys.settrace(None)
+print(code, events, file=out)
+"""
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="counts pinned on CPython 3.11")
+def test_a_model_sweep_operation_runs_no_more_line_events_than_pinned(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    workload, report = workloads.WORKLOADS["model-sweep"](), str(tmp_path / "report.json")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "0"}
+    counts = []
+    for op in workload.ops:
+        argv = [report if arg == workloads.REPORT else arg for arg in workload.argv(op)]
+        result = subprocess.run(
+            [sys.executable, "-c", _COUNT_LINES, *argv],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        code, events = map(int, result.stdout.split())
+        assert code == EXIT_OK, op.name
+        counts.append(events)
+    assert sum(counts) / len(counts) <= 6_150, counts  # 6,087.2 when it was pinned

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import re
 import sys
 from pathlib import Path
 from typing import NamedTuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +33,7 @@ from ogkernel.surface import (
     RuleApp,
     StreamSpecError,
     _Parser,
+    _scan,
     _tag_value,
     parse_family,
     parse_source,
@@ -490,6 +493,65 @@ _CHARS = list("aZ9_()[]{}*;,.:>= ") + ["-", "#", '"', "²", "\t", "\r", "\n"]
 @given(st.lists(st.sampled_from(_FRAGMENTS) | st.sampled_from(_CHARS), max_size=40))
 def test_lex_agrees_with_reference_lexer(pieces):
     _assert_lex_agrees("".join(pieces))
+
+
+# The edge cases of the lexer's two groups and key tables: each input's tuples
+# are those that the reference lexer's tokens and errors make, in source order.
+_LEX_EDGES = {
+    "empty": "",
+    "blanks only": " \t\r\n  \n",
+    "comment at the end, no newline": "assert Set(Two) by axiom H1; -- done",
+    "quote at the end": 'include "',
+    "unterminated string, then a declaration": 'include "lib.og\ngenerator G primitive;',
+    "empty string": 'include "";',
+    "hash at the end": "limit member #",
+    "hash before a digit": "#2",
+    "keyword and a letter": "Twox",
+    "keyword and an underscore": "by_",
+    "P alone": "P",
+    "digit then letter": "1a",
+    "non-ASCII letter": "\u00e9",
+    "CRLF line ends": "generator G primitive {a, b};\r\nassert Gen(G) by rule gen;\r\n",
+    "a lone CR inside a comment": "-- a\rb\nP",
+    "keyword last": "model check Set(Two) upto",
+}
+_ERROR_KEYS = {message: key for key, message in _LEX_ERRORS.items()}
+
+
+def _reference_scan(source: str) -> list[tuple[str, str, int, int]]:
+    """`_scan`'s tuples as the reference lexer makes them: a token keyed by
+    its text when it is a keyword or symbol and by its kind otherwise, and a
+    lexical error by its `_LEX_ERRORS` key, with the text it covers."""
+    tokens, diagnostics = reference_lex(source)
+    spelled = ("keyword", "symbol")
+    toks = [
+        (tok.text if tok.kind in spelled else tok.kind, tok.text, tok.span.start, tok.span.end)
+        for tok in tokens
+    ]
+    errors = [
+        (_ERROR_KEYS.get(diag.message, "illegal"), source[diag.span.start : diag.span.end],
+         diag.span.start, diag.span.end)
+        for diag in diagnostics
+    ]
+    return sorted(toks + errors, key=lambda tok: tok[2])  # the end of the source last
+
+
+@pytest.mark.parametrize("source", _LEX_EDGES.values(), ids=_LEX_EDGES)
+def test_scan_agrees_with_reference_lexer_on_edge_cases(source):
+    assert _scan(source) == _reference_scan(source)
+    _assert_lex_agrees(source)
+
+
+def test_scan_runs_no_python_per_plain_token(line_events):
+    source = (CORPUS / "20_full_tower.og").read_text("utf-8")  # no string or bit list
+    gc.disable()  # a collection would count the line events of gc callbacks
+    try:
+        once = line_events(lambda: _scan(source))
+        many = line_events(lambda: _scan(source * 10))
+    finally:
+        gc.enable()
+    assert len(_scan(source * 10)) == 10 * len(_scan(source)) - 9
+    assert many <= once + 2, (once, many)
 
 
 # ---------------------------------------------------------------------------
